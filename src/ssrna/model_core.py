@@ -104,7 +104,9 @@ def _positive_finite(name: str, value: float) -> float:
 def validate_params(r: float, alpha: float, delta: float, sigma: float, K: float) -> ModelParams:
     """Check the five raw rates and return a ModelParams with b derived as 1/K.
 
-    Raises ParameterError naming the offending field.
+    Raises ParameterError naming the offending field, or every rate when
+    only a quantity derived from them (delta*sigma, R0, 1/K) overflows or
+    underflows.
     """
     r = _positive_finite("r", r)
     delta = _positive_finite("delta", delta)
@@ -116,7 +118,15 @@ def validate_params(r: float, alpha: float, delta: float, sigma: float, K: float
         raise ParameterError(f"alpha must be a number, got {alpha!r}") from None
     if not math.isfinite(a) or not 0.0 < a <= 1.0:
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
-    return ModelParams(r=r, alpha=a, delta=delta, sigma=sigma, K=K)
+    params = ModelParams(r=r, alpha=a, delta=delta, sigma=sigma, K=K)
+    # each rate is in range on its own; what is derived from them must be too
+    if not (0.0 < delta * sigma < math.inf and 0.0 < basic_reproduction_number(params) < math.inf
+            and params.b < math.inf):
+        raise ParameterError(
+            f"rates out of floating-point range: delta*sigma, R0 and 1/K must be positive and finite "
+            f"(r={r!r}, alpha={a!r}, delta={delta!r}, sigma={sigma!r}, K={K!r})"
+        )
+    return params
 
 
 def basic_reproduction_number(params: ModelParams) -> float:

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Optional, Sequence
+from numbers import Real
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EnsembleError, ParameterError
+from .errors import EnsembleError, Error, ParameterError
 from .linearization import linearize
 from .model_core import (
     Equilibrium,
@@ -33,7 +34,17 @@ from .model_core import (
     validate_params,
 )
 from .serialize import fmt
-from .simulator import SimConfig, brownian_increments, check_anchor, recorded_steps, step_count
+from .simulator import (
+    SimConfig,
+    _drift,
+    _Drift,
+    _drift_coefficients,
+    _wiener_stream,
+    brownian_increments,  # re-exported: the one-shot form of the streams drawn here
+    check_anchor,
+    recorded_steps,
+    step_count,
+)
 from .stability import NoiseSpec, check_mean_square_stability
 
 __all__ = [
@@ -90,7 +101,12 @@ class EnsembleStats:
 
 
 def worker_count() -> int:
-    """Worker cap from SSRNA_THREADS (default 1); never changes output bytes."""
+    """Worker count from SSRNA_THREADS (default 1), validated but unused.
+
+    Ensembles run on one thread: on a 2-CPU host a thread pool was slower at
+    every size measured.  The variable is still checked so that a malformed
+    value fails loudly instead of being ignored.
+    """
     raw = os.environ.get("SSRNA_THREADS", "1")
     try:
         n = int(raw)
@@ -99,144 +115,190 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def _simulate_block(
-    first: int,
-    count: int,
-    params: ModelParams,
-    cfg: EnsembleConfig,
+# Steps of Wiener increments drawn per chunk.  Every standard_normal call
+# costs about 2 us whatever its length, so chunks are long enough to make
+# that negligible, while the (2, C, replicates) buffer stays bounded
+# whatever the horizon.
+_CHUNK_STEPS = 512
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """Constants of one ensemble in a batch: drift, noise, anchor, start, radius."""
+
+    drift: _Drift
+    omega1: float
+    omega2: float
+    p_star: float
+    m_star: float
+    x1: float  # initial deviation from the anchor
+    x2: float
+    eps_sq: float
+
+
+def _cell(cfg: EnsembleConfig, params: ModelParams) -> _Cell:
+    anchor = cfg.anchor
+    check_anchor(params, anchor)
+    return _Cell(
+        drift=_drift_coefficients(params, anchor),
+        omega1=cfg.noise.omega1,
+        omega2=cfg.noise.omega2,
+        p_star=anchor.p_star,
+        m_star=anchor.m_star,
+        x1=float(cfg.sim.initial[0]) - anchor.p_star,
+        x2=float(cfg.sim.initial[1]) - anchor.m_star,
+        eps_sq=cfg.epsilon1 * cfg.epsilon1,
+    )
+
+
+@dataclass(frozen=True)
+class _Paths:
+    """Per-replicate results of a batch; the leading axes are (cells, replicates)."""
+
+    sq: np.ndarray            # (recorded steps, cells, replicates): |x|^2
+    first_exceed: np.ndarray  # first recorded step by which |x| exceeded epsilon1, else -1
+    negative: np.ndarray      # a population went below zero at some step
+    nonfinite: np.ndarray     # the state overflowed; excluded from every statistic
+
+
+def _euler_maruyama(
+    cells: Sequence[_Cell],
+    replicates: int,
+    master_seed: int,
+    dt: float,
     n_steps: int,
     rec: Sequence[int],
-):
-    """Integrate replicates [first, first+count) as one vectorized block.
+) -> _Paths:
+    """Euler-Maruyama paths of every cell's replicates, driven by shared increments.
 
-    Per-element arithmetic matches simulator.integrate_sde bit for bit, so
-    results do not depend on how replicates are grouped into blocks.
+    Replicate k of every cell uses the streams keyed (master_seed, k,
+    coordinate).  They are drawn C steps at a time into buffers that
+    broadcast over the cell axis, so a batch draws its increments once;
+    counter-based streams give the same numbers as one brownian_increments
+    call over the whole horizon.  Per-element arithmetic is that of
+    simulator.integrate_sde, so no result depends on the batch or the chunk.
+
+    Only the running maximum of |x|^2 and the running minimum of each
+    deviation are kept per step.  Exceedance is resolved at the steps in
+    `rec`, which is all the cumulative exceedance curve needs.  A non-finite
+    state stays non-finite, so divergence is detected once per chunk.
     """
-    rep = linearize(params, cfg.anchor)
-    a11, a12, a21, a22 = rep.a11, rep.a12, rep.a21, rep.a22
-    br = params.b * params.r
-    abr = params.alpha * br
-    w1, w2 = cfg.noise.omega1, cfg.noise.omega2
-    ps, ms = cfg.anchor.p_star, cfg.anchor.m_star
-    dt = cfg.sim.dt
-    eps_sq = cfg.epsilon1 * cfg.epsilon1
 
-    dW1 = np.empty((count, n_steps))
-    dW2 = np.empty((count, n_steps))
-    for j in range(count):
-        dW1[j] = brownian_increments(cfg.master_seed, first + j, 0, n_steps, dt)
-        dW2[j] = brownian_increments(cfg.master_seed, first + j, 1, n_steps, dt)
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=float).reshape(-1, 1)
 
-    x1 = np.full(count, float(cfg.sim.initial[0]) - ps)
-    x2 = np.full(count, float(cfg.sim.initial[1]) - ms)
-    alive = np.ones(count, dtype=bool)
-    negative = np.zeros(count, dtype=bool)
-    first_exceed = np.full(count, -1, dtype=np.int64)
-    sq_rows = np.empty((count, len(rec)))
+    drift = _Drift(*(column(v) for v in zip(*(c.drift for c in cells))))
+    w1 = column([c.omega1 for c in cells])
+    w2 = column([c.omega2 for c in cells])
+    eps_sq = column([c.eps_sq for c in cells])
+    p_star = column([c.p_star for c in cells])
+    m_star = column([c.m_star for c in cells])
+    shape = (len(cells), replicates)
+    x1 = np.broadcast_to(column([c.x1 for c in cells]), shape).copy()
+    x2 = np.broadcast_to(column([c.x2 for c in cells]), shape).copy()
 
-    rec_iter = iter(rec)
-    next_rec = next(rec_iter)
+    dsq = x1 * x1 + x2 * x2
+    sup, low1, low2 = dsq.copy(), x1.copy(), x2.copy()
+    sq = np.empty((len(rec), *shape))
+    first_exceed = np.full(shape, -1, dtype=np.int64)
+    nonfinite = np.zeros(shape, dtype=bool)
     col = 0
 
-    def observe(step: int, dsq: np.ndarray) -> None:
-        nonlocal next_rec, col
-        hit = alive & (first_exceed < 0) & (dsq > eps_sq)
-        first_exceed[hit] = step
-        negative[:] |= alive & ((ps + x1 < 0.0) | (ms + x2 < 0.0))
-        if next_rec == step:
-            sq_rows[:, col] = dsq
-            col += 1
-            next_rec = next(rec_iter, None)
+    def observe(step: int) -> None:
+        nonlocal col
+        sq[col] = dsq
+        col += 1
+        np.copyto(first_exceed, step, where=(first_exceed < 0) & (sup > eps_sq))
 
-    # diverging replicates overflow to inf/nan before being frozen; that is
-    # the detection mechanism, not an error
+    if rec[0] == 0:
+        observe(0)
+
+    chunk = min(_CHUNK_STEPS, n_steps)
+    streams = [[_wiener_stream(master_seed, k, c) for k in range(replicates)] for c in (0, 1)]
+    draw = np.empty(chunk)
+    dW = np.empty((2, chunk, replicates))
+    sqrt_dt = math.sqrt(dt)
+    # diverging replicates overflow to inf/nan; that is the detection
+    # mechanism, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        observe(0, x1 * x1 + x2 * x2)
-        for i in range(n_steps):
-            g1 = a11 * x1 + a12 * x2 - br * (x1 + x2) * x2
-            g2 = a21 * x1 + a22 * x2 - abr * (x1 + x2) * x1
-            x1 = x1 + g1 * dt + w1 * x1 * dW1[:, i]
-            x2 = x2 + g2 * dt + w2 * x2 * dW2[:, i]
-            finite = np.isfinite(x1) & np.isfinite(x2)
-            if not finite.all():
-                died = alive & ~finite
-                alive &= finite
-                x1[died] = 0.0  # freeze: keeps NaNs out of later vector ops
-                x2[died] = 0.0
-            observe(i + 1, x1 * x1 + x2 * x2)
+        for start in range(0, n_steps, chunk):
+            m = min(chunk, n_steps - start)
+            for c, gens in enumerate(streams):
+                for k, gen in enumerate(gens):
+                    gen.standard_normal(out=draw[:m])
+                    dW[c, :m, k] = draw[:m]
+            dW[:, :m] *= sqrt_dt
+            for i in range(m):
+                g1, g2 = _drift(drift, x1, x2)
+                x1 = x1 + g1 * dt + w1 * x1 * dW[0, i]
+                x2 = x2 + g2 * dt + w2 * x2 * dW[1, i]
+                dsq = x1 * x1 + x2 * x2
+                np.maximum(sup, dsq, out=sup)
+                np.minimum(low1, x1, out=low1)
+                np.minimum(low2, x2, out=low2)
+                if col < len(rec) and rec[col] == start + i + 1:
+                    observe(start + i + 1)
+            died = ~(np.isfinite(x1) & np.isfinite(x2))
+            nonfinite |= died
+            x1[died] = 0.0  # freeze: keeps NaNs out of later vector ops
+            x2[died] = 0.0
 
-    return sq_rows, first_exceed, negative, ~alive
+    # p* + x1 is monotone in x1, so the running minimum decides negativity
+    negative = (p_star + low1 < 0.0) | (m_star + low2 < 0.0)
+    return _Paths(sq, first_exceed, negative, nonfinite)
 
 
-def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
-    """Integrate cfg.replicates independent noise-perturbed paths and reduce.
-
-    Statistics are deterministic given (cfg, master_seed): replicate k's
-    Wiener increments come from the stream keyed (master_seed, k, coordinate)
-    regardless of worker count, and the reduction sums replicates in index
-    order after collection.
-    """
-    check_anchor(params, cfg.anchor)
-    n_steps = step_count(cfg.sim)
-    rec = recorded_steps(n_steps, cfg.sim.record_stride)
-    n = cfg.replicates
-
-    workers = min(worker_count(), n)
-    blocks = []
-    if workers == 1:
-        blocks.append((0, n))
-    else:
-        size = (n + workers - 1) // workers
-        start = 0
-        while start < n:
-            blocks.append((start, min(size, n - start)))
-            start += size
-
-    if len(blocks) == 1:
-        results = [_simulate_block(blocks[0][0], blocks[0][1], params, cfg, n_steps, rec)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda blk: _simulate_block(blk[0], blk[1], params, cfg, n_steps, rec), blocks)
-            )
-
-    sq_rows = np.concatenate([res[0] for res in results], axis=0)
-    first_exceed = np.concatenate([res[1] for res in results])
-    negative = np.concatenate([res[2] for res in results])
-    nonfinite = np.concatenate([res[3] for res in results])
-
+def _reduce(paths: _Paths, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
+    """Statistics of one cell over its finite replicates, summed in replicate-index order."""
+    sq = paths.sq[:, cell]
+    nonfinite = paths.nonfinite[cell]
     included = ~nonfinite
+    n = len(included)
     n_included = int(included.sum())
     if n_included == 0:
         raise EnsembleError("all replicates became non-finite; no statistics available")
 
     # replicate-index-order accumulation keeps the reduction bitwise stable
     msd = np.zeros(len(rec))
-    for k in range(n):
-        if included[k]:
-            msd += sq_rows[k]
+    for k in np.flatnonzero(included):
+        msd += sq[:, k]
     msd /= n_included
 
     rec_arr = np.asarray(rec, dtype=np.int64)
-    fe = first_exceed[included]
+    fe = paths.first_exceed[cell][included]
     exceeded = fe >= 0
     cum = np.empty(len(rec))
     for j, step in enumerate(rec_arr):
         cum[j] = np.count_nonzero(exceeded & (fe <= step)) / n_included
 
-    times = rec_arr * cfg.sim.dt
     n_exceed = int(np.count_nonzero(exceeded))
     return EnsembleStats(
-        times=times,
+        times=rec_arr * dt,
         mean_sq_dev=msd,
         exceed_fraction_cum=cum,
         exceed_fraction=n_exceed / n_included,
         n_replicates=n,
         n_included=n_included,
         n_exceed=n_exceed,
-        n_negative=int(np.count_nonzero(negative & included)),
+        n_negative=int(np.count_nonzero(paths.negative[cell] & included)),
         n_nonfinite=int(np.count_nonzero(nonfinite)),
     )
+
+
+def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
+    """Integrate cfg.replicates independent noise-perturbed paths and reduce.
+
+    Statistics are deterministic given (cfg, master_seed): replicate k's
+    Wiener increments come from the stream keyed (master_seed, k, coordinate),
+    and the reduction sums replicates in index order.  This is the one-cell
+    case of the batched kernel that sweep uses.
+    """
+    worker_count()  # rejects a malformed SSRNA_THREADS
+    cell = _cell(cfg, params)
+    n_steps = step_count(cfg.sim)
+    rec = recorded_steps(n_steps, cfg.sim.record_stride)
+    paths = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, n_steps, rec)
+    return _reduce(paths, 0, rec, cfg.sim.dt)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -317,6 +379,23 @@ def _resolve_anchor(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
     raise ParameterError(f"unsupported anchor kind {kind!r}")
 
 
+def _grid_axes(grid, fields: tuple[str, ...], name: str) -> list[tuple[str, list[float]]]:
+    """(field, values) per axis in field order, after checking the grid's shape and types."""
+    if not isinstance(grid, dict):
+        raise ParameterError(f"{name} must map field names to lists of numbers, got {grid!r}")
+    for key, values in grid.items():
+        if key not in fields:
+            raise ParameterError(f"unknown grid field {key!r} (expected one of {fields})")
+        is_list = (isinstance(values, np.ndarray) and values.ndim == 1) or (
+            isinstance(values, Sequence) and not isinstance(values, (str, bytes))
+        )
+        if not is_list or not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
+            raise ParameterError(f"{name}.{key} must be a list of numbers, got {values!r}")
+    # numpy and other reals become floats; ints are kept, as JSON gives them
+    return [(key, [v if type(v) is int else float(v) for v in grid[key]])
+            for key in fields if key in grid]
+
+
 def sweep(
     base_params: ModelParams,
     model_grid: dict[str, Sequence[float]],
@@ -331,46 +410,51 @@ def sweep(
     Grids map field names to value lists; absent fields keep their base
     values and the cartesian product is taken in field order.  Every cell
     reuses the template's master_seed, dt and horizon, so compared cells see
-    identical Wiener increments (common random numbers).  When given,
+    identical Wiener increments (common random numbers); the cells are
+    integrated as one batch that draws those increments once.  When given,
     displace_fraction and epsilon1_fraction re-derive each cell's initial
     state and exceedance radius from that cell's anchor; otherwise the
     template's absolute values apply everywhere.  A failed cell produces a
     row with verdict "error" (or "nonexistent") and NaN statistics instead
     of aborting the sweep.
     """
-    for grid, fields in ((model_grid, _MODEL_FIELDS), (noise_grid, _NOISE_FIELDS)):
-        for key in grid:
-            if key not in fields:
-                raise ParameterError(f"unknown grid field {key!r} (expected one of {fields})")
+    model_axes = _grid_axes(model_grid, _MODEL_FIELDS, "model_grid")
+    noise_axes = _grid_axes(noise_grid, _NOISE_FIELDS, "noise_grid")
+    base_model = {name: getattr(base_params, name) for name in _MODEL_FIELDS}
+    base_noise = {"omega1": template.noise.omega1, "omega2": template.noise.omega2}
 
-    model_axes = [(name, list(model_grid[name])) for name in _MODEL_FIELDS if name in model_grid]
-    noise_axes = [(name, list(noise_grid[name])) for name in _NOISE_FIELDS if name in noise_grid]
-    model_combos = list(product(*(vals for _, vals in model_axes))) if model_axes else [()]
-    noise_combos = list(product(*(vals for _, vals in noise_axes))) if noise_axes else [()]
+    rows: list[Optional[SweepRow]] = []
+    pending: list[tuple[int, dict, _Cell]] = []  # (row index, row fields, cell) still to integrate
+    for mvals in product(*(vals for _, vals in model_axes)):
+        model_kwargs = dict(base_model, **{name: v for (name, _), v in zip(model_axes, mvals)})
+        for nvals in product(*(vals for _, vals in noise_axes)):
+            noise_kwargs = dict(base_noise, **{name: v for (name, _), v in zip(noise_axes, nvals)})
+            resolved = _sweep_cell(model_kwargs, noise_kwargs, template, anchor_kind,
+                                   displace_fraction, epsilon1_fraction)
+            if isinstance(resolved, SweepRow):
+                rows.append(resolved)
+            else:
+                pending.append((len(rows), *resolved))
+                rows.append(None)
 
-    rows: list[SweepRow] = []
-    for mvals in model_combos:
-        model_kwargs = {
-            "r": base_params.r,
-            "alpha": base_params.alpha,
-            "delta": base_params.delta,
-            "sigma": base_params.sigma,
-            "K": base_params.K,
-        }
-        model_kwargs.update({name: v for (name, _), v in zip(model_axes, mvals)})
-        for nvals in noise_combos:
-            noise_kwargs = {"omega1": template.noise.omega1, "omega2": template.noise.omega2}
-            noise_kwargs.update({name: v for (name, _), v in zip(noise_axes, nvals)})
-            rows.append(
-                _sweep_cell(
-                    model_kwargs,
-                    noise_kwargs,
-                    template,
-                    anchor_kind,
-                    displace_fraction,
-                    epsilon1_fraction,
-                )
-            )
+    if pending:
+        n_steps = step_count(template.sim)
+        final = [n_steps]  # a row holds only the final mean squared deviation
+        paths = _euler_maruyama([cell for _, _, cell in pending], template.replicates,
+                                template.master_seed, template.sim.dt, n_steps, final)
+        for j, (i, base, _) in enumerate(pending):
+            try:
+                stats = _reduce(paths, j, final, template.sim.dt)
+            except EnsembleError as exc:
+                rows[i] = SweepRow(**dict(base, verdict="error"), error=str(exc))
+                continue
+            rows[i] = SweepRow(**dict(
+                base,
+                exceed_fraction=stats.exceed_fraction,
+                final_msd=float(stats.mean_sq_dev[-1]),
+                n_negative=stats.n_negative,
+                n_nonfinite=stats.n_nonfinite,
+            ))
     return rows
 
 
@@ -381,7 +465,8 @@ def _sweep_cell(
     anchor_kind: EquilibriumKind,
     displace_fraction: Optional[float],
     epsilon1_fraction: Optional[float],
-) -> SweepRow:
+) -> Union[SweepRow, tuple[dict, _Cell]]:
+    """A finished row for a cell that cannot be integrated, else its row fields and batch cell."""
     nan = math.nan
     base = dict(model_kwargs, **noise_kwargs, r0=nan, verdict="error",
                 exceed_fraction=nan, final_msd=nan, n_negative=0, n_nonfinite=0)
@@ -389,7 +474,7 @@ def _sweep_cell(
         params = validate_params(**model_kwargs)
         noise = NoiseSpec(**noise_kwargs)
         base["r0"] = basic_reproduction_number(params)
-    except Exception as exc:  # invalid cell: recorded, not raised
+    except Error as exc:  # invalid cell: recorded, not raised
         return SweepRow(**base, error=str(exc))
     try:
         anchor = _resolve_anchor(params, anchor_kind)
@@ -402,29 +487,11 @@ def _sweep_cell(
         scale = anchor_scale(anchor, params.K)
         sim = template.sim
         if displace_fraction is not None:
-            sim = SimConfig(
-                dt=sim.dt,
-                t_end=sim.t_end,
-                initial=displaced_initial(anchor, displace_fraction, params.K),
-                seed=sim.seed,
-                record_stride=sim.record_stride,
-            )
+            sim = replace(sim, initial=displaced_initial(anchor, displace_fraction, params.K))
         epsilon1 = template.epsilon1 if epsilon1_fraction is None else epsilon1_fraction * scale
-        cfg = EnsembleConfig(
-            replicates=template.replicates,
-            sim=sim,
-            noise=noise,
-            anchor=anchor,
-            epsilon1=epsilon1,
-            master_seed=template.master_seed,
-        )
-        stats = run_ensemble(cfg, params)
-        base["exceed_fraction"] = stats.exceed_fraction
-        base["final_msd"] = float(stats.mean_sq_dev[-1])
-        base["n_negative"] = stats.n_negative
-        base["n_nonfinite"] = stats.n_nonfinite
-        return SweepRow(**base)
-    except Exception as exc:
+        cfg = replace(template, sim=sim, noise=noise, anchor=anchor, epsilon1=epsilon1)
+        return base, _cell(cfg, params)
+    except Error as exc:
         base["verdict"] = "error"
         return SweepRow(**base, error=str(exc))
 

@@ -306,6 +306,39 @@ def test_sweep_reproducible_across_runs_and_threads(tmp_path, monkeypatch):
     assert len(a.splitlines()) == 10
 
 
+@pytest.mark.parametrize("grids, needle", [
+    ({"noise_grid": {"omega1": [0.05, "x"]}}, "noise_grid.omega1"),
+    ({"noise_grid": {"omega1": [True]}}, "noise_grid.omega1"),
+    ({"model_grid": {"r": 0.1211}}, "model_grid.r"),
+    ({"model_grid": [0.1211]}, "model_grid"),
+])
+def test_sweep_malformed_grid_exits_2(tmp_path, capsys, grids, needle):
+    cfg = sweep_config(replicates=3)
+    cfg["sweep"].update(grids)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_rates_out_of_float_range(tmp_path, capsys):
+    # delta is a positive finite number, but delta*sigma underflows to zero
+    cfg = sweep_config(replicates=3)
+    cfg["model"]["delta"] = 5e-324
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "floating-point range" in err and "Traceback" not in err
+
+    # the same rate as a grid cell is recorded in its row
+    cfg = sweep_config(model_grid={"delta": [TUMV["delta"], 5e-324]}, replicates=3)
+    assert main(["sweep", "--config", write_config(tmp_path, cfg, "grid.json"), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[8] for row in rows] == ["true", "error"]
+
+
 def test_sweep_json_format(tmp_path):
     path = write_config(tmp_path, sweep_config(noise_grid={"omega1": [0.0, 0.1]}, replicates=5))
     out = tmp_path / "out"

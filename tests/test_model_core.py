@@ -58,6 +58,17 @@ def test_validate_names_offending_field(field, kwargs):
         validate_params(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(r=1, alpha=1, delta=5e-324, sigma=0.5, K=1),    # delta*sigma underflows to 0
+    dict(r=1, alpha=1, delta=1e-160, sigma=1e-160, K=1),  # alpha/(delta*sigma) overflows
+    dict(r=5e-324, alpha=0.25, delta=1, sigma=1, K=1),    # R0 underflows to 0
+    dict(r=1, alpha=1, delta=1, sigma=1, K=5e-324),       # 1/K overflows
+])
+def test_validate_rejects_rates_out_of_float_range(kwargs):
+    with pytest.raises(ParameterError, match="floating-point range"):
+        validate_params(**kwargs)
+
+
 @given(
     r=st.floats(0.001, 100.0),
     alpha=st.floats(0.001, 1.0),

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from ssrna import (
     ParameterError,
     SimConfig,
     State,
+    brownian_increments,
+    centralized_rhs,
     estimate_stability_in_probability,
     integrate_ode,
     integrate_sde,
@@ -21,7 +25,9 @@ from ssrna import (
     validate_params,
     wilson_interval,
 )
+from ssrna import montecarlo
 from ssrna.montecarlo import anchor_scale, displaced_initial, write_ensemble_csv, write_sweep_csv
+from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
 
 from conftest import TUMV
@@ -126,7 +132,7 @@ def test_ensemble_determinism_and_thread_independence(tumv, monkeypatch):
     b = run_ensemble(cfg, tumv)
     assert (a.mean_sq_dev == b.mean_sq_dev).all()
     assert (a.exceed_fraction_cum == b.exceed_fraction_cum).all()
-    monkeypatch.setenv("SSRNA_THREADS", "3")  # uneven blocks: 3+3+1
+    monkeypatch.setenv("SSRNA_THREADS", "3")  # accepted; ensembles run on one thread
     c = run_ensemble(cfg, tumv)
     assert (a.mean_sq_dev == c.mean_sq_dev).all()
     assert (a.exceed_fraction_cum == c.exceed_fraction_cum).all()
@@ -186,6 +192,94 @@ def test_ensemble_config_validation(tumv):
     with pytest.raises(ParameterError, match="master_seed"):
         EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0, 0), anchor=eq,
                        epsilon1=1.0, master_seed=-2)
+
+
+def reference_ensemble(params, cfg):
+    """Scalar Euler-Maruyama per replicate on one-shot brownian_increments draws.
+
+    Returns (mean_sq_dev, exceed_fraction_cum, n_negative, n_nonfinite) with
+    the same exclusion rule and replicate-order summation as run_ensemble.
+    """
+    n = step_count(cfg.sim)
+    rec = recorded_steps(n, cfg.sim.record_stride)
+    msd = np.zeros(len(rec))
+    first_exceed, n_negative, n_nonfinite = [], 0, 0
+    for k in range(cfg.replicates):
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
+            sq, first, negative = _reference_path(params, cfg, k, n, rec)
+        if sq is None:
+            n_nonfinite += 1
+            continue
+        msd += np.asarray(sq)
+        first_exceed.append(first)
+        n_negative += negative
+    n_included = cfg.replicates - n_nonfinite
+    cum = [sum(e is not None and e <= step for e in first_exceed) / n_included for step in rec]
+    return msd / n_included, np.asarray(cum), n_negative, n_nonfinite
+
+
+def _reference_path(params, cfg, k, n, rec):
+    """(|x|^2 at the recorded steps, first step |x| > epsilon1, went negative), or Nones if it diverged."""
+    eq, sim = cfg.anchor, cfg.sim
+    eps_sq = cfg.epsilon1 * cfg.epsilon1
+    dW1 = brownian_increments(cfg.master_seed, k, 0, n, sim.dt)
+    dW2 = brownian_increments(cfg.master_seed, k, 1, n, sim.dt)
+    x1, x2 = sim.initial[0] - eq.p_star, sim.initial[1] - eq.m_star
+    sq, exceed_at, negative = [], None, False
+    for i in range(n + 1):
+        if i > 0:
+            g1, g2 = centralized_rhs(params, eq, (x1, x2))
+            x1 = x1 + g1 * sim.dt + cfg.noise.omega1 * x1 * dW1[i - 1]
+            x2 = x2 + g2 * sim.dt + cfg.noise.omega2 * x2 * dW2[i - 1]
+            if not (math.isfinite(x1) and math.isfinite(x2)):
+                return None, None, None
+        dsq = x1 * x1 + x2 * x2
+        if i in rec:
+            sq.append(dsq)
+        if exceed_at is None and dsq > eps_sq:
+            exceed_at = i
+        negative = negative or eq.p_star + x1 < 0.0 or eq.m_star + x2 < 0.0
+    return sq, exceed_at, negative
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
+@pytest.mark.parametrize("n_steps", [5, 8, 9, 27])  # below, at, just past and several chunks of 8
+def test_chunked_ensemble_equals_one_shot_increments(monkeypatch, n_steps, noise):
+    monkeypatch.setattr(montecarlo, "_CHUNK_STEPS", 8)
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    sim = SimConfig(dt=0.25, t_end=0.25 * n_steps, initial=State(300.0, 300.0), record_stride=3)
+    cfg = EnsembleConfig(replicates=16, sim=sim, noise=noise, anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=4242)
+    stats = run_ensemble(cfg, p)
+    msd, cum, n_negative, n_nonfinite = reference_ensemble(p, cfg)
+    assert np.array_equal(stats.mean_sq_dev, msd)
+    assert np.array_equal(stats.exceed_fraction_cum, cum)
+    assert stats.exceed_fraction == cum[-1]
+    assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite)
+    if n_steps == 27:  # the comparison exercises every statistic
+        assert 0.0 < stats.exceed_fraction < 1.0
+        if noise.omega1 < 1.0:
+            assert 0 < stats.n_negative < stats.n_included
+        else:
+            assert stats.n_nonfinite > 0
+
+
+def test_ensemble_memory_does_not_grow_with_horizon(tumv):
+    eq = positive_equilibrium(tumv)
+    sim = SimConfig(dt=0.5, t_end=10000.0, initial=displaced_initial(eq, 0.01, tumv.K),
+                    record_stride=100)
+    cfg = EnsembleConfig(replicates=200, sim=sim, noise=NoiseSpec(0.05, 0.05), anchor=eq,
+                         epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=5)
+    n = step_count(sim)
+    assert n == 20000
+    whole_horizon_buffers = 2 * cfg.replicates * n * 8  # both coordinates' increments at once
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg, tumv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_horizon_buffers / 4
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +386,18 @@ def test_sweep_rejects_unknown_grid_fields(tumv):
         sweep(tumv, {"bogus": [1.0]}, {}, template)
 
 
+def test_sweep_accepts_numpy_and_range_grids(tumv):
+    template = small_sweep_template(tumv, replicates=3)
+    lists = sweep(tumv, {"r": [0.1211, 0.25], "K": [2000.0, 3000.0]}, {"omega1": [0.0, 0.05, 0.1]}, template)
+    arrays = sweep(tumv, {"r": np.array([0.1211, 0.25]), "K": range(2000, 3001, 1000)},
+                   {"omega1": np.linspace(0.0, 0.1, 3)}, template)
+    assert arrays == lists
+    assert all(type(row.omega1) is float for row in arrays)
+    for bad in (np.array([[0.1]]), np.array([True]), "0.1", b"\x01", {0.1}):
+        with pytest.raises(ParameterError, match="noise_grid.omega1"):
+            sweep(tumv, {}, {"omega1": bad}, template)
+
+
 def test_sweep_common_random_numbers(tumv):
     # identical noise cells in different sweeps see identical increments
     template = small_sweep_template(tumv)
@@ -300,6 +406,48 @@ def test_sweep_common_random_numbers(tumv):
     rows_b = sweep(tumv, {}, {"omega1": [0.1, 0.2]}, template, displace_fraction=0.01,
                    epsilon1_fraction=0.1)
     assert rows_a[0] == rows_b[0]
+
+
+def test_sweep_rows_equal_standalone_ensembles(tumv, monkeypatch):
+    # batching cells, sharing their increments and recording only the final
+    # step must not change a row; small chunks put 300 steps in five of them
+    monkeypatch.setattr(montecarlo, "_CHUNK_STEPS", 64)
+    eq = positive_equilibrium(tumv)
+    sim = SimConfig(dt=0.5, t_end=150.0, initial=displaced_initial(eq, 0.01, tumv.K),
+                    record_stride=8)
+    template = EnsembleConfig(replicates=20, sim=sim, noise=NoiseSpec(0.05, 0.05), anchor=eq,
+                              epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=2024)
+    rows = sweep(tumv, {"r": [0.1211, 0.3, 0.01]}, {"omega1": [0.05, 1.0, 2.0, 3.0]}, template,
+                 displace_fraction=0.01, epsilon1_fraction=0.1)
+    assert [row.verdict for row in rows] == ["true", "false", "false", "error"] * 2 + ["nonexistent"] * 4
+    assert 0.0 < rows[1].exceed_fraction < 1.0
+    assert rows[2].n_nonfinite > 0 and rows[2].n_negative > 0
+    for row in rows[:8]:
+        params = validate_params(**dict(TUMV, r=row.r))
+        anchor = positive_equilibrium(params)
+        cfg = replace(template, sim=replace(sim, initial=displaced_initial(anchor, 0.01, params.K)),
+                      noise=NoiseSpec(row.omega1, row.omega2), anchor=anchor,
+                      epsilon1=0.1 * anchor_scale(anchor, params.K))
+        if row.verdict == "error":  # every replicate diverged
+            with pytest.raises(EnsembleError) as exc:
+                run_ensemble(cfg, params)
+            assert row.error == str(exc.value)
+            assert math.isnan(row.final_msd) and math.isnan(row.exceed_fraction)
+            continue
+        stats = run_ensemble(cfg, params)
+        assert row.final_msd == stats.mean_sq_dev[-1]
+        assert row.exceed_fraction == stats.exceed_fraction
+        assert (row.n_negative, row.n_nonfinite) == (stats.n_negative, stats.n_nonfinite)
+        assert row.error is None
+
+
+def test_sweep_propagates_bugs_instead_of_recording_them(tumv, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(montecarlo, "check_mean_square_stability", broken)
+    with pytest.raises(ZeroDivisionError):
+        sweep(tumv, {}, {}, small_sweep_template(tumv, replicates=2))
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,30 @@ def test_sde_zero_noise_is_drift_only_euler(tumv):
     assert np.allclose(traj.states, np.asarray(raw), rtol=0, atol=1e-9 * tumv.K)
 
 
+def test_sde_noisy_path_matches_shared_drift_recursion():
+    # integrate_sde writes the centred drift out inline; it must round like
+    # centralized_rhs, whose arithmetic the ensemble kernel shares.  With
+    # R0 > 1 the path leaves the origin anchor for the coexistence state, so
+    # the quadratic coupling stays as large as the linear part and a
+    # reordered product shows up in the path.
+    p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    eq = origin_equilibrium()
+    cfg = SimConfig(dt=0.25, t_end=30.0, initial=State(300.0, 250.0), seed=21)
+    noise = NoiseSpec(0.3, 0.2)
+    traj = integrate_sde(p, noise, eq, cfg, replicate=4)
+    n = step_count(cfg)
+    dW1 = brownian_increments(cfg.seed, 4, 0, n, cfg.dt)
+    dW2 = brownian_increments(cfg.seed, 4, 1, n, cfg.dt)
+    x1, x2 = cfg.initial.p - eq.p_star, cfg.initial.m - eq.m_star
+    states = [(eq.p_star + x1, eq.m_star + x2)]
+    for i in range(n):
+        g1, g2 = centralized_rhs(p, eq, (x1, x2))
+        x1 = x1 + g1 * cfg.dt + noise.omega1 * x1 * dW1[i]
+        x2 = x2 + g2 * cfg.dt + noise.omega2 * x2 * dW2[i]
+        states.append((eq.p_star + x1, eq.m_star + x2))
+    assert np.array_equal(traj.states, np.asarray(states))
+
+
 def test_sde_seed_and_replicate_streams(tumv):
     eq = positive_equilibrium(tumv)
     cfg = SimConfig(dt=0.5, t_end=40.0, initial=State(1.01 * eq.p_star, eq.m_star), seed=77)
