@@ -44,10 +44,14 @@ COMMANDS = ("analyze", "simulate", "ensemble", "sweep")
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _expect(mapping: Any, key: str, ctx: str) -> Any:
-    if not isinstance(mapping, dict):
+def _object(value: Any, ctx: str) -> dict:
+    if not isinstance(value, dict):
         raise ParameterError(f"{ctx} must be a JSON object")
-    if key not in mapping:
+    return value
+
+
+def _expect(mapping: Any, key: str, ctx: str) -> Any:
+    if key not in _object(mapping, ctx):
         raise ParameterError(f"{ctx}: missing required field {key!r}")
     return mapping[key]
 
@@ -103,6 +107,7 @@ def parse_noise(cfg: dict) -> NoiseSpec:
     block = cfg.get("noise")
     if block is None:
         return NoiseSpec(0.0, 0.0)
+    _object(block, "noise")
     return NoiseSpec(
         omega1=_number(block.get("omega1", 0.0), "noise.omega1"),
         omega2=_number(block.get("omega2", 0.0), "noise.omega2"),
@@ -140,7 +145,7 @@ def _parse_sim_block(
     ctx: str,
     seed_override: Optional[int],
 ) -> SimConfig:
-    dt_raw = block.get("dt")
+    dt_raw = _object(block, ctx).get("dt")
     if dt_raw is None:
         dt = simulator.default_dt(params, anchor)
     else:
@@ -392,7 +397,7 @@ def _trajectory_json(traj: Trajectory) -> dict:
 def cmd_simulate(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]) -> int:
     params = parse_model(cfg)
     noise = parse_noise(cfg)
-    block = cfg["simulate"]
+    block = _object(cfg["simulate"], "simulate")
     scheme_name = block.get("scheme", "rk4")
     if scheme_name not in (Scheme.RK4.value, Scheme.EULER_MARUYAMA.value):
         raise ParameterError(f"simulate.scheme must be 'rk4' or 'euler-maruyama', got {scheme_name!r}")

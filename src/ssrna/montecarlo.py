@@ -12,7 +12,12 @@ reported, since silently dropping them would bias the estimates.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import signal
+import sys
+import threading
+import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import product
@@ -59,7 +64,6 @@ __all__ = [
     "anchor_scale",
     "write_ensemble_csv",
     "write_sweep_csv",
-    "worker_count",
 ]
 
 _MAX_SEED = 2**64
@@ -90,7 +94,9 @@ class EnsembleStats:
     """Reduced statistics over the included (finite) replicates."""
 
     times: np.ndarray
-    mean_sq_dev: np.ndarray          # E|x(t)|^2 on the recorded grid
+    # sample mean of |x(t)|^2 over the included replicates on the recorded
+    # grid; at long horizons a few paths carry it, so it does not estimate E|x(t)|^2
+    mean_sq_dev: np.ndarray
     exceed_fraction_cum: np.ndarray  # fraction whose sup-deviation exceeded epsilon1 by each time
     exceed_fraction: float
     n_replicates: int
@@ -100,19 +106,15 @@ class EnsembleStats:
     n_nonfinite: int
 
 
-def worker_count() -> int:
-    """Worker count from SSRNA_THREADS (default 1), validated but unused.
+def _worker_count(replicates: int) -> int:
+    """Processes an ensemble runs in: one per CPU this process may use, at most one per replicate.
 
-    Ensembles run on one thread: on a 2-CPU host a thread pool was slower at
-    every size measured.  The variable is still checked so that a malformed
-    value fails loudly instead of being ignored.
+    Only a single-threaded process forks: a fork copies just the calling
+    thread, so a lock another thread holds would stay locked in the worker.
     """
-    raw = os.environ.get("SSRNA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"SSRNA_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), replicates)
 
 
 # Steps of Wiener increments drawn per chunk.  Every standard_normal call
@@ -171,12 +173,77 @@ def _euler_maruyama(
 ) -> _Paths:
     """Euler-Maruyama paths of every cell's replicates, driven by shared increments.
 
+    The replicates are split into one contiguous range per worker
+    (_worker_count).  This process integrates the first range; a forked
+    worker integrates each other one and writes its slice of the results
+    into anonymous shared memory.  Each replicate's numbers depend on its
+    own streams only (see _shard), so no result depends on the number of
+    workers.  A worker that fails raises RuntimeError here, after every
+    worker has been reaped.  Workers are forked rather than spawned: they
+    start with the batch already in memory instead of importing numpy and
+    this package again (about 0.2 s each).
+    """
+    workers = _worker_count(replicates)
+    shape = (len(cells), replicates)
+    empty = np.empty if workers == 1 else _shared_empty
+    out = _Paths(empty((len(rec), *shape)), empty(shape, np.int64), empty(shape, bool), empty(shape, bool))
+    bounds = [replicates * w // workers for w in range(workers + 1)]
+    args = (cells, master_seed, dt, n_steps, rec, out)
+    pids = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:  # worker: integrate, then leave without the parent's cleanup
+                status = 1
+                try:
+                    _shard(lo, hi, *args)
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        _shard(bounds[0], bounds[1], *args)
+    except BaseException:
+        for pid in pids:  # their results would be discarded
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, lo, hi in zip(codes, bounds[1:-1], bounds[2:]):
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"the worker integrating replicates {lo}..{hi - 1} {how}")
+    return out
+
+
+def _shared_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An uninitialised array in anonymous shared memory, which forked workers write into."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
+
+
+def _shard(
+    lo: int,
+    hi: int,
+    cells: Sequence[_Cell],
+    master_seed: int,
+    dt: float,
+    n_steps: int,
+    rec: Sequence[int],
+    out: _Paths,
+) -> None:
+    """Integrate replicates lo..hi-1 of every cell and write their slice of `out`.
+
     Replicate k of every cell uses the streams keyed (master_seed, k,
     coordinate).  They are drawn C steps at a time into buffers that
     broadcast over the cell axis, so a batch draws its increments once;
     counter-based streams give the same numbers as one brownian_increments
     call over the whole horizon.  Per-element arithmetic is that of
-    simulator.integrate_sde, so no result depends on the batch or the chunk.
+    simulator.integrate_sde, so no result depends on the batch, the chunk
+    or the range.
 
     Only the running maximum of |x|^2 and the running minimum of each
     deviation are kept per step.  Exceedance is resolved at the steps in
@@ -193,15 +260,17 @@ def _euler_maruyama(
     eps_sq = column([c.eps_sq for c in cells])
     p_star = column([c.p_star for c in cells])
     m_star = column([c.m_star for c in cells])
-    shape = (len(cells), replicates)
+    shape = (len(cells), hi - lo)
     x1 = np.broadcast_to(column([c.x1 for c in cells]), shape).copy()
     x2 = np.broadcast_to(column([c.x2 for c in cells]), shape).copy()
 
     dsq = x1 * x1 + x2 * x2
     sup, low1, low2 = dsq.copy(), x1.copy(), x2.copy()
-    sq = np.empty((len(rec), *shape))
-    first_exceed = np.full(shape, -1, dtype=np.int64)
-    nonfinite = np.zeros(shape, dtype=bool)
+    sq = out.sq[:, :, lo:hi]
+    first_exceed = out.first_exceed[:, lo:hi]
+    first_exceed[...] = -1
+    nonfinite = out.nonfinite[:, lo:hi]
+    nonfinite[...] = False
     col = 0
 
     def observe(step: int) -> None:
@@ -214,9 +283,9 @@ def _euler_maruyama(
         observe(0)
 
     chunk = min(_CHUNK_STEPS, n_steps)
-    streams = [[_wiener_stream(master_seed, k, c) for k in range(replicates)] for c in (0, 1)]
+    streams = [[_wiener_stream(master_seed, k, c) for k in range(lo, hi)] for c in (0, 1)]
     draw = np.empty(chunk)
-    dW = np.empty((2, chunk, replicates))
+    dW = np.empty((2, chunk, hi - lo))
     sqrt_dt = math.sqrt(dt)
     # diverging replicates overflow to inf/nan; that is the detection
     # mechanism, not an error
@@ -244,8 +313,7 @@ def _euler_maruyama(
             x2[died] = 0.0
 
     # p* + x1 is monotone in x1, so the running minimum decides negativity
-    negative = (p_star + low1 < 0.0) | (m_star + low2 < 0.0)
-    return _Paths(sq, first_exceed, negative, nonfinite)
+    out.negative[:, lo:hi] = (p_star + low1 < 0.0) | (m_star + low2 < 0.0)
 
 
 def _reduce(paths: _Paths, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
@@ -293,7 +361,6 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     and the reduction sums replicates in index order.  This is the one-cell
     case of the batched kernel that sweep uses.
     """
-    worker_count()  # rejects a malformed SSRNA_THREADS
     cell = _cell(cfg, params)
     n_steps = step_count(cfg.sim)
     rec = recorded_steps(n_steps, cfg.sim.record_stride)

@@ -18,6 +18,13 @@ def tumv():
     return validate_params(**TUMV)
 
 
+def use_workers(monkeypatch, n):
+    """Run ensembles and sweeps in n processes, whatever the CPUs."""
+    from ssrna import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda replicates: n)
+
+
 def random_params(rng, r0_min=None, r0_max=None, max_tries=10000):
     """Random valid parameter set, optionally filtered on R0."""
     for _ in range(max_tries):

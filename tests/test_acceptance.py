@@ -42,6 +42,7 @@ from conftest import (
     random_point_in_triangle,
     random_stable_matrix,
     report_from_entries,
+    use_workers,
 )
 
 
@@ -236,20 +237,20 @@ def test_criterion_7_empirical_stochastic_stability():
         _stochastic_leg(sub, origin_equilibrium())
 
 
-def _run_twice(tmp_path, command, cfg_payload, outputs, monkeypatch, threads=("1", "4")):
+def _run_twice(tmp_path, command, cfg_payload, outputs, monkeypatch, workers=(1, 3)):
     cfg_path = tmp_path / f"{command}.json"
     cfg_path.write_text(json.dumps(cfg_payload))
     blobs = []
-    for tag, n_threads in zip(("a", "b"), threads):
+    for tag, n_workers in zip(("a", "b"), workers):
         out = tmp_path / f"{command}-{tag}"
-        monkeypatch.setenv("SSRNA_THREADS", n_threads)
+        use_workers(monkeypatch, n_workers)
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
         blobs.append([(out / name).read_bytes() for name in outputs])
     assert blobs[0] == blobs[1]
 
 
 def test_criterion_8_byte_determinism(tmp_path, monkeypatch):
-    with criterion(8, "byte-identical reruns, thread-count independent", 120.0):
+    with criterion(8, "byte-identical reruns, worker-count independent", 120.0):
         model = dict(r=TUMV["r"], alpha=TUMV["alpha"], delta=TUMV["delta"],
                      sigma=TUMV["sigma"], K=TUMV["K"])
         noise = {"omega1": 0.1, "omega2": 0.1}

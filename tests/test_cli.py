@@ -12,13 +12,14 @@ from ssrna import (
     State,
     e0_gamma_bounds,
     integrate_sde,
+    montecarlo,
     positive_equilibrium,
     validate_params,
 )
 from ssrna.cli import analysis_from_dict, analysis_to_dict, main
 from ssrna.serialize import dumps, loads
 
-from conftest import TUMV
+from conftest import TUMV, use_workers
 
 TUMV_CONFIG = resources.files("ssrna.data") / "tumv.json"
 
@@ -97,6 +98,17 @@ def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, make, needle", [
+    ("analyze", lambda: base_config(analyze={}, noise=[0.1, 0.1]), "noise"),
+    ("simulate", lambda: base_config(simulate=[simulate_config()["simulate"]]), "simulate"),
+    ("ensemble", lambda: ensemble_config(sim=[0.5, 60.0]), "ensemble.sim"),
+], ids=["noise", "simulate", "ensemble.sim"])
+def test_block_that_is_not_an_object_exits_2(tmp_path, capsys, command, make, needle):
+    path = write_config(tmp_path, make())
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"{needle} must be a JSON object" in capsys.readouterr().err
 
 
 def test_command_config_mismatch_exits_2(tmp_path, capsys):
@@ -229,14 +241,15 @@ def test_ensemble_prints_verdict_and_wilson(tmp_path, capsys):
     assert "Wilson" in stdout
 
 
-def test_ensemble_threads_do_not_change_bytes(tmp_path, monkeypatch):
+def test_ensemble_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
     path = write_config(tmp_path, ensemble_config(replicates=13))
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("SSRNA_THREADS", "1")
-    assert main(["ensemble", "--config", path, "--out", str(out1)]) == 0
-    monkeypatch.setenv("SSRNA_THREADS", "4")
-    assert main(["ensemble", "--config", path, "--out", str(out2)]) == 0
-    assert (out1 / "ensemble.csv").read_bytes() == (out2 / "ensemble.csv").read_bytes()
+    outputs = []
+    for workers in (1, 2, 3):
+        use_workers(monkeypatch, workers)
+        out = tmp_path / str(workers)
+        assert main(["ensemble", "--config", path, "--out", str(out)]) == 0
+        outputs.append((out / "ensemble.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_ensemble_json_format(tmp_path):
@@ -290,20 +303,20 @@ def test_sweep_verdict_flips_across_bound(tmp_path):
     assert verdicts == ["true", "false"]
 
 
-def test_sweep_reproducible_across_runs_and_threads(tmp_path, monkeypatch):
+def test_sweep_reproducible_across_runs_and_worker_counts(tmp_path, monkeypatch):
     path = write_config(
         tmp_path,
         sweep_config(noise_grid={"omega1": [0.0, 0.05, 0.1]},
                      model_grid={"r": [0.1211, 0.15, 0.2]}, replicates=5),
     )
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("SSRNA_THREADS", "2")
-    assert main(["sweep", "--config", path, "--out", str(out1)]) == 0
-    monkeypatch.setenv("SSRNA_THREADS", "1")
-    assert main(["sweep", "--config", path, "--out", str(out2)]) == 0
-    a = (out1 / "sweep.csv").read_bytes()
-    assert a == (out2 / "sweep.csv").read_bytes()
-    assert len(a.splitlines()) == 10
+    outputs = []
+    for run, workers in enumerate((2, 1, 3, 2)):
+        use_workers(monkeypatch, workers)
+        out = tmp_path / str(run)
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert len(set(outputs)) == 1
+    assert len(outputs[0].splitlines()) == 10
 
 
 @pytest.mark.parametrize("grids, needle", [

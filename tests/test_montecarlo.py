@@ -1,6 +1,10 @@
+import atexit
 import math
+import os
+import signal
+import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from ssrna.montecarlo import anchor_scale, displaced_initial, write_ensemble_csv
 from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
 
-from conftest import TUMV
+from conftest import TUMV, use_workers
 
 
 def tumv_ensemble_cfg(tumv, *, replicates, t_end, gamma_scale=0.5, displace=0.01,
@@ -125,21 +129,116 @@ def test_stochastic_decay_from_displaced_start(tumv):
     assert stats.exceed_fraction <= 0.05
 
 
-def test_ensemble_determinism_and_thread_independence(tumv, monkeypatch):
+def test_ensemble_determinism_and_worker_independence(monkeypatch):
+    # 17 replicates split unevenly over 2 and 3 workers, on paths with
+    # excursions, negative populations and divergence
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
+    for noise, count in ((NoiseSpec(0.8, 0.8), "n_negative"), (NoiseSpec(3.5, 0.5), "n_nonfinite")):
+        cfg = EnsembleConfig(replicates=17, sim=sim, noise=noise, anchor=origin_equilibrium(),
+                             epsilon1=450.0, master_seed=4242)
+        runs = []
+        for workers in (1, 1, 2, 3):
+            use_workers(monkeypatch, workers)
+            runs.append(run_ensemble(cfg, p))
+        for other in runs[1:]:
+            for f in fields(other):
+                assert np.array_equal(getattr(runs[0], f.name), getattr(other, f.name)), f.name
+        assert 0 < getattr(runs[0], count) < 17
+
+
+def test_worker_count_follows_cpus_and_replicates():
+    cpus = len(os.sched_getaffinity(0))
+    assert montecarlo._worker_count(10**6) == cpus
+    assert montecarlo._worker_count(1) == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert montecarlo._worker_count(10**6) == 1  # no fork beside another thread
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, if a wait on a worker never returns."""
+    def expire(signum, frame):
+        raise TimeoutError("no result from the ensemble workers within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def fail_shards(monkeypatch, where, failure):
+    """Two workers; `failure` runs in place of the shard of the "parent" or of the forked "worker"."""
+    use_workers(monkeypatch, 2)
+    parent, real = os.getpid(), montecarlo._shard
+
+    def shard(*args):
+        here = "parent" if os.getpid() == parent else "worker"
+        (failure if here == where else real)(*args)
+
+    monkeypatch.setattr(montecarlo, "_shard", shard)
+
+
+def interrupted(*args):
+    raise KeyboardInterrupt  # what a worker must not hand back to a pytest session
+
+
+def exits_7(*args):
+    os._exit(7)
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("failure, status", [(interrupted, 1), (exits_7, 7)], ids=["raises", "exits"])
+def test_failed_worker_raises_with_its_status(tumv, tmp_path, monkeypatch, failure, status):
+    carried_on = tmp_path / "carried-on"
+    parent = os.getpid()
+
+    def mark_if_forked():  # a worker that returned into pytest would get here on exit
+        if os.getpid() != parent:
+            carried_on.touch()
+
+    atexit.register(mark_if_forked)
+    try:
+        fail_shards(monkeypatch, "worker", failure)
+        cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
+        with pytest.raises(RuntimeError, match=f"replicates 3..6 exited with status {status}"):
+            run_ensemble(cfg, tumv)
+        with pytest.raises(RuntimeError, match=f"exited with status {status}"):  # not an error row
+            sweep(tumv, {}, {"omega1": [0.0, 0.1]}, small_sweep_template(tumv, replicates=4))
+    finally:
+        atexit.unregister(mark_if_forked)
+    assert not carried_on.exists()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_workers_reaped_when_parent_shard_raises(tumv, monkeypatch):
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def broken(*args):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    fail_shards(monkeypatch, "parent", broken)
     cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
-    monkeypatch.setenv("SSRNA_THREADS", "1")
-    a = run_ensemble(cfg, tumv)
-    b = run_ensemble(cfg, tumv)
-    assert (a.mean_sq_dev == b.mean_sq_dev).all()
-    assert (a.exceed_fraction_cum == b.exceed_fraction_cum).all()
-    monkeypatch.setenv("SSRNA_THREADS", "3")  # accepted; ensembles run on one thread
-    c = run_ensemble(cfg, tumv)
-    assert (a.mean_sq_dev == c.mean_sq_dev).all()
-    assert (a.exceed_fraction_cum == c.exceed_fraction_cum).all()
-    assert a.exceed_fraction == c.exceed_fraction
-    monkeypatch.setenv("SSRNA_THREADS", "not-a-number")
-    with pytest.raises(ParameterError, match="SSRNA_THREADS"):
+    with pytest.raises(ZeroDivisionError):
         run_ensemble(cfg, tumv)
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):  # already reaped
+        os.waitpid(forked[0], os.WNOHANG)
 
 
 def test_ensemble_monotone_under_noise_load(tumv):
@@ -264,7 +363,7 @@ def test_chunked_ensemble_equals_one_shot_increments(monkeypatch, n_steps, noise
             assert stats.n_nonfinite > 0
 
 
-def test_ensemble_memory_does_not_grow_with_horizon(tumv):
+def test_ensemble_memory_does_not_grow_with_horizon(tumv, monkeypatch):
     eq = positive_equilibrium(tumv)
     sim = SimConfig(dt=0.5, t_end=10000.0, initial=displaced_initial(eq, 0.01, tumv.K),
                     record_stride=100)
@@ -273,6 +372,7 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv):
     n = step_count(sim)
     assert n == 20000
     whole_horizon_buffers = 2 * cfg.replicates * n * 8  # both coordinates' increments at once
+    use_workers(monkeypatch, 1)  # tracemalloc sees neither shared memory nor workers
     tracemalloc.start()
     try:
         run_ensemble(cfg, tumv)
