@@ -11,30 +11,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from typing import Any, Optional
 
 from . import montecarlo, serialize, simulator, stability
-from .errors import EnsembleError, Error, IntegrationError, ParameterError
-from .linearization import LinearizationReport, linearize
-from .model_core import (
-    Equilibrium,
-    EquilibriumKind,
-    ModelParams,
-    State,
-    origin_equilibrium,
-    positive_equilibrium,
-    validate_params,
-)
-from .montecarlo import EnsembleConfig, SweepRow
+from .errors import EnsembleError, Error, IntegrationError, ParameterError, StabilityDomainError
+from .linearization import linearize
+from .model_core import Equilibrium, EquilibriumKind, ModelParams, State, validate_params
+from .montecarlo import EnsembleConfig
 from .simulator import Scheme, SimConfig, Trajectory
-from .stability import (
-    EquilibriumAssessment,
-    LyapunovMatrix,
-    NoiseSpec,
-    StabilityCertificate,
-    StabilityClassification,
-    StabilityVerdict,
-)
+from .stability import EquilibriumAssessment, NoiseSpec, StabilityClassification
 
 CONFIG_SCHEMA = "ssrna-config/1"
 ANALYSIS_SCHEMA = "ssrna-analysis/1"
@@ -108,21 +94,22 @@ def parse_noise(cfg: dict) -> NoiseSpec:
     if block is None:
         return NoiseSpec(0.0, 0.0)
     _object(block, "noise")
-    return NoiseSpec(
-        omega1=_number(block.get("omega1", 0.0), "noise.omega1"),
-        omega2=_number(block.get("omega2", 0.0), "noise.omega2"),
-    )
+    try:
+        return NoiseSpec(
+            omega1=_number(block.get("omega1", 0.0), "noise.omega1"),
+            omega2=_number(block.get("omega2", 0.0), "noise.omega2"),
+        )
+    except StabilityDomainError as exc:  # "omega1 must be ..." becomes "noise.omega1 must be ..."
+        raise ParameterError(f"noise.{exc}") from None
 
 
 def _resolve_anchor(params: ModelParams, name: Any, ctx: str) -> Equilibrium:
-    if name == "origin":
-        return origin_equilibrium()
-    if name == "positive":
-        eq = positive_equilibrium(params)
-        if not eq.exists:
-            raise ParameterError(f"{ctx}: coexistence anchor does not exist (R0 <= 1)")
-        return eq
-    raise ParameterError(f"{ctx}: anchor must be 'origin' or 'positive', got {name!r}")
+    if name not in ("origin", "positive"):
+        raise ParameterError(f"{ctx}: anchor must be 'origin' or 'positive', got {name!r}")
+    try:
+        return montecarlo.resolve_anchor(params, EquilibriumKind(name))
+    except ParameterError as exc:
+        raise ParameterError(f"{ctx}: {exc}") from None
 
 
 def _resolve_initial(spec: Any, anchor: Optional[Equilibrium], params: ModelParams, ctx: str) -> State:
@@ -200,7 +187,12 @@ def _prepare_out_dir(cfg: dict, out_flag: Optional[str]) -> str:
     out_dir = out_flag or (block.get("dir") if isinstance(block, dict) else None)
     if out_dir is None:
         raise ParameterError("no output directory: set output.dir in the config or pass --out")
-    os.makedirs(out_dir, exist_ok=True)
+    if not isinstance(out_dir, str):
+        raise ParameterError(f"output.dir must be a string, got {out_dir!r}")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory {out_dir!r}: {exc}") from None
     if not os.access(out_dir, os.W_OK):
         raise ParameterError(f"output directory {out_dir!r} is not writable")
     return out_dir
@@ -214,104 +206,23 @@ def _output_format(cfg: dict, fmt_flag: Optional[str]) -> str:
     return fmt
 
 
+def _write_output(out_dir: str, stem: str, fmt: str, document: Callable[[], dict],
+                  write_csv: Optional[Callable[[str], None]] = None) -> str:
+    """Write `stem.json` from document(), or `stem.csv` with write_csv; returns the path."""
+    path = os.path.join(out_dir, f"{stem}.{fmt}")
+    try:
+        if fmt == "json":
+            with open(path, "w") as fh:
+                fh.write(serialize.dumps(document()))
+        else:
+            write_csv(path)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path!r}: {exc}") from None
+    return path
+
+
 # ---------------------------------------------------------------------------
 # analysis report serialization
-
-def _equilibrium_dict(eq: Equilibrium) -> dict:
-    return {"kind": eq.kind.value, "p_star": eq.p_star, "m_star": eq.m_star, "exists": eq.exists}
-
-
-def _equilibrium_from(d: dict) -> Equilibrium:
-    return Equilibrium(EquilibriumKind(d["kind"]), d["p_star"], d["m_star"], d["exists"])
-
-
-def _report_dict(rep: Optional[LinearizationReport]) -> Optional[dict]:
-    if rep is None:
-        return None
-    return {
-        "a11": rep.a11, "a12": rep.a12, "a21": rep.a21, "a22": rep.a22,
-        "trace": rep.trace, "det": rep.det, "A1": rep.A1, "A2": rep.A2,
-        "equilibrium": _equilibrium_dict(rep.equilibrium),
-    }
-
-
-def _report_from(d: Optional[dict]) -> Optional[LinearizationReport]:
-    if d is None:
-        return None
-    return LinearizationReport(
-        d["a11"], d["a12"], d["a21"], d["a22"],
-        d["trace"], d["det"], d["A1"], d["A2"],
-        _equilibrium_from(d["equilibrium"]),
-    )
-
-
-def _verdict_dict(v: Optional[StabilityVerdict]) -> Optional[dict]:
-    if v is None:
-        return None
-    return {
-        "equilibrium_kind": v.equilibrium_kind.value,
-        "gamma1": v.gamma1, "gamma2": v.gamma2,
-        "trace_ok": v.trace_ok, "det_ok": v.det_ok,
-        "gamma1_bound": v.gamma1_bound, "gamma2_bound": v.gamma2_bound,
-        "conditions_met": v.conditions_met,
-        "q_interval": list(v.q_interval) if v.q_interval is not None else None,
-        "marginal": v.marginal,
-    }
-
-
-def _verdict_from(d: Optional[dict]) -> Optional[StabilityVerdict]:
-    if d is None:
-        return None
-    qi = d["q_interval"]
-    return StabilityVerdict(
-        equilibrium_kind=EquilibriumKind(d["equilibrium_kind"]),
-        gamma1=d["gamma1"], gamma2=d["gamma2"],
-        trace_ok=d["trace_ok"], det_ok=d["det_ok"],
-        gamma1_bound=d["gamma1_bound"], gamma2_bound=d["gamma2_bound"],
-        conditions_met=d["conditions_met"],
-        q_interval=tuple(qi) if qi is not None else None,
-        marginal=d["marginal"],
-    )
-
-
-def _certificate_dict(c: Optional[StabilityCertificate]) -> Optional[dict]:
-    if c is None:
-        return None
-    return {
-        "q": c.q,
-        "p11": c.matrix.p11, "p12": c.matrix.p12, "p22": c.matrix.p22,
-        "c1": c.c1, "c2": c.c2,
-    }
-
-
-def _certificate_from(d: Optional[dict]) -> Optional[StabilityCertificate]:
-    if d is None:
-        return None
-    return StabilityCertificate(
-        q=d["q"], matrix=LyapunovMatrix(d["p11"], d["p12"], d["p22"], d["q"]),
-        c1=d["c1"], c2=d["c2"],
-    )
-
-
-def _assessment_dict(a: EquilibriumAssessment) -> dict:
-    return {
-        "equilibrium": _equilibrium_dict(a.equilibrium),
-        "linearization": _report_dict(a.report),
-        "verdict": _verdict_dict(a.verdict),
-        "certificate": _certificate_dict(a.certificate),
-        "summary": a.summary,
-    }
-
-
-def _assessment_from(d: dict) -> EquilibriumAssessment:
-    return EquilibriumAssessment(
-        _equilibrium_from(d["equilibrium"]),
-        _report_from(d["linearization"]),
-        _verdict_from(d["verdict"]),
-        _certificate_from(d["certificate"]),
-        d["summary"],
-    )
-
 
 def analysis_to_dict(params: ModelParams, noise: NoiseSpec, cls: StabilityClassification) -> dict:
     return {
@@ -320,9 +231,7 @@ def analysis_to_dict(params: ModelParams, noise: NoiseSpec, cls: StabilityClassi
                   "sigma": params.sigma, "K": params.K, "b": params.b},
         "noise": {"omega1": noise.omega1, "omega2": noise.omega2,
                   "gamma1": noise.gamma1, "gamma2": noise.gamma2},
-        "r0": cls.r0,
-        "origin": _assessment_dict(cls.origin),
-        "positive": _assessment_dict(cls.positive),
+        **serialize.plain(cls),
     }
 
 
@@ -332,12 +241,7 @@ def analysis_from_dict(d: dict) -> tuple[ModelParams, NoiseSpec, StabilityClassi
     m = d["model"]
     params = validate_params(r=m["r"], alpha=m["alpha"], delta=m["delta"], sigma=m["sigma"], K=m["K"])
     noise = NoiseSpec(d["noise"]["omega1"], d["noise"]["omega2"])
-    cls = StabilityClassification(
-        r0=d["r0"],
-        origin=_assessment_from(d["origin"]),
-        positive=_assessment_from(d["positive"]),
-    )
-    return params, noise, cls
+    return params, noise, serialize.record(StabilityClassification, d)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +251,8 @@ def _print_assessment(label: str, a: EquilibriumAssessment) -> None:
     eq = a.equilibrium
     fmt = serialize.fmt
     print(f"{label}: ({fmt(eq.p_star)}, {fmt(eq.m_star)}) exists={str(eq.exists).lower()}")
-    if a.report is not None:
-        rep = a.report
+    if a.linearization is not None:
+        rep = a.linearization
         print(f"  drift matrix: a11={fmt(rep.a11)} a12={fmt(rep.a12)} a21={fmt(rep.a21)} a22={fmt(rep.a22)}")
         print(f"  invariants: trace={fmt(rep.trace)} det={fmt(rep.det)} A1={fmt(rep.A1)} A2={fmt(rep.A2)}")
     if a.verdict is not None:
@@ -364,8 +268,8 @@ def _print_assessment(label: str, a: EquilibriumAssessment) -> None:
             print("  note: a comparison sits within 1e-12 of its bound (marginal)")
     if a.certificate is not None:
         c = a.certificate
-        print(f"  certificate: q={fmt(c.q)} p11={fmt(c.matrix.p11)} p12={fmt(c.matrix.p12)} "
-              f"p22={fmt(c.matrix.p22)} c1={fmt(c.c1)} c2={fmt(c.c2)}")
+        print(f"  certificate: q={fmt(c.q)} p11={fmt(c.p11)} p12={fmt(c.p12)} "
+              f"p22={fmt(c.p22)} c1={fmt(c.c1)} c2={fmt(c.c2)}")
     print(f"  verdict: {a.summary}")
 
 
@@ -376,9 +280,7 @@ def cmd_analyze(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int])
     print(f"R0: {serialize.fmt(cls.r0)}")
     _print_assessment("virus-free equilibrium E0", cls.origin)
     _print_assessment("coexistence equilibrium E+", cls.positive)
-    report_path = os.path.join(out_dir, "analysis.json")
-    with open(report_path, "w") as fh:
-        fh.write(serialize.dumps(analysis_to_dict(params, noise, cls)))
+    report_path = _write_output(out_dir, "analysis", "json", lambda: analysis_to_dict(params, noise, cls))
     print(f"report written to {report_path}")
     return 0
 
@@ -415,13 +317,8 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]
     else:
         traj = simulator.integrate_sde(params, noise, anchor, sim)
 
-    name = "trajectory.json" if fmt == "json" else "trajectory.csv"
-    path = os.path.join(out_dir, name)
-    if fmt == "json":
-        with open(path, "w") as fh:
-            fh.write(serialize.dumps(_trajectory_json(traj)))
-    else:
-        simulator.write_trajectory_csv(traj, path)
+    path = _write_output(out_dir, "trajectory", fmt, lambda: _trajectory_json(traj),
+                         lambda p: simulator.write_trajectory_csv(traj, p))
 
     final = traj.final_state
     went_negative = bool((traj.states < 0.0).any())
@@ -436,21 +333,6 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]
     return 0
 
 
-def _ensemble_json(stats) -> dict:
-    return {
-        "schema": "ssrna-ensemble/1",
-        "times": [float(t) for t in stats.times],
-        "mean_sq_dev": [float(v) for v in stats.mean_sq_dev],
-        "exceed_fraction_cum": [float(v) for v in stats.exceed_fraction_cum],
-        "exceed_fraction": stats.exceed_fraction,
-        "n_replicates": stats.n_replicates,
-        "n_included": stats.n_included,
-        "n_exceed": stats.n_exceed,
-        "n_negative": stats.n_negative,
-        "n_nonfinite": stats.n_nonfinite,
-    }
-
-
 def cmd_ensemble(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]) -> int:
     params = parse_model(cfg)
     noise = parse_noise(cfg)
@@ -458,13 +340,9 @@ def cmd_ensemble(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]
     verdict = stability.check_mean_square_stability(linearize(params, ens_cfg.anchor), noise)
     stats = montecarlo.run_ensemble(ens_cfg, params)
 
-    name = "ensemble.json" if fmt == "json" else "ensemble.csv"
-    path = os.path.join(out_dir, name)
-    if fmt == "json":
-        with open(path, "w") as fh:
-            fh.write(serialize.dumps(_ensemble_json(stats)))
-    else:
-        montecarlo.write_ensemble_csv(stats, path)
+    path = _write_output(out_dir, "ensemble", fmt,
+                         lambda: {"schema": "ssrna-ensemble/1", **serialize.plain(stats)},
+                         lambda p: montecarlo.write_ensemble_csv(stats, p))
 
     print(f"analytic verdict (sufficient conditions met): {str(verdict.conditions_met).lower()}")
     print(f"replicates: {stats.n_replicates} included: {stats.n_included} "
@@ -480,16 +358,6 @@ def cmd_ensemble(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]
     return 0
 
 
-def _sweep_row_json(row: SweepRow) -> dict:
-    return {
-        "r": row.r, "alpha": row.alpha, "delta": row.delta, "sigma": row.sigma, "K": row.K,
-        "omega1": row.omega1, "omega2": row.omega2, "R0": row.r0,
-        "verdict": row.verdict, "exceed_fraction": row.exceed_fraction,
-        "final_msd": row.final_msd, "n_negative": row.n_negative,
-        "n_nonfinite": row.n_nonfinite, "error": row.error,
-    }
-
-
 def cmd_sweep(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]) -> int:
     params = parse_model(cfg)
     noise = parse_noise(cfg)
@@ -497,27 +365,19 @@ def cmd_sweep(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]) -
     template, displace, eps_fraction = _parse_ensemble_block(
         _expect(block, "ensemble", "sweep"), params, noise, "sweep.ensemble", seed_override
     )
-    model_grid = block.get("model_grid", {})
-    noise_grid = block.get("noise_grid", {})
-    anchor_kind = template.anchor.kind
     rows = montecarlo.sweep(
-        params, model_grid, noise_grid, template,
-        anchor_kind=anchor_kind,
+        params, block.get("model_grid", {}), block.get("noise_grid", {}), template,
         displace_fraction=displace,
         epsilon1_fraction=eps_fraction,
     )
 
-    name = "sweep.json" if fmt == "json" else "sweep.csv"
-    path = os.path.join(out_dir, name)
-    if fmt == "json":
-        with open(path, "w") as fh:
-            fh.write(serialize.dumps({"schema": "ssrna-sweep/1", "rows": [_sweep_row_json(r) for r in rows]}))
-    else:
-        montecarlo.write_sweep_csv(rows, path)
+    path = _write_output(out_dir, "sweep", fmt,
+                         lambda: {"schema": "ssrna-sweep/1", "rows": serialize.plain(rows)},
+                         lambda p: montecarlo.write_sweep_csv(rows, p))
 
     for row in rows:
         print(f"omega1={serialize.fmt(row.omega1)} omega2={serialize.fmt(row.omega2)} "
-              f"R0={serialize.fmt(row.r0)} verdict={row.verdict} "
+              f"R0={serialize.fmt(row.R0)} verdict={row.verdict} "
               f"exceed={serialize.fmt(row.exceed_fraction)} final_msd={serialize.fmt(row.final_msd)}")
     print(f"{len(rows)} cells written to {path}")
     return 0

@@ -62,6 +62,7 @@ __all__ = [
     "sweep",
     "displaced_initial",
     "anchor_scale",
+    "resolve_anchor",
     "write_ensemble_csv",
     "write_sweep_csv",
 ]
@@ -422,7 +423,7 @@ class SweepRow:
     K: float
     omega1: float
     omega2: float
-    r0: float
+    R0: float
     verdict: str                     # "true" | "false" | "nonexistent" | "error"
     exceed_fraction: float
     final_msd: float
@@ -435,7 +436,8 @@ _MODEL_FIELDS = ("r", "alpha", "delta", "sigma", "K")
 _NOISE_FIELDS = ("omega1", "omega2")
 
 
-def _resolve_anchor(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
+def resolve_anchor(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
+    """The origin or the coexistence equilibrium of params; the latter must exist."""
     if kind is EquilibriumKind.ORIGIN:
         return origin_equilibrium()
     if kind is EquilibriumKind.POSITIVE:
@@ -468,7 +470,6 @@ def sweep(
     model_grid: dict[str, Sequence[float]],
     noise_grid: dict[str, Sequence[float]],
     template: EnsembleConfig,
-    anchor_kind: EquilibriumKind = EquilibriumKind.POSITIVE,
     displace_fraction: Optional[float] = None,
     epsilon1_fraction: Optional[float] = None,
 ) -> list[SweepRow]:
@@ -478,7 +479,8 @@ def sweep(
     values and the cartesian product is taken in field order.  Every cell
     reuses the template's master_seed, dt and horizon, so compared cells see
     identical Wiener increments (common random numbers); the cells are
-    integrated as one batch that draws those increments once.  When given,
+    integrated as one batch that draws those increments once.  Each cell is
+    anchored at its own equilibrium of the template anchor's kind.  When given,
     displace_fraction and epsilon1_fraction re-derive each cell's initial
     state and exceedance radius from that cell's anchor; otherwise the
     template's absolute values apply everywhere.  A failed cell produces a
@@ -496,7 +498,7 @@ def sweep(
         model_kwargs = dict(base_model, **{name: v for (name, _), v in zip(model_axes, mvals)})
         for nvals in product(*(vals for _, vals in noise_axes)):
             noise_kwargs = dict(base_noise, **{name: v for (name, _), v in zip(noise_axes, nvals)})
-            resolved = _sweep_cell(model_kwargs, noise_kwargs, template, anchor_kind,
+            resolved = _sweep_cell(model_kwargs, noise_kwargs, template,
                                    displace_fraction, epsilon1_fraction)
             if isinstance(resolved, SweepRow):
                 rows.append(resolved)
@@ -529,22 +531,21 @@ def _sweep_cell(
     model_kwargs: dict[str, float],
     noise_kwargs: dict[str, float],
     template: EnsembleConfig,
-    anchor_kind: EquilibriumKind,
     displace_fraction: Optional[float],
     epsilon1_fraction: Optional[float],
 ) -> Union[SweepRow, tuple[dict, _Cell]]:
     """A finished row for a cell that cannot be integrated, else its row fields and batch cell."""
     nan = math.nan
-    base = dict(model_kwargs, **noise_kwargs, r0=nan, verdict="error",
+    base = dict(model_kwargs, **noise_kwargs, R0=nan, verdict="error",
                 exceed_fraction=nan, final_msd=nan, n_negative=0, n_nonfinite=0)
     try:
         params = validate_params(**model_kwargs)
         noise = NoiseSpec(**noise_kwargs)
-        base["r0"] = basic_reproduction_number(params)
+        base["R0"] = basic_reproduction_number(params)
     except Error as exc:  # invalid cell: recorded, not raised
         return SweepRow(**base, error=str(exc))
     try:
-        anchor = _resolve_anchor(params, anchor_kind)
+        anchor = resolve_anchor(params, template.anchor.kind)
     except ParameterError as exc:
         base["verdict"] = "nonexistent"
         return SweepRow(**base, error=str(exc))
@@ -586,7 +587,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
                 ",".join(
                     [
                         fmt(row.r), fmt(row.alpha), fmt(row.delta), fmt(row.sigma), fmt(row.K),
-                        fmt(row.omega1), fmt(row.omega2), fmt(row.r0),
+                        fmt(row.omega1), fmt(row.omega2), fmt(row.R0),
                         row.verdict,
                         fmt(row.exceed_fraction), fmt(row.final_msd),
                         str(row.n_negative), str(row.n_nonfinite),

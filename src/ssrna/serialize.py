@@ -1,16 +1,22 @@
 """Deterministic text serialization: floats carry 17 significant digits.
 
 17 significant digits round-trip any IEEE double exactly, which makes every
-output file byte-comparable across runs and safe to parse back.
+output file byte-comparable across runs and safe to parse back.  A record
+(a dataclass) has one JSON form: an object whose keys are its field names in
+declaration order, built by `plain` and read back by `record`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from typing import Any
+from enum import Enum
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
-__all__ = ["fmt", "dumps", "loads"]
+import numpy as np
+
+__all__ = ["fmt", "dumps", "loads", "plain", "record"]
 
 
 def fmt(x: float) -> str:
@@ -74,3 +80,41 @@ def dumps(obj: Any, indent: str = "  ") -> str:
 
 def loads(text: str) -> Any:
     return json.loads(text)
+
+
+def plain(obj: Any) -> Any:
+    """JSON-ready form of a record: fields in declaration order, enums by value,
+    tuples, lists and arrays as lists; other values pass through."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+def record(cls: type, data: dict) -> Any:
+    """Rebuild the dataclass `cls` from its `plain` form, following its field annotations."""
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _typed(hints[f.name], data[f.name]) for f in dataclasses.fields(cls)})
+
+
+def _typed(tp: Any, value: Any) -> Any:
+    origin = get_origin(tp)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+        return _typed(tp, value)
+    if origin is tuple:
+        return tuple(_typed(a, v) for a, v in zip(get_args(tp), value))
+    if dataclasses.is_dataclass(tp):
+        return record(tp, value)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(value)
+    if tp is float:  # an integral float is written without a decimal point
+        return float(value)
+    return value

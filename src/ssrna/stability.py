@@ -111,15 +111,22 @@ class StabilityVerdict:
 class StabilityCertificate:
     """A concrete admissible weight q with its Lyapunov data.
 
+    p11, p12, p22 are the entries of the Lyapunov matrix P for this q.
     c1 and c2 are the diagonal coefficients of the noise generator applied
     to V(y) = y'Py; both are negative for any q inside the admissible
     interval, which is what certifies the verdict.
     """
 
     q: float
-    matrix: LyapunovMatrix
+    p11: float
+    p12: float
+    p22: float
     c1: float
     c2: float
+
+    @property
+    def matrix(self) -> LyapunovMatrix:
+        return LyapunovMatrix(self.p11, self.p12, self.p22, self.q)
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class EquilibriumAssessment:
     """One equilibrium with its linearization, verdict and certificate."""
 
     equilibrium: Equilibrium
-    report: Optional[LinearizationReport]
+    linearization: Optional[LinearizationReport]
     verdict: Optional[StabilityVerdict]
     certificate: Optional[StabilityCertificate]
     summary: str
@@ -322,7 +329,7 @@ def _assess(eq: Equilibrium, rep: LinearizationReport, noise: NoiseSpec) -> Equi
         q = representative_q(verdict.q_interval)
         mat = lyapunov_matrix(rep, q)
         c1, c2 = generator_coefficients(rep, noise, q)
-        certificate = StabilityCertificate(q=q, matrix=mat, c1=c1, c2=c2)
+        certificate = StabilityCertificate(q, mat.p11, mat.p12, mat.p22, c1, c2)
         summary = "stable in probability (sufficient conditions met)"
     elif not (verdict.trace_ok and verdict.det_ok):
         summary = "sufficient conditions inapplicable (drift matrix fails trace/determinant requirements); inconclusive"

@@ -16,7 +16,7 @@ from ssrna import (
     positive_equilibrium,
     validate_params,
 )
-from ssrna.cli import analysis_from_dict, analysis_to_dict, main
+from ssrna.cli import COMMANDS, analysis_from_dict, analysis_to_dict, main
 from ssrna.serialize import dumps, loads
 
 from conftest import TUMV, use_workers
@@ -57,10 +57,20 @@ def test_analyze_tumv_regression(tmp_path, capsys):
     assert "R0" in stdout and "stable in probability" in stdout
 
 
-def test_analyze_report_round_trips(tmp_path):
+@pytest.mark.parametrize("model, noise, needle", [
+    (TUMV, {"omega1": 0.05, "omega2": 0.05}, '"certificate": {'),
+    # R0 < 1: no coexistence point, so its verdict and certificate are null
+    (dict(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1e6), {"omega1": 0.1, "omega2": 0.1}, '"verdict": null'),
+    # omega2 = 0 leaves the q interval unbounded above
+    (TUMV, {"omega1": 0.05, "omega2": 0.0}, "Infinity"),
+], ids=["tumv", "subthreshold", "omega2-zero"])
+def test_analyze_report_round_trips(tmp_path, model, noise, needle):
+    cfg = base_config(analyze={}, noise=noise)
+    cfg["model"] = dict(model)
     out = tmp_path / "out"
-    main(["analyze", "--config", str(TUMV_CONFIG), "--out", str(out)])
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     text = (out / "analysis.json").read_text()
+    assert needle in text
     params, noise, cls = analysis_from_dict(loads(text))
     assert dumps(analysis_to_dict(params, noise, cls)) == text
 
@@ -90,13 +100,22 @@ def test_analyze_subthreshold_branch(tmp_path):
         (lambda c: c["model"].__setitem__("alpha", 2.0), "alpha"),
         (lambda c: c.__setitem__("schema", "bogus/9"), "schema"),
         (lambda c: c.__setitem__("simulate", {}), "exactly one command block"),
+        pytest.param(lambda c: c.__setitem__("noise", {"omega1": -0.1}), "noise.omega1",
+                     id="omega1-negative"),
+        pytest.param(lambda c: c.__setitem__("noise", {"omega2": math.nan}), "noise.omega2",
+                     id="omega2-nan"),
+        pytest.param(lambda c: c.__setitem__("noise", {"omega1": math.nan}), "noise.omega1",
+                     id="omega1-nan"),
+        pytest.param(lambda c: (c.clear(), c.update(ensemble_config(), noise={"omega1": -1})),
+                     "noise.omega1", id="ensemble-omega1-negative"),
     ],
 )
 def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
     cfg = base_config(analyze={})
     mutate(cfg)
     path = write_config(tmp_path, cfg)
-    assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    command = next(c for c in COMMANDS if c in cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
 
 
@@ -109,6 +128,39 @@ def test_block_that_is_not_an_object_exits_2(tmp_path, capsys, command, make, ne
     path = write_config(tmp_path, make())
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert f"{needle} must be a JSON object" in capsys.readouterr().err
+
+
+def _file_in_the_way(tmp_path):
+    (tmp_path / "file").write_text("")
+    return ["--out", str(tmp_path / "file" / "out")]
+
+
+def _directory_in_the_way(tmp_path):
+    (tmp_path / "out" / "analysis.json").mkdir(parents=True)
+    return ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("output, out_args, needle", [
+    ({"dir": 5}, lambda tmp_path: [], "output.dir must be a string"),
+    ({}, _file_in_the_way, "cannot create output directory"),
+    ({}, _directory_in_the_way, "cannot write"),
+], ids=["dir-not-a-string", "parent-is-a-file", "file-is-a-directory"])
+def test_unusable_output_path_exits_2(tmp_path, capsys, output, out_args, needle):
+    path = write_config(tmp_path, base_config(analyze={}, output=output))
+    assert main(["analyze", "--config", path, *out_args(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+
+
+def test_os_error_outside_the_outputs_is_not_invalid_input(tmp_path, monkeypatch):
+    # e.g. a failed fork while integrating: a fault of the run, not of the config
+    def fail(*args, **kwargs):
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(montecarlo, "run_ensemble", fail)
+    path = write_config(tmp_path, ensemble_config())
+    with pytest.raises(BlockingIOError):
+        main(["ensemble", "--config", path, "--out", str(tmp_path / "o")])
 
 
 def test_command_config_mismatch_exits_2(tmp_path, capsys):
@@ -257,6 +309,8 @@ def test_ensemble_json_format(tmp_path):
     out = tmp_path / "out"
     assert main(["ensemble", "--config", path, "--out", str(out), "--format", "json"]) == 0
     data = loads((out / "ensemble.json").read_text())
+    assert list(data) == ["schema", "times", "mean_sq_dev", "exceed_fraction_cum", "exceed_fraction",
+                          "n_replicates", "n_included", "n_exceed", "n_negative", "n_nonfinite"]
     assert data["schema"] == "ssrna-ensemble/1"
     assert data["n_replicates"] == 40
 
@@ -357,8 +411,12 @@ def test_sweep_json_format(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", path, "--out", str(out), "--format", "json"]) == 0
     data = loads((out / "sweep.json").read_text())
+    assert list(data) == ["schema", "rows"]
     assert data["schema"] == "ssrna-sweep/1"
     assert len(data["rows"]) == 2
+    for row in data["rows"]:
+        assert list(row) == ["r", "alpha", "delta", "sigma", "K", "omega1", "omega2", "R0", "verdict",
+                             "exceed_fraction", "final_msd", "n_negative", "n_nonfinite", "error"]
 
 
 # ---------------------------------------------------------------------------

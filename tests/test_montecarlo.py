@@ -447,7 +447,7 @@ def test_sweep_deterministic_cell(tumv):
     assert len(rows) == 1
     row = rows[0]
     assert row.verdict == "true"
-    assert row.r0 == pytest.approx(4.287, abs=1e-3)
+    assert row.R0 == pytest.approx(4.287, abs=1e-3)
     assert row.final_msd < (0.01 * anchor_scale(positive_equilibrium(tumv), tumv.K)) ** 2
     assert row.error is None
 
