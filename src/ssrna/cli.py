@@ -19,7 +19,7 @@ from .errors import EnsembleError, Error, IntegrationError, ParameterError, Stab
 from .linearization import linearize
 from .model_core import Equilibrium, EquilibriumKind, ModelParams, State, validate_params
 from .montecarlo import EnsembleConfig
-from .simulator import Scheme, SimConfig, Trajectory
+from .simulator import MAX_SEED, Scheme, SimConfig, Trajectory
 from .stability import EquilibriumAssessment, NoiseSpec, StabilityClassification
 
 CONFIG_SCHEMA = "ssrna-config/1"
@@ -182,19 +182,13 @@ def _parse_ensemble_block(
     return cfg, displace, eps_fraction
 
 
-def _prepare_out_dir(cfg: dict, out_flag: Optional[str]) -> str:
+def _out_dir(cfg: dict, out_flag: Optional[str]) -> str:
     block = cfg.get("output", {})
     out_dir = out_flag or (block.get("dir") if isinstance(block, dict) else None)
     if out_dir is None:
         raise ParameterError("no output directory: set output.dir in the config or pass --out")
     if not isinstance(out_dir, str):
         raise ParameterError(f"output.dir must be a string, got {out_dir!r}")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ParameterError(f"cannot create output directory {out_dir!r}: {exc}") from None
-    if not os.access(out_dir, os.W_OK):
-        raise ParameterError(f"output directory {out_dir!r} is not writable")
     return out_dir
 
 
@@ -208,7 +202,17 @@ def _output_format(cfg: dict, fmt_flag: Optional[str]) -> str:
 
 def _write_output(out_dir: str, stem: str, fmt: str, document: Callable[[], dict],
                   write_csv: Optional[Callable[[str], None]] = None) -> str:
-    """Write `stem.json` from document(), or `stem.csv` with write_csv; returns the path."""
+    """Write `stem.json` from document(), or `stem.csv` with write_csv; returns the path.
+
+    The output directory is created here, once the run has succeeded, so a
+    rejected config leaves no directory behind.
+    """
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory {out_dir!r}: {exc}") from None
+    if not os.access(out_dir, os.W_OK):
+        raise ParameterError(f"output directory {out_dir!r} is not writable")
     path = os.path.join(out_dir, f"{stem}.{fmt}")
     try:
         if fmt == "json":
@@ -290,9 +294,9 @@ def _trajectory_json(traj: Trajectory) -> dict:
         "schema": "ssrna-trajectory/1",
         "scheme": traj.scheme.value,
         "exited_omega": traj.exited_omega,
-        "times": [float(t) for t in traj.times],
-        "p": [float(v) for v in traj.states[:, 0]],
-        "m": [float(v) for v in traj.states[:, 1]],
+        "times": traj.times.tolist(),
+        "p": traj.states[:, 0].tolist(),
+        "m": traj.states[:, 1].tolist(),
     }
 
 
@@ -418,9 +422,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ParameterError(
                 f"config contains no {args.command!r} block (command and config must agree)"
             )
-        if args.seed is not None and not 0 <= args.seed < 2**64:
+        if args.seed is not None and not 0 <= args.seed < MAX_SEED:
             raise ParameterError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
-        out_dir = _prepare_out_dir(cfg, args.out)
+        out_dir = _out_dir(cfg, args.out)
         fmt = _output_format(cfg, args.format)
         return _DISPATCH[args.command](cfg, out_dir, fmt, args.seed)
     except ParameterError as exc:

@@ -38,16 +38,18 @@ from .model_core import (
     positive_equilibrium,
     validate_params,
 )
-from .serialize import fmt
+from .serialize import fmt, write_csv
 from .simulator import (
+    MAX_SEED,
     SimConfig,
     _drift,
     _Drift,
     _drift_coefficients,
+    _check_recorded_bytes,
+    _recording,
     _wiener_stream,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
     check_anchor,
-    recorded_steps,
     step_count,
 )
 from .stability import NoiseSpec, check_mean_square_stability
@@ -67,9 +69,6 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-_MAX_SEED = 2**64
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Replicated-SDE run: how many paths, from where, and what counts as an excursion."""
@@ -86,7 +85,7 @@ class EnsembleConfig:
             raise ParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         if not (math.isfinite(self.epsilon1) and self.epsilon1 > 0.0):
             raise ParameterError(f"epsilon1 must be positive, got {self.epsilon1!r}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < _MAX_SEED):
+        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < MAX_SEED):
             raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
 
 
@@ -363,8 +362,7 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     case of the batched kernel that sweep uses.
     """
     cell = _cell(cfg, params)
-    n_steps = step_count(cfg.sim)
-    rec = recorded_steps(n_steps, cfg.sim.record_stride)
+    n_steps, rec = _recording(cfg.sim, cfg.replicates * 8)  # a float64 |x|^2 per replicate and row
     paths = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, n_steps, rec)
     return _reduce(paths, 0, rec, cfg.sim.dt)
 
@@ -507,6 +505,7 @@ def sweep(
                 rows.append(None)
 
     if pending:
+        _check_recorded_bytes(1, len(pending) * template.replicates * 8)
         n_steps = step_count(template.sim)
         final = [n_steps]  # a row holds only the final mean squared deviation
         paths = _euler_maruyama([cell for _, _, cell in pending], template.replicates,
@@ -566,10 +565,8 @@ def _sweep_cell(
 
 def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     """Write `t,mean_sq_dev,exceed_fraction_cum` rows at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,mean_sq_dev,exceed_fraction_cum\n")
-        for t, msd, cum in zip(stats.times, stats.mean_sq_dev, stats.exceed_fraction_cum):
-            fh.write(f"{fmt(float(t))},{fmt(float(msd))},{fmt(float(cum))}\n")
+    write_csv(path, "t,mean_sq_dev,exceed_fraction_cum",
+              (stats.times, stats.mean_sq_dev, stats.exceed_fraction_cum))
 
 
 SWEEP_COLUMNS = (

@@ -10,6 +10,7 @@ stay unbiased across replicates.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import IntegrationError, ParameterError
 from .linearization import linearize
 from .model_core import Equilibrium, ModelParams, State, vector_field
-from .serialize import fmt
+from .serialize import write_csv
 from .stability import NoiseSpec
 
 __all__ = [
@@ -44,7 +45,11 @@ OMEGA_EXIT_RTOL = 1e-9
 # equilibrium anchor of the noise terms.
 ANCHOR_RTOL = 1e-8
 
-_MAX_SEED = 2**64
+# Seeds key the Philox streams as one 64-bit word.
+MAX_SEED = 2**64
+
+# A recorded path row: t, p and m as float64.
+_PATH_ROW_BYTES = 3 * 8
 
 
 class Scheme(Enum):
@@ -67,9 +72,11 @@ class SimConfig:
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
             raise ParameterError(f"t_end must be at least dt, got {self.t_end!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ParameterError(f"t_end / dt = {self.t_end!r} / {self.dt!r} is more steps than a float counts")
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
             raise ParameterError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < _MAX_SEED):
+        if not (isinstance(self.seed, int) and 0 <= self.seed < MAX_SEED):
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (math.isfinite(self.initial[0]) and math.isfinite(self.initial[1])):
             raise ParameterError(f"initial state must be finite, got {self.initial!r}")
@@ -112,6 +119,34 @@ def recorded_steps(n_steps: int, stride: int) -> list[int]:
     if steps[-1] != n_steps:
         steps.append(n_steps)
     return steps
+
+
+def _check_recorded_bytes(rows: int, row_bytes: int) -> None:
+    """Refuse a run whose recorded results (rows x row_bytes) exceed physical memory.
+
+    Runs before anything is sized from the step or replicate count, so a
+    run that cannot fit is invalid input that states its size, not an
+    OverflowError or MemoryError from inside an allocation.
+    """
+    if not hasattr(os, "sysconf"):
+        return
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    size = rows * row_bytes
+    if size > memory:
+        from decimal import Decimal  # formats an int of any size; imported only for this message
+
+        raise ParameterError(
+            f"the run would record {Decimal(size):.3g} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
+def _recording(cfg: SimConfig, row_bytes: int) -> tuple[int, list[int]]:
+    """Step count and recorded steps of cfg, once its recorded rows are known to fit."""
+    n = step_count(cfg)
+    rows = -(-n // cfg.record_stride) + 1  # len(recorded_steps(...)), without building the list
+    _check_recorded_bytes(rows, row_bytes)
+    return n, recorded_steps(n, cfg.record_stride)
 
 
 def default_dt(params: ModelParams, eq: Optional[Equilibrium] = None) -> float:
@@ -211,8 +246,7 @@ def integrate_ode(params: ModelParams, cfg: SimConfig) -> Trajectory:
     """
     r, alpha, delta, sigma, K = params.r, params.alpha, params.delta, params.sigma, params.K
     dt = cfg.dt
-    n = step_count(cfg)
-    rec = recorded_steps(n, cfg.record_stride)
+    n, rec = _recording(cfg, _PATH_ROW_BYTES)
     rec_iter = iter(rec)
     next_rec = next(rec_iter)
 
@@ -280,11 +314,16 @@ def integrate_sde(
     when the state becomes non-finite.
 
     The loop stays scalar rather than being a one-replicate call of the
-    batched ensemble kernel: on Python floats a step costs about 5 us
-    (recording every step; 2-CPU x86 VM, Python 3.11, numpy 2.4), while the
-    kernel's numpy step over one-element arrays costs about 25 us, almost all
-    of it per-call ufunc overhead.  The drift is _drift's arithmetic written
-    out in the loop; the tests hold the two to the same bits.
+    batched ensemble kernel, and it runs on Python floats: the increments
+    become lists (ndarray.tolist) once, since an element read from the array
+    is an np.float64 that would turn x1 and x2 into numpy scalars.  Recording
+    every step of a 111752-step TuMV path (2-CPU x86 VM, Python 3.11, numpy
+    2.4.6), a step costs about 1.8 us on Python floats, 4.7 us on numpy
+    scalars and 27 us as the kernel's numpy step over one-element arrays,
+    almost all of it per-call ufunc overhead.  Both kinds of float round
+    alike, so the path is the same to the bit.  The drift is _drift's
+    arithmetic written out in the loop; the tests hold the two to the same
+    bits.
     """
     check_anchor(params, anchor)
     a11, a12, a21, a22, br, abr = _drift_coefficients(params, anchor)
@@ -292,16 +331,15 @@ def integrate_sde(
     ps, ms = anchor.p_star, anchor.m_star
     K = params.K
     dt = cfg.dt
-    n = step_count(cfg)
+    n, rec = _recording(cfg, _PATH_ROW_BYTES)
 
     if dW is None:
-        dW = np.column_stack(
-            [brownian_increments(cfg.seed, replicate, c, n, dt) for c in (0, 1)]
-        )
+        dW1, dW2 = (brownian_increments(cfg.seed, replicate, c, n, dt).tolist() for c in (0, 1))
     elif dW.shape != (n, 2):
         raise ParameterError(f"dW must have shape ({n}, 2), got {dW.shape}")
+    else:
+        dW1, dW2 = dW[:, 0].tolist(), dW[:, 1].tolist()
 
-    rec = recorded_steps(n, cfg.record_stride)
     rec_iter = iter(rec)
     next_rec = next(rec_iter)
 
@@ -318,13 +356,13 @@ def integrate_sde(
         states.append((ps + x1, ms + x2))
         next_rec = next(rec_iter, None)
 
-    for i in range(n):
-        # _drift written out: calling it would add about 10% per step
+    for i, (d1, d2) in enumerate(zip(dW1, dW2)):
+        # _drift written out: calling it would add 6-10% to the whole loop
         s = x1 + x2
         g1 = a11 * x1 + a12 * x2 - br * s * x2
         g2 = a21 * x1 + a22 * x2 - abr * s * x1
-        x1 = x1 + g1 * dt + w1 * x1 * dW[i, 0]
-        x2 = x2 + g2 * dt + w2 * x2 * dW[i, 1]
+        x1 = x1 + g1 * dt + w1 * x1 * d1
+        x2 = x2 + g2 * dt + w2 * x2 * d2
         t = (i + 1) * dt
         if not (math.isfinite(x1) and math.isfinite(x2)):
             raise IntegrationError(f"state became non-finite at t={t:.6g} (noise or step too large?)", t)
@@ -342,7 +380,4 @@ def integrate_sde(
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,p,m` rows with full double precision (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,p,m\n")
-        for t, (p, m) in zip(traj.times, traj.states):
-            fh.write(f"{fmt(float(t))},{fmt(float(p))},{fmt(float(m))}\n")
+    write_csv(path, "t,p,m", (traj.times, traj.states[:, 0], traj.states[:, 1]))

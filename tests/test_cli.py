@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -117,6 +118,7 @@ def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
     command = next(c for c in COMMANDS if c in cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # a rejected config creates no output directory
 
 
 @pytest.mark.parametrize("command, make, needle", [
@@ -237,6 +239,26 @@ def test_simulate_blowup_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "t=" in capsys.readouterr().err
+
+
+# sha256 of small TuMV trajectories as written before the writers formatted
+# Python floats in one pass; the Euler-Maruyama digest also pins numpy's
+# Philox normal sampler (numpy 2.4.6).
+GOLDEN_TRAJECTORIES = [
+    ("rk4", "csv", "33f57613ad899439c13eed4cb82154ad6da117acd3b2f8c44ec461ab6240d661"),
+    ("euler-maruyama", "json", "d925697a591a33592467a1593801d2e456c29a59162d860e30087b583384e67f"),
+]
+
+
+@pytest.mark.parametrize("scheme, fmt, digest", GOLDEN_TRAJECTORIES, ids=["rk4-csv", "em-json"])
+def test_simulate_output_bytes_are_pinned(tmp_path, scheme, fmt, digest):
+    cfg = base_config(simulate=dict(scheme=scheme, anchor="positive", t_end=200.0, dt=0.5,
+                                    initial={"displace_fraction": 0.01}, seed=3))
+    cfg["noise"] = {"omega1": 0.05, "omega2": 0.05}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--format", fmt]) == 0
+    assert hashlib.sha256((out / f"trajectory.{fmt}").read_bytes()).hexdigest() == digest
 
 
 def test_simulate_json_format(tmp_path):
@@ -417,6 +439,23 @@ def test_sweep_json_format(tmp_path):
     for row in data["rows"]:
         assert list(row) == ["r", "alpha", "delta", "sigma", "K", "omega1", "omega2", "R0", "verdict",
                              "exceed_fraction", "final_msd", "n_negative", "n_nonfinite", "error"]
+
+
+# ---------------------------------------------------------------------------
+# runs too large to record
+
+@pytest.mark.parametrize("command, make", [
+    ("simulate", lambda: simulate_config(t_end=1e300, dt=0.5)),
+    ("simulate", lambda: simulate_config(t_end=1e10, dt=5e-324)),
+    ("ensemble", lambda: ensemble_config(replicates=10**20)),
+    ("sweep", lambda: sweep_config(noise_grid={"omega1": [0.0, 0.1]}, replicates=10**20)),
+], ids=["path-steps", "steps-overflow-a-float", "ensemble-replicates", "sweep-replicates"])
+def test_run_too_large_to_record_exits_2(tmp_path, capsys, command, make):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, make()), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ("bytes" in err or "t_end / dt" in err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
