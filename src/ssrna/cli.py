@@ -112,14 +112,16 @@ def _resolve_anchor(params: ModelParams, name: Any, ctx: str) -> Equilibrium:
         raise ParameterError(f"{ctx}: {exc}") from None
 
 
-def _resolve_initial(spec: Any, anchor: Optional[Equilibrium], params: ModelParams, ctx: str) -> State:
+def _resolve_initial(spec: Any, anchor: Optional[Equilibrium], params: ModelParams,
+                     ctx: str) -> tuple[State, Optional[float]]:
+    """The initial state, and the displace_fraction it was derived from (None for [p, m])."""
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        return State(_number(spec[0], f"{ctx}[0]"), _number(spec[1], f"{ctx}[1]"))
+        return State(_number(spec[0], f"{ctx}[0]"), _number(spec[1], f"{ctx}[1]")), None
     if isinstance(spec, dict) and "displace_fraction" in spec:
         if anchor is None:
             raise ParameterError(f"{ctx}: displace_fraction needs an 'anchor' in this block")
         frac = _number(spec["displace_fraction"], f"{ctx}.displace_fraction")
-        return montecarlo.displaced_initial(anchor, frac, params.K)
+        return montecarlo.displaced_initial(anchor, frac, params.K), frac
     raise ParameterError(
         f"{ctx} must be [p, m] or {{'displace_fraction': f}}, got {spec!r}"
     )
@@ -131,19 +133,19 @@ def _parse_sim_block(
     anchor: Optional[Equilibrium],
     ctx: str,
     seed_override: Optional[int],
-) -> SimConfig:
+) -> tuple[SimConfig, Optional[float]]:
     dt_raw = _object(block, ctx).get("dt")
     if dt_raw is None:
         dt = simulator.default_dt(params, anchor)
     else:
         dt = _number(dt_raw, f"{ctx}.dt")
     t_end = _number(_expect(block, "t_end", ctx), f"{ctx}.t_end")
-    initial = _resolve_initial(_expect(block, "initial", ctx), anchor, params, f"{ctx}.initial")
+    initial, displace = _resolve_initial(_expect(block, "initial", ctx), anchor, params, f"{ctx}.initial")
     seed = _integer(block.get("seed", 0), f"{ctx}.seed")
     if seed_override is not None:
         seed = seed_override
     stride = _integer(block.get("record_stride", 1), f"{ctx}.record_stride")
-    return SimConfig(dt=dt, t_end=t_end, initial=initial, seed=seed, record_stride=stride)
+    return SimConfig(dt=dt, t_end=t_end, initial=initial, seed=seed, record_stride=stride), displace
 
 
 def _parse_ensemble_block(
@@ -155,7 +157,7 @@ def _parse_ensemble_block(
 ) -> tuple[EnsembleConfig, Optional[float], Optional[float]]:
     """Returns (config, displace_fraction, epsilon1_fraction) for sweep reuse."""
     anchor = _resolve_anchor(params, _expect(block, "anchor", ctx), ctx)
-    sim = _parse_sim_block(_expect(block, "sim", ctx), params, anchor, f"{ctx}.sim", None)
+    sim, displace = _parse_sim_block(_expect(block, "sim", ctx), params, anchor, f"{ctx}.sim", None)
     replicates = _integer(_expect(block, "replicates", ctx), f"{ctx}.replicates")
     master_seed = _integer(block.get("master_seed", 0), f"{ctx}.master_seed")
     if seed_override is not None:
@@ -167,10 +169,6 @@ def _parse_ensemble_block(
         epsilon1 = eps_fraction * montecarlo.anchor_scale(anchor, params.K)
     else:
         epsilon1 = _number(eps_spec, f"{ctx}.epsilon1")
-    init_spec = block["sim"].get("initial")
-    displace = None
-    if isinstance(init_spec, dict) and "displace_fraction" in init_spec:
-        displace = _number(init_spec["displace_fraction"], f"{ctx}.sim.initial.displace_fraction")
     cfg = EnsembleConfig(
         replicates=replicates,
         sim=sim,
@@ -183,12 +181,19 @@ def _parse_ensemble_block(
 
 
 def _out_dir(cfg: dict, out_flag: Optional[str]) -> str:
+    """The output directory, refused before the run unless its nearest existing ancestor is
+    a writable directory.  Nothing is created here; _write_output makes it and checks again."""
     block = cfg.get("output", {})
     out_dir = out_flag or (block.get("dir") if isinstance(block, dict) else None)
     if out_dir is None:
         raise ParameterError("no output directory: set output.dir in the config or pass --out")
     if not isinstance(out_dir, str):
         raise ParameterError(f"output.dir must be a string, got {out_dir!r}")
+    probe = os.path.abspath(out_dir)
+    while not os.path.exists(probe) and os.path.dirname(probe) != probe:
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK)):
+        raise ParameterError(f"cannot create output directory {out_dir!r}: {probe!r} is not a writable directory")
     return out_dir
 
 
@@ -310,7 +315,7 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]
     anchor = None
     if "anchor" in block or scheme_name == Scheme.EULER_MARUYAMA.value:
         anchor = _resolve_anchor(params, _expect(block, "anchor", "simulate"), "simulate")
-    sim = _parse_sim_block(block, params, anchor, "simulate", seed_override)
+    sim, _ = _parse_sim_block(block, params, anchor, "simulate", seed_override)
 
     p0, m0 = sim.initial
     if scheme_name == Scheme.RK4.value and (p0 < 0 or m0 < 0 or p0 + m0 > params.K):

@@ -13,6 +13,7 @@ Units are consistent but unnamed: rates are 1/time, K is a molecule count.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -29,6 +30,7 @@ __all__ = [
     "origin_equilibrium",
     "positive_equilibrium",
     "mixed_sign_equilibrium",
+    "field",
     "vector_field",
     "divergence",
 ]
@@ -178,13 +180,20 @@ def mixed_sign_equilibrium(params: ModelParams) -> Equilibrium:
     return Equilibrium(EquilibriumKind.MIXED_SIGN, p, m, True)
 
 
+def field(params: ModelParams) -> Callable[[float, float], tuple[float, float]]:
+    """The vector field of params as a function (p, m) -> (dp/dt, dm/dt), with the rates bound once."""
+    r, alpha, delta, sigma, K = params.r, params.alpha, params.delta, params.sigma, params.K
+
+    def at(p: float, m: float) -> tuple[float, float]:
+        unfilled = 1.0 - (p + m) / K  # shared capacity throttle
+        return r * m * unfilled - delta * p, alpha * r * p * unfilled - sigma * m
+
+    return at
+
+
 def vector_field(params: ModelParams, s: State) -> tuple[float, float]:
     """Time derivative (dp/dt, dm/dt) of the replication system at state s."""
-    p, m = s
-    unfilled = 1.0 - (p + m) / params.K  # shared capacity throttle
-    dp = params.r * m * unfilled - params.delta * p
-    dm = params.alpha * params.r * p * unfilled - params.sigma * m
-    return dp, dm
+    return field(params)(*s)
 
 
 def divergence(params: ModelParams, s: State) -> float:

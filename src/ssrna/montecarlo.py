@@ -46,8 +46,8 @@ from .simulator import (
     _Drift,
     _drift_coefficients,
     _check_recorded_bytes,
+    _increments,
     _recording,
-    _wiener_stream,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
     check_anchor,
     step_count,
@@ -115,13 +115,6 @@ def _worker_count(replicates: int) -> int:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
     return min(len(os.sched_getaffinity(0)), replicates)
-
-
-# Steps of Wiener increments drawn per chunk.  Every standard_normal call
-# costs about 2 us whatever its length, so chunks are long enough to make
-# that negligible, while the (2, C, replicates) buffer stays bounded
-# whatever the horizon.
-_CHUNK_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -238,12 +231,11 @@ def _shard(
     """Integrate replicates lo..hi-1 of every cell and write their slice of `out`.
 
     Replicate k of every cell uses the streams keyed (master_seed, k,
-    coordinate).  They are drawn C steps at a time into buffers that
-    broadcast over the cell axis, so a batch draws its increments once;
-    counter-based streams give the same numbers as one brownian_increments
-    call over the whole horizon.  Per-element arithmetic is that of
-    simulator.integrate_sde, so no result depends on the batch, the chunk
-    or the range.
+    coordinate), drawn a chunk at a time by simulator._increments into
+    buffers that broadcast over the cell axis, so a batch draws its
+    increments once.  Per-element arithmetic is that of
+    simulator.integrate_sde (both call _drift), so no result depends on the
+    batch, the chunk or the range.
 
     Only the running maximum of |x|^2 and the running minimum of each
     deviation are kept per step.  Exceedance is resolved at the steps in
@@ -282,31 +274,22 @@ def _shard(
     if rec[0] == 0:
         observe(0)
 
-    chunk = min(_CHUNK_STEPS, n_steps)
-    streams = [[_wiener_stream(master_seed, k, c) for k in range(lo, hi)] for c in (0, 1)]
-    draw = np.empty(chunk)
-    dW = np.empty((2, chunk, hi - lo))
-    sqrt_dt = math.sqrt(dt)
+    step = 0
     # diverging replicates overflow to inf/nan; that is the detection
     # mechanism, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, chunk):
-            m = min(chunk, n_steps - start)
-            for c, gens in enumerate(streams):
-                for k, gen in enumerate(gens):
-                    gen.standard_normal(out=draw[:m])
-                    dW[c, :m, k] = draw[:m]
-            dW[:, :m] *= sqrt_dt
-            for i in range(m):
+        for dW in _increments(master_seed, lo, hi, n_steps, dt):
+            for d1, d2 in zip(dW[0], dW[1]):
                 g1, g2 = _drift(drift, x1, x2)
-                x1 = x1 + g1 * dt + w1 * x1 * dW[0, i]
-                x2 = x2 + g2 * dt + w2 * x2 * dW[1, i]
+                x1 = x1 + g1 * dt + w1 * x1 * d1
+                x2 = x2 + g2 * dt + w2 * x2 * d2
                 dsq = x1 * x1 + x2 * x2
                 np.maximum(sup, dsq, out=sup)
                 np.minimum(low1, x1, out=low1)
                 np.minimum(low2, x2, out=low2)
-                if col < len(rec) and rec[col] == start + i + 1:
-                    observe(start + i + 1)
+                step += 1
+                if col < len(rec) and rec[col] == step:
+                    observe(step)
             died = ~(np.isfinite(x1) & np.isfinite(x2))
             nonfinite |= died
             x1[died] = 0.0  # freeze: keeps NaNs out of later vector ops

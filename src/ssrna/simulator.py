@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import IntegrationError, ParameterError
 from .linearization import linearize
-from .model_core import Equilibrium, ModelParams, State, vector_field
+from .model_core import Equilibrium, ModelParams, State, field, vector_field
 from .serialize import write_csv
 from .stability import NoiseSpec
 
@@ -50,6 +51,11 @@ MAX_SEED = 2**64
 
 # A recorded path row: t, p and m as float64.
 _PATH_ROW_BYTES = 3 * 8
+
+# Steps of Wiener increments drawn per chunk.  Every standard_normal call
+# costs about 2 us whatever its length, so chunks are long enough to make
+# that negligible, while the (2, C, replicates) buffer stays bounded.
+_CHUNK_STEPS = 512
 
 
 class Scheme(Enum):
@@ -180,9 +186,26 @@ def brownian_increments(master_seed: int, replicate: int, coordinate: int, n_ste
     return _wiener_stream(master_seed, replicate, coordinate).standard_normal(n_steps) * math.sqrt(dt)
 
 
-def _omega_exit(p: float, m: float, K: float) -> bool:
-    tol = OMEGA_EXIT_RTOL * K
-    return p < -tol or m < -tol or p + m > K + tol
+def _increments(master_seed: int, lo: int, hi: int, n_steps: int, dt: float) -> Iterator[np.ndarray]:
+    """Wiener increments of replicates lo..hi-1, _CHUNK_STEPS steps at a time.
+
+    Yields dW[coordinate, step, replicate - lo] per chunk, in one buffer the
+    next chunk overwrites.  The counter-based streams give the numbers of
+    one brownian_increments call over the horizon, whatever the chunk size.
+    """
+    chunk = min(_CHUNK_STEPS, n_steps)
+    streams = [[_wiener_stream(master_seed, k, c) for k in range(lo, hi)] for c in (0, 1)]
+    draw = np.empty(chunk)
+    dW = np.empty((2, chunk, hi - lo))
+    sqrt_dt = math.sqrt(dt)
+    for start in range(0, n_steps, chunk):
+        m = min(chunk, n_steps - start)
+        for c, gens in enumerate(streams):
+            for k, gen in enumerate(gens):
+                gen.standard_normal(out=draw[:m])
+                dW[c, :m, k] = draw[:m]
+        dW[:, :m] *= sqrt_dt
+        yield dW[:, :m]
 
 
 def check_anchor(params: ModelParams, eq: Equilibrium) -> None:
@@ -217,9 +240,9 @@ def _drift_coefficients(params: ModelParams, eq: Equilibrium) -> _Drift:
 def _drift(c: _Drift, x1, x2):
     """Centred drift at deviations (x1, x2), for floats or broadcasting arrays.
 
-    The drift-matrix part plus a single quadratic coupling.  The ensemble
-    kernel and centralized_rhs call it; integrate_sde's scalar loop writes
-    the same arithmetic out, and the tests hold them to the same bits.
+    The drift-matrix part plus a single quadratic coupling.  It is the one
+    copy of this arithmetic: integrate_sde, the ensemble kernel and
+    centralized_rhs all call it.
     """
     a11, a12, a21, a22, br, abr = c
     s = x1 + x2
@@ -237,6 +260,34 @@ def centralized_rhs(params: ModelParams, eq: Equilibrium, x: tuple[float, float]
     return _drift(_drift_coefficients(params, eq), x[0], x[1])
 
 
+def _path(cfg: SimConfig, scheme: Scheme, K: float, rec: Iterable[int],
+          states: Iterable[tuple[float, float]], hint: str) -> Trajectory:
+    """Record a path from its states: the start state, then the state after each step.
+
+    Keeps the steps in rec (ascending), notes the first time the state left
+    the phase-space triangle, and raises IntegrationError, naming the hint,
+    when the state becomes non-finite.
+    """
+    dt = cfg.dt
+    tol = OMEGA_EXIT_RTOL * K
+    low, high = -tol, K + tol
+    rec_iter = iter(rec)
+    next_rec = next(rec_iter)
+    times, kept = [], []
+    exited: Optional[float] = None
+    for i, (p, m) in enumerate(states):
+        t = i * dt
+        if not (math.isfinite(p) and math.isfinite(m)):
+            raise IntegrationError(f"state became non-finite at t={t:.6g} ({hint})", t)
+        if exited is None and (p < low or m < low or p + m > high):
+            exited = t
+        if i == next_rec:
+            times.append(t)
+            kept.append((p, m))
+            next_rec = next(rec_iter, None)
+    return Trajectory(np.asarray(times), np.asarray(kept), exited, scheme)
+
+
 def integrate_ode(params: ModelParams, cfg: SimConfig) -> Trajectory:
     """Classical fourth-order Runge-Kutta path of the deterministic model.
 
@@ -244,48 +295,24 @@ def integrate_ode(params: ModelParams, cfg: SimConfig) -> Trajectory:
     exit means the step size is too large for these parameters.  Raises
     IntegrationError if the state becomes non-finite.
     """
-    r, alpha, delta, sigma, K = params.r, params.alpha, params.delta, params.sigma, params.K
-    dt = cfg.dt
     n, rec = _recording(cfg, _PATH_ROW_BYTES)
-    rec_iter = iter(rec)
-    next_rec = next(rec_iter)
+    f = field(params)
+    dt = cfg.dt
+    sixth, half = dt / 6.0, 0.5 * dt
 
-    p, m = float(cfg.initial[0]), float(cfg.initial[1])
-    times: list[float] = []
-    states: list[tuple[float, float]] = []
-    exited: Optional[float] = None
+    def states() -> Iterator[tuple[float, float]]:
+        p, m = float(cfg.initial[0]), float(cfg.initial[1])
+        yield p, m
+        for _ in range(n):
+            k1p, k1m = f(p, m)
+            k2p, k2m = f(p + half * k1p, m + half * k1m)
+            k3p, k3m = f(p + half * k2p, m + half * k2m)
+            k4p, k4m = f(p + dt * k3p, m + dt * k3m)
+            p = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
+            m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m)
+            yield p, m
 
-    def field(pp: float, mm: float) -> tuple[float, float]:
-        unfilled = 1.0 - (pp + mm) / K
-        return r * mm * unfilled - delta * pp, alpha * r * pp * unfilled - sigma * mm
-
-    if exited is None and _omega_exit(p, m, K):
-        exited = 0.0
-    if next_rec == 0:
-        times.append(0.0)
-        states.append((p, m))
-        next_rec = next(rec_iter, None)
-
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    for i in range(n):
-        k1p, k1m = field(p, m)
-        k2p, k2m = field(p + half * k1p, m + half * k1m)
-        k3p, k3m = field(p + half * k2p, m + half * k2m)
-        k4p, k4m = field(p + dt * k3p, m + dt * k3m)
-        p = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
-        m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m)
-        t = (i + 1) * dt
-        if not (math.isfinite(p) and math.isfinite(m)):
-            raise IntegrationError(f"state became non-finite at t={t:.6g} (step size too large?)", t)
-        if exited is None and _omega_exit(p, m, K):
-            exited = t
-        if next_rec == i + 1:
-            times.append(t)
-            states.append((p, m))
-            next_rec = next(rec_iter, None)
-
-    return Trajectory(np.asarray(times), np.asarray(states), exited, Scheme.RK4)
+    return _path(cfg, Scheme.RK4, params.K, rec, states(), "step size too large?")
 
 
 def integrate_sde(
@@ -303,79 +330,46 @@ def integrate_sde(
         x1 <- x1 + drift1(x) dt + omega1 x1 dW1
         x2 <- x2 + drift2(x) dt + omega2 x2 dW2
 
-    The drift is evaluated in the centered form, so the anchor is an exact
-    fixed point of the discrete scheme: started there, both drift and noise
-    vanish to the last bit for any noise level.  Increments come from the
-    counter-based stream keyed (cfg.seed, replicate, coordinate); pass dW
+    The drift is evaluated in the centered form (_drift), so the anchor is
+    an exact fixed point of the discrete scheme: started there, both drift
+    and noise vanish to the last bit for any noise level.  Increments come
+    from the counter-based streams keyed (cfg.seed, replicate, coordinate),
+    drawn a chunk of steps at a time as the ensemble kernel draws them, so a
+    path holds a chunk of increments, not the whole horizon.  Pass dW
     (shape (n_steps, 2)) to impose a specific realization instead.
 
     Paths are not clamped to the phase-space triangle: noise can push them
     out (recorded via exited_omega) or below zero.  Raises IntegrationError
     when the state becomes non-finite.
 
-    The loop stays scalar rather than being a one-replicate call of the
-    batched ensemble kernel, and it runs on Python floats: the increments
-    become lists (ndarray.tolist) once, since an element read from the array
-    is an np.float64 that would turn x1 and x2 into numpy scalars.  Recording
-    every step of a 111752-step TuMV path (2-CPU x86 VM, Python 3.11, numpy
-    2.4.6), a step costs about 1.8 us on Python floats, 4.7 us on numpy
-    scalars and 27 us as the kernel's numpy step over one-element arrays,
-    almost all of it per-call ufunc overhead.  Both kinds of float round
-    alike, so the path is the same to the bit.  The drift is _drift's
-    arithmetic written out in the loop; the tests hold the two to the same
-    bits.
+    The loop is scalar, not a one-replicate call of the ensemble kernel,
+    whose numpy step over one-element arrays is mostly ufunc overhead.  It
+    steps on Python floats (each chunk goes through ndarray.tolist), which
+    round as np.float64 does but cost less per operation.
     """
     check_anchor(params, anchor)
-    a11, a12, a21, a22, br, abr = _drift_coefficients(params, anchor)
+    drift = _drift_coefficients(params, anchor)
     w1, w2 = noise.omega1, noise.omega2
     ps, ms = anchor.p_star, anchor.m_star
-    K = params.K
     dt = cfg.dt
     n, rec = _recording(cfg, _PATH_ROW_BYTES)
 
-    if dW is None:
-        dW1, dW2 = (brownian_increments(cfg.seed, replicate, c, n, dt).tolist() for c in (0, 1))
-    elif dW.shape != (n, 2):
+    if dW is not None and dW.shape != (n, 2):
         raise ParameterError(f"dW must have shape ({n}, 2), got {dW.shape}")
-    else:
-        dW1, dW2 = dW[:, 0].tolist(), dW[:, 1].tolist()
+    chunks = _increments(cfg.seed, replicate, replicate + 1, n, dt) if dW is None else [dW.T[:, :, None]]
 
-    rec_iter = iter(rec)
-    next_rec = next(rec_iter)
+    def states() -> Iterator[tuple[float, float]]:
+        x1 = float(cfg.initial[0]) - ps
+        x2 = float(cfg.initial[1]) - ms
+        yield ps + x1, ms + x2
+        for chunk in chunks:
+            for d1, d2 in zip(chunk[0, :, 0].tolist(), chunk[1, :, 0].tolist()):
+                g1, g2 = _drift(drift, x1, x2)
+                x1 = x1 + g1 * dt + w1 * x1 * d1
+                x2 = x2 + g2 * dt + w2 * x2 * d2
+                yield ps + x1, ms + x2
 
-    x1 = float(cfg.initial[0]) - ps
-    x2 = float(cfg.initial[1]) - ms
-    times: list[float] = []
-    states: list[tuple[float, float]] = []
-    exited: Optional[float] = None
-
-    if _omega_exit(ps + x1, ms + x2, K):
-        exited = 0.0
-    if next_rec == 0:
-        times.append(0.0)
-        states.append((ps + x1, ms + x2))
-        next_rec = next(rec_iter, None)
-
-    for i, (d1, d2) in enumerate(zip(dW1, dW2)):
-        # _drift written out: calling it would add 6-10% to the whole loop
-        s = x1 + x2
-        g1 = a11 * x1 + a12 * x2 - br * s * x2
-        g2 = a21 * x1 + a22 * x2 - abr * s * x1
-        x1 = x1 + g1 * dt + w1 * x1 * d1
-        x2 = x2 + g2 * dt + w2 * x2 * d2
-        t = (i + 1) * dt
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise IntegrationError(f"state became non-finite at t={t:.6g} (noise or step too large?)", t)
-        p = ps + x1
-        m = ms + x2
-        if exited is None and _omega_exit(p, m, K):
-            exited = t
-        if next_rec == i + 1:
-            times.append(t)
-            states.append((p, m))
-            next_rec = next(rec_iter, None)
-
-    return Trajectory(np.asarray(times), np.asarray(states), exited, Scheme.EULER_MARUYAMA)
+    return _path(cfg, Scheme.EULER_MARUYAMA, params.K, rec, states(), "noise or step too large?")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -166,6 +166,20 @@ def _near(value: float, bound: float) -> bool:
     return abs(value - bound) <= BOUNDARY_RTOL * max(abs(value), abs(bound))
 
 
+def _noise_bounds(rep: LinearizationReport, gamma1: float) -> tuple[float, Optional[float]]:
+    """(gamma1 bound, gamma2 bound at gamma1) of a drift matrix with Tr < 0 < det.
+
+    The gamma2 bound is None unless gamma1 is below the gamma1 bound, where
+    its denominator is positive.
+    """
+    abs_tr = -rep.trace
+    d = abs_tr * rep.det
+    gamma1_max = d / rep.A2
+    if not gamma1 < gamma1_max:
+        return gamma1_max, None
+    return gamma1_max, (d - rep.A2 * gamma1) / (rep.A1 - abs_tr * gamma1)
+
+
 def gamma_bounds(rep: LinearizationReport, gamma1: float) -> tuple[float, float]:
     """Noise tolerances certifying mean-square stability of the linear part.
 
@@ -176,15 +190,12 @@ def gamma_bounds(rep: LinearizationReport, gamma1: float) -> tuple[float, float]
     positive.
     """
     _require_hurwitz(rep)
-    abs_tr = -rep.trace
-    d = abs_tr * rep.det
-    gamma1_max = d / rep.A2
-    if not gamma1 < gamma1_max:
+    gamma1_max, gamma2_max = _noise_bounds(rep, gamma1)
+    if gamma2_max is None:
         raise StabilityDomainError(
             f"gamma1={gamma1!r} is not below the admissible bound {gamma1_max!r}; "
             "the gamma2 bound is undefined"
         )
-    gamma2_max = (d - rep.A2 * gamma1) / (rep.A1 - abs_tr * gamma1)
     return gamma1_max, gamma2_max
 
 
@@ -272,12 +283,9 @@ def check_mean_square_stability(rep: LinearizationReport, noise: NoiseSpec) -> S
     met = False
     marginal = False
     if trace_ok and det_ok:
-        abs_tr = -rep.trace
-        d = abs_tr * rep.det
-        gamma1_bound = d / rep.A2
+        gamma1_bound, gamma2_bound = _noise_bounds(rep, g1)
         marginal = _near(g1, gamma1_bound)
-        if g1 < gamma1_bound:
-            gamma2_bound = (d - rep.A2 * g1) / (rep.A1 - abs_tr * g1)
+        if gamma2_bound is not None:
             marginal = marginal or _near(g2, gamma2_bound)
             met = g2 < gamma2_bound
         interval = q_interval(rep, noise)

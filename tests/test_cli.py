@@ -142,16 +142,23 @@ def _directory_in_the_way(tmp_path):
     return ["--out", str(tmp_path / "out")]
 
 
-@pytest.mark.parametrize("output, out_args, needle", [
-    ({"dir": 5}, lambda tmp_path: [], "output.dir must be a string"),
-    ({}, _file_in_the_way, "cannot create output directory"),
-    ({}, _directory_in_the_way, "cannot write"),
-], ids=["dir-not-a-string", "parent-is-a-file", "file-is-a-directory"])
-def test_unusable_output_path_exits_2(tmp_path, capsys, output, out_args, needle):
-    path = write_config(tmp_path, base_config(analyze={}, output=output))
-    assert main(["analyze", "--config", path, *out_args(tmp_path)]) == 2
+@pytest.mark.parametrize("command, output, out_args, needle", [
+    ("analyze", {"dir": 5}, lambda tmp_path: [], "output.dir must be a string"),
+    ("analyze", {}, _file_in_the_way, "cannot create output directory"),
+    ("ensemble", {}, _file_in_the_way, "cannot create output directory"),
+    ("analyze", {}, _directory_in_the_way, "cannot write"),
+], ids=["dir-not-a-string", "parent-is-a-file", "parent-is-a-file-ensemble", "file-is-a-directory"])
+def test_unusable_output_path_exits_2(tmp_path, capsys, monkeypatch, command, output, out_args, needle):
+    def run_ensemble(*args, **kwargs):
+        pytest.fail("the ensemble ran before its output path was refused")
+
+    monkeypatch.setattr(montecarlo, "run_ensemble", run_ensemble)
+    cfg = ensemble_config() if command == "ensemble" else base_config(analyze={})
+    path = write_config(tmp_path, dict(cfg, output=output))
+    assert main([command, "--config", path, *out_args(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "file").is_dir()
 
 
 def test_os_error_outside_the_outputs_is_not_invalid_input(tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from ssrna import (
     validate_params,
     wilson_interval,
 )
-from ssrna import montecarlo
+from ssrna import montecarlo, simulator
 from ssrna.montecarlo import anchor_scale, displaced_initial, write_ensemble_csv, write_sweep_csv
 from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
@@ -344,7 +344,7 @@ def _reference_path(params, cfg, k, n, rec):
 @pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
 @pytest.mark.parametrize("n_steps", [5, 8, 9, 27])  # below, at, just past and several chunks of 8
 def test_chunked_ensemble_equals_one_shot_increments(monkeypatch, n_steps, noise):
-    monkeypatch.setattr(montecarlo, "_CHUNK_STEPS", 8)
+    monkeypatch.setattr(simulator, "_CHUNK_STEPS", 8)
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * n_steps, initial=State(300.0, 300.0), record_stride=3)
     cfg = EnsembleConfig(replicates=16, sim=sim, noise=noise, anchor=origin_equilibrium(),
@@ -511,7 +511,7 @@ def test_sweep_common_random_numbers(tumv):
 def test_sweep_rows_equal_standalone_ensembles(tumv, monkeypatch):
     # batching cells, sharing their increments and recording only the final
     # step must not change a row; small chunks put 300 steps in five of them
-    monkeypatch.setattr(montecarlo, "_CHUNK_STEPS", 64)
+    monkeypatch.setattr(simulator, "_CHUNK_STEPS", 64)
     eq = positive_equilibrium(tumv)
     sim = SimConfig(dt=0.5, t_end=150.0, initial=displaced_initial(eq, 0.01, tumv.K),
                     record_stride=8)

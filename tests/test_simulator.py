@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ssrna import (
     validate_params,
     vector_field,
 )
+from ssrna import simulator
 from ssrna.simulator import recorded_steps, step_count, write_trajectory_csv
 
 from conftest import (
@@ -130,16 +132,49 @@ def test_ode_lyapunov_descent_subthreshold():
         assert (np.diff(w) <= 1e-9 * w[0]).all()
 
 
-def test_ode_blowup_raises_with_time():
-    p = validate_params(r=2, alpha=1, delta=1, sigma=1, K=1)
-    cfg = SimConfig(dt=1e6, t_end=3e6, initial=State(0.5, 0.4))
-    with pytest.raises(IntegrationError) as err:
-        integrate_ode(p, cfg)
-    assert err.value.t > 0
-
-
 def test_rk4_order_exponent():
     assert 3.7 <= measure_rk4_order() <= 4.3
+
+
+# ---------------------------------------------------------------------------
+# path recording, shared by both schemes
+
+def integrate(scheme, params, cfg):
+    """A path of either scheme; Euler-Maruyama is anchored at the origin with no noise."""
+    if scheme is Scheme.RK4:
+        return integrate_ode(params, cfg)
+    return integrate_sde(params, NoiseSpec(0.0, 0.0), origin_equilibrium(), cfg)
+
+
+both_schemes = pytest.mark.parametrize("scheme", list(Scheme), ids=[s.value for s in Scheme])
+
+
+@both_schemes
+def test_start_outside_triangle_exits_at_t0(scheme):
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cfg = SimConfig(dt=0.05, t_end=1.0, initial=State(800.0, 800.0), seed=5)
+    traj = integrate(scheme, p, cfg)
+    assert traj.scheme is scheme
+    assert traj.exited_omega == 0.0
+
+
+@both_schemes
+def test_stride_that_does_not_divide_records_final_step(scheme, tumv):
+    cfg = SimConfig(dt=0.25, t_end=2.5, initial=State(1.0, 0.0), record_stride=4)
+    n = step_count(cfg)
+    assert n % cfg.record_stride != 0
+    traj = integrate(scheme, tumv, cfg)
+    assert np.array_equal(traj.times, np.asarray(recorded_steps(n, cfg.record_stride)) * cfg.dt)
+    assert traj.states.shape == (len(traj.times), 2)
+
+
+@both_schemes
+def test_blowup_raises_with_time(scheme):
+    p = validate_params(r=2, alpha=1, delta=1, sigma=1, K=1)
+    cfg = SimConfig(dt=1e6, t_end=1e7, initial=State(0.5, 0.4))
+    with pytest.raises(IntegrationError) as err:
+        integrate(scheme, p, cfg)
+    assert err.value.t > 0
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +221,8 @@ def test_sde_zero_noise_is_drift_only_euler(tumv):
 
 
 def test_sde_noisy_path_matches_shared_drift_recursion():
-    # integrate_sde writes the centred drift out inline; it must round like
-    # centralized_rhs, whose arithmetic the ensemble kernel shares.  With
+    # integrate_sde must round like centralized_rhs, whose arithmetic the
+    # ensemble kernel shares, on increments drawn a chunk at a time.  With
     # R0 > 1 the path leaves the origin anchor for the coexistence state, so
     # the quadratic coupling stays as large as the linear part and a
     # reordered product shows up in the path.
@@ -247,10 +282,47 @@ def test_sde_exit_and_negative_states_recorded():
     traj = integrate_sde(p, NoiseSpec(1.2, 1.2), eq, cfg)
     assert (traj.states < 0.0).any()
     assert traj.exited_omega is not None
-    # starting already outside the triangle is recorded at t=0
-    cfg0 = SimConfig(dt=0.05, t_end=1.0, initial=State(800.0, 800.0), seed=5)
-    traj0 = integrate_sde(p, NoiseSpec(0.0, 0.0), eq, cfg0)
-    assert traj0.exited_omega == 0.0
+
+
+def path_or_failure(*args, **kwargs):
+    """(times, states, exited_omega) of integrate_sde as lists, or the time of its IntegrationError."""
+    try:
+        traj = integrate_sde(*args, **kwargs)
+    except IntegrationError as exc:
+        return exc.t
+    return traj.times.tolist(), traj.states.tolist(), traj.exited_omega
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
+@pytest.mark.parametrize("n_steps", [5, 8, 9, 27])  # below, at, just past and several chunks of 8
+def test_chunked_path_equals_one_shot_increments(monkeypatch, n_steps, noise):
+    monkeypatch.setattr(simulator, "_CHUNK_STEPS", 8)
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    eq = origin_equilibrium()
+    cfg = SimConfig(dt=0.25, t_end=0.25 * n_steps, initial=State(300.0, 300.0), seed=4242)
+    dW = np.stack([brownian_increments(cfg.seed, 6, c, n_steps, cfg.dt) for c in (0, 1)], axis=1)
+    drawn = path_or_failure(p, noise, eq, cfg, replicate=6)
+    assert drawn == path_or_failure(p, noise, eq, cfg, dW=dW)
+    if n_steps == 27:  # the comparison covers an exit and, at the larger noise, an overflow
+        assert isinstance(drawn, float) == (noise.omega1 > 1.0)
+        assert isinstance(drawn, float) or drawn[2] is not None
+
+
+def test_path_memory_does_not_grow_with_horizon(tumv):
+    eq = positive_equilibrium(tumv)
+    cfg = SimConfig(dt=0.5, t_end=50000.0, initial=State(1.01 * eq.p_star, eq.m_star), seed=3,
+                    record_stride=10**5)
+    n = step_count(cfg)
+    assert n == 100000
+    whole_horizon_increments = 2 * n * 8  # both coordinates' float64 increments at once
+    tracemalloc.start()
+    try:
+        traj = integrate_sde(tumv, NoiseSpec(0.05, 0.05), eq, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 2
+    assert peak < whole_horizon_increments / 4
 
 
 def test_em_strong_order_exponent():
