@@ -12,10 +12,11 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
+from dataclasses import fields
 from typing import Any, Optional
 
 from . import montecarlo, serialize, simulator, stability
-from .errors import EnsembleError, Error, IntegrationError, ParameterError, StabilityDomainError
+from .errors import Error, IntegrationError, ParameterError, StabilityDomainError
 from .linearization import linearize
 from .model_core import Equilibrium, EquilibriumKind, ModelParams, State, validate_params
 from .montecarlo import EnsembleConfig
@@ -28,24 +29,49 @@ COMMANDS = ("analyze", "simulate", "ensemble", "sweep")
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: one table per block maps each field to (reader, default)
 
-def _object(value: Any, ctx: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParameterError(f"{ctx} must be a JSON object")
+_REQUIRED = object()  # the default of a field that must be present
+
+_Reader = Callable[[Any, str], Any]  # (value, dotted path) -> parsed value
+
+
+def _fields(block: Any, ctx: str, spec: dict[str, tuple[_Reader, Any]]) -> dict:
+    """Every field of spec, read from block, or its default when absent.
+
+    A block that is not an object, a missing required field and a field the
+    spec does not list are refused, naming the block's dotted path ctx ("" is
+    the config root, whose fields have bare names).
+    """
+    where = ctx or "config"
+    if not isinstance(block, dict):
+        raise ParameterError(f"{where} must be a JSON object")
+    for key in block:
+        if key not in spec:
+            raise ParameterError(f"{where}: unknown field {key!r}")
+    out = {}
+    for name, (read, default) in spec.items():
+        if name in block:
+            out[name] = read(block[name], f"{ctx}.{name}" if ctx else name)
+        elif default is _REQUIRED:
+            raise ParameterError(f"{where}: missing required field {name!r}")
+        else:
+            out[name] = default
+    return out
+
+
+def _any(value: Any, ctx: str) -> Any:
+    """A block read later, once the model it depends on is known."""
     return value
-
-
-def _expect(mapping: Any, key: str, ctx: str) -> Any:
-    if key not in _object(mapping, ctx):
-        raise ParameterError(f"{ctx}: missing required field {key!r}")
-    return mapping[key]
 
 
 def _number(value: Any, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"{ctx} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer has no bound
+        raise ParameterError(f"{ctx} is an integer beyond floating-point range") from None
 
 
 def _integer(value: Any, ctx: str) -> int:
@@ -54,23 +80,66 @@ def _integer(value: Any, ctx: str) -> int:
     return value
 
 
+def _string(value: Any, ctx: str) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"{ctx} must be a string, got {value!r}")
+    return value
+
+
+def _one_of(*choices: str) -> _Reader:
+    def read(value: Any, ctx: str) -> str:
+        if not (isinstance(value, str) and value in choices):
+            raise ParameterError(f"{ctx} must be {' or '.join(map(repr, choices))}, got {value!r}")
+        return value
+    return read
+
+
+def _initial(value: Any, ctx: str) -> tuple[Optional[State], Optional[float]]:
+    """[p, m] as (state, None); {"displace_fraction": f} as (None, f)."""
+    if isinstance(value, list) and len(value) == 2:
+        return State(_number(value[0], f"{ctx}[0]"), _number(value[1], f"{ctx}[1]")), None
+    if isinstance(value, dict):
+        return None, _fields(value, ctx, _DISPLACE)["displace_fraction"]
+    raise ParameterError(f"{ctx} must be [p, m] or {{'displace_fraction': f}}, got {value!r}")
+
+
+def _epsilon1(value: Any, ctx: str) -> tuple[Optional[float], Optional[float]]:
+    """A radius as (radius, None); {"fraction": f} of the anchor's magnitude as (None, f)."""
+    if isinstance(value, dict):
+        return None, _fields(value, ctx, _FRACTION)["fraction"]
+    return _number(value, ctx), None
+
+
+_ANCHOR = _one_of(EquilibriumKind.ORIGIN.value, EquilibriumKind.POSITIVE.value)
+_CONFIG = {"schema": (_one_of(CONFIG_SCHEMA), _REQUIRED), "model": (_any, _REQUIRED),
+           "noise": (_any, {}), "output": (_any, {}), **{c: (_any, None) for c in COMMANDS}}
+_MODEL = {f.name: (_number, _REQUIRED) for f in fields(ModelParams)}
+_NOISE = {f.name: (_number, 0.0) for f in fields(NoiseSpec)}
+_OUTPUT = {"dir": (_string, None), "format": (_one_of("csv", "json"), "csv")}
+_SIM = {"dt": (_number, None), "t_end": (_number, _REQUIRED), "initial": (_initial, _REQUIRED),
+        "record_stride": (_integer, 1)}
+_SIMULATE = {"scheme": (_one_of(*(s.value for s in Scheme)), Scheme.RK4.value),
+             "anchor": (_ANCHOR, None), "seed": (_integer, 0), **_SIM}
+_ENSEMBLE = {"replicates": (_integer, _REQUIRED), "anchor": (_ANCHOR, _REQUIRED),
+             "epsilon1": (_epsilon1, _REQUIRED), "master_seed": (_integer, 0), "sim": (_any, _REQUIRED)}
+_SWEEP = {"model_grid": (_any, {}), "noise_grid": (_any, {}), "ensemble": (_any, _REQUIRED)}
+_DISPLACE = {"displace_fraction": (_number, _REQUIRED)}
+_FRACTION = {"fraction": (_number, _REQUIRED)}
+
+
 def load_config(path: str) -> dict:
+    """The config at path, its root fields checked; an absent block holds its default."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ParameterError(f"cannot read config {path!r}: {exc}") from None
     try:
-        cfg = serialize.loads(text)
+        data = serialize.loads(text)
     except ValueError as exc:
         raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ParameterError("config root must be a JSON object")
-    if cfg.get("schema") != CONFIG_SCHEMA:
-        raise ParameterError(
-            f"config field 'schema' must be {CONFIG_SCHEMA!r}, got {cfg.get('schema')!r}"
-        )
-    present = [c for c in COMMANDS if c in cfg]
+    cfg = _fields(data, "", _CONFIG)
+    present = [c for c in COMMANDS if cfg[c] is not None]
     if len(present) != 1:
         raise ParameterError(
             f"config must contain exactly one command block out of {COMMANDS}, found {present or 'none'}"
@@ -79,130 +148,62 @@ def load_config(path: str) -> dict:
 
 
 def parse_model(cfg: dict) -> ModelParams:
-    block = _expect(cfg, "model", "config")
-    return validate_params(
-        r=_number(_expect(block, "r", "model"), "model.r"),
-        alpha=_number(_expect(block, "alpha", "model"), "model.alpha"),
-        delta=_number(_expect(block, "delta", "model"), "model.delta"),
-        sigma=_number(_expect(block, "sigma", "model"), "model.sigma"),
-        K=_number(_expect(block, "K", "model"), "model.K"),
-    )
+    return validate_params(**_fields(cfg.get("model"), "model", _MODEL))
 
 
 def parse_noise(cfg: dict) -> NoiseSpec:
-    block = cfg.get("noise")
-    if block is None:
-        return NoiseSpec(0.0, 0.0)
-    _object(block, "noise")
     try:
-        return NoiseSpec(
-            omega1=_number(block.get("omega1", 0.0), "noise.omega1"),
-            omega2=_number(block.get("omega2", 0.0), "noise.omega2"),
-        )
+        return NoiseSpec(**_fields(cfg.get("noise", {}), "noise", _NOISE))
     except StabilityDomainError as exc:  # "omega1 must be ..." becomes "noise.omega1 must be ..."
         raise ParameterError(f"noise.{exc}") from None
 
 
-def _resolve_anchor(params: ModelParams, name: Any, ctx: str) -> Equilibrium:
-    if name not in ("origin", "positive"):
-        raise ParameterError(f"{ctx}: anchor must be 'origin' or 'positive', got {name!r}")
+def _anchor(params: ModelParams, name: str, ctx: str) -> Equilibrium:
     try:
         return montecarlo.resolve_anchor(params, EquilibriumKind(name))
     except ParameterError as exc:
         raise ParameterError(f"{ctx}: {exc}") from None
 
 
-def _resolve_initial(spec: Any, anchor: Optional[Equilibrium], params: ModelParams,
-                     ctx: str) -> tuple[State, Optional[float]]:
-    """The initial state, and the displace_fraction it was derived from (None for [p, m])."""
-    if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        return State(_number(spec[0], f"{ctx}[0]"), _number(spec[1], f"{ctx}[1]")), None
-    if isinstance(spec, dict) and "displace_fraction" in spec:
+def _sim(f: dict, ctx: str, params: ModelParams, anchor: Optional[Equilibrium],
+         seed: int) -> tuple[SimConfig, Optional[float]]:
+    """The SimConfig of a sim block's fields, and the displace_fraction of its start (or None)."""
+    initial, displace = f["initial"]
+    if initial is None:
         if anchor is None:
-            raise ParameterError(f"{ctx}: displace_fraction needs an 'anchor' in this block")
-        frac = _number(spec["displace_fraction"], f"{ctx}.displace_fraction")
-        return montecarlo.displaced_initial(anchor, frac, params.K), frac
-    raise ParameterError(
-        f"{ctx} must be [p, m] or {{'displace_fraction': f}}, got {spec!r}"
-    )
+            raise ParameterError(f"{ctx}.initial: displace_fraction needs an 'anchor' in this block")
+        initial = montecarlo.displaced_initial(anchor, displace, params.K)
+    dt = simulator.default_dt(params, anchor) if f["dt"] is None else f["dt"]
+    return SimConfig(dt=dt, t_end=f["t_end"], initial=initial, seed=seed,
+                     record_stride=f["record_stride"]), displace
 
 
-def _parse_sim_block(
-    block: dict,
-    params: ModelParams,
-    anchor: Optional[Equilibrium],
-    ctx: str,
-    seed_override: Optional[int],
-) -> tuple[SimConfig, Optional[float]]:
-    dt_raw = _object(block, ctx).get("dt")
-    if dt_raw is None:
-        dt = simulator.default_dt(params, anchor)
-    else:
-        dt = _number(dt_raw, f"{ctx}.dt")
-    t_end = _number(_expect(block, "t_end", ctx), f"{ctx}.t_end")
-    initial, displace = _resolve_initial(_expect(block, "initial", ctx), anchor, params, f"{ctx}.initial")
-    seed = _integer(block.get("seed", 0), f"{ctx}.seed")
-    if seed_override is not None:
-        seed = seed_override
-    stride = _integer(block.get("record_stride", 1), f"{ctx}.record_stride")
-    return SimConfig(dt=dt, t_end=t_end, initial=initial, seed=seed, record_stride=stride), displace
-
-
-def _parse_ensemble_block(
-    block: dict,
-    params: ModelParams,
-    noise: NoiseSpec,
-    ctx: str,
-    seed_override: Optional[int],
-) -> tuple[EnsembleConfig, Optional[float], Optional[float]]:
-    """Returns (config, displace_fraction, epsilon1_fraction) for sweep reuse."""
-    anchor = _resolve_anchor(params, _expect(block, "anchor", ctx), ctx)
-    sim, displace = _parse_sim_block(_expect(block, "sim", ctx), params, anchor, f"{ctx}.sim", None)
-    replicates = _integer(_expect(block, "replicates", ctx), f"{ctx}.replicates")
-    master_seed = _integer(block.get("master_seed", 0), f"{ctx}.master_seed")
-    if seed_override is not None:
-        master_seed = seed_override
-    eps_spec = _expect(block, "epsilon1", ctx)
-    eps_fraction: Optional[float] = None
-    if isinstance(eps_spec, dict) and "fraction" in eps_spec:
-        eps_fraction = _number(eps_spec["fraction"], f"{ctx}.epsilon1.fraction")
+def _ensemble(block: Any, ctx: str, params: ModelParams, noise: NoiseSpec,
+              seed_override: Optional[int]) -> tuple[EnsembleConfig, Optional[float], Optional[float]]:
+    """The ensemble, with its displace_fraction and epsilon1 fraction (None when absolute)."""
+    f = _fields(block, ctx, _ENSEMBLE)
+    anchor = _anchor(params, f["anchor"], ctx)
+    sim, displace = _sim(_fields(f["sim"], f"{ctx}.sim", _SIM), f"{ctx}.sim", params, anchor, 0)
+    epsilon1, eps_fraction = f["epsilon1"]
+    if epsilon1 is None:
         epsilon1 = eps_fraction * montecarlo.anchor_scale(anchor, params.K)
-    else:
-        epsilon1 = _number(eps_spec, f"{ctx}.epsilon1")
-    cfg = EnsembleConfig(
-        replicates=replicates,
-        sim=sim,
-        noise=noise,
-        anchor=anchor,
-        epsilon1=epsilon1,
-        master_seed=master_seed,
-    )
+    master_seed = f["master_seed"] if seed_override is None else seed_override
+    cfg = EnsembleConfig(replicates=f["replicates"], sim=sim, noise=noise, anchor=anchor,
+                         epsilon1=epsilon1, master_seed=master_seed)
     return cfg, displace, eps_fraction
 
 
-def _out_dir(cfg: dict, out_flag: Optional[str]) -> str:
+def _out_dir(out_dir: Optional[str]) -> str:
     """The output directory, refused before the run unless its nearest existing ancestor is
     a writable directory.  Nothing is created here; _write_output makes it and checks again."""
-    block = cfg.get("output", {})
-    out_dir = out_flag or (block.get("dir") if isinstance(block, dict) else None)
     if out_dir is None:
         raise ParameterError("no output directory: set output.dir in the config or pass --out")
-    if not isinstance(out_dir, str):
-        raise ParameterError(f"output.dir must be a string, got {out_dir!r}")
     probe = os.path.abspath(out_dir)
     while not os.path.exists(probe) and os.path.dirname(probe) != probe:
         probe = os.path.dirname(probe)
     if not (os.path.isdir(probe) and os.access(probe, os.W_OK)):
         raise ParameterError(f"cannot create output directory {out_dir!r}: {probe!r} is not a writable directory")
     return out_dir
-
-
-def _output_format(cfg: dict, fmt_flag: Optional[str]) -> str:
-    block = cfg.get("output", {})
-    fmt = fmt_flag or (block.get("format", "csv") if isinstance(block, dict) else "csv")
-    if fmt not in ("csv", "json"):
-        raise ParameterError(f"output format must be 'csv' or 'json', got {fmt!r}")
-    return fmt
 
 
 def _write_output(out_dir: str, stem: str, fmt: str, document: Callable[[], dict],
@@ -236,10 +237,8 @@ def _write_output(out_dir: str, stem: str, fmt: str, document: Callable[[], dict
 def analysis_to_dict(params: ModelParams, noise: NoiseSpec, cls: StabilityClassification) -> dict:
     return {
         "schema": ANALYSIS_SCHEMA,
-        "model": {"r": params.r, "alpha": params.alpha, "delta": params.delta,
-                  "sigma": params.sigma, "K": params.K, "b": params.b},
-        "noise": {"omega1": noise.omega1, "omega2": noise.omega2,
-                  "gamma1": noise.gamma1, "gamma2": noise.gamma2},
+        "model": {**serialize.plain(params), "b": params.b},
+        "noise": {**serialize.plain(noise), "gamma1": noise.gamma1, "gamma2": noise.gamma2},
         **serialize.plain(cls),
     }
 
@@ -247,14 +246,13 @@ def analysis_to_dict(params: ModelParams, noise: NoiseSpec, cls: StabilityClassi
 def analysis_from_dict(d: dict) -> tuple[ModelParams, NoiseSpec, StabilityClassification]:
     if d.get("schema") != ANALYSIS_SCHEMA:
         raise ParameterError(f"not an analysis report (schema={d.get('schema')!r})")
-    m = d["model"]
-    params = validate_params(r=m["r"], alpha=m["alpha"], delta=m["delta"], sigma=m["sigma"], K=m["K"])
-    noise = NoiseSpec(d["noise"]["omega1"], d["noise"]["omega2"])
+    params = validate_params(**{name: d["model"][name] for name in _MODEL})
+    noise = NoiseSpec(**{name: d["noise"][name] for name in _NOISE})
     return params, noise, serialize.record(StabilityClassification, d)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each gets its block, the model, the noise and the output settings
 
 def _print_assessment(label: str, a: EquilibriumAssessment) -> None:
     eq = a.equilibrium
@@ -282,9 +280,9 @@ def _print_assessment(label: str, a: EquilibriumAssessment) -> None:
     print(f"  verdict: {a.summary}")
 
 
-def cmd_analyze(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]) -> int:
-    params = parse_model(cfg)
-    noise = parse_noise(cfg)
+def cmd_analyze(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
+                seed_override: Optional[int]) -> int:
+    _fields(block, "analyze", {})
     cls = stability.classify_equilibria_stability(params, noise)
     print(f"R0: {serialize.fmt(cls.r0)}")
     _print_assessment("virus-free equilibrium E0", cls.origin)
@@ -305,23 +303,21 @@ def _trajectory_json(traj: Trajectory) -> dict:
     }
 
 
-def cmd_simulate(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]) -> int:
-    params = parse_model(cfg)
-    noise = parse_noise(cfg)
-    block = _object(cfg["simulate"], "simulate")
-    scheme_name = block.get("scheme", "rk4")
-    if scheme_name not in (Scheme.RK4.value, Scheme.EULER_MARUYAMA.value):
-        raise ParameterError(f"simulate.scheme must be 'rk4' or 'euler-maruyama', got {scheme_name!r}")
-    anchor = None
-    if "anchor" in block or scheme_name == Scheme.EULER_MARUYAMA.value:
-        anchor = _resolve_anchor(params, _expect(block, "anchor", "simulate"), "simulate")
-    sim, _ = _parse_sim_block(block, params, anchor, "simulate", seed_override)
+def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
+                 seed_override: Optional[int]) -> int:
+    f = _fields(block, "simulate", _SIMULATE)
+    scheme = Scheme(f["scheme"])
+    if f["anchor"] is None and scheme is Scheme.EULER_MARUYAMA:
+        raise ParameterError("simulate: missing required field 'anchor'")
+    anchor = None if f["anchor"] is None else _anchor(params, f["anchor"], "simulate")
+    seed = f["seed"] if seed_override is None else seed_override
+    sim, _ = _sim(f, "simulate", params, anchor, seed)
 
     p0, m0 = sim.initial
-    if scheme_name == Scheme.RK4.value and (p0 < 0 or m0 < 0 or p0 + m0 > params.K):
+    if scheme is Scheme.RK4 and (p0 < 0 or m0 < 0 or p0 + m0 > params.K):
         print("warning: initial state lies outside the phase-space triangle; proceeding anyway")
 
-    if scheme_name == Scheme.RK4.value:
+    if scheme is Scheme.RK4:
         traj = simulator.integrate_ode(params, sim)
     else:
         traj = simulator.integrate_sde(params, noise, anchor, sim)
@@ -342,10 +338,9 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]
     return 0
 
 
-def cmd_ensemble(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]) -> int:
-    params = parse_model(cfg)
-    noise = parse_noise(cfg)
-    ens_cfg, _, _ = _parse_ensemble_block(cfg["ensemble"], params, noise, "ensemble", seed_override)
+def cmd_ensemble(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
+                 seed_override: Optional[int]) -> int:
+    ens_cfg, _, _ = _ensemble(block, "ensemble", params, noise, seed_override)
     verdict = stability.check_mean_square_stability(linearize(params, ens_cfg.anchor), noise)
     stats = montecarlo.run_ensemble(ens_cfg, params)
 
@@ -367,15 +362,12 @@ def cmd_ensemble(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]
     return 0
 
 
-def cmd_sweep(cfg: dict, out_dir: str, fmt: str, seed_override: Optional[int]) -> int:
-    params = parse_model(cfg)
-    noise = parse_noise(cfg)
-    block = cfg["sweep"]
-    template, displace, eps_fraction = _parse_ensemble_block(
-        _expect(block, "ensemble", "sweep"), params, noise, "sweep.ensemble", seed_override
-    )
+def cmd_sweep(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
+              seed_override: Optional[int]) -> int:
+    f = _fields(block, "sweep", _SWEEP)
+    template, displace, eps_fraction = _ensemble(f["ensemble"], "sweep.ensemble", params, noise, seed_override)
     rows = montecarlo.sweep(
-        params, block.get("model_grid", {}), block.get("noise_grid", {}), template,
+        params, f["model_grid"], f["noise_grid"], template,
         displace_fraction=displace,
         epsilon1_fraction=eps_fraction,
     )
@@ -410,35 +402,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "ensemble": cmd_ensemble,
-    "sweep": cmd_sweep,
-}
+_DISPATCH = {"analyze": cmd_analyze, "simulate": cmd_simulate, "ensemble": cmd_ensemble, "sweep": cmd_sweep}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command not in cfg:
+        if cfg[args.command] is None:
             raise ParameterError(
                 f"config contains no {args.command!r} block (command and config must agree)"
             )
         if args.seed is not None and not 0 <= args.seed < MAX_SEED:
             raise ParameterError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
-        out_dir = _out_dir(cfg, args.out)
-        fmt = _output_format(cfg, args.format)
-        return _DISPATCH[args.command](cfg, out_dir, fmt, args.seed)
+        output = _fields(cfg["output"], "output", _OUTPUT)
+        out_dir = _out_dir(args.out or output["dir"])
+        return _DISPATCH[args.command](cfg[args.command], parse_model(cfg), parse_noise(cfg), out_dir,
+                                       args.format or output["format"], args.seed)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:
         print(f"numerical failure: {exc} (t={serialize.fmt(exc.t)})", file=sys.stderr)
         return 3
-    except (EnsembleError, Error) as exc:
+    except Error as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -81,11 +81,11 @@ class EnsembleConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.replicates, int) and self.replicates >= 1):
+        if not (type(self.replicates) is int and self.replicates >= 1):
             raise ParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         if not (math.isfinite(self.epsilon1) and self.epsilon1 > 0.0):
             raise ParameterError(f"epsilon1 must be positive, got {self.epsilon1!r}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < MAX_SEED):
+        if not (type(self.master_seed) is int and 0 <= self.master_seed < MAX_SEED):
             raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
 
 
@@ -318,9 +318,8 @@ def _reduce(paths: _Paths, cell: int, rec: Sequence[int], dt: float) -> Ensemble
     rec_arr = np.asarray(rec, dtype=np.int64)
     fe = paths.first_exceed[cell][included]
     exceeded = fe >= 0
-    cum = np.empty(len(rec))
-    for j, step in enumerate(rec_arr):
-        cum[j] = np.count_nonzero(exceeded & (fe <= step)) / n_included
+    # replicates that had exceeded by each recorded step, counted in one sorted pass
+    cum = np.searchsorted(np.sort(fe[exceeded]), rec_arr, side="right") / n_included
 
     n_exceed = int(np.count_nonzero(exceeded))
     return EnsembleStats(
@@ -345,7 +344,8 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     case of the batched kernel that sweep uses.
     """
     cell = _cell(cfg, params)
-    n_steps, rec = _recording(cfg.sim, cfg.replicates * 8)  # a float64 |x|^2 per replicate and row
+    # a float64 |x|^2 per replicate and row, and each replicate's increments
+    n_steps, rec = _recording(cfg.sim, cfg.replicates * 8, cfg.replicates)
     paths = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, n_steps, rec)
     return _reduce(paths, 0, rec, cfg.sim.dt)
 
@@ -441,6 +441,8 @@ def _grid_axes(grid, fields: tuple[str, ...], name: str) -> list[tuple[str, list
         )
         if not is_list or not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
             raise ParameterError(f"{name}.{key} must be a list of numbers, got {values!r}")
+        if any(type(v) is int and abs(v) > sys.float_info.max for v in values):  # JSON ints have no bound
+            raise ParameterError(f"{name}.{key} holds an integer beyond floating-point range")
     # numpy and other reals become floats; ints are kept, as JSON gives them
     return [(key, [v if type(v) is int else float(v) for v in grid[key]])
             for key in fields if key in grid]
@@ -488,7 +490,7 @@ def sweep(
                 rows.append(None)
 
     if pending:
-        _check_recorded_bytes(1, len(pending) * template.replicates * 8)
+        _check_recorded_bytes(1, len(pending) * template.replicates * 8, template.replicates)
         n_steps = step_count(template.sim)
         final = [n_steps]  # a row holds only the final mean squared deviation
         paths = _euler_maruyama([cell for _, _, cell in pending], template.replicates,

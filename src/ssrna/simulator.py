@@ -80,9 +80,9 @@ class SimConfig:
             raise ParameterError(f"t_end must be at least dt, got {self.t_end!r}")
         if not math.isfinite(self.t_end / self.dt):
             raise ParameterError(f"t_end / dt = {self.t_end!r} / {self.dt!r} is more steps than a float counts")
-        if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
+        if not (type(self.record_stride) is int and self.record_stride >= 1):
             raise ParameterError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < MAX_SEED):
+        if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (math.isfinite(self.initial[0]) and math.isfinite(self.initial[1])):
             raise ParameterError(f"initial state must be finite, got {self.initial!r}")
@@ -127,17 +127,19 @@ def recorded_steps(n_steps: int, stride: int) -> list[int]:
     return steps
 
 
-def _check_recorded_bytes(rows: int, row_bytes: int) -> None:
+def _check_recorded_bytes(rows: int, row_bytes: int, replicates: int = 0) -> None:
     """Refuse a run whose recorded results (rows x row_bytes) exceed physical memory.
 
-    Runs before anything is sized from the step or replicate count, so a
-    run that cannot fit is invalid input that states its size, not an
-    OverflowError or MemoryError from inside an allocation.
+    The (2, chunk, replicates) increment buffer that _increments fills for
+    the replicates of an ensemble or sweep counts too.  Runs before anything
+    is sized from the step or replicate count, so a run that cannot fit is
+    invalid input that states its size, not an OverflowError or MemoryError
+    from inside an allocation.
     """
     if not hasattr(os, "sysconf"):
         return
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    size = rows * row_bytes
+    size = rows * row_bytes + replicates * 2 * _CHUNK_STEPS * 8
     if size > memory:
         from decimal import Decimal  # formats an int of any size; imported only for this message
 
@@ -147,11 +149,11 @@ def _check_recorded_bytes(rows: int, row_bytes: int) -> None:
         )
 
 
-def _recording(cfg: SimConfig, row_bytes: int) -> tuple[int, list[int]]:
+def _recording(cfg: SimConfig, row_bytes: int, replicates: int = 0) -> tuple[int, list[int]]:
     """Step count and recorded steps of cfg, once its recorded rows are known to fit."""
     n = step_count(cfg)
     rows = -(-n // cfg.record_stride) + 1  # len(recorded_steps(...)), without building the list
-    _check_recorded_bytes(rows, row_bytes)
+    _check_recorded_bytes(rows, row_bytes, replicates)
     return n, recorded_steps(n, cfg.record_stride)
 
 

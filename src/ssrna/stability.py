@@ -57,7 +57,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name, w in (("omega1", self.omega1), ("omega2", self.omega2)):
-            if not (isinstance(w, (int, float)) and math.isfinite(w) and w >= 0.0):
+            if not (isinstance(w, (int, float)) and not isinstance(w, bool) and math.isfinite(w) and w >= 0.0):
                 raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {w!r}")
 
     @property
@@ -123,10 +123,6 @@ class StabilityCertificate:
     p22: float
     c1: float
     c2: float
-
-    @property
-    def matrix(self) -> LyapunovMatrix:
-        return LyapunovMatrix(self.p11, self.p12, self.p22, self.q)
 
 
 @dataclass(frozen=True)

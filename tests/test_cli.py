@@ -1,11 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ssrna import (
     NoiseSpec,
@@ -17,6 +24,7 @@ from ssrna import (
     positive_equilibrium,
     validate_params,
 )
+from ssrna import cli
 from ssrna.cli import COMMANDS, analysis_from_dict, analysis_to_dict, main
 from ssrna.serialize import dumps, loads
 
@@ -109,6 +117,22 @@ def test_analyze_subthreshold_branch(tmp_path):
                      id="omega1-nan"),
         pytest.param(lambda c: (c.clear(), c.update(ensemble_config(), noise={"omega1": -1})),
                      "noise.omega1", id="ensemble-omega1-negative"),
+        # a misspelt or stray field is refused, not left to fall back to its default
+        pytest.param(lambda c: c.__setitem__("noise", {"omega_1": 0.5}),
+                     "noise: unknown field 'omega_1'", id="noise.omega_1"),
+        pytest.param(lambda c: c.__setitem__("noise ", {"omega1": 0.5}),
+                     "config: unknown field 'noise '", id="top-level-typo"),
+        pytest.param(lambda c: (c.clear(), c.update(simulate_config(record_strid=10))),
+                     "simulate: unknown field 'record_strid'", id="simulate.record_strid"),
+        pytest.param(lambda c: (c.clear(), c.update(ensemble_config(
+            sim={"dt": 0.5, "t_end": 60.0, "initial": [1.0, 1.0], "seed": 3}))),
+                     "ensemble.sim: unknown field 'seed'", id="ensemble.sim-extra-key"),
+        pytest.param(lambda c: c.__setitem__("output", 5), "output must be a JSON object",
+                     id="output-not-an-object"),
+        pytest.param(lambda c: c.__setitem__("analyze", 5), "analyze must be a JSON object",
+                     id="analyze-not-an-object"),
+        pytest.param(lambda c: c["model"].__setitem__("r", 10**400), "model.r",
+                     id="integer-beyond-float-range"),
     ],
 )
 def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
@@ -407,6 +431,8 @@ def test_sweep_reproducible_across_runs_and_worker_counts(tmp_path, monkeypatch)
     ({"noise_grid": {"omega1": [True]}}, "noise_grid.omega1"),
     ({"model_grid": {"r": 0.1211}}, "model_grid.r"),
     ({"model_grid": [0.1211]}, "model_grid"),
+    ({"model_grid": {"K": [1000, 10**400]}}, "model_grid.K"),
+    ({"noise_grid": {"omega2": [-10**400]}}, "noise_grid.omega2"),
 ])
 def test_sweep_malformed_grid_exits_2(tmp_path, capsys, grids, needle):
     cfg = sweep_config(replicates=3)
@@ -478,3 +504,125 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0
     assert "R0" in proc.stdout
     assert (out / "analysis.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the config boundary
+
+def field_tables():
+    """Every field table of the config reader: a dict of field -> (reader, default)."""
+    return {name: table for name, table in vars(cli).items()
+            if isinstance(table, dict) and table
+            and all(isinstance(v, tuple) and len(v) == 2 and callable(v[0]) for v in table.values())}
+
+
+def test_readme_documents_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Determinism")]
+    documented = set(re.findall(r"`([A-Za-z_0-9]+)`", section))
+    tables = field_tables()
+    assert {"_CONFIG", "_MODEL", "_NOISE", "_OUTPUT", "_SIMULATE", "_ENSEMBLE", "_SIM", "_SWEEP",
+            "_DISPLACE", "_FRACTION"} <= set(tables)
+    missing = [f"{name}: {field}" for name, table in tables.items() for field in table
+               if field not in documented]
+    assert not missing
+
+
+def small_valid_config(command):
+    """A valid config of command whose run takes milliseconds."""
+    sim = {"dt": 0.5, "t_end": 20.0, "initial": {"displace_fraction": 0.01}, "record_stride": 4}
+    ens = {"replicates": 4, "anchor": "positive", "epsilon1": {"fraction": 0.1}, "master_seed": 5,
+           "sim": sim}
+    blocks = {
+        "analyze": {},
+        "simulate": dict(sim, scheme="euler-maruyama", anchor="positive", seed=1),
+        "ensemble": ens,
+        "sweep": {"ensemble": ens, "model_grid": {"r": [0.1211, 0.2]}, "noise_grid": {"omega1": [0.0, 0.1]}},
+    }
+    cfg = base_config(output={"format": "csv"}, **{command: blocks[command]})
+    cfg["noise"] = {"omega1": 0.05, "omega2": 0.05}
+    return cfg
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, 10**400]) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Run time is not bounded by the program yet: an ensemble with t_end 1e12 and a
+# huge record_stride passes the memory check and then steps for ever.  So the
+# values this strategy puts under t_end, dt and replicates are kept small (other
+# values there are any JSON but a number), and dt is never deleted, since the
+# default dt of a mutated model can be tiny.  This bounds the test, not the program.
+SIZE_VALUES = {
+    "t_end": st.floats(-1.0, 30.0) | st.sampled_from([math.nan, math.inf]),
+    "dt": st.floats(0.25, 2.0) | st.sampled_from([0.0, -0.5, 5e-324, math.nan, math.inf]),
+    "replicates": st.integers(-1, 8),
+}
+FIELD_NAMES = sorted({field for table in field_tables().values() for field in table})
+
+
+# values a field may validly hold, so that mutated configs also run
+PLAUSIBLE = (st.floats(0.0, 1.0) | st.sampled_from(["origin", "positive", "euler-maruyama", "json"])
+             | st.builds(lambda: [1.0, 2.0]))
+
+
+def value_for(key):
+    if key in SIZE_VALUES:
+        return SIZE_VALUES[key] | json_values.filter(lambda v: not _is_number(v))
+    return json_values | PLAUSIBLE
+
+
+def _paths(node, prefix=()):
+    """The path of every value below node, in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config of a random command with one to three fields replaced, deleted or inserted."""
+    command = draw(st.sampled_from(COMMANDS))
+    cfg = small_valid_config(command)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "delete" and key != "dt":
+            del parent[key]
+        elif action == "insert" and isinstance(parent, dict):
+            new_key = draw(st.sampled_from(FIELD_NAMES) | st.text(max_size=6))
+            parent[new_key] = draw(value_for(new_key))
+        else:
+            parent[key] = draw(value_for(key))
+    return command, cfg
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_configs())
+def test_any_mutated_config_exits_0_2_or_3(command_and_cfg):
+    command, cfg = command_and_cfg
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        use_workers(mp, 1)  # the worker-count tests cover forking; here it only costs time
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 2:
+            assert not out.exists()

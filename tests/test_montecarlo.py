@@ -291,6 +291,12 @@ def test_ensemble_config_validation(tumv):
     with pytest.raises(ParameterError, match="master_seed"):
         EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0, 0), anchor=eq,
                        epsilon1=1.0, master_seed=-2)
+    with pytest.raises(ParameterError, match="replicates"):
+        EnsembleConfig(replicates=True, sim=sim, noise=NoiseSpec(0, 0), anchor=eq,
+                       epsilon1=1.0, master_seed=0)
+    with pytest.raises(ParameterError, match="master_seed"):
+        EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0, 0), anchor=eq,
+                       epsilon1=1.0, master_seed=False)
 
 
 def reference_ensemble(params, cfg):
@@ -384,6 +390,25 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # stability-in-probability estimation
+
+@pytest.mark.parametrize("run", [
+    lambda cfg, params: sweep(params, {}, {}, cfg),
+    lambda cfg, params: run_ensemble(cfg, params),
+], ids=["sweep", "ensemble"])
+def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
+    # 1000 replicates record 8 kB of final |x|^2 but fill a 2 x 512-step
+    # increment buffer of 8 MiB, twice the 4 MiB this machine is made to have
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
+
+    def allocate(*args, **kwargs):
+        pytest.fail("the batch was allocated before its size was checked")
+
+    monkeypatch.setattr(montecarlo, "_euler_maruyama", allocate)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=1000, t_end=10.0, record_stride=10**6)
+    with pytest.raises(ParameterError, match="bytes"):
+        run(cfg, tumv)
+
 
 def test_wilson_reference_values():
     lo, hi = wilson_interval(0, 1000)

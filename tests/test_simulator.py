@@ -46,6 +46,9 @@ from conftest import (
         dict(dt=0.5, t_end=1.0, initial=State(0, 0), record_stride=0),
         dict(dt=0.5, t_end=1.0, initial=State(0, 0), seed=-1),
         dict(dt=0.5, t_end=1.0, initial=State(math.nan, 0)),
+        # True is an int to Python, but never a seed or a stride
+        dict(dt=0.5, t_end=1.0, initial=State(0, 0), seed=True),
+        dict(dt=0.5, t_end=1.0, initial=State(0, 0), record_stride=True),
     ],
 )
 def test_sim_config_validation(kwargs):

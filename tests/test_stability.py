@@ -47,6 +47,11 @@ def test_noise_spec_gamma_derivation():
 def test_noise_spec_rejects_negative():
     with pytest.raises(StabilityDomainError):
         NoiseSpec(-0.1, 0.0)
+    # a bool is not an intensity: NoiseSpec(True, 0.0) would have gamma1 0.5
+    with pytest.raises(StabilityDomainError, match="omega1"):
+        NoiseSpec(True, 0.0)
+    with pytest.raises(StabilityDomainError, match="omega2"):
+        NoiseSpec(0.0, False)
 
 
 def test_noise_spec_from_gammas_round_trip():
