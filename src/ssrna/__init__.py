@@ -1,7 +1,7 @@
 """Within-cell ssRNA replication dynamics: equilibria, noise-robustness
 criteria, and deterministic/stochastic simulation with ensemble statistics."""
 
-from .errors import EnsembleError, Error, IntegrationError, ParameterError, StabilityDomainError
+from .errors import EnsembleError, Error, IntegrationError, KernelError, ParameterError, StabilityDomainError
 from .linearization import LinearizationReport, det_closed_form, linearize, matrix_invariants
 from .model_core import (
     Equilibrium,

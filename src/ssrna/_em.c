@@ -1,0 +1,244 @@
+/* Euler-Maruyama kernel of the centred replication model, with Philox streams.
+ *
+ * Built on first use by ssrna._em and loaded with ctypes.  Every number it
+ * produces equals that of the numpy formulation it replaces:
+ *
+ *  - Each replicate k has two Philox4x64-10 streams, keyed (seed, 2k + c)
+ *    for coordinate c, counter 0, with numpy's buffering of four 64-bit
+ *    words per block, so stream_t yields the words of
+ *    numpy.random.Philox(key=[seed, 2k + c]).random_raw().
+ *  - Normals come from numpy's own random_standard_normal (the ziggurat of
+ *    numpy.random.Generator.standard_normal), linked from libnpyrandom.a.
+ *  - The step is simulator._drift's arithmetic in its evaluation order;
+ *    built with -ffp-contract=off, so no product is fused into an add.
+ *
+ * Replicates advance in blocks of BLOCK in lockstep, so a block's recorded
+ * |x|^2 values land contiguously in each row of sq.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+#include "numpy/random/bitgen.h"
+
+/* numpy/random/distributions.h declares this, but it includes Python.h */
+double random_standard_normal(bitgen_t *bitgen_state);
+
+/* One cell's constants, in simulator._Cell's field order. */
+enum { A11, A12, A21, A22, BR, ABR, W1, W2, P_STAR, M_STAR, X1_0, X2_0, EPS_SQ, CELL_WORDS };
+
+/* Rows of the state array: deviations, running max of |x|^2, running minima. */
+enum { X1, X2, SUP, LOW1, LOW2, STATE_ROWS };
+
+#define BLOCK 64
+
+/* A Philox stream: 11 words, simulator._STREAM_WORDS. */
+typedef struct {
+    uint64_t ctr[4];
+    uint64_t key[2];
+    uint64_t buffer[4];
+    uint64_t buffer_pos;
+} stream_t;
+
+int64_t em_stream_words(void) { return sizeof(stream_t) / sizeof(uint64_t); }
+
+void em_seed(stream_t *s, uint64_t key0, uint64_t key1)
+{
+    for (int i = 0; i < 4; i++) {
+        s->ctr[i] = 0;
+        s->buffer[i] = 0;
+    }
+    s->key[0] = key0;
+    s->key[1] = key1;
+    s->buffer_pos = 4; /* empty: the first draw computes the block of counter 1 */
+}
+
+static uint64_t next_uint64(void *state)
+{
+    stream_t *s = state;
+    if (s->buffer_pos < 4)
+        return s->buffer[s->buffer_pos++];
+    if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0)
+        ++s->ctr[3];
+    uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
+    uint64_t k0 = s->key[0], k1 = s->key[1];
+#pragma GCC unroll 10 /* halves the time per word at -O2 */
+    for (int round = 0; round < 10; round++) {
+        if (round > 0) {
+            k0 += 0x9E3779B97F4A7C15ULL;
+            k1 += 0xBB67AE8584CAA73BULL;
+        }
+        __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93ULL * c0;
+        __uint128_t p1 = (__uint128_t)0xCA5A826395121157ULL * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    s->buffer[0] = c0;
+    s->buffer[1] = c1;
+    s->buffer[2] = c2;
+    s->buffer[3] = c3;
+    s->buffer_pos = 1;
+    return c0;
+}
+
+static double next_double(void *state)
+{
+    return (next_uint64(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* random_standard_normal draws only 64-bit words and doubles */
+static bitgen_t bitgen_of(stream_t *s)
+{
+    bitgen_t g = {s, next_uint64, 0, next_double, next_uint64};
+    return g;
+}
+
+void em_raw(stream_t *s, int64_t n, uint64_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = next_uint64(s);
+}
+
+/* Advance replicates first..first+n-1 of every cell by `steps` steps.
+ *
+ * cells:   ncells x CELL_WORDS constants.
+ * streams: 2 per replicate; state: STATE_ROWS x ncells x n.  Both persist
+ *          across calls; the call at step 0 seeds and starts them.
+ * rec:     the recorded steps (ascending); row col of sq is the next one.
+ *          |x|^2 of cell c, replicate j at rec[i] goes to
+ *          sq[i * sq_row + c * out_cell + j], and first_exceed (cell stride
+ *          out_cell) takes the first recorded step whose running maximum
+ *          of |x|^2 exceeds eps_sq.
+ * chunk:   at every multiple of chunk steps and at the end of the call, a
+ *          non-finite state sets nonfinite and is frozen at 0, and
+ *          negative is set from the running minima (p* + x is monotone).
+ *          first_exceed NULL skips these outputs.
+ * dW:      NULL to draw the increments, else steps x 2 imposed ones (n = 1).
+ * path:    NULL, or steps x 2 states p, m after each step (n = 1).
+ *
+ * Returns the index of the next recorded row.
+ */
+int64_t em_run(const double *cells, int64_t ncells, stream_t *streams, double *state, int64_t n,
+               uint64_t seed, int64_t first, int64_t step, int64_t steps, int64_t chunk,
+               double dt, double sqrt_dt, int64_t col, const int64_t *rec, int64_t nrec,
+               double *sq, int64_t sq_row, int64_t out_cell, int64_t *first_exceed,
+               uint8_t *nonfinite, uint8_t *negative, const double *dW, double *path)
+{
+    int64_t end = step + steps, next = col;
+#define ROW(r, c) (state + ((r) * ncells + (c)) * n)
+    for (int64_t b = 0; b < n; b += BLOCK) {
+        int nb = n - b < BLOCK ? (int)(n - b) : BLOCK;
+        stream_t *st = streams + 2 * b;
+        next = col;
+        if (step == 0) {
+            for (int j = 0; j < 2 * nb; j++)
+                em_seed(st + j, seed, 2 * (uint64_t)(first + b) + j);
+            for (int64_t c = 0; c < ncells; c++) {
+                const double *cell = cells + c * CELL_WORDS;
+                double *x1 = ROW(X1, c) + b, *x2 = ROW(X2, c) + b, *sup = ROW(SUP, c) + b;
+                for (int j = 0; j < nb; j++) {
+                    x1[j] = ROW(LOW1, c)[b + j] = cell[X1_0];
+                    x2[j] = ROW(LOW2, c)[b + j] = cell[X2_0];
+                    sup[j] = x1[j] * x1[j] + x2[j] * x2[j];
+                    if (first_exceed) {
+                        first_exceed[c * out_cell + b + j] = -1;
+                        nonfinite[c * out_cell + b + j] = 0;
+                    }
+                }
+                if (next < nrec && rec[next] == 0) {
+                    for (int j = 0; j < nb; j++) {
+                        sq[next * sq_row + c * out_cell + b + j] = sup[j];
+                        if (sup[j] > cell[EPS_SQ])
+                            first_exceed[c * out_cell + b + j] = 0;
+                    }
+                }
+            }
+            if (next < nrec && rec[next] == 0)
+                next++;
+        }
+
+        for (int64_t s = step; s < end; s++) {
+            double d1[BLOCK], d2[BLOCK];
+            if (dW) {
+                d1[0] = dW[2 * (s - step)];
+                d2[0] = dW[2 * (s - step) + 1];
+            } else {
+                for (int j = 0; j < nb; j++) {
+                    bitgen_t g1 = bitgen_of(st + 2 * j), g2 = bitgen_of(st + 2 * j + 1);
+                    d1[j] = random_standard_normal(&g1) * sqrt_dt;
+                    d2[j] = random_standard_normal(&g2) * sqrt_dt;
+                }
+            }
+            int recorded = next < nrec && rec[next] == s + 1;
+            int chunk_end = (s + 1) % chunk == 0 || s + 1 == end;
+            for (int64_t c = 0; c < ncells; c++) {
+                const double *cell = cells + c * CELL_WORDS;
+                double a11 = cell[A11], a12 = cell[A12], a21 = cell[A21], a22 = cell[A22];
+                double br = cell[BR], abr = cell[ABR], w1 = cell[W1], w2 = cell[W2];
+                double *x1 = ROW(X1, c) + b, *x2 = ROW(X2, c) + b, *sup = ROW(SUP, c) + b;
+                double *low1 = ROW(LOW1, c) + b, *low2 = ROW(LOW2, c) + b;
+                for (int j = 0; j < nb; j++) {
+                    double u = x1[j], v = x2[j], sum = u + v;
+                    double g1 = a11 * u + a12 * v - br * sum * v;
+                    double g2 = a21 * u + a22 * v - abr * sum * u;
+                    u = u + g1 * dt + w1 * u * d1[j];
+                    v = v + g2 * dt + w2 * v * d2[j];
+                    x1[j] = u;
+                    x2[j] = v;
+                    double dsq = u * u + v * v;
+                    /* numpy's maximum and minimum: a NaN on either side wins */
+                    if (dsq > sup[j] || dsq != dsq)
+                        sup[j] = dsq;
+                    if (u < low1[j] || u != u)
+                        low1[j] = u;
+                    if (v < low2[j] || v != v)
+                        low2[j] = v;
+                    if (recorded) {
+                        sq[next * sq_row + c * out_cell + b + j] = dsq;
+                        int64_t *fe = first_exceed + c * out_cell + b + j;
+                        if (*fe < 0 && sup[j] > cell[EPS_SQ])
+                            *fe = s + 1;
+                    }
+                    if (path) {
+                        path[2 * (s - step)] = cell[P_STAR] + u;
+                        path[2 * (s - step) + 1] = cell[M_STAR] + v;
+                    }
+                }
+                if (chunk_end) {
+                    for (int j = 0; j < nb; j++) {
+                        if (isfinite(x1[j]) && isfinite(x2[j]))
+                            continue;
+                        x1[j] = x2[j] = 0.0; /* keeps NaNs out of later steps */
+                        if (first_exceed)
+                            nonfinite[c * out_cell + b + j] = 1;
+                    }
+                    if (first_exceed) {
+                        for (int j = 0; j < nb; j++)
+                            negative[c * out_cell + b + j] =
+                                cell[P_STAR] + low1[j] < 0.0 || cell[M_STAR] + low2[j] < 0.0;
+                    }
+                }
+            }
+            next += recorded;
+        }
+    }
+#undef ROW
+    return next;
+}
+
+/* out[i] = the sum over included replicates k (nonfinite[k] == 0) of
+ * sq[i * row + k], added in index order from 0.0. */
+void em_sum_included(const double *sq, int64_t rows, int64_t row, int64_t n,
+                     const uint8_t *nonfinite, double *out)
+{
+    for (int64_t i = 0; i < rows; i++) {
+        const double *x = sq + i * row;
+        double acc = 0.0;
+        for (int64_t k = 0; k < n; k++)
+            if (!nonfinite[k])
+                acc += x[k];
+        out[i] = acc;
+    }
+}

@@ -16,7 +16,7 @@ from dataclasses import fields
 from typing import Any, Optional
 
 from . import montecarlo, serialize, simulator, stability
-from .errors import Error, IntegrationError, ParameterError, StabilityDomainError
+from .errors import Error, IntegrationError, KernelError, ParameterError, StabilityDomainError
 from .linearization import linearize
 from .model_core import Equilibrium, EquilibriumKind, ModelParams, State, validate_params
 from .montecarlo import EnsembleConfig
@@ -425,6 +425,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except IntegrationError as exc:
         print(f"numerical failure: {exc} (t={serialize.fmt(exc.t)})", file=sys.stderr)
         return 3
+    except KernelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Error as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -23,3 +23,7 @@ class IntegrationError(Error, RuntimeError):
 
 class EnsembleError(Error, RuntimeError):
     """An ensemble could not produce statistics (all replicates aborted)."""
+
+
+class KernelError(Error, RuntimeError):
+    """The compiled Euler-Maruyama kernel could not be built or loaded."""

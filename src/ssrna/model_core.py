@@ -98,6 +98,8 @@ def _positive_finite(name: str, value: float) -> float:
         v = float(value)
     except (TypeError, ValueError):
         raise ParameterError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an int has no bound
+        raise ParameterError(f"{name} is an integer beyond floating-point range") from None
     if not math.isfinite(v) or v <= 0.0:
         raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
     return v
@@ -118,6 +120,8 @@ def validate_params(r: float, alpha: float, delta: float, sigma: float, K: float
         a = float(alpha)
     except (TypeError, ValueError):
         raise ParameterError(f"alpha must be a number, got {alpha!r}") from None
+    except OverflowError:
+        raise ParameterError("alpha is an integer beyond floating-point range") from None
     if not math.isfinite(a) or not 0.0 < a <= 1.0:
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
     params = ModelParams(r=r, alpha=a, delta=delta, sigma=sigma, K=K)

@@ -26,6 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _em, simulator
 from .errors import EnsembleError, Error, ParameterError
 from .linearization import linearize
 from .model_core import (
@@ -42,11 +43,9 @@ from .serialize import fmt, write_csv
 from .simulator import (
     MAX_SEED,
     SimConfig,
-    _drift,
-    _Drift,
+    _Cell,
     _drift_coefficients,
     _check_recorded_bytes,
-    _increments,
     _recording,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
     check_anchor,
@@ -117,20 +116,6 @@ def _worker_count(replicates: int) -> int:
     return min(len(os.sched_getaffinity(0)), replicates)
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """Constants of one ensemble in a batch: drift, noise, anchor, start, radius."""
-
-    drift: _Drift
-    omega1: float
-    omega2: float
-    p_star: float
-    m_star: float
-    x1: float  # initial deviation from the anchor
-    x2: float
-    eps_sq: float
-
-
 def _cell(cfg: EnsembleConfig, params: ModelParams) -> _Cell:
     anchor = cfg.anchor
     check_anchor(params, anchor)
@@ -173,9 +158,11 @@ def _euler_maruyama(
     own streams only (see _shard), so no result depends on the number of
     workers.  A worker that fails raises RuntimeError here, after every
     worker has been reaped.  Workers are forked rather than spawned: they
-    start with the batch already in memory instead of importing numpy and
-    this package again (about 0.2 s each).
+    start with the batch and the compiled kernel, which is built or loaded
+    here first, already in memory instead of importing numpy and this
+    package again (about 0.2 s each).
     """
+    _em.library()
     workers = _worker_count(replicates)
     shape = (len(cells), replicates)
     empty = np.empty if workers == 1 else _shared_empty
@@ -230,73 +217,23 @@ def _shard(
 ) -> None:
     """Integrate replicates lo..hi-1 of every cell and write their slice of `out`.
 
-    Replicate k of every cell uses the streams keyed (master_seed, k,
-    coordinate), drawn a chunk at a time by simulator._increments into
-    buffers that broadcast over the cell axis, so a batch draws its
-    increments once.  Per-element arithmetic is that of
-    simulator.integrate_sde (both call _drift), so no result depends on the
-    batch, the chunk or the range.
+    One call of the compiled kernel (_em.c) steps the whole horizon.
+    Replicate k of every cell draws from the streams keyed (master_seed, k,
+    coordinate), once per step for all cells, so a batch draws its
+    increments once.  The step is simulator._drift's arithmetic in its
+    evaluation order, so no result depends on the batch, the chunk or the
+    range.
 
     Only the running maximum of |x|^2 and the running minimum of each
     deviation are kept per step.  Exceedance is resolved at the steps in
-    `rec`, which is all the cumulative exceedance curve needs.  A non-finite
-    state stays non-finite, so divergence is detected once per chunk.
+    `rec`, which is all the cumulative exceedance curve needs, and
+    negativity from the minima (p* + x is monotone in x).  A non-finite
+    state stays non-finite, so divergence is detected, and the state
+    frozen at 0, once per simulator._CHUNK_STEPS steps.
     """
-
-    def column(values) -> np.ndarray:
-        return np.array(values, dtype=float).reshape(-1, 1)
-
-    drift = _Drift(*(column(v) for v in zip(*(c.drift for c in cells))))
-    w1 = column([c.omega1 for c in cells])
-    w2 = column([c.omega2 for c in cells])
-    eps_sq = column([c.eps_sq for c in cells])
-    p_star = column([c.p_star for c in cells])
-    m_star = column([c.m_star for c in cells])
-    shape = (len(cells), hi - lo)
-    x1 = np.broadcast_to(column([c.x1 for c in cells]), shape).copy()
-    x2 = np.broadcast_to(column([c.x2 for c in cells]), shape).copy()
-
-    dsq = x1 * x1 + x2 * x2
-    sup, low1, low2 = dsq.copy(), x1.copy(), x2.copy()
-    sq = out.sq[:, :, lo:hi]
-    first_exceed = out.first_exceed[:, lo:hi]
-    first_exceed[...] = -1
-    nonfinite = out.nonfinite[:, lo:hi]
-    nonfinite[...] = False
-    col = 0
-
-    def observe(step: int) -> None:
-        nonlocal col
-        sq[col] = dsq
-        col += 1
-        np.copyto(first_exceed, step, where=(first_exceed < 0) & (sup > eps_sq))
-
-    if rec[0] == 0:
-        observe(0)
-
-    step = 0
-    # diverging replicates overflow to inf/nan; that is the detection
-    # mechanism, not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        for dW in _increments(master_seed, lo, hi, n_steps, dt):
-            for d1, d2 in zip(dW[0], dW[1]):
-                g1, g2 = _drift(drift, x1, x2)
-                x1 = x1 + g1 * dt + w1 * x1 * d1
-                x2 = x2 + g2 * dt + w2 * x2 * d2
-                dsq = x1 * x1 + x2 * x2
-                np.maximum(sup, dsq, out=sup)
-                np.minimum(low1, x1, out=low1)
-                np.minimum(low2, x2, out=low2)
-                step += 1
-                if col < len(rec) and rec[col] == step:
-                    observe(step)
-            died = ~(np.isfinite(x1) & np.isfinite(x2))
-            nonfinite |= died
-            x1[died] = 0.0  # freeze: keeps NaNs out of later vector ops
-            x2[died] = 0.0
-
-    # p* + x1 is monotone in x1, so the running minimum decides negativity
-    out.negative[:, lo:hi] = (p_star + low1 < 0.0) | (m_star + low2 < 0.0)
+    _em.Stepper(cells, master_seed, lo, hi - lo, dt).ensemble(
+        n_steps, simulator._CHUNK_STEPS, np.asarray(rec, dtype=np.int64), out.sq[:, :, lo:hi],
+        out.first_exceed[:, lo:hi], out.nonfinite[:, lo:hi], out.negative[:, lo:hi])
 
 
 def _reduce(paths: _Paths, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
@@ -310,9 +247,7 @@ def _reduce(paths: _Paths, cell: int, rec: Sequence[int], dt: float) -> Ensemble
         raise EnsembleError("all replicates became non-finite; no statistics available")
 
     # replicate-index-order accumulation keeps the reduction bitwise stable
-    msd = np.zeros(len(rec))
-    for k in np.flatnonzero(included):
-        msd += sq[:, k]
+    msd = _em.sum_included(sq, nonfinite)
     msd /= n_included
 
     rec_arr = np.asarray(rec, dtype=np.int64)
@@ -344,7 +279,7 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     case of the batched kernel that sweep uses.
     """
     cell = _cell(cfg, params)
-    # a float64 |x|^2 per replicate and row, and each replicate's increments
+    # a float64 |x|^2 per replicate and row, and each replicate's streams and kernel state
     n_steps, rec = _recording(cfg.sim, cfg.replicates * 8, cfg.replicates)
     paths = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, n_steps, rec)
     return _reduce(paths, 0, rec, cfg.sim.dt)
@@ -490,7 +425,7 @@ def sweep(
                 rows.append(None)
 
     if pending:
-        _check_recorded_bytes(1, len(pending) * template.replicates * 8, template.replicates)
+        _check_recorded_bytes(1, len(pending) * template.replicates * 8, template.replicates, len(pending))
         n_steps = step_count(template.sim)
         final = [n_steps]  # a row holds only the final mean squared deviation
         paths = _euler_maruyama([cell for _, _, cell in pending], template.replicates,

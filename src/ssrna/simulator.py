@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _em
 from .errors import IntegrationError, ParameterError
 from .linearization import linearize
 from .model_core import Equilibrium, ModelParams, State, field, vector_field
@@ -52,10 +53,17 @@ MAX_SEED = 2**64
 # A recorded path row: t, p and m as float64.
 _PATH_ROW_BYTES = 3 * 8
 
-# Steps of Wiener increments drawn per chunk.  Every standard_normal call
-# costs about 2 us whatever its length, so chunks are long enough to make
-# that negligible, while the (2, C, replicates) buffer stays bounded.
+# Steps per chunk of the compiled kernel: it freezes non-finite states at
+# the end of every chunk, and a single path is stepped and recorded a chunk
+# at a time.  Read at call time.
 _CHUNK_STEPS = 512
+
+# What the kernel holds per replicate: two Philox streams of 11 words each
+# (_em.c's stream_t), and per cell five float64 state values plus the
+# first_exceed (8 B), negative and nonfinite (1 B each) results.
+_STREAM_WORDS = 11
+_REPLICATE_BYTES = 2 * _STREAM_WORDS * 8
+_CELL_REPLICATE_BYTES = 5 * 8 + 10
 
 
 class Scheme(Enum):
@@ -127,19 +135,19 @@ def recorded_steps(n_steps: int, stride: int) -> list[int]:
     return steps
 
 
-def _check_recorded_bytes(rows: int, row_bytes: int, replicates: int = 0) -> None:
+def _check_recorded_bytes(rows: int, row_bytes: int, replicates: int = 0, cells: int = 1) -> None:
     """Refuse a run whose recorded results (rows x row_bytes) exceed physical memory.
 
-    The (2, chunk, replicates) increment buffer that _increments fills for
-    the replicates of an ensemble or sweep counts too.  Runs before anything
-    is sized from the step or replicate count, so a run that cannot fit is
-    invalid input that states its size, not an OverflowError or MemoryError
-    from inside an allocation.
+    The kernel's streams, state and per-replicate results for the
+    replicates of an ensemble or sweep of `cells` cells count too.  Runs
+    before anything is sized from the step or replicate count, so a run
+    that cannot fit is invalid input that states its size, not an
+    OverflowError or MemoryError from inside an allocation.
     """
     if not hasattr(os, "sysconf"):
         return
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    size = rows * row_bytes + replicates * 2 * _CHUNK_STEPS * 8
+    size = rows * row_bytes + replicates * (_REPLICATE_BYTES + cells * _CELL_REPLICATE_BYTES)
     if size > memory:
         from decimal import Decimal  # formats an int of any size; imported only for this message
 
@@ -170,44 +178,19 @@ def default_dt(params: ModelParams, eq: Optional[Equilibrium] = None) -> float:
     return 0.01 / fastest
 
 
-def _wiener_stream(master_seed: int, replicate: int, coordinate: int) -> np.random.Generator:
-    """Counter-based Philox generator keyed (master_seed, replicate, coordinate)."""
-    key = np.array([master_seed, 2 * replicate + coordinate], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def brownian_increments(master_seed: int, replicate: int, coordinate: int, n_steps: int, dt: float) -> np.ndarray:
     """Wiener increments for one coordinate of one replicate.
 
     Streams are keyed by (master_seed, replicate, coordinate) through the
     counter-based Philox generator, so any replicate's increments can be
-    regenerated in isolation and never depend on execution order.
+    regenerated in isolation and never depend on execution order.  The
+    compiled kernel draws the same numbers from the same streams; this is
+    their numpy reference.
     """
     if coordinate not in (0, 1):
         raise ParameterError(f"coordinate must be 0 or 1, got {coordinate!r}")
-    return _wiener_stream(master_seed, replicate, coordinate).standard_normal(n_steps) * math.sqrt(dt)
-
-
-def _increments(master_seed: int, lo: int, hi: int, n_steps: int, dt: float) -> Iterator[np.ndarray]:
-    """Wiener increments of replicates lo..hi-1, _CHUNK_STEPS steps at a time.
-
-    Yields dW[coordinate, step, replicate - lo] per chunk, in one buffer the
-    next chunk overwrites.  The counter-based streams give the numbers of
-    one brownian_increments call over the horizon, whatever the chunk size.
-    """
-    chunk = min(_CHUNK_STEPS, n_steps)
-    streams = [[_wiener_stream(master_seed, k, c) for k in range(lo, hi)] for c in (0, 1)]
-    draw = np.empty(chunk)
-    dW = np.empty((2, chunk, hi - lo))
-    sqrt_dt = math.sqrt(dt)
-    for start in range(0, n_steps, chunk):
-        m = min(chunk, n_steps - start)
-        for c, gens in enumerate(streams):
-            for k, gen in enumerate(gens):
-                gen.standard_normal(out=draw[:m])
-                dW[c, :m, k] = draw[:m]
-        dW[:, :m] *= sqrt_dt
-        yield dW[:, :m]
+    key = np.array([master_seed, 2 * replicate + coordinate], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n_steps) * math.sqrt(dt)
 
 
 def check_anchor(params: ModelParams, eq: Equilibrium) -> None:
@@ -223,7 +206,7 @@ def check_anchor(params: ModelParams, eq: Equilibrium) -> None:
 
 
 class _Drift(NamedTuple):
-    """Coefficients of the centred drift: floats for one path, (cells, 1) columns for a batch."""
+    """Coefficients of the centred drift."""
 
     a11: float
     a12: float
@@ -239,12 +222,28 @@ def _drift_coefficients(params: ModelParams, eq: Equilibrium) -> _Drift:
     return _Drift(rep.a11, rep.a12, rep.a21, rep.a22, br, params.alpha * br)
 
 
-def _drift(c: _Drift, x1, x2):
-    """Centred drift at deviations (x1, x2), for floats or broadcasting arrays.
+class _Cell(NamedTuple):
+    """One ensemble of a batch: drift, noise, anchor, start, radius.
 
-    The drift-matrix part plus a single quadratic coupling.  It is the one
-    copy of this arithmetic: integrate_sde, the ensemble kernel and
-    centralized_rhs all call it.
+    The compiled kernel reads it in this field order, with the drift
+    flattened (_em.c's cell words).
+    """
+
+    drift: _Drift
+    omega1: float
+    omega2: float
+    p_star: float
+    m_star: float
+    x1: float  # initial deviation from the anchor
+    x2: float
+    eps_sq: float
+
+
+def _drift(c: _Drift, x1, x2):
+    """Centred drift at deviations (x1, x2).
+
+    The drift-matrix part plus a single quadratic coupling, in the
+    evaluation order that the compiled kernel's step (_em.c) repeats.
     """
     a11, a12, a21, a22, br, abr = c
     s = x1 + x2
@@ -263,7 +262,7 @@ def centralized_rhs(params: ModelParams, eq: Equilibrium, x: tuple[float, float]
 
 
 def _path(cfg: SimConfig, scheme: Scheme, K: float, rec: Iterable[int],
-          states: Iterable[tuple[float, float]], hint: str) -> Trajectory:
+          states: Iterable[Sequence[float]], hint: str) -> Trajectory:
     """Record a path from its states: the start state, then the state after each step.
 
     Keeps the steps in rec (ascending), notes the first time the state left
@@ -332,46 +331,45 @@ def integrate_sde(
         x1 <- x1 + drift1(x) dt + omega1 x1 dW1
         x2 <- x2 + drift2(x) dt + omega2 x2 dW2
 
-    The drift is evaluated in the centered form (_drift), so the anchor is
-    an exact fixed point of the discrete scheme: started there, both drift
-    and noise vanish to the last bit for any noise level.  Increments come
-    from the counter-based streams keyed (cfg.seed, replicate, coordinate),
-    drawn a chunk of steps at a time as the ensemble kernel draws them, so a
-    path holds a chunk of increments, not the whole horizon.  Pass dW
-    (shape (n_steps, 2)) to impose a specific realization instead.
+    The drift is evaluated in the centered form (_drift's arithmetic), so
+    the anchor is an exact fixed point of the discrete scheme: started
+    there, both drift and noise vanish to the last bit for any noise level.
+    The path is replicate `replicate` of the compiled ensemble kernel (_em),
+    stepped a chunk at a time, so it holds one chunk of states, not the
+    whole horizon.  Increments come from the counter-based streams keyed
+    (cfg.seed, replicate, coordinate); pass dW (shape (n_steps, 2)) to
+    impose a specific realization instead.
 
     Paths are not clamped to the phase-space triangle: noise can push them
     out (recorded via exited_omega) or below zero.  Raises IntegrationError
     when the state becomes non-finite.
-
-    The loop is scalar, not a one-replicate call of the ensemble kernel,
-    whose numpy step over one-element arrays is mostly ufunc overhead.  It
-    steps on Python floats (each chunk goes through ndarray.tolist), which
-    round as np.float64 does but cost less per operation.
     """
     check_anchor(params, anchor)
-    drift = _drift_coefficients(params, anchor)
-    w1, w2 = noise.omega1, noise.omega2
-    ps, ms = anchor.p_star, anchor.m_star
-    dt = cfg.dt
+    # the stream keys 2 * replicate + coordinate are 64-bit words
+    if isinstance(replicate, bool) or not (isinstance(replicate, (int, np.integer))
+                                           and 0 <= replicate < MAX_SEED // 2):
+        raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
     n, rec = _recording(cfg, _PATH_ROW_BYTES)
+    if dW is not None:
+        if dW.shape != (n, 2):
+            raise ParameterError(f"dW must have shape ({n}, 2), got {dW.shape}")
+        dW = np.ascontiguousarray(dW, dtype=float)
+    ps, ms = anchor.p_star, anchor.m_star
+    x1 = float(cfg.initial[0]) - ps
+    x2 = float(cfg.initial[1]) - ms
+    cell = _Cell(_drift_coefficients(params, anchor), noise.omega1, noise.omega2, ps, ms, x1, x2, math.inf)
+    chunk = _CHUNK_STEPS
+    stepper = _em.Stepper([cell], cfg.seed, replicate, 1, cfg.dt)
+    states = np.empty((min(chunk, n), 2))
 
-    if dW is not None and dW.shape != (n, 2):
-        raise ParameterError(f"dW must have shape ({n}, 2), got {dW.shape}")
-    chunks = _increments(cfg.seed, replicate, replicate + 1, n, dt) if dW is None else [dW.T[:, :, None]]
+    def path() -> Iterator[list[float]]:
+        yield [ps + x1, ms + x2]
+        for start in range(0, n, chunk):
+            m = min(chunk, n - start)
+            stepper.path(m, chunk, states, None if dW is None else dW[start:start + m])
+            yield from states[:m].tolist()
 
-    def states() -> Iterator[tuple[float, float]]:
-        x1 = float(cfg.initial[0]) - ps
-        x2 = float(cfg.initial[1]) - ms
-        yield ps + x1, ms + x2
-        for chunk in chunks:
-            for d1, d2 in zip(chunk[0, :, 0].tolist(), chunk[1, :, 0].tolist()):
-                g1, g2 = _drift(drift, x1, x2)
-                x1 = x1 + g1 * dt + w1 * x1 * d1
-                x2 = x2 + g2 * dt + w2 * x2 * d2
-                yield ps + x1, ms + x2
-
-    return _path(cfg, Scheme.EULER_MARUYAMA, params.K, rec, states(), "noise or step too large?")
+    return _path(cfg, Scheme.EULER_MARUYAMA, params.K, rec, path(), "noise or step too large?")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

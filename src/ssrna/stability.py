@@ -12,6 +12,7 @@ verdict is "conditions not met", never "unstable".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +58,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name, w in (("omega1", self.omega1), ("omega2", self.omega2)):
-            if not (isinstance(w, (int, float)) and not isinstance(w, bool) and math.isfinite(w) and w >= 0.0):
+            # compared, not passed to math.isfinite, which raises OverflowError for a huge int
+            if not (isinstance(w, (int, float)) and not isinstance(w, bool) and 0.0 <= w <= sys.float_info.max):
                 raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {w!r}")
 
     @property

@@ -51,6 +51,8 @@ def test_validate_identity_capacity():
         ("alpha", dict(r=1, alpha=-0.1, delta=1, sigma=1, K=1)),
         ("r", dict(r=math.nan, alpha=0.5, delta=1, sigma=1, K=1)),
         ("K", dict(r=1, alpha=0.5, delta=1, sigma=1, K=math.inf)),
+        ("r", dict(r=10**400, alpha=0.5, delta=1, sigma=1, K=1)),  # float() raises OverflowError
+        ("alpha", dict(r=1, alpha=10**400, delta=1, sigma=1, K=1)),
     ],
 )
 def test_validate_names_offending_field(field, kwargs):

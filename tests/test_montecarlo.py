@@ -396,8 +396,10 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv, monkeypatch):
     lambda cfg, params: run_ensemble(cfg, params),
 ], ids=["sweep", "ensemble"])
 def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
-    # 1000 replicates record 8 kB of final |x|^2 but fill a 2 x 512-step
-    # increment buffer of 8 MiB, twice the 4 MiB this machine is made to have
+    # 20000 replicates record 160 kB of final |x|^2, but the kernel also
+    # holds two 88-byte Philox streams, five state doubles and 10 bytes of
+    # results per replicate: 4.7 MB in all, more than the 4 MiB this
+    # machine is made to have
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
     monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
 
@@ -405,7 +407,7 @@ def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
         pytest.fail("the batch was allocated before its size was checked")
 
     monkeypatch.setattr(montecarlo, "_euler_maruyama", allocate)
-    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=1000, t_end=10.0, record_stride=10**6)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=20000, t_end=10.0, record_stride=10**6)
     with pytest.raises(ParameterError, match="bytes"):
         run(cfg, tumv)
 

@@ -260,6 +260,15 @@ def test_sde_seed_and_replicate_streams(tumv):
     assert not (a.states == d.states).all()
 
 
+@pytest.mark.parametrize("replicate", [-1, 2**63, True])
+def test_sde_rejects_replicate_outside_the_stream_keys(tumv, replicate):
+    # the key 2 * replicate + coordinate must be a 64-bit word
+    eq = positive_equilibrium(tumv)
+    cfg = SimConfig(dt=0.5, t_end=10.0, initial=State(eq.p_star, eq.m_star))
+    with pytest.raises(ParameterError, match="replicate"):
+        integrate_sde(tumv, NoiseSpec(0.1, 0.1), eq, cfg, replicate=replicate)
+
+
 def test_sde_rejects_non_equilibrium_anchor(tumv):
     from ssrna import Equilibrium, EquilibriumKind
 

@@ -52,6 +52,11 @@ def test_noise_spec_rejects_negative():
         NoiseSpec(True, 0.0)
     with pytest.raises(StabilityDomainError, match="omega2"):
         NoiseSpec(0.0, False)
+    # an int beyond float range is refused, not an OverflowError from math.isfinite
+    with pytest.raises(StabilityDomainError, match="omega1"):
+        NoiseSpec(10**400, 0)
+    with pytest.raises(StabilityDomainError, match="omega2"):
+        NoiseSpec(0, -10**400)
 
 
 def test_noise_spec_from_gammas_round_trip():
