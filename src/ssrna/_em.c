@@ -1,7 +1,10 @@
-/* Euler-Maruyama kernel of the centred replication model, with Philox streams.
+/* The compiled library of ssrna: the Euler-Maruyama kernel of the centred
+ * replication model with its Philox streams, the RK4 path, the recorder of a
+ * single path, and the '%.17g' formatter of the CSV and JSON writers.
  *
- * Built on first use by ssrna._em and loaded with ctypes.  Every number it
- * produces equals that of the numpy formulation it replaces:
+ * Built on first use by ssrna._em and loaded with ctypes.  Every number and
+ * byte it produces equals that of the Python or numpy formulation it
+ * replaces, which the tests keep as their reference:
  *
  *  - Each replicate k has two Philox4x64-10 streams, keyed (seed, 2k + c)
  *    for coordinate c, counter 0, with numpy's buffering of four 64-bit
@@ -9,8 +12,10 @@
  *    numpy.random.Philox(key=[seed, 2k + c]).random_raw().
  *  - Normals come from numpy's own random_standard_normal (the ziggurat of
  *    numpy.random.Generator.standard_normal), linked from libnpyrandom.a.
- *  - The step is simulator._drift's arithmetic in its evaluation order;
- *    built with -ffp-contract=off, so no product is fused into an add.
+ *  - The Euler-Maruyama step is simulator._drift's arithmetic and the RK4
+ *    step is model_core.field's, each in its evaluation order; built with
+ *    -ffp-contract=off, so no product is fused into an add.
+ *  - fmt_g17 writes a double as Python's '%.17g' % x does.
  *
  * Replicates advance in blocks of BLOCK in lockstep, so a block's recorded
  * |x|^2 values land contiguously in each row of sq.
@@ -18,6 +23,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -101,6 +108,80 @@ void em_raw(stream_t *s, int64_t n, uint64_t *out)
         out[i] = next_uint64(s);
 }
 
+/* The recorder of a single path, _em.Recorder: the caller sets the fields up to
+ * states; path_start sets the rest. */
+typedef struct {
+    int64_t n;        /* steps */
+    int64_t stride;   /* steps 0, stride, 2 stride, ... (stride <= n) and n are recorded */
+    double dt;
+    double low, high; /* the state left the triangle when p or m < low, or p + m > high */
+    double *times;    /* rows x 1: rec * dt */
+    double *states;   /* rows x 2: p, m */
+    int64_t rows;     /* rows written */
+    int64_t exited;   /* first step whose state left the triangle, else -1 */
+    int64_t failed;   /* the step whose state was not finite, else -1 */
+    int64_t due;      /* the next step to record */
+} path_t;
+
+/* Take the state (p, m) after step s.  Returns 0, setting failed, if it is
+ * not finite: the path stops there. */
+static int path_record(path_t *r, int64_t s, double p, double m)
+{
+    if (!(isfinite(p) && isfinite(m))) {
+        r->failed = s;
+        return 0;
+    }
+    if (r->exited < 0 && (p < r->low || m < r->low || p + m > r->high))
+        r->exited = s;
+    if (s == r->due) {
+        r->times[r->rows] = (double)s * r->dt;
+        r->states[2 * r->rows] = p;
+        r->states[2 * r->rows + 1] = m;
+        r->rows++;
+        r->due = r->n - s <= r->stride ? r->n : s + r->stride;
+    }
+    return 1;
+}
+
+/* Take the start state, step 0. */
+static int path_start(path_t *r, double p, double m)
+{
+    r->rows = 0;
+    r->exited = r->failed = -1;
+    r->due = 0;
+    return path_record(r, 0, p, m);
+}
+
+/* model_core.field's constants, in ModelParams' field order. */
+enum { R, ALPHA, DELTA, SIGMA, K };
+
+static void field(const double *model, double p, double m, double *dp, double *dm)
+{
+    double unfilled = 1.0 - (p + m) / model[K];
+    *dp = model[R] * m * unfilled - model[DELTA] * p;
+    *dm = model[ALPHA] * model[R] * p * unfilled - model[SIGMA] * m;
+}
+
+/* The classical RK4 path of the model from (p, m), path->n steps of
+ * path->dt, into the recorder. */
+void rk4_path(const double *model, double p, double m, path_t *path)
+{
+    double dt = path->dt, sixth = dt / 6.0, half = 0.5 * dt;
+    if (!path_start(path, p, m))
+        return;
+    for (int64_t s = 0; s < path->n; s++) {
+        double k1p, k1m, k2p, k2m, k3p, k3m, k4p, k4m;
+        field(model, p, m, &k1p, &k1m);
+        field(model, p + half * k1p, m + half * k1m, &k2p, &k2m);
+        field(model, p + half * k2p, m + half * k2m, &k3p, &k3m);
+        field(model, p + dt * k3p, m + dt * k3m, &k4p, &k4m);
+        p = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p);
+        m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m);
+        if (!path_record(path, s + 1, p, m))
+            return;
+    }
+}
+
 /* Advance replicates first..first+n-1 of every cell by `steps` steps.
  *
  * cells:   ncells x CELL_WORDS constants.
@@ -116,7 +197,9 @@ void em_raw(stream_t *s, int64_t n, uint64_t *out)
  *          negative is set from the running minima (p* + x is monotone).
  *          first_exceed NULL skips these outputs.
  * dW:      NULL to draw the increments, else steps x 2 imposed ones (n = 1).
- * path:    NULL, or steps x 2 states p, m after each step (n = 1).
+ * path:    NULL, or the recorder of a single path (n = 1, one cell), which
+ *          takes the start state and the state after each step, and stops
+ *          the call at the first non-finite one.
  *
  * Returns the index of the next recorded row.
  */
@@ -124,7 +207,7 @@ int64_t em_run(const double *cells, int64_t ncells, stream_t *streams, double *s
                uint64_t seed, int64_t first, int64_t step, int64_t steps, int64_t chunk,
                double dt, double sqrt_dt, int64_t col, const int64_t *rec, int64_t nrec,
                double *sq, int64_t sq_row, int64_t out_cell, int64_t *first_exceed,
-               uint8_t *nonfinite, uint8_t *negative, const double *dW, double *path)
+               uint8_t *nonfinite, uint8_t *negative, const double *dW, path_t *path)
 {
     int64_t end = step + steps, next = col;
 #define ROW(r, c) (state + ((r) * ncells + (c)) * n)
@@ -147,6 +230,8 @@ int64_t em_run(const double *cells, int64_t ncells, stream_t *streams, double *s
                         nonfinite[c * out_cell + b + j] = 0;
                     }
                 }
+                if (path && !path_start(path, cell[P_STAR] + x1[0], cell[M_STAR] + x2[0]))
+                    return next;
                 if (next < nrec && rec[next] == 0) {
                     for (int j = 0; j < nb; j++) {
                         sq[next * sq_row + c * out_cell + b + j] = sup[j];
@@ -201,10 +286,8 @@ int64_t em_run(const double *cells, int64_t ncells, stream_t *streams, double *s
                         if (*fe < 0 && sup[j] > cell[EPS_SQ])
                             *fe = s + 1;
                     }
-                    if (path) {
-                        path[2 * (s - step)] = cell[P_STAR] + u;
-                        path[2 * (s - step) + 1] = cell[M_STAR] + v;
-                    }
+                    if (path && !path_record(path, s + 1, cell[P_STAR] + u, cell[M_STAR] + v))
+                        return next;
                 }
                 if (chunk_end) {
                     for (int j = 0; j < nb; j++) {
@@ -241,4 +324,131 @@ void em_sum_included(const double *sq, int64_t rows, int64_t row, int64_t n,
                 acc += x[k];
         out[i] = acc;
     }
+}
+
+/* The longest '%.17g' of a double is 24 bytes (-1.2345678901234567e-308);
+ * _em.py allots G17_ROOM per number. */
+#define G17_ROOM 32
+
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL, 1953125ULL,
+    9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL, 30517578125ULL,
+    152587890625ULL, 762939453125ULL, 3814697265625ULL, 19073486328125ULL, 95367431640625ULL,
+    476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
+    298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL,
+};
+
+#define E16 10000000000000000ULL
+#define E17 100000000000000000ULL
+
+/* floor(|x| 10^k), and whether the rest is below, at or above one half
+ * (-1, 0, 1), for x = mant 2^e: exact, as mant 5^k 2^(e + k) < 2^128. */
+static uint64_t scaled(uint64_t mant, int e, int k, int *rest)
+{
+    __uint128_t v = (__uint128_t)mant * POW5[k];
+    int shift = e + k;
+    if (shift >= 0) {
+        *rest = -1;
+        return (uint64_t)(v << shift);
+    }
+    int s = -shift; /* below 64 wherever the result has 17 digits */
+    __uint128_t q = v >> s, r = v - (q << s), half = (__uint128_t)1 << (s - 1);
+    *rest = r < half ? -1 : r > half;
+    return (uint64_t)q;
+}
+
+/* '%.17g' % x into out, without a terminating NUL; returns its length. */
+static int g17(double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7FF);
+    if (x != x) { /* Python prints every NaN as nan, whatever its sign */
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    /* 17 significant digits of a normal double between 1e-11 and 1e17 are
+     * found exactly below; snprintf writes everything else, as exactly */
+    int e10 = biased == 0 || biased == 0x7FF ? 99 : (int)floor((biased - 1023) * 0.30102999566398120);
+    if (e10 < -11 || e10 > 16) {
+        char buf[G17_ROOM];
+        int len = snprintf(buf, sizeof buf, "%.17g", x);
+        memcpy(out, buf, len);
+        return len;
+    }
+    uint64_t mant = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    int e = biased - 1075, k = 16 - e10, rest;
+    uint64_t d = scaled(mant, e, k, &rest);
+    if (d >= E17) { /* the estimate of floor(log10 |x|) was one low */
+        if (k == 0) {
+            char buf[G17_ROOM];
+            int len = snprintf(buf, sizeof buf, "%.17g", x);
+            memcpy(out, buf, len);
+            return len;
+        }
+        e10++;
+        d = scaled(mant, e, --k, &rest);
+    }
+    if (rest > 0 || (rest == 0 && d & 1)) /* round half to even */
+        d++;
+    if (d == E17) {
+        d = E16;
+        e10++;
+    }
+
+    char digits[17];
+    for (int i = 16; i >= 0; i--, d /= 10)
+        digits[i] = (char)('0' + d % 10);
+    int nd = 17; /* without trailing zeros */
+    while (nd > 1 && digits[nd - 1] == '0')
+        nd--;
+    char *o = out;
+    if (bits >> 63)
+        *o++ = '-';
+    if (e10 < -4 || e10 >= 17) {
+        *o++ = digits[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, digits + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = e10 < 0 ? '-' : '+';
+        int a = e10 < 0 ? -e10 : e10; /* below 100 here */
+        *o++ = (char)('0' + a / 10);
+        *o++ = (char)('0' + a % 10);
+    } else if (e10 >= 0) {
+        memcpy(o, digits, e10 + 1);
+        o += e10 + 1;
+        if (nd > e10 + 1) {
+            *o++ = '.';
+            memcpy(o, digits + e10 + 1, nd - e10 - 1);
+            o += nd - e10 - 1;
+        }
+    } else {
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = -1; i > e10; i--)
+            *o++ = '0';
+        memcpy(o, digits, nd);
+        o += nd;
+    }
+    return (int)(o - out);
+}
+
+/* Write x[0..n-1] as '%.17g' writes them: sep between the numbers of each
+ * row of `row` numbers and eol after each row.  out holds at least
+ * n * (G17_ROOM + the longer of sep and eol) bytes.  Returns the bytes
+ * written. */
+int64_t fmt_g17(const double *x, int64_t n, int64_t row, const char *sep, int64_t sep_len,
+                const char *eol, int64_t eol_len, char *out)
+{
+    char *o = out;
+    for (int64_t i = 0; i < n; i++) {
+        o += g17(x[i], o);
+        int last = (i + 1) % row == 0;
+        memcpy(o, last ? eol : sep, last ? eol_len : sep_len);
+        o += last ? eol_len : sep_len;
+    }
+    return o - out;
 }

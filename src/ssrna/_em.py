@@ -1,4 +1,8 @@
-"""The compiled Euler-Maruyama kernel (_em.c): built on first use, loaded with ctypes.
+"""The compiled library (_em.c): built on first use, loaded with ctypes.
+
+It holds the Euler-Maruyama kernel of ensembles, sweeps and single paths,
+the RK4 path, the recorder of a single path (Recorder) and the '%.17g'
+formatter of the writers (format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -44,7 +48,12 @@ _SIGNATURES = {
     "em_run": (_I, (_P, _I, _P, _P, _I, ctypes.c_uint64, _I, _I, _I, _I, _D, _D, _I, _P, _I,
                     _P, _I, _I, _P, _P, _P, _P, _P)),
     "em_sum_included": (None, (_P, _I, _I, _I, _P, _P)),
+    "rk4_path": (None, (_P, _D, _D, _P)),
+    "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P)),
 }
+
+# Bytes fmt_g17 may write per number, besides its separator (_em.c's G17_ROOM).
+_G17_ROOM = 32
 
 
 def _compiler() -> list[str]:
@@ -84,23 +93,49 @@ def _build() -> Path:
         detail = str(exc)
     finally:
         tmp.unlink(missing_ok=True)
-    raise KernelError(f"cannot build the Euler-Maruyama kernel: `{' '.join(command)} {tmp}` {detail}")
+    raise KernelError(f"cannot build the compiled library: `{' '.join(command)} {tmp}` {detail}")
 
 
 def library() -> ctypes.CDLL:
-    """The loaded kernel library, built on first use."""
+    """The loaded library, built on first use."""
     global _lib
     if _lib is None:
         path = _build()
         try:
             lib = ctypes.CDLL(str(path))
         except OSError as exc:
-            raise KernelError(f"cannot load the Euler-Maruyama kernel {path}: {exc}") from None
+            raise KernelError(f"cannot load the compiled library {path}: {exc}") from None
         for name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
         _lib = lib
     return _lib
+
+
+class Recorder(ctypes.Structure):
+    """The recorder of a single path (_em.c's path_t), with the rows it records.
+
+    A path of n steps of dt keeps the state (p, m) at steps 0, stride,
+    2 stride, ... and n in states, and step * dt in times.  exited is the
+    first step whose state had p or m below low, or p + m above high, and
+    failed the step whose state was not finite, where the path stopped;
+    each is -1 when there is none.
+    """
+
+    _fields_ = [("n", _I), ("stride", _I), ("dt", _D), ("low", _D), ("high", _D), ("_times", _P),
+                ("_states", _P), ("rows", _I), ("exited", _I), ("failed", _I), ("_due", _I)]
+
+    def __init__(self, n: int, stride: int, dt: float, low: float, high: float):
+        rows = -(-n // stride) + 1
+        self.times = np.empty(rows)
+        self.states = np.empty((rows, 2))
+        super().__init__(n, min(stride, n), dt, low, high, self.times.ctypes.data, self.states.ctypes.data)
+
+
+def rk4(rates: tuple[float, float, float, float, float], p: float, m: float, path: Recorder) -> None:
+    """The classical RK4 path from (p, m) of the model with rates (r, alpha, delta, sigma, K), into path."""
+    model = np.array(rates, dtype=float)
+    library().rk4_path(model.ctypes.data, p, m, ctypes.addressof(path))
 
 
 class Stepper:
@@ -145,19 +180,19 @@ class Stepper:
         self._run(steps, chunk, rec.ctypes.data, len(rec), sq.ctypes.data, sq.strides[0] // 8, cell,
                   first_exceed.ctypes.data, nonfinite.ctypes.data, negative.ctypes.data, None, None)
 
-    def path(self, steps: int, chunk: int, states: np.ndarray, dW: Optional[np.ndarray] = None) -> None:
-        """Advance a single path `steps` steps, writing the state (p, m) after each into states.
+    def path(self, path: Recorder, dW: Optional[np.ndarray] = None) -> None:
+        """Step a single path path.n steps from its start into its recorder.
 
-        states is (at least steps, 2) float64; dW, when given, is the
-        (steps, 2) float64 increments to use instead of the streams'.
+        dW, when given, is the (path.n, 2) float64 increments to use instead
+        of the streams'.  The recorder stops the path at its first
+        non-finite state, so the chunk plays no part.
         """
-        if not (self.cells.shape[0] == self.n == 1 and states.dtype == np.float64
-                and states.flags.c_contiguous and states.shape[1:] == (2,) and len(states) >= steps
+        if not (self.cells.shape[0] == self.n == 1 and self.step == 0 and path.dt == self.dt
                 and (dW is None or (dW.dtype == np.float64 and dW.flags.c_contiguous
-                                    and dW.shape == (steps, 2)))):
+                                    and dW.shape == (path.n, 2)))):
             raise ValueError("path buffers do not match the kernel's one replicate")
-        self._run(steps, chunk, None, 0, None, 0, 0, None, None, None,
-                  None if dW is None else dW.ctypes.data, states.ctypes.data)
+        self._run(path.n, path.n, None, 0, None, 0, 0, None, None, None,
+                  None if dW is None else dW.ctypes.data, ctypes.addressof(path))
 
     def _run(self, steps: int, chunk: int, *buffers) -> None:
         self.col = self._lib.em_run(
@@ -179,3 +214,17 @@ def sum_included(sq: np.ndarray, nonfinite: np.ndarray) -> np.ndarray:
     library().em_sum_included(sq.ctypes.data, sq.shape[0], sq.strides[0] // 8, sq.shape[1],
                               nonfinite.ctypes.data, out.ctypes.data)
     return out
+
+
+def format_g17(values: np.ndarray, row: int, sep: bytes, eol: bytes) -> bytes:
+    """Every number of values, in C order, as '%.17g' % x writes it (a NaN as nan).
+
+    sep goes between the numbers of each row of `row` numbers, and eol
+    after each row.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    if not (row >= 1 and x.size % row == 0):
+        raise ValueError(f"{x.size} numbers do not make rows of {row}")
+    out = np.empty(x.size * (_G17_ROOM + max(len(sep), len(eol))), np.uint8)
+    size = library().fmt_g17(x.ctypes.data, x.size, row, sep, len(sep), eol, len(eol), out.ctypes.data)
+    return out[:size].tobytes()

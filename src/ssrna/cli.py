@@ -297,9 +297,9 @@ def _trajectory_json(traj: Trajectory) -> dict:
         "schema": "ssrna-trajectory/1",
         "scheme": traj.scheme.value,
         "exited_omega": traj.exited_omega,
-        "times": traj.times.tolist(),
-        "p": traj.states[:, 0].tolist(),
-        "m": traj.states[:, 1].tolist(),
+        "times": traj.times,
+        "p": traj.states[:, 0],
+        "m": traj.states[:, 1],
     }
 
 

@@ -26,4 +26,4 @@ class EnsembleError(Error, RuntimeError):
 
 
 class KernelError(Error, RuntimeError):
-    """The compiled Euler-Maruyama kernel could not be built or loaded."""
+    """The compiled library (_em.c) could not be built or loaded."""

@@ -49,6 +49,7 @@ from .simulator import (
     _recording,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
     check_anchor,
+    recorded_steps,
     step_count,
 )
 from .stability import NoiseSpec, check_mean_square_stability
@@ -280,7 +281,8 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     """
     cell = _cell(cfg, params)
     # a float64 |x|^2 per replicate and row, and each replicate's streams and kernel state
-    n_steps, rec = _recording(cfg.sim, cfg.replicates * 8, cfg.replicates)
+    n_steps = _recording(cfg.sim, cfg.replicates * 8, cfg.replicates)
+    rec = recorded_steps(n_steps, cfg.sim.record_stride)
     paths = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, n_steps, rec)
     return _reduce(paths, 0, rec, cfg.sim.dt)
 

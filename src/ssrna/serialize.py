@@ -17,9 +17,14 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import _em
+
 __all__ = ["fmt", "write_csv", "dumps", "loads", "plain", "record"]
 
 _FLOAT = "%.17g"
+
+# CSV rows formatted per call of the compiled formatter, which bounds its buffer.
+_CSV_BLOCK_ROWS = 4096
 
 
 def fmt(x: float) -> str:
@@ -30,19 +35,27 @@ def fmt(x: float) -> str:
 def write_csv(path, header: str, columns: Sequence[Any]) -> None:
     """Write a `header` line, then row i of the equal-length numeric columns.
 
-    Every value is written as fmt writes it.  Rows are formatted from Python
-    floats (ndarray.tolist) with one template per row: a fmt call per numpy
-    scalar takes about 1.5 times as long.
+    Every value is written as fmt writes it.  The numbers are formatted by
+    the compiled library's '%.17g' formatter (_em.format_g17), a block of
+    rows per call, about ten times faster than Python's % per number.
     """
-    row = ",".join([_FLOAT] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(map(row.__mod__, rows))
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write(_em.format_g17(block, len(columns), b",", b"\n"))
 
 
-def _finite_floats(items: Union[list, tuple]) -> bool:
-    """Whether every item is a finite built-in float: no NaN, Infinity, bool or int spelling."""
+def _float_column(obj: Any) -> bool:
+    """Whether obj is a 1-D float64 array, which is written as a list of its numbers."""
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
+
+
+def _finite_floats(items: Union[list, tuple, np.ndarray]) -> bool:
+    """Whether every item is a finite float: no NaN, Infinity, bool or int spelling."""
+    if isinstance(items, np.ndarray):
+        return bool(np.isfinite(items).all())
     return all(type(v) is float for v in items) and all(map(math.isfinite, items))
 
 
@@ -79,14 +92,15 @@ def _write(obj: Any, out: list[str], indent: str, level: int) -> None:
             _write(value, out, indent, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple)) or _float_column(obj):
         if len(obj) == 0:
             out.append("[]")
             return
         if _finite_floats(obj):
             # the bytes of the per-item loop below, which the tests keep as the
-            # reference, in one join: a trajectory's columns are 10^5 numbers each
-            out.append("[\n" + pad_in + (",\n" + pad_in).join(map(_FLOAT.__mod__, obj)) + "\n" + pad + "]")
+            # reference, in one call: a trajectory's columns are 10^5 numbers each
+            numbers = _em.format_g17(np.asarray(obj, dtype=float), len(obj), (",\n" + pad_in).encode(), b"")
+            out.append("[\n" + pad_in + numbers.decode() + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, value in enumerate(obj):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -21,7 +20,7 @@ import numpy as np
 from . import _em
 from .errors import IntegrationError, ParameterError
 from .linearization import linearize
-from .model_core import Equilibrium, ModelParams, State, field, vector_field
+from .model_core import Equilibrium, ModelParams, State, vector_field
 from .serialize import write_csv
 from .stability import NoiseSpec
 
@@ -50,12 +49,14 @@ ANCHOR_RTOL = 1e-8
 # Seeds key the Philox streams as one 64-bit word.
 MAX_SEED = 2**64
 
+# The compiled library counts steps in a signed 64-bit integer.
+MAX_STEPS = 2**63 - 1
+
 # A recorded path row: t, p and m as float64.
 _PATH_ROW_BYTES = 3 * 8
 
-# Steps per chunk of the compiled kernel: it freezes non-finite states at
-# the end of every chunk, and a single path is stepped and recorded a chunk
-# at a time.  Read at call time.
+# Steps per chunk of the compiled ensemble kernel: it freezes non-finite
+# states at the end of every chunk.  Read at call time.
 _CHUNK_STEPS = 512
 
 # What the kernel holds per replicate: two Philox streams of 11 words each
@@ -86,8 +87,10 @@ class SimConfig:
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
             raise ParameterError(f"t_end must be at least dt, got {self.t_end!r}")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ParameterError(f"t_end / dt = {self.t_end!r} / {self.dt!r} is more steps than a float counts")
+        if not (math.isfinite(self.t_end / self.dt) and step_count(self) <= MAX_STEPS):
+            raise ParameterError(
+                f"t_end / dt = {self.t_end!r} / {self.dt!r} is more steps than a 64-bit step counter holds"
+            )
         if not (type(self.record_stride) is int and self.record_stride >= 1):
             raise ParameterError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
@@ -100,10 +103,11 @@ class SimConfig:
 class Trajectory:
     """Recorded samples of one integration run.
 
-    exited_omega is the first recorded time the state left the triangle
-    {p, m >= 0, p + m <= K} by more than the round-off allowance; expected
-    to stay None for deterministic runs (step size permitting), while noisy
-    paths may legitimately leave.
+    exited_omega is the time of the first step, recorded or not, whose state
+    left the triangle {p, m >= 0, p + m <= K} by more than the round-off
+    allowance (OMEGA_EXIT_RTOL * K); expected to stay None for
+    deterministic runs (step size permitting), while noisy paths may
+    legitimately leave.
     """
 
     times: np.ndarray
@@ -157,12 +161,12 @@ def _check_recorded_bytes(rows: int, row_bytes: int, replicates: int = 0, cells:
         )
 
 
-def _recording(cfg: SimConfig, row_bytes: int, replicates: int = 0) -> tuple[int, list[int]]:
-    """Step count and recorded steps of cfg, once its recorded rows are known to fit."""
+def _recording(cfg: SimConfig, row_bytes: int, replicates: int = 0) -> int:
+    """Step count of cfg, once its recorded rows are known to fit."""
     n = step_count(cfg)
     rows = -(-n // cfg.record_stride) + 1  # len(recorded_steps(...)), without building the list
     _check_recorded_bytes(rows, row_bytes, replicates)
-    return n, recorded_steps(n, cfg.record_stride)
+    return n
 
 
 def default_dt(params: ModelParams, eq: Optional[Equilibrium] = None) -> float:
@@ -261,59 +265,39 @@ def centralized_rhs(params: ModelParams, eq: Equilibrium, x: tuple[float, float]
     return _drift(_drift_coefficients(params, eq), x[0], x[1])
 
 
-def _path(cfg: SimConfig, scheme: Scheme, K: float, rec: Iterable[int],
-          states: Iterable[Sequence[float]], hint: str) -> Trajectory:
-    """Record a path from its states: the start state, then the state after each step.
+def _path_recorder(cfg: SimConfig, K: float) -> _em.Recorder:
+    """The recorder of a path of cfg, once its recorded rows are known to fit.
 
-    Keeps the steps in rec (ascending), notes the first time the state left
-    the phase-space triangle, and raises IntegrationError, naming the hint,
-    when the state becomes non-finite.
+    A state farther than OMEGA_EXIT_RTOL * K outside the phase-space
+    triangle counts as having left it.
     """
-    dt = cfg.dt
+    n = _recording(cfg, _PATH_ROW_BYTES)
     tol = OMEGA_EXIT_RTOL * K
-    low, high = -tol, K + tol
-    rec_iter = iter(rec)
-    next_rec = next(rec_iter)
-    times, kept = [], []
-    exited: Optional[float] = None
-    for i, (p, m) in enumerate(states):
-        t = i * dt
-        if not (math.isfinite(p) and math.isfinite(m)):
-            raise IntegrationError(f"state became non-finite at t={t:.6g} ({hint})", t)
-        if exited is None and (p < low or m < low or p + m > high):
-            exited = t
-        if i == next_rec:
-            times.append(t)
-            kept.append((p, m))
-            next_rec = next(rec_iter, None)
-    return Trajectory(np.asarray(times), np.asarray(kept), exited, scheme)
+    return _em.Recorder(n, cfg.record_stride, cfg.dt, -tol, K + tol)
+
+
+def _trajectory(path: _em.Recorder, scheme: Scheme, hint: str) -> Trajectory:
+    """The recorded path; IntegrationError, naming the hint, if its state became non-finite."""
+    if path.failed >= 0:
+        t = path.failed * path.dt
+        raise IntegrationError(f"state became non-finite at t={t:.6g} ({hint})", t)
+    exited = None if path.exited < 0 else path.exited * path.dt
+    return Trajectory(path.times, path.states, exited, scheme)
 
 
 def integrate_ode(params: ModelParams, cfg: SimConfig) -> Trajectory:
     """Classical fourth-order Runge-Kutta path of the deterministic model.
 
-    The phase-space triangle is invariant for the exact flow, so a recorded
-    exit means the step size is too large for these parameters.  Raises
-    IntegrationError if the state becomes non-finite.
+    The path is stepped and recorded in the compiled library (_em.c), with
+    model_core.field's arithmetic in its evaluation order, and holds only
+    its recorded rows.  The phase-space triangle is invariant for the exact
+    flow, so a recorded exit means the step size is too large for these
+    parameters.  Raises IntegrationError if the state becomes non-finite.
     """
-    n, rec = _recording(cfg, _PATH_ROW_BYTES)
-    f = field(params)
-    dt = cfg.dt
-    sixth, half = dt / 6.0, 0.5 * dt
-
-    def states() -> Iterator[tuple[float, float]]:
-        p, m = float(cfg.initial[0]), float(cfg.initial[1])
-        yield p, m
-        for _ in range(n):
-            k1p, k1m = f(p, m)
-            k2p, k2m = f(p + half * k1p, m + half * k1m)
-            k3p, k3m = f(p + half * k2p, m + half * k2m)
-            k4p, k4m = f(p + dt * k3p, m + dt * k3m)
-            p = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
-            m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m)
-            yield p, m
-
-    return _path(cfg, Scheme.RK4, params.K, rec, states(), "step size too large?")
+    path = _path_recorder(cfg, params.K)
+    rates = (params.r, params.alpha, params.delta, params.sigma, params.K)
+    _em.rk4(rates, float(cfg.initial[0]), float(cfg.initial[1]), path)
+    return _trajectory(path, Scheme.RK4, "step size too large?")
 
 
 def integrate_sde(
@@ -335,10 +319,10 @@ def integrate_sde(
     the anchor is an exact fixed point of the discrete scheme: started
     there, both drift and noise vanish to the last bit for any noise level.
     The path is replicate `replicate` of the compiled ensemble kernel (_em),
-    stepped a chunk at a time, so it holds one chunk of states, not the
-    whole horizon.  Increments come from the counter-based streams keyed
-    (cfg.seed, replicate, coordinate); pass dW (shape (n_steps, 2)) to
-    impose a specific realization instead.
+    stepped and recorded in one call, and holds only its recorded rows.
+    Increments come from the counter-based streams keyed (cfg.seed,
+    replicate, coordinate); pass dW (shape (n_steps, 2)) to impose a
+    specific realization instead.
 
     Paths are not clamped to the phase-space triangle: noise can push them
     out (recorded via exited_omega) or below zero.  Raises IntegrationError
@@ -349,27 +333,17 @@ def integrate_sde(
     if isinstance(replicate, bool) or not (isinstance(replicate, (int, np.integer))
                                            and 0 <= replicate < MAX_SEED // 2):
         raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
-    n, rec = _recording(cfg, _PATH_ROW_BYTES)
+    path = _path_recorder(cfg, params.K)
     if dW is not None:
-        if dW.shape != (n, 2):
-            raise ParameterError(f"dW must have shape ({n}, 2), got {dW.shape}")
+        if dW.shape != (path.n, 2):
+            raise ParameterError(f"dW must have shape ({path.n}, 2), got {dW.shape}")
         dW = np.ascontiguousarray(dW, dtype=float)
     ps, ms = anchor.p_star, anchor.m_star
     x1 = float(cfg.initial[0]) - ps
     x2 = float(cfg.initial[1]) - ms
     cell = _Cell(_drift_coefficients(params, anchor), noise.omega1, noise.omega2, ps, ms, x1, x2, math.inf)
-    chunk = _CHUNK_STEPS
-    stepper = _em.Stepper([cell], cfg.seed, replicate, 1, cfg.dt)
-    states = np.empty((min(chunk, n), 2))
-
-    def path() -> Iterator[list[float]]:
-        yield [ps + x1, ms + x2]
-        for start in range(0, n, chunk):
-            m = min(chunk, n - start)
-            stepper.path(m, chunk, states, None if dW is None else dW[start:start + m])
-            yield from states[:m].tolist()
-
-    return _path(cfg, Scheme.EULER_MARUYAMA, params.K, rec, path(), "noise or step too large?")
+    _em.Stepper([cell], cfg.seed, replicate, 1, cfg.dt).path(path, dW)
+    return _trajectory(path, Scheme.EULER_MARUYAMA, "noise or step too large?")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

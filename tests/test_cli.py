@@ -24,7 +24,7 @@ from ssrna import (
     positive_equilibrium,
     validate_params,
 )
-from ssrna import cli
+from ssrna import _em, cli
 from ssrna.cli import COMMANDS, analysis_from_dict, analysis_to_dict, main
 from ssrna.serialize import dumps, loads
 
@@ -488,6 +488,32 @@ def test_run_too_large_to_record_exits_2(tmp_path, capsys, command, make):
     assert main([command, "--config", write_config(tmp_path, make()), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and ("bytes" in err or "t_end / dt" in err)
+    assert not out.exists()
+
+
+# 1e300 steps of dt 1.0 recorded at the start and the end only: two rows fit
+# in memory, but the compiled library counts steps in a signed 64-bit integer
+HUGE_HORIZON = {"dt": 1.0, "t_end": 1e300, "record_stride": 10**300}
+
+
+def huge_sweep():
+    cfg = sweep_config(noise_grid={"omega1": [0.0, 0.1]})
+    cfg["sweep"]["ensemble"]["sim"].update(HUGE_HORIZON)
+    return cfg
+
+
+@pytest.mark.parametrize("command, make", [
+    ("simulate", lambda: simulate_config(**HUGE_HORIZON)),
+    ("simulate", lambda: simulate_config(scheme="euler-maruyama", anchor="positive", **HUGE_HORIZON)),
+    ("ensemble", lambda: ensemble_config(sim=dict(HUGE_HORIZON, initial={"displace_fraction": 0.01}))),
+    ("sweep", huge_sweep),
+], ids=["simulate-rk4", "simulate-em", "ensemble", "sweep"])
+def test_steps_beyond_the_step_counter_exit_2(tmp_path, capsys, monkeypatch, command, make):
+    monkeypatch.setattr(_em, "library", lambda: pytest.fail("the run was stepped"))
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, make()), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end / dt = 1e+300 / 1.0") and "64-bit" in err
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""The compiled Euler-Maruyama kernel: its Philox streams, its draws, its build and its cache."""
+"""The compiled library: its Philox streams, its draws, its build and its cache."""
 
 import json
 import math
@@ -98,17 +98,21 @@ def test_chunk_is_read_at_call_time(monkeypatch):
     assert (small.sq[-1, 0, dead] == 0.0).any()
     assert not np.isfinite(large.sq[-1, 0, dead]).any()
 
-    # a single path is stepped one chunk per call
+    # a single path is stepped and recorded in one call, whatever the chunk
     calls, path = [], _em.Stepper.path
 
-    def counted(self, steps, *args):
-        calls.append(steps)
-        return path(self, steps, *args)
+    def counted(self, recorder, *args):
+        calls.append(recorder.n)
+        return path(self, recorder, *args)
 
     monkeypatch.setattr(_em.Stepper, "path", counted)
-    monkeypatch.setattr(simulator, "_CHUNK_STEPS", 8)
-    integrate_sde(p, NoiseSpec(0.1, 0.1), origin_equilibrium(), sim)
-    assert calls == [8, 8, 8, 3]
+    paths = []
+    for chunk in (8, 512):
+        monkeypatch.setattr(simulator, "_CHUNK_STEPS", chunk)
+        traj = integrate_sde(p, NoiseSpec(0.1, 0.1), origin_equilibrium(), sim)
+        paths.append((traj.times.tolist(), traj.states.tolist(), traj.exited_omega))
+    assert calls == [27, 27]
+    assert paths[0] == paths[1]
 
 
 EM_CONFIG = {
@@ -122,13 +126,17 @@ EM_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("command", ["ensemble", "simulate"])
+# every command loads the library: simulate-rk4 for its path, analyze for its writer
+@pytest.mark.parametrize("command", ["ensemble", "simulate", "simulate-rk4", "analyze"])
 def test_build_failure_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(_em, "_lib", None)
     monkeypatch.setattr(_em, "_compiler", lambda: ["false"])
-    config = dict(EM_CONFIG)
-    del config["simulate" if command == "ensemble" else "ensemble"]
+    blocks = {"ensemble": EM_CONFIG["ensemble"], "simulate": EM_CONFIG["simulate"],
+              "simulate-rk4": dict(EM_CONFIG["simulate"], scheme="rk4"), "analyze": {}}
+    command, block = command.split("-")[0], blocks[command]
+    config = {key: EM_CONFIG[key] for key in ("schema", "model", "noise")}
+    config[command] = block
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1

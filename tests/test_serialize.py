@@ -4,10 +4,11 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ssrna import serialize
+from ssrna import _em, serialize
 from ssrna.montecarlo import EnsembleStats, write_ensemble_csv
 from ssrna.serialize import dumps, fmt
 from ssrna.simulator import Scheme, Trajectory, write_trajectory_csv
@@ -55,3 +56,25 @@ def test_csv_writers_match_a_per_number_fmt_reference(columns):
         assert path.read_text() == rows_reference("t,p,m", (t, a, b))
         write_ensemble_csv(stats, path)
         assert path.read_text() == rows_reference("t,mean_sq_dev,exceed_fraction_cum", (t, a, b))
+
+
+def test_compiled_formatter_equals_percent_17g():
+    rng = np.random.default_rng(20261018)
+    tens = [float(f"1e{k}") for k in range(-30, 41)]
+    values = np.concatenate([
+        rng.integers(0, 2**64, 1_000_000, dtype=np.uint64).view(np.float64),  # mostly snprintf
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, math.inf),
+        SPECIAL, [-math.nan, -math.inf, -5e-324],
+        rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64),  # subnormals
+        -rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64),
+        np.arange(-100_000, 100_000, dtype=float),
+        np.arange(-100_000, 100_000) / 8.0,
+        2.0**50 + np.arange(4000) / 4.0,  # 17 digits end in a tie, rounded to even
+    ])
+    numbers = values.tolist()
+    written = _em.format_g17(values, 1, b"", b"\n").decode()
+    if written != ("%.17g\n" * len(numbers)) % tuple(numbers):
+        lines = written.split("\n")
+        wrong = [(x, "%.17g" % x, line) for x, line in zip(numbers, lines) if "%.17g" % x != line]
+        pytest.fail(f"{len(wrong)} numbers written unlike '%.17g', e.g. {wrong[:5]}")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ssrna import (
     vector_field,
 )
 from ssrna import simulator
+from ssrna.model_core import field
 from ssrna.simulator import recorded_steps, step_count, write_trajectory_csv
 
 from conftest import (
@@ -49,6 +51,8 @@ from conftest import (
         # True is an int to Python, but never a seed or a stride
         dict(dt=0.5, t_end=1.0, initial=State(0, 0), seed=True),
         dict(dt=0.5, t_end=1.0, initial=State(0, 0), record_stride=True),
+        # 2**63 steps: one more than the compiled library's 64-bit step counter holds
+        dict(dt=1.0, t_end=2.0**63, initial=State(0, 0)),
     ],
 )
 def test_sim_config_validation(kwargs):
@@ -59,6 +63,7 @@ def test_sim_config_validation(kwargs):
 def test_step_count_and_recording():
     cfg = SimConfig(dt=0.25, t_end=1.0, initial=State(0, 0))
     assert step_count(cfg) == 4
+    assert step_count(SimConfig(dt=1.0, t_end=2.0**62, initial=State(0, 0))) == 2**62
     assert recorded_steps(4, 1) == [0, 1, 2, 3, 4]
     assert recorded_steps(10, 4) == [0, 4, 8, 10]  # final step always kept
     assert recorded_steps(8, 4) == [0, 4, 8]
@@ -178,6 +183,107 @@ def test_blowup_raises_with_time(scheme):
     with pytest.raises(IntegrationError) as err:
         integrate(scheme, p, cfg)
     assert err.value.t > 0
+
+
+# ---------------------------------------------------------------------------
+# the compiled paths against the Python loops they replaced
+
+def recorded(cfg, K, states, hint):
+    """The Python path recorder the compiled one replaced, kept as its reference.
+
+    From the start state and the state after each step, keeps those of the
+    recorded steps and notes the first time the state left the phase-space
+    triangle; raises IntegrationError, naming the hint, at the first
+    non-finite state.
+    """
+    dt = cfg.dt
+    tol = simulator.OMEGA_EXIT_RTOL * K
+    low, high = -tol, K + tol
+    rec_iter = iter(recorded_steps(step_count(cfg), cfg.record_stride))
+    next_rec = next(rec_iter)
+    times, kept = [], []
+    exited = None
+    for i, (p, m) in enumerate(states):
+        t = i * dt
+        if not (math.isfinite(p) and math.isfinite(m)):
+            raise IntegrationError(f"state became non-finite at t={t:.6g} ({hint})", t)
+        if exited is None and (p < low or m < low or p + m > high):
+            exited = t
+        if i == next_rec:
+            times.append(t)
+            kept.append([p, m])
+            next_rec = next(rec_iter, None)
+    return times, kept, exited
+
+
+def rk4_states(params, cfg):
+    """The Python RK4 loop the compiled one replaced: the start state, then the state after each step."""
+    f = field(params)
+    dt = cfg.dt
+    sixth, half = dt / 6.0, 0.5 * dt
+    p, m = float(cfg.initial[0]), float(cfg.initial[1])
+    yield p, m
+    for _ in range(step_count(cfg)):
+        k1p, k1m = f(p, m)
+        k2p, k2m = f(p + half * k1p, m + half * k1m)
+        k3p, k3m = f(p + half * k2p, m + half * k2m)
+        k4p, k4m = f(p + dt * k3p, m + dt * k3m)
+        p = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
+        m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m)
+        yield p, m
+
+
+def outcome(run):
+    """(times, states, exited_omega) of run() as lists, or the message and time of its IntegrationError."""
+    try:
+        result = run()
+    except IntegrationError as exc:
+        return str(exc), exc.t
+    if isinstance(result, tuple):
+        return result
+    return result.times.tolist(), result.states.tolist(), result.exited_omega
+
+
+def rk4_reference(params, cfg):
+    return outcome(lambda: recorded(cfg, params.K, rk4_states(params, cfg), "step size too large?"))
+
+
+@pytest.mark.parametrize("stride", [1, 7, 11])  # 7 divides the 210 steps, 11 does not
+def test_compiled_rk4_equals_the_python_loop(stride):
+    p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cfg = SimConfig(dt=0.25, t_end=52.5, initial=State(1.0, 0.5), record_stride=stride)
+    assert step_count(cfg) == 210
+    expected = rk4_reference(p, cfg)
+    assert outcome(lambda: integrate_ode(p, cfg)) == expected
+    assert expected[1][-1][0] > 100.0  # the path grew from the start towards coexistence
+
+
+@pytest.mark.parametrize("dt, result", [(1.5, "exits at t=3"), (2.0, "overflows at t=8")])
+@pytest.mark.parametrize("stride", [1, 3])  # 3 records neither step 2 nor step 4
+def test_compiled_rk4_exit_and_failure_equal_the_python_loop(dt, result, stride):
+    p = validate_params(r=2, alpha=1, delta=1, sigma=1, K=1)
+    cfg = SimConfig(dt=dt, t_end=40 * dt, initial=State(0.5, 0.4), record_stride=stride)
+    expected = rk4_reference(p, cfg)
+    assert outcome(lambda: integrate_ode(p, cfg)) == expected
+    if result == "exits at t=3":
+        assert expected[2] == 3.0
+    else:
+        assert expected == ("state became non-finite at t=8 (step size too large?)", 8.0)
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
+def test_compiled_em_recorder_at_a_stride_equals_the_stride_1_states(noise):
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    every = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), seed=4242)
+    fourth = replace(every, record_stride=4)  # records neither the exit (step 6) nor the overflow (step 21)
+    args = (p, noise, origin_equilibrium())
+    one = outcome(lambda: integrate_sde(*args, every, replicate=6))
+    strided = outcome(lambda: integrate_sde(*args, fourth, replicate=6))
+    if noise.omega1 > 1.0:
+        assert one == strided == ("state became non-finite at t=5.25 (noise or step too large?)", 5.25)
+    else:
+        assert one[2] == 1.5
+        assert strided == outcome(lambda: recorded(fourth, p.K, one[1], "noise or step too large?"))
 
 
 # ---------------------------------------------------------------------------
