@@ -17,8 +17,10 @@
  *    -ffp-contract=off, so no product is fused into an add.
  *  - fmt_g17 writes a double as Python's '%.17g' % x does.
  *
- * Replicates advance in blocks of BLOCK in lockstep, so a block's recorded
- * |x|^2 values land contiguously in each row of sq.
+ * An ensemble is stepped one slice of at most BLOCK replicates at a time,
+ * in lockstep, into a slice buffer (em_run); em_fold then adds the slice's
+ * finite replicates into the ensemble's running sums in index order, so the
+ * sums are those of one pass over every replicate.
  */
 
 #include <math.h>
@@ -48,6 +50,8 @@ typedef struct {
 } stream_t;
 
 int64_t em_stream_words(void) { return sizeof(stream_t) / sizeof(uint64_t); }
+
+int64_t em_block(void) { return BLOCK; }
 
 void em_seed(stream_t *s, uint64_t key0, uint64_t key1)
 {
@@ -182,147 +186,149 @@ void rk4_path(const double *model, double p, double m, path_t *path)
     }
 }
 
-/* Advance replicates first..first+n-1 of every cell by `steps` steps.
+/* Step replicates first..first+n-1 (n <= BLOCK) of every cell over `steps`
+ * steps from their start.
  *
- * cells:   ncells x CELL_WORDS constants.
- * streams: 2 per replicate; state: STATE_ROWS x ncells x n.  Both persist
- *          across calls; the call at step 0 seeds and starts them.
- * rec:     the recorded steps (ascending); row col of sq is the next one.
- *          |x|^2 of cell c, replicate j at rec[i] goes to
- *          sq[i * sq_row + c * out_cell + j], and first_exceed (cell stride
- *          out_cell) takes the first recorded step whose running maximum
- *          of |x|^2 exceeds eps_sq.
- * chunk:   at every multiple of chunk steps and at the end of the call, a
- *          non-finite state sets nonfinite and is frozen at 0, and
- *          negative is set from the running minima (p* + x is monotone).
- *          first_exceed NULL skips these outputs.
- * dW:      NULL to draw the increments, else steps x 2 imposed ones (n = 1).
- * path:    NULL, or the recorder of a single path (n = 1, one cell), which
- *          takes the start state and the state after each step, and stops
- *          the call at the first non-finite one.
- *
- * Returns the index of the next recorded row.
+ * cells:  ncells x CELL_WORDS constants.
+ * state:  STATE_ROWS x ncells x BLOCK doubles of scratch.
+ * rec:    the recorded steps (ascending).  |x|^2 of cell c, replicate
+ *         first + j at rec[i] goes to sq[(i * ncells + c) * BLOCK + j], and
+ *         first_exceed[c * BLOCK + j] takes the first recorded row by which
+ *         the running maximum of |x|^2 exceeded eps_sq, else -1.  A state
+ *         that is not finite sets nonfinite and is frozen at 0 when it is
+ *         first seen; negative is set at the end from the running minima
+ *         (p* + x is monotone).  sq NULL skips these outputs.
+ * dW:     NULL to draw the increments, else steps x 2 imposed ones (n = 1).
+ * path:   NULL, or the recorder of a single path (n = 1, one cell), which
+ *         takes the start state and the state after each step, and stops
+ *         the call at the first non-finite one.
  */
-int64_t em_run(const double *cells, int64_t ncells, stream_t *streams, double *state, int64_t n,
-               uint64_t seed, int64_t first, int64_t step, int64_t steps, int64_t chunk,
-               double dt, double sqrt_dt, int64_t col, const int64_t *rec, int64_t nrec,
-               double *sq, int64_t sq_row, int64_t out_cell, int64_t *first_exceed,
-               uint8_t *nonfinite, uint8_t *negative, const double *dW, path_t *path)
+void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, int64_t first,
+            int64_t n, int64_t steps, double dt, double sqrt_dt, const int64_t *rec, int64_t nrec,
+            double *sq, int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative,
+            const double *dW, path_t *path)
 {
-    int64_t end = step + steps, next = col;
-#define ROW(r, c) (state + ((r) * ncells + (c)) * n)
-    for (int64_t b = 0; b < n; b += BLOCK) {
-        int nb = n - b < BLOCK ? (int)(n - b) : BLOCK;
-        stream_t *st = streams + 2 * b;
-        next = col;
-        if (step == 0) {
-            for (int j = 0; j < 2 * nb; j++)
-                em_seed(st + j, seed, 2 * (uint64_t)(first + b) + j);
-            for (int64_t c = 0; c < ncells; c++) {
-                const double *cell = cells + c * CELL_WORDS;
-                double *x1 = ROW(X1, c) + b, *x2 = ROW(X2, c) + b, *sup = ROW(SUP, c) + b;
-                for (int j = 0; j < nb; j++) {
-                    x1[j] = ROW(LOW1, c)[b + j] = cell[X1_0];
-                    x2[j] = ROW(LOW2, c)[b + j] = cell[X2_0];
-                    sup[j] = x1[j] * x1[j] + x2[j] * x2[j];
-                    if (first_exceed) {
-                        first_exceed[c * out_cell + b + j] = -1;
-                        nonfinite[c * out_cell + b + j] = 0;
-                    }
-                }
-                if (path && !path_start(path, cell[P_STAR] + x1[0], cell[M_STAR] + x2[0]))
-                    return next;
-                if (next < nrec && rec[next] == 0) {
-                    for (int j = 0; j < nb; j++) {
-                        sq[next * sq_row + c * out_cell + b + j] = sup[j];
-                        if (sup[j] > cell[EPS_SQ])
-                            first_exceed[c * out_cell + b + j] = 0;
-                    }
-                }
+    stream_t st[2 * BLOCK];
+    int nb = (int)n, at_start = nrec > 0 && rec[0] == 0;
+    int64_t next = at_start;
+#define ROW(r, c) (state + ((r) * ncells + (c)) * BLOCK)
+    for (int j = 0; j < 2 * nb; j++)
+        em_seed(st + j, seed, 2 * (uint64_t)first + j);
+    for (int64_t c = 0; c < ncells; c++) {
+        const double *cell = cells + c * CELL_WORDS;
+        double *x1 = ROW(X1, c), *x2 = ROW(X2, c), *sup = ROW(SUP, c);
+        for (int j = 0; j < nb; j++) {
+            x1[j] = ROW(LOW1, c)[j] = cell[X1_0];
+            x2[j] = ROW(LOW2, c)[j] = cell[X2_0];
+            sup[j] = x1[j] * x1[j] + x2[j] * x2[j];
+            if (sq) {
+                first_exceed[c * BLOCK + j] = at_start && sup[j] > cell[EPS_SQ] ? 0 : -1;
+                nonfinite[c * BLOCK + j] = 0;
+                if (at_start)
+                    sq[c * BLOCK + j] = sup[j];
             }
-            if (next < nrec && rec[next] == 0)
-                next++;
         }
+        if (path && !path_start(path, cell[P_STAR] + x1[0], cell[M_STAR] + x2[0]))
+            return;
+    }
 
-        for (int64_t s = step; s < end; s++) {
-            double d1[BLOCK], d2[BLOCK];
-            if (dW) {
-                d1[0] = dW[2 * (s - step)];
-                d2[0] = dW[2 * (s - step) + 1];
-            } else {
-                for (int j = 0; j < nb; j++) {
-                    bitgen_t g1 = bitgen_of(st + 2 * j), g2 = bitgen_of(st + 2 * j + 1);
-                    d1[j] = random_standard_normal(&g1) * sqrt_dt;
-                    d2[j] = random_standard_normal(&g2) * sqrt_dt;
+    for (int64_t s = 0; s < steps; s++) {
+        double d1[BLOCK], d2[BLOCK];
+        if (dW) {
+            d1[0] = dW[2 * s];
+            d2[0] = dW[2 * s + 1];
+        } else {
+            for (int j = 0; j < nb; j++) {
+                bitgen_t g1 = bitgen_of(st + 2 * j), g2 = bitgen_of(st + 2 * j + 1);
+                d1[j] = random_standard_normal(&g1) * sqrt_dt;
+                d2[j] = random_standard_normal(&g2) * sqrt_dt;
+            }
+        }
+        int recorded = next < nrec && rec[next] == s + 1;
+        for (int64_t c = 0; c < ncells; c++) {
+            const double *cell = cells + c * CELL_WORDS;
+            double a11 = cell[A11], a12 = cell[A12], a21 = cell[A21], a22 = cell[A22];
+            double br = cell[BR], abr = cell[ABR], w1 = cell[W1], w2 = cell[W2];
+            double *x1 = ROW(X1, c), *x2 = ROW(X2, c), *sup = ROW(SUP, c);
+            double *low1 = ROW(LOW1, c), *low2 = ROW(LOW2, c);
+            for (int j = 0; j < nb; j++) {
+                double u = x1[j], v = x2[j], sum = u + v;
+                double g1 = a11 * u + a12 * v - br * sum * v;
+                double g2 = a21 * u + a22 * v - abr * sum * u;
+                u = u + g1 * dt + w1 * u * d1[j];
+                v = v + g2 * dt + w2 * v * d2[j];
+                x1[j] = u;
+                x2[j] = v;
+                double dsq = u * u + v * v;
+                /* numpy's maximum and minimum: a NaN on either side wins */
+                if (dsq > sup[j] || dsq != dsq)
+                    sup[j] = dsq;
+                if (u < low1[j] || u != u)
+                    low1[j] = u;
+                if (v < low2[j] || v != v)
+                    low2[j] = v;
+                if (sq && recorded) {
+                    sq[(next * ncells + c) * BLOCK + j] = dsq;
+                    int64_t *fe = first_exceed + c * BLOCK + j;
+                    if (*fe < 0 && sup[j] > cell[EPS_SQ])
+                        *fe = next;
+                }
+                if (path && !path_record(path, s + 1, cell[P_STAR] + u, cell[M_STAR] + v))
+                    return;
+                if (!(isfinite(u) && isfinite(v))) {
+                    x1[j] = x2[j] = 0.0; /* keeps NaNs out of later steps */
+                    if (sq)
+                        nonfinite[c * BLOCK + j] = 1;
                 }
             }
-            int recorded = next < nrec && rec[next] == s + 1;
-            int chunk_end = (s + 1) % chunk == 0 || s + 1 == end;
-            for (int64_t c = 0; c < ncells; c++) {
-                const double *cell = cells + c * CELL_WORDS;
-                double a11 = cell[A11], a12 = cell[A12], a21 = cell[A21], a22 = cell[A22];
-                double br = cell[BR], abr = cell[ABR], w1 = cell[W1], w2 = cell[W2];
-                double *x1 = ROW(X1, c) + b, *x2 = ROW(X2, c) + b, *sup = ROW(SUP, c) + b;
-                double *low1 = ROW(LOW1, c) + b, *low2 = ROW(LOW2, c) + b;
-                for (int j = 0; j < nb; j++) {
-                    double u = x1[j], v = x2[j], sum = u + v;
-                    double g1 = a11 * u + a12 * v - br * sum * v;
-                    double g2 = a21 * u + a22 * v - abr * sum * u;
-                    u = u + g1 * dt + w1 * u * d1[j];
-                    v = v + g2 * dt + w2 * v * d2[j];
-                    x1[j] = u;
-                    x2[j] = v;
-                    double dsq = u * u + v * v;
-                    /* numpy's maximum and minimum: a NaN on either side wins */
-                    if (dsq > sup[j] || dsq != dsq)
-                        sup[j] = dsq;
-                    if (u < low1[j] || u != u)
-                        low1[j] = u;
-                    if (v < low2[j] || v != v)
-                        low2[j] = v;
-                    if (recorded) {
-                        sq[next * sq_row + c * out_cell + b + j] = dsq;
-                        int64_t *fe = first_exceed + c * out_cell + b + j;
-                        if (*fe < 0 && sup[j] > cell[EPS_SQ])
-                            *fe = s + 1;
-                    }
-                    if (path && !path_record(path, s + 1, cell[P_STAR] + u, cell[M_STAR] + v))
-                        return next;
-                }
-                if (chunk_end) {
-                    for (int j = 0; j < nb; j++) {
-                        if (isfinite(x1[j]) && isfinite(x2[j]))
-                            continue;
-                        x1[j] = x2[j] = 0.0; /* keeps NaNs out of later steps */
-                        if (first_exceed)
-                            nonfinite[c * out_cell + b + j] = 1;
-                    }
-                    if (first_exceed) {
-                        for (int j = 0; j < nb; j++)
-                            negative[c * out_cell + b + j] =
-                                cell[P_STAR] + low1[j] < 0.0 || cell[M_STAR] + low2[j] < 0.0;
-                    }
-                }
-            }
-            next += recorded;
+        }
+        next += recorded;
+    }
+
+    if (sq) {
+        for (int64_t c = 0; c < ncells; c++) {
+            const double *cell = cells + c * CELL_WORDS;
+            for (int j = 0; j < nb; j++)
+                negative[c * BLOCK + j] =
+                    cell[P_STAR] + ROW(LOW1, c)[j] < 0.0 || cell[M_STAR] + ROW(LOW2, c)[j] < 0.0;
         }
     }
 #undef ROW
-    return next;
 }
 
-/* out[i] = the sum over included replicates k (nonfinite[k] == 0) of
- * sq[i * row + k], added in index order from 0.0. */
-void em_sum_included(const double *sq, int64_t rows, int64_t row, int64_t n,
-                     const uint8_t *nonfinite, double *out)
+/* Add the finite replicates of a slice, em_run's outputs for its n
+ * replicates over nrec recorded rows, into an ensemble's running sums, in
+ * replicate-index order.  Per cell c and recorded row i, sum[c * nrec + i]
+ * adds their |x|^2 and exceed[c * nrec + i] counts those whose first
+ * exceedance was at row i; counts[3 * c ...] adds the included, negative
+ * and non-finite replicates.  Folding every slice in turn into sums that
+ * start at 0.0 adds each row's values in index order from 0.0. */
+void em_fold(int64_t ncells, int64_t n, int64_t nrec, const double *sq, const int64_t *first_exceed,
+             const uint8_t *nonfinite, const uint8_t *negative, double *sum, int64_t *exceed,
+             int64_t *counts)
 {
-    for (int64_t i = 0; i < rows; i++) {
-        const double *x = sq + i * row;
-        double acc = 0.0;
-        for (int64_t k = 0; k < n; k++)
-            if (!nonfinite[k])
-                acc += x[k];
-        out[i] = acc;
+    for (int64_t c = 0; c < ncells; c++) {
+        const uint8_t *bad = nonfinite + c * BLOCK;
+        for (int64_t i = 0; i < nrec; i++) {
+            const double *x = sq + (i * ncells + c) * BLOCK;
+            double acc = sum[c * nrec + i];
+            for (int64_t j = 0; j < n; j++)
+                if (!bad[j])
+                    acc += x[j];
+            sum[c * nrec + i] = acc;
+        }
+        int64_t *count = counts + 3 * c;
+        for (int64_t j = 0; j < n; j++) {
+            int64_t fe = first_exceed[c * BLOCK + j];
+            if (bad[j]) {
+                count[2]++;
+                continue;
+            }
+            count[0]++;
+            count[1] += negative[c * BLOCK + j];
+            if (fe >= 0)
+                exceed[c * nrec + fe]++;
+        }
     }
 }
 

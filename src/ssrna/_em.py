@@ -1,8 +1,9 @@
 """The compiled library (_em.c): built on first use, loaded with ctypes.
 
-It holds the Euler-Maruyama kernel of ensembles, sweeps and single paths,
-the RK4 path, the recorder of a single path (Recorder) and the '%.17g'
-formatter of the writers (format_g17).
+It holds the Euler-Maruyama kernel of ensembles and sweeps, stepped and
+folded one slice of replicates at a time (Slice), and of single paths
+(path), the RK4 path, the recorder of a single path (Recorder) and the
+'%.17g' formatter of the writers (format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -45,12 +46,18 @@ _SIGNATURES = {
     "em_stream_words": (_I, ()),
     "em_seed": (None, (_P, ctypes.c_uint64, ctypes.c_uint64)),
     "em_raw": (None, (_P, _I, _P)),
-    "em_run": (_I, (_P, _I, _P, _P, _I, ctypes.c_uint64, _I, _I, _I, _I, _D, _D, _I, _P, _I,
-                    _P, _I, _I, _P, _P, _P, _P, _P)),
-    "em_sum_included": (None, (_P, _I, _I, _I, _P, _P)),
+    "em_block": (_I, ()),
+    "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _D, _D, _P, _I, _P, _P, _P, _P, _P, _P)),
+    "em_fold": (None, (_P, _I, _I, _P, _P, _P, _P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
     "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P)),
 }
+
+# Replicates a slice holds at most (_em.c's BLOCK): they are stepped in lockstep.
+BLOCK = 64
+
+# Rows of the kernel's state per cell and replicate (_em.c's STATE_ROWS).
+_STATE_ROWS = 5
 
 # Bytes fmt_g17 may write per number, besides its separator (_em.c's G17_ROOM).
 _G17_ROOM = 32
@@ -138,82 +145,78 @@ def rk4(rates: tuple[float, float, float, float, float], p: float, m: float, pat
     library().rk4_path(model.ctypes.data, p, m, ctypes.addressof(path))
 
 
-class Stepper:
-    """Replicates first..first+n-1 of a batch of cells, advanced by the compiled loop.
+def _cell_words(cells) -> np.ndarray:
+    """simulator._Cell tuples as _em.c's cell words, the drift flattened."""
+    return np.array([[*c.drift, *c[1:]] for c in cells], dtype=float)
 
-    cells are simulator._Cell tuples.  Each replicate's two Philox streams
-    and each cell's state (deviations, running maximum of |x|^2, running
-    minima) persist across calls, so a horizon can be advanced a chunk at
-    a time.
+
+class Slice:
+    """One process's buffer for a slice of at most BLOCK replicates of a batch of cells.
+
+    cells are simulator._Cell tuples, seed keys the streams, and rec holds
+    the recorded steps, the last of which ends the horizon of dt steps.
+    step() integrates a slice into the buffer and fold() adds its finite
+    replicates into an ensemble's sums.  The buffer holds, per cell and
+    replicate, the |x|^2 at every recorded row, the first row by which |x|
+    exceeded epsilon1 (-1 if none), the nonfinite and negative flags, and
+    the kernel's state.
     """
 
-    def __init__(self, cells, seed: int, first: int, n: int, dt: float):
+    def __init__(self, cells, seed: int, dt: float, rec):
         self._lib = library()
-        self.cells = np.array([[*c.drift, *c[1:]] for c in cells], dtype=float)  # _em.c's cell words
-        self.streams = np.empty((n, 2, self._lib.em_stream_words()), np.uint64)
-        self.state = np.empty((5, len(self.cells), n))
-        self.seed, self.first, self.n, self.dt = seed, first, n, dt
-        self.step = 0  # steps taken
-        self.col = 0   # recorded rows written
+        self.cells = _cell_words(cells)
+        self.seed, self.dt = seed, dt
+        self.rec = np.array(rec, dtype=np.int64)
+        k = len(self.cells)
+        self.state = np.empty((_STATE_ROWS, k, BLOCK))
+        self.sq = np.empty((len(self.rec), k, BLOCK))
+        self.first_exceed = np.empty((k, BLOCK), np.int64)
+        self.nonfinite = np.empty((k, BLOCK), np.bool_)
+        self.negative = np.empty((k, BLOCK), np.bool_)
+        self.n = 0  # replicates in the buffer
 
-    def ensemble(self, steps: int, chunk: int, rec: np.ndarray, sq: np.ndarray, first_exceed: np.ndarray,
-                 nonfinite: np.ndarray, negative: np.ndarray) -> None:
-        """Advance every replicate `steps` steps and write its results (em_run in _em.c).
+    def step(self, first: int, n: int) -> None:
+        """Integrate replicates first..first+n-1 of every cell over the horizon (em_run in _em.c)."""
+        if not 0 <= n <= BLOCK:
+            raise ValueError(f"a slice holds 0 to {BLOCK} replicates, not {n}")
+        self._lib.em_run(self.cells.ctypes.data, len(self.cells), self.state.ctypes.data, self.seed, first, n,
+                         int(self.rec[-1]), self.dt, math.sqrt(self.dt), self.rec.ctypes.data, len(self.rec),
+                         self.sq.ctypes.data, self.first_exceed.ctypes.data, self.nonfinite.ctypes.data,
+                         self.negative.ctypes.data, None, None)
+        self.n = n
 
-        rec holds the recorded steps (int64).  sq is (recorded rows, cells,
-        n); first_exceed, nonfinite and negative are (cells, n).  They may
-        be views into larger arrays, provided the replicate axis is
-        contiguous and the cell axis has the same stride, in elements, in
-        all four.
+    def fold(self, sq: np.ndarray, exceed: np.ndarray, counts: np.ndarray) -> None:
+        """Add the slice's finite replicates, in index order, into an ensemble's sums (em_fold in _em.c).
+
+        sq (float64) and exceed (int64) are (cells, recorded rows): the sum
+        of |x|^2 and the count of first exceedances at each row.  counts
+        (int64) is (cells, 3): the included, negative and non-finite
+        replicates.  Each array must be C-contiguous.
         """
-        cells, n = self.cells.shape[0], self.n
-        cell = first_exceed.strides[0] // 8
-        # the C loop trusts every pointer, shape and stride
-        if not (rec.dtype == np.int64 and rec.ndim == 1 and rec.flags.c_contiguous
-                and sq.dtype == np.float64 and len(sq) >= len(rec) and sq.shape[1:] == (cells, n)
-                and sq.strides[1:] == (8 * cell, 8)
-                and first_exceed.dtype == np.int64 and first_exceed.shape == (cells, n)
-                and first_exceed.strides == (8 * cell, 8)
-                and all(a.dtype == np.bool_ and a.shape == (cells, n) and a.strides == (cell, 1)
-                        for a in (nonfinite, negative))):
-            raise ValueError("ensemble buffers do not match the kernel's replicates and cells")
-        self._run(steps, chunk, rec.ctypes.data, len(rec), sq.ctypes.data, sq.strides[0] // 8, cell,
-                  first_exceed.ctypes.data, nonfinite.ctypes.data, negative.ctypes.data, None, None)
-
-    def path(self, path: Recorder, dW: Optional[np.ndarray] = None) -> None:
-        """Step a single path path.n steps from its start into its recorder.
-
-        dW, when given, is the (path.n, 2) float64 increments to use instead
-        of the streams'.  The recorder stops the path at its first
-        non-finite state, so the chunk plays no part.
-        """
-        if not (self.cells.shape[0] == self.n == 1 and self.step == 0 and path.dt == self.dt
-                and (dW is None or (dW.dtype == np.float64 and dW.flags.c_contiguous
-                                    and dW.shape == (path.n, 2)))):
-            raise ValueError("path buffers do not match the kernel's one replicate")
-        self._run(path.n, path.n, None, 0, None, 0, 0, None, None, None,
-                  None if dW is None else dW.ctypes.data, ctypes.addressof(path))
-
-    def _run(self, steps: int, chunk: int, *buffers) -> None:
-        self.col = self._lib.em_run(
-            self.cells.ctypes.data, self.cells.shape[0], self.streams.ctypes.data, self.state.ctypes.data,
-            self.n, self.seed, self.first, self.step, steps, chunk, self.dt, math.sqrt(self.dt),
-            self.col, *buffers)
-        self.step += steps
+        shape = (len(self.cells), len(self.rec))
+        # the C loop trusts every pointer and shape
+        if not all(a.dtype == dtype and a.shape == want and a.flags.c_contiguous
+                   for a, dtype, want in ((sq, np.float64, shape), (exceed, np.int64, shape),
+                                          (counts, np.int64, (shape[0], 3)))):
+            raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
+        self._lib.em_fold(shape[0], self.n, shape[1], self.sq.ctypes.data, self.first_exceed.ctypes.data,
+                          self.nonfinite.ctypes.data, self.negative.ctypes.data, sq.ctypes.data,
+                          exceed.ctypes.data, counts.ctypes.data)
 
 
-def sum_included(sq: np.ndarray, nonfinite: np.ndarray) -> np.ndarray:
-    """Per row of sq (rows, replicates), the sum over replicates not flagged nonfinite.
+def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[np.ndarray] = None) -> None:
+    """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder.
 
-    Adds in replicate-index order from 0.0, as a running column sum would.
+    dW, when given, is the (recorder.n, 2) float64 increments to use instead
+    of the streams'.  The recorder stops the path at its first non-finite
+    state.
     """
-    if not (sq.dtype == np.float64 and sq.ndim == 2 and sq.strides[1] == 8 and nonfinite.dtype == np.bool_
-            and nonfinite.shape == sq.shape[1:] and nonfinite.flags.c_contiguous):
-        raise ValueError("sum_included needs float64 rows with contiguous replicates and one flag each")
-    out = np.empty(sq.shape[0])
-    library().em_sum_included(sq.ctypes.data, sq.shape[0], sq.strides[0] // 8, sq.shape[1],
-                              nonfinite.ctypes.data, out.ctypes.data)
-    return out
+    if not (dW is None or (dW.dtype == np.float64 and dW.flags.c_contiguous and dW.shape == (recorder.n, 2))):
+        raise ValueError("the increments do not match the path's steps")
+    state = np.empty((_STATE_ROWS, 1, BLOCK))
+    library().em_run(_cell_words([cell]).ctypes.data, 1, state.ctypes.data, seed, replicate, 1, recorder.n,
+                     recorder.dt, math.sqrt(recorder.dt), None, 0, None, None, None, None,
+                     None if dW is None else dW.ctypes.data, ctypes.addressof(recorder))
 
 
 def format_g17(values: np.ndarray, row: int, sep: bytes, eol: bytes) -> bytes:

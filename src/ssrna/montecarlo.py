@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _em, simulator
+from . import _em
 from .errors import EnsembleError, Error, ParameterError
 from .linearization import linearize
 from .model_core import (
@@ -46,6 +46,7 @@ from .simulator import (
     _Cell,
     _drift_coefficients,
     _check_recorded_bytes,
+    _ensemble_bytes,
     _recording,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
     check_anchor,
@@ -81,8 +82,9 @@ class EnsembleConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not (type(self.replicates) is int and self.replicates >= 1):
-            raise ParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        # replicate k draws from the streams keyed by the 64-bit words 2k and 2k + 1
+        if not (type(self.replicates) is int and 1 <= self.replicates <= MAX_SEED // 2):
+            raise ParameterError(f"replicates must be an integer from 1 to 2**63, got {self.replicates!r}")
         if not (math.isfinite(self.epsilon1) and self.epsilon1 > 0.0):
             raise ParameterError(f"epsilon1 must be positive, got {self.epsilon1!r}")
         if not (type(self.master_seed) is int and 0 <= self.master_seed < MAX_SEED):
@@ -107,10 +109,12 @@ class EnsembleStats:
 
 
 def _worker_count(replicates: int) -> int:
-    """Processes an ensemble runs in: one per CPU this process may use, at most one per replicate.
+    """Processes an ensemble runs in: one per CPU this process may use, at most one per slice.
 
-    Only a single-threaded process forks: a fork copies just the calling
-    thread, so a lock another thread holds would stay locked in the worker.
+    _slices cuts at least one slice per worker, so with at most one worker
+    per replicate no slice is empty.  Only a single-threaded process forks:
+    a fork copies just the calling thread, so a lock another thread holds
+    would stay locked in the worker.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
@@ -133,13 +137,26 @@ def _cell(cfg: EnsembleConfig, params: ModelParams) -> _Cell:
 
 
 @dataclass(frozen=True)
-class _Paths:
-    """Per-replicate results of a batch; the leading axes are (cells, replicates)."""
+class _Sums:
+    """An ensemble batch's statistics, summed over its finite replicates in index order."""
 
-    sq: np.ndarray            # (recorded steps, cells, replicates): |x|^2
-    first_exceed: np.ndarray  # first recorded step by which |x| exceeded epsilon1, else -1
-    negative: np.ndarray      # a population went below zero at some step
-    nonfinite: np.ndarray     # the state overflowed; excluded from every statistic
+    sq: np.ndarray      # (cells, recorded steps): sum of |x|^2
+    exceed: np.ndarray  # (cells, recorded steps): replicates whose |x| first exceeded epsilon1 there
+    counts: np.ndarray  # (cells, 3): included, negative (a population went below zero) and non-finite
+
+
+# Exit status of a worker that stopped because the ring broke before it: the
+# member that broke it reports its own status.
+_RING_BROKEN = 75
+
+
+class _RingBroken(Exception):
+    """A member of the ring died, so the token will not come."""
+
+
+def _slices(replicates: int, workers: int) -> int:
+    """How many slices an ensemble is cut into: slices of at most _em.BLOCK replicates, and one per worker at least."""
+    return max(workers, -(-replicates // _em.BLOCK))
 
 
 def _euler_maruyama(
@@ -147,127 +164,143 @@ def _euler_maruyama(
     replicates: int,
     master_seed: int,
     dt: float,
-    n_steps: int,
     rec: Sequence[int],
-) -> _Paths:
-    """Euler-Maruyama paths of every cell's replicates, driven by shared increments.
+) -> _Sums:
+    """Euler-Maruyama ensembles of every cell, driven by shared increments, folded into sums.
 
-    The replicates are split into one contiguous range per worker
-    (_worker_count).  This process integrates the first range; a forked
-    worker integrates each other one and writes its slice of the results
-    into anonymous shared memory.  Each replicate's numbers depend on its
-    own streams only (see _shard), so no result depends on the number of
-    workers.  A worker that fails raises RuntimeError here, after every
-    worker has been reaped.  Workers are forked rather than spawned: they
-    start with the batch and the compiled kernel, which is built or loaded
-    here first, already in memory instead of importing numpy and this
-    package again (about 0.2 s each).
+    The replicates are cut into S slices (_slices), slice s being
+    replicates R*s//S to R*(s+1)//S - 1, and worker w of W (_worker_count;
+    this process is worker 0) integrates slices w, w + W, ... into its own
+    slice buffer.  Each replicate's numbers depend on its own streams only
+    (see _shard), so no result depends on the number of workers.  A token
+    passes round a ring of pipes, worker w reading from pipe w and writing
+    to pipe w + 1 mod W: once it holds the token after slice s - 1, a
+    worker folds slice s into the sums and passes the token on.  So the
+    sums add every replicate in index order, and the memory is the sums and
+    one slice buffer per process, whatever the replicate count.  Each
+    process closes the pipe ends it does not use, so a worker that dies
+    breaks the ring: the next member reads end-of-file and stops, and so on
+    round the ring.  A worker that fails raises RuntimeError here, after
+    every worker has been reaped.  Workers are forked rather than spawned:
+    they start with the batch and the compiled kernel, which is built or
+    loaded here first, already in memory instead of importing numpy and
+    this package again (about 0.2 s each).
     """
     _em.library()
     workers = _worker_count(replicates)
-    shape = (len(cells), replicates)
-    empty = np.empty if workers == 1 else _shared_empty
-    out = _Paths(empty((len(rec), *shape)), empty(shape, np.int64), empty(shape, bool), empty(shape, bool))
-    bounds = [replicates * w // workers for w in range(workers + 1)]
-    args = (cells, master_seed, dt, n_steps, rec, out)
-    pids = []
+    slices = _slices(replicates, workers)
+    shape = (len(cells), len(rec))
+    zeros = np.zeros if workers == 1 else _shared_zeros
+    sums = _Sums(zeros(shape), zeros(shape, np.int64), zeros((len(cells), 3), np.int64))
+    ring, open_fds, pids = [], set(), []
+
+    def member(w: int) -> None:
+        """Integrate and fold worker w's slices, holding only its own ends of the ring.
+
+        It also holds the read end of the pipe it writes to, so a write
+        never fails: a member learns that the ring broke by reading
+        end-of-file, once the member before it is gone.
+        """
+        ends = {ring[w][0], *ring[(w + 1) % workers]}
+        for fd in open_fds - ends:
+            os.close(fd)
+        open_fds.intersection_update(ends)
+        buffer = _em.Slice(cells, master_seed, dt, rec)
+        for s in range(w, slices, workers):
+            _shard(replicates * s // slices, replicates * (s + 1) // slices, buffer)
+            if not os.read(ring[w][0], 1):
+                raise _RingBroken
+            buffer.fold(sums.sq, sums.exceed, sums.counts)
+            if s + 1 < slices:
+                os.write(ring[(w + 1) % workers][1], b"t")
+
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        for _ in range(workers):
+            ring.append(os.pipe())
+            open_fds.update(ring[-1])
+        os.write(ring[0][1], b"t")  # slice 0 waits for nothing
+        for w in range(1, workers):
             pid = os.fork()
             if pid == 0:  # worker: integrate, then leave without the parent's cleanup
                 status = 1
                 try:
-                    _shard(lo, hi, *args)
+                    member(w)
                     status = 0
+                except _RingBroken:
+                    status = _RING_BROKEN
                 except BaseException:
                     traceback.print_exc()
                     sys.stderr.flush()
                 finally:
                     os._exit(status)
             pids.append(pid)
-        _shard(bounds[0], bounds[1], *args)
+        try:
+            member(0)
+        except _RingBroken:
+            pass  # a worker died: its status is reported below
     except BaseException:
         for pid in pids:  # their results would be discarded
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        for fd in open_fds:  # so that no worker waits on this process
+            os.close(fd)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for code, lo, hi in zip(codes, bounds[1:-1], bounds[2:]):
-        if code:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise RuntimeError(f"the worker integrating replicates {lo}..{hi - 1} {how}")
-    return out
+    failed = [(code, w) for w, code in enumerate(codes, 1) if code]
+    if failed:
+        code, w = min(failed, key=lambda failure: failure[0] == _RING_BROKEN)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        spans = [f"{replicates * s // slices}..{replicates * (s + 1) // slices - 1}"
+                 for s in range(w, slices, workers)]
+        raise RuntimeError(f"the worker integrating replicates {', '.join(spans[:3])}"
+                           f"{', ...' if len(spans) > 3 else ''} {how}")
+    return sums
 
 
-def _shared_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """An uninitialised array in anonymous shared memory, which forked workers write into."""
+def _shared_zeros(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """A zeroed array in anonymous shared memory, which forked workers write into."""
     dtype = np.dtype(dtype)
     count = math.prod(shape)
     return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
 
 
-def _shard(
-    lo: int,
-    hi: int,
-    cells: Sequence[_Cell],
-    master_seed: int,
-    dt: float,
-    n_steps: int,
-    rec: Sequence[int],
-    out: _Paths,
-) -> None:
-    """Integrate replicates lo..hi-1 of every cell and write their slice of `out`.
+def _shard(lo: int, hi: int, buffer: _em.Slice) -> None:
+    """Integrate replicates lo..hi-1 of every cell of the buffer's batch into it.
 
     One call of the compiled kernel (_em.c) steps the whole horizon.
     Replicate k of every cell draws from the streams keyed (master_seed, k,
     coordinate), once per step for all cells, so a batch draws its
     increments once.  The step is simulator._drift's arithmetic in its
-    evaluation order, so no result depends on the batch, the chunk or the
-    range.
+    evaluation order, so no result depends on the batch or the slice.
 
     Only the running maximum of |x|^2 and the running minimum of each
-    deviation are kept per step.  Exceedance is resolved at the steps in
-    `rec`, which is all the cumulative exceedance curve needs, and
-    negativity from the minima (p* + x is monotone in x).  A non-finite
-    state stays non-finite, so divergence is detected, and the state
-    frozen at 0, once per simulator._CHUNK_STEPS steps.
+    deviation are kept per step.  Exceedance is resolved at the recorded
+    steps, which is all the cumulative exceedance curve needs, and
+    negativity from the minima (p* + x is monotone).  A non-finite state
+    stays non-finite, so divergence is detected, and the state frozen at 0,
+    at the step where it is first seen.
     """
-    _em.Stepper(cells, master_seed, lo, hi - lo, dt).ensemble(
-        n_steps, simulator._CHUNK_STEPS, np.asarray(rec, dtype=np.int64), out.sq[:, :, lo:hi],
-        out.first_exceed[:, lo:hi], out.nonfinite[:, lo:hi], out.negative[:, lo:hi])
+    buffer.step(lo, hi - lo)
 
 
-def _reduce(paths: _Paths, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
-    """Statistics of one cell over its finite replicates, summed in replicate-index order."""
-    sq = paths.sq[:, cell]
-    nonfinite = paths.nonfinite[cell]
-    included = ~nonfinite
-    n = len(included)
-    n_included = int(included.sum())
+def _reduce(sums: _Sums, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
+    """Statistics of one cell over its finite replicates, from sums added in replicate-index order."""
+    n_included, n_negative, n_nonfinite = (int(count) for count in sums.counts[cell])
     if n_included == 0:
         raise EnsembleError("all replicates became non-finite; no statistics available")
-
-    # replicate-index-order accumulation keeps the reduction bitwise stable
-    msd = _em.sum_included(sq, nonfinite)
-    msd /= n_included
-
-    rec_arr = np.asarray(rec, dtype=np.int64)
-    fe = paths.first_exceed[cell][included]
-    exceeded = fe >= 0
-    # replicates that had exceeded by each recorded step, counted in one sorted pass
-    cum = np.searchsorted(np.sort(fe[exceeded]), rec_arr, side="right") / n_included
-
-    n_exceed = int(np.count_nonzero(exceeded))
+    # replicates that had exceeded by each recorded step
+    exceeded = np.cumsum(sums.exceed[cell])
+    n_exceed = int(exceeded[-1])
     return EnsembleStats(
-        times=rec_arr * dt,
-        mean_sq_dev=msd,
-        exceed_fraction_cum=cum,
+        times=np.asarray(rec, dtype=np.int64) * dt,
+        mean_sq_dev=sums.sq[cell] / n_included,
+        exceed_fraction_cum=exceeded / n_included,
         exceed_fraction=n_exceed / n_included,
-        n_replicates=n,
+        n_replicates=n_included + n_nonfinite,
         n_included=n_included,
         n_exceed=n_exceed,
-        n_negative=int(np.count_nonzero(paths.negative[cell] & included)),
-        n_nonfinite=int(np.count_nonzero(nonfinite)),
+        n_negative=n_negative,
+        n_nonfinite=n_nonfinite,
     )
 
 
@@ -280,11 +313,10 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     case of the batched kernel that sweep uses.
     """
     cell = _cell(cfg, params)
-    # a float64 |x|^2 per replicate and row, and each replicate's streams and kernel state
-    n_steps = _recording(cfg.sim, cfg.replicates * 8, cfg.replicates)
+    n_steps = _recording(cfg.sim, *_ensemble_bytes(1, _worker_count(cfg.replicates)))
     rec = recorded_steps(n_steps, cfg.sim.record_stride)
-    paths = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, n_steps, rec)
-    return _reduce(paths, 0, rec, cfg.sim.dt)
+    sums = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, rec)
+    return _reduce(sums, 0, rec, cfg.sim.dt)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -427,14 +459,13 @@ def sweep(
                 rows.append(None)
 
     if pending:
-        _check_recorded_bytes(1, len(pending) * template.replicates * 8, template.replicates, len(pending))
-        n_steps = step_count(template.sim)
-        final = [n_steps]  # a row holds only the final mean squared deviation
-        paths = _euler_maruyama([cell for _, _, cell in pending], template.replicates,
-                                template.master_seed, template.sim.dt, n_steps, final)
+        _check_recorded_bytes(1, *_ensemble_bytes(len(pending), _worker_count(template.replicates)))
+        final = [step_count(template.sim)]  # a row holds only the final mean squared deviation
+        sums = _euler_maruyama([cell for _, _, cell in pending], template.replicates,
+                               template.master_seed, template.sim.dt, final)
         for j, (i, base, _) in enumerate(pending):
             try:
-                stats = _reduce(paths, j, final, template.sim.dt)
+                stats = _reduce(sums, j, final, template.sim.dt)
             except EnsembleError as exc:
                 rows[i] = SweepRow(**dict(base, verdict="error"), error=str(exc))
                 continue

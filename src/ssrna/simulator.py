@@ -55,16 +55,17 @@ MAX_STEPS = 2**63 - 1
 # A recorded path row: t, p and m as float64.
 _PATH_ROW_BYTES = 3 * 8
 
-# Steps per chunk of the compiled ensemble kernel: it freezes non-finite
-# states at the end of every chunk.  Read at call time.
-_CHUNK_STEPS = 512
-
-# What the kernel holds per replicate: two Philox streams of 11 words each
-# (_em.c's stream_t), and per cell five float64 state values plus the
-# first_exceed (8 B), negative and nonfinite (1 B each) results.
+# What an ensemble or sweep holds, whatever its replicate count: per cell
+# and recorded row, a float64 sum of |x|^2 and an int64 count of first
+# exceedances, shared by its processes; and in each process one slice
+# buffer of _em.BLOCK replicates, each with two Philox streams of 11 words
+# (_em.c's stream_t) and per cell a float64 |x|^2 per recorded row, five
+# float64 state values and its first exceedance (8 B), negative and
+# nonfinite (1 B each) results.
+_SUM_ROW_BYTES = 16
 _STREAM_WORDS = 11
-_REPLICATE_BYTES = 2 * _STREAM_WORDS * 8
-_CELL_REPLICATE_BYTES = 5 * 8 + 10
+_SLICE_REPLICATE_BYTES = 2 * _STREAM_WORDS * 8
+_SLICE_CELL_BYTES = 5 * 8 + 10
 
 
 class Scheme(Enum):
@@ -139,19 +140,17 @@ def recorded_steps(n_steps: int, stride: int) -> list[int]:
     return steps
 
 
-def _check_recorded_bytes(rows: int, row_bytes: int, replicates: int = 0, cells: int = 1) -> None:
-    """Refuse a run whose recorded results (rows x row_bytes) exceed physical memory.
+def _check_recorded_bytes(rows: int, row_bytes: int, other_bytes: int = 0) -> None:
+    """Refuse a run whose recorded results (rows x row_bytes, plus other_bytes) exceed physical memory.
 
-    The kernel's streams, state and per-replicate results for the
-    replicates of an ensemble or sweep of `cells` cells count too.  Runs
-    before anything is sized from the step or replicate count, so a run
-    that cannot fit is invalid input that states its size, not an
-    OverflowError or MemoryError from inside an allocation.
+    Runs before anything is sized from the step count, so a run that
+    cannot fit is invalid input that states its size, not an OverflowError
+    or MemoryError from inside an allocation.
     """
     if not hasattr(os, "sysconf"):
         return
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    size = rows * row_bytes + replicates * (_REPLICATE_BYTES + cells * _CELL_REPLICATE_BYTES)
+    size = rows * row_bytes + other_bytes
     if size > memory:
         from decimal import Decimal  # formats an int of any size; imported only for this message
 
@@ -161,11 +160,18 @@ def _check_recorded_bytes(rows: int, row_bytes: int, replicates: int = 0, cells:
         )
 
 
-def _recording(cfg: SimConfig, row_bytes: int, replicates: int = 0) -> int:
+def _ensemble_bytes(cells: int, workers: int) -> tuple[int, int]:
+    """(bytes per recorded row, other bytes) of an ensemble or sweep of `cells` cells in `workers` processes."""
+    slices = workers * _em.BLOCK
+    return (cells * (_SUM_ROW_BYTES + slices * 8),
+            slices * (_SLICE_REPLICATE_BYTES + cells * _SLICE_CELL_BYTES))
+
+
+def _recording(cfg: SimConfig, row_bytes: int, other_bytes: int = 0) -> int:
     """Step count of cfg, once its recorded rows are known to fit."""
     n = step_count(cfg)
     rows = -(-n // cfg.record_stride) + 1  # len(recorded_steps(...)), without building the list
-    _check_recorded_bytes(rows, row_bytes, replicates)
+    _check_recorded_bytes(rows, row_bytes, other_bytes)
     return n
 
 
@@ -342,7 +348,7 @@ def integrate_sde(
     x1 = float(cfg.initial[0]) - ps
     x2 = float(cfg.initial[1]) - ms
     cell = _Cell(_drift_coefficients(params, anchor), noise.omega1, noise.omega2, ps, ms, x1, x2, math.inf)
-    _em.Stepper([cell], cfg.seed, replicate, 1, cfg.dt).path(path, dW)
+    _em.path(cell, cfg.seed, replicate, path, dW)
     return _trajectory(path, Scheme.EULER_MARUYAMA, "noise or step too large?")
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from ssrna import (
     integrate_sde,
     montecarlo,
     positive_equilibrium,
+    simulator,
     validate_params,
 )
 from ssrna import _em, cli
@@ -477,17 +479,50 @@ def test_sweep_json_format(tmp_path):
 # ---------------------------------------------------------------------------
 # runs too large to record
 
-@pytest.mark.parametrize("command, make", [
-    ("simulate", lambda: simulate_config(t_end=1e300, dt=0.5)),
-    ("simulate", lambda: simulate_config(t_end=1e10, dt=5e-324)),
-    ("ensemble", lambda: ensemble_config(replicates=10**20)),
-    ("sweep", lambda: sweep_config(noise_grid={"omega1": [0.0, 0.1]}, replicates=10**20)),
+# an ensemble holds nothing per replicate, so a replicate count is bounded by
+# its stream keys (2k + coordinate in 64 bits), not by memory
+@pytest.mark.parametrize("command, make, reason", [
+    ("simulate", lambda: simulate_config(t_end=1e300, dt=0.5), "t_end / dt"),
+    ("simulate", lambda: simulate_config(t_end=1e10, dt=5e-324), "t_end / dt"),
+    ("ensemble", lambda: ensemble_config(replicates=10**20), "replicates must be an integer from 1 to 2**63"),
+    ("sweep", lambda: sweep_config(noise_grid={"omega1": [0.0, 0.1]}, replicates=10**20),
+     "replicates must be an integer from 1 to 2**63"),
 ], ids=["path-steps", "steps-overflow-a-float", "ensemble-replicates", "sweep-replicates"])
-def test_run_too_large_to_record_exits_2(tmp_path, capsys, command, make):
+def test_run_too_large_to_record_exits_2(tmp_path, capsys, command, make, reason):
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, make()), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and ("bytes" in err or "t_end / dt" in err)
+    assert err.startswith("error:") and reason in err
+    assert not out.exists()
+
+
+class Admitted(Exception):
+    """Raised in place of the ensemble's integration, once its size was checked."""
+
+
+def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monkeypatch):
+    # 4 MiB of memory and two workers
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
+    use_workers(monkeypatch, 2)
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(montecarlo, "_euler_maruyama", admitted)
+    sim = {"dt": 0.5, "t_end": 1000.0, "initial": {"displace_fraction": 0.01}, "record_stride": 1}
+    # 20000 replicates x 2001 rows of |x|^2 would be 320 MB; the sums and
+    # the two slice buffers take 2.1 MB
+    cfg = ensemble_config(replicates=20000, sim=sim)
+    with pytest.raises(Admitted):
+        main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    # 5001 rows: a float64 sum and an int64 count per row, and in each slice
+    # buffer 64 replicates' |x|^2 per row and their streams, state and results
+    cfg = ensemble_config(replicates=2, sim=dict(sim, t_end=2500.0))
+    size = 5001 * (16 + 2 * 64 * 8) + 2 * 64 * (2 * 88 + 5 * 8 + 10)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"would record {Decimal(size):.3g} bytes, more than the 4194304 bytes" in capsys.readouterr().err
     assert not out.exists()
 
 

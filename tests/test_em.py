@@ -11,7 +11,6 @@ from ssrna import (
     SimConfig,
     State,
     integrate_sde,
-    montecarlo,
     origin_equilibrium,
     simulator,
     validate_params,
@@ -38,6 +37,10 @@ def raw_words(stream: np.ndarray, n: int) -> np.ndarray:
 
 def test_stream_size_is_what_the_memory_check_counts():
     assert _em.library().em_stream_words() == simulator._STREAM_WORDS
+
+
+def test_slice_size_is_the_kernels_block():
+    assert _em.library().em_block() == _em.BLOCK
 
 
 @pytest.mark.parametrize("key", [(0, 0), (0, U64_MAX), (U64_MAX, 0), (U64_MAX, U64_MAX), (20240706, 7)])
@@ -75,44 +78,19 @@ def test_kernel_draws_equal_brownian_increments_into_the_ziggurat_tail():
     assert drawn.states.min() > 10.0  # no increment was lost in rounding
 
 
-def test_chunk_is_read_at_call_time(monkeypatch):
-    # a replicate is frozen at 0 at the end of the chunk in which it
-    # diverged, so the chunk shows in the raw |x|^2 of diverged replicates
-    # and nowhere else
+def test_single_path_is_stepped_in_one_call(monkeypatch):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0))
-    cfg = montecarlo.EnsembleConfig(replicates=16, sim=sim, noise=NoiseSpec(3.5, 0.5),
-                                    anchor=origin_equilibrium(), epsilon1=450.0, master_seed=4242)
-    cell = montecarlo._cell(cfg, p)
-    rec = list(range(28))
-    runs = {}
-    for chunk in (8, 512):
-        monkeypatch.setattr(simulator, "_CHUNK_STEPS", chunk)
-        runs[chunk] = montecarlo._euler_maruyama([cell], 16, 4242, 0.25, 27, rec)
-    small, large = runs[8], runs[512]
-    dead = small.nonfinite[0]
-    assert dead.any() and np.array_equal(dead, large.nonfinite[0])
-    for field in ("first_exceed", "negative"):
-        assert np.array_equal(getattr(small, field)[:, ~dead], getattr(large, field)[:, ~dead])
-    assert np.array_equal(small.sq[:, :, ~dead], large.sq[:, :, ~dead])
-    assert (small.sq[-1, 0, dead] == 0.0).any()
-    assert not np.isfinite(large.sq[-1, 0, dead]).any()
+    calls, path = [], _em.path
 
-    # a single path is stepped and recorded in one call, whatever the chunk
-    calls, path = [], _em.Stepper.path
-
-    def counted(self, recorder, *args):
+    def counted(cell, seed, replicate, recorder, *args):
         calls.append(recorder.n)
-        return path(self, recorder, *args)
+        return path(cell, seed, replicate, recorder, *args)
 
-    monkeypatch.setattr(_em.Stepper, "path", counted)
-    paths = []
-    for chunk in (8, 512):
-        monkeypatch.setattr(simulator, "_CHUNK_STEPS", chunk)
-        traj = integrate_sde(p, NoiseSpec(0.1, 0.1), origin_equilibrium(), sim)
-        paths.append((traj.times.tolist(), traj.states.tolist(), traj.exited_omega))
-    assert calls == [27, 27]
-    assert paths[0] == paths[1]
+    monkeypatch.setattr(_em, "path", counted)
+    traj = integrate_sde(p, NoiseSpec(0.1, 0.1), origin_equilibrium(), sim)
+    assert calls == [27]
+    assert len(traj.times) == 28
 
 
 EM_CONFIG = {

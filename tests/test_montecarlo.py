@@ -29,7 +29,7 @@ from ssrna import (
     validate_params,
     wilson_interval,
 )
-from ssrna import montecarlo, simulator
+from ssrna import _em, montecarlo, simulator
 from ssrna.montecarlo import anchor_scale, displaced_initial, write_ensemble_csv, write_sweep_csv
 from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
@@ -241,6 +241,42 @@ def test_workers_reaped_when_parent_shard_raises(tumv, monkeypatch):
         os.waitpid(forked[0], os.WNOHANG)
 
 
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("workers, replicates, spans", [
+    (2, 300, "60..119, 180..239"),  # the parent waits on the dead worker
+    (3, 400, "57..113, 228..284"),  # so does the next worker, which then stops
+])
+def test_worker_dying_on_a_later_slice_breaks_the_ring(tumv, monkeypatch, workers, replicates, spans):
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    parent, real, stepped = os.getpid(), montecarlo._shard, []
+    worker_1 = replicates // montecarlo._slices(replicates, workers)  # where its first slice starts
+
+    def shard(lo, *args):
+        if os.getpid() != parent:
+            stepped.append(lo)
+            if stepped[0] == worker_1 and len(stepped) == 2:
+                os._exit(7)
+        real(lo, *args)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(montecarlo, "_shard", shard)
+    use_workers(monkeypatch, workers)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=replicates, t_end=40.0)
+    with pytest.raises(RuntimeError, match=f"^the worker integrating replicates {spans} exited with status 7$"):
+        run_ensemble(cfg, tumv)
+    assert len(forked) == workers - 1
+    for pid in forked:
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_ensemble_monotone_under_noise_load(tumv):
     # common random numbers: shared streams make the comparison tight
     eq = positive_equilibrium(tumv)
@@ -348,9 +384,8 @@ def _reference_path(params, cfg, k, n, rec):
 
 
 @pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
-@pytest.mark.parametrize("n_steps", [5, 8, 9, 27])  # below, at, just past and several chunks of 8
-def test_chunked_ensemble_equals_one_shot_increments(monkeypatch, n_steps, noise):
-    monkeypatch.setattr(simulator, "_CHUNK_STEPS", 8)
+@pytest.mark.parametrize("n_steps", [5, 8, 9, 27])
+def test_chunked_ensemble_equals_one_shot_increments(n_steps, noise):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * n_steps, initial=State(300.0, 300.0), record_stride=3)
     cfg = EnsembleConfig(replicates=16, sim=sim, noise=noise, anchor=origin_equilibrium(),
@@ -396,20 +431,80 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv, monkeypatch):
     lambda cfg, params: run_ensemble(cfg, params),
 ], ids=["sweep", "ensemble"])
 def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
-    # 20000 replicates record 160 kB of final |x|^2, but the kernel also
-    # holds two 88-byte Philox streams, five state doubles and 10 bytes of
-    # results per replicate: 4.7 MB in all, more than the 4 MiB this
-    # machine is made to have
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    # there is no increment buffer, and nothing per replicate: each process
+    # holds a slice buffer of 64 replicates, whose Philox streams, state and
+    # results for one cell take 15 kB, so two workers need more than the
+    # 16 KiB this machine is made to have, however few the replicates
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4}
     monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
+    use_workers(monkeypatch, 2)
 
     def allocate(*args, **kwargs):
         pytest.fail("the batch was allocated before its size was checked")
 
     monkeypatch.setattr(montecarlo, "_euler_maruyama", allocate)
-    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=20000, t_end=10.0, record_stride=10**6)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=2, t_end=10.0, record_stride=10**6)
     with pytest.raises(ParameterError, match="bytes"):
         run(cfg, tumv)
+
+
+def sum_included(sq, nonfinite):
+    """Per row of sq (rows, replicates), the sum over replicates not flagged nonfinite.
+
+    The reduction the ensemble kernel once ran over every replicate's |x|^2
+    (em_sum_included): it adds in replicate-index order from 0.0.
+    """
+    out = np.empty(len(sq))
+    for i, row in enumerate(sq):
+        acc = 0.0
+        for x, bad in zip(row.tolist(), nonfinite.tolist()):
+            if not bad:
+                acc += x
+        out[i] = acc
+    return out
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ordered_fold_over_many_slices(monkeypatch, workers):
+    # 300 replicates make 5 slices: at 2 and 3 workers the token goes round
+    # the ring more than once, and replicates diverge in the middle slices
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0))
+    cfg = EnsembleConfig(replicates=300, sim=sim, noise=NoiseSpec(3.5, 0.5), anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=4242)
+    use_workers(monkeypatch, workers)
+    stats = run_ensemble(cfg, p)
+
+    msd, cum, n_negative, n_nonfinite = reference_ensemble(p, cfg)
+    assert np.array_equal(stats.mean_sq_dev, msd)
+    assert np.array_equal(stats.exceed_fraction_cum, cum)
+    assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite)
+
+    # every replicate's |x|^2 and flags, one slice at a time, summed as the
+    # kernel once did over the whole matrix
+    assert montecarlo._slices(300, workers) == 5
+    rec = recorded_steps(27, 1)
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
+    sq, first, nonfinite, negative = [], [], [], []
+    for s in range(5):
+        lo, hi = 300 * s // 5, 300 * (s + 1) // 5
+        buffer.step(lo, hi - lo)
+        sq.append(buffer.sq[:, 0, :hi - lo].copy())
+        first += buffer.first_exceed[0, :hi - lo].tolist()
+        nonfinite += buffer.nonfinite[0, :hi - lo].tolist()
+        negative += buffer.negative[0, :hi - lo].tolist()
+    sq, nonfinite = np.concatenate(sq, axis=1), np.array(nonfinite)
+    assert all(0 < nonfinite[60 * s:60 * (s + 1)].sum() < 60 for s in (1, 2, 3))
+    n_included = 300 - int(nonfinite.sum())
+    assert np.array_equal(stats.mean_sq_dev, sum_included(sq, nonfinite) / n_included)
+    # the order shows in the bits: added backwards, some row differs
+    assert not np.array_equal(sum_included(sq[:, ::-1], nonfinite[::-1]), sum_included(sq, nonfinite))
+    exceeded = [sum(0 <= f <= i for f, bad in zip(first, nonfinite) if not bad) for i in range(len(rec))]
+    assert np.array_equal(stats.exceed_fraction_cum, np.array(exceeded) / n_included)
+    assert 0 < stats.n_exceed < n_included
+    assert stats.n_negative == sum(neg and not bad for neg, bad in zip(negative, nonfinite))
+    assert (stats.n_replicates, stats.n_included, stats.n_nonfinite) == (300, n_included, 300 - n_included)
 
 
 def test_wilson_reference_values():
@@ -535,10 +630,9 @@ def test_sweep_common_random_numbers(tumv):
     assert rows_a[0] == rows_b[0]
 
 
-def test_sweep_rows_equal_standalone_ensembles(tumv, monkeypatch):
+def test_sweep_rows_equal_standalone_ensembles(tumv):
     # batching cells, sharing their increments and recording only the final
-    # step must not change a row; small chunks put 300 steps in five of them
-    monkeypatch.setattr(simulator, "_CHUNK_STEPS", 64)
+    # step must not change a row
     eq = positive_equilibrium(tumv)
     sim = SimConfig(dt=0.5, t_end=150.0, initial=displaced_initial(eq, 0.01, tumv.K),
                     record_stride=8)

@@ -412,9 +412,8 @@ def path_or_failure(*args, **kwargs):
 
 
 @pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
-@pytest.mark.parametrize("n_steps", [5, 8, 9, 27])  # below, at, just past and several chunks of 8
-def test_chunked_path_equals_one_shot_increments(monkeypatch, n_steps, noise):
-    monkeypatch.setattr(simulator, "_CHUNK_STEPS", 8)
+@pytest.mark.parametrize("n_steps", [5, 8, 9, 27])
+def test_chunked_path_equals_one_shot_increments(n_steps, noise):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     eq = origin_equilibrium()
     cfg = SimConfig(dt=0.25, t_end=0.25 * n_steps, initial=State(300.0, 300.0), seed=4242)
