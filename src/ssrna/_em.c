@@ -199,6 +199,9 @@ void rk4_path(const double *model, double p, double m, path_t *path)
  *         first seen; negative is set at the end from the running minima
  *         (p* + x is monotone).  sq NULL skips these outputs.
  * dW:     NULL to draw the increments, else steps x 2 imposed ones (n = 1).
+ *         Replicate first + j draws from its own two streams once per step,
+ *         for every cell at once, so a batch of cells draws its increments
+ *         once, and no number depends on the batch or the slice it is in.
  * path:   NULL, or the recorder of a single path (n = 1, one cell), which
  *         takes the start state and the state after each step, and stops
  *         the call at the first non-finite one.

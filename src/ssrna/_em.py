@@ -151,7 +151,7 @@ def _cell_words(cells) -> np.ndarray:
 
 
 class Slice:
-    """One process's buffer for a slice of at most BLOCK replicates of a batch of cells.
+    """One thread's buffer for a slice of at most BLOCK replicates of a batch of cells.
 
     cells are simulator._Cell tuples, seed keys the streams, and rec holds
     the recorded steps, the last of which ends the horizon of dt steps.

@@ -12,12 +12,9 @@ reported, since silently dropping them would bias the estimates.
 from __future__ import annotations
 
 import math
-import mmap
 import os
-import signal
 import sys
 import threading
-import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import product
@@ -109,14 +106,12 @@ class EnsembleStats:
 
 
 def _worker_count(replicates: int) -> int:
-    """Processes an ensemble runs in: one per CPU this process may use, at most one per slice.
+    """Threads an ensemble runs in: one per CPU this process may use, at most one per replicate.
 
     _slices cuts at least one slice per worker, so with at most one worker
-    per replicate no slice is empty.  Only a single-threaded process forks:
-    a fork copies just the calling thread, so a lock another thread holds
-    would stay locked in the worker.
+    per replicate no slice is empty.
     """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+    if not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), replicates)
 
@@ -145,15 +140,6 @@ class _Sums:
     counts: np.ndarray  # (cells, 3): included, negative (a population went below zero) and non-finite
 
 
-# Exit status of a worker that stopped because the ring broke before it: the
-# member that broke it reports its own status.
-_RING_BROKEN = 75
-
-
-class _RingBroken(Exception):
-    """A member of the ring died, so the token will not come."""
-
-
 def _slices(replicates: int, workers: int) -> int:
     """How many slices an ensemble is cut into: slices of at most _em.BLOCK replicates, and one per worker at least."""
     return max(workers, -(-replicates // _em.BLOCK))
@@ -169,118 +155,66 @@ def _euler_maruyama(
     """Euler-Maruyama ensembles of every cell, driven by shared increments, folded into sums.
 
     The replicates are cut into S slices (_slices), slice s being
-    replicates R*s//S to R*(s+1)//S - 1, and worker w of W (_worker_count;
-    this process is worker 0) integrates slices w, w + W, ... into its own
-    slice buffer.  Each replicate's numbers depend on its own streams only
-    (see _shard), so no result depends on the number of workers.  A token
-    passes round a ring of pipes, worker w reading from pipe w and writing
-    to pipe w + 1 mod W: once it holds the token after slice s - 1, a
-    worker folds slice s into the sums and passes the token on.  So the
-    sums add every replicate in index order, and the memory is the sums and
-    one slice buffer per process, whatever the replicate count.  Each
-    process closes the pipe ends it does not use, so a worker that dies
-    breaks the ring: the next member reads end-of-file and stops, and so on
-    round the ring.  A worker that fails raises RuntimeError here, after
-    every worker has been reaped.  Workers are forked rather than spawned:
-    they start with the batch and the compiled kernel, which is built or
-    loaded here first, already in memory instead of importing numpy and
-    this package again (about 0.2 s each).
+    replicates R*s//S to R*(s+1)//S - 1, and thread w of W (_worker_count;
+    this thread is thread 0) steps slices w, w + W, ... into its own slice
+    buffer.  Each replicate's numbers depend on its own streams only (see
+    em_run in _em.c), so no result depends on the number of threads.  A
+    thread folds slice s into the sums only once slice s - 1 has been
+    folded, so the sums add every replicate in index order, and the memory
+    is the sums and one slice buffer per thread, whatever the replicate
+    count.  The compiled kernel runs without the interpreter lock, so the
+    threads step in parallel.  The first exception raised in any thread
+    stops the others before their next fold, and is raised here once every
+    thread has been joined.
     """
-    _em.library()
+    _em.library()  # built or loaded before any thread asks for it
     workers = _worker_count(replicates)
     slices = _slices(replicates, workers)
     shape = (len(cells), len(rec))
-    zeros = np.zeros if workers == 1 else _shared_zeros
-    sums = _Sums(zeros(shape), zeros(shape, np.int64), zeros((len(cells), 3), np.int64))
-    ring, open_fds, pids = [], set(), []
+    sums = _Sums(np.zeros(shape), np.zeros(shape, np.int64), np.zeros((len(cells), 3), np.int64))
+    turn = threading.Condition()
+    folded = 0    # slices folded into the sums so far
+    failed = []   # exceptions raised in any thread, in the order raised
 
-    def member(w: int) -> None:
-        """Integrate and fold worker w's slices, holding only its own ends of the ring.
+    def stop(exc: BaseException) -> None:
+        with turn:
+            failed.append(exc)
+            turn.notify_all()
 
-        It also holds the read end of the pipe it writes to, so a write
-        never fails: a member learns that the ring broke by reading
-        end-of-file, once the member before it is gone.
-        """
-        ends = {ring[w][0], *ring[(w + 1) % workers]}
-        for fd in open_fds - ends:
-            os.close(fd)
-        open_fds.intersection_update(ends)
-        buffer = _em.Slice(cells, master_seed, dt, rec)
-        for s in range(w, slices, workers):
-            _shard(replicates * s // slices, replicates * (s + 1) // slices, buffer)
-            if not os.read(ring[w][0], 1):
-                raise _RingBroken
-            buffer.fold(sums.sq, sums.exceed, sums.counts)
-            if s + 1 < slices:
-                os.write(ring[(w + 1) % workers][1], b"t")
-
-    try:
-        for _ in range(workers):
-            ring.append(os.pipe())
-            open_fds.update(ring[-1])
-        os.write(ring[0][1], b"t")  # slice 0 waits for nothing
-        for w in range(1, workers):
-            pid = os.fork()
-            if pid == 0:  # worker: integrate, then leave without the parent's cleanup
-                status = 1
-                try:
-                    member(w)
-                    status = 0
-                except _RingBroken:
-                    status = _RING_BROKEN
-                except BaseException:
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                finally:
-                    os._exit(status)
-            pids.append(pid)
+    def worker(w: int) -> None:
+        """Step thread w's slices into its own buffer and fold each in its turn."""
+        nonlocal folded
         try:
-            member(0)
-        except _RingBroken:
-            pass  # a worker died: its status is reported below
-    except BaseException:
-        for pid in pids:  # their results would be discarded
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for fd in open_fds:  # so that no worker waits on this process
-            os.close(fd)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    failed = [(code, w) for w, code in enumerate(codes, 1) if code]
+            buffer = _em.Slice(cells, master_seed, dt, rec)
+            for s in range(w, slices, workers):
+                lo = replicates * s // slices
+                buffer.step(lo, replicates * (s + 1) // slices - lo)
+                with turn:
+                    turn.wait_for(lambda: folded == s or failed)
+                    if failed:
+                        return
+                    buffer.fold(sums.sq, sums.exceed, sums.counts)
+                    folded += 1
+                    turn.notify_all()
+        except BaseException as exc:
+            stop(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=worker, args=(w,))
+            thread.start()
+            threads.append(thread)
+        worker(0)
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # a thread that would not start, or an interrupted join
+        stop(exc)
+        for thread in threads:
+            thread.join()
     if failed:
-        code, w = min(failed, key=lambda failure: failure[0] == _RING_BROKEN)
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        spans = [f"{replicates * s // slices}..{replicates * (s + 1) // slices - 1}"
-                 for s in range(w, slices, workers)]
-        raise RuntimeError(f"the worker integrating replicates {', '.join(spans[:3])}"
-                           f"{', ...' if len(spans) > 3 else ''} {how}")
+        raise failed[0]
     return sums
-
-
-def _shared_zeros(shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """A zeroed array in anonymous shared memory, which forked workers write into."""
-    dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
-
-
-def _shard(lo: int, hi: int, buffer: _em.Slice) -> None:
-    """Integrate replicates lo..hi-1 of every cell of the buffer's batch into it.
-
-    One call of the compiled kernel (_em.c) steps the whole horizon.
-    Replicate k of every cell draws from the streams keyed (master_seed, k,
-    coordinate), once per step for all cells, so a batch draws its
-    increments once.  The step is simulator._drift's arithmetic in its
-    evaluation order, so no result depends on the batch or the slice.
-
-    Only the running maximum of |x|^2 and the running minimum of each
-    deviation are kept per step.  Exceedance is resolved at the recorded
-    steps, which is all the cumulative exceedance curve needs, and
-    negativity from the minima (p* + x is monotone).  A non-finite state
-    stays non-finite, so divergence is detected, and the state frozen at 0,
-    at the step where it is first seen.
-    """
-    buffer.step(lo, hi - lo)
 
 
 def _reduce(sums: _Sums, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:

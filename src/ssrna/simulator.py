@@ -57,7 +57,7 @@ _PATH_ROW_BYTES = 3 * 8
 
 # What an ensemble or sweep holds, whatever its replicate count: per cell
 # and recorded row, a float64 sum of |x|^2 and an int64 count of first
-# exceedances, shared by its processes; and in each process one slice
+# exceedances, shared by its threads; and in each thread one slice
 # buffer of _em.BLOCK replicates, each with two Philox streams of 11 words
 # (_em.c's stream_t) and per cell a float64 |x|^2 per recorded row, five
 # float64 state values and its first exceedance (8 B), negative and
@@ -161,7 +161,7 @@ def _check_recorded_bytes(rows: int, row_bytes: int, other_bytes: int = 0) -> No
 
 
 def _ensemble_bytes(cells: int, workers: int) -> tuple[int, int]:
-    """(bytes per recorded row, other bytes) of an ensemble or sweep of `cells` cells in `workers` processes."""
+    """(bytes per recorded row, other bytes) of an ensemble or sweep of `cells` cells in `workers` threads."""
     slices = workers * _em.BLOCK
     return (cells * (_SUM_ROW_BYTES + slices * 8),
             slices * (_SLICE_REPLICATE_BYTES + cells * _SLICE_CELL_BYTES))

@@ -19,7 +19,7 @@ def tumv():
 
 
 def use_workers(monkeypatch, n):
-    """Run ensembles and sweeps in n processes, whatever the CPUs."""
+    """Run ensembles and sweeps in n threads, whatever the CPUs."""
     from ssrna import montecarlo
 
     monkeypatch.setattr(montecarlo, "_worker_count", lambda replicates: n)

@@ -188,7 +188,7 @@ def test_unusable_output_path_exits_2(tmp_path, capsys, monkeypatch, command, ou
 
 
 def test_os_error_outside_the_outputs_is_not_invalid_input(tmp_path, monkeypatch):
-    # e.g. a failed fork while integrating: a fault of the run, not of the config
+    # e.g. an OSError raised while integrating: a fault of the run, not of the config
     def fail(*args, **kwargs):
         raise BlockingIOError("Resource temporarily unavailable")
 
@@ -676,7 +676,7 @@ def mutated_configs(draw):
 def test_any_mutated_config_exits_0_2_or_3(command_and_cfg):
     command, cfg = command_and_cfg
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        use_workers(mp, 1)  # the worker-count tests cover forking; here it only costs time
+        use_workers(mp, 1)  # the worker-count tests cover threads; here they only cost time
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
         out = Path(tmp) / "out"

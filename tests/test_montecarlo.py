@@ -1,7 +1,7 @@
-import atexit
 import math
 import os
 import signal
+import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -129,44 +129,53 @@ def test_stochastic_decay_from_displaced_start(tumv):
     assert stats.exceed_fraction <= 0.05
 
 
+@pytest.mark.usefixtures("deadline")
 def test_ensemble_determinism_and_worker_independence(monkeypatch):
-    # 17 replicates split unevenly over 2 and 3 workers, on paths with
-    # excursions, negative populations and divergence
+    # 17 replicates split unevenly over 2 and 3 threads, and one per thread
+    # over 17, more than there are CPUs, with the interpreter switching
+    # threads as often as it can, on paths with excursions, negative
+    # populations and divergence
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
+    interval = sys.getswitchinterval()
     for noise, count in ((NoiseSpec(0.8, 0.8), "n_negative"), (NoiseSpec(3.5, 0.5), "n_nonfinite")):
         cfg = EnsembleConfig(replicates=17, sim=sim, noise=noise, anchor=origin_equilibrium(),
                              epsilon1=450.0, master_seed=4242)
         runs = []
-        for workers in (1, 1, 2, 3):
-            use_workers(monkeypatch, workers)
-            runs.append(run_ensemble(cfg, p))
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 1, 2, 3, 17):
+                use_workers(monkeypatch, workers)
+                runs.append(run_ensemble(cfg, p))
+        finally:
+            sys.setswitchinterval(interval)
         for other in runs[1:]:
             for f in fields(other):
                 assert np.array_equal(getattr(runs[0], f.name), getattr(other, f.name)), f.name
         assert 0 < getattr(runs[0], count) < 17
 
 
-def test_worker_count_follows_cpus_and_replicates():
+def test_worker_count_follows_cpus_and_replicates(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
-    assert montecarlo._worker_count(10**6) == cpus
     assert montecarlo._worker_count(1) == 1
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert montecarlo._worker_count(10**6) == 1  # no fork beside another thread
+        assert montecarlo._worker_count(10**6) == cpus  # a caller's own threads take no CPU away
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert montecarlo._worker_count(10**6) == 1
 
 
 @pytest.fixture
 def deadline():
-    """Fail, instead of hanging, if a wait on a worker never returns."""
+    """Fail, instead of hanging, if a wait on a thread never returns."""
     def expire(signum, frame):
-        raise TimeoutError("no result from the ensemble workers within 60 s")
+        raise TimeoutError("no result from the ensemble threads within 60 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
@@ -175,106 +184,72 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-def fail_shards(monkeypatch, where, failure):
-    """Two workers; `failure` runs in place of the shard of the "parent" or of the forked "worker"."""
-    use_workers(monkeypatch, 2)
-    parent, real = os.getpid(), montecarlo._shard
-
-    def shard(*args):
-        here = "parent" if os.getpid() == parent else "worker"
-        (failure if here == where else real)(*args)
-
-    monkeypatch.setattr(montecarlo, "_shard", shard)
+class Boom(Exception):
+    """Raised in place of stepping a slice."""
 
 
-def interrupted(*args):
-    raise KeyboardInterrupt  # what a worker must not hand back to a pytest session
+def fail_step(monkeypatch, fails):
+    """Step slices as usual, but raise Boom(first) where fails(first, in the main thread) holds.
 
+    first is the first replicate of the slice.
+    """
+    real = _em.Slice.step
 
-def exits_7(*args):
-    os._exit(7)
+    def step(self, first, n):
+        if fails(first, threading.current_thread() is threading.main_thread()):
+            raise Boom(first)
+        real(self, first, n)
 
-
-@pytest.mark.usefixtures("deadline")
-@pytest.mark.parametrize("failure, status", [(interrupted, 1), (exits_7, 7)], ids=["raises", "exits"])
-def test_failed_worker_raises_with_its_status(tumv, tmp_path, monkeypatch, failure, status):
-    carried_on = tmp_path / "carried-on"
-    parent = os.getpid()
-
-    def mark_if_forked():  # a worker that returned into pytest would get here on exit
-        if os.getpid() != parent:
-            carried_on.touch()
-
-    atexit.register(mark_if_forked)
-    try:
-        fail_shards(monkeypatch, "worker", failure)
-        cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
-        with pytest.raises(RuntimeError, match=f"replicates 3..6 exited with status {status}"):
-            run_ensemble(cfg, tumv)
-        with pytest.raises(RuntimeError, match=f"exited with status {status}"):  # not an error row
-            sweep(tumv, {}, {"omega1": [0.0, 0.1]}, small_sweep_template(tumv, replicates=4))
-    finally:
-        atexit.unregister(mark_if_forked)
-    assert not carried_on.exists()
+    monkeypatch.setattr(_em.Slice, "step", step)
 
 
 @pytest.mark.usefixtures("deadline")
-def test_workers_reaped_when_parent_shard_raises(tumv, monkeypatch):
-    forked, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def broken(*args):
-        raise ZeroDivisionError("bug")
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    fail_shards(monkeypatch, "parent", broken)
-    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
-    with pytest.raises(ZeroDivisionError):
-        run_ensemble(cfg, tumv)
-    assert len(forked) == 1
-    with pytest.raises(ChildProcessError):  # already reaped
-        os.waitpid(forked[0], os.WNOHANG)
-
-
-@pytest.mark.usefixtures("deadline")
-@pytest.mark.parametrize("workers, replicates, spans", [
-    (2, 300, "60..119, 180..239"),  # the parent waits on the dead worker
-    (3, 400, "57..113, 228..284"),  # so does the next worker, which then stops
+@pytest.mark.parametrize("workers, replicates, failing", [
+    (2, 7, 3),      # thread 1's first slice: slice 0 waits for nothing
+    (2, 300, 180),  # thread 1's second slice: the main thread waits on it
+    (3, 400, 228),  # thread 1's second slice: so does thread 2
 ])
-def test_worker_dying_on_a_later_slice_breaks_the_ring(tumv, monkeypatch, workers, replicates, spans):
-    forked, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    parent, real, stepped = os.getpid(), montecarlo._shard, []
-    worker_1 = replicates // montecarlo._slices(replicates, workers)  # where its first slice starts
-
-    def shard(lo, *args):
-        if os.getpid() != parent:
-            stepped.append(lo)
-            if stepped[0] == worker_1 and len(stepped) == 2:
-                os._exit(7)
-        real(lo, *args)
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(montecarlo, "_shard", shard)
+def test_failed_thread_raises_its_exception(tumv, monkeypatch, workers, replicates, failing):
+    before = threading.active_count()
     use_workers(monkeypatch, workers)
+    fail_step(monkeypatch, lambda first, main: first == failing and not main)
     cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=replicates, t_end=40.0)
-    with pytest.raises(RuntimeError, match=f"^the worker integrating replicates {spans} exited with status 7$"):
+    with pytest.raises(Boom, match=f"^{failing}$"):
         run_ensemble(cfg, tumv)
-    assert len(forked) == workers - 1
-    for pid in forked:
-        with pytest.raises(ChildProcessError):  # already reaped
-            os.waitpid(pid, os.WNOHANG)
+    assert threading.active_count() == before
+    with pytest.raises(Boom, match=f"^{failing}$"):  # not an error row
+        sweep(tumv, {}, {"omega1": [0.0, 0.1]}, small_sweep_template(tumv, replicates=replicates))
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("deadline")
+def test_other_threads_joined_when_main_thread_slice_raises(tumv, monkeypatch):
+    before = threading.active_count()
+    use_workers(monkeypatch, 3)
+    fail_step(monkeypatch, lambda first, main: main)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
+    with pytest.raises(Boom, match="^0$"):
+        run_ensemble(cfg, tumv)
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("deadline")
+def test_thread_that_cannot_start_stops_the_started_ones(tumv, monkeypatch):
+    before, starts, real_start = threading.active_count(), [], threading.Thread.start
+
+    def start(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    use_workers(monkeypatch, 4)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
+    with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        run_ensemble(cfg, tumv)
+    assert len(starts) == 2
+    assert threading.active_count() == before
 
 
 def test_ensemble_monotone_under_noise_load(tumv):
@@ -404,7 +379,7 @@ def test_chunked_ensemble_equals_one_shot_increments(n_steps, noise):
             assert stats.n_nonfinite > 0
 
 
-def test_ensemble_memory_does_not_grow_with_horizon(tumv, monkeypatch):
+def test_ensemble_memory_does_not_grow_with_horizon(tumv):
     eq = positive_equilibrium(tumv)
     sim = SimConfig(dt=0.5, t_end=10000.0, initial=displaced_initial(eq, 0.01, tumv.K),
                     record_stride=100)
@@ -413,8 +388,7 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv, monkeypatch):
     n = step_count(sim)
     assert n == 20000
     whole_horizon_buffers = 2 * cfg.replicates * n * 8  # both coordinates' increments at once
-    use_workers(monkeypatch, 1)  # tracemalloc sees neither shared memory nor workers
-    tracemalloc.start()
+    tracemalloc.start()  # it sees every thread's slice buffer
     try:
         run_ensemble(cfg, tumv)
         _, peak = tracemalloc.get_traced_memory()
@@ -467,8 +441,8 @@ def sum_included(sq, nonfinite):
 @pytest.mark.usefixtures("deadline")
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_ordered_fold_over_many_slices(monkeypatch, workers):
-    # 300 replicates make 5 slices: at 2 and 3 workers the token goes round
-    # the ring more than once, and replicates diverge in the middle slices
+    # 300 replicates make 5 slices: at 2 and 3 threads a thread folds more
+    # than one slice, each in its turn, and replicates diverge in the middle slices
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0))
     cfg = EnsembleConfig(replicates=300, sim=sim, noise=NoiseSpec(3.5, 0.5), anchor=origin_equilibrium(),
