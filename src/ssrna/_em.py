@@ -9,20 +9,23 @@ The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
 sampler of numpy.random.Generator.  It is cached under
 $XDG_CACHE_HOME/ssrna (default ~/.cache/ssrna) in a file named after the
-sha256 of the source, the compiler flags and the numpy version, so a
-changed source or numpy builds a new one.  Nothing is built or loaded at
-import.
+sha256 of the source, the compiler flags and the bytes of numpy's
+libnpyrandom.a and numpy/random/bitgen.h, so a changed source or sampler
+builds a new one.  Nothing is built or loaded at import, and numpy is
+never imported: its files are located with importlib, and the library's
+buffers are array.array objects.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import math
 import os
+import sys
+from array import array
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .errors import KernelError
 
@@ -75,16 +78,36 @@ def _cache_dir() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "ssrna"
 
 
+def _numpy_files() -> tuple[Path, Path]:
+    """numpy's C include directory (numpy.get_include()) and its libnpyrandom.a, found without importing numpy."""
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or spec.origin is None:
+        raise KernelError("cannot build the compiled library: numpy is not installed")
+    root = Path(spec.origin).parent
+    include = root / "_core" / "include"
+    if not include.is_dir():  # numpy 1
+        include = root / "core" / "include"
+    return include, root / "random" / "lib" / "libnpyrandom.a"
+
+
+def _library_path(include: Path, archive: Path) -> Path:
+    """Where the library built from the current source against numpy's include directory and archive is cached."""
+    parts = [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(),
+             (include / "numpy" / "random" / "bitgen.h").read_bytes(), archive.read_bytes()]
+    key = sha256(b"".join(sha256(part).digest() for part in parts))
+    return _cache_dir() / f"_em-{key.hexdigest()[:16]}.so"
+
+
 def _build() -> Path:
     """The cached library of the current source, compiled first if it is not there yet."""
-    source = _SOURCE.read_bytes()
-    key = sha256(b"\0".join([source, " ".join(_FLAGS).encode(), np.__version__.encode()]))
-    target = _cache_dir() / f"_em-{key.hexdigest()[:16]}.so"
+    include, archive = _numpy_files()
+    try:
+        target = _library_path(include, archive)
+    except OSError as exc:
+        raise KernelError(f"cannot build the compiled library: {exc}") from None
     if target.exists():
         return target
-    numpy_dir = Path(np.__file__).parent
-    command = [*_compiler(), *_FLAGS, "-I", np.get_include(), str(_SOURCE),
-               str(numpy_dir / "random" / "lib" / "libnpyrandom.a"), "-lm", "-o"]
+    command = [*_compiler(), *_FLAGS, "-I", str(include), str(_SOURCE), str(archive), "-lm", "-o"]
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         import subprocess  # only a build needs it
@@ -119,11 +142,41 @@ def library() -> ctypes.CDLL:
     return _lib
 
 
+def _zeros(typecode: str, n: int) -> array:
+    """An array of n zeros: 'd' float64, 'q' int64 or 'B' uint8 (a C bool)."""
+    return array(typecode, [0]) * n
+
+
+def _address(buffer: array) -> int:
+    """The address of buffer's first item: the caller keeps buffer referenced while C uses it."""
+    return buffer.buffer_info()[0]
+
+
+def is_ndarray(obj) -> bool:
+    """Whether obj is a numpy array, without importing numpy: if it is one, numpy is imported already."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
+
+
+def doubles(values) -> array:
+    """values as a float64 array('d'), in C order.
+
+    An array('d') is returned as it is, a numpy array is copied through its
+    bytes, and anything else is converted number by number.
+    """
+    if isinstance(values, array) and values.typecode == "d":
+        return values
+    if is_ndarray(values):
+        return array("d", values.astype("d", copy=False).tobytes())
+    return array("d", values)
+
+
 class Recorder(ctypes.Structure):
     """The recorder of a single path (_em.c's path_t), with the rows it records.
 
     A path of n steps of dt keeps the state (p, m) at steps 0, stride,
-    2 stride, ... and n in states, and step * dt in times.  exited is the
+    2 stride, ... and n in states (p and m of each row in turn), and
+    step * dt in times, both array('d') buffers.  exited is the
     first step whose state had p or m below low, or p + m above high, and
     failed the step whose state was not finite, where the path stopped;
     each is -1 when there is none.
@@ -134,20 +187,20 @@ class Recorder(ctypes.Structure):
 
     def __init__(self, n: int, stride: int, dt: float, low: float, high: float):
         rows = -(-n // stride) + 1
-        self.times = np.empty(rows)
-        self.states = np.empty((rows, 2))
-        super().__init__(n, min(stride, n), dt, low, high, self.times.ctypes.data, self.states.ctypes.data)
+        self.times = _zeros("d", rows)
+        self.states = _zeros("d", 2 * rows)
+        super().__init__(n, min(stride, n), dt, low, high, _address(self.times), _address(self.states))
 
 
 def rk4(rates: tuple[float, float, float, float, float], p: float, m: float, path: Recorder) -> None:
     """The classical RK4 path from (p, m) of the model with rates (r, alpha, delta, sigma, K), into path."""
-    model = np.array(rates, dtype=float)
-    library().rk4_path(model.ctypes.data, p, m, ctypes.addressof(path))
+    model = array("d", rates)
+    library().rk4_path(_address(model), p, m, ctypes.addressof(path))
 
 
-def _cell_words(cells) -> np.ndarray:
+def _cell_words(cells) -> array:
     """simulator._Cell tuples as _em.c's cell words, the drift flattened."""
-    return np.array([[*c.drift, *c[1:]] for c in cells], dtype=float)
+    return array("d", [word for c in cells for word in (*c.drift, *c[1:])])
 
 
 class Slice:
@@ -157,77 +210,77 @@ class Slice:
     the recorded steps, the last of which ends the horizon of dt steps.
     step() integrates a slice into the buffer and fold() adds its finite
     replicates into an ensemble's sums.  The buffer holds, per cell and
-    replicate, the |x|^2 at every recorded row, the first row by which |x|
-    exceeded epsilon1 (-1 if none), the nonfinite and negative flags, and
-    the kernel's state.
+    replicate, the |x|^2 at every recorded row (sq, of rows x cells x
+    BLOCK), the first row by which |x| exceeded epsilon1, -1 if none
+    (first_exceed, cells x BLOCK), the nonfinite and negative flags (cells
+    x BLOCK each), and the kernel's state, each in C order.
     """
 
     def __init__(self, cells, seed: int, dt: float, rec):
         self._lib = library()
         self.cells = _cell_words(cells)
+        self.k = len(cells)
         self.seed, self.dt = seed, dt
-        self.rec = np.array(rec, dtype=np.int64)
-        k = len(self.cells)
-        self.state = np.empty((_STATE_ROWS, k, BLOCK))
-        self.sq = np.empty((len(self.rec), k, BLOCK))
-        self.first_exceed = np.empty((k, BLOCK), np.int64)
-        self.nonfinite = np.empty((k, BLOCK), np.bool_)
-        self.negative = np.empty((k, BLOCK), np.bool_)
+        self.rec = array("q", rec)
+        self.state = _zeros("d", _STATE_ROWS * self.k * BLOCK)
+        self.sq = _zeros("d", len(self.rec) * self.k * BLOCK)
+        self.first_exceed = _zeros("q", self.k * BLOCK)
+        self.nonfinite = _zeros("B", self.k * BLOCK)
+        self.negative = _zeros("B", self.k * BLOCK)
         self.n = 0  # replicates in the buffer
 
     def step(self, first: int, n: int) -> None:
         """Integrate replicates first..first+n-1 of every cell over the horizon (em_run in _em.c)."""
         if not 0 <= n <= BLOCK:
             raise ValueError(f"a slice holds 0 to {BLOCK} replicates, not {n}")
-        self._lib.em_run(self.cells.ctypes.data, len(self.cells), self.state.ctypes.data, self.seed, first, n,
-                         int(self.rec[-1]), self.dt, math.sqrt(self.dt), self.rec.ctypes.data, len(self.rec),
-                         self.sq.ctypes.data, self.first_exceed.ctypes.data, self.nonfinite.ctypes.data,
-                         self.negative.ctypes.data, None, None)
+        self._lib.em_run(_address(self.cells), self.k, _address(self.state), self.seed, first, n,
+                         self.rec[-1], self.dt, math.sqrt(self.dt), _address(self.rec), len(self.rec),
+                         _address(self.sq), _address(self.first_exceed), _address(self.nonfinite),
+                         _address(self.negative), None, None)
         self.n = n
 
-    def fold(self, sq: np.ndarray, exceed: np.ndarray, counts: np.ndarray) -> None:
+    def fold(self, sq: array, exceed: array, counts: array) -> None:
         """Add the slice's finite replicates, in index order, into an ensemble's sums (em_fold in _em.c).
 
-        sq (float64) and exceed (int64) are (cells, recorded rows): the sum
-        of |x|^2 and the count of first exceedances at each row.  counts
-        (int64) is (cells, 3): the included, negative and non-finite
-        replicates.  Each array must be C-contiguous.
+        sq (array('d')) and exceed (array('q')) hold cells x recorded rows,
+        in C order: the sum of |x|^2 and the count of first exceedances at
+        each row.  counts (array('q')) holds cells x 3: the included,
+        negative and non-finite replicates.
         """
-        shape = (len(self.cells), len(self.rec))
-        # the C loop trusts every pointer and shape
-        if not all(a.dtype == dtype and a.shape == want and a.flags.c_contiguous
-                   for a, dtype, want in ((sq, np.float64, shape), (exceed, np.int64, shape),
-                                          (counts, np.int64, (shape[0], 3)))):
+        size = self.k * len(self.rec)
+        # the C loop trusts every pointer and size
+        if not all(a.typecode == typecode and len(a) == want
+                   for a, typecode, want in ((sq, "d", size), (exceed, "q", size), (counts, "q", 3 * self.k))):
             raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
-        self._lib.em_fold(shape[0], self.n, shape[1], self.sq.ctypes.data, self.first_exceed.ctypes.data,
-                          self.nonfinite.ctypes.data, self.negative.ctypes.data, sq.ctypes.data,
-                          exceed.ctypes.data, counts.ctypes.data)
+        self._lib.em_fold(self.k, self.n, len(self.rec), _address(self.sq), _address(self.first_exceed),
+                          _address(self.nonfinite), _address(self.negative), _address(sq),
+                          _address(exceed), _address(counts))
 
 
-def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[np.ndarray] = None) -> None:
+def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array] = None) -> None:
     """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder.
 
-    dW, when given, is the (recorder.n, 2) float64 increments to use instead
-    of the streams'.  The recorder stops the path at its first non-finite
-    state.
+    dW, when given, is an array('d') of recorder.n rows of two increments,
+    to use instead of the streams'.  The recorder stops the path at its
+    first non-finite state.
     """
-    if not (dW is None or (dW.dtype == np.float64 and dW.flags.c_contiguous and dW.shape == (recorder.n, 2))):
+    if not (dW is None or (dW.typecode == "d" and len(dW) == 2 * recorder.n)):
         raise ValueError("the increments do not match the path's steps")
-    state = np.empty((_STATE_ROWS, 1, BLOCK))
-    library().em_run(_cell_words([cell]).ctypes.data, 1, state.ctypes.data, seed, replicate, 1, recorder.n,
+    words, state = _cell_words([cell]), _zeros("d", _STATE_ROWS * BLOCK)
+    library().em_run(_address(words), 1, _address(state), seed, replicate, 1, recorder.n,
                      recorder.dt, math.sqrt(recorder.dt), None, 0, None, None, None, None,
-                     None if dW is None else dW.ctypes.data, ctypes.addressof(recorder))
+                     None if dW is None else _address(dW), ctypes.addressof(recorder))
 
 
-def format_g17(values: np.ndarray, row: int, sep: bytes, eol: bytes) -> bytes:
-    """Every number of values, in C order, as '%.17g' % x writes it (a NaN as nan).
+def format_g17(values, row: int, sep: bytes, eol: bytes) -> bytes:
+    """Every number of values (see doubles), in C order, as '%.17g' % x writes it (a NaN as nan).
 
     sep goes between the numbers of each row of `row` numbers, and eol
     after each row.
     """
-    x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    if not (row >= 1 and x.size % row == 0):
-        raise ValueError(f"{x.size} numbers do not make rows of {row}")
-    out = np.empty(x.size * (_G17_ROOM + max(len(sep), len(eol))), np.uint8)
-    size = library().fmt_g17(x.ctypes.data, x.size, row, sep, len(sep), eol, len(eol), out.ctypes.data)
-    return out[:size].tobytes()
+    x = doubles(values)
+    if not (row >= 1 and len(x) % row == 0):
+        raise ValueError(f"{len(x)} numbers do not make rows of {row}")
+    out = ctypes.create_string_buffer(len(x) * (_G17_ROOM + max(len(sep), len(eol))))
+    size = library().fmt_g17(_address(x), len(x), row, sep, len(sep), eol, len(eol), out)
+    return ctypes.string_at(out, size)

@@ -293,13 +293,14 @@ def cmd_analyze(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str,
 
 
 def _trajectory_json(traj: Trajectory) -> dict:
+    states = serialize._stored(traj, "states")  # p and m of each row in turn
     return {
         "schema": "ssrna-trajectory/1",
         "scheme": traj.scheme.value,
         "exited_omega": traj.exited_omega,
-        "times": traj.times,
-        "p": traj.states[:, 0],
-        "m": traj.states[:, 1],
+        "times": serialize._stored(traj, "times"),
+        "p": states[0::2],
+        "m": states[1::2],
     }
 
 
@@ -326,7 +327,7 @@ def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
                          lambda p: simulator.write_trajectory_csv(traj, p))
 
     final = traj.final_state
-    went_negative = bool((traj.states < 0.0).any())
+    went_negative = min(serialize._stored(traj, "states")) < 0.0  # no state is NaN
     print(f"scheme: {traj.scheme.value}")
     print(f"final state: ({serialize.fmt(final.p)}, {serialize.fmt(final.m)})")
     if traj.exited_omega is not None:
@@ -351,8 +352,8 @@ def cmd_ensemble(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
     print(f"analytic verdict (sufficient conditions met): {str(verdict.conditions_met).lower()}")
     print(f"replicates: {stats.n_replicates} included: {stats.n_included} "
           f"negative: {stats.n_negative} nonfinite: {stats.n_nonfinite}")
-    print(f"mean_sq_dev: initial {serialize.fmt(float(stats.mean_sq_dev[0]))} "
-          f"final {serialize.fmt(float(stats.mean_sq_dev[-1]))}")
+    msd = serialize._stored(stats, "mean_sq_dev")
+    print(f"mean_sq_dev: initial {serialize.fmt(msd[0])} final {serialize.fmt(msd[-1])}")
     if stats.n_included >= 30:
         est, (lo, hi) = montecarlo.estimate_stability_in_probability(stats)
         print(f"exceed fraction: {serialize.fmt(est)} (Wilson 95%: {serialize.fmt(lo)}..{serialize.fmt(hi)})")

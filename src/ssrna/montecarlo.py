@@ -15,13 +15,12 @@ import math
 import os
 import sys
 import threading
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import accumulate, product
 from numbers import Real
 from typing import Optional, Union
-
-import numpy as np
 
 from . import _em
 from .errors import EnsembleError, Error, ParameterError
@@ -36,7 +35,7 @@ from .model_core import (
     positive_equilibrium,
     validate_params,
 )
-from .serialize import fmt, write_csv
+from .serialize import FloatArray, _stored, fmt, write_csv
 from .simulator import (
     MAX_SEED,
     SimConfig,
@@ -90,13 +89,17 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Reduced statistics over the included (finite) replicates."""
+    """Reduced statistics over the included (finite) replicates.
 
-    times: np.ndarray
+    times, mean_sq_dev and exceed_fraction_cum are float64 numpy arrays
+    (FloatArray fields), one number per recorded step.
+    """
+
+    times: numpy.ndarray = FloatArray()
     # sample mean of |x(t)|^2 over the included replicates on the recorded
     # grid; at long horizons a few paths carry it, so it does not estimate E|x(t)|^2
-    mean_sq_dev: np.ndarray
-    exceed_fraction_cum: np.ndarray  # fraction whose sup-deviation exceeded epsilon1 by each time
+    mean_sq_dev: numpy.ndarray = FloatArray()
+    exceed_fraction_cum: numpy.ndarray = FloatArray()  # fraction whose sup-deviation exceeded epsilon1 by each time
     exceed_fraction: float
     n_replicates: int
     n_included: int
@@ -133,11 +136,11 @@ def _cell(cfg: EnsembleConfig, params: ModelParams) -> _Cell:
 
 @dataclass(frozen=True)
 class _Sums:
-    """An ensemble batch's statistics, summed over its finite replicates in index order."""
+    """An ensemble batch's statistics, summed over its finite replicates in index order, each in C order."""
 
-    sq: np.ndarray      # (cells, recorded steps): sum of |x|^2
-    exceed: np.ndarray  # (cells, recorded steps): replicates whose |x| first exceeded epsilon1 there
-    counts: np.ndarray  # (cells, 3): included, negative (a population went below zero) and non-finite
+    sq: array      # 'd', cells x recorded steps: sum of |x|^2
+    exceed: array  # 'q', cells x recorded steps: replicates whose |x| first exceeded epsilon1 there
+    counts: array  # 'q', cells x 3: included, negative (a population went below zero) and non-finite
 
 
 def _slices(replicates: int, workers: int) -> int:
@@ -170,8 +173,8 @@ def _euler_maruyama(
     _em.library()  # built or loaded before any thread asks for it
     workers = _worker_count(replicates)
     slices = _slices(replicates, workers)
-    shape = (len(cells), len(rec))
-    sums = _Sums(np.zeros(shape), np.zeros(shape, np.int64), np.zeros((len(cells), 3), np.int64))
+    size = len(cells) * len(rec)
+    sums = _Sums(_em._zeros("d", size), _em._zeros("q", size), _em._zeros("q", 3 * len(cells)))
     turn = threading.Condition()
     folded = 0    # slices folded into the sums so far
     failed = []   # exceptions raised in any thread, in the order raised
@@ -218,17 +221,22 @@ def _euler_maruyama(
 
 
 def _reduce(sums: _Sums, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
-    """Statistics of one cell over its finite replicates, from sums added in replicate-index order."""
-    n_included, n_negative, n_nonfinite = (int(count) for count in sums.counts[cell])
+    """Statistics of one cell over its finite replicates, from sums added in replicate-index order.
+
+    The ratios divide by the count converted to a float, as numpy divides
+    an array by an int, so they equal the numpy reference's to the bit.
+    """
+    n_included, n_negative, n_nonfinite = sums.counts[3 * cell:3 * cell + 3]
     if n_included == 0:
         raise EnsembleError("all replicates became non-finite; no statistics available")
-    # replicates that had exceeded by each recorded step
-    exceeded = np.cumsum(sums.exceed[cell])
-    n_exceed = int(exceeded[-1])
+    row = slice(cell * len(rec), (cell + 1) * len(rec))
+    exceeded = list(accumulate(sums.exceed[row]))  # replicates that had exceeded by each recorded step
+    n_exceed = exceeded[-1]
+    included = float(n_included)
     return EnsembleStats(
-        times=np.asarray(rec, dtype=np.int64) * dt,
-        mean_sq_dev=sums.sq[cell] / n_included,
-        exceed_fraction_cum=exceeded / n_included,
+        times=[step * dt for step in rec],
+        mean_sq_dev=[sq / included for sq in sums.sq[row]],
+        exceed_fraction_cum=[count / included for count in exceeded],
         exceed_fraction=n_exceed / n_included,
         n_replicates=n_included + n_nonfinite,
         n_included=n_included,
@@ -339,7 +347,7 @@ def _grid_axes(grid, fields: tuple[str, ...], name: str) -> list[tuple[str, list
     for key, values in grid.items():
         if key not in fields:
             raise ParameterError(f"unknown grid field {key!r} (expected one of {fields})")
-        is_list = (isinstance(values, np.ndarray) and values.ndim == 1) or (
+        is_list = (_em.is_ndarray(values) and values.ndim == 1) or (
             isinstance(values, Sequence) and not isinstance(values, (str, bytes))
         )
         if not is_list or not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
@@ -406,7 +414,7 @@ def sweep(
             rows[i] = SweepRow(**dict(
                 base,
                 exceed_fraction=stats.exceed_fraction,
-                final_msd=float(stats.mean_sq_dev[-1]),
+                final_msd=_stored(stats, "mean_sq_dev")[-1],
                 n_negative=stats.n_negative,
                 n_nonfinite=stats.n_nonfinite,
             ))
@@ -453,7 +461,7 @@ def _sweep_cell(
 def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     """Write `t,mean_sq_dev,exceed_fraction_cum` rows at 17 significant digits."""
     write_csv(path, "t,mean_sq_dev,exceed_fraction_cum",
-              (stats.times, stats.mean_sq_dev, stats.exceed_fraction_cum))
+              [_stored(stats, name) for name in ("times", "mean_sq_dev", "exceed_fraction_cum")])
 
 
 SWEEP_COLUMNS = (

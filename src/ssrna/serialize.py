@@ -4,6 +4,9 @@
 output file byte-comparable across runs and safe to parse back.  A record
 (a dataclass) has one JSON form: an object whose keys are its field names in
 declaration order, built by `plain` and read back by `record`.
+
+A record's numeric arrays are FloatArray fields: the writers take the
+array('d') they hold, so writing a record never imports numpy.
 """
 
 from __future__ import annotations
@@ -11,15 +14,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from array import array
 from collections.abc import Sequence
 from enum import Enum
-from typing import Any, Union, get_args, get_origin, get_type_hints
-
-import numpy as np
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from . import _em
 
-__all__ = ["fmt", "write_csv", "dumps", "loads", "plain", "record"]
+__all__ = ["fmt", "write_csv", "dumps", "loads", "plain", "record", "FloatArray"]
 
 _FLOAT = "%.17g"
 
@@ -32,6 +34,40 @@ def fmt(x: float) -> str:
     return _FLOAT % x
 
 
+class FloatArray:
+    """A record field of float64 numbers, read as a float64 numpy array.
+
+    The field holds an array('d') of its numbers in C order: the one it is
+    given, or a copy of any other sequence of numbers or numpy array (see
+    _em.doubles).  Each read returns a numpy array on that memory, of
+    `columns` columns if more than one, and imports numpy.  The writers and
+    `plain` take the array('d') itself (_stored), so writing a record never
+    imports numpy.
+    """
+
+    def __init__(self, columns: int = 1):
+        self.columns = columns
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            raise AttributeError(self.name)  # the dataclass field has no default
+        import numpy as np
+
+        values = np.frombuffer(obj.__dict__[self.name], dtype=np.float64)
+        return values if self.columns == 1 else values.reshape(-1, self.columns)
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__[self.name] = _em.doubles(value)
+
+
+def _stored(record: Any, name: str) -> Any:
+    """A record's field as the record holds it: for a FloatArray field, its array('d')."""
+    return vars(record)[name]
+
+
 def write_csv(path, header: str, columns: Sequence[Any]) -> None:
     """Write a `header` line, then row i of the equal-length numeric columns.
 
@@ -39,24 +75,30 @@ def write_csv(path, header: str, columns: Sequence[Any]) -> None:
     the compiled library's '%.17g' formatter (_em.format_g17), a block of
     rows per call, about ten times faster than Python's % per number.
     """
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    columns = [_em.doubles(c) for c in columns]
+    n, width = len(columns[0]), len(columns)
+    if any(len(c) != n for c in columns):
+        raise ValueError("the columns differ in length")
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write(_em.format_g17(block, len(columns), b",", b"\n"))
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n)
+            block = _em._zeros("d", width * (hi - lo))  # the rows lo..hi-1, one after another
+            for j, column in enumerate(columns):
+                block[j::width] = column[lo:hi]
+            fh.write(_em.format_g17(block, width, b",", b"\n"))
 
 
 def _float_column(obj: Any) -> bool:
-    """Whether obj is a 1-D float64 array, which is written as a list of its numbers."""
-    return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
+    """Whether obj is an array('d') or a 1-D float64 numpy array, which is written as a list of its numbers."""
+    if isinstance(obj, array):
+        return obj.typecode == "d"
+    return _em.is_ndarray(obj) and obj.ndim == 1 and obj.dtype.char == "d"
 
 
-def _finite_floats(items: Union[list, tuple, np.ndarray]) -> bool:
+def _finite_floats(items: Any) -> bool:
     """Whether every item is a finite float: no NaN, Infinity, bool or int spelling."""
-    if isinstance(items, np.ndarray):
-        return bool(np.isfinite(items).all())
-    return all(type(v) is float for v in items) and all(map(math.isfinite, items))
+    return (_float_column(items) or all(type(v) is float for v in items)) and all(map(math.isfinite, items))
 
 
 def _write(obj: Any, out: list[str], indent: str, level: int) -> None:
@@ -99,7 +141,7 @@ def _write(obj: Any, out: list[str], indent: str, level: int) -> None:
         if _finite_floats(obj):
             # the bytes of the per-item loop below, which the tests keep as the
             # reference, in one call: a trajectory's columns are 10^5 numbers each
-            numbers = _em.format_g17(np.asarray(obj, dtype=float), len(obj), (",\n" + pad_in).encode(), b"")
+            numbers = _em.format_g17(obj, len(obj), (",\n" + pad_in).encode(), b"")
             out.append("[\n" + pad_in + numbers.decode() + "\n" + pad + "]")
             return
         out.append("[\n")
@@ -127,10 +169,10 @@ def plain(obj: Any) -> Any:
     """JSON-ready form of a record: fields in declaration order, enums by value,
     tuples, lists and arrays as lists; other values pass through."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: plain(_stored(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, array) or _em.is_ndarray(obj):
         return obj.tolist()
     if isinstance(obj, (tuple, list)):
         return [plain(v) for v in obj]

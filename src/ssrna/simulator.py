@@ -13,15 +13,14 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from . import _em
 from .errors import IntegrationError, ParameterError
 from .linearization import linearize
 from .model_core import Equilibrium, ModelParams, State, vector_field
-from .serialize import write_csv
+from .serialize import FloatArray, _stored, write_csv
 from .stability import NoiseSpec
 
 __all__ = [
@@ -108,19 +107,21 @@ class Trajectory:
     left the triangle {p, m >= 0, p + m <= K} by more than the round-off
     allowance (OMEGA_EXIT_RTOL * K); expected to stay None for
     deterministic runs (step size permitting), while noisy paths may
-    legitimately leave.
+    legitimately leave.  times (n,) and states (n, 2), rows of (p, m), are
+    float64 numpy arrays (FloatArray fields).
     """
 
-    times: np.ndarray
-    states: np.ndarray
+    times: numpy.ndarray = FloatArray()
+    states: numpy.ndarray = FloatArray(columns=2)
     exited_omega: Optional[float]
     scheme: Scheme
 
     @property
     def final_state(self) -> State:
-        return State(float(self.states[-1, 0]), float(self.states[-1, 1]))
+        states = _stored(self, "states")
+        return State(states[-2], states[-1])
 
-    def deviations_sq(self, anchor: Equilibrium) -> np.ndarray:
+    def deviations_sq(self, anchor: Equilibrium) -> numpy.ndarray:
         """Squared Euclidean deviation from an anchor at each sample."""
         dp = self.states[:, 0] - anchor.p_star
         dm = self.states[:, 1] - anchor.m_star
@@ -188,7 +189,7 @@ def default_dt(params: ModelParams, eq: Optional[Equilibrium] = None) -> float:
     return 0.01 / fastest
 
 
-def brownian_increments(master_seed: int, replicate: int, coordinate: int, n_steps: int, dt: float) -> np.ndarray:
+def brownian_increments(master_seed: int, replicate: int, coordinate: int, n_steps: int, dt: float) -> numpy.ndarray:
     """Wiener increments for one coordinate of one replicate.
 
     Streams are keyed by (master_seed, replicate, coordinate) through the
@@ -197,6 +198,8 @@ def brownian_increments(master_seed: int, replicate: int, coordinate: int, n_ste
     compiled kernel draws the same numbers from the same streams; this is
     their numpy reference.
     """
+    import numpy as np
+
     if coordinate not in (0, 1):
         raise ParameterError(f"coordinate must be 0 or 1, got {coordinate!r}")
     key = np.array([master_seed, 2 * replicate + coordinate], dtype=np.uint64)
@@ -312,7 +315,7 @@ def integrate_sde(
     anchor: Equilibrium,
     cfg: SimConfig,
     replicate: int = 0,
-    dW: Optional[np.ndarray] = None,
+    dW: Optional[numpy.ndarray] = None,
 ) -> Trajectory:
     """Euler-Maruyama path of the noise-perturbed model (Ito interpretation).
 
@@ -336,14 +339,13 @@ def integrate_sde(
     """
     check_anchor(params, anchor)
     # the stream keys 2 * replicate + coordinate are 64-bit words
-    if isinstance(replicate, bool) or not (isinstance(replicate, (int, np.integer))
-                                           and 0 <= replicate < MAX_SEED // 2):
+    if isinstance(replicate, bool) or not (isinstance(replicate, Integral) and 0 <= replicate < MAX_SEED // 2):
         raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
     path = _path_recorder(cfg, params.K)
     if dW is not None:
         if dW.shape != (path.n, 2):
             raise ParameterError(f"dW must have shape ({path.n}, 2), got {dW.shape}")
-        dW = np.ascontiguousarray(dW, dtype=float)
+        dW = _em.doubles(dW)
     ps, ms = anchor.p_star, anchor.m_star
     x1 = float(cfg.initial[0]) - ps
     x2 = float(cfg.initial[1]) - ms
@@ -354,4 +356,5 @@ def integrate_sde(
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,p,m` rows with full double precision (17 significant digits)."""
-    write_csv(path, "t,p,m", (traj.times, traj.states[:, 0], traj.states[:, 1]))
+    states = _stored(traj, "states")
+    write_csv(path, "t,p,m", (_stored(traj, "times"), states[0::2], states[1::2]))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -264,6 +265,16 @@ def test_simulate_outside_triangle_warns_and_proceeds(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
     assert "warning" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("scheme, negative", [("rk4", "false"), ("euler-maruyama", "true")])
+def test_simulate_reports_negative_populations(tmp_path, capsys, scheme, negative):
+    # coarse steps with strong noise carry the noisy path below zero
+    cfg = base_config(simulate=dict(scheme=scheme, anchor="origin", t_end=200.0, dt=0.5, seed=5,
+                                    initial=[400.0, 400.0]), noise={"omega1": 1.2, "omega2": 1.2})
+    cfg["model"] = dict(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    assert f"visited negative populations: {negative}\n" in capsys.readouterr().out
 
 
 def test_simulate_blowup_exits_3(tmp_path, capsys):
@@ -565,6 +576,40 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0
     assert "R0" in proc.stdout
     assert (out / "analysis.json").exists()
+
+
+# the configs of every command, small, for the runs without numpy
+NO_NUMPY_RUNS = {
+    "analyze": dict(analyze={}, noise={"omega1": 0.05, "omega2": 0.05}),
+    "simulate-rk4": dict(simulate={"scheme": "rk4", "anchor": "positive", "t_end": 60.0,
+                                   "initial": {"displace_fraction": 0.01}}),
+    "simulate-em": dict(simulate={"scheme": "euler-maruyama", "anchor": "positive", "seed": 3, "t_end": 60.0,
+                                  "initial": {"displace_fraction": 0.01}, "record_stride": 7},
+                        noise={"omega1": 0.1, "omega2": 0.1}),
+    "ensemble": {key: value for key, value in ensemble_config().items() if key in ("ensemble", "noise")},
+    "sweep": dict(sweep={"noise_grid": {"omega1": [0.0, 0.1]}, "ensemble": ensemble_config(replicates=10)["ensemble"]},
+                  noise={"omega1": 0.05, "omega2": 0.05}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("run", NO_NUMPY_RUNS)
+def test_every_command_runs_without_numpy(tmp_path, capsys, run, fmt):
+    # tests/cli_without_numpy.py exits 1 if numpy was imported; its bytes
+    # must be those of a run in this process
+    command = run.split("-")[0]
+    out = tmp_path / "out"
+    args = [command, "--config", write_config(tmp_path, base_config(**NO_NUMPY_RUNS[run])),
+            "--out", str(out), "--format", fmt]
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("cli_without_numpy.py")), *args],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    shutil.rmtree(out)
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert written == {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(written) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 
 import json
 import math
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +142,34 @@ def test_changed_source_builds_a_new_library(tmp_path, monkeypatch):
     second = _em._build()
     assert second != first
     assert sorted((tmp_path / "ssrna").iterdir()) == sorted([first, second])
+
+
+def sampler_copy(tmp_path, name, flip=None):
+    """numpy's bitgen.h and libnpyrandom.a copied under tmp_path/name, with one byte of `flip` changed.
+
+    Returns (include directory, archive), as _em._numpy_files does.
+    """
+    include, archive = _em._numpy_files()
+    header = Path("numpy", "random", "bitgen.h")
+    copies = {"bitgen.h": tmp_path / name / "include" / header, "libnpyrandom.a": tmp_path / name / archive.name}
+    for key, source in (("bitgen.h", include / header), ("libnpyrandom.a", archive)):
+        copies[key].parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(source, copies[key])
+    if flip is not None:
+        data = bytearray(copies[flip].read_bytes())
+        data[len(data) // 2] ^= 1
+        copies[flip].write_bytes(data)
+    return tmp_path / name / "include", copies["libnpyrandom.a"]
+
+
+def test_library_name_follows_the_bytes_of_numpys_sampler(tmp_path):
+    assert _em._numpy_files()[0] == Path(np.get_include())
+    names = {variant: _em._library_path(*sampler_copy(tmp_path, variant, flip)).name
+             for variant, flip in (("copy", None), ("same bytes", None),
+                                   ("bitgen.h", "bitgen.h"), ("libnpyrandom.a", "libnpyrandom.a"))}
+    assert all(re.fullmatch(r"_em-[0-9a-f]{16}\.so", name) for name in names.values())
+    assert names["copy"] == names["same bytes"] == _em._library_path(*_em._numpy_files()).name
+    assert len({names["copy"], names["bitgen.h"], names["libnpyrandom.a"]}) == 3
+    # the files are found and read without importing numpy
+    code = "import sys; from ssrna import _em; _em._library_path(*_em._numpy_files()); sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -334,6 +334,22 @@ def reference_ensemble(params, cfg):
     return msd / n_included, np.asarray(cum), n_negative, n_nonfinite
 
 
+def test_ensemble_stats_hand_library_callers_float64_arrays():
+    # the sums are reduced into array('d') buffers; a library caller reads
+    # numpy arrays, bit for bit the reference's
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=2)
+    cfg = EnsembleConfig(replicates=83, sim=sim, noise=NoiseSpec(0.8, 0.8), anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=4242)
+    stats = run_ensemble(cfg, p)
+    msd, cum, _, _ = reference_ensemble(p, cfg)
+    times = np.asarray(recorded_steps(27, 2), dtype=np.int64) * sim.dt
+    for got, want in ((stats.times, times), (stats.mean_sq_dev, msd), (stats.exceed_fraction_cum, cum)):
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (15,)
+        assert got.tobytes() == want.tobytes()
+    assert 0 < stats.n_exceed < stats.n_included
+
+
 def _reference_path(params, cfg, k, n, rec):
     """(|x|^2 at the recorded steps, first step |x| > epsilon1, went negative), or Nones if it diverged."""
     eq, sim = cfg.anchor, cfg.sim
@@ -460,14 +476,19 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
     assert montecarlo._slices(300, workers) == 5
     rec = recorded_steps(27, 1)
     buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
+    # numpy views of the slice buffer: rows x cells x BLOCK, and cells x BLOCK
+    buffer_sq = np.frombuffer(buffer.sq).reshape(len(rec), 1, _em.BLOCK)
+    buffer_first = np.frombuffer(buffer.first_exceed, np.int64).reshape(1, _em.BLOCK)
+    buffer_nonfinite = np.frombuffer(buffer.nonfinite, np.bool_).reshape(1, _em.BLOCK)
+    buffer_negative = np.frombuffer(buffer.negative, np.bool_).reshape(1, _em.BLOCK)
     sq, first, nonfinite, negative = [], [], [], []
     for s in range(5):
         lo, hi = 300 * s // 5, 300 * (s + 1) // 5
         buffer.step(lo, hi - lo)
-        sq.append(buffer.sq[:, 0, :hi - lo].copy())
-        first += buffer.first_exceed[0, :hi - lo].tolist()
-        nonfinite += buffer.nonfinite[0, :hi - lo].tolist()
-        negative += buffer.negative[0, :hi - lo].tolist()
+        sq.append(buffer_sq[:, 0, :hi - lo].copy())
+        first += buffer_first[0, :hi - lo].tolist()
+        nonfinite += buffer_nonfinite[0, :hi - lo].tolist()
+        negative += buffer_negative[0, :hi - lo].tolist()
     sq, nonfinite = np.concatenate(sq, axis=1), np.array(nonfinite)
     assert all(0 < nonfinite[60 * s:60 * (s + 1)].sum() < 60 for s in (1, 2, 3))
     n_included = 300 - int(nonfinite.sum())

@@ -78,3 +78,38 @@ def test_compiled_formatter_equals_percent_17g():
         lines = written.split("\n")
         wrong = [(x, "%.17g" % x, line) for x, line in zip(numbers, lines) if "%.17g" % x != line]
         pytest.fail(f"{len(wrong)} numbers written unlike '%.17g', e.g. {wrong[:5]}")
+
+
+def test_numpy_arrays_are_written_like_lists(tmp_path):
+    # the writers take array('d') buffers; library callers may still pass numpy arrays
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(40, 2)) * 1e5
+    t = np.arange(40) * 0.25
+    column = states[:, 0]  # strided
+    assert not column.flags.c_contiguous
+    assert serialize.plain(column) == column.tolist() and serialize.plain(states) == states.tolist()
+    stats = EnsembleStats(times=t, mean_sq_dev=column, exceed_fraction_cum=t / 10, exceed_fraction=0.0,
+                          n_replicates=1, n_included=1, n_exceed=0, n_negative=0, n_nonfinite=0)
+    doc = serialize.plain(stats)
+    assert [doc["times"], doc["mean_sq_dev"], doc["exceed_fraction_cum"]] == [t.tolist(), column.tolist(),
+                                                                               (t / 10).tolist()]
+    for doc in (column, (t, np.arange(3)), [states]):
+        assert dumps(serialize.plain(doc)) == dumps(json_lists(doc))
+    # dumps writes a 1-D float64 array as it is
+    doc = {"column": column, "nan": np.array([1.0, math.nan])}
+    assert dumps(doc) == dumps(json_lists(doc))
+    serialize.write_csv(tmp_path / "arrays.csv", "t,p,n", (t, column, np.arange(40)))
+    serialize.write_csv(tmp_path / "lists.csv", "t,p,n", (t.tolist(), column.tolist(), list(range(40))))
+    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+    assert (tmp_path / "arrays.csv").read_bytes().count(b"\n") == 41
+
+
+def json_lists(obj):
+    """obj with every numpy array replaced by its nested lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: json_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_lists(value) for value in obj]
+    return obj

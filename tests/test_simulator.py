@@ -340,17 +340,41 @@ def test_sde_noisy_path_matches_shared_drift_recursion():
     cfg = SimConfig(dt=0.25, t_end=30.0, initial=State(300.0, 250.0), seed=21)
     noise = NoiseSpec(0.3, 0.2)
     traj = integrate_sde(p, noise, eq, cfg, replicate=4)
+    assert np.array_equal(traj.states, np.asarray(list(em_states(p, noise, eq, cfg, 4))))
+
+
+def em_states(params, noise, eq, cfg, replicate):
+    """The shared drift recursion on one-shot increments: the start state, then the state after each step."""
     n = step_count(cfg)
-    dW1 = brownian_increments(cfg.seed, 4, 0, n, cfg.dt)
-    dW2 = brownian_increments(cfg.seed, 4, 1, n, cfg.dt)
+    dW1 = brownian_increments(cfg.seed, replicate, 0, n, cfg.dt)
+    dW2 = brownian_increments(cfg.seed, replicate, 1, n, cfg.dt)
     x1, x2 = cfg.initial.p - eq.p_star, cfg.initial.m - eq.m_star
-    states = [(eq.p_star + x1, eq.m_star + x2)]
+    yield eq.p_star + x1, eq.m_star + x2
     for i in range(n):
-        g1, g2 = centralized_rhs(p, eq, (x1, x2))
+        g1, g2 = centralized_rhs(params, eq, (x1, x2))
         x1 = x1 + g1 * cfg.dt + noise.omega1 * x1 * dW1[i]
         x2 = x2 + g2 * cfg.dt + noise.omega2 * x2 * dW2[i]
-        states.append((eq.p_star + x1, eq.m_star + x2))
-    assert np.array_equal(traj.states, np.asarray(states))
+        yield eq.p_star + x1, eq.m_star + x2
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_paths_hand_library_callers_float64_arrays(scheme):
+    # the compiled recorder fills array('d') buffers; a library caller reads
+    # numpy arrays, bit for bit the Python loops' recorded rows
+    p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    eq, noise = origin_equilibrium(), NoiseSpec(0.3, 0.2)
+    cfg = SimConfig(dt=0.25, t_end=30.0, initial=State(300.0, 250.0), seed=21, record_stride=7)
+    if scheme is Scheme.RK4:
+        traj, states = integrate_ode(p, cfg), rk4_states(p, cfg)
+    else:
+        traj, states = integrate_sde(p, noise, eq, cfg, replicate=4), em_states(p, noise, eq, cfg, 4)
+    times, kept, exited = recorded(cfg, p.K, states, "")
+    assert len(times) == 19  # 120 steps at a stride of 7, and the last
+    for got, want in ((traj.times, times), (traj.states, kept)):
+        want = np.array(want, dtype=np.float64)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert traj.final_state == State(*kept[-1]) and traj.exited_omega == exited
 
 
 def test_sde_seed_and_replicate_streams(tumv):
