@@ -191,7 +191,7 @@ void rk4_path(const double *model, double p, double m, path_t *path)
  *
  * cells:  ncells x CELL_WORDS constants.
  * state:  STATE_ROWS x ncells x BLOCK doubles of scratch.
- * rec:    the recorded steps (ascending).  |x|^2 of cell c, replicate
+ * rec:    the recorded steps, ascending from 0.  |x|^2 of cell c, replicate
  *         first + j at rec[i] goes to sq[(i * ncells + c) * BLOCK + j], and
  *         first_exceed[c * BLOCK + j] takes the first recorded row by which
  *         the running maximum of |x|^2 exceeded eps_sq, else -1.  A state
@@ -212,8 +212,8 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
             const double *dW, path_t *path)
 {
     stream_t st[2 * BLOCK];
-    int nb = (int)n, at_start = nrec > 0 && rec[0] == 0;
-    int64_t next = at_start;
+    int nb = (int)n;
+    int64_t next = 1; /* row 0, the start, is taken below */
 #define ROW(r, c) (state + ((r) * ncells + (c)) * BLOCK)
     for (int j = 0; j < 2 * nb; j++)
         em_seed(st + j, seed, 2 * (uint64_t)first + j);
@@ -225,10 +225,9 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
             x2[j] = ROW(LOW2, c)[j] = cell[X2_0];
             sup[j] = x1[j] * x1[j] + x2[j] * x2[j];
             if (sq) {
-                first_exceed[c * BLOCK + j] = at_start && sup[j] > cell[EPS_SQ] ? 0 : -1;
+                first_exceed[c * BLOCK + j] = sup[j] > cell[EPS_SQ] ? 0 : -1;
                 nonfinite[c * BLOCK + j] = 0;
-                if (at_start)
-                    sq[c * BLOCK + j] = sup[j];
+                sq[c * BLOCK + j] = sup[j];
             }
         }
         if (path && !path_start(path, cell[P_STAR] + x1[0], cell[M_STAR] + x2[0]))

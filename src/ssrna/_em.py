@@ -207,7 +207,7 @@ class Slice:
     """One thread's buffer for a slice of at most BLOCK replicates of a batch of cells.
 
     cells are simulator._Cell tuples, seed keys the streams, and rec holds
-    the recorded steps, the last of which ends the horizon of dt steps.
+    the recorded steps, from 0 to the last, which ends the horizon of dt steps.
     step() integrates a slice into the buffer and fold() adds its finite
     replicates into an ensemble's sums.  The buffer holds, per cell and
     replicate, the |x|^2 at every recorded row (sq, of rows x cells x

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import accumulate, product
 from numbers import Real
-from typing import Optional, Union
+from typing import Optional, get_type_hints
 
 from . import _em
 from .errors import EnsembleError, Error, ParameterError
@@ -40,12 +40,11 @@ from .simulator import (
     MAX_SEED,
     SimConfig,
     _Cell,
-    _drift_coefficients,
     _check_recorded_bytes,
     _ensemble_bytes,
+    _kernel_cell,
     _recording,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
-    check_anchor,
     recorded_steps,
     step_count,
 )
@@ -95,11 +94,11 @@ class EnsembleStats:
     (FloatArray fields), one number per recorded step.
     """
 
-    times: numpy.ndarray = FloatArray()
+    times: FloatArray = FloatArray()
     # sample mean of |x(t)|^2 over the included replicates on the recorded
     # grid; at long horizons a few paths carry it, so it does not estimate E|x(t)|^2
-    mean_sq_dev: numpy.ndarray = FloatArray()
-    exceed_fraction_cum: numpy.ndarray = FloatArray()  # fraction whose sup-deviation exceeded epsilon1 by each time
+    mean_sq_dev: FloatArray = FloatArray()
+    exceed_fraction_cum: FloatArray = FloatArray()  # fraction whose sup-deviation exceeded epsilon1 by each time
     exceed_fraction: float
     n_replicates: int
     n_included: int
@@ -120,18 +119,7 @@ def _worker_count(replicates: int) -> int:
 
 
 def _cell(cfg: EnsembleConfig, params: ModelParams) -> _Cell:
-    anchor = cfg.anchor
-    check_anchor(params, anchor)
-    return _Cell(
-        drift=_drift_coefficients(params, anchor),
-        omega1=cfg.noise.omega1,
-        omega2=cfg.noise.omega2,
-        p_star=anchor.p_star,
-        m_star=anchor.m_star,
-        x1=float(cfg.sim.initial[0]) - anchor.p_star,
-        x2=float(cfg.sim.initial[1]) - anchor.m_star,
-        eps_sq=cfg.epsilon1 * cfg.epsilon1,
-    )
+    return _kernel_cell(params, cfg.anchor, cfg.noise, cfg.sim.initial, cfg.epsilon1 * cfg.epsilon1)
 
 
 @dataclass(frozen=True)
@@ -154,12 +142,13 @@ def _euler_maruyama(
     master_seed: int,
     dt: float,
     rec: Sequence[int],
+    workers: int,
 ) -> _Sums:
     """Euler-Maruyama ensembles of every cell, driven by shared increments, folded into sums.
 
     The replicates are cut into S slices (_slices), slice s being
-    replicates R*s//S to R*(s+1)//S - 1, and thread w of W (_worker_count;
-    this thread is thread 0) steps slices w, w + W, ... into its own slice
+    replicates R*s//S to R*(s+1)//S - 1, and thread w of the W workers
+    (this thread is thread 0) steps slices w, w + W, ... into its own slice
     buffer.  Each replicate's numbers depend on its own streams only (see
     em_run in _em.c), so no result depends on the number of threads.  A
     thread folds slice s into the sums only once slice s - 1 has been
@@ -171,7 +160,6 @@ def _euler_maruyama(
     thread has been joined.
     """
     _em.library()  # built or loaded before any thread asks for it
-    workers = _worker_count(replicates)
     slices = _slices(replicates, workers)
     size = len(cells) * len(rec)
     sums = _Sums(_em._zeros("d", size), _em._zeros("q", size), _em._zeros("q", 3 * len(cells)))
@@ -255,9 +243,10 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     case of the batched kernel that sweep uses.
     """
     cell = _cell(cfg, params)
-    n_steps = _recording(cfg.sim, *_ensemble_bytes(1, _worker_count(cfg.replicates)))
+    workers = _worker_count(cfg.replicates)
+    n_steps = _recording(cfg.sim, *_ensemble_bytes(1, workers))
     rec = recorded_steps(n_steps, cfg.sim.record_stride)
-    sums = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, rec)
+    sums = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, workers)
     return _reduce(sums, 0, rec, cfg.sim.dt)
 
 
@@ -385,39 +374,32 @@ def sweep(
     noise_axes = _grid_axes(noise_grid, _NOISE_FIELDS, "noise_grid")
     base_model = {name: getattr(base_params, name) for name in _MODEL_FIELDS}
     base_noise = {"omega1": template.noise.omega1, "omega2": template.noise.omega2}
+    cells = [
+        _sweep_cell(dict(base_model, **{name: v for (name, _), v in zip(model_axes, mvals)}),
+                    dict(base_noise, **{name: v for (name, _), v in zip(noise_axes, nvals)}),
+                    template, displace_fraction, epsilon1_fraction)
+        for mvals in product(*(vals for _, vals in model_axes))
+        for nvals in product(*(vals for _, vals in noise_axes))
+    ]
+    batch = [cell for _, cell in cells if cell is not None]
+    if batch:
+        n = step_count(template.sim)
+        rec = recorded_steps(n, n)  # the start and the end: a row reads only the end
+        workers = _worker_count(template.replicates)
+        _check_recorded_bytes(len(rec), *_ensemble_bytes(len(batch), workers))
+        sums = _euler_maruyama(batch, template.replicates, template.master_seed, template.sim.dt, rec, workers)
 
-    rows: list[Optional[SweepRow]] = []
-    pending: list[tuple[int, dict, _Cell]] = []  # (row index, row fields, cell) still to integrate
-    for mvals in product(*(vals for _, vals in model_axes)):
-        model_kwargs = dict(base_model, **{name: v for (name, _), v in zip(model_axes, mvals)})
-        for nvals in product(*(vals for _, vals in noise_axes)):
-            noise_kwargs = dict(base_noise, **{name: v for (name, _), v in zip(noise_axes, nvals)})
-            resolved = _sweep_cell(model_kwargs, noise_kwargs, template,
-                                   displace_fraction, epsilon1_fraction)
-            if isinstance(resolved, SweepRow):
-                rows.append(resolved)
-            else:
-                pending.append((len(rows), *resolved))
-                rows.append(None)
-
-    if pending:
-        _check_recorded_bytes(1, *_ensemble_bytes(len(pending), _worker_count(template.replicates)))
-        final = [step_count(template.sim)]  # a row holds only the final mean squared deviation
-        sums = _euler_maruyama([cell for _, _, cell in pending], template.replicates,
-                               template.master_seed, template.sim.dt, final)
-        for j, (i, base, _) in enumerate(pending):
+    rows = []
+    integrated = iter(range(len(batch)))  # each cell's index in the batch, in grid order
+    for row, cell in cells:
+        if cell is not None:
             try:
-                stats = _reduce(sums, j, final, template.sim.dt)
+                stats = _reduce(sums, next(integrated), rec, template.sim.dt)
+                row.update(exceed_fraction=stats.exceed_fraction, final_msd=_stored(stats, "mean_sq_dev")[-1],
+                           n_negative=stats.n_negative, n_nonfinite=stats.n_nonfinite)
             except EnsembleError as exc:
-                rows[i] = SweepRow(**dict(base, verdict="error"), error=str(exc))
-                continue
-            rows[i] = SweepRow(**dict(
-                base,
-                exceed_fraction=stats.exceed_fraction,
-                final_msd=_stored(stats, "mean_sq_dev")[-1],
-                n_negative=stats.n_negative,
-                n_nonfinite=stats.n_nonfinite,
-            ))
+                row.update(verdict="error", error=str(exc))
+        rows.append(SweepRow(**row))
     return rows
 
 
@@ -427,35 +409,33 @@ def _sweep_cell(
     template: EnsembleConfig,
     displace_fraction: Optional[float],
     epsilon1_fraction: Optional[float],
-) -> Union[SweepRow, tuple[dict, _Cell]]:
-    """A finished row for a cell that cannot be integrated, else its row fields and batch cell."""
+) -> tuple[dict, Optional[_Cell]]:
+    """A cell's row fields and its batch cell; None, with the fields saying why, if it cannot be integrated."""
     nan = math.nan
-    base = dict(model_kwargs, **noise_kwargs, R0=nan, verdict="error",
-                exceed_fraction=nan, final_msd=nan, n_negative=0, n_nonfinite=0)
+    row = dict(model_kwargs, **noise_kwargs, R0=nan, verdict="error",
+               exceed_fraction=nan, final_msd=nan, n_negative=0, n_nonfinite=0)
     try:
         params = validate_params(**model_kwargs)
         noise = NoiseSpec(**noise_kwargs)
-        base["R0"] = basic_reproduction_number(params)
+        row["R0"] = basic_reproduction_number(params)
     except Error as exc:  # invalid cell: recorded, not raised
-        return SweepRow(**base, error=str(exc))
+        return dict(row, error=str(exc)), None
     try:
         anchor = resolve_anchor(params, template.anchor.kind)
     except ParameterError as exc:
-        base["verdict"] = "nonexistent"
-        return SweepRow(**base, error=str(exc))
+        return dict(row, verdict="nonexistent", error=str(exc)), None
     try:
         verdict = check_mean_square_stability(linearize(params, anchor), noise)
-        base["verdict"] = "true" if verdict.conditions_met else "false"
+        row["verdict"] = "true" if verdict.conditions_met else "false"
         scale = anchor_scale(anchor, params.K)
         sim = template.sim
         if displace_fraction is not None:
             sim = replace(sim, initial=displaced_initial(anchor, displace_fraction, params.K))
         epsilon1 = template.epsilon1 if epsilon1_fraction is None else epsilon1_fraction * scale
         cfg = replace(template, sim=sim, noise=noise, anchor=anchor, epsilon1=epsilon1)
-        return base, _cell(cfg, params)
+        return row, _cell(cfg, params)
     except Error as exc:
-        base["verdict"] = "error"
-        return SweepRow(**base, error=str(exc))
+        return dict(row, verdict="error", error=str(exc)), None
 
 
 def write_ensemble_csv(stats: EnsembleStats, path) -> None:
@@ -464,26 +444,16 @@ def write_ensemble_csv(stats: EnsembleStats, path) -> None:
               [_stored(stats, name) for name in ("times", "mean_sq_dev", "exceed_fraction_cum")])
 
 
-SWEEP_COLUMNS = (
-    "r", "alpha", "delta", "sigma", "K", "omega1", "omega2", "R0",
-    "verdict", "exceed_fraction", "final_msd", "n_negative", "n_nonfinite",
-)
+# a row's fields but its error, each written by its declared type: a float
+# field with fmt, even if the grid gave it an int, and any other with str
+_SWEEP_WRITERS = tuple((name, fmt if tp is float else str)
+                       for name, tp in get_type_hints(SweepRow).items() if name != "error")
+SWEEP_COLUMNS = tuple(name for name, _ in _SWEEP_WRITERS)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    """Write one named-column row per sweep cell at 17 significant digits."""
+    """Write one row of SWEEP_COLUMNS per sweep cell, floats at 17 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    [
-                        fmt(row.r), fmt(row.alpha), fmt(row.delta), fmt(row.sigma), fmt(row.K),
-                        fmt(row.omega1), fmt(row.omega2), fmt(row.R0),
-                        row.verdict,
-                        fmt(row.exceed_fraction), fmt(row.final_msd),
-                        str(row.n_negative), str(row.n_nonfinite),
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(",".join(write(getattr(row, name)) for name, write in _SWEEP_WRITERS) + "\n")

@@ -6,7 +6,9 @@ output file byte-comparable across runs and safe to parse back.  A record
 declaration order, built by `plain` and read back by `record`.
 
 A record's numeric arrays are FloatArray fields: the writers take the
-array('d') they hold, so writing a record never imports numpy.
+array('d') they hold, so writing a record never imports numpy.  `plain`
+writes a field of several columns as a list of rows, and `record` reads
+those rows back.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ class FloatArray:
 
     The field holds an array('d') of its numbers in C order: the one it is
     given, or a copy of any other sequence of numbers or numpy array (see
-    _em.doubles).  Each read returns a numpy array on that memory, of
-    `columns` columns if more than one, and imports numpy.  The writers and
-    `plain` take the array('d') itself (_stored), so writing a record never
-    imports numpy.
+    _em.doubles), or of a list of rows of `columns` numbers.  Each read
+    returns a numpy array on that memory, of `columns` columns if more than
+    one, and imports numpy.  The writers and `plain` take the array('d')
+    itself (_stored), so writing a record never imports numpy.
     """
 
     def __init__(self, columns: int = 1):
@@ -60,6 +62,8 @@ class FloatArray:
         return values if self.columns == 1 else values.reshape(-1, self.columns)
 
     def __set__(self, obj: Any, value: Any) -> None:
+        if self.columns > 1 and isinstance(value, list) and value and isinstance(value[0], list):
+            value = [x for row in value for x in row]  # rows, as plain gives them
         obj.__dict__[self.name] = _em.doubles(value)
 
 
@@ -169,7 +173,7 @@ def plain(obj: Any) -> Any:
     """JSON-ready form of a record: fields in declaration order, enums by value,
     tuples, lists and arrays as lists; other values pass through."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: plain(_stored(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: _plain_field(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, array) or _em.is_ndarray(obj):
@@ -177,6 +181,14 @@ def plain(obj: Any) -> Any:
     if isinstance(obj, (tuple, list)):
         return [plain(v) for v in obj]
     return obj
+
+
+def _plain_field(obj: Any, name: str) -> Any:
+    """A record's field in its plain form: a FloatArray field of several columns as a list of rows."""
+    value, column = _stored(obj, name), vars(type(obj)).get(name)
+    if not (isinstance(column, FloatArray) and column.columns > 1):
+        return plain(value)
+    return [value[i:i + column.columns].tolist() for i in range(0, len(value), column.columns)]
 
 
 def record(cls: type, data: dict) -> Any:

@@ -111,8 +111,8 @@ class Trajectory:
     float64 numpy arrays (FloatArray fields).
     """
 
-    times: numpy.ndarray = FloatArray()
-    states: numpy.ndarray = FloatArray(columns=2)
+    times: FloatArray = FloatArray()
+    states: FloatArray = FloatArray(columns=2)
     exited_omega: Optional[float]
     scheme: Scheme
 
@@ -252,6 +252,15 @@ class _Cell(NamedTuple):
     eps_sq: float
 
 
+def _kernel_cell(params: ModelParams, anchor: Equilibrium, noise: NoiseSpec, initial: State,
+                 eps_sq: float) -> _Cell:
+    """The kernel cell of params about anchor, started at initial, once the anchor is checked."""
+    check_anchor(params, anchor)
+    ps, ms = anchor.p_star, anchor.m_star
+    return _Cell(_drift_coefficients(params, anchor), noise.omega1, noise.omega2, ps, ms,
+                 float(initial[0]) - ps, float(initial[1]) - ms, eps_sq)
+
+
 def _drift(c: _Drift, x1, x2):
     """Centred drift at deviations (x1, x2).
 
@@ -337,7 +346,7 @@ def integrate_sde(
     out (recorded via exited_omega) or below zero.  Raises IntegrationError
     when the state becomes non-finite.
     """
-    check_anchor(params, anchor)
+    cell = _kernel_cell(params, anchor, noise, cfg.initial, math.inf)
     # the stream keys 2 * replicate + coordinate are 64-bit words
     if isinstance(replicate, bool) or not (isinstance(replicate, Integral) and 0 <= replicate < MAX_SEED // 2):
         raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
@@ -346,10 +355,6 @@ def integrate_sde(
         if dW.shape != (path.n, 2):
             raise ParameterError(f"dW must have shape ({path.n}, 2), got {dW.shape}")
         dW = _em.doubles(dW)
-    ps, ms = anchor.p_star, anchor.m_star
-    x1 = float(cfg.initial[0]) - ps
-    x2 = float(cfg.initial[1]) - ms
-    cell = _Cell(_drift_coefficients(params, anchor), noise.omega1, noise.omega2, ps, ms, x1, x2, math.inf)
     _em.path(cell, cfg.seed, replicate, path, dW)
     return _trajectory(path, Scheme.EULER_MARUYAMA, "noise or step too large?")
 

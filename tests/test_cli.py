@@ -55,6 +55,10 @@ def base_config(**blocks):
 # ---------------------------------------------------------------------------
 # analyze
 
+# R0 < 1: the coexistence point does not exist
+SUBTHRESHOLD = dict(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1e6)
+
+
 def test_analyze_tumv_regression(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", "--config", str(TUMV_CONFIG), "--out", str(out)]) == 0
@@ -136,6 +140,14 @@ def test_analyze_subthreshold_branch(tmp_path):
                      id="analyze-not-an-object"),
         pytest.param(lambda c: c["model"].__setitem__("r", 10**400), "model.r",
                      id="integer-beyond-float-range"),
+        pytest.param(lambda c: (c.clear(), c.update(simulate_config(scheme="euler-maruyama"))),
+                     "error: simulate: missing required field 'anchor'\n", id="simulate-em-without-anchor"),
+        pytest.param(lambda c: (c.clear(), c.update(simulate_config(initial={"displace_fraction": 0.01}))),
+                     "error: simulate.initial: displace_fraction needs an 'anchor' in this block\n",
+                     id="displace-fraction-without-anchor"),
+        pytest.param(lambda c: (c.clear(), c.update(ensemble_config(), model=SUBTHRESHOLD)),
+                     "error: ensemble: coexistence anchor does not exist for these parameters (R0 <= 1)\n",
+                     id="ensemble-positive-anchor-below-threshold"),
     ],
 )
 def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
@@ -144,7 +156,8 @@ def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
     path = write_config(tmp_path, cfg)
     command = next(c for c in COMMANDS if c in cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()  # a rejected config creates no output directory
 
 
@@ -174,7 +187,15 @@ def _directory_in_the_way(tmp_path):
     ("analyze", {}, _file_in_the_way, "cannot create output directory"),
     ("ensemble", {}, _file_in_the_way, "cannot create output directory"),
     ("analyze", {}, _directory_in_the_way, "cannot write"),
-], ids=["dir-not-a-string", "parent-is-a-file", "parent-is-a-file-ensemble", "file-is-a-directory"])
+    ("ensemble", {}, lambda tmp_path: [],
+     "error: no output directory: set output.dir in the config or pass --out\n"),
+    # a seed beyond 64 bits is refused before the output directory is looked at
+    ("analyze", {}, lambda tmp_path: ["--out", str(tmp_path / "o"), "--seed", "-1"],
+     "error: --seed must be a 64-bit unsigned integer, got -1\n"),
+    ("analyze", {}, lambda tmp_path: ["--out", str(tmp_path / "o"), "--seed", str(2**64)],
+     f"error: --seed must be a 64-bit unsigned integer, got {2**64}\n"),
+], ids=["dir-not-a-string", "parent-is-a-file", "parent-is-a-file-ensemble", "file-is-a-directory", "no-out",
+        "seed-negative", "seed-2**64"])
 def test_unusable_output_path_exits_2(tmp_path, capsys, monkeypatch, command, output, out_args, needle):
     def run_ensemble(*args, **kwargs):
         pytest.fail("the ensemble ran before its output path was refused")
@@ -182,10 +203,13 @@ def test_unusable_output_path_exits_2(tmp_path, capsys, monkeypatch, command, ou
     monkeypatch.setattr(montecarlo, "run_ensemble", run_ensemble)
     cfg = ensemble_config() if command == "ensemble" else base_config(analyze={})
     path = write_config(tmp_path, dict(cfg, output=output))
-    assert main([command, "--config", path, *out_args(tmp_path)]) == 2
+    args = out_args(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", path, *args]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and needle in err
+    assert err.startswith("error:") and needle in err and err.count("\n") == 1
     assert not (tmp_path / "file").is_dir()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_os_error_outside_the_outputs_is_not_invalid_input(tmp_path, monkeypatch):
@@ -485,6 +509,29 @@ def test_sweep_json_format(tmp_path):
     for row in data["rows"]:
         assert list(row) == ["r", "alpha", "delta", "sigma", "K", "omega1", "omega2", "R0", "verdict",
                              "exceed_fraction", "final_msd", "n_negative", "n_nonfinite", "error"]
+
+
+# sha256 of a sweep with ok, "error" (every replicate diverged) and
+# "nonexistent" rows, whose grid holds ints; pins numpy's Philox normal
+# sampler (numpy 2.4.6) like GOLDEN_TRAJECTORIES
+GOLDEN_SWEEPS = [
+    ("csv", "b20f8b18636398091ba17b4a8d8e89c7cd1479d962648f6275dd6cf1d700e342"),
+    ("json", "e8b1bd5a743c8475938208cab63123d459fa2a8846c8aca449fa523ff5518f62"),
+]
+
+
+@pytest.mark.parametrize("fmt, digest", GOLDEN_SWEEPS, ids=["csv", "json"])
+def test_sweep_output_bytes_are_pinned(tmp_path, fmt, digest):
+    cfg = sweep_config(model_grid={"r": [0.1211, 0.01], "K": [46940000, 10**17]},
+                       noise_grid={"omega1": [0.05, 0.6, 8], "omega2": [0]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out), "--format", fmt]) == 0
+    written = (out / f"sweep.{fmt}").read_bytes()
+    if fmt == "csv":  # a float column is written as a float, even where the grid gave an int
+        rows = [line.split(b",") for line in written.splitlines()[1:]]
+        assert [row[4] for row in rows] == ([b"46940000"] * 3 + [b"1e+17"] * 3) * 2
+        assert [row[8] for row in rows] == [b"true", b"false", b"error"] * 2 + [b"nonexistent"] * 6
+    assert hashlib.sha256(written).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

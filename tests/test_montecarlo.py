@@ -421,7 +421,7 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv):
     lambda cfg, params: run_ensemble(cfg, params),
 ], ids=["sweep", "ensemble"])
 def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
-    # there is no increment buffer, and nothing per replicate: each process
+    # there is no increment buffer, and nothing per replicate: each thread
     # holds a slice buffer of 64 replicates, whose Philox streams, state and
     # results for one cell take 15 kB, so two workers need more than the
     # 16 KiB this machine is made to have, however few the replicates
@@ -655,6 +655,22 @@ def test_sweep_rows_equal_standalone_ensembles(tumv):
         assert row.exceed_fraction == stats.exceed_fraction
         assert (row.n_negative, row.n_nonfinite) == (stats.n_negative, stats.n_nonfinite)
         assert row.error is None
+
+
+def test_start_outside_epsilon1_has_exceeded_at_step_0(tumv):
+    # a sweep records the start and the end of each cell; its row still
+    # equals the ensemble that records every stride-th step
+    eq = positive_equilibrium(tumv)
+    sim = SimConfig(dt=0.5, t_end=60.0, initial=displaced_initial(eq, 0.2, tumv.K), record_stride=8)
+    template = EnsembleConfig(replicates=20, sim=sim, noise=NoiseSpec(0.05, 0.05), anchor=eq,
+                              epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=31)
+    rows = sweep(tumv, {}, {"omega1": [0.05, 0.3]}, template)
+    for row in rows:
+        stats = run_ensemble(replace(template, noise=NoiseSpec(row.omega1, row.omega2)), tumv)
+        assert stats.exceed_fraction_cum[0] == 1.0 and stats.n_exceed == stats.n_included == 20
+        assert row.final_msd == stats.mean_sq_dev[-1]
+        assert row.exceed_fraction == stats.exceed_fraction == 1.0
+        assert (row.n_negative, row.n_nonfinite) == (stats.n_negative, stats.n_nonfinite)
 
 
 def test_sweep_propagates_bugs_instead_of_recording_them(tumv, monkeypatch):

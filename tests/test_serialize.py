@@ -1,5 +1,6 @@
 import math
 import tempfile
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -9,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ssrna import _em, serialize
-from ssrna.montecarlo import EnsembleStats, write_ensemble_csv
-from ssrna.serialize import dumps, fmt
-from ssrna.simulator import Scheme, Trajectory, write_trajectory_csv
+from ssrna.model_core import positive_equilibrium
+from ssrna.montecarlo import EnsembleConfig, EnsembleStats, displaced_initial, run_ensemble, write_ensemble_csv
+from ssrna.serialize import dumps, fmt, loads
+from ssrna.simulator import SimConfig, Scheme, Trajectory, integrate_ode, integrate_sde, write_trajectory_csv
+from ssrna.stability import NoiseSpec
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308]
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -102,6 +105,29 @@ def test_numpy_arrays_are_written_like_lists(tmp_path):
     serialize.write_csv(tmp_path / "lists.csv", "t,p,n", (t.tolist(), column.tolist(), list(range(40))))
     assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
     assert (tmp_path / "arrays.csv").read_bytes().count(b"\n") == 41
+
+
+def records(params):
+    """An RK4 trajectory, an Euler-Maruyama trajectory and the statistics of an ensemble."""
+    eq = positive_equilibrium(params)
+    sim = SimConfig(dt=0.5, t_end=30.0, initial=displaced_initial(eq, 0.01, params.K), seed=3, record_stride=4)
+    noise = NoiseSpec(0.1, 0.1)
+    ensemble = EnsembleConfig(replicates=5, sim=sim, noise=noise, anchor=eq, epsilon1=1e5, master_seed=3)
+    return [integrate_ode(params, sim), integrate_sde(params, noise, eq, sim), run_ensemble(ensemble, params)]
+
+
+def test_records_round_trip_through_json(tumv):
+    # each record is read back bit for bit, a 2-column field from rows of [p, m]
+    for obj in records(tumv):
+        back = serialize.record(type(obj), loads(dumps(serialize.plain(obj))))
+        for name in vars(obj):
+            value, read = serialize._stored(obj, name), serialize._stored(back, name)
+            if isinstance(value, array):
+                assert (read.typecode, read.tobytes()) == ("d", value.tobytes()), name
+            else:
+                assert (type(read), read) == (type(value), value), name
+        if isinstance(obj, Trajectory):
+            assert serialize.plain(obj)["states"] == obj.states.tolist()
 
 
 def json_lists(obj):

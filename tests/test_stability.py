@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssrna import (
     NoiseSpec,
@@ -153,6 +156,41 @@ def test_check_failed_matrix_is_verdict_not_error():
     assert not v.conditions_met
     assert not v.det_ok
     assert v.gamma1_bound is None
+
+
+def characteristic_coefficients(m):
+    """(c2, c1, c0) with det(lambda I - m) = lambda^3 + c2 lambda^2 + c1 lambda + c0, for a 3x3 m."""
+    c2 = -(m[0][0] + m[1][1] + m[2][2])
+    c1 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    c0 = -(m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return c2, c1, c0
+
+
+drift_entries = st.builds(Fraction, st.integers(-256, 256), st.integers(1, 64))
+intensities = st.builds(Fraction, st.integers(0, 128), st.integers(1, 64))
+
+
+@settings(max_examples=500)
+@given(st.tuples(drift_entries, drift_entries, drift_entries, drift_entries), intensities, intensities)
+def test_conditions_met_exactly_when_the_second_moments_decay(entries, gamma1, gamma2):
+    # The paper's conditions are sharp for the linearization dx = A x dt +
+    # diag(omega1 x1, omega2 x2) dW: its second moments (M11, M12, M22) obey
+    # dM/dt = L M, and the conditions hold exactly when L is Hurwitz, which
+    # Routh-Hurwitz decides here in exact arithmetic on the floats the code sees.
+    floats = [float(a) for a in entries]
+    verdict = check_mean_square_stability(report_from_entries(*floats),
+                                          NoiseSpec.from_gammas(float(gamma1), float(gamma2)))
+    if verdict.marginal:  # within rounding of a bound: the float verdict may go either way
+        return
+    a11, a12, a21, a22 = map(Fraction, floats)
+    g1, g2 = Fraction(verdict.gamma1), Fraction(verdict.gamma2)
+    moments = [[2 * a11 + 2 * g1, 2 * a12, 0],
+               [a21, a11 + a22, a12],
+               [0, 2 * a21, 2 * a22 + 2 * g2]]
+    c2, c1, c0 = characteristic_coefficients(moments)
+    assert verdict.conditions_met == (c2 > 0 and c0 > 0 and c2 * c1 > c0)
 
 
 # ---------------------------------------------------------------------------
