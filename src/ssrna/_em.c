@@ -18,9 +18,10 @@
  *  - fmt_g17 writes a double as Python's '%.17g' % x does.
  *
  * An ensemble is stepped one slice of at most BLOCK replicates at a time,
- * in lockstep, into a slice buffer (em_run); em_fold then adds the slice's
- * finite replicates into the ensemble's running sums in index order, so the
- * sums are those of one pass over every replicate.
+ * in lockstep, into a slice buffer (em_run), which keeps of each replicate
+ * only its deviations and its outputs; em_fold then adds the slice's finite
+ * replicates into the ensemble's running sums in index order, so the sums
+ * are those of one pass over every replicate.
  */
 
 #include <math.h>
@@ -36,12 +37,12 @@ double random_standard_normal(bitgen_t *bitgen_state);
 /* One cell's constants, in simulator._Cell's field order. */
 enum { A11, A12, A21, A22, BR, ABR, W1, W2, P_STAR, M_STAR, X1_0, X2_0, EPS_SQ, CELL_WORDS };
 
-/* Rows of the state array: deviations, running max of |x|^2, running minima. */
-enum { X1, X2, SUP, LOW1, LOW2, STATE_ROWS };
+/* Rows of the state array: the deviations. */
+enum { X1, X2, STATE_ROWS };
 
 #define BLOCK 64
 
-/* A Philox stream: 11 words, simulator._STREAM_WORDS. */
+/* A Philox stream: 11 words, _em._STREAM_WORDS. */
 typedef struct {
     uint64_t ctr[4];
     uint64_t key[2];
@@ -191,13 +192,14 @@ void rk4_path(const double *model, double p, double m, path_t *path)
  *
  * cells:  ncells x CELL_WORDS constants.
  * state:  STATE_ROWS x ncells x BLOCK doubles of scratch.
- * rec:    the recorded steps, ascending from 0.  |x|^2 of cell c, replicate
- *         first + j at rec[i] goes to sq[(i * ncells + c) * BLOCK + j], and
- *         first_exceed[c * BLOCK + j] takes the first recorded row by which
- *         the running maximum of |x|^2 exceeded eps_sq, else -1.  A state
- *         that is not finite sets nonfinite and is frozen at 0 when it is
- *         first seen; negative is set at the end from the running minima
- *         (p* + x is monotone).  sq NULL skips these outputs.
+ * rec:    the recorded steps, ascending from 0 to `steps`.  |x|^2 of cell c,
+ *         replicate first + j at rec[i] goes to sq[(i * ncells + c) * BLOCK
+ *         + j]; first_exceed[c * BLOCK + j] takes the first recorded row
+ *         from the first step (the start included) whose |x|^2 exceeded
+ *         eps_sq, else -1, and negative is set if p* + x1 or m* + x2 was
+ *         ever below zero.  A state that is not finite sets nonfinite and
+ *         is frozen at 0 when it is first seen; em_fold reads no other
+ *         output of it.  sq NULL skips these outputs.
  * dW:     NULL to draw the increments, else steps x 2 imposed ones (n = 1).
  *         Replicate first + j draws from its own two streams once per step,
  *         for every cell at once, so a batch of cells draws its increments
@@ -219,15 +221,16 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
         em_seed(st + j, seed, 2 * (uint64_t)first + j);
     for (int64_t c = 0; c < ncells; c++) {
         const double *cell = cells + c * CELL_WORDS;
-        double *x1 = ROW(X1, c), *x2 = ROW(X2, c), *sup = ROW(SUP, c);
+        double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
         for (int j = 0; j < nb; j++) {
-            x1[j] = ROW(LOW1, c)[j] = cell[X1_0];
-            x2[j] = ROW(LOW2, c)[j] = cell[X2_0];
-            sup[j] = x1[j] * x1[j] + x2[j] * x2[j];
+            int64_t k = c * BLOCK + j;
+            x1[j] = cell[X1_0];
+            x2[j] = cell[X2_0];
             if (sq) {
-                first_exceed[c * BLOCK + j] = sup[j] > cell[EPS_SQ] ? 0 : -1;
-                nonfinite[c * BLOCK + j] = 0;
-                sq[c * BLOCK + j] = sup[j];
+                sq[k] = x1[j] * x1[j] + x2[j] * x2[j];
+                first_exceed[k] = sq[k] > cell[EPS_SQ] ? 0 : -1;
+                negative[k] = cell[P_STAR] + x1[j] < 0.0 || cell[M_STAR] + x2[j] < 0.0;
+                nonfinite[k] = 0;
             }
         }
         if (path && !path_start(path, cell[P_STAR] + x1[0], cell[M_STAR] + x2[0]))
@@ -246,14 +249,15 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
                 d2[j] = random_standard_normal(&g2) * sqrt_dt;
             }
         }
-        int recorded = next < nrec && rec[next] == s + 1;
+        /* rec[next] is the first recorded step from s + 1 on, as step n is recorded */
+        int recorded = sq && next < nrec && rec[next] == s + 1;
         for (int64_t c = 0; c < ncells; c++) {
             const double *cell = cells + c * CELL_WORDS;
             double a11 = cell[A11], a12 = cell[A12], a21 = cell[A21], a22 = cell[A22];
             double br = cell[BR], abr = cell[ABR], w1 = cell[W1], w2 = cell[W2];
-            double *x1 = ROW(X1, c), *x2 = ROW(X2, c), *sup = ROW(SUP, c);
-            double *low1 = ROW(LOW1, c), *low2 = ROW(LOW2, c);
+            double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
             for (int j = 0; j < nb; j++) {
+                int64_t k = c * BLOCK + j;
                 double u = x1[j], v = x2[j], sum = u + v;
                 double g1 = a11 * u + a12 * v - br * sum * v;
                 double g2 = a21 * u + a22 * v - abr * sum * u;
@@ -261,39 +265,25 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
                 v = v + g2 * dt + w2 * v * d2[j];
                 x1[j] = u;
                 x2[j] = v;
-                double dsq = u * u + v * v;
-                /* numpy's maximum and minimum: a NaN on either side wins */
-                if (dsq > sup[j] || dsq != dsq)
-                    sup[j] = dsq;
-                if (u < low1[j] || u != u)
-                    low1[j] = u;
-                if (v < low2[j] || v != v)
-                    low2[j] = v;
-                if (sq && recorded) {
-                    sq[(next * ncells + c) * BLOCK + j] = dsq;
-                    int64_t *fe = first_exceed + c * BLOCK + j;
-                    if (*fe < 0 && sup[j] > cell[EPS_SQ])
-                        *fe = next;
+                if (sq) {
+                    double dsq = u * u + v * v;
+                    if (recorded)
+                        sq[next * ncells * BLOCK + k] = dsq;
+                    if (first_exceed[k] < 0 && dsq > cell[EPS_SQ])
+                        first_exceed[k] = next;
+                    if (cell[P_STAR] + u < 0.0 || cell[M_STAR] + v < 0.0)
+                        negative[k] = 1;
                 }
                 if (path && !path_record(path, s + 1, cell[P_STAR] + u, cell[M_STAR] + v))
                     return;
                 if (!(isfinite(u) && isfinite(v))) {
                     x1[j] = x2[j] = 0.0; /* keeps NaNs out of later steps */
                     if (sq)
-                        nonfinite[c * BLOCK + j] = 1;
+                        nonfinite[k] = 1;
                 }
             }
         }
         next += recorded;
-    }
-
-    if (sq) {
-        for (int64_t c = 0; c < ncells; c++) {
-            const double *cell = cells + c * CELL_WORDS;
-            for (int j = 0; j < nb; j++)
-                negative[c * BLOCK + j] =
-                    cell[P_STAR] + ROW(LOW1, c)[j] < 0.0 || cell[M_STAR] + ROW(LOW2, c)[j] < 0.0;
-        }
     }
 #undef ROW
 }

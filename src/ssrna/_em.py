@@ -59,8 +59,14 @@ _SIGNATURES = {
 # Replicates a slice holds at most (_em.c's BLOCK): they are stepped in lockstep.
 BLOCK = 64
 
-# Rows of the kernel's state per cell and replicate (_em.c's STATE_ROWS).
-_STATE_ROWS = 5
+# Words of a Philox stream (_em.c's stream_t): em_run keeps two per replicate on the C stack.
+_STREAM_WORDS = 11
+
+# Rows of the kernel's state per cell and replicate (_em.c's STATE_ROWS): the deviations.
+_STATE_ROWS = 2
+
+# Words of a cell's constants (_em.c's CELL_WORDS): a simulator._Cell, its drift flattened.
+_CELL_WORDS = 13
 
 # Bytes fmt_g17 may write per number, besides its separator (_em.c's G17_ROOM).
 _G17_ROOM = 32
@@ -171,6 +177,11 @@ def doubles(values) -> array:
     return array("d", values)
 
 
+def recorded_rows(n: int, stride: int) -> int:
+    """How many of steps 0..n are recorded: every stride-th and the last (len(simulator.recorded_steps(n, stride)))."""
+    return -(-n // stride) + 1
+
+
 class Recorder(ctypes.Structure):
     """The recorder of a single path (_em.c's path_t), with the rows it records.
 
@@ -186,7 +197,7 @@ class Recorder(ctypes.Structure):
                 ("_states", _P), ("rows", _I), ("exited", _I), ("failed", _I), ("_due", _I)]
 
     def __init__(self, n: int, stride: int, dt: float, low: float, high: float):
-        rows = -(-n // stride) + 1
+        rows = recorded_rows(n, stride)
         self.times = _zeros("d", rows)
         self.states = _zeros("d", 2 * rows)
         super().__init__(n, min(stride, n), dt, low, high, _address(self.times), _address(self.states))
@@ -201,6 +212,33 @@ def rk4(rates: tuple[float, float, float, float, float], p: float, m: float, pat
 def _cell_words(cells) -> array:
     """simulator._Cell tuples as _em.c's cell words, the drift flattened."""
     return array("d", [word for c in cells for word in (*c.drift, *c[1:])])
+
+
+class Sums:
+    """An ensemble batch's statistics, summed over its finite replicates in index order, each in C order.
+
+    Per cell and recorded row, sq holds the sum of |x|^2 and exceed the
+    replicates whose |x| first exceeded epsilon1 there; per cell, counts
+    holds the included, negative (a population went below zero) and
+    non-finite replicates.
+    """
+
+    def __init__(self, ncells: int, nrec: int):
+        self.sq = _zeros("d", ncells * nrec)
+        self.exceed = _zeros("q", ncells * nrec)
+        self.counts = _zeros("q", 3 * ncells)
+
+
+def ensemble_bytes(ncells: int, nrec: int, workers: int) -> int:
+    """Bytes of the buffers of an ensemble or sweep of ncells cells and nrec recorded rows in `workers` threads.
+
+    Its Sums, and per thread a Slice and the slice's streams, whatever the replicate count.
+    """
+    sums = ncells * nrec * (8 + 8) + 3 * ncells * 8
+    # per cell its constants, and per replicate its state, |x|^2 per row and first exceedance, and two 1 B flags
+    per_cell = _CELL_WORDS * 8 + BLOCK * ((_STATE_ROWS + nrec + 1) * 8 + 2)
+    per_thread = ncells * per_cell + nrec * 8 + 2 * BLOCK * _STREAM_WORDS * 8
+    return sums + workers * per_thread
 
 
 class Slice:
@@ -239,22 +277,16 @@ class Slice:
                          _address(self.negative), None, None)
         self.n = n
 
-    def fold(self, sq: array, exceed: array, counts: array) -> None:
-        """Add the slice's finite replicates, in index order, into an ensemble's sums (em_fold in _em.c).
-
-        sq (array('d')) and exceed (array('q')) hold cells x recorded rows,
-        in C order: the sum of |x|^2 and the count of first exceedances at
-        each row.  counts (array('q')) holds cells x 3: the included,
-        negative and non-finite replicates.
-        """
+    def fold(self, sums: Sums) -> None:
+        """Add the slice's finite replicates, in index order, into sums (em_fold in _em.c)."""
         size = self.k * len(self.rec)
         # the C loop trusts every pointer and size
-        if not all(a.typecode == typecode and len(a) == want
-                   for a, typecode, want in ((sq, "d", size), (exceed, "q", size), (counts, "q", 3 * self.k))):
+        if not all(a.typecode == typecode and len(a) == want for a, typecode, want in (
+                (sums.sq, "d", size), (sums.exceed, "q", size), (sums.counts, "q", 3 * self.k))):
             raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
         self._lib.em_fold(self.k, self.n, len(self.rec), _address(self.sq), _address(self.first_exceed),
-                          _address(self.nonfinite), _address(self.negative), _address(sq),
-                          _address(exceed), _address(counts))
+                          _address(self.nonfinite), _address(self.negative), _address(sums.sq),
+                          _address(sums.exceed), _address(sums.counts))
 
 
 def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array] = None) -> None:

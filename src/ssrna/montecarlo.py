@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import threading
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import accumulate, product
@@ -41,9 +40,8 @@ from .simulator import (
     SimConfig,
     _Cell,
     _check_recorded_bytes,
-    _ensemble_bytes,
+    _finite,
     _kernel_cell,
-    _recording,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
     recorded_steps,
     step_count,
@@ -80,7 +78,7 @@ class EnsembleConfig:
         # replicate k draws from the streams keyed by the 64-bit words 2k and 2k + 1
         if not (type(self.replicates) is int and 1 <= self.replicates <= MAX_SEED // 2):
             raise ParameterError(f"replicates must be an integer from 1 to 2**63, got {self.replicates!r}")
-        if not (math.isfinite(self.epsilon1) and self.epsilon1 > 0.0):
+        if not (_finite(self.epsilon1) and self.epsilon1 > 0.0):
             raise ParameterError(f"epsilon1 must be positive, got {self.epsilon1!r}")
         if not (type(self.master_seed) is int and 0 <= self.master_seed < MAX_SEED):
             raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
@@ -122,15 +120,6 @@ def _cell(cfg: EnsembleConfig, params: ModelParams) -> _Cell:
     return _kernel_cell(params, cfg.anchor, cfg.noise, cfg.sim.initial, cfg.epsilon1 * cfg.epsilon1)
 
 
-@dataclass(frozen=True)
-class _Sums:
-    """An ensemble batch's statistics, summed over its finite replicates in index order, each in C order."""
-
-    sq: array      # 'd', cells x recorded steps: sum of |x|^2
-    exceed: array  # 'q', cells x recorded steps: replicates whose |x| first exceeded epsilon1 there
-    counts: array  # 'q', cells x 3: included, negative (a population went below zero) and non-finite
-
-
 def _slices(replicates: int, workers: int) -> int:
     """How many slices an ensemble is cut into: slices of at most _em.BLOCK replicates, and one per worker at least."""
     return max(workers, -(-replicates // _em.BLOCK))
@@ -143,7 +132,7 @@ def _euler_maruyama(
     dt: float,
     rec: Sequence[int],
     workers: int,
-) -> _Sums:
+) -> _em.Sums:
     """Euler-Maruyama ensembles of every cell, driven by shared increments, folded into sums.
 
     The replicates are cut into S slices (_slices), slice s being
@@ -161,8 +150,7 @@ def _euler_maruyama(
     """
     _em.library()  # built or loaded before any thread asks for it
     slices = _slices(replicates, workers)
-    size = len(cells) * len(rec)
-    sums = _Sums(_em._zeros("d", size), _em._zeros("q", size), _em._zeros("q", 3 * len(cells)))
+    sums = _em.Sums(len(cells), len(rec))
     turn = threading.Condition()
     folded = 0    # slices folded into the sums so far
     failed = []   # exceptions raised in any thread, in the order raised
@@ -184,7 +172,7 @@ def _euler_maruyama(
                     turn.wait_for(lambda: folded == s or failed)
                     if failed:
                         return
-                    buffer.fold(sums.sq, sums.exceed, sums.counts)
+                    buffer.fold(sums)
                     folded += 1
                     turn.notify_all()
         except BaseException as exc:
@@ -208,7 +196,7 @@ def _euler_maruyama(
     return sums
 
 
-def _reduce(sums: _Sums, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
+def _reduce(sums: _em.Sums, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
     """Statistics of one cell over its finite replicates, from sums added in replicate-index order.
 
     The ratios divide by the count converted to a float, as numpy divides
@@ -244,8 +232,9 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     """
     cell = _cell(cfg, params)
     workers = _worker_count(cfg.replicates)
-    n_steps = _recording(cfg.sim, *_ensemble_bytes(1, workers))
-    rec = recorded_steps(n_steps, cfg.sim.record_stride)
+    n_steps, stride = step_count(cfg.sim), cfg.sim.record_stride
+    _check_recorded_bytes(_em.ensemble_bytes(1, _em.recorded_rows(n_steps, stride), workers))
+    rec = recorded_steps(n_steps, stride)
     sums = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, workers)
     return _reduce(sums, 0, rec, cfg.sim.dt)
 
@@ -254,6 +243,8 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     """Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ParameterError("Wilson interval needs at least one trial")
+    if not 0 <= successes <= n:
+        raise ParameterError(f"successes must lie in [0, {n}], got {successes!r}")
     p_hat = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -386,7 +377,7 @@ def sweep(
         n = step_count(template.sim)
         rec = recorded_steps(n, n)  # the start and the end: a row reads only the end
         workers = _worker_count(template.replicates)
-        _check_recorded_bytes(len(rec), *_ensemble_bytes(len(batch), workers))
+        _check_recorded_bytes(_em.ensemble_bytes(len(batch), len(rec), workers))
         sums = _euler_maruyama(batch, template.replicates, template.master_seed, template.sim.dt, rec, workers)
 
     rows = []

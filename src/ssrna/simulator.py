@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple, Optional
 
 from . import _em
@@ -54,17 +55,10 @@ MAX_STEPS = 2**63 - 1
 # A recorded path row: t, p and m as float64.
 _PATH_ROW_BYTES = 3 * 8
 
-# What an ensemble or sweep holds, whatever its replicate count: per cell
-# and recorded row, a float64 sum of |x|^2 and an int64 count of first
-# exceedances, shared by its threads; and in each thread one slice
-# buffer of _em.BLOCK replicates, each with two Philox streams of 11 words
-# (_em.c's stream_t) and per cell a float64 |x|^2 per recorded row, five
-# float64 state values and its first exceedance (8 B), negative and
-# nonfinite (1 B each) results.
-_SUM_ROW_BYTES = 16
-_STREAM_WORDS = 11
-_SLICE_REPLICATE_BYTES = 2 * _STREAM_WORDS * 8
-_SLICE_CELL_BYTES = 5 * 8 + 10
+
+def _finite(x) -> bool:
+    """Whether x is a real number, not a bool, in float range (math.isfinite raises for a huge int or a str)."""
+    return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 class Scheme(Enum):
@@ -83,9 +77,9 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not (_finite(self.dt) and self.dt > 0.0):
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
+        if not (_finite(self.t_end) and self.t_end >= self.dt):
             raise ParameterError(f"t_end must be at least dt, got {self.t_end!r}")
         if not (math.isfinite(self.t_end / self.dt) and step_count(self) <= MAX_STEPS):
             raise ParameterError(
@@ -95,7 +89,7 @@ class SimConfig:
             raise ParameterError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (math.isfinite(self.initial[0]) and math.isfinite(self.initial[1])):
+        if not (_finite(self.initial[0]) and _finite(self.initial[1])):
             raise ParameterError(f"initial state must be finite, got {self.initial!r}")
 
 
@@ -141,8 +135,8 @@ def recorded_steps(n_steps: int, stride: int) -> list[int]:
     return steps
 
 
-def _check_recorded_bytes(rows: int, row_bytes: int, other_bytes: int = 0) -> None:
-    """Refuse a run whose recorded results (rows x row_bytes, plus other_bytes) exceed physical memory.
+def _check_recorded_bytes(size: int) -> None:
+    """Refuse a run whose recorded results and buffers, size bytes, exceed physical memory.
 
     Runs before anything is sized from the step count, so a run that
     cannot fit is invalid input that states its size, not an OverflowError
@@ -151,7 +145,6 @@ def _check_recorded_bytes(rows: int, row_bytes: int, other_bytes: int = 0) -> No
     if not hasattr(os, "sysconf"):
         return
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    size = rows * row_bytes + other_bytes
     if size > memory:
         from decimal import Decimal  # formats an int of any size; imported only for this message
 
@@ -159,21 +152,6 @@ def _check_recorded_bytes(rows: int, row_bytes: int, other_bytes: int = 0) -> No
             f"the run would record {Decimal(size):.3g} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
-
-
-def _ensemble_bytes(cells: int, workers: int) -> tuple[int, int]:
-    """(bytes per recorded row, other bytes) of an ensemble or sweep of `cells` cells in `workers` threads."""
-    slices = workers * _em.BLOCK
-    return (cells * (_SUM_ROW_BYTES + slices * 8),
-            slices * (_SLICE_REPLICATE_BYTES + cells * _SLICE_CELL_BYTES))
-
-
-def _recording(cfg: SimConfig, row_bytes: int, other_bytes: int = 0) -> int:
-    """Step count of cfg, once its recorded rows are known to fit."""
-    n = step_count(cfg)
-    rows = -(-n // cfg.record_stride) + 1  # len(recorded_steps(...)), without building the list
-    _check_recorded_bytes(rows, row_bytes, other_bytes)
-    return n
 
 
 def default_dt(params: ModelParams, eq: Optional[Equilibrium] = None) -> float:
@@ -289,7 +267,8 @@ def _path_recorder(cfg: SimConfig, K: float) -> _em.Recorder:
     A state farther than OMEGA_EXIT_RTOL * K outside the phase-space
     triangle counts as having left it.
     """
-    n = _recording(cfg, _PATH_ROW_BYTES)
+    n = step_count(cfg)
+    _check_recorded_bytes(_em.recorded_rows(n, cfg.record_stride) * _PATH_ROW_BYTES)
     tol = OMEGA_EXIT_RTOL * K
     return _em.Recorder(n, cfg.record_stride, cfg.dt, -tol, K + tol)
 

@@ -574,10 +574,13 @@ def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monk
     cfg = ensemble_config(replicates=20000, sim=sim)
     with pytest.raises(Admitted):
         main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
-    # 5001 rows: a float64 sum and an int64 count per row, and in each slice
-    # buffer 64 replicates' |x|^2 per row and their streams, state and results
+    # 5001 rows: a float64 sum and an int64 count per row, and three counts;
+    # and in each of the two threads the cell's 13 words, a copy of the 5001
+    # recorded steps, per replicate of 64 its two state values, |x|^2 per
+    # row, first exceedance and two 1 B flags, and its two 11-word streams
     cfg = ensemble_config(replicates=2, sim=dict(sim, t_end=2500.0))
-    size = 5001 * (16 + 2 * 64 * 8) + 2 * 64 * (2 * 88 + 5 * 8 + 10)
+    size = 5001 * 16 + 3 * 8 + 2 * ((13 + 5001) * 8 + 64 * ((2 + 5001 + 1) * 8 + 2 + 2 * 11 * 8))
+    assert size == 5307144
     out = tmp_path / "out"
     assert main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"would record {Decimal(size):.3g} bytes, more than the 4194304 bytes" in capsys.readouterr().err

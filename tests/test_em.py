@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ U64_MAX = 2**64 - 1
 
 
 def seeded_stream(key) -> np.ndarray:
-    stream = np.empty(simulator._STREAM_WORDS, np.uint64)
+    stream = np.empty(_em._STREAM_WORDS, np.uint64)
     _em.library().em_seed(stream.ctypes.data, *key)
     return stream
 
@@ -41,11 +42,26 @@ def raw_words(stream: np.ndarray, n: int) -> np.ndarray:
 
 
 def test_stream_size_is_what_the_memory_check_counts():
-    assert _em.library().em_stream_words() == simulator._STREAM_WORDS
+    assert _em.library().em_stream_words() == _em._STREAM_WORDS
 
 
 def test_slice_size_is_the_kernels_block():
     assert _em.library().em_block() == _em.BLOCK
+
+
+def buffer_bytes(obj) -> int:
+    """Bytes of the array buffers that obj holds."""
+    return sum(a.buffer_info()[1] * a.itemsize for a in vars(obj).values() if isinstance(a, array))
+
+
+@pytest.mark.parametrize("ncells, nrec, workers", [(1, 2, 1), (1, 5001, 2), (3, 7, 2), (16, 2, 4)])
+def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, workers):
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
+    buffer = _em.Slice([cell] * ncells, 0, 0.5, range(nrec))
+    streams = 2 * _em.BLOCK * _em.library().em_stream_words() * 8  # on em_run's stack, per thread
+    expected = buffer_bytes(_em.Sums(ncells, nrec)) + workers * (buffer_bytes(buffer) + streams)
+    assert _em.ensemble_bytes(ncells, nrec, workers) == expected
 
 
 @pytest.mark.parametrize("key", [(0, 0), (0, U64_MAX), (U64_MAX, 0), (U64_MAX, U64_MAX), (20240706, 7)])

@@ -308,6 +308,10 @@ def test_ensemble_config_validation(tumv):
     with pytest.raises(ParameterError, match="master_seed"):
         EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0, 0), anchor=eq,
                        epsilon1=1.0, master_seed=False)
+    for epsilon1 in (10**400, True, "a"):
+        with pytest.raises(ParameterError, match="epsilon1"):
+            EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0, 0), anchor=eq,
+                           epsilon1=epsilon1, master_seed=0)
 
 
 def reference_ensemble(params, cfg):
@@ -511,6 +515,12 @@ def test_wilson_reference_values():
     lo, hi = wilson_interval(50, 1000)
     assert lo == pytest.approx(0.038, abs=1e-3)
     assert hi == pytest.approx(0.065, abs=1e-3)
+
+
+@pytest.mark.parametrize("successes, n", [(5, 3), (-1, 10), (1, 0)])
+def test_wilson_rejects_impossible_counts(successes, n):
+    with pytest.raises(ParameterError):
+        wilson_interval(successes, n)
 
 
 def test_estimate_requires_thirty_replicates(tumv):

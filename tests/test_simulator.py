@@ -24,7 +24,7 @@ from ssrna import (
     validate_params,
     vector_field,
 )
-from ssrna import simulator
+from ssrna import _em, simulator
 from ssrna.model_core import field
 from ssrna.simulator import recorded_steps, step_count, write_trajectory_csv
 
@@ -53,6 +53,11 @@ from conftest import (
         dict(dt=0.5, t_end=1.0, initial=State(0, 0), record_stride=True),
         # 2**63 steps: one more than the compiled library's 64-bit step counter holds
         dict(dt=1.0, t_end=2.0**63, initial=State(0, 0)),
+        # beyond floating-point range, or not a number
+        dict(dt=10**400, t_end=1.0, initial=State(0, 0)),
+        dict(dt=0.5, t_end=10**400, initial=State(0, 0)),
+        dict(dt=0.5, t_end=1.0, initial=State(10**400, 0)),
+        dict(dt="a", t_end=1.0, initial=State(0, 0)),
     ],
 )
 def test_sim_config_validation(kwargs):
@@ -67,6 +72,8 @@ def test_step_count_and_recording():
     assert recorded_steps(4, 1) == [0, 1, 2, 3, 4]
     assert recorded_steps(10, 4) == [0, 4, 8, 10]  # final step always kept
     assert recorded_steps(8, 4) == [0, 4, 8]
+    for n, stride in [(4, 1), (10, 4), (8, 4), (3, 4), (1, 1), (1, 7), (12, 3)]:
+        assert _em.recorded_rows(n, stride) == len(recorded_steps(n, stride))
 
 
 def test_default_dt_rule(tumv):
