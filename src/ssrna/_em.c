@@ -17,11 +17,13 @@
  *    -ffp-contract=off, so no product is fused into an add.
  *  - fmt_g17 writes a double as Python's '%.17g' % x does.
  *
- * An ensemble is stepped one slice of at most BLOCK replicates at a time,
- * in lockstep, into a slice buffer (em_run), which keeps of each replicate
- * only its deviations and its outputs; em_fold then adds the slice's finite
- * replicates into the ensemble's running sums in index order, so the sums
- * are those of one pass over every replicate.
+ * Euler-Maruyama has one entry point per job, sharing one step (em_step), one
+ * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
+ * single path into its recorder.  em_run steps an ensemble one slice of at
+ * most BLOCK replicates at a time, in lockstep, into a slice buffer, which
+ * keeps of each replicate only its deviations and its outputs; em_fold then
+ * adds the slice's finite replicates into the ensemble's running sums in
+ * index order, so the sums are those of one pass over every replicate.
  */
 
 #include <math.h>
@@ -100,11 +102,11 @@ static double next_double(void *state)
     return (next_uint64(state) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* random_standard_normal draws only 64-bit words and doubles */
-static bitgen_t bitgen_of(stream_t *s)
+/* A standard normal from s: random_standard_normal draws only 64-bit words and doubles */
+static double normal(stream_t *s)
 {
     bitgen_t g = {s, next_uint64, 0, next_double, next_uint64};
-    return g;
+    return random_standard_normal(&g);
 }
 
 void em_raw(stream_t *s, int64_t n, uint64_t *out)
@@ -187,8 +189,18 @@ void rk4_path(const double *model, double p, double m, path_t *path)
     }
 }
 
+/* One Euler-Maruyama step of a cell's deviations: simulator._drift's arithmetic, in its order. */
+static inline void em_step(const double *cell, double dt, double d1, double d2, double *u, double *v)
+{
+    double x1 = *u, x2 = *v, sum = x1 + x2;
+    double g1 = cell[A11] * x1 + cell[A12] * x2 - cell[BR] * sum * x2;
+    double g2 = cell[A21] * x1 + cell[A22] * x2 - cell[ABR] * sum * x1;
+    *u = x1 + g1 * dt + cell[W1] * x1 * d1;
+    *v = x2 + g2 * dt + cell[W2] * x2 * d2;
+}
+
 /* Step replicates first..first+n-1 (n <= BLOCK) of every cell over `steps`
- * steps from their start.
+ * steps of dt from their start.
  *
  * cells:  ncells x CELL_WORDS constants.
  * state:  STATE_ROWS x ncells x BLOCK doubles of scratch.
@@ -199,23 +211,19 @@ void rk4_path(const double *model, double p, double m, path_t *path)
  *         eps_sq, else -1, and negative is set if p* + x1 or m* + x2 was
  *         ever below zero.  A state that is not finite sets nonfinite and
  *         is frozen at 0 when it is first seen; em_fold reads no other
- *         output of it.  sq NULL skips these outputs.
- * dW:     NULL to draw the increments, else steps x 2 imposed ones (n = 1).
- *         Replicate first + j draws from its own two streams once per step,
- *         for every cell at once, so a batch of cells draws its increments
- *         once, and no number depends on the batch or the slice it is in.
- * path:   NULL, or the recorder of a single path (n = 1, one cell), which
- *         takes the start state and the state after each step, and stops
- *         the call at the first non-finite one.
+ *         output of it.
+ * Replicate first + j draws from its own two streams once per step, for
+ * every cell at once, so a batch of cells draws its increments once, and no
+ * number depends on the batch or the slice it is in.
  */
 void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, int64_t first,
-            int64_t n, int64_t steps, double dt, double sqrt_dt, const int64_t *rec, int64_t nrec,
-            double *sq, int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative,
-            const double *dW, path_t *path)
+            int64_t n, int64_t steps, double dt, const int64_t *rec, int64_t nrec, double *sq,
+            int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative)
 {
     stream_t st[2 * BLOCK];
     int nb = (int)n;
     int64_t next = 1; /* row 0, the start, is taken below */
+    double sqrt_dt = sqrt(dt);
 #define ROW(r, c) (state + ((r) * ncells + (c)) * BLOCK)
     for (int j = 0; j < 2 * nb; j++)
         em_seed(st + j, seed, 2 * (uint64_t)first + j);
@@ -226,66 +234,67 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
             int64_t k = c * BLOCK + j;
             x1[j] = cell[X1_0];
             x2[j] = cell[X2_0];
-            if (sq) {
-                sq[k] = x1[j] * x1[j] + x2[j] * x2[j];
-                first_exceed[k] = sq[k] > cell[EPS_SQ] ? 0 : -1;
-                negative[k] = cell[P_STAR] + x1[j] < 0.0 || cell[M_STAR] + x2[j] < 0.0;
-                nonfinite[k] = 0;
-            }
+            sq[k] = x1[j] * x1[j] + x2[j] * x2[j];
+            first_exceed[k] = sq[k] > cell[EPS_SQ] ? 0 : -1;
+            negative[k] = cell[P_STAR] + x1[j] < 0.0 || cell[M_STAR] + x2[j] < 0.0;
+            nonfinite[k] = 0;
         }
-        if (path && !path_start(path, cell[P_STAR] + x1[0], cell[M_STAR] + x2[0]))
-            return;
     }
 
     for (int64_t s = 0; s < steps; s++) {
         double d1[BLOCK], d2[BLOCK];
-        if (dW) {
-            d1[0] = dW[2 * s];
-            d2[0] = dW[2 * s + 1];
-        } else {
-            for (int j = 0; j < nb; j++) {
-                bitgen_t g1 = bitgen_of(st + 2 * j), g2 = bitgen_of(st + 2 * j + 1);
-                d1[j] = random_standard_normal(&g1) * sqrt_dt;
-                d2[j] = random_standard_normal(&g2) * sqrt_dt;
-            }
+        for (int j = 0; j < nb; j++) {
+            d1[j] = normal(st + 2 * j) * sqrt_dt;
+            d2[j] = normal(st + 2 * j + 1) * sqrt_dt;
         }
         /* rec[next] is the first recorded step from s + 1 on, as step n is recorded */
-        int recorded = sq && next < nrec && rec[next] == s + 1;
+        int recorded = next < nrec && rec[next] == s + 1;
         for (int64_t c = 0; c < ncells; c++) {
-            const double *cell = cells + c * CELL_WORDS;
-            double a11 = cell[A11], a12 = cell[A12], a21 = cell[A21], a22 = cell[A22];
-            double br = cell[BR], abr = cell[ABR], w1 = cell[W1], w2 = cell[W2];
+            double cell[CELL_WORDS];
+            memcpy(cell, cells + c * CELL_WORDS, sizeof cell);
             double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
             for (int j = 0; j < nb; j++) {
                 int64_t k = c * BLOCK + j;
-                double u = x1[j], v = x2[j], sum = u + v;
-                double g1 = a11 * u + a12 * v - br * sum * v;
-                double g2 = a21 * u + a22 * v - abr * sum * u;
-                u = u + g1 * dt + w1 * u * d1[j];
-                v = v + g2 * dt + w2 * v * d2[j];
+                double u = x1[j], v = x2[j];
+                em_step(cell, dt, d1[j], d2[j], &u, &v);
+                double dsq = u * u + v * v;
+                if (recorded)
+                    sq[next * ncells * BLOCK + k] = dsq;
+                if (first_exceed[k] < 0 && dsq > cell[EPS_SQ])
+                    first_exceed[k] = next;
+                if (cell[P_STAR] + u < 0.0 || cell[M_STAR] + v < 0.0)
+                    negative[k] = 1;
+                if (!(isfinite(u) && isfinite(v))) {
+                    u = v = 0.0; /* keeps NaNs out of later steps */
+                    nonfinite[k] = 1;
+                }
                 x1[j] = u;
                 x2[j] = v;
-                if (sq) {
-                    double dsq = u * u + v * v;
-                    if (recorded)
-                        sq[next * ncells * BLOCK + k] = dsq;
-                    if (first_exceed[k] < 0 && dsq > cell[EPS_SQ])
-                        first_exceed[k] = next;
-                    if (cell[P_STAR] + u < 0.0 || cell[M_STAR] + v < 0.0)
-                        negative[k] = 1;
-                }
-                if (path && !path_record(path, s + 1, cell[P_STAR] + u, cell[M_STAR] + v))
-                    return;
-                if (!(isfinite(u) && isfinite(v))) {
-                    x1[j] = x2[j] = 0.0; /* keeps NaNs out of later steps */
-                    if (sq)
-                        nonfinite[k] = 1;
-                }
             }
         }
         next += recorded;
     }
 #undef ROW
+}
+
+/* Step replicate `replicate` of one cell path->n steps from its start into the recorder, which
+ * stops the path at its first non-finite state, on increments drawn as em_run draws them, or on
+ * the path->n x 2 of dW. */
+void em_path(const double *cell, uint64_t seed, int64_t replicate, const double *dW, path_t *path)
+{
+    stream_t st[2];
+    double dt = path->dt, sqrt_dt = sqrt(dt), u = cell[X1_0], v = cell[X2_0];
+    em_seed(st, seed, 2 * (uint64_t)replicate);
+    em_seed(st + 1, seed, 2 * (uint64_t)replicate + 1);
+    if (!path_start(path, cell[P_STAR] + u, cell[M_STAR] + v))
+        return;
+    for (int64_t s = 0; s < path->n; s++) {
+        double d1 = dW ? dW[2 * s] : normal(st) * sqrt_dt;
+        double d2 = dW ? dW[2 * s + 1] : normal(st + 1) * sqrt_dt;
+        em_step(cell, dt, d1, d2, &u, &v);
+        if (!path_record(path, s + 1, cell[P_STAR] + u, cell[M_STAR] + v))
+            return;
+    }
 }
 
 /* Add the finite replicates of a slice, em_run's outputs for its n

@@ -1,9 +1,11 @@
 """The compiled library (_em.c): built on first use, loaded with ctypes.
 
-It holds the Euler-Maruyama kernel of ensembles and sweeps, stepped and
-folded one slice of replicates at a time (Slice), and of single paths
-(path), the RK4 path, the recorder of a single path (Recorder) and the
-'%.17g' formatter of the writers (format_g17).
+It holds the Euler-Maruyama kernel, with one entry point per job that
+share one step and one normal draw: em_run steps ensembles and sweeps one
+slice of replicates at a time, which em_fold folds (Slice), and em_path
+steps a single path (path).  It also holds the RK4 path, the recorder of a
+single path (Recorder) and the '%.17g' formatter of the writers
+(format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import importlib.util
-import math
 import os
 import sys
 from array import array
@@ -50,7 +51,8 @@ _SIGNATURES = {
     "em_seed": (None, (_P, ctypes.c_uint64, ctypes.c_uint64)),
     "em_raw": (None, (_P, _I, _P)),
     "em_block": (_I, ()),
-    "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _D, _D, _P, _I, _P, _P, _P, _P, _P, _P)),
+    "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _D, _P, _I, _P, _P, _P, _P)),
+    "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
     "em_fold": (None, (_P, _I, _I, _P, _P, _P, _P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
     "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P)),
@@ -272,9 +274,8 @@ class Slice:
         if not 0 <= n <= BLOCK:
             raise ValueError(f"a slice holds 0 to {BLOCK} replicates, not {n}")
         self._lib.em_run(_address(self.cells), self.k, _address(self.state), self.seed, first, n,
-                         self.rec[-1], self.dt, math.sqrt(self.dt), _address(self.rec), len(self.rec),
-                         _address(self.sq), _address(self.first_exceed), _address(self.nonfinite),
-                         _address(self.negative), None, None)
+                         self.rec[-1], self.dt, _address(self.rec), len(self.rec), _address(self.sq),
+                         _address(self.first_exceed), _address(self.nonfinite), _address(self.negative))
         self.n = n
 
     def fold(self, sums: Sums) -> None:
@@ -290,7 +291,7 @@ class Slice:
 
 
 def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array] = None) -> None:
-    """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder.
+    """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder (em_path).
 
     dW, when given, is an array('d') of recorder.n rows of two increments,
     to use instead of the streams'.  The recorder stops the path at its
@@ -298,10 +299,9 @@ def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array
     """
     if not (dW is None or (dW.typecode == "d" and len(dW) == 2 * recorder.n)):
         raise ValueError("the increments do not match the path's steps")
-    words, state = _cell_words([cell]), _zeros("d", _STATE_ROWS * BLOCK)
-    library().em_run(_address(words), 1, _address(state), seed, replicate, 1, recorder.n,
-                     recorder.dt, math.sqrt(recorder.dt), None, 0, None, None, None, None,
-                     None if dW is None else _address(dW), ctypes.addressof(recorder))
+    words = _cell_words([cell])
+    library().em_path(_address(words), seed, replicate, None if dW is None else _address(dW),
+                      ctypes.addressof(recorder))
 
 
 def format_g17(values, row: int, sep: bytes, eol: bytes) -> bytes:

@@ -89,8 +89,12 @@ class SimConfig:
             raise ParameterError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (_finite(self.initial[0]) and _finite(self.initial[1])):
-            raise ParameterError(f"initial state must be finite, got {self.initial!r}")
+        try:
+            p, m = self.initial
+        except (TypeError, ValueError):  # not a pair
+            p = m = None
+        if not (_finite(p) and _finite(m)):
+            raise ParameterError(f"initial state must be a pair of finite numbers, got {self.initial!r}")
 
 
 @dataclass(frozen=True)
@@ -315,11 +319,12 @@ def integrate_sde(
     The drift is evaluated in the centered form (_drift's arithmetic), so
     the anchor is an exact fixed point of the discrete scheme: started
     there, both drift and noise vanish to the last bit for any noise level.
-    The path is replicate `replicate` of the compiled ensemble kernel (_em),
-    stepped and recorded in one call, and holds only its recorded rows.
-    Increments come from the counter-based streams keyed (cfg.seed,
-    replicate, coordinate); pass dW (shape (n_steps, 2)) to impose a
-    specific realization instead.
+    The path is stepped and recorded in one call of the compiled kernel's
+    single-path entry point (_em.path), with the step and the normal draw of
+    its ensembles, and holds only its recorded rows.  Increments come from
+    the counter-based streams keyed (cfg.seed, replicate, coordinate), as
+    replicate `replicate` of an ensemble draws them; pass dW, numbers of
+    shape (n_steps, 2), to impose a specific realization instead.
 
     Paths are not clamped to the phase-space triangle: noise can push them
     out (recorded via exited_omega) or below zero.  Raises IntegrationError
@@ -331,6 +336,12 @@ def integrate_sde(
         raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
     path = _path_recorder(cfg, params.K)
     if dW is not None:
+        import numpy as np  # only a library caller imposes increments
+
+        try:
+            dW = np.asarray(dW, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows, or not numbers
+            raise ParameterError(f"dW must be numbers of shape ({path.n}, 2)") from None
         if dW.shape != (path.n, 2):
             raise ParameterError(f"dW must have shape ({path.n}, 2), got {dW.shape}")
         dW = _em.doubles(dW)

@@ -378,6 +378,21 @@ def _reference_path(params, cfg, k, n, rec):
     return sq, exceed_at, negative
 
 
+def test_slice_draws_the_top_stream_keys():
+    # replicate 2**63 - 1 under the largest seed draws from the keys 2**64 - 2 and 2**64 - 1
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
+    cfg = EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0.8, 0.8), anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=2**64 - 1)
+    rec = recorded_steps(27, 3)
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
+    buffer.step(2**63 - 1, 1)
+    sq, _, negative = _reference_path(p, cfg, 2**63 - 1, 27, rec)
+    assert sq is not None and buffer.nonfinite[0] == 0
+    assert buffer.sq[::_em.BLOCK].tolist() == sq  # rows x one cell x BLOCK: replicate 0 of each row
+    assert buffer.negative[0] == negative
+
+
 @pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
 @pytest.mark.parametrize("n_steps", [5, 8, 9, 27])
 def test_chunked_ensemble_equals_one_shot_increments(n_steps, noise):

@@ -58,6 +58,11 @@ from conftest import (
         dict(dt=0.5, t_end=10**400, initial=State(0, 0)),
         dict(dt=0.5, t_end=1.0, initial=State(10**400, 0)),
         dict(dt="a", t_end=1.0, initial=State(0, 0)),
+        # the start must be a pair of numbers
+        dict(dt=0.5, t_end=1.0, initial=5),
+        dict(dt=0.5, t_end=1.0, initial=None),
+        dict(dt=0.5, t_end=1.0, initial=(1.0,)),
+        dict(dt=0.5, t_end=1.0, initial=(1.0, 2.0, 3.0)),
     ],
 )
 def test_sim_config_validation(kwargs):
@@ -397,6 +402,17 @@ def test_sde_seed_and_replicate_streams(tumv):
     assert not (a.states == d.states).all()
 
 
+def test_sde_draws_the_top_stream_keys():
+    # replicate 2**63 - 1 under the largest seed draws from the keys 2**64 - 2 and 2**64 - 1
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cfg = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), seed=2**64 - 1)
+    replicate, args = 2**63 - 1, (p, NoiseSpec(0.8, 0.8), origin_equilibrium(), cfg)
+    dW = np.stack([brownian_increments(cfg.seed, replicate, c, 27, cfg.dt) for c in (0, 1)], axis=1)
+    drawn = integrate_sde(*args, replicate=replicate)
+    assert np.array_equal(drawn.states, integrate_sde(*args, dW=dW).states)
+    assert not np.array_equal(drawn.states, integrate_sde(*args, replicate=replicate - 1).states)
+
+
 @pytest.mark.parametrize("replicate", [-1, 2**63, True])
 def test_sde_rejects_replicate_outside_the_stream_keys(tumv, replicate):
     # the key 2 * replicate + coordinate must be a 64-bit word
@@ -420,6 +436,15 @@ def test_sde_dw_shape_checked(tumv):
     cfg = SimConfig(dt=0.5, t_end=10.0, initial=State(eq.p_star, eq.m_star))
     with pytest.raises(ParameterError, match="dW"):
         integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, cfg, dW=np.zeros((3, 2)))
+    # 20 steps: a list or tuple of rows is refused unless it has 20 rows of two numbers
+    for dW in ([[0.0, 0.0]] * 3, ((0.0, 0.0, 0.0),) * 20, [[0.0, 0.0]] * 19 + [[0.0]], [["a", "b"]] * 20):
+        with pytest.raises(ParameterError, match="dW"):
+            integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, cfg, dW=dW)
+    moved = SimConfig(dt=0.5, t_end=10.0, initial=State(1.01 * eq.p_star, eq.m_star))
+    args = (tumv, NoiseSpec(0.1, 0.1), eq, moved)
+    rows = integrate_sde(*args, dW=[[0.5, -0.5]] * 20)
+    assert np.array_equal(rows.states, integrate_sde(*args, dW=np.full((20, 2), [0.5, -0.5])).states)
+    assert not np.array_equal(rows.states, integrate_sde(*args, dW=np.zeros((20, 2))).states)
 
 
 def test_sde_exit_and_negative_states_recorded():
