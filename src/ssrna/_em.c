@@ -10,8 +10,12 @@
  *    for coordinate c, counter 0, with numpy's buffering of four 64-bit
  *    words per block, so stream_t yields the words of
  *    numpy.random.Philox(key=[seed, 2k + c]).random_raw().
- *  - Normals come from numpy's own random_standard_normal (the ziggurat of
- *    numpy.random.Generator.standard_normal), linked from libnpyrandom.a.
+ *  - Normals are those of numpy's ziggurat (numpy.random.Generator.
+ *    standard_normal).  Its first try, accepted for about 99.3% of draws, is
+ *    taken inline on numpy's own tables (ki_double, wi_double); a reject
+ *    goes to numpy's random_standard_normal, which draws the wedge or the
+ *    tail.  ssrna._em links both from a copy of libnpyrandom.a in which it
+ *    made the two tables global.
  *  - The Euler-Maruyama step is simulator._drift's arithmetic and the RK4
  *    step is model_core.field's, each in its evaluation order; built with
  *    -ffp-contract=off, so no product is fused into an add.
@@ -35,6 +39,10 @@
 
 /* numpy/random/distributions.h declares this, but it includes Python.h */
 double random_standard_normal(bitgen_t *bitgen_state);
+
+/* The ziggurat's tables: local symbols of libnpyrandom.a, global in the copy that is linked */
+extern const uint64_t ki_double[256];
+extern const double wi_double[256];
 
 /* One cell's constants, in simulator._Cell's field order. */
 enum { A11, A12, A21, A22, BR, ABR, W1, W2, P_STAR, M_STAR, X1_0, X2_0, EPS_SQ, CELL_WORDS };
@@ -67,11 +75,9 @@ void em_seed(stream_t *s, uint64_t key0, uint64_t key1)
     s->buffer_pos = 4; /* empty: the first draw computes the block of counter 1 */
 }
 
-static uint64_t next_uint64(void *state)
+/* Compute the block of the next counter into the buffer, to be read from its first word. */
+static void refill(stream_t *s)
 {
-    stream_t *s = state;
-    if (s->buffer_pos < 4)
-        return s->buffer[s->buffer_pos++];
     if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0)
         ++s->ctr[3];
     uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
@@ -93,8 +99,15 @@ static uint64_t next_uint64(void *state)
     s->buffer[1] = c1;
     s->buffer[2] = c2;
     s->buffer[3] = c3;
-    s->buffer_pos = 1;
-    return c0;
+    s->buffer_pos = 0;
+}
+
+static uint64_t next_uint64(void *state)
+{
+    stream_t *s = state;
+    if (s->buffer_pos >= 4)
+        refill(s);
+    return s->buffer[s->buffer_pos++];
 }
 
 static double next_double(void *state)
@@ -102,9 +115,28 @@ static double next_double(void *state)
     return (next_uint64(state) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* A standard normal from s: random_standard_normal draws only 64-bit words and doubles */
+/* A standard normal from s, as random_standard_normal draws it.  Its first try is taken here:
+ * the word's low 8 bits index the layer, the next bit is the sign and the 52 above it the
+ * magnitude.  The sign is XOR-ed into the result's sign bit, which is all that negation does,
+ * rather than applied by a branch on a random bit, which is mispredicted half the time.  A
+ * reject leaves the word unread, so random_standard_normal, which draws only 64-bit words and
+ * doubles, reads it again and goes on to the wedge or the tail. */
 static double normal(stream_t *s)
 {
+    if (s->buffer_pos >= 4)
+        refill(s);
+    uint64_t r = s->buffer[s->buffer_pos];
+    int idx = r & 0xff;
+    uint64_t rabs = r >> 9 & 0x000fffffffffffffULL;
+    if (rabs < ki_double[idx]) {
+        s->buffer_pos++;
+        double x = rabs * wi_double[idx];
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= (r >> 8 & 1) << 63;
+        memcpy(&x, &bits, sizeof x);
+        return x;
+    }
     bitgen_t g = {s, next_uint64, 0, next_double, next_uint64};
     return random_standard_normal(&g);
 }

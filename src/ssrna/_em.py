@@ -9,9 +9,12 @@ single path (Recorder) and the '%.17g' formatter of the writers
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
-sampler of numpy.random.Generator.  It is cached under
-$XDG_CACHE_HOME/ssrna (default ~/.cache/ssrna) in a file named after the
-sha256 of the source, the compiler flags and the bytes of numpy's
+sampler of numpy.random.Generator.  The kernel reads the sampler's ziggurat
+tables, which are local symbols of that archive, so the build first makes
+them global with binutils' objcopy in a temporary copy of the archive, and
+links the copy.  The library is cached under $XDG_CACHE_HOME/ssrna
+(default ~/.cache/ssrna) in a file named after the sha256 of the source,
+the compiler flags, the objcopy arguments and the bytes of numpy's
 libnpyrandom.a and numpy/random/bitgen.h, so a changed source or sampler
 builds a new one.  Nothing is built or loaded at import, and numpy is
 never imported: its files are located with importlib, and the library's
@@ -39,7 +42,12 @@ _SOURCE = Path(__file__).with_name("_em.c")
 
 # No -ffast-math or -march: the kernel must round as numpy does, and
 # -ffp-contract=off keeps the compiler from fusing a product into an add.
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# -z defs makes a symbol that nothing defines, such as a table objcopy did not
+# globalize, fail the link rather than the load.
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-Wl,-z,defs")
+
+# The objcopy arguments that make the ziggurat tables of libnpyrandom.a global.
+_GLOBALIZE = ("--globalize-symbol=ki_double", "--globalize-symbol=wi_double")
 
 _lib: Optional[ctypes.CDLL] = None
 
@@ -100,7 +108,7 @@ def _numpy_files() -> tuple[Path, Path]:
 
 def _library_path(include: Path, archive: Path) -> Path:
     """Where the library built from the current source against numpy's include directory and archive is cached."""
-    parts = [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(),
+    parts = [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), " ".join(_GLOBALIZE).encode(),
              (include / "numpy" / "random" / "bitgen.h").read_bytes(), archive.read_bytes()]
     key = sha256(b"".join(sha256(part).digest() for part in parts))
     return _cache_dir() / f"_em-{key.hexdigest()[:16]}.so"
@@ -115,23 +123,32 @@ def _build() -> Path:
         raise KernelError(f"cannot build the compiled library: {exc}") from None
     if target.exists():
         return target
-    command = [*_compiler(), *_FLAGS, "-I", str(include), str(_SOURCE), str(archive), "-lm", "-o"]
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    tables = tmp.with_suffix(".a")  # the archive with its tables made global
+    commands = (["objcopy", *_GLOBALIZE, str(archive), str(tables)],
+                [*_compiler(), *_FLAGS, "-I", str(include), str(_SOURCE), str(tables), "-lm", "-o", str(tmp)])
+    command = commands[0]
     try:
         import subprocess  # only a build needs it
 
         target.parent.mkdir(parents=True, exist_ok=True)
-        proc = subprocess.run([*command, str(tmp)], capture_output=True, text=True)
-        detail = f"exited with status {proc.returncode}" + "".join(
-            f": {line.strip()}" for line in proc.stderr.splitlines()[:1])
-        if proc.returncode == 0:
+        for command in commands:
+            proc = subprocess.run(command, capture_output=True, text=True)
+            if proc.returncode != 0:
+                break
+        else:
             os.replace(tmp, target)  # atomic: a concurrent build or load sees all or nothing
             return target
+        # the first line that names an error, as a link's first line names only the function
+        lines = [line.strip() for line in proc.stderr.splitlines()]
+        named = [line for line in lines if "error" in line or "undefined" in line]
+        detail = f"exited with status {proc.returncode}" + "".join(f": {line}" for line in (named or lines)[:1])
     except OSError as exc:
         detail = str(exc)
     finally:
         tmp.unlink(missing_ok=True)
-    raise KernelError(f"cannot build the compiled library: `{' '.join(command)} {tmp}` {detail}")
+        tables.unlink(missing_ok=True)
+    raise KernelError(f"cannot build the compiled library: `{' '.join(command)}` {detail}")
 
 
 def library() -> ctypes.CDLL:

@@ -323,8 +323,8 @@ def integrate_sde(
     single-path entry point (_em.path), with the step and the normal draw of
     its ensembles, and holds only its recorded rows.  Increments come from
     the counter-based streams keyed (cfg.seed, replicate, coordinate), as
-    replicate `replicate` of an ensemble draws them; pass dW, numbers of
-    shape (n_steps, 2), to impose a specific realization instead.
+    replicate `replicate` of an ensemble draws them; pass dW, finite numbers
+    of shape (n_steps, 2), to impose a specific realization instead.
 
     Paths are not clamped to the phase-space triangle: noise can push them
     out (recorded via exited_omega) or below zero.  Raises IntegrationError
@@ -344,6 +344,8 @@ def integrate_sde(
             raise ParameterError(f"dW must be numbers of shape ({path.n}, 2)") from None
         if dW.shape != (path.n, 2):
             raise ParameterError(f"dW must have shape ({path.n}, 2), got {dW.shape}")
+        if not np.isfinite(dW).all():  # None converts to NaN
+            raise ParameterError("dW must be finite numbers")
         dW = _em.doubles(dW)
     _em.path(cell, cfg.seed, replicate, path, dW)
     return _trajectory(path, Scheme.EULER_MARUYAMA, "noise or step too large?")

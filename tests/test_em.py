@@ -22,6 +22,7 @@ from ssrna import (
     validate_params,
 )
 from ssrna import _em, cli
+from ssrna.errors import KernelError
 from ssrna.simulator import brownian_increments, step_count
 
 from conftest import TUMV
@@ -99,6 +100,49 @@ def test_kernel_draws_equal_brownian_increments_into_the_ziggurat_tail():
     assert drawn.states.min() > 10.0  # no increment was lost in rounding
 
 
+def ziggurat_draws(key, n: int) -> list[tuple[int, int, int]]:
+    """Per standard normal of numpy's Generator(Philox(key)), in turn: the stream position of its
+    first word, the words it took (more than one on a reject of the first try) and that word's
+    layer (its low 8 bits; layer 0 holds the tail)."""
+    bit_generator = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    words = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(8 * n + 8)
+    generator, draws, position = np.random.Generator(bit_generator), [], 0
+    for _ in range(n):
+        generator.standard_normal()
+        state = bit_generator.state  # block `counter` is being read at buffer_pos (no carry this early)
+        end = 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
+        draws.append((position, end - position, int(words[position]) & 0xFF))
+        position = end
+    return draws
+
+
+# Streams of seed 99 whose normals leave the ziggurat's first try, found by scanning replicates
+# with ziggurat_draws: (replicate, coordinate, draw, what the reject is).
+ZIGGURAT_REJECTS = [
+    (15, 0, 0, "wedge"), (54, 0, 0, "wedge"), (3280, 0, 0, "tail"), (6960, 1, 0, "tail"),
+    (5, 1, 3, "last word of a block"), (44, 1, 7, "last word of a block"),
+]
+
+
+@pytest.mark.parametrize("replicate, coordinate, draw, kind", ZIGGURAT_REJECTS)
+def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coordinate, draw, kind):
+    seed, steps = 99, 8
+    position, words, layer = ziggurat_draws((seed, 2 * replicate + coordinate), steps)[draw]
+    assert words > 1
+    assert {"wedge": layer != 0, "tail": layer == 0, "last word of a block": position % 4 == 3}[kind]
+    # the origin anchor makes the deviations the state, so |x|^2 is p * p + m * m
+    p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cfg = SimConfig(dt=0.25, t_end=0.25 * steps, initial=State(300.0, 250.0), seed=seed)
+    dW = np.stack([brownian_increments(seed, replicate, c, steps, cfg.dt) for c in (0, 1)], axis=1)
+    noise, anchor = NoiseSpec(0.3, 0.2), origin_equilibrium()
+    imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
+    assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
+    cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
+    buffer = _em.Slice([cell], seed, cfg.dt, range(steps + 1))
+    buffer.step(replicate, 1)
+    assert list(buffer.sq[::_em.BLOCK]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
+
+
 def test_single_path_is_stepped_in_one_call(monkeypatch):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0))
@@ -125,12 +169,12 @@ EM_CONFIG = {
 }
 
 
-# every command loads the library: simulate-rk4 for its path, analyze for its writer
-@pytest.mark.parametrize("command", ["ensemble", "simulate", "simulate-rk4", "analyze"])
-def test_build_failure_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, command):
+def failed_build(tmp_path, monkeypatch, capsys, command) -> str:
+    """The error line of `command` (ensemble, simulate, simulate-rk4 or analyze) run on an empty
+    cache whose library cannot be built, checked to be one line with exit 1, no traceback and no
+    file left in the cache."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(_em, "_lib", None)
-    monkeypatch.setattr(_em, "_compiler", lambda: ["false"])
     blocks = {"ensemble": EM_CONFIG["ensemble"], "simulate": EM_CONFIG["simulate"],
               "simulate-rk4": dict(EM_CONFIG["simulate"], scheme="rk4"), "analyze": {}}
     command, block = command.split("-")[0], blocks[command]
@@ -141,8 +185,39 @@ def test_build_failure_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, com
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot build")
-    assert "`false -O2 -ffp-contract=off" in captured.err and "Traceback" not in captured.err
+    assert "Traceback" not in captured.err
     assert list((tmp_path / "cache" / "ssrna").iterdir()) == []  # no half-written library
+    return captured.err
+
+
+# every command loads the library: simulate-rk4 for its path, analyze for its writer
+@pytest.mark.parametrize("command", ["ensemble", "simulate", "simulate-rk4", "analyze"])
+def test_build_failure_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(_em, "_compiler", lambda: ["false"])
+    assert "`false -O2 -ffp-contract=off" in failed_build(tmp_path, monkeypatch, capsys, command)
+
+
+@pytest.mark.parametrize("command", ["ensemble", "simulate", "simulate-rk4", "analyze"])
+def test_build_without_objcopy_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, command):
+    # a PATH that holds the compiler but not binutils' objcopy
+    shim = tmp_path / "bin"
+    shim.mkdir()
+    compiler = _em._compiler()[0]
+    (shim / Path(compiler).name).symlink_to(shutil.which(compiler))
+    monkeypatch.setenv("PATH", str(shim))
+    assert "objcopy" in failed_build(tmp_path, monkeypatch, capsys, command)
+
+
+def test_build_of_an_archive_without_the_ziggurat_tables_fails(tmp_path, monkeypatch):
+    include, archive = _em._numpy_files()
+    renamed = tmp_path / archive.name
+    subprocess.run(["objcopy", "--redefine-sym=ki_double=ki_renamed", str(archive), str(renamed)], check=True)
+    monkeypatch.setattr(_em, "_numpy_files", lambda: (include, renamed))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(KernelError, match="cannot build the compiled library: .*ki_double") as failure:
+        _em._build()
+    assert "\n" not in str(failure.value)
+    assert list((tmp_path / "cache" / "ssrna").iterdir()) == []
 
 
 def test_changed_source_builds_a_new_library(tmp_path, monkeypatch):
@@ -158,6 +233,12 @@ def test_changed_source_builds_a_new_library(tmp_path, monkeypatch):
     second = _em._build()
     assert second != first
     assert sorted((tmp_path / "ssrna").iterdir()) == sorted([first, second])
+
+
+def test_changed_objcopy_arguments_name_a_new_library(monkeypatch):
+    first = _em._library_path(*_em._numpy_files())
+    monkeypatch.setattr(_em, "_GLOBALIZE", (*_em._GLOBALIZE, "--globalize-symbol=fi_double"))
+    assert _em._library_path(*_em._numpy_files()) != first
 
 
 def sampler_copy(tmp_path, name, flip=None):

@@ -440,6 +440,11 @@ def test_sde_dw_shape_checked(tumv):
     for dW in ([[0.0, 0.0]] * 3, ((0.0, 0.0, 0.0),) * 20, [[0.0, 0.0]] * 19 + [[0.0]], [["a", "b"]] * 20):
         with pytest.raises(ParameterError, match="dW"):
             integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, cfg, dW=dW)
+    # and unless every increment is finite: None becomes NaN
+    for bad in (None, math.nan, math.inf, -math.inf):
+        for dW in ([[bad, bad]] * 20, [[0.0, 0.0]] * 19 + [[0.0, bad]]):
+            with pytest.raises(ParameterError, match="dW must be finite"):
+                integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, cfg, dW=dW)
     moved = SimConfig(dt=0.5, t_end=10.0, initial=State(1.01 * eq.p_star, eq.m_star))
     args = (tumv, NoiseSpec(0.1, 0.1), eq, moved)
     rows = integrate_sde(*args, dW=[[0.5, -0.5]] * 20)
