@@ -7,9 +7,14 @@
  * replaces, which the tests keep as their reference:
  *
  *  - Each replicate k has two Philox4x64-10 streams, keyed (seed, 2k + c)
- *    for coordinate c, counter 0, with numpy's buffering of four 64-bit
- *    words per block, so stream_t yields the words of
- *    numpy.random.Philox(key=[seed, 2k + c]).random_raw().
+ *    for coordinate c, counter 0, so stream_t yields the words of
+ *    numpy.random.Philox(key=[seed, 2k + c]).random_raw().  A stream buffers
+ *    eight blocks of four 64-bit words where numpy buffers one: its refill
+ *    computes the eight in the lanes of one AVX-512 register on an x86-64 CPU
+ *    that has AVX-512F, chosen when the library loads, and one after another
+ *    with the scalar rounds elsewhere and where the counter's low word would
+ *    carry (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+ *    SC'11).
  *  - Normals are those of numpy's ziggurat (numpy.random.Generator.
  *    standard_normal).  Its first try, accepted for about 99.3% of draws, is
  *    taken inline on numpy's own tables (ki_double, wi_double); a reject
@@ -52,11 +57,18 @@ enum { X1, X2, STATE_ROWS };
 
 #define BLOCK 64
 
-/* A Philox stream: 11 words, _em._STREAM_WORDS. */
+/* Philox blocks a stream computes per refill: the eight counters after its own, side by side in
+ * the lanes of one AVX-512 register where the CPU has them (refill_lanes). */
+#define BLOCKS 8
+#define BUFFER_WORDS (4 * BLOCKS)
+
+/* A Philox stream: 39 words, _em._STREAM_WORDS.  ctr is the counter of the last block in the
+ * buffer, and buffer holds the blocks of counters ctr - BLOCKS + 1 .. ctr, one after another, to
+ * be read from buffer_pos on: the words numpy's Philox yields, which buffers one block at a time. */
 typedef struct {
     uint64_t ctr[4];
     uint64_t key[2];
-    uint64_t buffer[4];
+    uint64_t buffer[BUFFER_WORDS];
     uint64_t buffer_pos;
 } stream_t;
 
@@ -66,17 +78,24 @@ int64_t em_block(void) { return BLOCK; }
 
 void em_seed(stream_t *s, uint64_t key0, uint64_t key1)
 {
-    for (int i = 0; i < 4; i++) {
-        s->ctr[i] = 0;
-        s->buffer[i] = 0;
-    }
+    memset(s, 0, sizeof *s);
     s->key[0] = key0;
     s->key[1] = key1;
-    s->buffer_pos = 4; /* empty: the first draw computes the block of counter 1 */
+    s->buffer_pos = BUFFER_WORDS; /* empty: the first draw computes the blocks of counters 1 to 8 */
 }
 
-/* Compute the block of the next counter into the buffer, to be read from its first word. */
-static void refill(stream_t *s)
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+
+/* Lanes of the refill this CPU takes: BLOCKS with AVX-512F, else 1, chosen when the library loads. */
+static int refill_lanes = 1;
+
+int64_t em_refill_lanes(void) { return refill_lanes; }
+
+/* Compute the block of the next counter into out[0..3]. */
+static void philox_block(stream_t *s, uint64_t *out)
 {
     if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0)
         ++s->ctr[3];
@@ -85,27 +104,107 @@ static void refill(stream_t *s)
 #pragma GCC unroll 10 /* halves the time per word at -O2 */
     for (int round = 0; round < 10; round++) {
         if (round > 0) {
-            k0 += 0x9E3779B97F4A7C15ULL;
-            k1 += 0xBB67AE8584CAA73BULL;
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
         }
-        __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93ULL * c0;
-        __uint128_t p1 = (__uint128_t)0xCA5A826395121157ULL * c2;
+        __uint128_t p0 = (__uint128_t)PHILOX_M0 * c0;
+        __uint128_t p1 = (__uint128_t)PHILOX_M1 * c2;
         c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
         c1 = (uint64_t)p1;
         c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
         c3 = (uint64_t)p0;
     }
-    s->buffer[0] = c0;
-    s->buffer[1] = c1;
-    s->buffer[2] = c2;
-    s->buffer[3] = c3;
+    out[0] = c0;
+    out[1] = c1;
+    out[2] = c2;
+    out[3] = c3;
+}
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+_Static_assert(BLOCKS == 8, "refill_vector computes one block in each of the eight lanes of a __m512i");
+
+__attribute__((constructor)) static void choose_refill(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        refill_lanes = BLOCKS;
+}
+
+/* The high and low words of the 128-bit products of m with each lane of c, from the four 32 x 32
+ * bit products of their halves. */
+__attribute__((target("avx512f"))) static inline __m512i mul_hilo(uint64_t m, __m512i c, __m512i *lo)
+{
+    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFF);
+    __m512i ml = _mm512_set1_epi64(m & 0xFFFFFFFF), mh = _mm512_set1_epi64(m >> 32);
+    __m512i ch = _mm512_srli_epi64(c, 32);
+    __m512i ll = _mm512_mul_epu32(ml, c), lh = _mm512_mul_epu32(ml, ch);
+    __m512i hl = _mm512_mul_epu32(mh, c), hh = _mm512_mul_epu32(mh, ch);
+    /* the bits 32 to 63 of the product, with the carry into bit 64 above them */
+    __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(ll, 32),
+                                   _mm512_add_epi64(_mm512_and_epi64(lh, low32), _mm512_and_epi64(hl, low32)));
+    *lo = _mm512_or_epi64(_mm512_slli_epi64(mid, 32), _mm512_and_epi64(ll, low32));
+    return _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(mid, 32)),
+                            _mm512_add_epi64(_mm512_srli_epi64(lh, 32), _mm512_srli_epi64(hl, 32)));
+}
+
+/* philox_block for the BLOCKS next counters at once, lane b computing counter ctr + 1 + b, whose
+ * ctr[0] must not carry.  The rounds are philox_block's; the words are then transposed from one
+ * register per word of the block to the blocks one after another. */
+__attribute__((target("avx512f"))) static void refill_vector(stream_t *s)
+{
+    __m512i c0 = _mm512_add_epi64(_mm512_set1_epi64((long long)s->ctr[0]), _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8));
+    __m512i c1 = _mm512_set1_epi64((long long)s->ctr[1]);
+    __m512i c2 = _mm512_set1_epi64((long long)s->ctr[2]);
+    __m512i c3 = _mm512_set1_epi64((long long)s->ctr[3]);
+    uint64_t k0 = s->key[0], k1 = s->key[1];
+    s->ctr[0] += BLOCKS;
+    for (int round = 0; round < 10; round++) {
+        if (round > 0) {
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        __m512i lo0, lo1;
+        __m512i hi0 = mul_hilo(PHILOX_M0, c0, &lo0), hi1 = mul_hilo(PHILOX_M1, c2, &lo1);
+        /* 0x96 is the three-way XOR */
+        c0 = _mm512_ternarylogic_epi64(hi1, c1, _mm512_set1_epi64((long long)k0), 0x96);
+        c1 = lo1;
+        c2 = _mm512_ternarylogic_epi64(hi0, c3, _mm512_set1_epi64((long long)k1), 0x96);
+        c3 = lo0;
+    }
+    /* pairs (c0, c1) and (c2, c3) of the lanes 0-3 and 4-7, then two whole blocks per register */
+    const __m512i pair_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+    const __m512i pair_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+    const __m512i quad_lo = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+    const __m512i quad_hi = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+    __m512i t0 = _mm512_permutex2var_epi64(c0, pair_lo, c1), t1 = _mm512_permutex2var_epi64(c0, pair_hi, c1);
+    __m512i t2 = _mm512_permutex2var_epi64(c2, pair_lo, c3), t3 = _mm512_permutex2var_epi64(c2, pair_hi, c3);
+    _mm512_storeu_si512(s->buffer, _mm512_permutex2var_epi64(t0, quad_lo, t2));
+    _mm512_storeu_si512(s->buffer + 8, _mm512_permutex2var_epi64(t0, quad_hi, t2));
+    _mm512_storeu_si512(s->buffer + 16, _mm512_permutex2var_epi64(t1, quad_lo, t3));
+    _mm512_storeu_si512(s->buffer + 24, _mm512_permutex2var_epi64(t1, quad_hi, t3));
+}
+#endif
+
+/* Fill the buffer with the blocks of the BLOCKS next counters, to be read from its first word.
+ * Out of line: it runs once per 32 words, and keeps the draws that inline its callers small. */
+__attribute__((noinline)) static void refill(stream_t *s)
+{
+#if defined(__x86_64__)
+    if (refill_lanes == BLOCKS && s->ctr[0] <= UINT64_MAX - BLOCKS)
+        refill_vector(s);
+    else
+#endif
+        for (int b = 0; b < BLOCKS; b++)
+            philox_block(s, s->buffer + 4 * b);
     s->buffer_pos = 0;
 }
 
 static uint64_t next_uint64(void *state)
 {
     stream_t *s = state;
-    if (s->buffer_pos >= 4)
+    if (s->buffer_pos >= BUFFER_WORDS)
         refill(s);
     return s->buffer[s->buffer_pos++];
 }
@@ -120,10 +219,11 @@ static double next_double(void *state)
  * magnitude.  The sign is XOR-ed into the result's sign bit, which is all that negation does,
  * rather than applied by a branch on a random bit, which is mispredicted half the time.  A
  * reject leaves the word unread, so random_standard_normal, which draws only 64-bit words and
- * doubles, reads it again and goes on to the wedge or the tail. */
-static double normal(stream_t *s)
+ * doubles, reads it again and goes on to the wedge or the tail.  Inlined into the kernel's
+ * loops, which draw nothing else. */
+__attribute__((always_inline)) static inline double normal(stream_t *s)
 {
-    if (s->buffer_pos >= 4)
+    if (s->buffer_pos >= BUFFER_WORDS)
         refill(s);
     uint64_t r = s->buffer[s->buffer_pos];
     int idx = r & 0xff;
@@ -159,6 +259,7 @@ typedef struct {
     int64_t rows;     /* rows written */
     int64_t exited;   /* first step whose state left the triangle, else -1 */
     int64_t failed;   /* the step whose state was not finite, else -1 */
+    double lowest;    /* the smallest p or m recorded */
     int64_t due;      /* the next step to record */
 } path_t;
 
@@ -177,6 +278,7 @@ static int path_record(path_t *r, int64_t s, double p, double m)
         r->states[2 * r->rows] = p;
         r->states[2 * r->rows + 1] = m;
         r->rows++;
+        r->lowest = fmin(r->lowest, fmin(p, m));
         r->due = r->n - s <= r->stride ? r->n : s + r->stride;
     }
     return 1;
@@ -187,6 +289,7 @@ static int path_start(path_t *r, double p, double m)
 {
     r->rows = 0;
     r->exited = r->failed = -1;
+    r->lowest = INFINITY;
     r->due = 0;
     return path_record(r, 0, p, m);
 }
@@ -478,12 +581,14 @@ static int g17(double x, char *out)
 /* Write x[0..n-1] as '%.17g' writes them: sep between the numbers of each
  * row of `row` numbers and eol after each row.  out holds at least
  * n * (G17_ROOM + the longer of sep and eol) bytes.  Returns the bytes
- * written. */
+ * written, and counts the numbers that were NaN or infinite in *nonfinite. */
 int64_t fmt_g17(const double *x, int64_t n, int64_t row, const char *sep, int64_t sep_len,
-                const char *eol, int64_t eol_len, char *out)
+                const char *eol, int64_t eol_len, char *out, int64_t *nonfinite)
 {
     char *o = out;
+    *nonfinite = 0;
     for (int64_t i = 0; i < n; i++) {
+        *nonfinite += !isfinite(x[i]);
         o += g17(x[i], o);
         int last = (i + 1) % row == 0;
         memcpy(o, last ? eol : sep, last ? eol_len : sep_len);

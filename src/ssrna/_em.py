@@ -3,9 +3,11 @@
 It holds the Euler-Maruyama kernel, with one entry point per job that
 share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
-steps a single path (path).  It also holds the RK4 path, the recorder of a
-single path (Recorder) and the '%.17g' formatter of the writers
-(format_g17).
+steps a single path (path).  Its Philox streams refill eight blocks at a
+time, in the eight lanes of an AVX-512 register where the CPU has
+AVX-512F; em_refill_lanes reports which (8, else 1).  It also holds the RK4
+path, the recorder of a single path (Recorder) and the '%.17g' formatter of
+the writers (format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -56,6 +58,7 @@ _I = ctypes.c_int64
 _D = ctypes.c_double
 _SIGNATURES = {
     "em_stream_words": (_I, ()),
+    "em_refill_lanes": (_I, ()),
     "em_seed": (None, (_P, ctypes.c_uint64, ctypes.c_uint64)),
     "em_raw": (None, (_P, _I, _P)),
     "em_block": (_I, ()),
@@ -63,14 +66,14 @@ _SIGNATURES = {
     "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
     "em_fold": (None, (_P, _I, _I, _P, _P, _P, _P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
-    "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P)),
+    "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P, _P)),
 }
 
 # Replicates a slice holds at most (_em.c's BLOCK): they are stepped in lockstep.
 BLOCK = 64
 
 # Words of a Philox stream (_em.c's stream_t): em_run keeps two per replicate on the C stack.
-_STREAM_WORDS = 11
+_STREAM_WORDS = 39
 
 # Rows of the kernel's state per cell and replicate (_em.c's STATE_ROWS): the deviations.
 _STATE_ROWS = 2
@@ -209,11 +212,11 @@ class Recorder(ctypes.Structure):
     step * dt in times, both array('d') buffers.  exited is the
     first step whose state had p or m below low, or p + m above high, and
     failed the step whose state was not finite, where the path stopped;
-    each is -1 when there is none.
+    each is -1 when there is none.  lowest is the smallest p or m recorded.
     """
 
     _fields_ = [("n", _I), ("stride", _I), ("dt", _D), ("low", _D), ("high", _D), ("_times", _P),
-                ("_states", _P), ("rows", _I), ("exited", _I), ("failed", _I), ("_due", _I)]
+                ("_states", _P), ("rows", _I), ("exited", _I), ("failed", _I), ("lowest", _D), ("_due", _I)]
 
     def __init__(self, n: int, stride: int, dt: float, low: float, high: float):
         rows = recorded_rows(n, stride)
@@ -321,15 +324,17 @@ def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array
                       ctypes.addressof(recorder))
 
 
-def format_g17(values, row: int, sep: bytes, eol: bytes) -> bytes:
+def format_g17(values, row: int, sep: bytes, eol: bytes, finite: bool = False) -> Optional[bytes]:
     """Every number of values (see doubles), in C order, as '%.17g' % x writes it (a NaN as nan).
 
     sep goes between the numbers of each row of `row` numbers, and eol
-    after each row.
+    after each row.  With finite, None instead if a number is NaN or
+    infinite.
     """
     x = doubles(values)
     if not (row >= 1 and len(x) % row == 0):
         raise ValueError(f"{len(x)} numbers do not make rows of {row}")
     out = ctypes.create_string_buffer(len(x) * (_G17_ROOM + max(len(sep), len(eol))))
-    size = library().fmt_g17(_address(x), len(x), row, sep, len(sep), eol, len(eol), out)
-    return ctypes.string_at(out, size)
+    nonfinite = ctypes.c_int64()
+    size = library().fmt_g17(_address(x), len(x), row, sep, len(sep), eol, len(eol), out, ctypes.byref(nonfinite))
+    return None if finite and nonfinite.value else ctypes.string_at(out, size)

@@ -327,7 +327,7 @@ def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
                          lambda p: simulator.write_trajectory_csv(traj, p))
 
     final = traj.final_state
-    went_negative = min(serialize._stored(traj, "states")) < 0.0  # no state is NaN
+    went_negative = traj.lowest < 0.0
     print(f"scheme: {traj.scheme.value}")
     print(f"final state: ({serialize.fmt(final.p)}, {serialize.fmt(final.m)})")
     if traj.exited_omega is not None:

@@ -101,8 +101,8 @@ def _float_column(obj: Any) -> bool:
 
 
 def _finite_floats(items: Any) -> bool:
-    """Whether every item is a finite float: no NaN, Infinity, bool or int spelling."""
-    return (_float_column(items) or all(type(v) is float for v in items)) and all(map(math.isfinite, items))
+    """Whether every item of a list or tuple is a finite float: no NaN, Infinity, bool or int spelling."""
+    return all(type(v) is float for v in items) and all(map(math.isfinite, items))
 
 
 def _write(obj: Any, out: list[str], indent: str, level: int) -> None:
@@ -142,10 +142,13 @@ def _write(obj: Any, out: list[str], indent: str, level: int) -> None:
         if len(obj) == 0:
             out.append("[]")
             return
-        if _finite_floats(obj):
-            # the bytes of the per-item loop below, which the tests keep as the
-            # reference, in one call: a trajectory's columns are 10^5 numbers each
-            numbers = _em.format_g17(obj, len(obj), (",\n" + pad_in).encode(), b"")
+        # finite floats have the bytes of the per-item loop below, which the tests keep as the
+        # reference, in one call: a trajectory's columns are 10^5 numbers each.  The formatter
+        # reports a float column's non-finite numbers, so only a list's items are checked first.
+        numbers = None
+        if _float_column(obj) or _finite_floats(obj):
+            numbers = _em.format_g17(obj, len(obj), (",\n" + pad_in).encode(), b"", finite=True)
+        if numbers is not None:
             out.append("[\n" + pad_in + numbers.decode() + "\n" + pad + "]")
             return
         out.append("[\n")

@@ -106,13 +106,15 @@ class Trajectory:
     allowance (OMEGA_EXIT_RTOL * K); expected to stay None for
     deterministic runs (step size permitting), while noisy paths may
     legitimately leave.  times (n,) and states (n, 2), rows of (p, m), are
-    float64 numpy arrays (FloatArray fields).
+    float64 numpy arrays (FloatArray fields).  lowest is the smallest p or m
+    in states, as the integrators report it; None when not given.
     """
 
     times: FloatArray = FloatArray()
     states: FloatArray = FloatArray(columns=2)
     exited_omega: Optional[float]
     scheme: Scheme
+    lowest: Optional[float] = None
 
     @property
     def final_state(self) -> State:
@@ -283,7 +285,7 @@ def _trajectory(path: _em.Recorder, scheme: Scheme, hint: str) -> Trajectory:
         t = path.failed * path.dt
         raise IntegrationError(f"state became non-finite at t={t:.6g} ({hint})", t)
     exited = None if path.exited < 0 else path.exited * path.dt
-    return Trajectory(path.times, path.states, exited, scheme)
+    return Trajectory(path.times, path.states, exited, scheme, path.lowest)
 
 
 def integrate_ode(params: ModelParams, cfg: SimConfig) -> Trajectory:

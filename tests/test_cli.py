@@ -570,17 +570,17 @@ def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monk
     monkeypatch.setattr(montecarlo, "_euler_maruyama", admitted)
     sim = {"dt": 0.5, "t_end": 1000.0, "initial": {"displace_fraction": 0.01}, "record_stride": 1}
     # 20000 replicates x 2001 rows of |x|^2 would be 320 MB; the sums and
-    # the two slice buffers take 2.1 MB
+    # the two slice buffers take 2.2 MB
     cfg = ensemble_config(replicates=20000, sim=sim)
     with pytest.raises(Admitted):
         main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     # 5001 rows: a float64 sum and an int64 count per row, and three counts;
     # and in each of the two threads the cell's 13 words, a copy of the 5001
     # recorded steps, per replicate of 64 its two state values, |x|^2 per
-    # row, first exceedance and two 1 B flags, and its two 11-word streams
+    # row, first exceedance and two 1 B flags, and its two 39-word streams
     cfg = ensemble_config(replicates=2, sim=dict(sim, t_end=2500.0))
-    size = 5001 * 16 + 3 * 8 + 2 * ((13 + 5001) * 8 + 64 * ((2 + 5001 + 1) * 8 + 2 + 2 * 11 * 8))
-    assert size == 5307144
+    size = 5001 * 16 + 3 * 8 + 2 * ((13 + 5001) * 8 + 64 * ((2 + 5001 + 1) * 8 + 2 + 2 * 39 * 8))
+    assert size == 5364488
     out = tmp_path / "out"
     assert main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"would record {Decimal(size):.3g} bytes, more than the 4194304 bytes" in capsys.readouterr().err

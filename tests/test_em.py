@@ -2,6 +2,7 @@
 
 import json
 import math
+import platform
 import re
 import shutil
 import subprocess
@@ -73,7 +74,7 @@ def test_philox_words_equal_numpy(key):
 
 
 def test_philox_counter_carries_like_numpy():
-    # a stream's words are ctr[4], key[2], buffer[4], buffer_pos: start it
+    # a stream's words are ctr[4], key[2], buffer[32], buffer_pos: start it
     # where the next block's counter carries into the top word
     counter = np.array([U64_MAX, U64_MAX, U64_MAX, 5], dtype=np.uint64)
     key = np.array([3, U64_MAX], dtype=np.uint64)
@@ -81,6 +82,34 @@ def test_philox_counter_carries_like_numpy():
     stream[:4] = counter
     expected = np.random.Philox(counter=counter, key=key).random_raw(9)
     assert np.array_equal(raw_words(stream, 9), expected)
+
+
+def test_refill_lanes_follow_the_cpu():
+    # a stream's refill runs in the eight lanes of an AVX-512 register where the CPU has AVX-512F
+    lanes = _em.library().em_refill_lanes()
+    if platform.machine() != "x86_64":
+        assert lanes == 1
+    elif sys.platform.startswith("linux"):
+        flags = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.MULTILINE).group(1).split()
+        assert lanes == (8 if "avx512f" in flags else 1)
+    else:
+        assert lanes in (1, 8)
+
+
+@pytest.mark.parametrize("key", [(0, 0), (3, U64_MAX), (U64_MAX, U64_MAX)])
+@pytest.mark.parametrize("low", [U64_MAX - 19, U64_MAX - 8, U64_MAX - 7, U64_MAX - 6, U64_MAX])
+def test_refills_equal_numpy_across_the_counter_carry(low, key):
+    # A refill from counter ctr computes the blocks of ctr + 1 .. ctr + 8, in lanes unless ctr[0]
+    # would carry, which takes the scalar rounds; the carry here goes on into ctr[2].  200 words
+    # are seven refills, which cross from lanes to the scalar carry and back.
+    counter = np.array([low, U64_MAX, 7, 0], dtype=np.uint64)
+    stream = seeded_stream(key)
+    stream[:4] = counter
+    lanes = _em.library().em_refill_lanes()
+    refills = [f"{lanes} lanes" if lanes > 1 and (low + 8 * i) % 2**64 <= U64_MAX - 8 else "scalar"
+               for i in range(7)]
+    expected = np.random.Philox(counter=counter, key=np.array(key, dtype=np.uint64)).random_raw(200)
+    assert np.array_equal(raw_words(stream, 200), expected), f"refills: {refills}"
 
 
 def test_kernel_draws_equal_brownian_increments_into_the_ziggurat_tail():
@@ -139,6 +168,28 @@ def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coo
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
     buffer = _em.Slice([cell], seed, cfg.dt, range(steps + 1))
+    buffer.step(replicate, 1)
+    assert list(buffer.sq[::_em.BLOCK]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
+
+
+# Streams of seed 99 whose normal at `draw` rejects the first try on the last word of the refilled
+# buffer, so the fallback refills it: (replicate, coordinate, draw).
+BUFFER_END_REJECTS = [(13, 1, 28), (121, 1, 30)]
+
+
+@pytest.mark.parametrize("replicate, coordinate, draw", BUFFER_END_REJECTS)
+def test_kernel_draws_equal_numpy_where_a_reject_ends_the_buffer(replicate, coordinate, draw):
+    seed, steps = 99, 32
+    position, words, _ = ziggurat_draws((seed, 2 * replicate + coordinate), steps)[draw]
+    assert words > 1 and position % 32 == 31  # the last of the 32 words a refill computes
+    p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cfg = SimConfig(dt=0.25, t_end=0.25 * steps, initial=State(300.0, 250.0), seed=seed)
+    dW = np.stack([brownian_increments(seed, replicate, c, steps, cfg.dt) for c in (0, 1)], axis=1)
+    noise, anchor = NoiseSpec(0.3, 0.2), origin_equilibrium()
+    imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
+    assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
+    buffer = _em.Slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
+                       range(steps + 1))
     buffer.step(replicate, 1)
     assert list(buffer.sq[::_em.BLOCK]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 

@@ -33,6 +33,13 @@ def test_dumps_float_lists_match_the_per_item_path(items):
         assert dumps(doc) == dumps_item_by_item(doc)
 
 
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL))))
+def test_dumps_float_columns_match_the_per_item_path(items):
+    # a float column goes to the compiled formatter unchecked, which reports a non-finite number
+    reference = dumps_item_by_item({"column": items})
+    assert dumps({"column": array("d", items)}) == dumps({"column": np.array(items, dtype=float)}) == reference
+
+
 def rows_reference(header, columns):
     """The CSV text written one fmt call per number, over numpy row values."""
     lines = [header]

@@ -188,6 +188,19 @@ def test_stride_that_does_not_divide_records_final_step(scheme, tumv):
     assert traj.states.shape == (len(traj.times), 2)
 
 
+def test_lowest_is_the_smallest_recorded_population():
+    # strong noise on coarse steps carries the noisy path below zero, deepest between the rows of
+    # stride 7; the RK4 path stays positive
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    every, strided = (SimConfig(dt=0.5, t_end=200.0, initial=State(400.0, 400.0), seed=5, record_stride=s)
+                      for s in (1, 7))
+    noisy = [integrate_sde(p, NoiseSpec(1.2, 1.2), origin_equilibrium(), cfg) for cfg in (every, strided)]
+    assert [traj.lowest for traj in noisy] == [traj.states.min() for traj in noisy]
+    assert noisy[0].lowest < noisy[1].lowest < 0.0
+    rk4 = integrate_ode(p, strided)
+    assert rk4.lowest == rk4.states.min() > 0.0
+
+
 @both_schemes
 def test_blowup_raises_with_time(scheme):
     p = validate_params(r=2, alpha=1, delta=1, sigma=1, K=1)
