@@ -24,13 +24,21 @@
  *  - The Euler-Maruyama step is simulator._drift's arithmetic and the RK4
  *    step is model_core.field's, each in its evaluation order; built with
  *    -ffp-contract=off, so no product is fused into an add.
+ *  - Where the CPU has AVX-512F, em_run steps eight replicates per register
+ *    (step_lanes), chosen with the refill when the library loads.  That is a
+ *    second copy of simulator._drift's arithmetic: each lane takes the same
+ *    IEEE multiplies, adds and subtracts in the same order, unfused, and
+ *    nothing here changes MXCSR, so a lane rounds as em_step does.  The
+ *    tests pin it against the scalar copy and the Python reference.
  *  - fmt_g17 writes a double as Python's '%.17g' % x does.
  *
  * Euler-Maruyama has one entry point per job, sharing one step (em_step), one
  * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
- * single path into its recorder.  em_run steps an ensemble one slice of at
- * most BLOCK replicates at a time, in lockstep, into a slice buffer, which
- * keeps of each replicate only its deviations and its outputs; em_fold then
+ * single path into its recorder, always with em_step.  em_run steps an
+ * ensemble one slice of at most BLOCK replicates at a time, in lockstep, into
+ * a slice buffer, which keeps of each replicate only its deviations and its
+ * outputs: eight replicates per register where the CPU has AVX-512F
+ * (step_lanes), else one at a time with em_step (step_cells).  em_fold then
  * adds the slice's finite replicates into the ensemble's running sums in
  * index order, so the sums are those of one pass over every replicate.
  */
@@ -58,7 +66,7 @@ enum { X1, X2, STATE_ROWS };
 #define BLOCK 64
 
 /* Philox blocks a stream computes per refill: the eight counters after its own, side by side in
- * the lanes of one AVX-512 register where the CPU has them (refill_lanes). */
+ * the lanes of one AVX-512 register where the CPU has them (lanes). */
 #define BLOCKS 8
 #define BUFFER_WORDS (4 * BLOCKS)
 
@@ -89,10 +97,11 @@ void em_seed(stream_t *s, uint64_t key0, uint64_t key1)
 #define PHILOX_W0 0x9E3779B97F4A7C15ULL
 #define PHILOX_W1 0xBB67AE8584CAA73BULL
 
-/* Lanes of the refill this CPU takes: BLOCKS with AVX-512F, else 1, chosen when the library loads. */
-static int refill_lanes = 1;
+/* Lanes of the Philox refill and of em_run's step this CPU takes: BLOCKS with AVX-512F, else 1,
+ * chosen when the library loads. */
+static int lanes = 1;
 
-int64_t em_refill_lanes(void) { return refill_lanes; }
+int64_t em_refill_lanes(void) { return lanes; }
 
 /* Compute the block of the next counter into out[0..3]. */
 static void philox_block(stream_t *s, uint64_t *out)
@@ -125,11 +134,11 @@ static void philox_block(stream_t *s, uint64_t *out)
 
 _Static_assert(BLOCKS == 8, "refill_vector computes one block in each of the eight lanes of a __m512i");
 
-__attribute__((constructor)) static void choose_refill(void)
+__attribute__((constructor)) static void choose_lanes(void)
 {
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f"))
-        refill_lanes = BLOCKS;
+        lanes = BLOCKS;
 }
 
 /* The high and low words of the 128-bit products of m with each lane of c, from the four 32 x 32
@@ -192,7 +201,7 @@ __attribute__((target("avx512f"))) static void refill_vector(stream_t *s)
 __attribute__((noinline)) static void refill(stream_t *s)
 {
 #if defined(__x86_64__)
-    if (refill_lanes == BLOCKS && s->ctr[0] <= UINT64_MAX - BLOCKS)
+    if (lanes == BLOCKS && s->ctr[0] <= UINT64_MAX - BLOCKS)
         refill_vector(s);
     else
 #endif
@@ -324,7 +333,8 @@ void rk4_path(const double *model, double p, double m, path_t *path)
     }
 }
 
-/* One Euler-Maruyama step of a cell's deviations: simulator._drift's arithmetic, in its order. */
+/* One Euler-Maruyama step of a cell's deviations: simulator._drift's arithmetic, in its order.
+ * step_lanes repeats it in the lanes of a register. */
 static inline void em_step(const double *cell, double dt, double d1, double d2, double *u, double *v)
 {
     double x1 = *u, x2 = *v, sum = x1 + x2;
@@ -333,6 +343,96 @@ static inline void em_step(const double *cell, double dt, double d1, double d2, 
     *u = x1 + g1 * dt + cell[W1] * x1 * d1;
     *v = x2 + g2 * dt + cell[W2] * x2 * d2;
 }
+
+/* The deviations of row r (X1 or X2) of cell c, in the state of em_run's arguments. */
+#define ROW(r, c) (state + ((r) * ncells + (c)) * BLOCK)
+
+/* One step of em_run: replicates 0..width-1 of every cell on the increments d1 and d2.  next is
+ * the recorded row of the step's outputs, which are written only if `recorded`. */
+static inline void step_cells(const double *cells, int64_t ncells, double dt, const double *d1,
+                              const double *d2, int width, int64_t next, int recorded, double *state,
+                              double *sq, int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative)
+{
+    for (int64_t c = 0; c < ncells; c++) {
+        double cell[CELL_WORDS];
+        memcpy(cell, cells + c * CELL_WORDS, sizeof cell);
+        double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
+        for (int j = 0; j < width; j++) {
+            int64_t k = c * BLOCK + j;
+            double u = x1[j], v = x2[j];
+            em_step(cell, dt, d1[j], d2[j], &u, &v);
+            double dsq = u * u + v * v;
+            if (recorded)
+                sq[next * ncells * BLOCK + k] = dsq;
+            if (first_exceed[k] < 0 && dsq > cell[EPS_SQ])
+                first_exceed[k] = next;
+            if (cell[P_STAR] + u < 0.0 || cell[M_STAR] + v < 0.0)
+                negative[k] = 1;
+            if (!(isfinite(u) && isfinite(v))) {
+                u = v = 0.0; /* keeps NaNs out of later steps */
+                nonfinite[k] = 1;
+            }
+            x1[j] = u;
+            x2[j] = v;
+        }
+    }
+}
+
+#if defined(__x86_64__)
+_Static_assert(BLOCK % 8 == 0, "step_lanes steps a slice in groups of the eight lanes of a __m512d");
+
+/* step_cells for a width that is a multiple of 8, eight replicates per __m512d: a second copy of
+ * em_step's arithmetic, and so of simulator._drift's.  Each lane takes em_step's and |x|^2's
+ * multiplies, adds and subtracts, one IEEE operation each, in their order and unfused, under the
+ * same MXCSR, so it rounds as step_cells does, subnormals too.  x - x is 0 exactly when x is
+ * finite.  The negative and nonfinite flags, rarely set, are written one replicate at a time. */
+__attribute__((target("avx512f"))) static void step_lanes(const double *cells, int64_t ncells, double dt,
+                                                          const double *d1, const double *d2, int width,
+                                                          int64_t next, int recorded, double *state,
+                                                          double *sq, int64_t *first_exceed,
+                                                          uint8_t *nonfinite, uint8_t *negative)
+{
+    const __m512d zero = _mm512_setzero_pd(), step = _mm512_set1_pd(dt);
+    const __m512i row = _mm512_set1_epi64(next), none = _mm512_setzero_si512();
+    for (int64_t c = 0; c < ncells; c++) {
+        const double *cell = cells + c * CELL_WORDS;
+        const __m512d a11 = _mm512_set1_pd(cell[A11]), a12 = _mm512_set1_pd(cell[A12]);
+        const __m512d a21 = _mm512_set1_pd(cell[A21]), a22 = _mm512_set1_pd(cell[A22]);
+        const __m512d br = _mm512_set1_pd(cell[BR]), abr = _mm512_set1_pd(cell[ABR]);
+        const __m512d w1 = _mm512_set1_pd(cell[W1]), w2 = _mm512_set1_pd(cell[W2]);
+        const __m512d p_star = _mm512_set1_pd(cell[P_STAR]), m_star = _mm512_set1_pd(cell[M_STAR]);
+        const __m512d eps_sq = _mm512_set1_pd(cell[EPS_SQ]);
+        double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
+        for (int j = 0; j < width; j += 8) {
+            int64_t k = c * BLOCK + j;
+            __m512d y1 = _mm512_loadu_pd(x1 + j), y2 = _mm512_loadu_pd(x2 + j), sum = _mm512_add_pd(y1, y2);
+            __m512d g1 = _mm512_sub_pd(_mm512_add_pd(_mm512_mul_pd(a11, y1), _mm512_mul_pd(a12, y2)),
+                                       _mm512_mul_pd(_mm512_mul_pd(br, sum), y2));
+            __m512d g2 = _mm512_sub_pd(_mm512_add_pd(_mm512_mul_pd(a21, y1), _mm512_mul_pd(a22, y2)),
+                                       _mm512_mul_pd(_mm512_mul_pd(abr, sum), y1));
+            __m512d u = _mm512_add_pd(_mm512_add_pd(y1, _mm512_mul_pd(g1, step)),
+                                      _mm512_mul_pd(_mm512_mul_pd(w1, y1), _mm512_loadu_pd(d1 + j)));
+            __m512d v = _mm512_add_pd(_mm512_add_pd(y2, _mm512_mul_pd(g2, step)),
+                                      _mm512_mul_pd(_mm512_mul_pd(w2, y2), _mm512_loadu_pd(d2 + j)));
+            __m512d dsq = _mm512_add_pd(_mm512_mul_pd(u, u), _mm512_mul_pd(v, v));
+            if (recorded)
+                _mm512_storeu_pd(sq + next * ncells * BLOCK + k, dsq);
+            __mmask8 unseen = _mm512_cmplt_epi64_mask(_mm512_loadu_si512(first_exceed + k), none);
+            _mm512_mask_storeu_epi64(first_exceed + k, _mm512_mask_cmp_pd_mask(unseen, dsq, eps_sq, _CMP_GT_OQ), row);
+            unsigned below = _mm512_cmp_pd_mask(_mm512_add_pd(p_star, u), zero, _CMP_LT_OQ) |
+                             _mm512_cmp_pd_mask(_mm512_add_pd(m_star, v), zero, _CMP_LT_OQ);
+            __mmask8 finite = _mm512_mask_cmp_pd_mask(_mm512_cmp_pd_mask(_mm512_sub_pd(u, u), zero, _CMP_EQ_OQ),
+                                                      _mm512_sub_pd(v, v), zero, _CMP_EQ_OQ);
+            for (; below; below &= below - 1)
+                negative[k + __builtin_ctz(below)] = 1;
+            for (unsigned bad = (uint8_t)~finite; bad; bad &= bad - 1)
+                nonfinite[k + __builtin_ctz(bad)] = 1;
+            _mm512_storeu_pd(x1 + j, _mm512_maskz_mov_pd(finite, u)); /* keeps NaNs out of later steps */
+            _mm512_storeu_pd(x2 + j, _mm512_maskz_mov_pd(finite, v));
+        }
+    }
+}
+#endif
 
 /* Step replicates first..first+n-1 (n <= BLOCK) of every cell over `steps`
  * steps of dt from their start.
@@ -349,26 +449,29 @@ static inline void em_step(const double *cell, double dt, double d1, double d2, 
  *         output of it.
  * Replicate first + j draws from its own two streams once per step, for
  * every cell at once, so a batch of cells draws its increments once, and no
- * number depends on the batch or the slice it is in.
+ * number depends on the batch or the slice it is in.  Where the CPU has
+ * AVX-512F the replicates are stepped eight at a time (step_lanes), the
+ * slice widened to a multiple of 8 by lanes that start at 0.0 and step on
+ * increments of 0.0, whose outputs em_fold never reads; elsewhere one at a
+ * time (step_cells).
  */
 void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, int64_t first,
             int64_t n, int64_t steps, double dt, const int64_t *rec, int64_t nrec, double *sq,
             int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative)
 {
     stream_t st[2 * BLOCK];
-    int nb = (int)n;
+    int nb = (int)n, vector = lanes == BLOCKS, width = vector ? (nb + 7) / 8 * 8 : nb;
     int64_t next = 1; /* row 0, the start, is taken below */
-    double sqrt_dt = sqrt(dt);
-#define ROW(r, c) (state + ((r) * ncells + (c)) * BLOCK)
+    double sqrt_dt = sqrt(dt), d1[BLOCK] = {0}, d2[BLOCK] = {0};
     for (int j = 0; j < 2 * nb; j++)
         em_seed(st + j, seed, 2 * (uint64_t)first + j);
     for (int64_t c = 0; c < ncells; c++) {
         const double *cell = cells + c * CELL_WORDS;
         double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
-        for (int j = 0; j < nb; j++) {
+        for (int j = 0; j < width; j++) {
             int64_t k = c * BLOCK + j;
-            x1[j] = cell[X1_0];
-            x2[j] = cell[X2_0];
+            x1[j] = j < nb ? cell[X1_0] : 0.0;
+            x2[j] = j < nb ? cell[X2_0] : 0.0;
             sq[k] = x1[j] * x1[j] + x2[j] * x2[j];
             first_exceed[k] = sq[k] > cell[EPS_SQ] ? 0 : -1;
             negative[k] = cell[P_STAR] + x1[j] < 0.0 || cell[M_STAR] + x2[j] < 0.0;
@@ -377,40 +480,24 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
     }
 
     for (int64_t s = 0; s < steps; s++) {
-        double d1[BLOCK], d2[BLOCK];
         for (int j = 0; j < nb; j++) {
             d1[j] = normal(st + 2 * j) * sqrt_dt;
             d2[j] = normal(st + 2 * j + 1) * sqrt_dt;
         }
         /* rec[next] is the first recorded step from s + 1 on, as step n is recorded */
         int recorded = next < nrec && rec[next] == s + 1;
-        for (int64_t c = 0; c < ncells; c++) {
-            double cell[CELL_WORDS];
-            memcpy(cell, cells + c * CELL_WORDS, sizeof cell);
-            double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
-            for (int j = 0; j < nb; j++) {
-                int64_t k = c * BLOCK + j;
-                double u = x1[j], v = x2[j];
-                em_step(cell, dt, d1[j], d2[j], &u, &v);
-                double dsq = u * u + v * v;
-                if (recorded)
-                    sq[next * ncells * BLOCK + k] = dsq;
-                if (first_exceed[k] < 0 && dsq > cell[EPS_SQ])
-                    first_exceed[k] = next;
-                if (cell[P_STAR] + u < 0.0 || cell[M_STAR] + v < 0.0)
-                    negative[k] = 1;
-                if (!(isfinite(u) && isfinite(v))) {
-                    u = v = 0.0; /* keeps NaNs out of later steps */
-                    nonfinite[k] = 1;
-                }
-                x1[j] = u;
-                x2[j] = v;
-            }
-        }
+#if defined(__x86_64__)
+        if (vector)
+            step_lanes(cells, ncells, dt, d1, d2, width, next, recorded, state, sq, first_exceed, nonfinite,
+                       negative);
+        else
+#endif
+            step_cells(cells, ncells, dt, d1, d2, width, next, recorded, state, sq, first_exceed, nonfinite,
+                       negative);
         next += recorded;
     }
-#undef ROW
 }
+#undef ROW
 
 /* Step replicate `replicate` of one cell path->n steps from its start into the recorder, which
  * stops the path at its first non-finite state, on increments drawn as em_run draws them, or on

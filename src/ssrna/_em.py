@@ -5,9 +5,13 @@ share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
 steps a single path (path).  Its Philox streams refill eight blocks at a
 time, in the eight lanes of an AVX-512 register where the CPU has
-AVX-512F; em_refill_lanes reports which (8, else 1).  It also holds the RK4
-path, the recorder of a single path (Recorder) and the '%.17g' formatter of
-the writers (format_g17).
+AVX-512F, and there em_run also steps eight replicates per register, with
+a second copy of simulator._drift's arithmetic; em_path, and em_run on
+other CPUs, keep the scalar step.  The lanes give the same bytes: the same
+IEEE operations in the same order, none fused, under an unchanged MXCSR.
+em_refill_lanes reports the choice, made once for both (8, else 1).  It
+also holds the RK4 path, the recorder of a single path (Recorder) and the
+'%.17g' formatter of the writers (format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal

@@ -85,7 +85,7 @@ def test_philox_counter_carries_like_numpy():
 
 
 def test_refill_lanes_follow_the_cpu():
-    # a stream's refill runs in the eight lanes of an AVX-512 register where the CPU has AVX-512F
+    # a stream's refill, and em_run's step, run in the eight lanes of an AVX-512 register where the CPU has AVX-512F
     lanes = _em.library().em_refill_lanes()
     if platform.machine() != "x86_64":
         assert lanes == 1

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import tracemalloc
+from bisect import bisect_left
 from dataclasses import fields, replace
 
 import numpy as np
@@ -412,6 +413,81 @@ def test_chunked_ensemble_equals_one_shot_increments(n_steps, noise):
             assert 0 < stats.n_negative < stats.n_included
         else:
             assert stats.n_nonfinite > 0
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64])
+def test_slice_widths_around_the_lane_count_equal_the_reference(n, noise):
+    # Where the CPU has AVX-512F, em_run steps eight replicates per register, a slice of n widened
+    # to a multiple of 8 by lanes that start at 0.0 on increments of 0.0.  Under the divergence
+    # noise replicates 6 and 7 diverge, so the first group of 8 mixes finite and non-finite lanes.
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
+    cfg = EnsembleConfig(replicates=n, sim=sim, noise=noise, anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=4242)
+    rec = recorded_steps(27, 3)
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
+    buffer.step(64, 64)  # outputs of another slice beyond n, which em_fold must not read
+    buffer.step(0, n)
+    for j in range(n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq, exceed_at, negative = _reference_path(p, cfg, j, 27, rec)
+        assert buffer.nonfinite[j] == (sq is None), j
+        if sq is not None:
+            assert buffer.sq[j::_em.BLOCK].tolist() == sq, j  # rows x one cell x BLOCK
+            assert buffer.first_exceed[j] == (-1 if exceed_at is None else bisect_left(rec, exceed_at)), j
+            assert buffer.negative[j] == negative, j
+    included = [j for j in range(n) if not buffer.nonfinite[j]]
+    if noise.omega1 > 1.0 and n >= 7:
+        assert 0 < sum(j < 8 for j in included) < min(n, 8)
+    elif noise.omega1 < 1.0 and n >= 8:
+        assert 0 < sum(buffer.negative[:n]) < n
+
+    sums = _em.Sums(1, len(rec))
+    buffer.fold(sums)
+    sq = np.frombuffer(buffer.sq).reshape(len(rec), _em.BLOCK)[:, :n]
+    assert np.array_equal(np.frombuffer(sums.sq), sum_included(sq, np.frombuffer(buffer.nonfinite, np.bool_)[:n]))
+    assert list(sums.exceed) == [sum(buffer.first_exceed[j] == i for j in included) for i in range(len(rec))]
+    assert list(sums.counts) == [len(included), sum(buffer.negative[j] for j in included), n - len(included)]
+
+
+@pytest.fixture(scope="module")
+def scalar_library(tmp_path_factory):
+    """A second copy of the compiled library, built as _em builds it (the same flags and archive)
+    but with __builtin_cpu_supports defined to 0, so it refills and steps one lane at a time on any CPU."""
+    compiler = _em._compiler()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("scalar")))
+        patch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])
+        patch.setattr(_em, "_lib", None)
+        return _em.library()
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
+def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_library, noise):
+    # the default library refills and steps in AVX-512 lanes where the CPU has AVX-512F; on
+    # other CPUs this compares the scalar path with itself
+    assert scalar_library.em_refill_lanes() == 1
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
+    cfg = EnsembleConfig(replicates=301, sim=sim, noise=noise, anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=4242)
+    rec = recorded_steps(27, 3)
+    runs = {}
+    for name, lib in (("default", _em.library()), ("scalar", scalar_library)):
+        monkeypatch.setattr(_em, "_lib", lib)
+        stats = run_ensemble(cfg, p)
+        write_ensemble_csv(stats, tmp_path / f"{name}-ensemble.csv")
+        write_sweep_csv(sweep(p, {"r": [0.05, 0.1]}, {}, cfg), tmp_path / f"{name}-sweep.csv")
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
+        buffer.step(100, 37)
+        runs[name] = (stats.n_negative, stats.n_nonfinite,
+                      [(tmp_path / f"{name}-{command}.csv").read_bytes() for command in ("ensemble", "sweep")],
+                      [(buffer.sq[j::_em.BLOCK].tobytes(), buffer.first_exceed[j], buffer.nonfinite[j],
+                        buffer.negative[j]) for j in range(37)])
+    assert runs["scalar"] == runs["default"]
+    n_negative, n_nonfinite = runs["scalar"][:2]
+    assert n_negative > 0 and (n_nonfinite > 0) == (noise.omega1 > 1.0)
 
 
 def test_ensemble_memory_does_not_grow_with_horizon(tumv):
