@@ -23,24 +23,24 @@
  *    made the two tables global.
  *  - The Euler-Maruyama step is simulator._drift's arithmetic and the RK4
  *    step is model_core.field's, each in its evaluation order; built with
- *    -ffp-contract=off, so no product is fused into an add.
- *  - Where the CPU has AVX-512F, em_run steps eight replicates per register
- *    (step_lanes), chosen with the refill when the library loads.  That is a
- *    second copy of simulator._drift's arithmetic: each lane takes the same
- *    IEEE multiplies, adds and subtracts in the same order, unfused, and
- *    nothing here changes MXCSR, so a lane rounds as em_step does.  The
- *    tests pin it against the scalar copy and the Python reference.
+ *    -ffp-contract=off, so no product is fused into an add.  The
+ *    Euler-Maruyama step is written once (EM_STEP), for a double and for the
+ *    eight lanes of an AVX-512 register, on which GCC's operators take the
+ *    same IEEE operations lane by lane; nothing here changes MXCSR, so a lane
+ *    rounds as the double does.  em_run steps eight replicates per register
+ *    where the CPU has AVX-512F, chosen with the refill when the library
+ *    loads.
  *  - fmt_g17 writes a double as Python's '%.17g' % x does.
  *
  * Euler-Maruyama has one entry point per job, sharing one step (em_step), one
  * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
- * single path into its recorder, always with em_step.  em_run steps an
- * ensemble one slice of at most BLOCK replicates at a time, in lockstep, into
- * a slice buffer, which keeps of each replicate only its deviations and its
- * outputs: eight replicates per register where the CPU has AVX-512F
- * (step_lanes), else one at a time with em_step (step_cells).  em_fold then
- * adds the slice's finite replicates into the ensemble's running sums in
- * index order, so the sums are those of one pass over every replicate.
+ * single path into its recorder.  em_run steps an ensemble one slice of at
+ * most BLOCK replicates at a time, in lockstep, into a slice buffer, which
+ * keeps of each replicate only its deviations and its outputs: eight
+ * replicates per register where the CPU has AVX-512F (step_lanes), else one
+ * at a time (step_cells).  em_fold then adds the slice's finite replicates
+ * into the ensemble's running sums in index order, so the sums are those of
+ * one pass over every replicate.
  */
 
 #include <math.h>
@@ -141,21 +141,27 @@ __attribute__((constructor)) static void choose_lanes(void)
         lanes = BLOCKS;
 }
 
+/* Eight unsigned 64-bit lanes: GCC's operators act on them lane by lane, a scalar operand in
+ * every lane. */
+typedef uint64_t u64x8 __attribute__((vector_size(64)));
+
+/* The products of the low 32 bits of each lane of a and b, whole. */
+__attribute__((target("avx512f"))) static inline u64x8 mul32(u64x8 a, u64x8 b)
+{
+    return (u64x8)_mm512_mul_epu32((__m512i)a, (__m512i)b);
+}
+
 /* The high and low words of the 128-bit products of m with each lane of c, from the four 32 x 32
  * bit products of their halves. */
-__attribute__((target("avx512f"))) static inline __m512i mul_hilo(uint64_t m, __m512i c, __m512i *lo)
+__attribute__((target("avx512f"))) static inline u64x8 mul_hilo(uint64_t m, u64x8 c, u64x8 *lo)
 {
-    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFF);
-    __m512i ml = _mm512_set1_epi64(m & 0xFFFFFFFF), mh = _mm512_set1_epi64(m >> 32);
-    __m512i ch = _mm512_srli_epi64(c, 32);
-    __m512i ll = _mm512_mul_epu32(ml, c), lh = _mm512_mul_epu32(ml, ch);
-    __m512i hl = _mm512_mul_epu32(mh, c), hh = _mm512_mul_epu32(mh, ch);
+    const u64x8 none = {0};
+    u64x8 ml = none + (m & 0xFFFFFFFF), mh = none + (m >> 32), ch = c >> 32;
+    u64x8 ll = mul32(ml, c), lh = mul32(ml, ch), hl = mul32(mh, c), hh = mul32(mh, ch);
     /* the bits 32 to 63 of the product, with the carry into bit 64 above them */
-    __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(ll, 32),
-                                   _mm512_add_epi64(_mm512_and_epi64(lh, low32), _mm512_and_epi64(hl, low32)));
-    *lo = _mm512_or_epi64(_mm512_slli_epi64(mid, 32), _mm512_and_epi64(ll, low32));
-    return _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(mid, 32)),
-                            _mm512_add_epi64(_mm512_srli_epi64(lh, 32), _mm512_srli_epi64(hl, 32)));
+    u64x8 mid = (ll >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF);
+    *lo = mid << 32 | (ll & 0xFFFFFFFF);
+    return hh + (mid >> 32) + (lh >> 32) + (hl >> 32);
 }
 
 /* philox_block for the BLOCKS next counters at once, lane b computing counter ctr + 1 + b, whose
@@ -163,10 +169,9 @@ __attribute__((target("avx512f"))) static inline __m512i mul_hilo(uint64_t m, __
  * register per word of the block to the blocks one after another. */
 __attribute__((target("avx512f"))) static void refill_vector(stream_t *s)
 {
-    __m512i c0 = _mm512_add_epi64(_mm512_set1_epi64((long long)s->ctr[0]), _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8));
-    __m512i c1 = _mm512_set1_epi64((long long)s->ctr[1]);
-    __m512i c2 = _mm512_set1_epi64((long long)s->ctr[2]);
-    __m512i c3 = _mm512_set1_epi64((long long)s->ctr[3]);
+    const u64x8 none = {0};
+    u64x8 c0 = s->ctr[0] + (u64x8){1, 2, 3, 4, 5, 6, 7, 8};
+    u64x8 c1 = none + s->ctr[1], c2 = none + s->ctr[2], c3 = none + s->ctr[3];
     uint64_t k0 = s->key[0], k1 = s->key[1];
     s->ctr[0] += BLOCKS;
     for (int round = 0; round < 10; round++) {
@@ -174,21 +179,22 @@ __attribute__((target("avx512f"))) static void refill_vector(stream_t *s)
             k0 += PHILOX_W0;
             k1 += PHILOX_W1;
         }
-        __m512i lo0, lo1;
-        __m512i hi0 = mul_hilo(PHILOX_M0, c0, &lo0), hi1 = mul_hilo(PHILOX_M1, c2, &lo1);
-        /* 0x96 is the three-way XOR */
-        c0 = _mm512_ternarylogic_epi64(hi1, c1, _mm512_set1_epi64((long long)k0), 0x96);
+        u64x8 lo0, lo1;
+        u64x8 hi0 = mul_hilo(PHILOX_M0, c0, &lo0), hi1 = mul_hilo(PHILOX_M1, c2, &lo1);
+        c0 = hi1 ^ c1 ^ k0;
         c1 = lo1;
-        c2 = _mm512_ternarylogic_epi64(hi0, c3, _mm512_set1_epi64((long long)k1), 0x96);
+        c2 = hi0 ^ c3 ^ k1;
         c3 = lo0;
     }
     /* pairs (c0, c1) and (c2, c3) of the lanes 0-3 and 4-7, then two whole blocks per register */
-    const __m512i pair_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
-    const __m512i pair_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
-    const __m512i quad_lo = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
-    const __m512i quad_hi = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
-    __m512i t0 = _mm512_permutex2var_epi64(c0, pair_lo, c1), t1 = _mm512_permutex2var_epi64(c0, pair_hi, c1);
-    __m512i t2 = _mm512_permutex2var_epi64(c2, pair_lo, c3), t3 = _mm512_permutex2var_epi64(c2, pair_hi, c3);
+    const __m512i pair_lo = {0, 8, 1, 9, 2, 10, 3, 11};
+    const __m512i pair_hi = {4, 12, 5, 13, 6, 14, 7, 15};
+    const __m512i quad_lo = {0, 1, 8, 9, 2, 3, 10, 11};
+    const __m512i quad_hi = {4, 5, 12, 13, 6, 7, 14, 15};
+    __m512i t0 = _mm512_permutex2var_epi64((__m512i)c0, pair_lo, (__m512i)c1);
+    __m512i t1 = _mm512_permutex2var_epi64((__m512i)c0, pair_hi, (__m512i)c1);
+    __m512i t2 = _mm512_permutex2var_epi64((__m512i)c2, pair_lo, (__m512i)c3);
+    __m512i t3 = _mm512_permutex2var_epi64((__m512i)c2, pair_hi, (__m512i)c3);
     _mm512_storeu_si512(s->buffer, _mm512_permutex2var_epi64(t0, quad_lo, t2));
     _mm512_storeu_si512(s->buffer + 8, _mm512_permutex2var_epi64(t0, quad_hi, t2));
     _mm512_storeu_si512(s->buffer + 16, _mm512_permutex2var_epi64(t1, quad_lo, t3));
@@ -333,25 +339,31 @@ void rk4_path(const double *model, double p, double m, path_t *path)
     }
 }
 
-/* One Euler-Maruyama step of a cell's deviations: simulator._drift's arithmetic, in its order.
- * step_lanes repeats it in the lanes of a register. */
-static inline void em_step(const double *cell, double dt, double d1, double d2, double *u, double *v)
-{
-    double x1 = *u, x2 = *v, sum = x1 + x2;
-    double g1 = cell[A11] * x1 + cell[A12] * x2 - cell[BR] * sum * x2;
-    double g2 = cell[A21] * x1 + cell[A22] * x2 - cell[ABR] * sum * x1;
-    *u = x1 + g1 * dt + cell[W1] * x1 * d1;
-    *v = x2 + g2 * dt + cell[W2] * x2 * d2;
-}
+/* One Euler-Maruyama step of a cell's deviations (u, v) on the increments (d1, d2):
+ * simulator._drift's arithmetic, in its order.  Written once for T, a double (em_step) or the eight
+ * lanes of a __m512d (em_step_lanes), on which GCC's operators take the same IEEE operation lane by
+ * lane, a scalar operand in every lane; with -ffp-contract=off none is fused, and nothing here
+ * changes MXCSR, so each lane rounds as the double does, subnormals too. */
+#define EM_STEP(name, T)                                                               \
+    static inline void name(const double *cell, double dt, T d1, T d2, T *u, T *v)     \
+    {                                                                                  \
+        T x1 = *u, x2 = *v, sum = x1 + x2;                                             \
+        T g1 = cell[A11] * x1 + cell[A12] * x2 - cell[BR] * sum * x2;                  \
+        T g2 = cell[A21] * x1 + cell[A22] * x2 - cell[ABR] * sum * x1;                 \
+        *u = x1 + g1 * dt + cell[W1] * x1 * d1;                                        \
+        *v = x2 + g2 * dt + cell[W2] * x2 * d2;                                        \
+    }
+
+EM_STEP(em_step, double)
 
 /* The deviations of row r (X1 or X2) of cell c, in the state of em_run's arguments. */
 #define ROW(r, c) (state + ((r) * ncells + (c)) * BLOCK)
 
-/* One step of em_run: replicates 0..width-1 of every cell on the increments d1 and d2.  next is
- * the recorded row of the step's outputs, which are written only if `recorded`. */
+/* One step of em_run: replicates 0..width-1 of every cell on the increments d1 and d2, their |x|^2
+ * written to row `next`. */
 static inline void step_cells(const double *cells, int64_t ncells, double dt, const double *d1,
-                              const double *d2, int width, int64_t next, int recorded, double *state,
-                              double *sq, int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative)
+                              const double *d2, int width, int64_t next, double *state, double *sq,
+                              int64_t *first_exceed, uint8_t *negative)
 {
     for (int64_t c = 0; c < ncells; c++) {
         double cell[CELL_WORDS];
@@ -362,16 +374,11 @@ static inline void step_cells(const double *cells, int64_t ncells, double dt, co
             double u = x1[j], v = x2[j];
             em_step(cell, dt, d1[j], d2[j], &u, &v);
             double dsq = u * u + v * v;
-            if (recorded)
-                sq[next * ncells * BLOCK + k] = dsq;
+            sq[next * ncells * BLOCK + k] = dsq;
             if (first_exceed[k] < 0 && dsq > cell[EPS_SQ])
                 first_exceed[k] = next;
             if (cell[P_STAR] + u < 0.0 || cell[M_STAR] + v < 0.0)
                 negative[k] = 1;
-            if (!(isfinite(u) && isfinite(v))) {
-                u = v = 0.0; /* keeps NaNs out of later steps */
-                nonfinite[k] = 1;
-            }
             x1[j] = u;
             x2[j] = v;
         }
@@ -381,54 +388,39 @@ static inline void step_cells(const double *cells, int64_t ncells, double dt, co
 #if defined(__x86_64__)
 _Static_assert(BLOCK % 8 == 0, "step_lanes steps a slice in groups of the eight lanes of a __m512d");
 
-/* step_cells for a width that is a multiple of 8, eight replicates per __m512d: a second copy of
- * em_step's arithmetic, and so of simulator._drift's.  Each lane takes em_step's and |x|^2's
- * multiplies, adds and subtracts, one IEEE operation each, in their order and unfused, under the
- * same MXCSR, so it rounds as step_cells does, subnormals too.  x - x is 0 exactly when x is
- * finite.  The negative and nonfinite flags, rarely set, are written one replicate at a time. */
+__attribute__((target("avx512f"))) EM_STEP(em_step_lanes, __m512d)
+
+/* step_cells for a width that is a multiple of 8, eight replicates per __m512d (em_step_lanes).
+ * The cell's words are copied, as in step_cells, so that the compiler keeps them in registers
+ * rather than loading each again for every group.  The negative flags, rarely set, are written
+ * one replicate at a time. */
 __attribute__((target("avx512f"))) static void step_lanes(const double *cells, int64_t ncells, double dt,
                                                           const double *d1, const double *d2, int width,
-                                                          int64_t next, int recorded, double *state,
-                                                          double *sq, int64_t *first_exceed,
-                                                          uint8_t *nonfinite, uint8_t *negative)
+                                                          int64_t next, double *state, double *sq,
+                                                          int64_t *first_exceed, uint8_t *negative)
 {
-    const __m512d zero = _mm512_setzero_pd(), step = _mm512_set1_pd(dt);
-    const __m512i row = _mm512_set1_epi64(next), none = _mm512_setzero_si512();
+    const __m512d zero = {0};
+    const __m512i none = {0}, row = none + next;
     for (int64_t c = 0; c < ncells; c++) {
-        const double *cell = cells + c * CELL_WORDS;
-        const __m512d a11 = _mm512_set1_pd(cell[A11]), a12 = _mm512_set1_pd(cell[A12]);
-        const __m512d a21 = _mm512_set1_pd(cell[A21]), a22 = _mm512_set1_pd(cell[A22]);
-        const __m512d br = _mm512_set1_pd(cell[BR]), abr = _mm512_set1_pd(cell[ABR]);
-        const __m512d w1 = _mm512_set1_pd(cell[W1]), w2 = _mm512_set1_pd(cell[W2]);
-        const __m512d p_star = _mm512_set1_pd(cell[P_STAR]), m_star = _mm512_set1_pd(cell[M_STAR]);
-        const __m512d eps_sq = _mm512_set1_pd(cell[EPS_SQ]);
+        double cell[CELL_WORDS];
+        memcpy(cell, cells + c * CELL_WORDS, sizeof cell);
+        const double e = cell[EPS_SQ];
+        const __m512d eps_sq = {e, e, e, e, e, e, e, e};
         double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
         for (int j = 0; j < width; j += 8) {
             int64_t k = c * BLOCK + j;
-            __m512d y1 = _mm512_loadu_pd(x1 + j), y2 = _mm512_loadu_pd(x2 + j), sum = _mm512_add_pd(y1, y2);
-            __m512d g1 = _mm512_sub_pd(_mm512_add_pd(_mm512_mul_pd(a11, y1), _mm512_mul_pd(a12, y2)),
-                                       _mm512_mul_pd(_mm512_mul_pd(br, sum), y2));
-            __m512d g2 = _mm512_sub_pd(_mm512_add_pd(_mm512_mul_pd(a21, y1), _mm512_mul_pd(a22, y2)),
-                                       _mm512_mul_pd(_mm512_mul_pd(abr, sum), y1));
-            __m512d u = _mm512_add_pd(_mm512_add_pd(y1, _mm512_mul_pd(g1, step)),
-                                      _mm512_mul_pd(_mm512_mul_pd(w1, y1), _mm512_loadu_pd(d1 + j)));
-            __m512d v = _mm512_add_pd(_mm512_add_pd(y2, _mm512_mul_pd(g2, step)),
-                                      _mm512_mul_pd(_mm512_mul_pd(w2, y2), _mm512_loadu_pd(d2 + j)));
-            __m512d dsq = _mm512_add_pd(_mm512_mul_pd(u, u), _mm512_mul_pd(v, v));
-            if (recorded)
-                _mm512_storeu_pd(sq + next * ncells * BLOCK + k, dsq);
+            __m512d u = _mm512_loadu_pd(x1 + j), v = _mm512_loadu_pd(x2 + j);
+            em_step_lanes(cell, dt, _mm512_loadu_pd(d1 + j), _mm512_loadu_pd(d2 + j), &u, &v);
+            __m512d dsq = u * u + v * v;
+            _mm512_storeu_pd(sq + next * ncells * BLOCK + k, dsq);
             __mmask8 unseen = _mm512_cmplt_epi64_mask(_mm512_loadu_si512(first_exceed + k), none);
             _mm512_mask_storeu_epi64(first_exceed + k, _mm512_mask_cmp_pd_mask(unseen, dsq, eps_sq, _CMP_GT_OQ), row);
-            unsigned below = _mm512_cmp_pd_mask(_mm512_add_pd(p_star, u), zero, _CMP_LT_OQ) |
-                             _mm512_cmp_pd_mask(_mm512_add_pd(m_star, v), zero, _CMP_LT_OQ);
-            __mmask8 finite = _mm512_mask_cmp_pd_mask(_mm512_cmp_pd_mask(_mm512_sub_pd(u, u), zero, _CMP_EQ_OQ),
-                                                      _mm512_sub_pd(v, v), zero, _CMP_EQ_OQ);
+            unsigned below = _mm512_cmp_pd_mask(cell[P_STAR] + u, zero, _CMP_LT_OQ) |
+                             _mm512_cmp_pd_mask(cell[M_STAR] + v, zero, _CMP_LT_OQ);
             for (; below; below &= below - 1)
                 negative[k + __builtin_ctz(below)] = 1;
-            for (unsigned bad = (uint8_t)~finite; bad; bad &= bad - 1)
-                nonfinite[k + __builtin_ctz(bad)] = 1;
-            _mm512_storeu_pd(x1 + j, _mm512_maskz_mov_pd(finite, u)); /* keeps NaNs out of later steps */
-            _mm512_storeu_pd(x2 + j, _mm512_maskz_mov_pd(finite, v));
+            _mm512_storeu_pd(x1 + j, u);
+            _mm512_storeu_pd(x2 + j, v);
         }
     }
 }
@@ -441,12 +433,15 @@ __attribute__((target("avx512f"))) static void step_lanes(const double *cells, i
  * state:  STATE_ROWS x ncells x BLOCK doubles of scratch.
  * rec:    the recorded steps, ascending from 0 to `steps`.  |x|^2 of cell c,
  *         replicate first + j at rec[i] goes to sq[(i * ncells + c) * BLOCK
- *         + j]; first_exceed[c * BLOCK + j] takes the first recorded row
- *         from the first step (the start included) whose |x|^2 exceeded
- *         eps_sq, else -1, and negative is set if p* + x1 or m* + x2 was
- *         ever below zero.  A state that is not finite sets nonfinite and
- *         is frozen at 0 when it is first seen; em_fold reads no other
- *         output of it.
+ *         + j]: each step writes row i, the first recorded from it on, and
+ *         the later steps up to rec[i] overwrite it.  first_exceed[c * BLOCK
+ *         + j] takes the first recorded row from the first step (the start
+ *         included) whose |x|^2 exceeded eps_sq, else -1, and negative is
+ *         set if p* + x1 or m* + x2 was ever below zero.  nonfinite is set if
+ *         the final state is not finite, which it is if any state was: each
+ *         step adds x1 into x1' and x2 into x2', and a sum with a NaN or an
+ *         infinity is not finite.  em_fold reads no other output of such a
+ *         replicate.
  * Replicate first + j draws from its own two streams once per step, for
  * every cell at once, so a batch of cells draws its increments once, and no
  * number depends on the batch or the slice it is in.  Where the CPU has
@@ -456,7 +451,7 @@ __attribute__((target("avx512f"))) static void step_lanes(const double *cells, i
  * time (step_cells).
  */
 void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, int64_t first,
-            int64_t n, int64_t steps, double dt, const int64_t *rec, int64_t nrec, double *sq,
+            int64_t n, int64_t steps, double dt, const int64_t *rec, double *sq,
             int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative)
 {
     stream_t st[2 * BLOCK];
@@ -475,7 +470,6 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
             sq[k] = x1[j] * x1[j] + x2[j] * x2[j];
             first_exceed[k] = sq[k] > cell[EPS_SQ] ? 0 : -1;
             negative[k] = cell[P_STAR] + x1[j] < 0.0 || cell[M_STAR] + x2[j] < 0.0;
-            nonfinite[k] = 0;
         }
     }
 
@@ -484,18 +478,17 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
             d1[j] = normal(st + 2 * j) * sqrt_dt;
             d2[j] = normal(st + 2 * j + 1) * sqrt_dt;
         }
-        /* rec[next] is the first recorded step from s + 1 on, as step n is recorded */
-        int recorded = next < nrec && rec[next] == s + 1;
 #if defined(__x86_64__)
         if (vector)
-            step_lanes(cells, ncells, dt, d1, d2, width, next, recorded, state, sq, first_exceed, nonfinite,
-                       negative);
+            step_lanes(cells, ncells, dt, d1, d2, width, next, state, sq, first_exceed, negative);
         else
 #endif
-            step_cells(cells, ncells, dt, d1, d2, width, next, recorded, state, sq, first_exceed, nonfinite,
-                       negative);
-        next += recorded;
+            step_cells(cells, ncells, dt, d1, d2, width, next, state, sq, first_exceed, negative);
+        next += rec[next] == s + 1;
     }
+    for (int64_t c = 0; c < ncells; c++)
+        for (int j = 0; j < nb; j++)
+            nonfinite[c * BLOCK + j] = !(isfinite(ROW(X1, c)[j]) && isfinite(ROW(X2, c)[j]));
 }
 #undef ROW
 
@@ -599,24 +592,20 @@ static int g17(double x, char *out)
     /* 17 significant digits of a normal double between 1e-11 and 1e17 are
      * found exactly below; snprintf writes everything else, as exactly */
     int e10 = biased == 0 || biased == 0x7FF ? 99 : (int)floor((biased - 1023) * 0.30102999566398120);
-    if (e10 < -11 || e10 > 16) {
+    uint64_t mant = (bits & ((1ULL << 52) - 1)) | 1ULL << 52, d = E17;
+    int e = biased - 1075, k = 16 - e10, rest = 0;
+    if (e10 >= -11 && e10 <= 16) {
+        d = scaled(mant, e, k, &rest);
+        if (d >= E17 && k > 0) { /* the estimate of floor(log10 |x|) was one low */
+            e10++;
+            d = scaled(mant, e, --k, &rest);
+        }
+    }
+    if (d >= E17) { /* out of range, or 1e17 <= |x| < 2^57 */
         char buf[G17_ROOM];
         int len = snprintf(buf, sizeof buf, "%.17g", x);
         memcpy(out, buf, len);
         return len;
-    }
-    uint64_t mant = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
-    int e = biased - 1075, k = 16 - e10, rest;
-    uint64_t d = scaled(mant, e, k, &rest);
-    if (d >= E17) { /* the estimate of floor(log10 |x|) was one low */
-        if (k == 0) {
-            char buf[G17_ROOM];
-            int len = snprintf(buf, sizeof buf, "%.17g", x);
-            memcpy(out, buf, len);
-            return len;
-        }
-        e10++;
-        d = scaled(mant, e, --k, &rest);
     }
     if (rest > 0 || (rest == 0 && d & 1)) /* round half to even */
         d++;

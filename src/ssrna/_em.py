@@ -5,13 +5,13 @@ share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
 steps a single path (path).  Its Philox streams refill eight blocks at a
 time, in the eight lanes of an AVX-512 register where the CPU has
-AVX-512F, and there em_run also steps eight replicates per register, with
-a second copy of simulator._drift's arithmetic; em_path, and em_run on
-other CPUs, keep the scalar step.  The lanes give the same bytes: the same
-IEEE operations in the same order, none fused, under an unchanged MXCSR.
-em_refill_lanes reports the choice, made once for both (8, else 1).  It
-also holds the RK4 path, the recorder of a single path (Recorder) and the
-'%.17g' formatter of the writers (format_g17).
+AVX-512F, and there em_run also steps eight replicates per register.  The
+step is written once, for a double and for a register's lanes, which take
+the same IEEE operations in the same order, none fused, under an unchanged
+MXCSR, so they give the same bytes.  em_refill_lanes reports the choice,
+made once for both (8, else 1).  It also holds the RK4 path, the recorder
+of a single path (Recorder) and the '%.17g' formatter of the writers
+(format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -66,7 +66,7 @@ _SIGNATURES = {
     "em_seed": (None, (_P, ctypes.c_uint64, ctypes.c_uint64)),
     "em_raw": (None, (_P, _I, _P)),
     "em_block": (_I, ()),
-    "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _D, _P, _I, _P, _P, _P, _P)),
+    "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _D, _P, _P, _P, _P, _P)),
     "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
     "em_fold": (None, (_P, _I, _I, _P, _P, _P, _P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
@@ -286,6 +286,9 @@ class Slice:
         self.k = len(cells)
         self.seed, self.dt = seed, dt
         self.rec = array("q", rec)
+        # em_run steps to rec[-1] and moves on to row i + 1 once it has taken step rec[i]
+        if not (self.rec and self.rec[0] == 0 and all(a < b for a, b in zip(self.rec, self.rec[1:]))):
+            raise ValueError("the recorded steps must ascend from 0")
         self.state = _zeros("d", _STATE_ROWS * self.k * BLOCK)
         self.sq = _zeros("d", len(self.rec) * self.k * BLOCK)
         self.first_exceed = _zeros("q", self.k * BLOCK)
@@ -298,7 +301,7 @@ class Slice:
         if not 0 <= n <= BLOCK:
             raise ValueError(f"a slice holds 0 to {BLOCK} replicates, not {n}")
         self._lib.em_run(_address(self.cells), self.k, _address(self.state), self.seed, first, n,
-                         self.rec[-1], self.dt, _address(self.rec), len(self.rec), _address(self.sq),
+                         self.rec[-1], self.dt, _address(self.rec), _address(self.sq),
                          _address(self.first_exceed), _address(self.nonfinite), _address(self.negative))
         self.n = n
 

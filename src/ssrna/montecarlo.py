@@ -37,6 +37,7 @@ from .model_core import (
 from .serialize import FloatArray, _stored, fmt, write_csv
 from .simulator import (
     MAX_SEED,
+    MAX_STEPS,
     SimConfig,
     _Cell,
     _check_recorded_bytes,
@@ -196,6 +197,18 @@ def _euler_maruyama(
     return sums
 
 
+def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tuple[_em.Sums, list[int]]:
+    """The sums of every cell's ensemble of cfg, recording every stride-th step and the last, and the recorded steps.
+
+    The size of the run's buffers is checked before anything is sized from
+    its step count.
+    """
+    n_steps, workers = step_count(cfg.sim), _worker_count(cfg.replicates)
+    _check_recorded_bytes(_em.ensemble_bytes(len(cells), _em.recorded_rows(n_steps, stride), workers))
+    rec = recorded_steps(n_steps, stride)
+    return _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, workers), rec
+
+
 def _reduce(sums: _em.Sums, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
     """Statistics of one cell over its finite replicates, from sums added in replicate-index order.
 
@@ -230,12 +243,7 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     and the reduction sums replicates in index order.  This is the one-cell
     case of the batched kernel that sweep uses.
     """
-    cell = _cell(cfg, params)
-    workers = _worker_count(cfg.replicates)
-    n_steps, stride = step_count(cfg.sim), cfg.sim.record_stride
-    _check_recorded_bytes(_em.ensemble_bytes(1, _em.recorded_rows(n_steps, stride), workers))
-    rec = recorded_steps(n_steps, stride)
-    sums = _euler_maruyama([cell], cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, workers)
+    sums, rec = _ensembles([_cell(cfg, params)], cfg, cfg.sim.record_stride)
     return _reduce(sums, 0, rec, cfg.sim.dt)
 
 
@@ -374,11 +382,8 @@ def sweep(
     ]
     batch = [cell for _, cell in cells if cell is not None]
     if batch:
-        n = step_count(template.sim)
-        rec = recorded_steps(n, n)  # the start and the end: a row reads only the end
-        workers = _worker_count(template.replicates)
-        _check_recorded_bytes(_em.ensemble_bytes(len(batch), len(rec), workers))
-        sums = _euler_maruyama(batch, template.replicates, template.master_seed, template.sim.dt, rec, workers)
+        # a stride past every step count records the start and the end: a row reads only the end
+        sums, rec = _ensembles(batch, template, MAX_STEPS)
 
     rows = []
     integrated = iter(range(len(batch)))  # each cell's index in the batch, in grid order

@@ -249,8 +249,8 @@ def _drift(c: _Drift, x1, x2):
     """Centred drift at deviations (x1, x2).
 
     The drift-matrix part plus a single quadratic coupling, in the
-    evaluation order that the compiled kernel's steps (_em.c's em_step, and
-    step_lanes in the lanes of an AVX-512 register) repeat.
+    evaluation order that the compiled kernel's one step (_em.c's em_step,
+    on a double or on the lanes of an AVX-512 register) repeats.
     """
     a11, a12, a21, a22, br, abr = c
     s = x1 + x2

@@ -66,6 +66,17 @@ def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, workers):
     assert _em.ensemble_bytes(ncells, nrec, workers) == expected
 
 
+@pytest.mark.parametrize("rec", [[], [3], [1, 4], [0, 4, 4, 9], [0, 9, 4]])
+def test_slice_refuses_recorded_steps_that_do_not_ascend_from_0(rec):
+    # em_run steps to the last recorded step, moving on to the next row once it has taken a
+    # recorded one: without 0 first it would read and write past the end of rec and of sq, and
+    # a list that does not ascend would leave rows unwritten
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
+    with pytest.raises(ValueError, match="ascend from 0"):
+        _em.Slice([cell], 0, 0.5, rec)
+
+
 @pytest.mark.parametrize("key", [(0, 0), (0, U64_MAX), (U64_MAX, 0), (U64_MAX, U64_MAX), (20240706, 7)])
 def test_philox_words_equal_numpy(key):
     # 1001 words: 250 whole blocks of four and the first word of the next

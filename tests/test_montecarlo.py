@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from bisect import bisect_left
 from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from ssrna import (
     EnsembleConfig,
     EnsembleError,
+    ModelParams,
     NoiseSpec,
     ParameterError,
     SimConfig,
@@ -120,6 +122,48 @@ def test_zero_noise_exceedance_matches_deterministic_sup_exactly(tumv):
         stats = run_ensemble(cfg, tumv)
         assert stats.exceed_fraction == expected
         assert stats.exceed_fraction_cum[-1] == expected
+
+
+def linearized_em_moments(rep, noise, dt, x0, n):
+    """E|x|^2 and Var|x|^2 at steps 0..n of Euler-Maruyama on the linearization from x0, exactly.
+
+    The step is x <- B x, B = F + sqrt(dt) diag(omega1 xi1, omega2 xi2) with F = I + dt A and
+    independent standard normals xi.  So M = E x x^T follows M <- F M F^T + dt diag(omega1^2 M11,
+    omega2^2 M22) (Higham, SIAM J. Numer. Anal. 38, 2000), and the mean of x's fourth Kronecker power
+    follows the mean of B's, summed over which of F, xi1 and xi2 each factor takes, with E xi^2 = 1
+    and E xi^4 = 3.
+    """
+    a = np.array([[rep.a11, rep.a12], [rep.a21, rep.a22]])
+    f = np.eye(2) + dt * a
+    parts = (f, math.sqrt(dt) * np.diag([noise.omega1, 0.0]), math.sqrt(dt) * np.diag([0.0, noise.omega2]))
+    gauss = (1.0, 0.0, 1.0, 0.0, 3.0)  # E xi^k
+    fourth = sum(gauss[c.count(1)] * gauss[c.count(2)]
+                 * np.kron(np.kron(parts[c[0]], parts[c[1]]), np.kron(parts[c[2]], parts[c[3]]))
+                 for c in product(range(3), repeat=4))
+    m, v = np.outer(x0, x0), np.kron(np.kron(x0, x0), np.kron(x0, x0))
+    mean, var = [np.trace(m)], [0.0]
+    for _ in range(n):
+        m = f @ m @ f.T + dt * np.diag([noise.omega1 ** 2 * m[0, 0], noise.omega2 ** 2 * m[1, 1]])
+        v = fourth @ v
+        mean.append(np.trace(m))
+        var.append(max(0.0, np.einsum("iijj->", v.reshape(2, 2, 2, 2)) - mean[-1] ** 2))
+    return np.array(mean), np.array(var)
+
+
+@pytest.mark.parametrize("gamma_scale, replicates", [(0.0, 1), (0.5, 20000)], ids=["no-noise", "half-bounds"])
+def test_mean_sq_dev_follows_the_exact_second_moments(tumv, gamma_scale, replicates):
+    # An oracle for the step: started 1e-4 of the anchor's scale away, the quadratic coupling moves
+    # |x|^2 by under 1e-4 of it up to t = 50, so mean_sq_dev is E|x|^2 of the linearization's
+    # Euler-Maruyama to that, plus the sampling error of a mean of `replicates` paths, allowed 4
+    # standard errors.  At half the gamma bounds, 20000 paths make one standard error 0.75% of
+    # E|x|^2 at t = 10 and 4.8% at t = 50, where E|x|^2 has fallen to 0.44 of its start against
+    # 0.17 without noise.
+    cfg, eq, noise = tumv_ensemble_cfg(tumv, replicates=replicates, t_end=50.0, gamma_scale=gamma_scale,
+                                       displace=1e-4, record_stride=1)
+    x0 = np.array([cfg.sim.initial[0] - eq.p_star, cfg.sim.initial[1] - eq.m_star])
+    mean, var = linearized_em_moments(linearize(tumv, eq), noise, cfg.sim.dt, x0, step_count(cfg.sim))
+    stats = run_ensemble(cfg, tumv)
+    assert np.all(np.abs(stats.mean_sq_dev - mean) <= 1e-4 * mean + 4.0 * np.sqrt(var / replicates))
 
 
 def test_stochastic_decay_from_displaced_start(tumv):
@@ -415,13 +459,24 @@ def test_chunked_ensemble_equals_one_shot_increments(n_steps, noise):
             assert stats.n_nonfinite > 0
 
 
-@pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
+_COUPLED = dict(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+
+# The slices' inputs: paths with excursions and negative populations; paths that diverge through
+# the quadratic coupling; and, with the coupling rate r = 0 (ModelParams, the test hook), paths
+# where only x1 diverges, so that x2 becomes non-finite only through 0 x inf, some in the last step.
+slice_cases = pytest.mark.parametrize("p, noise", [
+    (validate_params(**_COUPLED), NoiseSpec(0.8, 0.8)),
+    (validate_params(**_COUPLED), NoiseSpec(3.5, 0.5)),
+    (ModelParams(**dict(_COUPLED, r=0.0)), NoiseSpec(8e11, 0.5)),
+], ids=["excursions", "divergence", "decoupled"])
+
+
+@slice_cases
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64])
-def test_slice_widths_around_the_lane_count_equal_the_reference(n, noise):
+def test_slice_widths_around_the_lane_count_equal_the_reference(n, p, noise):
     # Where the CPU has AVX-512F, em_run steps eight replicates per register, a slice of n widened
     # to a multiple of 8 by lanes that start at 0.0 on increments of 0.0.  Under the divergence
     # noise replicates 6 and 7 diverge, so the first group of 8 mixes finite and non-finite lanes.
-    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
     cfg = EnsembleConfig(replicates=n, sim=sim, noise=noise, anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=4242)
@@ -463,12 +518,11 @@ def scalar_library(tmp_path_factory):
         return _em.library()
 
 
-@pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
-def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_library, noise):
+@slice_cases
+def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_library, p, noise):
     # the default library refills and steps in AVX-512 lanes where the CPU has AVX-512F; on
     # other CPUs this compares the scalar path with itself
     assert scalar_library.em_refill_lanes() == 1
-    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
     cfg = EnsembleConfig(replicates=301, sim=sim, noise=noise, anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=4242)
