@@ -20,11 +20,11 @@ tables, which are local symbols of that archive, so the build first makes
 them global with binutils' objcopy in a temporary copy of the archive, and
 links the copy.  The library is cached under $XDG_CACHE_HOME/ssrna
 (default ~/.cache/ssrna) in a file named after the sha256 of the source,
-the compiler flags, the objcopy arguments and the bytes of numpy's
-libnpyrandom.a and numpy/random/bitgen.h, so a changed source or sampler
-builds a new one.  Nothing is built or loaded at import, and numpy is
-never imported: its files are located with importlib, and the library's
-buffers are array.array objects.
+the compiler command and flags, the objcopy arguments and the bytes of
+numpy's libnpyrandom.a and numpy/random/bitgen.h, so a changed source,
+compiler or sampler builds a new one.  Nothing is built or loaded at
+import, and numpy is never imported: its files are located with
+importlib, and the library's buffers are array.array objects.
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ def _numpy_files() -> tuple[Path, Path]:
 
 def _library_path(include: Path, archive: Path) -> Path:
     """Where the library built from the current source against numpy's include directory and archive is cached."""
-    parts = [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), " ".join(_GLOBALIZE).encode(),
+    parts = [_SOURCE.read_bytes(), " ".join(_compiler()).encode(), " ".join(_FLAGS).encode(),
+             " ".join(_GLOBALIZE).encode(),
              (include / "numpy" / "random" / "bitgen.h").read_bytes(), archive.read_bytes()]
     key = sha256(b"".join(sha256(part).digest() for part in parts))
     return _cache_dir() / f"_em-{key.hexdigest()[:16]}.so"
@@ -193,11 +194,14 @@ def is_ndarray(obj) -> bool:
 def doubles(values) -> array:
     """values as a float64 array('d'), in C order.
 
-    An array('d') is returned as it is, a numpy array is copied through its
-    bytes, and anything else is converted number by number.
+    An array('d') is returned as it is, a numpy array or a memoryview of
+    float64 (such as a strided column of an array('d')) is copied through
+    its bytes, and anything else is converted number by number.
     """
     if isinstance(values, array) and values.typecode == "d":
         return values
+    if isinstance(values, memoryview) and values.format == "d":
+        return array("d", values.tobytes())
     if is_ndarray(values):
         return array("d", values.astype("d", copy=False).tobytes())
     return array("d", values)

@@ -211,7 +211,10 @@ def _write_output(out_dir: str, stem: str, fmt: str, document: Callable[[], dict
     """Write `stem.json` from document(), or `stem.csv` with write_csv; returns the path.
 
     The output directory is created here, once the run has succeeded, so a
-    rejected config leaves no directory behind.
+    rejected config leaves no directory behind.  The file is written under
+    a temporary name in that directory and renamed onto `stem.fmt` once it
+    is complete, so a failed write leaves neither a partial file nor the
+    temporary one.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -220,14 +223,19 @@ def _write_output(out_dir: str, stem: str, fmt: str, document: Callable[[], dict
     if not os.access(out_dir, os.W_OK):
         raise ParameterError(f"output directory {out_dir!r} is not writable")
     path = os.path.join(out_dir, f"{stem}.{fmt}")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         if fmt == "json":
-            with open(path, "w") as fh:
-                fh.write(serialize.dumps(document()))
+            with open(tmp, "wb") as fh:
+                serialize.dump(document(), fh)
         else:
-            write_csv(path)
+            write_csv(tmp)
+        os.replace(tmp, path)
     except OSError as exc:
         raise ParameterError(f"cannot write {path!r}: {exc}") from None
+    finally:
+        if os.path.lexists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
     return path
 
 
@@ -293,7 +301,7 @@ def cmd_analyze(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str,
 
 
 def _trajectory_json(traj: Trajectory) -> dict:
-    states = serialize._stored(traj, "states")  # p and m of each row in turn
+    states = memoryview(serialize._stored(traj, "states"))  # p and m of each row in turn, read a block at a time
     return {
         "schema": "ssrna-trajectory/1",
         "scheme": traj.scheme.value,
@@ -422,6 +430,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                                        args.format or output["format"], args.seed)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # e.g. under an address-space limit below the machine's memory
+        print("error: out of memory: the run does not fit in the memory this process may use", file=sys.stderr)
         return 2
     except IntegrationError as exc:
         print(f"numerical failure: {exc} (t={serialize.fmt(exc.t)})", file=sys.stderr)

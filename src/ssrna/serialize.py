@@ -17,18 +17,19 @@ import dataclasses
 import json
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from enum import Enum
-from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, BinaryIO, Optional, Union, get_args, get_origin, get_type_hints
 
 from . import _em
 
-__all__ = ["fmt", "write_csv", "dumps", "loads", "plain", "record", "FloatArray"]
+__all__ = ["fmt", "write_csv", "dump", "dumps", "loads", "plain", "record", "FloatArray"]
 
 _FLOAT = "%.17g"
 
-# CSV rows formatted per call of the compiled formatter, which bounds its buffer.
-_CSV_BLOCK_ROWS = 4096
+# Rows of a CSV file, or numbers of a JSON list, formatted per call of the compiled
+# formatter: the writers hold one block's numbers and text, not the whole output's.
+_BLOCK_ROWS = 4096
 
 
 def fmt(x: float) -> str:
@@ -77,26 +78,30 @@ def write_csv(path, header: str, columns: Sequence[Any]) -> None:
 
     Every value is written as fmt writes it.  The numbers are formatted by
     the compiled library's '%.17g' formatter (_em.format_g17), a block of
-    rows per call, about ten times faster than Python's % per number.
+    _BLOCK_ROWS rows per call, about ten times faster than Python's % per
+    number.  A column is read a block at a time (see _em.doubles), so a
+    strided memoryview of a buffer is written without copying the column.
     """
-    columns = [_em.doubles(c) for c in columns]
     n, width = len(columns[0]), len(columns)
     if any(len(c) != n for c in columns):
         raise ValueError("the columns differ in length")
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, n, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, n)
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
             block = _em._zeros("d", width * (hi - lo))  # the rows lo..hi-1, one after another
             for j, column in enumerate(columns):
-                block[j::width] = column[lo:hi]
+                block[j::width] = _em.doubles(column[lo:hi])
             fh.write(_em.format_g17(block, width, b",", b"\n"))
 
 
 def _float_column(obj: Any) -> bool:
-    """Whether obj is an array('d') or a 1-D float64 numpy array, which is written as a list of its numbers."""
+    """Whether obj is an array('d'), a 1-D memoryview of float64 or a 1-D float64 numpy array,
+    which is written as a list of its numbers."""
     if isinstance(obj, array):
         return obj.typecode == "d"
+    if isinstance(obj, memoryview):
+        return obj.ndim == 1 and obj.format == "d"
     return _em.is_ndarray(obj) and obj.ndim == 1 and obj.dtype.char == "d"
 
 
@@ -105,67 +110,85 @@ def _finite_floats(items: Any) -> bool:
     return all(type(v) is float for v in items) and all(map(math.isfinite, items))
 
 
-def _write(obj: Any, out: list[str], indent: str, level: int) -> None:
-    pad = indent * level
-    pad_in = indent * (level + 1)
+def _write(obj: Any, write: Callable[[bytes], Any], indent: str, level: int) -> None:
+    """Write obj's JSON text through write, in pieces of at most a block of numbers."""
+    pad = (indent * level).encode()
+    pad_in = (indent * (level + 1)).encode()
     if obj is None:
-        out.append("null")
+        write(b"null")
     elif obj is True:
-        out.append("true")
+        write(b"true")
     elif obj is False:
-        out.append("false")
+        write(b"false")
     elif isinstance(obj, int):
-        out.append(str(obj))
+        write(str(obj).encode())
     elif isinstance(obj, float):
         # bare Infinity/NaN round-trip through json.loads
         if math.isnan(obj):
-            out.append("NaN")
+            write(b"NaN")
         elif math.isinf(obj):
-            out.append("Infinity" if obj > 0 else "-Infinity")
+            write(b"Infinity" if obj > 0 else b"-Infinity")
         else:
-            out.append(fmt(obj))
+            write(fmt(obj).encode())
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        write(json.dumps(obj).encode())
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write(b"{}")
             return
-        out.append("{\n")
+        write(b"{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad_in + json.dumps(key) + ": ")
-            _write(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+            write(pad_in + json.dumps(key).encode() + b": ")
+            _write(value, write, indent, level + 1)
+            write(b",\n" if i < len(obj) - 1 else b"\n")
+        write(pad + b"}")
     elif isinstance(obj, (list, tuple)) or _float_column(obj):
         if len(obj) == 0:
-            out.append("[]")
+            write(b"[]")
             return
-        # finite floats have the bytes of the per-item loop below, which the tests keep as the
-        # reference, in one call: a trajectory's columns are 10^5 numbers each.  The formatter
-        # reports a float column's non-finite numbers, so only a list's items are checked first.
-        numbers = None
-        if _float_column(obj) or _finite_floats(obj):
-            numbers = _em.format_g17(obj, len(obj), (",\n" + pad_in).encode(), b"", finite=True)
-        if numbers is not None:
-            out.append("[\n" + pad_in + numbers.decode() + "\n" + pad + "]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad_in)
-            _write(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        # a block of finite floats has the bytes of the per-item loop below, which the tests keep
+        # as the reference, in one call: a trajectory's columns are 10^5 numbers each.  The
+        # formatter reports a float column's non-finite numbers, so only a list's items are
+        # checked first, and a block with a non-finite number takes the per-item loop.
+        sep = b",\n" + pad_in
+        column = _float_column(obj)
+        write(b"[\n" + pad_in)
+        for lo in range(0, len(obj), _BLOCK_ROWS):
+            block = obj[lo:lo + _BLOCK_ROWS]
+            if lo:
+                write(sep)
+            numbers = None
+            if column or _finite_floats(block):
+                numbers = _em.format_g17(block, len(block), sep, b"", finite=True)
+            if numbers is not None:
+                write(numbers)
+                continue
+            for i, value in enumerate(block):
+                if i:
+                    write(sep)
+                _write(value, write, indent, level + 1)
+        write(b"\n" + pad + b"]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
 
+def dump(obj: Any, fh: BinaryIO, indent: str = "  ") -> None:
+    """Write obj's JSON text, the bytes of dumps(obj, indent), into the binary file fh.
+
+    A list or float column is formatted a block of _BLOCK_ROWS numbers at a
+    time, so writing holds one block's text, whatever the document's size.
+    """
+    _write(obj, fh.write, indent, 0)
+    fh.write(b"\n")
+
+
 def dumps(obj: Any, indent: str = "  ") -> str:
-    out: list[str] = []
-    _write(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    out: list[bytes] = []
+    _write(obj, out.append, indent, 0)
+    out.append(b"\n")
+    return b"".join(out).decode()
 
 
 def loads(text: str) -> Any:

@@ -52,7 +52,10 @@ MAX_SEED = 2**64
 # The compiled library counts steps in a signed 64-bit integer.
 MAX_STEPS = 2**63 - 1
 
-# A recorded path row: t, p and m as float64.
+# A recorded path row: t, p and m as float64.  A path holds these 24 B per
+# recorded row and nothing else per row: its CSV and JSON writers read them a
+# block of serialize._BLOCK_ROWS (4096) rows at a time, and hold one block's
+# numbers and text.
 _PATH_ROW_BYTES = 3 * 8
 
 
@@ -146,7 +149,11 @@ def _check_recorded_bytes(size: int) -> None:
 
     Runs before anything is sized from the step count, so a run that
     cannot fit is invalid input that states its size, not an OverflowError
-    or MemoryError from inside an allocation.
+    or MemoryError from inside an allocation.  size counts what the run
+    holds: a path's 24 B per recorded row (_PATH_ROW_BYTES), or an
+    ensemble's sums and slice buffers (_em.ensemble_bytes).  Writing adds a
+    constant, not a multiple of the rows: the writers format one block of
+    4096 rows at a time (serialize._BLOCK_ROWS).
     """
     if not hasattr(os, "sysconf"):
         return
@@ -356,5 +363,5 @@ def integrate_sde(
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,p,m` rows with full double precision (17 significant digits)."""
-    states = _stored(traj, "states")
+    states = memoryview(_stored(traj, "states"))  # p and m of each row in turn, read a block at a time
     write_csv(path, "t,p,m", (_stored(traj, "times"), states[0::2], states[1::2]))

@@ -1,8 +1,10 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -27,7 +29,7 @@ from ssrna import (
     simulator,
     validate_params,
 )
-from ssrna import _em, cli
+from ssrna import _em, cli, serialize
 from ssrna.cli import COMMANDS, analysis_from_dict, analysis_to_dict, main
 from ssrna.serialize import dumps, loads
 
@@ -210,6 +212,49 @@ def test_unusable_output_path_exits_2(tmp_path, capsys, monkeypatch, command, ou
     assert err.startswith("error:") and needle in err and err.count("\n") == 1
     assert not (tmp_path / "file").is_dir()
     assert sorted(tmp_path.rglob("*")) == before
+
+
+class FullDisk:
+    """A file opened for writing whose writes raise ENOSPC once `room` bytes were written."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room, self.written = fh, room, 0
+
+    def write(self, data):
+        if self.written + len(data) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.written += len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch, fmt):
+    files = []
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            fh = FullDisk(fh, 100_000)
+            files.append(fh)
+        return fh
+
+    for module in (cli, serialize):  # the JSON writer's open and write_csv's
+        monkeypatch.setattr(module, "open", full_disk_open, raising=False)
+    cfg = base_config(simulate=dict(scheme="euler-maruyama", anchor="positive", t_end=2000.0, dt=0.5,
+                                    initial={"displace_fraction": 0.01}, seed=3))
+    cfg["noise"] = {"omega1": 0.05, "omega2": 0.05}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {str(out / f'trajectory.{fmt}')!r}: [Errno 28] No space left on device\n"
+    assert len(files) == 1 and files[0].written > 0  # it failed partway through
+    assert list(out.iterdir()) == []
 
 
 def test_os_error_outside_the_outputs_is_not_invalid_input(tmp_path, monkeypatch):
@@ -552,6 +597,50 @@ def test_run_too_large_to_record_exits_2(tmp_path, capsys, command, make, reason
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
     assert not out.exists()
+
+
+# a command in a process whose address space is limited to argv[1] bytes (none if 0), which
+# prints its VmPeak in KiB to stdout after the command's own output
+LIMITED_RUN = """
+import resource, sys
+limit = int(sys.argv[1])
+if limit:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from ssrna.cli import main
+status = main(sys.argv[2:])
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmPeak:")))
+sys.exit(status)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak from /proc")
+def test_long_json_path_runs_in_little_more_than_its_recorded_rows(tmp_path):
+    # a path holds its recorded rows, 24 B each, and the JSON writer one block of numbers.  A
+    # writer that built the whole document first needed about 240 B a row: 120 MB more here,
+    # far beyond the limit's 8 MB of room, so it raised MemoryError from within
+    rows = 500001
+    cfg = base_config(simulate=dict(scheme="euler-maruyama", anchor="positive", t_end=250000.0, dt=0.5,
+                                    initial={"displace_fraction": 0.01}, seed=3))
+    cfg["noise"] = {"omega1": 0.05, "omega2": 0.05}
+    _em.library()  # built and cached before the runs
+
+    def run(limit, out, t_end=cfg["simulate"]["t_end"]):
+        config = write_config(tmp_path, dict(cfg, simulate=dict(cfg["simulate"], t_end=t_end)), f"{out}.json")
+        args = ["simulate", "--config", config, "--out", str(tmp_path / out), "--format", "json"]
+        return subprocess.run([sys.executable, "-c", LIMITED_RUN, str(limit), *args], capture_output=True, text=True)
+
+    short = run(0, "short", t_end=50.0)
+    assert short.returncode == 0
+    base = int(short.stdout.splitlines()[-1]) * 1024
+    limited = run(base + 24 * rows + 8 * 2**20, "limited")
+    assert (limited.returncode, limited.stderr) == (0, "")
+    document = json.loads((tmp_path / "limited" / "trajectory.json").read_bytes())
+    assert len(document["times"]) == len(document["p"]) == len(document["m"]) == rows
+    # without room for the recorded rows: a one-line error, exit 2, and no output
+    starved = run(base + 8 * rows, "starved")
+    assert starved.returncode == 2 and starved.stderr.startswith("error: out of memory")
+    assert starved.stderr.count("\n") == 1 and "Traceback" not in starved.stderr
+    assert not (tmp_path / "starved").exists()
 
 
 class Admitted(Exception):

@@ -285,13 +285,13 @@ def test_build_of_an_archive_without_the_ziggurat_tables_fails(tmp_path, monkeyp
 def test_changed_source_builds_a_new_library(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     first = _em._build()
-    compiler = _em._compiler
-    monkeypatch.setattr(_em, "_compiler", lambda: ["false"])
+    run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("the build ran again"))
     assert _em._build() == first  # cached: the compiler is not run again
     changed = tmp_path / "_em.c"
     changed.write_bytes(_em._SOURCE.read_bytes() + b"\n/* changed */\n")
     monkeypatch.setattr(_em, "_SOURCE", changed)
-    monkeypatch.setattr(_em, "_compiler", compiler)
+    monkeypatch.setattr(subprocess, "run", run)
     second = _em._build()
     assert second != first
     assert sorted((tmp_path / "ssrna").iterdir()) == sorted([first, second])
@@ -300,6 +300,14 @@ def test_changed_source_builds_a_new_library(tmp_path, monkeypatch):
 def test_changed_objcopy_arguments_name_a_new_library(monkeypatch):
     first = _em._library_path(*_em._numpy_files())
     monkeypatch.setattr(_em, "_GLOBALIZE", (*_em._GLOBALIZE, "--globalize-symbol=fi_double"))
+    assert _em._library_path(*_em._numpy_files()) != first
+
+
+def test_changed_compiler_command_names_a_new_library(monkeypatch):
+    # e.g. another CC, or the scalar build of tests/test_montecarlo.py, in the same cache directory
+    first = _em._library_path(*_em._numpy_files())
+    compiler = _em._compiler()
+    monkeypatch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])
     assert _em._library_path(*_em._numpy_files()) != first
 
 

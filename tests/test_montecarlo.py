@@ -507,12 +507,12 @@ def test_slice_widths_around_the_lane_count_equal_the_reference(n, p, noise):
 
 
 @pytest.fixture(scope="module")
-def scalar_library(tmp_path_factory):
+def scalar_library():
     """A second copy of the compiled library, built as _em builds it (the same flags and archive)
-    but with __builtin_cpu_supports defined to 0, so it refills and steps one lane at a time on any CPU."""
+    but with __builtin_cpu_supports defined to 0, so it refills and steps one lane at a time on any CPU.
+    Its compiler command is part of its cache key, so it is cached beside the default library."""
     compiler = _em._compiler()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("scalar")))
         patch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])
         patch.setattr(_em, "_lib", None)
         return _em.library()

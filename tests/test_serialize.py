@@ -1,3 +1,4 @@
+import io
 import math
 import tempfile
 from array import array
@@ -27,17 +28,36 @@ def dumps_item_by_item(obj):
         return dumps(obj)
 
 
+# a list is formatted a block of _BLOCK_ROWS numbers at a time; blocks of 3 also test the joins between blocks
+BLOCK_ROWS = (3, serialize._BLOCK_ROWS)
+
+
+def dumped(obj, rows):
+    """dumps(obj), in blocks of `rows` numbers, once checked equal to the bytes dump(obj) writes."""
+    with mock.patch.object(serialize, "_BLOCK_ROWS", rows):
+        fh = io.BytesIO()
+        serialize.dump(obj, fh)
+        text = dumps(obj)
+    assert fh.getvalue() == text.encode()
+    return text
+
+
 @given(st.one_of(st.lists(finite_floats), st.lists(scalars)))
 def test_dumps_float_lists_match_the_per_item_path(items):
     for doc in (items, tuple(items), {"column": items}, [items, {"nested": [items]}]):
-        assert dumps(doc) == dumps_item_by_item(doc)
+        reference = dumps_item_by_item(doc)
+        assert [dumped(doc, rows) for rows in BLOCK_ROWS] == [reference] * len(BLOCK_ROWS)
 
 
 @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL))))
 def test_dumps_float_columns_match_the_per_item_path(items):
-    # a float column goes to the compiled formatter unchecked, which reports a non-finite number
+    # a float column goes to the compiled formatter unchecked, which reports a non-finite number;
+    # a strided memoryview is a column of an interleaved buffer, as a trajectory's p and m are
     reference = dumps_item_by_item({"column": items})
-    assert dumps({"column": array("d", items)}) == dumps({"column": np.array(items, dtype=float)}) == reference
+    interleaved = array("d", [x for item in items for x in (item, 0.5)])
+    for rows in BLOCK_ROWS:
+        for column in (array("d", items), np.array(items, dtype=float), memoryview(interleaved)[0::2]):
+            assert dumped({"column": column}, rows) == reference
 
 
 def rows_reference(header, columns):
@@ -62,10 +82,12 @@ def test_csv_writers_match_a_per_number_fmt_reference(columns):
                           n_replicates=1, n_included=1, n_exceed=0, n_negative=0, n_nonfinite=0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.csv"
-        write_trajectory_csv(traj, path)
-        assert path.read_text() == rows_reference("t,p,m", (t, a, b))
-        write_ensemble_csv(stats, path)
-        assert path.read_text() == rows_reference("t,mean_sq_dev,exceed_fraction_cum", (t, a, b))
+        for rows in BLOCK_ROWS:
+            with mock.patch.object(serialize, "_BLOCK_ROWS", rows):
+                write_trajectory_csv(traj, path)
+                assert path.read_text() == rows_reference("t,p,m", (t, a, b))
+                write_ensemble_csv(stats, path)
+                assert path.read_text() == rows_reference("t,mean_sq_dev,exceed_fraction_cum", (t, a, b))
 
 
 def test_compiled_formatter_equals_percent_17g():
