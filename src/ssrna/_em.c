@@ -38,9 +38,11 @@
  * most BLOCK replicates at a time, in lockstep, into a slice buffer, which
  * keeps of each replicate only its deviations and its outputs: eight
  * replicates per register where the CPU has AVX-512F (step_lanes), else one
- * at a time (step_cells).  em_fold then adds the slice's finite replicates
- * into the ensemble's running sums in index order, so the sums are those of
- * one pass over every replicate.
+ * at a time (step_cells).  The buffer has `stride` columns per cell, a
+ * multiple of 8 up to BLOCK, so that a slice of few replicates holds few
+ * columns.  em_fold then adds the slice's finite replicates into the
+ * ensemble's running sums in index order, so the sums are those of one pass
+ * over every replicate.
  */
 
 #include <math.h>
@@ -357,11 +359,11 @@ void rk4_path(const double *model, double p, double m, path_t *path)
 EM_STEP(em_step, double)
 
 /* The deviations of row r (X1 or X2) of cell c, in the state of em_run's arguments. */
-#define ROW(r, c) (state + ((r) * ncells + (c)) * BLOCK)
+#define ROW(r, c) (state + ((r) * ncells + (c)) * stride)
 
 /* One step of em_run: replicates 0..width-1 of every cell on the increments d1 and d2, their |x|^2
  * written to row `next`. */
-static inline void step_cells(const double *cells, int64_t ncells, double dt, const double *d1,
+static inline void step_cells(const double *cells, int64_t ncells, int64_t stride, double dt, const double *d1,
                               const double *d2, int width, int64_t next, double *state, double *sq,
                               int64_t *first_exceed, uint8_t *negative)
 {
@@ -370,11 +372,11 @@ static inline void step_cells(const double *cells, int64_t ncells, double dt, co
         memcpy(cell, cells + c * CELL_WORDS, sizeof cell);
         double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
         for (int j = 0; j < width; j++) {
-            int64_t k = c * BLOCK + j;
+            int64_t k = c * stride + j;
             double u = x1[j], v = x2[j];
             em_step(cell, dt, d1[j], d2[j], &u, &v);
             double dsq = u * u + v * v;
-            sq[next * ncells * BLOCK + k] = dsq;
+            sq[next * ncells * stride + k] = dsq;
             if (first_exceed[k] < 0 && dsq > cell[EPS_SQ])
                 first_exceed[k] = next;
             if (cell[P_STAR] + u < 0.0 || cell[M_STAR] + v < 0.0)
@@ -386,7 +388,7 @@ static inline void step_cells(const double *cells, int64_t ncells, double dt, co
 }
 
 #if defined(__x86_64__)
-_Static_assert(BLOCK % 8 == 0, "step_lanes steps a slice in groups of the eight lanes of a __m512d");
+_Static_assert(BLOCK % 8 == 0, "a slice's columns hold its replicates in whole groups of the eight lanes of a __m512d");
 
 __attribute__((target("avx512f"))) EM_STEP(em_step_lanes, __m512d)
 
@@ -394,9 +396,9 @@ __attribute__((target("avx512f"))) EM_STEP(em_step_lanes, __m512d)
  * The cell's words are copied, as in step_cells, so that the compiler keeps them in registers
  * rather than loading each again for every group.  The negative flags, rarely set, are written
  * one replicate at a time. */
-__attribute__((target("avx512f"))) static void step_lanes(const double *cells, int64_t ncells, double dt,
-                                                          const double *d1, const double *d2, int width,
-                                                          int64_t next, double *state, double *sq,
+__attribute__((target("avx512f"))) static void step_lanes(const double *cells, int64_t ncells, int64_t stride,
+                                                          double dt, const double *d1, const double *d2,
+                                                          int width, int64_t next, double *state, double *sq,
                                                           int64_t *first_exceed, uint8_t *negative)
 {
     const __m512d zero = {0};
@@ -408,11 +410,11 @@ __attribute__((target("avx512f"))) static void step_lanes(const double *cells, i
         const __m512d eps_sq = {e, e, e, e, e, e, e, e};
         double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
         for (int j = 0; j < width; j += 8) {
-            int64_t k = c * BLOCK + j;
+            int64_t k = c * stride + j;
             __m512d u = _mm512_loadu_pd(x1 + j), v = _mm512_loadu_pd(x2 + j);
             em_step_lanes(cell, dt, _mm512_loadu_pd(d1 + j), _mm512_loadu_pd(d2 + j), &u, &v);
             __m512d dsq = u * u + v * v;
-            _mm512_storeu_pd(sq + next * ncells * BLOCK + k, dsq);
+            _mm512_storeu_pd(sq + next * ncells * stride + k, dsq);
             __mmask8 unseen = _mm512_cmplt_epi64_mask(_mm512_loadu_si512(first_exceed + k), none);
             _mm512_mask_storeu_epi64(first_exceed + k, _mm512_mask_cmp_pd_mask(unseen, dsq, eps_sq, _CMP_GT_OQ), row);
             unsigned below = _mm512_cmp_pd_mask(cell[P_STAR] + u, zero, _CMP_LT_OQ) |
@@ -426,15 +428,16 @@ __attribute__((target("avx512f"))) static void step_lanes(const double *cells, i
 }
 #endif
 
-/* Step replicates first..first+n-1 (n <= BLOCK) of every cell over `steps`
- * steps of dt from their start.
+/* Step replicates first..first+n-1 of every cell over `steps` steps of dt
+ * from their start, in a buffer of `stride` columns per cell: a multiple of 8,
+ * at least n and at most BLOCK.
  *
  * cells:  ncells x CELL_WORDS constants.
- * state:  STATE_ROWS x ncells x BLOCK doubles of scratch.
+ * state:  STATE_ROWS x ncells x stride doubles of scratch.
  * rec:    the recorded steps, ascending from 0 to `steps`.  |x|^2 of cell c,
- *         replicate first + j at rec[i] goes to sq[(i * ncells + c) * BLOCK
+ *         replicate first + j at rec[i] goes to sq[(i * ncells + c) * stride
  *         + j]: each step writes row i, the first recorded from it on, and
- *         the later steps up to rec[i] overwrite it.  first_exceed[c * BLOCK
+ *         the later steps up to rec[i] overwrite it.  first_exceed[c * stride
  *         + j] takes the first recorded row from the first step (the start
  *         included) whose |x|^2 exceeded eps_sq, else -1, and negative is
  *         set if p* + x1 or m* + x2 was ever below zero.  nonfinite is set if
@@ -451,7 +454,7 @@ __attribute__((target("avx512f"))) static void step_lanes(const double *cells, i
  * time (step_cells).
  */
 void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, int64_t first,
-            int64_t n, int64_t steps, double dt, const int64_t *rec, double *sq,
+            int64_t n, int64_t stride, int64_t steps, double dt, const int64_t *rec, double *sq,
             int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative)
 {
     stream_t st[2 * BLOCK];
@@ -464,7 +467,7 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
         const double *cell = cells + c * CELL_WORDS;
         double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
         for (int j = 0; j < width; j++) {
-            int64_t k = c * BLOCK + j;
+            int64_t k = c * stride + j;
             x1[j] = j < nb ? cell[X1_0] : 0.0;
             x2[j] = j < nb ? cell[X2_0] : 0.0;
             sq[k] = x1[j] * x1[j] + x2[j] * x2[j];
@@ -480,15 +483,15 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
         }
 #if defined(__x86_64__)
         if (vector)
-            step_lanes(cells, ncells, dt, d1, d2, width, next, state, sq, first_exceed, negative);
+            step_lanes(cells, ncells, stride, dt, d1, d2, width, next, state, sq, first_exceed, negative);
         else
 #endif
-            step_cells(cells, ncells, dt, d1, d2, width, next, state, sq, first_exceed, negative);
+            step_cells(cells, ncells, stride, dt, d1, d2, width, next, state, sq, first_exceed, negative);
         next += rec[next] == s + 1;
     }
     for (int64_t c = 0; c < ncells; c++)
         for (int j = 0; j < nb; j++)
-            nonfinite[c * BLOCK + j] = !(isfinite(ROW(X1, c)[j]) && isfinite(ROW(X2, c)[j]));
+            nonfinite[c * stride + j] = !(isfinite(ROW(X1, c)[j]) && isfinite(ROW(X2, c)[j]));
 }
 #undef ROW
 
@@ -513,20 +516,21 @@ void em_path(const double *cell, uint64_t seed, int64_t replicate, const double 
 }
 
 /* Add the finite replicates of a slice, em_run's outputs for its n
- * replicates over nrec recorded rows, into an ensemble's running sums, in
- * replicate-index order.  Per cell c and recorded row i, sum[c * nrec + i]
- * adds their |x|^2 and exceed[c * nrec + i] counts those whose first
- * exceedance was at row i; counts[3 * c ...] adds the included, negative
- * and non-finite replicates.  Folding every slice in turn into sums that
- * start at 0.0 adds each row's values in index order from 0.0. */
-void em_fold(int64_t ncells, int64_t n, int64_t nrec, const double *sq, const int64_t *first_exceed,
+ * replicates over nrec recorded rows in `stride` columns per cell, into an
+ * ensemble's running sums, in replicate-index order.  Per cell c and
+ * recorded row i, sum[c * nrec + i] adds their |x|^2 and exceed[c * nrec +
+ * i] counts those whose first exceedance was at row i; counts[3 * c ...]
+ * adds the included, negative and non-finite replicates.  Folding every
+ * slice in turn into sums that start at 0.0 adds each row's values in index
+ * order from 0.0. */
+void em_fold(int64_t ncells, int64_t n, int64_t stride, int64_t nrec, const double *sq, const int64_t *first_exceed,
              const uint8_t *nonfinite, const uint8_t *negative, double *sum, int64_t *exceed,
              int64_t *counts)
 {
     for (int64_t c = 0; c < ncells; c++) {
-        const uint8_t *bad = nonfinite + c * BLOCK;
+        const uint8_t *bad = nonfinite + c * stride;
         for (int64_t i = 0; i < nrec; i++) {
-            const double *x = sq + (i * ncells + c) * BLOCK;
+            const double *x = sq + (i * ncells + c) * stride;
             double acc = sum[c * nrec + i];
             for (int64_t j = 0; j < n; j++)
                 if (!bad[j])
@@ -535,13 +539,13 @@ void em_fold(int64_t ncells, int64_t n, int64_t nrec, const double *sq, const in
         }
         int64_t *count = counts + 3 * c;
         for (int64_t j = 0; j < n; j++) {
-            int64_t fe = first_exceed[c * BLOCK + j];
+            int64_t fe = first_exceed[c * stride + j];
             if (bad[j]) {
                 count[2]++;
                 continue;
             }
             count[0]++;
-            count[1] += negative[c * BLOCK + j];
+            count[1] += negative[c * stride + j];
             if (fe >= 0)
                 exceed[c * nrec + fe]++;
         }

@@ -66,15 +66,18 @@ _SIGNATURES = {
     "em_seed": (None, (_P, ctypes.c_uint64, ctypes.c_uint64)),
     "em_raw": (None, (_P, _I, _P)),
     "em_block": (_I, ()),
-    "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _D, _P, _P, _P, _P, _P)),
+    "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _I, _D, _P, _P, _P, _P, _P)),
     "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
-    "em_fold": (None, (_P, _I, _I, _P, _P, _P, _P, _P, _P, _P)),
+    "em_fold": (None, (_I, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
     "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P, _P)),
 }
 
 # Replicates a slice holds at most (_em.c's BLOCK): they are stepped in lockstep.
 BLOCK = 64
+
+# Replicates em_run steps per AVX-512 register: a slice's columns come in groups of this many.
+_LANES = 8
 
 # Words of a Philox stream (_em.c's stream_t): em_run keeps two per replicate on the C stack.
 _STREAM_WORDS = 39
@@ -259,32 +262,42 @@ class Sums:
         self.counts = _zeros("q", 3 * ncells)
 
 
-def ensemble_bytes(ncells: int, nrec: int, workers: int) -> int:
-    """Bytes of the buffers of an ensemble or sweep of ncells cells and nrec recorded rows in `workers` threads.
+def slice_stride(replicates: int) -> int:
+    """Columns per cell of the Slice of an ensemble of `replicates` replicates: the slice's most
+    replicates, rounded up to whole groups of em_run's eight lanes."""
+    return min(BLOCK, -(-replicates // _LANES) * _LANES)
 
-    Its Sums, and per thread a Slice and the slice's streams, whatever the replicate count.
+
+def ensemble_bytes(ncells: int, nrec: int, workers: int, replicates: int) -> int:
+    """Bytes of the buffers of an ensemble or sweep of ncells cells, nrec recorded rows and
+    `replicates` replicates in `workers` threads.
+
+    Its Sums, and per thread a Slice of slice_stride(replicates) columns and the streams of
+    BLOCK replicates, on em_run's stack.
     """
     sums = ncells * nrec * (8 + 8) + 3 * ncells * 8
-    # per cell its constants, and per replicate its state, |x|^2 per row and first exceedance, and two 1 B flags
-    per_cell = _CELL_WORDS * 8 + BLOCK * ((_STATE_ROWS + nrec + 1) * 8 + 2)
+    # per cell its constants, and per column its state, |x|^2 per row and first exceedance, and two 1 B flags
+    per_cell = _CELL_WORDS * 8 + slice_stride(replicates) * ((_STATE_ROWS + nrec + 1) * 8 + 2)
     per_thread = ncells * per_cell + nrec * 8 + 2 * BLOCK * _STREAM_WORDS * 8
     return sums + workers * per_thread
 
 
 class Slice:
-    """One thread's buffer for a slice of at most BLOCK replicates of a batch of cells.
+    """One thread's buffer for a slice of the replicates of an ensemble of a batch of cells.
 
     cells are simulator._Cell tuples, seed keys the streams, and rec holds
     the recorded steps, from 0 to the last, which ends the horizon of dt steps.
-    step() integrates a slice into the buffer and fold() adds its finite
-    replicates into an ensemble's sums.  The buffer holds, per cell and
-    replicate, the |x|^2 at every recorded row (sq, of rows x cells x
-    BLOCK), the first row by which |x| exceeded epsilon1, -1 if none
-    (first_exceed, cells x BLOCK), the nonfinite and negative flags (cells
-    x BLOCK each), and the kernel's state, each in C order.
+    The ensemble has `replicates` replicates, so a slice holds at most stride
+    = slice_stride(replicates) of them: at most BLOCK.  step() integrates a
+    slice into the buffer and fold() adds its finite replicates into an
+    ensemble's sums.  The buffer holds, per cell and replicate, the |x|^2 at
+    every recorded row (sq, of rows x cells x stride), the first row by
+    which |x| exceeded epsilon1, -1 if none (first_exceed, cells x stride),
+    the nonfinite and negative flags (cells x stride each), and the kernel's
+    state, each in C order.
     """
 
-    def __init__(self, cells, seed: int, dt: float, rec):
+    def __init__(self, cells, seed: int, dt: float, rec, replicates: int):
         self._lib = library()
         self.cells = _cell_words(cells)
         self.k = len(cells)
@@ -293,18 +306,19 @@ class Slice:
         # em_run steps to rec[-1] and moves on to row i + 1 once it has taken step rec[i]
         if not (self.rec and self.rec[0] == 0 and all(a < b for a, b in zip(self.rec, self.rec[1:]))):
             raise ValueError("the recorded steps must ascend from 0")
-        self.state = _zeros("d", _STATE_ROWS * self.k * BLOCK)
-        self.sq = _zeros("d", len(self.rec) * self.k * BLOCK)
-        self.first_exceed = _zeros("q", self.k * BLOCK)
-        self.nonfinite = _zeros("B", self.k * BLOCK)
-        self.negative = _zeros("B", self.k * BLOCK)
+        self.stride = slice_stride(replicates)
+        self.state = _zeros("d", _STATE_ROWS * self.k * self.stride)
+        self.sq = _zeros("d", len(self.rec) * self.k * self.stride)
+        self.first_exceed = _zeros("q", self.k * self.stride)
+        self.nonfinite = _zeros("B", self.k * self.stride)
+        self.negative = _zeros("B", self.k * self.stride)
         self.n = 0  # replicates in the buffer
 
     def step(self, first: int, n: int) -> None:
         """Integrate replicates first..first+n-1 of every cell over the horizon (em_run in _em.c)."""
-        if not 0 <= n <= BLOCK:
-            raise ValueError(f"a slice holds 0 to {BLOCK} replicates, not {n}")
-        self._lib.em_run(_address(self.cells), self.k, _address(self.state), self.seed, first, n,
+        if not 0 <= n <= self.stride:
+            raise ValueError(f"a slice holds 0 to {self.stride} replicates, not {n}")
+        self._lib.em_run(_address(self.cells), self.k, _address(self.state), self.seed, first, n, self.stride,
                          self.rec[-1], self.dt, _address(self.rec), _address(self.sq),
                          _address(self.first_exceed), _address(self.nonfinite), _address(self.negative))
         self.n = n
@@ -316,7 +330,7 @@ class Slice:
         if not all(a.typecode == typecode and len(a) == want for a, typecode, want in (
                 (sums.sq, "d", size), (sums.exceed, "q", size), (sums.counts, "q", 3 * self.k))):
             raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
-        self._lib.em_fold(self.k, self.n, len(self.rec), _address(self.sq), _address(self.first_exceed),
+        self._lib.em_fold(self.k, self.n, self.stride, len(self.rec), _address(self.sq), _address(self.first_exceed),
                           _address(self.nonfinite), _address(self.negative), _address(sums.sq),
                           _address(sums.exceed), _address(sums.counts))
 

@@ -301,15 +301,9 @@ def cmd_analyze(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str,
 
 
 def _trajectory_json(traj: Trajectory) -> dict:
-    states = memoryview(serialize._stored(traj, "states"))  # p and m of each row in turn, read a block at a time
-    return {
-        "schema": "ssrna-trajectory/1",
-        "scheme": traj.scheme.value,
-        "exited_omega": traj.exited_omega,
-        "times": serialize._stored(traj, "times"),
-        "p": states[0::2],
-        "m": states[1::2],
-    }
+    times, p, m = traj.columns()
+    return {"schema": "ssrna-trajectory/1", "scheme": traj.scheme.value, "exited_omega": traj.exited_omega,
+            "times": times, "p": p, "m": m}
 
 
 def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,

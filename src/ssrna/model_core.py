@@ -16,7 +16,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from numbers import Real
+from typing import Any, NamedTuple
 
 from .errors import ParameterError
 
@@ -25,6 +26,7 @@ __all__ = [
     "ModelParams",
     "EquilibriumKind",
     "Equilibrium",
+    "finite_real",
     "validate_params",
     "basic_reproduction_number",
     "origin_equilibrium",
@@ -93,16 +95,25 @@ class Equilibrium:
         return State(self.p_star, self.m_star)
 
 
-def _positive_finite(name: str, value: float) -> float:
+def finite_real(x: Any) -> bool:
+    """Whether x is a real number in floating-point range: an int, a float or a numpy scalar of
+    either, but not a bool, a string, a NaN or an infinity.
+
+    The records' validators all ask this.  A numpy float32 is compared as a Python float, so
+    asking raises no numpy warning.
+    """
+    if not isinstance(x, Real) or isinstance(x, bool):
+        return False
     try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a number, got {value!r}") from None
-    except OverflowError:  # an int has no bound
-        raise ParameterError(f"{name} is an integer beyond floating-point range") from None
-    if not math.isfinite(v) or v <= 0.0:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond floating-point range
+        return False
+
+
+def _positive_finite(name: str, value: float) -> float:
+    if not (finite_real(value) and value > 0):
         raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
-    return v
+    return float(value)
 
 
 def validate_params(r: float, alpha: float, delta: float, sigma: float, K: float) -> ModelParams:
@@ -116,14 +127,9 @@ def validate_params(r: float, alpha: float, delta: float, sigma: float, K: float
     delta = _positive_finite("delta", delta)
     sigma = _positive_finite("sigma", sigma)
     K = _positive_finite("K", K)
-    try:
-        a = float(alpha)
-    except (TypeError, ValueError):
-        raise ParameterError(f"alpha must be a number, got {alpha!r}") from None
-    except OverflowError:
-        raise ParameterError("alpha is an integer beyond floating-point range") from None
-    if not math.isfinite(a) or not 0.0 < a <= 1.0:
+    if not (finite_real(alpha) and 0 < alpha <= 1):
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
+    a = float(alpha)
     params = ModelParams(r=r, alpha=a, delta=delta, sigma=sigma, K=K)
     # each rate is in range on its own; what is derived from them must be too
     if not (0.0 < delta * sigma < math.inf and 0.0 < basic_reproduction_number(params) < math.inf

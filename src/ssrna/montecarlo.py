@@ -30,6 +30,7 @@ from .model_core import (
     ModelParams,
     State,
     basic_reproduction_number,
+    finite_real,
     origin_equilibrium,
     positive_equilibrium,
     validate_params,
@@ -41,7 +42,6 @@ from .simulator import (
     SimConfig,
     _Cell,
     _check_recorded_bytes,
-    _finite,
     _kernel_cell,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
     recorded_steps,
@@ -79,8 +79,9 @@ class EnsembleConfig:
         # replicate k draws from the streams keyed by the 64-bit words 2k and 2k + 1
         if not (type(self.replicates) is int and 1 <= self.replicates <= MAX_SEED // 2):
             raise ParameterError(f"replicates must be an integer from 1 to 2**63, got {self.replicates!r}")
-        if not (_finite(self.epsilon1) and self.epsilon1 > 0.0):
+        if not (finite_real(self.epsilon1) and self.epsilon1 > 0):
             raise ParameterError(f"epsilon1 must be positive, got {self.epsilon1!r}")
+        object.__setattr__(self, "epsilon1", float(self.epsilon1))  # squared in double precision
         if not (type(self.master_seed) is int and 0 <= self.master_seed < MAX_SEED):
             raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
 
@@ -165,7 +166,7 @@ def _euler_maruyama(
         """Step thread w's slices into its own buffer and fold each in its turn."""
         nonlocal folded
         try:
-            buffer = _em.Slice(cells, master_seed, dt, rec)
+            buffer = _em.Slice(cells, master_seed, dt, rec, replicates)
             for s in range(w, slices, workers):
                 lo = replicates * s // slices
                 buffer.step(lo, replicates * (s + 1) // slices - lo)
@@ -204,7 +205,7 @@ def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tupl
     its step count.
     """
     n_steps, workers = step_count(cfg.sim), _worker_count(cfg.replicates)
-    _check_recorded_bytes(_em.ensemble_bytes(len(cells), _em.recorded_rows(n_steps, stride), workers))
+    _check_recorded_bytes(_em.ensemble_bytes(len(cells), _em.recorded_rows(n_steps, stride), workers, cfg.replicates))
     rec = recorded_steps(n_steps, stride)
     return _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, workers), rec
 

@@ -26,6 +26,7 @@ from . import _em
 __all__ = ["fmt", "write_csv", "dump", "dumps", "loads", "plain", "record", "FloatArray"]
 
 _FLOAT = "%.17g"
+_INDENT = "  "  # per level of a JSON document
 
 # Rows of a CSV file, or numbers of a JSON list, formatted per call of the compiled
 # formatter: the writers hold one block's numbers and text, not the whole output's.
@@ -105,15 +106,10 @@ def _float_column(obj: Any) -> bool:
     return _em.is_ndarray(obj) and obj.ndim == 1 and obj.dtype.char == "d"
 
 
-def _finite_floats(items: Any) -> bool:
-    """Whether every item of a list or tuple is a finite float: no NaN, Infinity, bool or int spelling."""
-    return all(type(v) is float for v in items) and all(map(math.isfinite, items))
-
-
-def _write(obj: Any, write: Callable[[bytes], Any], indent: str, level: int) -> None:
+def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
     """Write obj's JSON text through write, in pieces of at most a block of numbers."""
-    pad = (indent * level).encode()
-    pad_in = (indent * (level + 1)).encode()
+    pad = (_INDENT * level).encode()
+    pad_in = (_INDENT * (level + 1)).encode()
     if obj is None:
         write(b"null")
     elif obj is True:
@@ -141,17 +137,16 @@ def _write(obj: Any, write: Callable[[bytes], Any], indent: str, level: int) -> 
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             write(pad_in + json.dumps(key).encode() + b": ")
-            _write(value, write, indent, level + 1)
+            _write(value, write, level + 1)
             write(b",\n" if i < len(obj) - 1 else b"\n")
         write(pad + b"}")
     elif isinstance(obj, (list, tuple)) or _float_column(obj):
         if len(obj) == 0:
             write(b"[]")
             return
-        # a block of finite floats has the bytes of the per-item loop below, which the tests keep
-        # as the reference, in one call: a trajectory's columns are 10^5 numbers each.  The
-        # formatter reports a float column's non-finite numbers, so only a list's items are
-        # checked first, and a block with a non-finite number takes the per-item loop.
+        # a float column's block of finite numbers has the bytes of the per-item loop below, which
+        # the tests keep as the reference, in one call: a trajectory's columns are 10^5 numbers each.
+        # A list, and a block with a non-finite number, which the formatter reports, take the loop.
         sep = b",\n" + pad_in
         column = _float_column(obj)
         write(b"[\n" + pad_in)
@@ -159,34 +154,33 @@ def _write(obj: Any, write: Callable[[bytes], Any], indent: str, level: int) -> 
             block = obj[lo:lo + _BLOCK_ROWS]
             if lo:
                 write(sep)
-            numbers = None
-            if column or _finite_floats(block):
-                numbers = _em.format_g17(block, len(block), sep, b"", finite=True)
+            numbers = _em.format_g17(block, len(block), sep, b"", finite=True) if column else None
             if numbers is not None:
                 write(numbers)
                 continue
             for i, value in enumerate(block):
                 if i:
                     write(sep)
-                _write(value, write, indent, level + 1)
+                _write(value, write, level + 1)
         write(b"\n" + pad + b"]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
 
-def dump(obj: Any, fh: BinaryIO, indent: str = "  ") -> None:
-    """Write obj's JSON text, the bytes of dumps(obj, indent), into the binary file fh.
+def dump(obj: Any, fh: BinaryIO) -> None:
+    """Write obj's JSON text, the bytes of dumps(obj), into the binary file fh.
 
-    A list or float column is formatted a block of _BLOCK_ROWS numbers at a
-    time, so writing holds one block's text, whatever the document's size.
+    A list is written item by item, and a float column (see _float_column) a
+    block of _BLOCK_ROWS numbers at a time, so writing holds one block's
+    text, whatever the document's size.
     """
-    _write(obj, fh.write, indent, 0)
+    _write(obj, fh.write, 0)
     fh.write(b"\n")
 
 
-def dumps(obj: Any, indent: str = "  ") -> str:
+def dumps(obj: Any) -> str:
     out: list[bytes] = []
-    _write(obj, out.append, indent, 0)
+    _write(obj, out.append, 0)
     out.append(b"\n")
     return b"".join(out).decode()
 
@@ -197,12 +191,13 @@ def loads(text: str) -> Any:
 
 def plain(obj: Any) -> Any:
     """JSON-ready form of a record: fields in declaration order, enums by value,
-    tuples, lists and arrays as lists; other values pass through."""
+    tuples, lists and numpy arrays as lists; other values, such as the
+    array('d') of a FloatArray field, pass through."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _plain_field(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, array) or _em.is_ndarray(obj):
+    if _em.is_ndarray(obj):
         return obj.tolist()
     if isinstance(obj, (tuple, list)):
         return [plain(v) for v in obj]

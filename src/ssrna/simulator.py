@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral, Real
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 from . import _em
 from .errors import IntegrationError, ParameterError
 from .linearization import linearize
-from .model_core import Equilibrium, ModelParams, State, vector_field
+from .model_core import Equilibrium, ModelParams, State, finite_real, vector_field
 from .serialize import FloatArray, _stored, write_csv
 from .stability import NoiseSpec
 
@@ -59,11 +58,6 @@ MAX_STEPS = 2**63 - 1
 _PATH_ROW_BYTES = 3 * 8
 
 
-def _finite(x) -> bool:
-    """Whether x is a real number, not a bool, in float range (math.isfinite raises for a huge int or a str)."""
-    return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
 class Scheme(Enum):
     RK4 = "rk4"
     EULER_MARUYAMA = "euler-maruyama"
@@ -80,10 +74,13 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (_finite(self.dt) and self.dt > 0.0):
+        if not (finite_real(self.dt) and self.dt > 0):
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        if not (_finite(self.t_end) and self.t_end >= self.dt):
+        if not (finite_real(self.t_end) and float(self.t_end) >= float(self.dt)):
             raise ParameterError(f"t_end must be at least dt, got {self.t_end!r}")
+        # held as floats, so that no step count is taken in a narrower type
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t_end", float(self.t_end))
         if not (math.isfinite(self.t_end / self.dt) and step_count(self) <= MAX_STEPS):
             raise ParameterError(
                 f"t_end / dt = {self.t_end!r} / {self.dt!r} is more steps than a 64-bit step counter holds"
@@ -96,7 +93,7 @@ class SimConfig:
             p, m = self.initial
         except (TypeError, ValueError):  # not a pair
             p = m = None
-        if not (_finite(p) and _finite(m)):
+        if not (finite_real(p) and finite_real(m)):
             raise ParameterError(f"initial state must be a pair of finite numbers, got {self.initial!r}")
 
 
@@ -123,6 +120,11 @@ class Trajectory:
     def final_state(self) -> State:
         states = _stored(self, "states")
         return State(states[-2], states[-1])
+
+    def columns(self) -> tuple:
+        """t, p and m, as the writers read them: times, and p and m as strided memoryviews of states."""
+        states = memoryview(_stored(self, "states"))  # p and m of each row in turn
+        return _stored(self, "times"), states[0::2], states[1::2]
 
     def deviations_sq(self, anchor: Equilibrium) -> numpy.ndarray:
         """Squared Euclidean deviation from an anchor at each sample."""
@@ -363,5 +365,4 @@ def integrate_sde(
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,p,m` rows with full double precision (17 significant digits)."""
-    states = memoryview(_stored(traj, "states"))  # p and m of each row in turn, read a block at a time
-    write_csv(path, "t,p,m", (_stored(traj, "times"), states[0::2], states[1::2]))
+    write_csv(path, "t,p,m", traj.columns())

@@ -12,7 +12,6 @@ verdict is "conditions not met", never "unstable".
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +22,7 @@ from .model_core import (
     EquilibriumKind,
     ModelParams,
     basic_reproduction_number,
+    finite_real,
     origin_equilibrium,
     positive_equilibrium,
 )
@@ -58,9 +58,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name, w in (("omega1", self.omega1), ("omega2", self.omega2)):
-            # compared, not passed to math.isfinite, which raises OverflowError for a huge int
-            if not (isinstance(w, (int, float)) and not isinstance(w, bool) and 0.0 <= w <= sys.float_info.max):
+            if not (finite_real(w) and w >= 0):
                 raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {w!r}")
+            object.__setattr__(self, name, float(w))  # so that no gamma is taken in a narrower type
 
     @property
     def gamma1(self) -> float:

@@ -667,7 +667,8 @@ def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monk
     # and in each of the two threads the cell's 13 words, a copy of the 5001
     # recorded steps, per replicate of 64 its two state values, |x|^2 per
     # row, first exceedance and two 1 B flags, and its two 39-word streams
-    cfg = ensemble_config(replicates=2, sim=dict(sim, t_end=2500.0))
+    # (64 replicates fill a slice's 64 columns; fewer take fewer, see test_em)
+    cfg = ensemble_config(replicates=64, sim=dict(sim, t_end=2500.0))
     size = 5001 * 16 + 3 * 8 + 2 * ((13 + 5001) * 8 + 64 * ((2 + 5001 + 1) * 8 + 2 + 2 * 39 * 8))
     assert size == 5364488
     out = tmp_path / "out"

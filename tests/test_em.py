@@ -56,14 +56,18 @@ def buffer_bytes(obj) -> int:
     return sum(a.buffer_info()[1] * a.itemsize for a in vars(obj).values() if isinstance(a, array))
 
 
-@pytest.mark.parametrize("ncells, nrec, workers", [(1, 2, 1), (1, 5001, 2), (3, 7, 2), (16, 2, 4)])
-def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, workers):
+@pytest.mark.parametrize("ncells, nrec, workers, replicates, stride", [
+    (1, 2, 1, 1, 8), (1, 5001, 2, 64, 64), (3, 7, 2, 9, 16), (16, 2, 4, 1000, 64), (1, 5001, 2, 2, 8),
+], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates"])
+def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, workers, replicates, stride):
+    # a slice holds columns for min(64, replicates) replicates, rounded up to whole groups of 8 lanes
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    buffer = _em.Slice([cell] * ncells, 0, 0.5, range(nrec))
+    buffer = _em.Slice([cell] * ncells, 0, 0.5, range(nrec), replicates)
+    assert buffer.stride == _em.slice_stride(replicates) == stride
     streams = 2 * _em.BLOCK * _em.library().em_stream_words() * 8  # on em_run's stack, per thread
     expected = buffer_bytes(_em.Sums(ncells, nrec)) + workers * (buffer_bytes(buffer) + streams)
-    assert _em.ensemble_bytes(ncells, nrec, workers) == expected
+    assert _em.ensemble_bytes(ncells, nrec, workers, replicates) == expected
 
 
 @pytest.mark.parametrize("rec", [[], [3], [1, 4], [0, 4, 4, 9], [0, 9, 4]])
@@ -74,7 +78,7 @@ def test_slice_refuses_recorded_steps_that_do_not_ascend_from_0(rec):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     with pytest.raises(ValueError, match="ascend from 0"):
-        _em.Slice([cell], 0, 0.5, rec)
+        _em.Slice([cell], 0, 0.5, rec, 1)
 
 
 @pytest.mark.parametrize("key", [(0, 0), (0, U64_MAX), (U64_MAX, 0), (U64_MAX, U64_MAX), (20240706, 7)])
@@ -178,9 +182,9 @@ def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coo
     imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
-    buffer = _em.Slice([cell], seed, cfg.dt, range(steps + 1))
+    buffer = _em.Slice([cell], seed, cfg.dt, range(steps + 1), 1)
     buffer.step(replicate, 1)
-    assert list(buffer.sq[::_em.BLOCK]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
+    assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 
 
 # Streams of seed 99 whose normal at `draw` rejects the first try on the last word of the refilled
@@ -200,9 +204,9 @@ def test_kernel_draws_equal_numpy_where_a_reject_ends_the_buffer(replicate, coor
     imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     buffer = _em.Slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
-                       range(steps + 1))
+                       range(steps + 1), 1)
     buffer.step(replicate, 1)
-    assert list(buffer.sq[::_em.BLOCK]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
+    assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 
 
 def test_single_path_is_stepped_in_one_call(monkeypatch):
@@ -231,10 +235,9 @@ EM_CONFIG = {
 }
 
 
-def failed_build(tmp_path, monkeypatch, capsys, command) -> str:
-    """The error line of `command` (ensemble, simulate, simulate-rk4 or analyze) run on an empty
-    cache whose library cannot be built, checked to be one line with exit 1, no traceback and no
-    file left in the cache."""
+def run_on_empty_cache(tmp_path, monkeypatch, command, out="out") -> int:
+    """The exit status of `command` (ensemble, simulate, simulate-rk4 or analyze) run into
+    tmp_path/out on an empty cache."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(_em, "_lib", None)
     blocks = {"ensemble": EM_CONFIG["ensemble"], "simulate": EM_CONFIG["simulate"],
@@ -244,7 +247,13 @@ def failed_build(tmp_path, monkeypatch, capsys, command) -> str:
     config[command] = block
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path / out)])
+
+
+def failed_build(tmp_path, monkeypatch, capsys, command) -> str:
+    """The error line of `command` run on an empty cache whose library cannot be built, checked
+    to be one line with exit 1, no traceback and no file left in the cache."""
+    assert run_on_empty_cache(tmp_path, monkeypatch, command) == 1
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot build")
     assert "Traceback" not in captured.err
@@ -252,22 +261,44 @@ def failed_build(tmp_path, monkeypatch, capsys, command) -> str:
     return captured.err
 
 
-# every command loads the library: simulate-rk4 for its path, analyze for its writer
-@pytest.mark.parametrize("command", ["ensemble", "simulate", "simulate-rk4", "analyze"])
-def test_build_failure_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, command):
+def failing_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(_em, "_compiler", lambda: ["false"])
-    assert "`false -O2 -ffp-contract=off" in failed_build(tmp_path, monkeypatch, capsys, command)
 
 
-@pytest.mark.parametrize("command", ["ensemble", "simulate", "simulate-rk4", "analyze"])
-def test_build_without_objcopy_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, command):
+def without_objcopy(tmp_path, monkeypatch):
     # a PATH that holds the compiler but not binutils' objcopy
     shim = tmp_path / "bin"
     shim.mkdir()
     compiler = _em._compiler()[0]
     (shim / Path(compiler).name).symlink_to(shutil.which(compiler))
     monkeypatch.setenv("PATH", str(shim))
+
+
+# every command that steps a path loads the library, simulate-rk4 too
+LIBRARY_COMMANDS = ["ensemble", "simulate", "simulate-rk4"]
+
+
+@pytest.mark.parametrize("command", LIBRARY_COMMANDS)
+def test_build_failure_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, command):
+    failing_compiler(tmp_path, monkeypatch)
+    assert "`false -O2 -ffp-contract=off" in failed_build(tmp_path, monkeypatch, capsys, command)
+
+
+@pytest.mark.parametrize("command", LIBRARY_COMMANDS)
+def test_build_without_objcopy_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, command):
+    without_objcopy(tmp_path, monkeypatch)
     assert "objcopy" in failed_build(tmp_path, monkeypatch, capsys, command)
+
+
+@pytest.mark.parametrize("broken", [failing_compiler, without_objcopy], ids=["failing-compiler", "without-objcopy"])
+def test_analyze_needs_no_compiled_library(tmp_path, monkeypatch, broken):
+    # the closed-form analysis writes no float column, so it neither builds nor loads the library
+    assert run_on_empty_cache(tmp_path, monkeypatch, "analyze", "default") == 0
+    broken(tmp_path, monkeypatch)
+    assert run_on_empty_cache(tmp_path, monkeypatch, "analyze") == 0
+    assert _em._lib is None and not (tmp_path / "cache").exists()
+    report = (tmp_path / "out" / "analysis.json").read_bytes()
+    assert report == (tmp_path / "default" / "analysis.json").read_bytes()
 
 
 def test_build_of_an_archive_without_the_ziggurat_tables_fails(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ssrna import (
+    EnsembleConfig,
     EquilibriumKind,
+    NoiseSpec,
     ParameterError,
+    SimConfig,
+    StabilityDomainError,
     State,
     basic_reproduction_number,
     divergence,
@@ -58,6 +64,47 @@ def test_validate_identity_capacity():
 def test_validate_names_offending_field(field, kwargs):
     with pytest.raises(ParameterError, match=field):
         validate_params(**kwargs)
+
+
+def _ensemble(epsilon1):
+    sim = SimConfig(dt=0.5, t_end=1.0, initial=State(1.0, 1.0))
+    return EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0.1, 0.1), anchor=origin_equilibrium(),
+                          epsilon1=epsilon1, master_seed=0)
+
+
+# One check of "a finite real number" (model_core.finite_real) in every record's validator: a
+# string or a bool is refused, and a numpy float32 is taken, as a float, without a numpy warning.
+@pytest.mark.parametrize("make, field", [
+    (lambda: validate_params(r="0.1", alpha=0.5, delta=1, sigma=1, K=1), "r"),
+    (lambda: validate_params(r=1, alpha=True, delta=1, sigma=1, K=1), "alpha"),
+    (lambda: validate_params(r=1, alpha=0.5, delta=1, sigma=np.float32(np.inf), K=1), "sigma"),
+    (lambda: NoiseSpec(0.1, "0.1"), "omega2"),
+    (lambda: NoiseSpec(np.float32(np.inf), 0.1), "omega1"),
+    (lambda: SimConfig(dt=True, t_end=1.0, initial=State(0, 0)), "dt"),
+    (lambda: SimConfig(dt=np.float32(0.5), t_end=1e39, initial=State(0, 0)), "t_end / dt"),
+    (lambda: _ensemble("1.0"), "epsilon1"),
+    (lambda: _ensemble(np.float32(np.nan)), "epsilon1"),
+], ids=["r-string", "alpha-bool", "sigma-float32-inf", "omega-string", "omega-float32-inf", "dt-bool",
+        "t_end-over-float32-dt", "epsilon1-string", "epsilon1-float32-nan"])
+def test_records_refuse_what_is_not_a_finite_real_number(make, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ParameterError, StabilityDomainError), match=re.escape(field)):
+            make()
+
+
+@pytest.mark.parametrize("make, values", [
+    (lambda: validate_params(r=np.float32(0.5), alpha=np.float32(0.25), delta=1, sigma=np.int64(1), K=10**3),
+     lambda p: (p.r, p.alpha, p.sigma, p.K)),
+    (lambda: NoiseSpec(np.float32(0.1), 0.1), lambda n: (n.omega1, n.gamma1)),
+    (lambda: SimConfig(dt=np.float32(0.5), t_end=np.float32(2.0), initial=State(0, 0)), lambda c: (c.dt, c.t_end)),
+    (lambda: _ensemble(np.float32(1e30)), lambda e: (e.epsilon1,)),
+], ids=["params", "noise", "sim", "ensemble"])
+def test_records_take_numpy_scalars_as_floats(make, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = make()
+    assert all(type(v) is float for v in values(record))
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -4,12 +4,15 @@ import signal
 import sys
 import threading
 import tracemalloc
+from array import array
 from bisect import bisect_left
 from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ssrna import (
     EnsembleConfig,
@@ -430,11 +433,11 @@ def test_slice_draws_the_top_stream_keys():
     cfg = EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0.8, 0.8), anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=2**64 - 1)
     rec = recorded_steps(27, 3)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates)
     buffer.step(2**63 - 1, 1)
     sq, _, negative = _reference_path(p, cfg, 2**63 - 1, 27, rec)
     assert sq is not None and buffer.nonfinite[0] == 0
-    assert buffer.sq[::_em.BLOCK].tolist() == sq  # rows x one cell x BLOCK: replicate 0 of each row
+    assert buffer.sq[::buffer.stride].tolist() == sq  # rows x one cell x stride: replicate 0 of each row
     assert buffer.negative[0] == negative
 
 
@@ -481,15 +484,16 @@ def test_slice_widths_around_the_lane_count_equal_the_reference(n, p, noise):
     cfg = EnsembleConfig(replicates=n, sim=sim, noise=noise, anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=4242)
     rec = recorded_steps(27, 3)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
-    buffer.step(64, 64)  # outputs of another slice beyond n, which em_fold must not read
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, n)
+    assert buffer.stride == min(64, -(-n // 8) * 8)
+    buffer.step(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
     buffer.step(0, n)
     for j in range(n):
         with np.errstate(over="ignore", invalid="ignore"):
             sq, exceed_at, negative = _reference_path(p, cfg, j, 27, rec)
         assert buffer.nonfinite[j] == (sq is None), j
         if sq is not None:
-            assert buffer.sq[j::_em.BLOCK].tolist() == sq, j  # rows x one cell x BLOCK
+            assert buffer.sq[j::buffer.stride].tolist() == sq, j  # rows x one cell x stride
             assert buffer.first_exceed[j] == (-1 if exceed_at is None else bisect_left(rec, exceed_at)), j
             assert buffer.negative[j] == negative, j
     included = [j for j in range(n) if not buffer.nonfinite[j]]
@@ -500,7 +504,7 @@ def test_slice_widths_around_the_lane_count_equal_the_reference(n, p, noise):
 
     sums = _em.Sums(1, len(rec))
     buffer.fold(sums)
-    sq = np.frombuffer(buffer.sq).reshape(len(rec), _em.BLOCK)[:, :n]
+    sq = np.frombuffer(buffer.sq).reshape(len(rec), buffer.stride)[:, :n]
     assert np.array_equal(np.frombuffer(sums.sq), sum_included(sq, np.frombuffer(buffer.nonfinite, np.bool_)[:n]))
     assert list(sums.exceed) == [sum(buffer.first_exceed[j] == i for j in included) for i in range(len(rec))]
     assert list(sums.counts) == [len(included), sum(buffer.negative[j] for j in included), n - len(included)]
@@ -533,15 +537,106 @@ def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_libr
         stats = run_ensemble(cfg, p)
         write_ensemble_csv(stats, tmp_path / f"{name}-ensemble.csv")
         write_sweep_csv(sweep(p, {"r": [0.05, 0.1]}, {}, cfg), tmp_path / f"{name}-sweep.csv")
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates)
         buffer.step(100, 37)
         runs[name] = (stats.n_negative, stats.n_nonfinite,
                       [(tmp_path / f"{name}-{command}.csv").read_bytes() for command in ("ensemble", "sweep")],
-                      [(buffer.sq[j::_em.BLOCK].tobytes(), buffer.first_exceed[j], buffer.nonfinite[j],
+                      [(buffer.sq[j::buffer.stride].tobytes(), buffer.first_exceed[j], buffer.nonfinite[j],
                         buffer.negative[j]) for j in range(37)])
     assert runs["scalar"] == runs["default"]
     n_negative, n_nonfinite = runs["scalar"][:2]
     assert n_negative > 0 and (n_nonfinite > 0) == (noise.omega1 > 1.0)
+
+
+@st.composite
+def slice_batches(draw):
+    """A slice of a batch of one or two cells, and the reference's inputs.
+
+    Each cell is coupled, or decoupled (r = 0, where x1 and x2 meet only through 0 x inf), about
+    the origin or the coexistence point, with noise from decaying to divergent on each coordinate.
+    The slice is `width` replicates from `first` on, up to the top stream keys, of an ensemble of
+    `replicates`, which sets the buffer's stride, recorded at strictly ascending steps from 0 to a
+    short horizon.
+    """
+    # 0.8 and 3.5 make excursions and divergence within a few dozen steps; 1e30 overflows in about ten
+    noise = st.one_of(st.sampled_from([0.0, 0.8, 3.5]), st.floats(-3.0, 32.0).map(lambda e: 10.0 ** e))
+    cells = []
+    for _ in range(draw(st.integers(1, 2))):
+        rates = dict(r=10.0 ** draw(st.floats(-2.0, 1.0)), alpha=draw(st.floats(0.05, 1.0)),
+                     delta=10.0 ** draw(st.floats(-2.0, 0.0)), sigma=10.0 ** draw(st.floats(-2.0, 0.0)),
+                     K=10.0 ** draw(st.floats(2.0, 8.0)))
+        if draw(st.booleans()):
+            params, anchor = ModelParams(**dict(rates, r=0.0)), origin_equilibrium()
+        else:
+            params, anchor = validate_params(**rates), origin_equilibrium()
+            if positive_equilibrium(params).exists and draw(st.booleans()):
+                anchor = positive_equilibrium(params)
+        scale = anchor_scale(anchor, params.K)
+        u, v = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        cells.append((params, anchor, NoiseSpec(draw(noise), draw(noise)),
+                      State(anchor.p_star + u * scale, anchor.m_star + v * scale),
+                      10.0 ** draw(st.floats(-3.0, 1.0)) * scale))
+    n_steps = draw(st.integers(1, 24))
+    inner = draw(st.sets(st.integers(1, n_steps - 1))) if n_steps > 1 else set()
+    width = draw(st.integers(1, 64))
+    replicates = draw(st.integers(width, 80))
+    seed = draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+    first = draw(st.one_of(st.integers(0, 100), st.just(2**63 - width), st.integers(0, 2**63 - width)))
+    dt = draw(st.sampled_from([0.05, 0.25, 0.5, 1.0]))
+    return cells, seed, first, width, replicates, dt, [0, *sorted(inner), n_steps]
+
+
+# Decoupled cells whose one divergent coordinate overflows in step 11, the last: the other is still
+# finite there, and becomes NaN only a step later, through 0 x inf.  A replicate is non-finite if
+# either coordinate is, whichever the random examples happen to end on.
+_DECOUPLED = ModelParams(**dict(_COUPLED, r=0.0))
+_LAST_STEP_OVERFLOWS = ([(_DECOUPLED, origin_equilibrium(), NoiseSpec(w1, w2), State(500.0, 500.0), 450.0)
+                         for w1, w2 in ((0.05, 1e30), (1e30, 0.05))], 7, 0, 16, 16, 0.25, [0, 5, 11])
+
+
+@settings(max_examples=30)
+@given(batch=slice_batches())
+@example(batch=_LAST_STEP_OVERFLOWS)
+def test_slices_equal_the_reference_by_property(scalar_library, batch):
+    # Slice.step and Slice.fold equal _reference_path byte for byte, on the default library (eight
+    # lanes per register where the CPU has AVX-512F) and on the scalar one, whatever the stride
+    cells, seed, first, width, replicates, dt, rec = batch
+    n_steps, k = rec[-1], len(cells)
+    cfgs = [EnsembleConfig(replicates=replicates, sim=SimConfig(dt=dt, t_end=n_steps * dt, initial=initial),
+                           noise=noise, anchor=anchor, epsilon1=epsilon1, master_seed=seed)
+            for _, anchor, noise, initial, epsilon1 in cells]
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = [[_reference_path(cell[0], cfg, first + j, n_steps, rec) for j in range(width)]
+                 for cell, cfg in zip(cells, cfgs)]
+    kernel_cells = [montecarlo._cell(cfg, cell[0]) for cell, cfg in zip(cells, cfgs)]
+    for library in (_em.library(), scalar_library):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_em, "_lib", library)
+            buffer = _em.Slice(kernel_cells, seed, dt, rec, replicates)
+        stride = buffer.stride
+        assert stride == min(64, -(-replicates // 8) * 8)
+        buffer.step(2**63 - stride, stride)  # another slice's outputs in every column, which em_fold must not read
+        buffer.step(first, width)
+        sums = _em.Sums(k, len(rec))
+        buffer.fold(sums)
+        for c, cell_paths in enumerate(paths):
+            included = [j for j, (sq, _, _) in enumerate(cell_paths) if sq is not None]
+            assert list(buffer.nonfinite[c * stride:c * stride + width]) == [j not in included for j in range(width)]
+            rows = [0.0] * len(rec)  # the reference's fold: each row adds the included replicates in index order
+            exceed = [0] * len(rec)
+            for j in included:
+                sq, exceed_at, negative = cell_paths[j]
+                assert buffer.sq[c * stride + j::k * stride].tobytes() == array("d", sq).tobytes(), (c, j)
+                row = -1 if exceed_at is None else bisect_left(rec, exceed_at)
+                assert (buffer.first_exceed[c * stride + j], buffer.negative[c * stride + j]) == (row, negative)
+                rows = [acc + x for acc, x in zip(rows, sq)]
+                if row >= 0:
+                    exceed[row] += 1
+            part = slice(c * len(rec), (c + 1) * len(rec))
+            assert sums.sq[part].tobytes() == array("d", rows).tobytes()
+            assert list(sums.exceed[part]) == exceed
+            negatives = sum(cell_paths[j][2] for j in included)
+            assert list(sums.counts[3 * c:3 * c + 3]) == [len(included), negatives, width - len(included)]
 
 
 def test_ensemble_memory_does_not_grow_with_horizon(tumv):
@@ -562,6 +657,36 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv):
     assert peak < whole_horizon_buffers / 4
 
 
+def few_replicates_cfg(tumv, t_end):
+    """Two replicates observed at every step of TuMV's coexistence point, at the CLI's default dt."""
+    eq = positive_equilibrium(tumv)
+    sim = SimConfig(dt=simulator.default_dt(tumv, eq), t_end=t_end, initial=displaced_initial(eq, 0.01, tumv.K))
+    return EnsembleConfig(replicates=2, sim=sim, noise=NoiseSpec(0.05, 0.05), anchor=eq,
+                          epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=0)
+
+
+def test_few_replicates_hold_few_columns(tumv, monkeypatch):
+    # a slice holds columns for min(64, replicates) replicates, rounded up to 8: two replicates
+    # over 186254 recorded rows once held 64 columns of |x|^2 per thread, 95 MB each
+    cfg = few_replicates_cfg(tumv, 100000.0)
+    assert len(recorded_steps(step_count(cfg.sim), 1)) == 186254
+    tracemalloc.start()  # it sees every thread's slice buffer
+    try:
+        run_ensemble(cfg, tumv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # the same statistics as from 64 columns, on a tenth of the horizon
+    cfg = few_replicates_cfg(tumv, 10000.0)
+    runs = [run_ensemble(cfg, tumv)]
+    monkeypatch.setattr(_em, "slice_stride", lambda replicates: _em.BLOCK)
+    runs.append(run_ensemble(cfg, tumv))
+    eight, sixty_four = ({name: value.tobytes() if isinstance(value, array) else value
+                          for name, value in vars(stats).items()} for stats in runs)
+    assert eight == sixty_four
+
+
 # ---------------------------------------------------------------------------
 # stability-in-probability estimation
 
@@ -571,9 +696,9 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv):
 ], ids=["sweep", "ensemble"])
 def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
     # there is no increment buffer, and nothing per replicate: each thread
-    # holds a slice buffer of 64 replicates, whose Philox streams, state and
-    # results for one cell take 15 kB, so two workers need more than the
-    # 16 KiB this machine is made to have, however few the replicates
+    # holds the Philox streams of 64 replicates, 40 kB, and a slice buffer,
+    # so two workers need more than the 16 KiB this machine is made to have,
+    # however few the replicates
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4}
     monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
     use_workers(monkeypatch, 2)
@@ -624,12 +749,12 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
     # kernel once did over the whole matrix
     assert montecarlo._slices(300, workers) == 5
     rec = recorded_steps(27, 1)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec)
-    # numpy views of the slice buffer: rows x cells x BLOCK, and cells x BLOCK
-    buffer_sq = np.frombuffer(buffer.sq).reshape(len(rec), 1, _em.BLOCK)
-    buffer_first = np.frombuffer(buffer.first_exceed, np.int64).reshape(1, _em.BLOCK)
-    buffer_nonfinite = np.frombuffer(buffer.nonfinite, np.bool_).reshape(1, _em.BLOCK)
-    buffer_negative = np.frombuffer(buffer.negative, np.bool_).reshape(1, _em.BLOCK)
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates)
+    # numpy views of the slice buffer: rows x cells x stride, and cells x stride
+    buffer_sq = np.frombuffer(buffer.sq).reshape(len(rec), 1, buffer.stride)
+    buffer_first = np.frombuffer(buffer.first_exceed, np.int64).reshape(1, buffer.stride)
+    buffer_nonfinite = np.frombuffer(buffer.nonfinite, np.bool_).reshape(1, buffer.stride)
+    buffer_negative = np.frombuffer(buffer.negative, np.bool_).reshape(1, buffer.stride)
     sq, first, nonfinite, negative = [], [], [], []
     for s in range(5):
         lo, hi = 300 * s // 5, 300 * (s + 1) // 5

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tempfile
 from array import array
@@ -22,12 +23,6 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 scalars = st.one_of(st.floats(), st.sampled_from(SPECIAL), st.integers(), st.booleans())
 
 
-def dumps_item_by_item(obj):
-    """dumps with every list written through the per-item path, the reference."""
-    with mock.patch.object(serialize, "_finite_floats", lambda items: False):
-        return dumps(obj)
-
-
 # a list is formatted a block of _BLOCK_ROWS numbers at a time; blocks of 3 also test the joins between blocks
 BLOCK_ROWS = (3, serialize._BLOCK_ROWS)
 
@@ -44,16 +39,24 @@ def dumped(obj, rows):
 
 @given(st.one_of(st.lists(finite_floats), st.lists(scalars)))
 def test_dumps_float_lists_match_the_per_item_path(items):
+    # a list or tuple is written item by item, whatever it holds: only a float column reaches the
+    # compiled formatter, which a closed-form report, holding none, then never builds
+    unformatted = mock.patch.object(_em, "format_g17", side_effect=AssertionError("a list reached the formatter"))
     for doc in (items, tuple(items), {"column": items}, [items, {"nested": [items]}]):
-        reference = dumps_item_by_item(doc)
-        assert [dumped(doc, rows) for rows in BLOCK_ROWS] == [reference] * len(BLOCK_ROWS)
+        with unformatted:
+            texts = [dumped(doc, rows) for rows in BLOCK_ROWS]
+        assert texts == [texts[0]] * len(BLOCK_ROWS)
+        assert loads(texts[0]) == loads(json.dumps(doc, allow_nan=True))
+    if all(type(v) is float for v in items):  # the float column of the same numbers has the same bytes
+        assert dumps({"column": items}) == dumps({"column": array("d", items)})
 
 
 @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL))))
 def test_dumps_float_columns_match_the_per_item_path(items):
     # a float column goes to the compiled formatter unchecked, which reports a non-finite number;
-    # a strided memoryview is a column of an interleaved buffer, as a trajectory's p and m are
-    reference = dumps_item_by_item({"column": items})
+    # a list is written item by item, the reference.  A strided memoryview is a column of an
+    # interleaved buffer, as a trajectory's p and m are
+    reference = dumps({"column": items})
     interleaved = array("d", [x for item in items for x in (item, 0.5)])
     for rows in BLOCK_ROWS:
         for column in (array("d", items), np.array(items, dtype=float), memoryview(interleaved)[0::2]):
@@ -122,9 +125,11 @@ def test_numpy_arrays_are_written_like_lists(tmp_path):
     assert serialize.plain(column) == column.tolist() and serialize.plain(states) == states.tolist()
     stats = EnsembleStats(times=t, mean_sq_dev=column, exceed_fraction_cum=t / 10, exceed_fraction=0.0,
                           n_replicates=1, n_included=1, n_exceed=0, n_negative=0, n_nonfinite=0)
+    # a record's one-column fields are handed over as the array('d') it holds, as float columns
     doc = serialize.plain(stats)
-    assert [doc["times"], doc["mean_sq_dev"], doc["exceed_fraction_cum"]] == [t.tolist(), column.tolist(),
-                                                                               (t / 10).tolist()]
+    for name, values in (("times", t), ("mean_sq_dev", column), ("exceed_fraction_cum", t / 10)):
+        assert doc[name] is serialize._stored(stats, name) and doc[name] == array("d", values.tolist())
+    assert dumps(doc) == dumps(json_lists({**doc, "times": t, "mean_sq_dev": column, "exceed_fraction_cum": t / 10}))
     for doc in (column, (t, np.arange(3)), [states]):
         assert dumps(serialize.plain(doc)) == dumps(json_lists(doc))
     # dumps writes a 1-D float64 array as it is
