@@ -25,22 +25,22 @@
  *    step is model_core.field's, each in its evaluation order; built with
  *    -ffp-contract=off, so no product is fused into an add.  The
  *    Euler-Maruyama step is written once (EM_STEP), for a double and for the
- *    eight lanes of an AVX-512 register, on which GCC's operators take the
- *    same IEEE operations lane by lane; nothing here changes MXCSR, so a lane
- *    rounds as the double does.  em_run steps eight replicates per register
- *    where the CPU has AVX-512F, chosen with the refill when the library
- *    loads.
+ *    lanes of a GCC vector of doubles, on which GCC's operators take the same
+ *    IEEE operations lane by lane; nothing here changes MXCSR, so a lane
+ *    rounds as the double does.
  *  - fmt_g17 writes a double as Python's '%.17g' % x does.
  *
- * Euler-Maruyama has one entry point per job, sharing one step (em_step), one
+ * Euler-Maruyama has one entry point per job, sharing one step (EM_STEP), one
  * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
  * single path into its recorder.  em_run steps an ensemble one slice of at
  * most BLOCK replicates at a time, in lockstep, into a slice buffer, which
- * keeps of each replicate only its deviations and its outputs: eight
- * replicates per register where the CPU has AVX-512F (step_lanes), else one
- * at a time (step_cells).  The buffer has `stride` columns per cell, a
- * multiple of 8 up to BLOCK, so that a slice of few replicates holds few
- * columns.  em_fold then adds the slice's finite replicates into the
+ * keeps of each replicate only its deviations and its outputs.  Its slice
+ * step is written once (EM_SLICE) for GCC vectors and built twice: eight
+ * replicates per AVX-512 register where the CPU has AVX-512F, chosen with the
+ * refill when the library loads (slice_step_x8), else two, the width of an
+ * SSE2 or NEON register (slice_step_x2).  The buffer has `stride` columns per
+ * cell, a multiple of 8 up to BLOCK, so that a slice of few replicates holds
+ * few columns.  em_fold then adds the slice's finite replicates into the
  * ensemble's running sums in index order, so the sums are those of one pass
  * over every replicate.
  */
@@ -99,8 +99,8 @@ void em_seed(stream_t *s, uint64_t key0, uint64_t key1)
 #define PHILOX_W0 0x9E3779B97F4A7C15ULL
 #define PHILOX_W1 0xBB67AE8584CAA73BULL
 
-/* Lanes of the Philox refill and of em_run's step this CPU takes: BLOCKS with AVX-512F, else 1,
- * chosen when the library loads. */
+/* Lanes of the Philox refill this CPU takes, chosen when the library loads: BLOCKS with AVX-512F,
+ * where em_run's step takes eight replicates per register too, else 1, where it takes two. */
 static int lanes = 1;
 
 int64_t em_refill_lanes(void) { return lanes; }
@@ -342,9 +342,9 @@ void rk4_path(const double *model, double p, double m, path_t *path)
 }
 
 /* One Euler-Maruyama step of a cell's deviations (u, v) on the increments (d1, d2):
- * simulator._drift's arithmetic, in its order.  Written once for T, a double (em_step) or the eight
- * lanes of a __m512d (em_step_lanes), on which GCC's operators take the same IEEE operation lane by
- * lane, a scalar operand in every lane; with -ffp-contract=off none is fused, and nothing here
+ * simulator._drift's arithmetic, in its order.  Written once for T, a double (em_step) or a GCC
+ * vector of doubles (em_run's slice step), on which GCC's operators take the same IEEE operation lane
+ * by lane, a scalar operand in every lane; with -ffp-contract=off none is fused, and nothing here
  * changes MXCSR, so each lane rounds as the double does, subnormals too. */
 #define EM_STEP(name, T)                                                               \
     static inline void name(const double *cell, double dt, T d1, T d2, T *u, T *v)     \
@@ -361,71 +361,70 @@ EM_STEP(em_step, double)
 /* The deviations of row r (X1 or X2) of cell c, in the state of em_run's arguments. */
 #define ROW(r, c) (state + ((r) * ncells + (c)) * stride)
 
+_Static_assert(BLOCK % 8 == 0, "a slice's columns hold its replicates in whole groups of 8");
+
 /* One step of em_run: replicates 0..width-1 of every cell on the increments d1 and d2, their |x|^2
- * written to row `next`. */
-static inline void step_cells(const double *cells, int64_t ncells, int64_t stride, double dt, const double *d1,
-                              const double *d2, int width, int64_t next, double *state, double *sq,
-                              int64_t *first_exceed, uint8_t *negative)
-{
-    for (int64_t c = 0; c < ncells; c++) {
-        double cell[CELL_WORDS];
-        memcpy(cell, cells + c * CELL_WORDS, sizeof cell);
-        double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
-        for (int j = 0; j < width; j++) {
-            int64_t k = c * stride + j;
-            double u = x1[j], v = x2[j];
-            em_step(cell, dt, d1[j], d2[j], &u, &v);
-            double dsq = u * u + v * v;
-            sq[next * ncells * stride + k] = dsq;
-            if (first_exceed[k] < 0 && dsq > cell[EPS_SQ])
-                first_exceed[k] = next;
-            if (cell[P_STAR] + u < 0.0 || cell[M_STAR] + v < 0.0)
-                negative[k] = 1;
-            x1[j] = u;
-            x2[j] = v;
-        }
+ * written to row `next`.  Written once for F, a GCC vector of doubles, whose lanes are stepped by
+ * step, EM_STEP for F, and loaded and stored a group at a time: width is a multiple of the lanes.  A
+ * comparison gives -1 in the lanes where it holds, else 0.  p* + x1 < 0 is tested as x1 < -p*,
+ * without an addition: a sum of two doubles rounds to zero only where it is zero, and otherwise
+ * keeps its sign.  The flags, rarely set, are written only where one is, so that a step does not
+ * rewrite their lines.  The cell's words are copied so that the compiler keeps them in registers.
+ * Give each instantiation for a target the target's attribute: a body of another target, inlined
+ * or called, is compiled for that one, and compares lane by lane. */
+#define EM_SLICE(name, step, F)                                                                         \
+    static void name(const double *cells, int64_t ncells, int64_t stride, double dt, const double *d1, \
+                     const double *d2, int width, int64_t next, double *state, double *sq,             \
+                     int64_t *first_exceed, uint8_t *negative)                                         \
+    {                                                                                                  \
+        typedef int64_t I __attribute__((vector_size(sizeof(F))));                                     \
+        typedef uint8_t B __attribute__((vector_size(sizeof(F) / sizeof(double))));                   \
+        for (int64_t c = 0; c < ncells; c++) {                                                         \
+            double cell[CELL_WORDS];                                                                   \
+            memcpy(cell, cells + c * CELL_WORDS, sizeof cell);                                         \
+            double *x1 = ROW(X1, c), *x2 = ROW(X2, c), *dsq_at = sq + (next * ncells + c) * stride;    \
+            int64_t *fe_at = first_exceed + c * stride;                                                \
+            uint8_t *neg_at = negative + c * stride;                                                   \
+            for (int64_t j = 0; j < width; j += sizeof(F) / sizeof(double)) {                          \
+                F u, v, e1, e2;                                                                        \
+                I fe;                                                                                  \
+                memcpy(&u, x1 + j, sizeof u);                                                          \
+                memcpy(&v, x2 + j, sizeof v);                                                          \
+                memcpy(&e1, d1 + j, sizeof e1);                                                        \
+                memcpy(&e2, d2 + j, sizeof e2);                                                        \
+                memcpy(&fe, fe_at + j, sizeof fe);                                                     \
+                step(cell, dt, e1, e2, &u, &v);                                                        \
+                F dsq = u * u + v * v;                                                                 \
+                I hit = (fe < 0) & (dsq > cell[EPS_SQ]);                                               \
+                I below = (u < -cell[P_STAR]) | (v < -cell[M_STAR]);                                   \
+                B flags = __builtin_convertvector(hit | below, B);                                     \
+                uint64_t any = 0;                                                                      \
+                memcpy(&any, &flags, sizeof flags);                                                    \
+                if (any) {                                                                             \
+                    B neg;                                                                             \
+                    fe = (fe & ~hit) | (hit & next);                                                   \
+                    memcpy(&neg, neg_at + j, sizeof neg);                                              \
+                    neg |= __builtin_convertvector(below & 1, B);                                      \
+                    memcpy(fe_at + j, &fe, sizeof fe);                                                 \
+                    memcpy(neg_at + j, &neg, sizeof neg);                                              \
+                }                                                                                      \
+                memcpy(dsq_at + j, &dsq, sizeof dsq);                                                  \
+                memcpy(x1 + j, &u, sizeof u);                                                          \
+                memcpy(x2 + j, &v, sizeof v);                                                          \
+            }                                                                                          \
+        }                                                                                              \
     }
-}
+
+/* Two lanes, an SSE2 or NEON register: the slice step of every CPU without AVX-512F. */
+typedef double f64x2 __attribute__((vector_size(16)));
+EM_STEP(em_step_x2, f64x2)
+EM_SLICE(slice_step_x2, em_step_x2, f64x2)
 
 #if defined(__x86_64__)
-_Static_assert(BLOCK % 8 == 0, "a slice's columns hold its replicates in whole groups of the eight lanes of a __m512d");
-
-__attribute__((target("avx512f"))) EM_STEP(em_step_lanes, __m512d)
-
-/* step_cells for a width that is a multiple of 8, eight replicates per __m512d (em_step_lanes).
- * The cell's words are copied, as in step_cells, so that the compiler keeps them in registers
- * rather than loading each again for every group.  The negative flags, rarely set, are written
- * one replicate at a time. */
-__attribute__((target("avx512f"))) static void step_lanes(const double *cells, int64_t ncells, int64_t stride,
-                                                          double dt, const double *d1, const double *d2,
-                                                          int width, int64_t next, double *state, double *sq,
-                                                          int64_t *first_exceed, uint8_t *negative)
-{
-    const __m512d zero = {0};
-    const __m512i none = {0}, row = none + next;
-    for (int64_t c = 0; c < ncells; c++) {
-        double cell[CELL_WORDS];
-        memcpy(cell, cells + c * CELL_WORDS, sizeof cell);
-        const double e = cell[EPS_SQ];
-        const __m512d eps_sq = {e, e, e, e, e, e, e, e};
-        double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
-        for (int j = 0; j < width; j += 8) {
-            int64_t k = c * stride + j;
-            __m512d u = _mm512_loadu_pd(x1 + j), v = _mm512_loadu_pd(x2 + j);
-            em_step_lanes(cell, dt, _mm512_loadu_pd(d1 + j), _mm512_loadu_pd(d2 + j), &u, &v);
-            __m512d dsq = u * u + v * v;
-            _mm512_storeu_pd(sq + next * ncells * stride + k, dsq);
-            __mmask8 unseen = _mm512_cmplt_epi64_mask(_mm512_loadu_si512(first_exceed + k), none);
-            _mm512_mask_storeu_epi64(first_exceed + k, _mm512_mask_cmp_pd_mask(unseen, dsq, eps_sq, _CMP_GT_OQ), row);
-            unsigned below = _mm512_cmp_pd_mask(cell[P_STAR] + u, zero, _CMP_LT_OQ) |
-                             _mm512_cmp_pd_mask(cell[M_STAR] + v, zero, _CMP_LT_OQ);
-            for (; below; below &= below - 1)
-                negative[k + __builtin_ctz(below)] = 1;
-            _mm512_storeu_pd(x1 + j, u);
-            _mm512_storeu_pd(x2 + j, v);
-        }
-    }
-}
+/* Eight lanes, an AVX-512 register. */
+typedef double f64x8 __attribute__((vector_size(64)));
+__attribute__((target("avx512f"))) EM_STEP(em_step_x8, f64x8)
+__attribute__((target("avx512f"))) EM_SLICE(slice_step_x8, em_step_x8, f64x8)
 #endif
 
 /* Step replicates first..first+n-1 of every cell over `steps` steps of dt
@@ -447,18 +446,17 @@ __attribute__((target("avx512f"))) static void step_lanes(const double *cells, i
  *         replicate.
  * Replicate first + j draws from its own two streams once per step, for
  * every cell at once, so a batch of cells draws its increments once, and no
- * number depends on the batch or the slice it is in.  Where the CPU has
- * AVX-512F the replicates are stepped eight at a time (step_lanes), the
- * slice widened to a multiple of 8 by lanes that start at 0.0 and step on
- * increments of 0.0, whose outputs em_fold never reads; elsewhere one at a
- * time (step_cells).
+ * number depends on the batch or the slice it is in.  The slice is widened to
+ * a multiple of 8 by lanes that start at 0.0 and step on increments of 0.0,
+ * whose outputs em_fold never reads, and stepped eight replicates per register
+ * where the CPU has AVX-512F (slice_step_x8), else two (slice_step_x2).
  */
 void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, int64_t first,
             int64_t n, int64_t stride, int64_t steps, double dt, const int64_t *rec, double *sq,
             int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative)
 {
     stream_t st[2 * BLOCK];
-    int nb = (int)n, vector = lanes == BLOCKS, width = vector ? (nb + 7) / 8 * 8 : nb;
+    int nb = (int)n, width = (nb + 7) / 8 * 8;
     int64_t next = 1; /* row 0, the start, is taken below */
     double sqrt_dt = sqrt(dt), d1[BLOCK] = {0}, d2[BLOCK] = {0};
     for (int j = 0; j < 2 * nb; j++)
@@ -482,11 +480,11 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
             d2[j] = normal(st + 2 * j + 1) * sqrt_dt;
         }
 #if defined(__x86_64__)
-        if (vector)
-            step_lanes(cells, ncells, stride, dt, d1, d2, width, next, state, sq, first_exceed, negative);
+        if (lanes == BLOCKS)
+            slice_step_x8(cells, ncells, stride, dt, d1, d2, width, next, state, sq, first_exceed, negative);
         else
 #endif
-            step_cells(cells, ncells, stride, dt, d1, d2, width, next, state, sq, first_exceed, negative);
+            slice_step_x2(cells, ncells, stride, dt, d1, d2, width, next, state, sq, first_exceed, negative);
         next += rec[next] == s + 1;
     }
     for (int64_t c = 0; c < ncells; c++)

@@ -5,13 +5,14 @@ share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
 steps a single path (path).  Its Philox streams refill eight blocks at a
 time, in the eight lanes of an AVX-512 register where the CPU has
-AVX-512F, and there em_run also steps eight replicates per register.  The
-step is written once, for a double and for a register's lanes, which take
-the same IEEE operations in the same order, none fused, under an unchanged
-MXCSR, so they give the same bytes.  em_refill_lanes reports the choice,
-made once for both (8, else 1).  It also holds the RK4 path, the recorder
-of a single path (Recorder) and the '%.17g' formatter of the writers
-(format_g17).
+AVX-512F, else one after another.  em_run steps a slice in whole groups of
+eight replicates, eight per register where the CPU has AVX-512F, else two.
+The step is written once, for a double and for a vector's lanes, which
+take the same IEEE operations in the same order, none fused, under an
+unchanged MXCSR, so they give the same bytes.  em_refill_lanes reports
+the choice, made once for both: 8, else 1 (and a step of two).  It also
+holds the RK4 path, the recorder of a single path (Recorder) and the
+'%.17g' formatter of the writers (format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -76,7 +77,8 @@ _SIGNATURES = {
 # Replicates a slice holds at most (_em.c's BLOCK): they are stepped in lockstep.
 BLOCK = 64
 
-# Replicates em_run steps per AVX-512 register: a slice's columns come in groups of this many.
+# em_run widens a slice to whole groups of this many replicates on every CPU (an AVX-512 register's
+# lanes), and so a slice's columns come in such groups.
 _LANES = 8
 
 # Words of a Philox stream (_em.c's stream_t): em_run keeps two per replicate on the C stack.
@@ -264,7 +266,7 @@ class Sums:
 
 def slice_stride(replicates: int) -> int:
     """Columns per cell of the Slice of an ensemble of `replicates` replicates: the slice's most
-    replicates, rounded up to whole groups of em_run's eight lanes."""
+    replicates, rounded up to whole groups of em_run's eight replicates."""
     return min(BLOCK, -(-replicates // _LANES) * _LANES)
 
 

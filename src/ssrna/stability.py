@@ -73,8 +73,9 @@ class NoiseSpec:
 
     @classmethod
     def from_gammas(cls, gamma1: float, gamma2: float) -> "NoiseSpec":
-        if gamma1 < 0.0 or gamma2 < 0.0:
-            raise StabilityDomainError("gamma intensities must be nonnegative")
+        for name, g in (("gamma1", gamma1), ("gamma2", gamma2)):
+            if not (finite_real(g) and g >= 0):
+                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {g!r}")
         return cls(math.sqrt(2.0 * gamma1), math.sqrt(2.0 * gamma2))
 
 

@@ -100,7 +100,8 @@ def test_philox_counter_carries_like_numpy():
 
 
 def test_refill_lanes_follow_the_cpu():
-    # a stream's refill, and em_run's step, run in the eight lanes of an AVX-512 register where the CPU has AVX-512F
+    # where the CPU has AVX-512F a stream's refill computes eight blocks, and em_run's step eight replicates, in the
+    # lanes of an AVX-512 register; elsewhere the refill computes one block at a time, and the step two replicates
     lanes = _em.library().em_refill_lanes()
     if platform.machine() != "x86_64":
         assert lanes == 1

@@ -476,15 +476,23 @@ slice_cases = pytest.mark.parametrize("p, noise", [
 
 @slice_cases
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64])
-def test_slice_widths_around_the_lane_count_equal_the_reference(n, p, noise):
-    # Where the CPU has AVX-512F, em_run steps eight replicates per register, a slice of n widened
-    # to a multiple of 8 by lanes that start at 0.0 on increments of 0.0.  Under the divergence
-    # noise replicates 6 and 7 diverge, so the first group of 8 mixes finite and non-finite lanes.
+def test_slice_widths_around_the_lane_count_equal_the_reference(scalar_library, n, p, noise):
+    # On every CPU em_run widens a slice of n to a multiple of 8 by lanes that start at 0.0 on
+    # increments of 0.0, and steps eight replicates per register where the CPU has AVX-512F, else
+    # two: the scalar library takes the two on any CPU.  Under the divergence noise replicates 6
+    # and 7 diverge, so the first group of 8 mixes finite and non-finite lanes.
+    for library in (_em.library(), scalar_library):
+        slice_width_equals_the_reference(library, n, p, noise)
+
+
+def slice_width_equals_the_reference(library, n, p, noise):
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
     cfg = EnsembleConfig(replicates=n, sim=sim, noise=noise, anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=4242)
     rec = recorded_steps(27, 3)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_em, "_lib", library)
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, n)
     assert buffer.stride == min(64, -(-n // 8) * 8)
     buffer.step(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
     buffer.step(0, n)
@@ -513,8 +521,9 @@ def test_slice_widths_around_the_lane_count_equal_the_reference(n, p, noise):
 @pytest.fixture(scope="module")
 def scalar_library():
     """A second copy of the compiled library, built as _em builds it (the same flags and archive)
-    but with __builtin_cpu_supports defined to 0, so it refills and steps one lane at a time on any CPU.
-    Its compiler command is part of its cache key, so it is cached beside the default library."""
+    but with __builtin_cpu_supports defined to 0, so on any CPU it refills one Philox block at a time
+    and steps two replicates per register, as a CPU without AVX-512F does.  Its compiler command is
+    part of its cache key, so it is cached beside the default library."""
     compiler = _em._compiler()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])
@@ -525,7 +534,7 @@ def scalar_library():
 @slice_cases
 def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_library, p, noise):
     # the default library refills and steps in AVX-512 lanes where the CPU has AVX-512F; on
-    # other CPUs this compares the scalar path with itself
+    # other CPUs this compares the baseline path with itself
     assert scalar_library.em_refill_lanes() == 1
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), record_stride=3)
     cfg = EnsembleConfig(replicates=301, sim=sim, noise=noise, anchor=origin_equilibrium(),

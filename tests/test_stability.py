@@ -68,6 +68,17 @@ def test_noise_spec_from_gammas_round_trip():
     assert n.gamma2 == pytest.approx(0.02, rel=1e-15)
 
 
+@pytest.mark.parametrize("gamma1, gamma2, name", [
+    ("a", 0.1, "gamma1"), (None, 0.1, "gamma1"), (0.1, "a", "gamma2"), (0.1, None, "gamma2"),
+    (True, 0.1, "gamma1"), (0.1, -1e-300, "gamma2"), (10**400, 0.1, "gamma1"),
+], ids=["str-gamma1", "none-gamma1", "str-gamma2", "none-gamma2", "bool-gamma1", "negative-gamma2",
+        "huge-int-gamma1"])
+def test_noise_spec_from_gammas_refuses_what_is_not_a_nonnegative_number(gamma1, gamma2, name):
+    # a domain error naming the value, not a TypeError or an OverflowError from the arithmetic
+    with pytest.raises(StabilityDomainError, match=f"{name} must be a finite nonnegative number"):
+        NoiseSpec.from_gammas(gamma1, gamma2)
+
+
 # ---------------------------------------------------------------------------
 # gamma_bounds
 
