@@ -33,12 +33,12 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import os
-import sys
 from array import array
 from pathlib import Path
 from typing import Optional
 
 from .errors import KernelError
+from .serialize import is_ndarray
 
 try:  # CPython's own sha256: hashlib's would load OpenSSL, 3.5 MB resident
     from _sha2 import sha256
@@ -188,12 +188,6 @@ def _zeros(typecode: str, n: int) -> array:
 def _address(buffer: array) -> int:
     """The address of buffer's first item: the caller keeps buffer referenced while C uses it."""
     return buffer.buffer_info()[0]
-
-
-def is_ndarray(obj) -> bool:
-    """Whether obj is a numpy array, without importing numpy: if it is one, numpy is imported already."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(obj, np.ndarray)
 
 
 def doubles(values) -> array:

@@ -4,6 +4,11 @@ Configuration is a single JSON file with a versioned `schema` field and
 exactly one command block; outputs are CSV/JSON files whose numbers carry
 17 significant digits, so identical (config, seed) runs produce identical
 bytes.  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+
+Reading a config loads only serialize, model_core and errors; each command
+imports the modules it runs.  So `analyze` loads neither the integrators nor
+the compiled library, and `simulate` neither the ensembles nor the stability
+criteria.
 """
 
 from __future__ import annotations
@@ -13,15 +18,28 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import fields
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from . import montecarlo, serialize, simulator, stability
+from . import serialize
 from .errors import Error, IntegrationError, KernelError, ParameterError, StabilityDomainError
-from .linearization import linearize
-from .model_core import Equilibrium, EquilibriumKind, ModelParams, State, validate_params
-from .montecarlo import EnsembleConfig
-from .simulator import MAX_SEED, Scheme, SimConfig, Trajectory
-from .stability import EquilibriumAssessment, NoiseSpec, StabilityClassification
+from .model_core import (
+    MAX_SEED,
+    Equilibrium,
+    EquilibriumKind,
+    ModelParams,
+    NoiseSpec,
+    Scheme,
+    State,
+    anchor_scale,
+    displaced_initial,
+    resolve_anchor,
+    validate_params,
+)
+
+if TYPE_CHECKING:
+    from .montecarlo import EnsembleConfig
+    from .simulator import SimConfig, Trajectory
+    from .stability import EquilibriumAssessment, StabilityClassification
 
 CONFIG_SCHEMA = "ssrna-config/1"
 ANALYSIS_SCHEMA = "ssrna-analysis/1"
@@ -128,16 +146,25 @@ _FRACTION = {"fraction": (_number, _REQUIRED)}
 
 
 def load_config(path: str) -> dict:
-    """The config at path, its root fields checked; an absent block holds its default."""
+    """The config at path, its root fields checked; an absent block holds its default.
+
+    The file is read as UTF-8 (RFC 8259), whatever the locale.
+    """
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParameterError(f"cannot read config {path!r}: {exc}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config {path!r} is not UTF-8 text: {exc}") from None
     try:
         data = serialize.loads(text)
     except ValueError as exc:
         raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParameterError(f"config {path!r} nests arrays or objects too deeply to read") from None
     cfg = _fields(data, "", _CONFIG)
     present = [c for c in COMMANDS if cfg[c] is not None]
     if len(present) != 1:
@@ -160,7 +187,7 @@ def parse_noise(cfg: dict) -> NoiseSpec:
 
 def _anchor(params: ModelParams, name: str, ctx: str) -> Equilibrium:
     try:
-        return montecarlo.resolve_anchor(params, EquilibriumKind(name))
+        return resolve_anchor(params, EquilibriumKind(name))
     except ParameterError as exc:
         raise ParameterError(f"{ctx}: {exc}") from None
 
@@ -168,12 +195,14 @@ def _anchor(params: ModelParams, name: str, ctx: str) -> Equilibrium:
 def _sim(f: dict, ctx: str, params: ModelParams, anchor: Optional[Equilibrium],
          seed: int) -> tuple[SimConfig, Optional[float]]:
     """The SimConfig of a sim block's fields, and the displace_fraction of its start (or None)."""
+    from .simulator import SimConfig, default_dt
+
     initial, displace = f["initial"]
     if initial is None:
         if anchor is None:
             raise ParameterError(f"{ctx}.initial: displace_fraction needs an 'anchor' in this block")
-        initial = montecarlo.displaced_initial(anchor, displace, params.K)
-    dt = simulator.default_dt(params, anchor) if f["dt"] is None else f["dt"]
+        initial = displaced_initial(anchor, displace, params.K)
+    dt = default_dt(params, anchor) if f["dt"] is None else f["dt"]
     return SimConfig(dt=dt, t_end=f["t_end"], initial=initial, seed=seed,
                      record_stride=f["record_stride"]), displace
 
@@ -181,12 +210,14 @@ def _sim(f: dict, ctx: str, params: ModelParams, anchor: Optional[Equilibrium],
 def _ensemble(block: Any, ctx: str, params: ModelParams, noise: NoiseSpec,
               seed_override: Optional[int]) -> tuple[EnsembleConfig, Optional[float], Optional[float]]:
     """The ensemble, with its displace_fraction and epsilon1 fraction (None when absolute)."""
+    from .montecarlo import EnsembleConfig
+
     f = _fields(block, ctx, _ENSEMBLE)
     anchor = _anchor(params, f["anchor"], ctx)
     sim, displace = _sim(_fields(f["sim"], f"{ctx}.sim", _SIM), f"{ctx}.sim", params, anchor, 0)
     epsilon1, eps_fraction = f["epsilon1"]
     if epsilon1 is None:
-        epsilon1 = eps_fraction * montecarlo.anchor_scale(anchor, params.K)
+        epsilon1 = eps_fraction * anchor_scale(anchor, params.K)
     master_seed = f["master_seed"] if seed_override is None else seed_override
     cfg = EnsembleConfig(replicates=f["replicates"], sim=sim, noise=noise, anchor=anchor,
                          epsilon1=epsilon1, master_seed=master_seed)
@@ -252,6 +283,8 @@ def analysis_to_dict(params: ModelParams, noise: NoiseSpec, cls: StabilityClassi
 
 
 def analysis_from_dict(d: dict) -> tuple[ModelParams, NoiseSpec, StabilityClassification]:
+    from .stability import StabilityClassification
+
     if d.get("schema") != ANALYSIS_SCHEMA:
         raise ParameterError(f"not an analysis report (schema={d.get('schema')!r})")
     params = validate_params(**{name: d["model"][name] for name in _MODEL})
@@ -290,6 +323,8 @@ def _print_assessment(label: str, a: EquilibriumAssessment) -> None:
 
 def cmd_analyze(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
                 seed_override: Optional[int]) -> int:
+    from . import stability
+
     _fields(block, "analyze", {})
     cls = stability.classify_equilibria_stability(params, noise)
     print(f"R0: {serialize.fmt(cls.r0)}")
@@ -308,6 +343,8 @@ def _trajectory_json(traj: Trajectory) -> dict:
 
 def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
                  seed_override: Optional[int]) -> int:
+    from . import simulator
+
     f = _fields(block, "simulate", _SIMULATE)
     scheme = Scheme(f["scheme"])
     if f["anchor"] is None and scheme is Scheme.EULER_MARUYAMA:
@@ -343,6 +380,9 @@ def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
 
 def cmd_ensemble(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
                  seed_override: Optional[int]) -> int:
+    from . import montecarlo, stability
+    from .linearization import linearize
+
     ens_cfg, _, _ = _ensemble(block, "ensemble", params, noise, seed_override)
     verdict = stability.check_mean_square_stability(linearize(params, ens_cfg.anchor), noise)
     stats = montecarlo.run_ensemble(ens_cfg, params)
@@ -367,6 +407,8 @@ def cmd_ensemble(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
 
 def cmd_sweep(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
               seed_override: Optional[int]) -> int:
+    from . import montecarlo
+
     f = _fields(block, "sweep", _SWEEP)
     template, displace, eps_fraction = _ensemble(f["ensemble"], "sweep.ensemble", params, noise, seed_override)
     rows = montecarlo.sweep(

@@ -8,6 +8,11 @@ alpha interpolates between stamping-machine-like replication (alpha -> 0)
 and purely geometric replication (alpha = 1).
 
 Units are consistent but unnamed: rates are 1/time, K is a molecule count.
+
+The validated config that every command reads lives here too: the noise
+intensities (NoiseSpec), the integration schemes, the seed bound, and the
+anchors and displaced starts of a run.  Reading a config therefore loads no
+integrator and no stability machinery.
 """
 
 from __future__ import annotations
@@ -19,19 +24,25 @@ from enum import Enum
 from numbers import Real
 from typing import Any, NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, StabilityDomainError
 
 __all__ = [
     "State",
     "ModelParams",
     "EquilibriumKind",
     "Equilibrium",
+    "NoiseSpec",
+    "Scheme",
+    "MAX_SEED",
     "finite_real",
     "validate_params",
     "basic_reproduction_number",
     "origin_equilibrium",
     "positive_equilibrium",
     "mixed_sign_equilibrium",
+    "resolve_anchor",
+    "anchor_scale",
+    "displaced_initial",
     "field",
     "vector_field",
     "divergence",
@@ -40,6 +51,9 @@ __all__ = [
 # Relative tolerance below which the mixed-sign equilibrium is treated as
 # singular (its coordinates diverge when R0 approaches r/delta).
 SINGULARITY_RTOL = 1e-12
+
+# Seeds key the Philox streams as one 64-bit word.
+MAX_SEED = 2**64
 
 
 class State(NamedTuple):
@@ -93,6 +107,43 @@ class Equilibrium:
     @property
     def state(self) -> State:
         return State(self.p_star, self.m_star)
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """White-noise intensities applied to the deviation from an equilibrium."""
+
+    omega1: float
+    omega2: float
+
+    def __post_init__(self):
+        for name, w in (("omega1", self.omega1), ("omega2", self.omega2)):
+            if not (finite_real(w) and w >= 0):
+                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {w!r}")
+            object.__setattr__(self, name, float(w))  # so that no gamma is taken in a narrower type
+
+    @property
+    def gamma1(self) -> float:
+        """Half squared intensity of the genomic-coordinate noise."""
+        return 0.5 * self.omega1 * self.omega1
+
+    @property
+    def gamma2(self) -> float:
+        return 0.5 * self.omega2 * self.omega2
+
+    @classmethod
+    def from_gammas(cls, gamma1: float, gamma2: float) -> "NoiseSpec":
+        for name, g in (("gamma1", gamma1), ("gamma2", gamma2)):
+            if not (finite_real(g) and g >= 0):
+                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {g!r}")
+        return cls(math.sqrt(2.0 * gamma1), math.sqrt(2.0 * gamma2))
+
+
+class Scheme(Enum):
+    """How a single path is integrated: deterministic RK4, or Euler-Maruyama under NoiseSpec's noise."""
+
+    RK4 = "rk4"
+    EULER_MARUYAMA = "euler-maruyama"
 
 
 def finite_real(x: Any) -> bool:
@@ -188,6 +239,36 @@ def mixed_sign_equilibrium(params: ModelParams) -> Equilibrium:
     p = (1.0 + 1.0 / r0) / den
     m = -ratio * (r0 + 1.0) / den
     return Equilibrium(EquilibriumKind.MIXED_SIGN, p, m, True)
+
+
+def resolve_anchor(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
+    """The origin or the coexistence equilibrium of params; the latter must exist."""
+    if kind is EquilibriumKind.ORIGIN:
+        return origin_equilibrium()
+    if kind is EquilibriumKind.POSITIVE:
+        eq = positive_equilibrium(params)
+        if not eq.exists:
+            raise ParameterError("coexistence anchor does not exist for these parameters (R0 <= 1)")
+        return eq
+    raise ParameterError(f"unsupported anchor kind {kind!r}")
+
+
+def anchor_scale(anchor: Equilibrium, K: float) -> float:
+    """Magnitude used for relative displacements and radii at an anchor."""
+    scale = math.hypot(anchor.p_star, anchor.m_star)
+    return scale if scale > 0.0 else K
+
+
+def displaced_initial(anchor: Equilibrium, fraction: float, K: float) -> State:
+    """Initial state at distance fraction*scale from the anchor.
+
+    Nonzero anchors are displaced radially (each coordinate scaled by
+    1 + fraction); from the origin the offset goes up the diagonal.
+    """
+    if anchor.p_star == 0.0 and anchor.m_star == 0.0:
+        d = fraction * K / math.sqrt(2.0)
+        return State(d, d)
+    return State((1.0 + fraction) * anchor.p_star, (1.0 + fraction) * anchor.m_star)
 
 
 def field(params: ModelParams) -> Callable[[float, float], tuple[float, float]]:

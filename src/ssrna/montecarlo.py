@@ -25,19 +25,19 @@ from . import _em
 from .errors import EnsembleError, Error, ParameterError
 from .linearization import linearize
 from .model_core import (
+    MAX_SEED,
     Equilibrium,
-    EquilibriumKind,
     ModelParams,
-    State,
+    NoiseSpec,
+    anchor_scale,
     basic_reproduction_number,
+    displaced_initial,
     finite_real,
-    origin_equilibrium,
-    positive_equilibrium,
+    resolve_anchor,
     validate_params,
 )
-from .serialize import FloatArray, _stored, fmt, write_csv
+from .serialize import FloatArray, _stored, fmt, is_ndarray, write_csv
 from .simulator import (
-    MAX_SEED,
     MAX_STEPS,
     SimConfig,
     _Cell,
@@ -47,7 +47,7 @@ from .simulator import (
     recorded_steps,
     step_count,
 )
-from .stability import NoiseSpec, check_mean_square_stability
+from .stability import check_mean_square_stability
 
 __all__ = [
     "EnsembleConfig",
@@ -57,7 +57,7 @@ __all__ = [
     "estimate_stability_in_probability",
     "wilson_interval",
     "sweep",
-    "displaced_initial",
+    "displaced_initial",  # these three are model_core's, and still importable from here
     "anchor_scale",
     "resolve_anchor",
     "write_ensemble_csv",
@@ -275,24 +275,6 @@ def estimate_stability_in_probability(stats: EnsembleStats) -> tuple[float, tupl
     return stats.exceed_fraction, wilson_interval(stats.n_exceed, stats.n_included)
 
 
-def anchor_scale(anchor: Equilibrium, K: float) -> float:
-    """Magnitude used for relative displacements and radii at an anchor."""
-    scale = math.hypot(anchor.p_star, anchor.m_star)
-    return scale if scale > 0.0 else K
-
-
-def displaced_initial(anchor: Equilibrium, fraction: float, K: float) -> State:
-    """Initial state at distance fraction*scale from the anchor.
-
-    Nonzero anchors are displaced radially (each coordinate scaled by
-    1 + fraction); from the origin the offset goes up the diagonal.
-    """
-    if anchor.p_star == 0.0 and anchor.m_star == 0.0:
-        d = fraction * K / math.sqrt(2.0)
-        return State(d, d)
-    return State((1.0 + fraction) * anchor.p_star, (1.0 + fraction) * anchor.m_star)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One (parameter, noise) cell of a sweep."""
@@ -317,18 +299,6 @@ _MODEL_FIELDS = ("r", "alpha", "delta", "sigma", "K")
 _NOISE_FIELDS = ("omega1", "omega2")
 
 
-def resolve_anchor(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
-    """The origin or the coexistence equilibrium of params; the latter must exist."""
-    if kind is EquilibriumKind.ORIGIN:
-        return origin_equilibrium()
-    if kind is EquilibriumKind.POSITIVE:
-        eq = positive_equilibrium(params)
-        if not eq.exists:
-            raise ParameterError("coexistence anchor does not exist for these parameters (R0 <= 1)")
-        return eq
-    raise ParameterError(f"unsupported anchor kind {kind!r}")
-
-
 def _grid_axes(grid, fields: tuple[str, ...], name: str) -> list[tuple[str, list[float]]]:
     """(field, values) per axis in field order, after checking the grid's shape and types."""
     if not isinstance(grid, dict):
@@ -336,7 +306,7 @@ def _grid_axes(grid, fields: tuple[str, ...], name: str) -> list[tuple[str, list
     for key, values in grid.items():
         if key not in fields:
             raise ParameterError(f"unknown grid field {key!r} (expected one of {fields})")
-        is_list = (_em.is_ndarray(values) and values.ndim == 1) or (
+        is_list = (is_ndarray(values) and values.ndim == 1) or (
             isinstance(values, Sequence) and not isinstance(values, (str, bytes))
         )
         if not is_list or not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):

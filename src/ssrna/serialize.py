@@ -9,6 +9,11 @@ A record's numeric arrays are FloatArray fields: the writers take the
 array('d') they hold, so writing a record never imports numpy.  `plain`
 writes a field of several columns as a list of rows, and `record` reads
 those rows back.
+
+The compiled library's module (_em, and with it ctypes) is imported only
+where numbers are formatted or stored in bulk: by write_csv, by a float
+column of a JSON document, and by a FloatArray field's assignment.  A
+document of plain numbers, such as `analyze`'s report, loads neither.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from array import array
 from collections.abc import Callable, Sequence
 from enum import Enum
 from typing import Any, BinaryIO, Optional, Union, get_args, get_origin, get_type_hints
-
-from . import _em
 
 __all__ = ["fmt", "write_csv", "dump", "dumps", "loads", "plain", "record", "FloatArray"]
 
@@ -36,6 +40,12 @@ _BLOCK_ROWS = 4096
 def fmt(x: float) -> str:
     """Format one float with 17 significant digits."""
     return _FLOAT % x
+
+
+def is_ndarray(obj) -> bool:
+    """Whether obj is a numpy array, without importing numpy: if it is one, numpy is imported already."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
 
 
 class FloatArray:
@@ -66,6 +76,8 @@ class FloatArray:
     def __set__(self, obj: Any, value: Any) -> None:
         if self.columns > 1 and isinstance(value, list) and value and isinstance(value[0], list):
             value = [x for row in value for x in row]  # rows, as plain gives them
+        from . import _em
+
         obj.__dict__[self.name] = _em.doubles(value)
 
 
@@ -83,6 +95,8 @@ def write_csv(path, header: str, columns: Sequence[Any]) -> None:
     number.  A column is read a block at a time (see _em.doubles), so a
     strided memoryview of a buffer is written without copying the column.
     """
+    from . import _em
+
     n, width = len(columns[0]), len(columns)
     if any(len(c) != n for c in columns):
         raise ValueError("the columns differ in length")
@@ -103,7 +117,7 @@ def _float_column(obj: Any) -> bool:
         return obj.typecode == "d"
     if isinstance(obj, memoryview):
         return obj.ndim == 1 and obj.format == "d"
-    return _em.is_ndarray(obj) and obj.ndim == 1 and obj.dtype.char == "d"
+    return is_ndarray(obj) and obj.ndim == 1 and obj.dtype.char == "d"
 
 
 def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
@@ -148,7 +162,9 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
         # the tests keep as the reference, in one call: a trajectory's columns are 10^5 numbers each.
         # A list, and a block with a non-finite number, which the formatter reports, take the loop.
         sep = b",\n" + pad_in
-        column = _float_column(obj)
+        column = not isinstance(obj, (list, tuple))  # else a float column, by the test above
+        if column:
+            from . import _em
         write(b"[\n" + pad_in)
         for lo in range(0, len(obj), _BLOCK_ROWS):
             block = obj[lo:lo + _BLOCK_ROWS]
@@ -197,7 +213,7 @@ def plain(obj: Any) -> Any:
         return {f.name: _plain_field(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
-    if _em.is_ndarray(obj):
+    if is_ndarray(obj):
         return obj.tolist()
     if isinstance(obj, (tuple, list)):
         return [plain(v) for v in obj]

@@ -12,16 +12,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from enum import Enum
 from numbers import Integral
 from typing import NamedTuple, Optional
 
 from . import _em
 from .errors import IntegrationError, ParameterError
 from .linearization import linearize
-from .model_core import Equilibrium, ModelParams, State, finite_real, vector_field
+from .model_core import MAX_SEED, Equilibrium, ModelParams, NoiseSpec, Scheme, State, finite_real, vector_field
 from .serialize import FloatArray, _stored, write_csv
-from .stability import NoiseSpec
 
 __all__ = [
     "Scheme",
@@ -45,9 +43,6 @@ OMEGA_EXIT_RTOL = 1e-9
 # equilibrium anchor of the noise terms.
 ANCHOR_RTOL = 1e-8
 
-# Seeds key the Philox streams as one 64-bit word.
-MAX_SEED = 2**64
-
 # The compiled library counts steps in a signed 64-bit integer.
 MAX_STEPS = 2**63 - 1
 
@@ -56,11 +51,6 @@ MAX_STEPS = 2**63 - 1
 # block of serialize._BLOCK_ROWS (4096) rows at a time, and hold one block's
 # numbers and text.
 _PATH_ROW_BYTES = 3 * 8
-
-
-class Scheme(Enum):
-    RK4 = "rk4"
-    EULER_MARUYAMA = "euler-maruyama"
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .model_core import (
     Equilibrium,
     EquilibriumKind,
     ModelParams,
+    NoiseSpec,  # re-exported: defined in model_core with the rest of the config
     basic_reproduction_number,
-    finite_real,
     origin_equilibrium,
     positive_equilibrium,
 )
@@ -47,36 +47,6 @@ __all__ = [
 # Strict inequalities are evaluated as plain float comparisons; a value this
 # close (relatively) to its bound is additionally flagged as marginal.
 BOUNDARY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """White-noise intensities applied to the deviation from an equilibrium."""
-
-    omega1: float
-    omega2: float
-
-    def __post_init__(self):
-        for name, w in (("omega1", self.omega1), ("omega2", self.omega2)):
-            if not (finite_real(w) and w >= 0):
-                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {w!r}")
-            object.__setattr__(self, name, float(w))  # so that no gamma is taken in a narrower type
-
-    @property
-    def gamma1(self) -> float:
-        """Half squared intensity of the genomic-coordinate noise."""
-        return 0.5 * self.omega1 * self.omega1
-
-    @property
-    def gamma2(self) -> float:
-        return 0.5 * self.omega2 * self.omega2
-
-    @classmethod
-    def from_gammas(cls, gamma1: float, gamma2: float) -> "NoiseSpec":
-        for name, g in (("gamma1", gamma1), ("gamma2", gamma2)):
-            if not (finite_real(g) and g >= 0):
-                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {g!r}")
-        return cls(math.sqrt(2.0 * gamma1), math.sqrt(2.0 * gamma2))
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,21 @@ def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
     assert not (tmp_path / "o").exists()  # a rejected config creates no output directory
 
 
+@pytest.mark.parametrize("raw, needle", [
+    pytest.param(b"\xff\xfe" + json.dumps(base_config(analyze={})).encode("utf-16-le"),
+                 "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0", id="utf-16"),
+    pytest.param(b"[" * 100_000, "nests arrays or objects too deeply to read", id="nested-too-deeply"),
+])
+def test_config_bytes_the_reader_refuses_exit_2(tmp_path, capsys, raw, needle):
+    # a config is read as UTF-8 (RFC 8259) whatever the locale, and a failure to read it is one line
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {str(path)!r} ") and needle in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, make, needle", [
     ("analyze", lambda: base_config(analyze={}, noise=[0.1, 0.1]), "noise"),
     ("simulate", lambda: base_config(simulate=[simulate_config()["simulate"]]), "simulate"),
@@ -735,8 +750,8 @@ NO_NUMPY_RUNS = {
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("run", NO_NUMPY_RUNS)
 def test_every_command_runs_without_numpy(tmp_path, capsys, run, fmt):
-    # tests/cli_without_numpy.py exits 1 if numpy was imported; its bytes
-    # must be those of a run in this process
+    # tests/cli_without_numpy.py exits 1 if the command imported numpy, or a module of ssrna or ctypes
+    # that it does not run (its UNUSED table); its bytes must be those of a run in this process
     command = run.split("-")[0]
     out = tmp_path / "out"
     args = [command, "--config", write_config(tmp_path, base_config(**NO_NUMPY_RUNS[run])),
