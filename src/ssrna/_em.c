@@ -12,9 +12,9 @@
  *    eight blocks of four 64-bit words where numpy buffers one: its refill
  *    computes the eight in the lanes of one AVX-512 register on an x86-64 CPU
  *    that has AVX-512F, chosen when the library loads, and one after another
- *    with the scalar rounds elsewhere and where the counter's low word would
- *    carry (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
- *    SC'11).
+ *    elsewhere.  The rounds are written once (PHILOX_ROUNDS), for a word and
+ *    for the eight lanes (Salmon et al., "Parallel random numbers: as easy as
+ *    1, 2, 3", SC'11).
  *  - Normals are those of numpy's ziggurat (numpy.random.Generator.
  *    standard_normal).  Its first try, accepted for about 99.3% of draws, is
  *    taken inline on numpy's own tables (ki_double, wi_double); a reject
@@ -99,42 +99,53 @@ void em_seed(stream_t *s, uint64_t key0, uint64_t key1)
 #define PHILOX_W0 0x9E3779B97F4A7C15ULL
 #define PHILOX_W1 0xBB67AE8584CAA73BULL
 
+/* The block of counter ctr[0..3] under the key (k0, k1), the ten Philox4x64-10 rounds, into
+ * out[0..3], which may be ctr.  Written once for U, a 64-bit word (philox) or a GCC vector of them
+ * (philox_x8), on which GCC's operators act lane by lane, a scalar operand in every lane; mulhilo
+ * returns the high word of the 128-bit product m c and stores its low word in *lo.  unroll is the
+ * loop's pragma: unrolled, the word rounds take half the time at -O2, and the vector rounds more. */
+#define PHILOX_ROUNDS(name, U, mulhilo, unroll)                                          \
+    static inline void name(const U *ctr, uint64_t k0, uint64_t k1, U *out)              \
+    {                                                                                    \
+        U c0 = ctr[0], c1 = ctr[1], c2 = ctr[2], c3 = ctr[3];                            \
+        _Pragma(unroll) for (int round = 0; round < 10; round++)                         \
+        {                                                                                \
+            if (round > 0) {                                                             \
+                k0 += PHILOX_W0;                                                         \
+                k1 += PHILOX_W1;                                                         \
+            }                                                                            \
+            U lo0, lo1;                                                                  \
+            U hi0 = mulhilo(PHILOX_M0, c0, &lo0), hi1 = mulhilo(PHILOX_M1, c2, &lo1);    \
+            c0 = hi1 ^ c1 ^ k0;                                                          \
+            c1 = lo1;                                                                    \
+            c2 = hi0 ^ c3 ^ k1;                                                          \
+            c3 = lo0;                                                                    \
+        }                                                                                \
+        out[0] = c0;                                                                     \
+        out[1] = c1;                                                                     \
+        out[2] = c2;                                                                     \
+        out[3] = c3;                                                                     \
+    }
+
+static inline uint64_t mulhilo(uint64_t m, uint64_t c, uint64_t *lo)
+{
+    __uint128_t p = (__uint128_t)m * c;
+    *lo = (uint64_t)p;
+    return (uint64_t)(p >> 64);
+}
+
+PHILOX_ROUNDS(philox, uint64_t, mulhilo, "GCC unroll 10")
+
 /* Lanes of the Philox refill this CPU takes, chosen when the library loads: BLOCKS with AVX-512F,
  * where em_run's step takes eight replicates per register too, else 1, where it takes two. */
 static int lanes = 1;
 
 int64_t em_refill_lanes(void) { return lanes; }
 
-/* Compute the block of the next counter into out[0..3]. */
-static void philox_block(stream_t *s, uint64_t *out)
-{
-    if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0)
-        ++s->ctr[3];
-    uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
-    uint64_t k0 = s->key[0], k1 = s->key[1];
-#pragma GCC unroll 10 /* halves the time per word at -O2 */
-    for (int round = 0; round < 10; round++) {
-        if (round > 0) {
-            k0 += PHILOX_W0;
-            k1 += PHILOX_W1;
-        }
-        __uint128_t p0 = (__uint128_t)PHILOX_M0 * c0;
-        __uint128_t p1 = (__uint128_t)PHILOX_M1 * c2;
-        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
-        c1 = (uint64_t)p1;
-        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
-        c3 = (uint64_t)p0;
-    }
-    out[0] = c0;
-    out[1] = c1;
-    out[2] = c2;
-    out[3] = c3;
-}
-
 #if defined(__x86_64__)
 #include <immintrin.h>
 
-_Static_assert(BLOCKS == 8, "refill_vector computes one block in each of the eight lanes of a __m512i");
+_Static_assert(BLOCKS == 8, "refill_x8 computes one block in each of the eight lanes of a u64x8");
 
 __attribute__((constructor)) static void choose_lanes(void)
 {
@@ -153,9 +164,8 @@ __attribute__((target("avx512f"))) static inline u64x8 mul32(u64x8 a, u64x8 b)
     return (u64x8)_mm512_mul_epu32((__m512i)a, (__m512i)b);
 }
 
-/* The high and low words of the 128-bit products of m with each lane of c, from the four 32 x 32
- * bit products of their halves. */
-__attribute__((target("avx512f"))) static inline u64x8 mul_hilo(uint64_t m, u64x8 c, u64x8 *lo)
+/* mulhilo for each lane of c, from the four 32 x 32 bit products of the halves of m and c. */
+__attribute__((target("avx512f"))) static inline u64x8 mulhilo_x8(uint64_t m, u64x8 c, u64x8 *lo)
 {
     const u64x8 none = {0};
     u64x8 ml = none + (m & 0xFFFFFFFF), mh = none + (m >> 32), ch = c >> 32;
@@ -166,41 +176,28 @@ __attribute__((target("avx512f"))) static inline u64x8 mul_hilo(uint64_t m, u64x
     return hh + (mid >> 32) + (lh >> 32) + (hl >> 32);
 }
 
-/* philox_block for the BLOCKS next counters at once, lane b computing counter ctr + 1 + b, whose
- * ctr[0] must not carry.  The rounds are philox_block's; the words are then transposed from one
- * register per word of the block to the blocks one after another. */
-__attribute__((target("avx512f"))) static void refill_vector(stream_t *s)
+__attribute__((target("avx512f"))) PHILOX_ROUNDS(philox_x8, u64x8, mulhilo_x8, "GCC unroll 1")
+
+/* The blocks of the BLOCKS next counters at once, lane b computing counter ctr + 1 + b: each word
+ * of it takes one more where the word below it wrapped round, to below its old value.  The words
+ * are then transposed from one vector per word of the block to the blocks one after another. */
+__attribute__((target("avx512f"))) static void refill_x8(stream_t *s)
 {
-    const u64x8 none = {0};
-    u64x8 c0 = s->ctr[0] + (u64x8){1, 2, 3, 4, 5, 6, 7, 8};
-    u64x8 c1 = none + s->ctr[1], c2 = none + s->ctr[2], c3 = none + s->ctr[3];
-    uint64_t k0 = s->key[0], k1 = s->key[1];
-    s->ctr[0] += BLOCKS;
-    for (int round = 0; round < 10; round++) {
-        if (round > 0) {
-            k0 += PHILOX_W0;
-            k1 += PHILOX_W1;
-        }
-        u64x8 lo0, lo1;
-        u64x8 hi0 = mul_hilo(PHILOX_M0, c0, &lo0), hi1 = mul_hilo(PHILOX_M1, c2, &lo1);
-        c0 = hi1 ^ c1 ^ k0;
-        c1 = lo1;
-        c2 = hi0 ^ c3 ^ k1;
-        c3 = lo0;
-    }
-    /* pairs (c0, c1) and (c2, c3) of the lanes 0-3 and 4-7, then two whole blocks per register */
-    const __m512i pair_lo = {0, 8, 1, 9, 2, 10, 3, 11};
-    const __m512i pair_hi = {4, 12, 5, 13, 6, 14, 7, 15};
-    const __m512i quad_lo = {0, 1, 8, 9, 2, 3, 10, 11};
-    const __m512i quad_hi = {4, 5, 12, 13, 6, 7, 14, 15};
-    __m512i t0 = _mm512_permutex2var_epi64((__m512i)c0, pair_lo, (__m512i)c1);
-    __m512i t1 = _mm512_permutex2var_epi64((__m512i)c0, pair_hi, (__m512i)c1);
-    __m512i t2 = _mm512_permutex2var_epi64((__m512i)c2, pair_lo, (__m512i)c3);
-    __m512i t3 = _mm512_permutex2var_epi64((__m512i)c2, pair_hi, (__m512i)c3);
-    _mm512_storeu_si512(s->buffer, _mm512_permutex2var_epi64(t0, quad_lo, t2));
-    _mm512_storeu_si512(s->buffer + 8, _mm512_permutex2var_epi64(t0, quad_hi, t2));
-    _mm512_storeu_si512(s->buffer + 16, _mm512_permutex2var_epi64(t1, quad_lo, t3));
-    _mm512_storeu_si512(s->buffer + 24, _mm512_permutex2var_epi64(t1, quad_hi, t3));
+    u64x8 c[4];
+    c[0] = s->ctr[0] + (u64x8){1, 2, 3, 4, 5, 6, 7, 8};
+    for (int i = 1; i < 4; i++)
+        c[i] = s->ctr[i] - (u64x8)(c[i - 1] < s->ctr[i - 1]);
+    for (int i = 0; i < 4; i++)
+        s->ctr[i] = c[i][BLOCKS - 1];
+    philox_x8(c, s->key[0], s->key[1], c);
+    /* pairs (c0, c1) and (c2, c3) of the lanes 0-3 and 4-7, then two whole blocks per vector */
+    const u64x8 pair_lo = {0, 8, 1, 9, 2, 10, 3, 11}, pair_hi = {4, 12, 5, 13, 6, 14, 7, 15};
+    const u64x8 quad_lo = {0, 1, 8, 9, 2, 3, 10, 11}, quad_hi = {4, 5, 12, 13, 6, 7, 14, 15};
+    u64x8 t0 = __builtin_shuffle(c[0], c[1], pair_lo), t1 = __builtin_shuffle(c[0], c[1], pair_hi);
+    u64x8 t2 = __builtin_shuffle(c[2], c[3], pair_lo), t3 = __builtin_shuffle(c[2], c[3], pair_hi);
+    u64x8 blocks[4] = {__builtin_shuffle(t0, t2, quad_lo), __builtin_shuffle(t0, t2, quad_hi),
+                       __builtin_shuffle(t1, t3, quad_lo), __builtin_shuffle(t1, t3, quad_hi)};
+    memcpy(s->buffer, blocks, sizeof blocks);
 }
 #endif
 
@@ -209,12 +206,15 @@ __attribute__((target("avx512f"))) static void refill_vector(stream_t *s)
 __attribute__((noinline)) static void refill(stream_t *s)
 {
 #if defined(__x86_64__)
-    if (lanes == BLOCKS && s->ctr[0] <= UINT64_MAX - BLOCKS)
-        refill_vector(s);
+    if (lanes == BLOCKS)
+        refill_x8(s);
     else
 #endif
-        for (int b = 0; b < BLOCKS; b++)
-            philox_block(s, s->buffer + 4 * b);
+        for (int b = 0; b < BLOCKS; b++) {
+            if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0)
+                ++s->ctr[3];
+            philox(s->ctr, s->key[0], s->key[1], s->buffer + 4 * b);
+        }
     s->buffer_pos = 0;
 }
 

@@ -5,7 +5,9 @@ share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
 steps a single path (path).  Its Philox streams refill eight blocks at a
 time, in the eight lanes of an AVX-512 register where the CPU has
-AVX-512F, else one after another.  em_run steps a slice in whole groups of
+AVX-512F, each lane carrying its own counter through all four words, else
+one after another; the rounds are written once, for a word and for eight
+lanes.  em_run steps a slice in whole groups of
 eight replicates, eight per register where the CPU has AVX-512F, else two.
 The step is written once, for a double and for a vector's lanes, which
 take the same IEEE operations in the same order, none fused, under an

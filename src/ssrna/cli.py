@@ -21,7 +21,7 @@ from dataclasses import fields
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import serialize
-from .errors import Error, IntegrationError, KernelError, ParameterError, StabilityDomainError
+from .errors import Error, IntegrationError, KernelError, ParameterError, StabilityDomainError, brief
 from .model_core import (
     MAX_SEED,
     Equilibrium,
@@ -66,7 +66,7 @@ def _fields(block: Any, ctx: str, spec: dict[str, tuple[_Reader, Any]]) -> dict:
         raise ParameterError(f"{where} must be a JSON object")
     for key in block:
         if key not in spec:
-            raise ParameterError(f"{where}: unknown field {key!r}")
+            raise ParameterError(f"{where}: unknown field {brief(key)}")
     out = {}
     for name, (read, default) in spec.items():
         if name in block:
@@ -85,7 +85,7 @@ def _any(value: Any, ctx: str) -> Any:
 
 def _number(value: Any, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{ctx} must be a number, got {value!r}")
+        raise ParameterError(f"{ctx} must be a number, got {brief(value)}")
     try:
         return float(value)
     except OverflowError:  # a JSON integer has no bound
@@ -94,20 +94,20 @@ def _number(value: Any, ctx: str) -> float:
 
 def _integer(value: Any, ctx: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{ctx} must be an integer, got {value!r}")
+        raise ParameterError(f"{ctx} must be an integer, got {brief(value)}")
     return value
 
 
 def _string(value: Any, ctx: str) -> str:
     if not isinstance(value, str):
-        raise ParameterError(f"{ctx} must be a string, got {value!r}")
+        raise ParameterError(f"{ctx} must be a string, got {brief(value)}")
     return value
 
 
 def _one_of(*choices: str) -> _Reader:
     def read(value: Any, ctx: str) -> str:
         if not (isinstance(value, str) and value in choices):
-            raise ParameterError(f"{ctx} must be {' or '.join(map(repr, choices))}, got {value!r}")
+            raise ParameterError(f"{ctx} must be {' or '.join(map(repr, choices))}, got {brief(value)}")
         return value
     return read
 
@@ -118,7 +118,7 @@ def _initial(value: Any, ctx: str) -> tuple[Optional[State], Optional[float]]:
         return State(_number(value[0], f"{ctx}[0]"), _number(value[1], f"{ctx}[1]")), None
     if isinstance(value, dict):
         return None, _fields(value, ctx, _DISPLACE)["displace_fraction"]
-    raise ParameterError(f"{ctx} must be [p, m] or {{'displace_fraction': f}}, got {value!r}")
+    raise ParameterError(f"{ctx} must be [p, m] or {{'displace_fraction': f}}, got {brief(value)}")
 
 
 def _epsilon1(value: Any, ctx: str) -> tuple[Optional[float], Optional[float]]:
@@ -437,13 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ssrna",
         description="Stability analysis and stochastic simulation of within-cell ssRNA replication",
     )
+    parser.set_defaults(seed=None, format=None)  # analyze draws nothing and writes JSON: it takes neither
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a ssrna-config/1 JSON file")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override (u64)")
-        cmd.add_argument("--format", choices=("csv", "json"), default=None, help="tabular output format")
+        if name != "analyze":
+            cmd.add_argument("--seed", type=int, default=None, help="seed override (u64)")
+            cmd.add_argument("--format", choices=("csv", "json"), default=None, help="tabular output format")
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the brief form in which their messages show a value."""
 
 
 class Error(Exception):
@@ -27,3 +27,11 @@ class EnsembleError(Error, RuntimeError):
 
 class KernelError(Error, RuntimeError):
     """The compiled library (_em.c) could not be built or loaded."""
+
+
+def brief(value: object) -> str:
+    """value's repr, cut to a few dozen characters: a message that echoes a value from outside the
+    program, which may be a list of a million numbers or nested a thousand deep, stays one short line."""
+    import reprlib  # only a failed check needs it
+
+    return reprlib.repr(value)

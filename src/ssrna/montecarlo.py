@@ -22,7 +22,7 @@ from numbers import Real
 from typing import Optional, get_type_hints
 
 from . import _em
-from .errors import EnsembleError, Error, ParameterError
+from .errors import EnsembleError, Error, ParameterError, brief
 from .linearization import linearize
 from .model_core import (
     MAX_SEED,
@@ -78,12 +78,12 @@ class EnsembleConfig:
     def __post_init__(self):
         # replicate k draws from the streams keyed by the 64-bit words 2k and 2k + 1
         if not (type(self.replicates) is int and 1 <= self.replicates <= MAX_SEED // 2):
-            raise ParameterError(f"replicates must be an integer from 1 to 2**63, got {self.replicates!r}")
+            raise ParameterError(f"replicates must be an integer from 1 to 2**63, got {brief(self.replicates)}")
         if not (finite_real(self.epsilon1) and self.epsilon1 > 0):
             raise ParameterError(f"epsilon1 must be positive, got {self.epsilon1!r}")
         object.__setattr__(self, "epsilon1", float(self.epsilon1))  # squared in double precision
         if not (type(self.master_seed) is int and 0 <= self.master_seed < MAX_SEED):
-            raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
+            raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {brief(self.master_seed)}")
 
 
 @dataclass(frozen=True)
@@ -302,15 +302,17 @@ _NOISE_FIELDS = ("omega1", "omega2")
 def _grid_axes(grid, fields: tuple[str, ...], name: str) -> list[tuple[str, list[float]]]:
     """(field, values) per axis in field order, after checking the grid's shape and types."""
     if not isinstance(grid, dict):
-        raise ParameterError(f"{name} must map field names to lists of numbers, got {grid!r}")
+        raise ParameterError(f"{name} must map field names to lists of numbers, got {brief(grid)}")
     for key, values in grid.items():
         if key not in fields:
-            raise ParameterError(f"unknown grid field {key!r} (expected one of {fields})")
+            raise ParameterError(f"unknown grid field {brief(key)} (expected one of {fields})")
         is_list = (is_ndarray(values) and values.ndim == 1) or (
             isinstance(values, Sequence) and not isinstance(values, (str, bytes))
         )
         if not is_list or not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
-            raise ParameterError(f"{name}.{key} must be a list of numbers, got {values!r}")
+            raise ParameterError(f"{name}.{key} must be a list of numbers, got {brief(values)}")
+        if len(values) == 0:  # the sweep would run no cell
+            raise ParameterError(f"{name}.{key} is empty: a grid axis needs at least one value")
         if any(type(v) is int and abs(v) > sys.float_info.max for v in values):  # JSON ints have no bound
             raise ParameterError(f"{name}.{key} holds an integer beyond floating-point range")
     # numpy and other reals become floats; ints are kept, as JSON gives them

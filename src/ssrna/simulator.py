@@ -16,7 +16,7 @@ from numbers import Integral
 from typing import NamedTuple, Optional
 
 from . import _em
-from .errors import IntegrationError, ParameterError
+from .errors import IntegrationError, ParameterError, brief
 from .linearization import linearize
 from .model_core import MAX_SEED, Equilibrium, ModelParams, NoiseSpec, Scheme, State, finite_real, vector_field
 from .serialize import FloatArray, _stored, write_csv
@@ -76,9 +76,9 @@ class SimConfig:
                 f"t_end / dt = {self.t_end!r} / {self.dt!r} is more steps than a 64-bit step counter holds"
             )
         if not (type(self.record_stride) is int and self.record_stride >= 1):
-            raise ParameterError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
+            raise ParameterError(f"record_stride must be an integer >= 1, got {brief(self.record_stride)}")
         if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {brief(self.seed)}")
         try:
             p, m = self.initial
         except (TypeError, ValueError):  # not a pair

@@ -18,6 +18,21 @@ def tumv():
     return validate_params(**TUMV)
 
 
+@pytest.fixture(scope="session")
+def scalar_library():
+    """A second copy of the compiled library, built as _em builds it (the same flags and archive)
+    but with __builtin_cpu_supports defined to 0, so on any CPU it refills one Philox block at a time
+    and steps two replicates per register, as a CPU without AVX-512F does.  Its compiler command is
+    part of its cache key, so it is cached beside the default library."""
+    from ssrna import _em
+
+    compiler = _em._compiler()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])
+        patch.setattr(_em, "_lib", None)
+        return _em.library()
+
+
 def use_workers(monkeypatch, n):
     """Run ensembles and sweeps in n threads, whatever the CPUs."""
     from ssrna import montecarlo

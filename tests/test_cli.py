@@ -163,6 +163,32 @@ def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
     assert not (tmp_path / "o").exists()  # a rejected config creates no output directory
 
 
+@pytest.mark.parametrize("command, make, needle", [
+    ("analyze", lambda: base_config(analyze={}, model=dict(TUMV, r=json.loads("[" * 900 + "]" * 900))),
+     "error: model.r must be a number, got [[["),
+    ("sweep", lambda: sweep_config(model_grid={"r": [0.1211] * 200_000 + ["x"]}),
+     "error: model_grid.r must be a list of numbers, got [0.1211, "),
+    ("simulate", lambda: simulate_config(scheme="x" * 100_000),
+     "error: simulate.scheme must be 'rk4' or 'euler-maruyama', got 'xxx"),
+], ids=["nested-900-deep", "200001-grid-values", "100000-character-string"])
+def test_long_or_deep_value_is_echoed_in_one_short_line(tmp_path, capsys, command, make, needle):
+    path = write_config(tmp_path, make())
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(needle) and err.count("\n") == 1 and len(err) < 160, err[:300]
+
+
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "3"]], ids=["format", "seed"])
+def test_analyze_takes_no_format_or_seed(tmp_path, capsys, flag):
+    # the closed-form analysis draws no noise and writes only JSON
+    path = write_config(tmp_path, base_config(analyze={}))
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "--config", path, "--out", str(tmp_path / "o"), *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("raw, needle", [
     pytest.param(b"\xff\xfe" + json.dumps(base_config(analyze={})).encode("utf-16-le"),
                  "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0", id="utf-16"),
@@ -207,9 +233,9 @@ def _directory_in_the_way(tmp_path):
     ("ensemble", {}, lambda tmp_path: [],
      "error: no output directory: set output.dir in the config or pass --out\n"),
     # a seed beyond 64 bits is refused before the output directory is looked at
-    ("analyze", {}, lambda tmp_path: ["--out", str(tmp_path / "o"), "--seed", "-1"],
+    ("simulate", {}, lambda tmp_path: ["--out", str(tmp_path / "o"), "--seed", "-1"],
      "error: --seed must be a 64-bit unsigned integer, got -1\n"),
-    ("analyze", {}, lambda tmp_path: ["--out", str(tmp_path / "o"), "--seed", str(2**64)],
+    ("simulate", {}, lambda tmp_path: ["--out", str(tmp_path / "o"), "--seed", str(2**64)],
      f"error: --seed must be a 64-bit unsigned integer, got {2**64}\n"),
 ], ids=["dir-not-a-string", "parent-is-a-file", "parent-is-a-file-ensemble", "file-is-a-directory", "no-out",
         "seed-negative", "seed-2**64"])
@@ -218,7 +244,7 @@ def test_unusable_output_path_exits_2(tmp_path, capsys, monkeypatch, command, ou
         pytest.fail("the ensemble ran before its output path was refused")
 
     monkeypatch.setattr(montecarlo, "run_ensemble", run_ensemble)
-    cfg = ensemble_config() if command == "ensemble" else base_config(analyze={})
+    cfg = {"analyze": lambda: base_config(analyze={}), "simulate": simulate_config, "ensemble": ensemble_config}[command]()
     path = write_config(tmp_path, dict(cfg, output=output))
     args = out_args(tmp_path)
     before = sorted(tmp_path.rglob("*"))
@@ -530,6 +556,9 @@ def test_sweep_reproducible_across_runs_and_worker_counts(tmp_path, monkeypatch)
     ({"model_grid": [0.1211]}, "model_grid"),
     ({"model_grid": {"K": [1000, 10**400]}}, "model_grid.K"),
     ({"noise_grid": {"omega2": [-10**400]}}, "noise_grid.omega2"),
+    # an empty axis would leave the sweep no cell to run
+    ({"model_grid": {"r": []}}, "error: model_grid.r is empty"),
+    ({"noise_grid": {"omega1": [0.05], "omega2": []}}, "error: noise_grid.omega2 is empty"),
 ])
 def test_sweep_malformed_grid_exits_2(tmp_path, capsys, grids, needle):
     cfg = sweep_config(replicates=3)
@@ -751,11 +780,12 @@ NO_NUMPY_RUNS = {
 @pytest.mark.parametrize("run", NO_NUMPY_RUNS)
 def test_every_command_runs_without_numpy(tmp_path, capsys, run, fmt):
     # tests/cli_without_numpy.py exits 1 if the command imported numpy, or a module of ssrna or ctypes
-    # that it does not run (its UNUSED table); its bytes must be those of a run in this process
+    # that it does not run (its UNUSED table); its bytes must be those of a run in this process.  The
+    # format is the config's, as analyze takes no --format (and writes JSON whatever the config says)
     command = run.split("-")[0]
     out = tmp_path / "out"
-    args = [command, "--config", write_config(tmp_path, base_config(**NO_NUMPY_RUNS[run])),
-            "--out", str(out), "--format", fmt]
+    config = base_config(output={"format": fmt}, **NO_NUMPY_RUNS[run])
+    args = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
     proc = subprocess.run([sys.executable, str(Path(__file__).with_name("cli_without_numpy.py")), *args],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssrna import (
     NoiseSpec,
@@ -31,15 +33,15 @@ from conftest import TUMV
 U64_MAX = 2**64 - 1
 
 
-def seeded_stream(key) -> np.ndarray:
+def seeded_stream(key, library=None) -> np.ndarray:
     stream = np.empty(_em._STREAM_WORDS, np.uint64)
-    _em.library().em_seed(stream.ctypes.data, *key)
+    (library or _em.library()).em_seed(stream.ctypes.data, *key)
     return stream
 
 
-def raw_words(stream: np.ndarray, n: int) -> np.ndarray:
+def raw_words(stream: np.ndarray, n: int, library=None) -> np.ndarray:
     words = np.empty(n, np.uint64)
-    _em.library().em_raw(stream.ctypes.data, n, words.ctypes.data)
+    (library or _em.library()).em_raw(stream.ctypes.data, n, words.ctypes.data)
     return words
 
 
@@ -114,18 +116,36 @@ def test_refill_lanes_follow_the_cpu():
 
 @pytest.mark.parametrize("key", [(0, 0), (3, U64_MAX), (U64_MAX, U64_MAX)])
 @pytest.mark.parametrize("low", [U64_MAX - 19, U64_MAX - 8, U64_MAX - 7, U64_MAX - 6, U64_MAX])
-def test_refills_equal_numpy_across_the_counter_carry(low, key):
-    # A refill from counter ctr computes the blocks of ctr + 1 .. ctr + 8, in lanes unless ctr[0]
-    # would carry, which takes the scalar rounds; the carry here goes on into ctr[2].  200 words
-    # are seven refills, which cross from lanes to the scalar carry and back.
+def test_refills_equal_numpy_across_the_counter_carry(scalar_library, low, key):
+    # A refill from counter ctr computes the blocks of ctr + 1 .. ctr + 8, in eight lanes where the
+    # CPU has AVX-512F and one after another in the scalar library; the carry here goes on into
+    # ctr[2].  200 words are seven refills, before, across and after the carry.
     counter = np.array([low, U64_MAX, 7, 0], dtype=np.uint64)
-    stream = seeded_stream(key)
-    stream[:4] = counter
-    lanes = _em.library().em_refill_lanes()
-    refills = [f"{lanes} lanes" if lanes > 1 and (low + 8 * i) % 2**64 <= U64_MAX - 8 else "scalar"
-               for i in range(7)]
     expected = np.random.Philox(counter=counter, key=np.array(key, dtype=np.uint64)).random_raw(200)
-    assert np.array_equal(raw_words(stream, 200), expected), f"refills: {refills}"
+    for library in (_em.library(), scalar_library):
+        assert_words_equal_numpy(library, key, counter, expected)
+
+
+def assert_words_equal_numpy(library, key, counter, expected):
+    """The words of library's stream keyed key from counter are numpy's `expected`."""
+    stream = seeded_stream(key, library)
+    stream[:4] = counter  # a stream's words are ctr[4], key[2], buffer[32], buffer_pos
+    assert np.array_equal(raw_words(stream, len(expected), library), expected), library.em_refill_lanes()
+
+
+WORDS = st.integers(0, U64_MAX)
+
+
+@settings(max_examples=60)
+@given(key=st.tuples(WORDS, WORDS), n=st.integers(1, 200),
+       counter=st.tuples(st.integers(U64_MAX - 40, U64_MAX), *[st.one_of(st.just(U64_MAX), WORDS)] * 3))
+def test_refills_equal_numpy_near_the_counter_carries_by_property(scalar_library, key, counter, n):
+    # the low word carries within the first six refills, into words that carry on or stop, up to
+    # the top word, which wraps round to 0 as numpy's does
+    counter = np.array(counter, dtype=np.uint64)
+    expected = np.random.Philox(counter=counter, key=np.array(key, dtype=np.uint64)).random_raw(n)
+    for library in (_em.library(), scalar_library):
+        assert_words_equal_numpy(library, key, counter, expected)
 
 
 def test_kernel_draws_equal_brownian_increments_into_the_ziggurat_tail():
@@ -336,7 +356,7 @@ def test_changed_objcopy_arguments_name_a_new_library(monkeypatch):
 
 
 def test_changed_compiler_command_names_a_new_library(monkeypatch):
-    # e.g. another CC, or the scalar build of tests/test_montecarlo.py, in the same cache directory
+    # e.g. another CC, or the scalar_library of tests/conftest.py, in the same cache directory
     first = _em._library_path(*_em._numpy_files())
     compiler = _em._compiler()
     monkeypatch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])

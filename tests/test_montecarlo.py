@@ -518,19 +518,6 @@ def slice_width_equals_the_reference(library, n, p, noise):
     assert list(sums.counts) == [len(included), sum(buffer.negative[j] for j in included), n - len(included)]
 
 
-@pytest.fixture(scope="module")
-def scalar_library():
-    """A second copy of the compiled library, built as _em builds it (the same flags and archive)
-    but with __builtin_cpu_supports defined to 0, so on any CPU it refills one Philox block at a time
-    and steps two replicates per register, as a CPU without AVX-512F does.  Its compiler command is
-    part of its cache key, so it is cached beside the default library."""
-    compiler = _em._compiler()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])
-        patch.setattr(_em, "_lib", None)
-        return _em.library()
-
-
 @slice_cases
 def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_library, p, noise):
     # the default library refills and steps in AVX-512 lanes where the CPU has AVX-512F; on
