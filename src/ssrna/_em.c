@@ -170,10 +170,10 @@ __attribute__((target("avx512f"))) static inline u64x8 mulhilo_x8(uint64_t m, u6
     const u64x8 none = {0};
     u64x8 ml = none + (m & 0xFFFFFFFF), mh = none + (m >> 32), ch = c >> 32;
     u64x8 ll = mul32(ml, c), lh = mul32(ml, ch), hl = mul32(mh, c), hh = mul32(mh, ch);
-    /* the bits 32 to 63 of the product, with the carry into bit 64 above them */
-    u64x8 mid = (ll >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF);
-    *lo = mid << 32 | (ll & 0xFFFFFFFF);
-    return hh + (mid >> 32) + (lh >> 32) + (hl >> 32);
+    /* bits 32 to 63 of the product in u's low half, their carries into bit 64 in t and u; no sum overflows */
+    u64x8 t = (ll >> 32) + lh, u = (t & 0xFFFFFFFF) + hl;
+    *lo = u << 32 | (ll & 0xFFFFFFFF);
+    return hh + (t >> 32) + (u >> 32);
 }
 
 __attribute__((target("avx512f"))) PHILOX_ROUNDS(philox_x8, u64x8, mulhilo_x8, "GCC unroll 1")

@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import fields
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import serialize
@@ -131,8 +130,8 @@ def _epsilon1(value: Any, ctx: str) -> tuple[Optional[float], Optional[float]]:
 _ANCHOR = _one_of(EquilibriumKind.ORIGIN.value, EquilibriumKind.POSITIVE.value)
 _CONFIG = {"schema": (_one_of(CONFIG_SCHEMA), _REQUIRED), "model": (_any, _REQUIRED),
            "noise": (_any, {}), "output": (_any, {}), **{c: (_any, None) for c in COMMANDS}}
-_MODEL = {f.name: (_number, _REQUIRED) for f in fields(ModelParams)}
-_NOISE = {f.name: (_number, 0.0) for f in fields(NoiseSpec)}
+_MODEL = {name: (_number, _REQUIRED) for name in ModelParams._fields}
+_NOISE = {name: (_number, 0.0) for name in NoiseSpec._fields}
 _OUTPUT = {"dir": (_string, None), "format": (_one_of("csv", "json"), "csv")}
 _SIM = {"dt": (_number, None), "t_end": (_number, _REQUIRED), "initial": (_initial, _REQUIRED),
         "record_stride": (_integer, 1)}
@@ -280,16 +279,6 @@ def analysis_to_dict(params: ModelParams, noise: NoiseSpec, cls: StabilityClassi
         "noise": {**serialize.plain(noise), "gamma1": noise.gamma1, "gamma2": noise.gamma2},
         **serialize.plain(cls),
     }
-
-
-def analysis_from_dict(d: dict) -> tuple[ModelParams, NoiseSpec, StabilityClassification]:
-    from .stability import StabilityClassification
-
-    if d.get("schema") != ANALYSIS_SCHEMA:
-        raise ParameterError(f"not an analysis report (schema={d.get('schema')!r})")
-    params = validate_params(**{name: d["model"][name] for name in _MODEL})
-    noise = NoiseSpec(**{name: d["noise"][name] for name in _NOISE})
-    return params, noise, serialize.record(StabilityClassification, d)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +452,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is not None and not 0 <= args.seed < MAX_SEED:
             raise ParameterError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
         output = _fields(cfg["output"], "output", _OUTPUT)
+        if args.command == "analyze" and "format" in cfg["output"]:  # as it takes no --format
+            raise ParameterError("output.format: analyze writes analysis.json only and takes no format")
         out_dir = _out_dir(args.out or output["dir"])
         return _DISPATCH[args.command](cfg[args.command], parse_model(cfg), parse_noise(cfg), out_dir,
                                        args.format or output["format"], args.seed)

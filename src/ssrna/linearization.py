@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model_core import Equilibrium, ModelParams, basic_reproduction_number
+from .serialize import Record
 
 __all__ = [
     "LinearizationReport",
@@ -14,8 +13,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinearizationReport:
+class LinearizationReport(Record):
     """2x2 drift-matrix entries and scalar invariants at an equilibrium.
 
     A1 and A2 are the determinant-augmented squares det + a11^2 and

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 from typing import Any, NamedTuple
 
 from .errors import ParameterError, StabilityDomainError
+from .serialize import Record
 
 __all__ = [
     "State",
@@ -63,8 +63,7 @@ class State(NamedTuple):
     m: float  # antigenomic
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Replication rates and capacity of the within-cell model.
 
     Use :func:`validate_params` to construct checked instances.  The inverse
@@ -89,8 +88,7 @@ class EquilibriumKind(Enum):
     MIXED_SIGN = "mixed_sign"
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(Record):
     """A classified fixed point of the deterministic model.
 
     ``exists`` records admissibility: the coexistence point requires R0 > 1,
@@ -109,8 +107,7 @@ class Equilibrium:
         return State(self.p_star, self.m_star)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Record):
     """White-noise intensities applied to the deviation from an equilibrium."""
 
     omega1: float

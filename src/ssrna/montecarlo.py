@@ -16,10 +16,9 @@ import os
 import sys
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from itertools import accumulate, product
 from numbers import Real
-from typing import Optional, get_type_hints
+from typing import Optional
 
 from . import _em
 from .errors import EnsembleError, Error, ParameterError, brief
@@ -36,7 +35,7 @@ from .model_core import (
     resolve_anchor,
     validate_params,
 )
-from .serialize import FloatArray, _stored, fmt, is_ndarray, write_csv
+from .serialize import FloatArray, Record, _stored, fmt, is_ndarray, write_csv
 from .simulator import (
     MAX_STEPS,
     SimConfig,
@@ -57,15 +56,11 @@ __all__ = [
     "estimate_stability_in_probability",
     "wilson_interval",
     "sweep",
-    "displaced_initial",  # these three are model_core's, and still importable from here
-    "anchor_scale",
-    "resolve_anchor",
     "write_ensemble_csv",
     "write_sweep_csv",
 ]
 
-@dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(Record):
     """Replicated-SDE run: how many paths, from where, and what counts as an excursion."""
 
     replicates: int
@@ -86,8 +81,7 @@ class EnsembleConfig:
             raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {brief(self.master_seed)}")
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
+class EnsembleStats(Record):
     """Reduced statistics over the included (finite) replicates.
 
     times, mean_sq_dev and exceed_fraction_cum are float64 numpy arrays
@@ -275,8 +269,7 @@ def estimate_stability_in_probability(stats: EnsembleStats) -> tuple[float, tupl
     return stats.exceed_fraction, wilson_interval(stats.n_exceed, stats.n_included)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One (parameter, noise) cell of a sweep."""
 
     r: float
@@ -399,9 +392,9 @@ def _sweep_cell(
         scale = anchor_scale(anchor, params.K)
         sim = template.sim
         if displace_fraction is not None:
-            sim = replace(sim, initial=displaced_initial(anchor, displace_fraction, params.K))
+            sim = sim.replace(initial=displaced_initial(anchor, displace_fraction, params.K))
         epsilon1 = template.epsilon1 if epsilon1_fraction is None else epsilon1_fraction * scale
-        cfg = replace(template, sim=sim, noise=noise, anchor=anchor, epsilon1=epsilon1)
+        cfg = template.replace(sim=sim, noise=noise, anchor=anchor, epsilon1=epsilon1)
         return row, _cell(cfg, params)
     except Error as exc:
         return dict(row, verdict="error", error=str(exc)), None
@@ -413,10 +406,11 @@ def write_ensemble_csv(stats: EnsembleStats, path) -> None:
               [_stored(stats, name) for name in ("times", "mean_sq_dev", "exceed_fraction_cum")])
 
 
-# a row's fields but its error, each written by its declared type: a float
-# field with fmt, even if the grid gave it an int, and any other with str
-_SWEEP_WRITERS = tuple((name, fmt if tp is float else str)
-                       for name, tp in get_type_hints(SweepRow).items() if name != "error")
+# a row's fields but its error, each with its writer: fmt for a float field,
+# even if the grid gave it an int, and str for the verdict and the counts
+_SWEEP_WRITERS = (*((name, fmt) for name in ("r", "alpha", "delta", "sigma", "K", "omega1", "omega2", "R0")),
+                  ("verdict", str), ("exceed_fraction", fmt), ("final_msd", fmt), ("n_negative", str),
+                  ("n_nonfinite", str))
 SWEEP_COLUMNS = tuple(name for name, _ in _SWEEP_WRITERS)
 
 

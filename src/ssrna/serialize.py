@@ -2,13 +2,12 @@
 
 17 significant digits round-trip any IEEE double exactly, which makes every
 output file byte-comparable across runs and safe to parse back.  A record
-(a dataclass) has one JSON form: an object whose keys are its field names in
-declaration order, built by `plain` and read back by `record`.
+(a subclass of Record) has one JSON form, built by `plain`: an object whose
+keys are its field names in declaration order.
 
 A record's numeric arrays are FloatArray fields: the writers take the
 array('d') they hold, so writing a record never imports numpy.  `plain`
-writes a field of several columns as a list of rows, and `record` reads
-those rows back.
+writes a field of several columns as a list of rows.
 
 The compiled library's module (_em, and with it ctypes) is imported only
 where numbers are formatted or stored in bulk: by write_csv, by a float
@@ -18,16 +17,15 @@ document of plain numbers, such as `analyze`'s report, loads neither.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
 from array import array
 from collections.abc import Callable, Sequence
 from enum import Enum
-from typing import Any, BinaryIO, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, BinaryIO, Optional
 
-__all__ = ["fmt", "write_csv", "dump", "dumps", "loads", "plain", "record", "FloatArray"]
+__all__ = ["fmt", "write_csv", "dump", "loads", "plain", "Record", "FloatArray"]
 
 _FLOAT = "%.17g"
 _INDENT = "  "  # per level of a JSON document
@@ -67,7 +65,7 @@ class FloatArray:
 
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
         if obj is None:
-            raise AttributeError(self.name)  # the dataclass field has no default
+            raise AttributeError(self.name)  # a field of a record, not of its class
         import numpy as np
 
         values = np.frombuffer(obj.__dict__[self.name], dtype=np.float64)
@@ -79,6 +77,63 @@ class FloatArray:
         from . import _em
 
         obj.__dict__[self.name] = _em.doubles(value)
+
+
+class Record:
+    """A frozen record, whose fields are the names annotated in its class body, in their order.
+
+    As a frozen dataclass does, a record takes its fields by position or by
+    keyword, a value assigned in the class body being the field's default (a
+    FloatArray field has none), and then runs its class's __post_init__,
+    which checks the fields and may coerce one with object.__setattr__.
+    Records of one class are equal, and hash alike, when the values they
+    hold are (for a FloatArray field, its array('d')); the repr names every
+    field; and setting or deleting an attribute raises AttributeError.
+    _fields holds the field names, in order.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: value for name, value in vars(cls).items()
+                         if name in cls._fields and not isinstance(value, FloatArray)}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        values = dict(zip(self._fields, args))
+        if len(args) > len(self._fields) or not kwargs.keys() <= set(self._fields) - values.keys():
+            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}, each once, "
+                            f"got {len(args)} by position and {sorted(kwargs)} by keyword")
+        values = {**self._defaults, **values, **kwargs}
+        for name in self._fields:
+            if name not in values:
+                raise TypeError(f"{type(self).__name__}() missing required field {name!r}")
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check, and coerce, the fields of a new record: a class with checks defines its own."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes: Any) -> Any:
+        """A new record of this class, with the given fields changed, checked as any new record is."""
+        return type(self)(**{**vars(self), **changes})
 
 
 def _stored(record: Any, name: str) -> Any:
@@ -184,7 +239,8 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
 
 
 def dump(obj: Any, fh: BinaryIO) -> None:
-    """Write obj's JSON text, the bytes of dumps(obj), into the binary file fh.
+    """Write obj's JSON text and a newline into the binary file fh: two spaces of indent a level,
+    floats as fmt writes them.
 
     A list is written item by item, and a float column (see _float_column) a
     block of _BLOCK_ROWS numbers at a time, so writing holds one block's
@@ -192,13 +248,6 @@ def dump(obj: Any, fh: BinaryIO) -> None:
     """
     _write(obj, fh.write, 0)
     fh.write(b"\n")
-
-
-def dumps(obj: Any) -> str:
-    out: list[bytes] = []
-    _write(obj, out.append, 0)
-    out.append(b"\n")
-    return b"".join(out).decode()
 
 
 def loads(text: str) -> Any:
@@ -209,8 +258,8 @@ def plain(obj: Any) -> Any:
     """JSON-ready form of a record: fields in declaration order, enums by value,
     tuples, lists and numpy arrays as lists; other values, such as the
     array('d') of a FloatArray field, pass through."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _plain_field(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Record):
+        return {name: _plain_field(obj, name) for name in obj._fields}
     if isinstance(obj, Enum):
         return obj.value
     if is_ndarray(obj):
@@ -227,26 +276,3 @@ def _plain_field(obj: Any, name: str) -> Any:
         return plain(value)
     return [value[i:i + column.columns].tolist() for i in range(0, len(value), column.columns)]
 
-
-def record(cls: type, data: dict) -> Any:
-    """Rebuild the dataclass `cls` from its `plain` form, following its field annotations."""
-    hints = get_type_hints(cls)
-    return cls(**{f.name: _typed(hints[f.name], data[f.name]) for f in dataclasses.fields(cls)})
-
-
-def _typed(tp: Any, value: Any) -> Any:
-    origin = get_origin(tp)
-    if origin is Union:  # Optional[X]
-        if value is None:
-            return None
-        (tp,) = [a for a in get_args(tp) if a is not type(None)]
-        return _typed(tp, value)
-    if origin is tuple:
-        return tuple(_typed(a, v) for a, v in zip(get_args(tp), value))
-    if dataclasses.is_dataclass(tp):
-        return record(tp, value)
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp(value)
-    if tp is float:  # an integral float is written without a decimal point
-        return float(value)
-    return value

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple, Optional
 
@@ -19,10 +18,9 @@ from . import _em
 from .errors import IntegrationError, ParameterError, brief
 from .linearization import linearize
 from .model_core import MAX_SEED, Equilibrium, ModelParams, NoiseSpec, Scheme, State, finite_real, vector_field
-from .serialize import FloatArray, _stored, write_csv
+from .serialize import FloatArray, Record, _stored, write_csv
 
 __all__ = [
-    "Scheme",
     "SimConfig",
     "Trajectory",
     "step_count",
@@ -53,8 +51,7 @@ MAX_STEPS = 2**63 - 1
 _PATH_ROW_BYTES = 3 * 8
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """One trajectory's numerical setup."""
 
     dt: float
@@ -87,8 +84,7 @@ class SimConfig:
             raise ParameterError(f"initial state must be a pair of finite numbers, got {self.initial!r}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Recorded samples of one integration run.
 
     exited_omega is the time of the first step, recorded or not, whose state

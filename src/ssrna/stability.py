@@ -12,8 +12,7 @@ verdict is "conditions not met", never "unstable".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import StabilityDomainError
 from .linearization import LinearizationReport, linearize
@@ -21,14 +20,16 @@ from .model_core import (
     Equilibrium,
     EquilibriumKind,
     ModelParams,
-    NoiseSpec,  # re-exported: defined in model_core with the rest of the config
     basic_reproduction_number,
     origin_equilibrium,
     positive_equilibrium,
 )
+from .serialize import Record
+
+if TYPE_CHECKING:
+    from .model_core import NoiseSpec
 
 __all__ = [
-    "NoiseSpec",
     "LyapunovMatrix",
     "StabilityVerdict",
     "StabilityCertificate",
@@ -49,8 +50,7 @@ __all__ = [
 BOUNDARY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LyapunovMatrix:
+class LyapunovMatrix(Record):
     """Symmetric positive definite P with P A + A' P = -diag(q, 1)."""
 
     p11: float
@@ -59,8 +59,7 @@ class LyapunovMatrix:
     q: float
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Record):
     """Outcome of the sufficient mean-square stability test at one equilibrium.
 
     gamma1_bound is reported whenever the drift matrix passes the trace and
@@ -80,8 +79,7 @@ class StabilityVerdict:
     marginal: bool
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(Record):
     """A concrete admissible weight q with its Lyapunov data.
 
     p11, p12, p22 are the entries of the Lyapunov matrix P for this q.
@@ -98,8 +96,7 @@ class StabilityCertificate:
     c2: float
 
 
-@dataclass(frozen=True)
-class EquilibriumAssessment:
+class EquilibriumAssessment(Record):
     """One equilibrium with its linearization, verdict and certificate."""
 
     equilibrium: Equilibrium
@@ -109,8 +106,7 @@ class EquilibriumAssessment:
     summary: str
 
 
-@dataclass(frozen=True)
-class StabilityClassification:
+class StabilityClassification(Record):
     """Verdicts for the virus-free and coexistence equilibria."""
 
     r0: float

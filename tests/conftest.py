@@ -1,10 +1,13 @@
+import io
 import math
+from enum import Enum
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from ssrna import validate_params
+from ssrna import ModelParams, NoiseSpec, serialize, validate_params
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -38,6 +41,47 @@ def use_workers(monkeypatch, n):
     from ssrna import montecarlo
 
     monkeypatch.setattr(montecarlo, "_worker_count", lambda replicates: n)
+
+
+def dumps(obj):
+    """The JSON text that serialize.dump writes for obj."""
+    fh = io.BytesIO()
+    serialize.dump(obj, fh)
+    return fh.getvalue().decode()
+
+
+def record(cls, data):
+    """Rebuild the record class cls from its serialize.plain form, following its field annotations."""
+    hints = get_type_hints(cls)
+    return cls(**{name: _typed(hints[name], data[name]) for name in cls._fields})
+
+
+def _typed(tp, value):
+    origin = get_origin(tp)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+        return _typed(tp, value)
+    if origin is tuple:
+        return tuple(_typed(a, v) for a, v in zip(get_args(tp), value))
+    if isinstance(tp, type) and issubclass(tp, serialize.Record):
+        return record(tp, value)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(value)
+    if tp is float:  # an integral float is written without a decimal point
+        return float(value)
+    return value
+
+
+def analysis_from_dict(d):
+    """The model, the noise and the classification that an analysis.json document was written from."""
+    from ssrna.stability import StabilityClassification
+
+    assert d["schema"] == "ssrna-analysis/1"
+    params = validate_params(**{name: d["model"][name] for name in ModelParams._fields})
+    noise = NoiseSpec(**{name: d["noise"][name] for name in NoiseSpec._fields})
+    return params, noise, record(StabilityClassification, d)
 
 
 def random_params(rng, r0_min=None, r0_max=None, max_tries=10000):

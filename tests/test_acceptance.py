@@ -30,7 +30,7 @@ from ssrna import (
     validate_params,
 )
 from ssrna.cli import main
-from ssrna.montecarlo import anchor_scale, displaced_initial
+from ssrna.model_core import anchor_scale, displaced_initial
 from ssrna.simulator import default_dt
 
 from conftest import (

@@ -30,10 +30,10 @@ from ssrna import (
     validate_params,
 )
 from ssrna import _em, cli, serialize
-from ssrna.cli import COMMANDS, analysis_from_dict, analysis_to_dict, main
-from ssrna.serialize import dumps, loads
+from ssrna.cli import COMMANDS, analysis_to_dict, main
+from ssrna.serialize import loads
 
-from conftest import TUMV, use_workers
+from conftest import TUMV, analysis_from_dict, dumps, use_workers
 
 TUMV_CONFIG = resources.files("ssrna.data") / "tumv.json"
 
@@ -187,6 +187,17 @@ def test_analyze_takes_no_format_or_seed(tmp_path, capsys, flag):
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_refuses_a_configured_format(tmp_path, capsys, fmt):
+    # the config's twin of --format: refused, not ignored
+    path = write_config(tmp_path, base_config(analyze={}, output={"format": fmt}))
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: output.format: analyze writes analysis.json only and takes no format\n"
+    assert not (tmp_path / "o").exists()
+    assert main(["analyze", "--config", write_config(tmp_path, base_config(analyze={}, output={})),
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("raw, needle", [
@@ -779,12 +790,12 @@ NO_NUMPY_RUNS = {
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("run", NO_NUMPY_RUNS)
 def test_every_command_runs_without_numpy(tmp_path, capsys, run, fmt):
-    # tests/cli_without_numpy.py exits 1 if the command imported numpy, or a module of ssrna or ctypes
-    # that it does not run (its UNUSED table); its bytes must be those of a run in this process.  The
-    # format is the config's, as analyze takes no --format (and writes JSON whatever the config says)
+    # tests/cli_without_numpy.py exits 1 if the command imported numpy, the dataclass machinery, or a
+    # module of ssrna or ctypes that it does not run (its UNUSED table); its bytes must be those of a run
+    # in this process.  The format is the config's; analyze takes none, and writes JSON
     command = run.split("-")[0]
     out = tmp_path / "out"
-    config = base_config(output={"format": fmt}, **NO_NUMPY_RUNS[run])
+    config = base_config(**NO_NUMPY_RUNS[run], **({} if command == "analyze" else {"output": {"format": fmt}}))
     args = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
     proc = subprocess.run([sys.executable, str(Path(__file__).with_name("cli_without_numpy.py")), *args],
                           capture_output=True, text=True)

@@ -6,7 +6,6 @@ import threading
 import tracemalloc
 from array import array
 from bisect import bisect_left
-from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -36,7 +35,8 @@ from ssrna import (
     wilson_interval,
 )
 from ssrna import _em, montecarlo, simulator
-from ssrna.montecarlo import anchor_scale, displaced_initial, write_ensemble_csv, write_sweep_csv
+from ssrna.model_core import anchor_scale, displaced_initial
+from ssrna.montecarlo import write_ensemble_csv, write_sweep_csv
 from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
 
@@ -198,8 +198,8 @@ def test_ensemble_determinism_and_worker_independence(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         for other in runs[1:]:
-            for f in fields(other):
-                assert np.array_equal(getattr(runs[0], f.name), getattr(other, f.name)), f.name
+            for name in other._fields:
+                assert np.array_equal(getattr(runs[0], name), getattr(other, name)), name
         assert 0 < getattr(runs[0], count) < 17
 
 
@@ -917,9 +917,9 @@ def test_sweep_rows_equal_standalone_ensembles(tumv):
     for row in rows[:8]:
         params = validate_params(**dict(TUMV, r=row.r))
         anchor = positive_equilibrium(params)
-        cfg = replace(template, sim=replace(sim, initial=displaced_initial(anchor, 0.01, params.K)),
-                      noise=NoiseSpec(row.omega1, row.omega2), anchor=anchor,
-                      epsilon1=0.1 * anchor_scale(anchor, params.K))
+        cfg = template.replace(sim=sim.replace(initial=displaced_initial(anchor, 0.01, params.K)),
+                               noise=NoiseSpec(row.omega1, row.omega2), anchor=anchor,
+                               epsilon1=0.1 * anchor_scale(anchor, params.K))
         if row.verdict == "error":  # every replicate diverged
             with pytest.raises(EnsembleError) as exc:
                 run_ensemble(cfg, params)
@@ -942,7 +942,7 @@ def test_start_outside_epsilon1_has_exceeded_at_step_0(tumv):
                               epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=31)
     rows = sweep(tumv, {}, {"omega1": [0.05, 0.3]}, template)
     for row in rows:
-        stats = run_ensemble(replace(template, noise=NoiseSpec(row.omega1, row.omega2)), tumv)
+        stats = run_ensemble(template.replace(noise=NoiseSpec(row.omega1, row.omega2)), tumv)
         assert stats.exceed_fraction_cum[0] == 1.0 and stats.n_exceed == stats.n_included == 20
         assert row.final_msd == stats.mean_sq_dev[-1]
         assert row.exceed_fraction == stats.exceed_fraction == 1.0

@@ -63,10 +63,21 @@ def test_submodule_is_an_attribute_after_a_bare_import(submodule):
     python(f"import sys, ssrna; assert ssrna.{submodule} is sys.modules['ssrna.{submodule}']")
 
 
-def test_moved_names_keep_their_old_import_paths():
-    from ssrna import model_core, montecarlo, simulator, stability
+def test_every_module_lists_only_the_names_it_defines():
+    # a name has one import path: the module that defines it, whichever others import it
+    listed = {}
+    for submodule in SUBMODULES:
+        module = getattr(ssrna, submodule)
+        for name in getattr(module, "__all__", ()):
+            listed.setdefault(name, []).append(submodule)
+            assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__, name
+    assert {name: homes for name, homes in listed.items() if len(homes) > 1} == {}
 
-    assert stability.NoiseSpec is model_core.NoiseSpec
-    assert simulator.Scheme is model_core.Scheme and simulator.MAX_SEED == model_core.MAX_SEED
-    for name in ("resolve_anchor", "anchor_scale", "displaced_initial"):
-        assert getattr(montecarlo, name) is getattr(model_core, name)
+
+def test_no_module_loads_the_dataclass_machinery():
+    # the records share one small base (serialize.Record); dataclasses, and the inspect it loads, cost
+    # every command about 35 ms of start-up
+    modules = ", ".join(f"ssrna.{name}" for name in SUBMODULES)
+    loaded = python(f"import sys; before = set(sys.modules); import {modules}; print(*set(sys.modules) - before)")
+    assert {"ssrna.cli", "ssrna.montecarlo"} <= set(loaded.split())
+    assert not {"dataclasses", "inspect"} & set(loaded.split())

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,7 +299,7 @@ def test_compiled_rk4_exit_and_failure_equal_the_python_loop(dt, result, stride)
 def test_compiled_em_recorder_at_a_stride_equals_the_stride_1_states(noise):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     every = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), seed=4242)
-    fourth = replace(every, record_stride=4)  # records neither the exit (step 6) nor the overflow (step 21)
+    fourth = every.replace(record_stride=4)  # records neither the exit (step 6) nor the overflow (step 21)
     args = (p, noise, origin_equilibrium())
     one = outcome(lambda: integrate_sde(*args, every, replicate=6))
     strided = outcome(lambda: integrate_sde(*args, fourth, replicate=6))
