@@ -32,17 +32,18 @@
  *
  * Euler-Maruyama has one entry point per job, sharing one step (EM_STEP), one
  * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
- * single path into its recorder.  em_run steps an ensemble one slice of at
- * most BLOCK replicates at a time, in lockstep, into a slice buffer, which
- * keeps of each replicate only its deviations and its outputs.  Its slice
- * step is written once (EM_SLICE) for GCC vectors and built twice: eight
- * replicates per AVX-512 register where the CPU has AVX-512F, chosen with the
- * refill when the library loads (slice_step_x8), else two, the width of an
- * SSE2 or NEON register (slice_step_x2).  The buffer has `stride` columns per
- * cell, a multiple of 8 up to BLOCK, so that a slice of few replicates holds
- * few columns.  em_fold then adds the slice's finite replicates into the
- * ensemble's running sums in index order, so the sums are those of one pass
- * over every replicate.
+ * single path into its recorder, a block of rows per call, as rk4_path does,
+ * and the recorder carries what the next call resumes from.  em_run steps an
+ * ensemble one slice of at most BLOCK replicates at a time, in lockstep, into
+ * a slice buffer, which keeps of each replicate only its deviations and its
+ * outputs.  Its slice step is written once (EM_SLICE) for GCC vectors and
+ * built twice: eight replicates per AVX-512 register where the CPU has
+ * AVX-512F, chosen with the refill when the library loads (slice_step_x8),
+ * else two, the width of an SSE2 or NEON register (slice_step_x2).  The
+ * buffer has `stride` columns per cell, a multiple of 8 up to BLOCK, so that a
+ * slice of few replicates holds few columns.  em_fold then adds the slice's
+ * finite replicates into the ensemble's running sums in index order, several
+ * rows at a time, so the sums are those of one pass over every replicate.
  */
 
 #include <math.h>
@@ -264,24 +265,33 @@ void em_raw(stream_t *s, int64_t n, uint64_t *out)
         out[i] = next_uint64(s);
 }
 
-/* The recorder of a single path, _em.Recorder: the caller sets the fields up to
- * states; path_start sets the rest. */
+/* The recorder of a single path, _em.Recorder, which its kernel (rk4_path or em_path) steps a
+ * block of rows at a time: each call steps the path until the buffers hold `block` rows, or the
+ * path ends, and returns.  The recorder carries all that the next call resumes from: the step, the
+ * state and em_path's streams.  The caller sets the fields up to step, which it sets to -1: the
+ * first call takes the start, step 0. */
 typedef struct {
     int64_t n;        /* steps */
     int64_t stride;   /* steps 0, stride, 2 stride, ... (stride <= n) and n are recorded */
     double dt;
     double low, high; /* the state left the triangle when p or m < low, or p + m > high */
-    double *times;    /* rows x 1: rec * dt */
-    double *states;   /* rows x 2: p, m */
-    int64_t rows;     /* rows written */
+    double *times;    /* block x 1: step * dt */
+    double *states;   /* block x 2: p, m */
+    int64_t block;    /* rows the buffers hold */
+    int64_t step;     /* steps taken, -1 before the start */
+    int64_t rows;     /* rows written by the last call */
     int64_t exited;   /* first step whose state left the triangle, else -1 */
     int64_t failed;   /* the step whose state was not finite, else -1 */
     double lowest;    /* the smallest p or m recorded */
     int64_t due;      /* the next step to record */
+    double x1, x2;    /* the state after `step` steps: p, m (rk4_path) or the deviations (em_path) */
+    stream_t st[2];   /* em_path's streams, one per coordinate */
 } path_t;
 
-/* Take the state (p, m) after step s.  Returns 0, setting failed, if it is
- * not finite: the path stops there. */
+int64_t em_recorder_bytes(void) { return sizeof(path_t); }
+
+/* Take the state (p, m) after step s.  Returns 0 if the path stops there: the state is not
+ * finite, which sets failed, or its row filled the block. */
 static int path_record(path_t *r, int64_t s, double p, double m)
 {
     if (!(isfinite(p) && isfinite(m))) {
@@ -290,21 +300,25 @@ static int path_record(path_t *r, int64_t s, double p, double m)
     }
     if (r->exited < 0 && (p < r->low || m < r->low || p + m > r->high))
         r->exited = s;
-    if (s == r->due) {
-        r->times[r->rows] = (double)s * r->dt;
-        r->states[2 * r->rows] = p;
-        r->states[2 * r->rows + 1] = m;
-        r->rows++;
-        r->lowest = fmin(r->lowest, fmin(p, m));
-        r->due = r->n - s <= r->stride ? r->n : s + r->stride;
-    }
-    return 1;
+    if (s != r->due)
+        return 1;
+    r->times[r->rows] = (double)s * r->dt;
+    r->states[2 * r->rows] = p;
+    r->states[2 * r->rows + 1] = m;
+    r->rows++;
+    r->lowest = fmin(r->lowest, fmin(p, m));
+    r->due = r->n - s <= r->stride ? r->n : s + r->stride;
+    return r->rows < r->block;
 }
 
-/* Take the start state, step 0. */
-static int path_start(path_t *r, double p, double m)
+/* Begin a call's block of rows, taking the start state (p, m), step 0, on the first call.  Returns
+ * 0 if the path stops there. */
+static int path_resume(path_t *r, double p, double m)
 {
     r->rows = 0;
+    if (r->step >= 0)
+        return 1;
+    r->step = 0;
     r->exited = r->failed = -1;
     r->lowest = INFINITY;
     r->due = 0;
@@ -321,14 +335,21 @@ static void field(const double *model, double p, double m, double *dp, double *d
     *dm = model[ALPHA] * model[R] * p * unfilled - model[SIGMA] * m;
 }
 
-/* The classical RK4 path of the model from (p, m), path->n steps of
- * path->dt, into the recorder. */
+/* The classical RK4 path of the model from (p, m), path->n steps of path->dt, into the recorder,
+ * a block at a time: a later call resumes from the recorder's state, and ignores (p, m). */
 void rk4_path(const double *model, double p, double m, path_t *path)
 {
     double dt = path->dt, sixth = dt / 6.0, half = 0.5 * dt;
-    if (!path_start(path, p, m))
+    if (path->step < 0) {
+        path->x1 = p;
+        path->x2 = m;
+    }
+    p = path->x1;
+    m = path->x2;
+    if (!path_resume(path, p, m))
         return;
-    for (int64_t s = 0; s < path->n; s++) {
+    int64_t s = path->step;
+    while (s < path->n) {
         double k1p, k1m, k2p, k2m, k3p, k3m, k4p, k4m;
         field(model, p, m, &k1p, &k1m);
         field(model, p + half * k1p, m + half * k1m, &k2p, &k2m);
@@ -336,9 +357,12 @@ void rk4_path(const double *model, double p, double m, path_t *path)
         field(model, p + dt * k3p, m + dt * k3m, &k4p, &k4m);
         p = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p);
         m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m);
-        if (!path_record(path, s + 1, p, m))
-            return;
+        if (!path_record(path, ++s, p, m))
+            break;
     }
+    path->step = s;
+    path->x1 = p;
+    path->x2 = m;
 }
 
 /* One Euler-Maruyama step of a cell's deviations (u, v) on the increments (d1, d2):
@@ -495,22 +519,71 @@ void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, i
 
 /* Step replicate `replicate` of one cell path->n steps from its start into the recorder, which
  * stops the path at its first non-finite state, on increments drawn as em_run draws them, or on
- * the path->n x 2 of dW. */
+ * the path->n x 2 of dW; a block at a time, as rk4_path does: a later call resumes from the
+ * recorder's deviations and streams. */
 void em_path(const double *cell, uint64_t seed, int64_t replicate, const double *dW, path_t *path)
 {
-    stream_t st[2];
-    double dt = path->dt, sqrt_dt = sqrt(dt), u = cell[X1_0], v = cell[X2_0];
-    em_seed(st, seed, 2 * (uint64_t)replicate);
-    em_seed(st + 1, seed, 2 * (uint64_t)replicate + 1);
-    if (!path_start(path, cell[P_STAR] + u, cell[M_STAR] + v))
-        return;
-    for (int64_t s = 0; s < path->n; s++) {
-        double d1 = dW ? dW[2 * s] : normal(st) * sqrt_dt;
-        double d2 = dW ? dW[2 * s + 1] : normal(st + 1) * sqrt_dt;
-        em_step(cell, dt, d1, d2, &u, &v);
-        if (!path_record(path, s + 1, cell[P_STAR] + u, cell[M_STAR] + v))
-            return;
+    double dt = path->dt, sqrt_dt = sqrt(dt);
+    if (path->step < 0) {
+        em_seed(path->st, seed, 2 * (uint64_t)replicate);
+        em_seed(path->st + 1, seed, 2 * (uint64_t)replicate + 1);
+        path->x1 = cell[X1_0];
+        path->x2 = cell[X2_0];
     }
+    double u = path->x1, v = path->x2;
+    if (!path_resume(path, cell[P_STAR] + u, cell[M_STAR] + v))
+        return;
+    int64_t s = path->step;
+    while (s < path->n) {
+        double d1 = dW ? dW[2 * s] : normal(path->st) * sqrt_dt;
+        double d2 = dW ? dW[2 * s + 1] : normal(path->st + 1) * sqrt_dt;
+        em_step(cell, dt, d1, d2, &u, &v);
+        if (!path_record(path, ++s, cell[P_STAR] + u, cell[M_STAR] + v))
+            break;
+    }
+    path->step = s;
+    path->x1 = u;
+    path->x2 = v;
+}
+
+/* Add the replicates j < n that are not bad of the row at x into *sum, in index order. */
+static inline void fold_row(const double *x, int64_t n, const uint8_t *bad, double *sum)
+{
+    double acc = *sum;
+    for (int64_t j = 0; j < n; j++)
+        if (!bad[j])
+            acc += x[j];
+    *sum = acc;
+}
+
+/* Rows fold_rows adds at once. */
+#define FOLD_ROWS 8
+
+/* fold_row for the FOLD_ROWS rows at x, x + step, ..., into sum[0..7], in one pass over the
+ * replicates.  A row's adds are one chain, each waiting for the one before; the eight rows' chains are
+ * independent, and the CPU overlaps them. */
+static inline void fold_rows(const double *x, int64_t step, int64_t n, const uint8_t *bad, double *sum)
+{
+    double a0 = sum[0], a1 = sum[1], a2 = sum[2], a3 = sum[3], a4 = sum[4], a5 = sum[5], a6 = sum[6], a7 = sum[7];
+    for (int64_t j = 0; j < n; j++)
+        if (!bad[j]) {
+            a0 += x[j];
+            a1 += x[step + j];
+            a2 += x[2 * step + j];
+            a3 += x[3 * step + j];
+            a4 += x[4 * step + j];
+            a5 += x[5 * step + j];
+            a6 += x[6 * step + j];
+            a7 += x[7 * step + j];
+        }
+    sum[0] = a0;
+    sum[1] = a1;
+    sum[2] = a2;
+    sum[3] = a3;
+    sum[4] = a4;
+    sum[5] = a5;
+    sum[6] = a6;
+    sum[7] = a7;
 }
 
 /* Add the finite replicates of a slice, em_run's outputs for its n
@@ -520,21 +593,19 @@ void em_path(const double *cell, uint64_t seed, int64_t replicate, const double 
  * i] counts those whose first exceedance was at row i; counts[3 * c ...]
  * adds the included, negative and non-finite replicates.  Folding every
  * slice in turn into sums that start at 0.0 adds each row's values in index
- * order from 0.0. */
+ * order from 0.0, FOLD_ROWS rows at a time. */
 void em_fold(int64_t ncells, int64_t n, int64_t stride, int64_t nrec, const double *sq, const int64_t *first_exceed,
              const uint8_t *nonfinite, const uint8_t *negative, double *sum, int64_t *exceed,
              int64_t *counts)
 {
+    int64_t step = ncells * stride; /* from a row of sq to the next */
     for (int64_t c = 0; c < ncells; c++) {
         const uint8_t *bad = nonfinite + c * stride;
-        for (int64_t i = 0; i < nrec; i++) {
-            const double *x = sq + (i * ncells + c) * stride;
-            double acc = sum[c * nrec + i];
-            for (int64_t j = 0; j < n; j++)
-                if (!bad[j])
-                    acc += x[j];
-            sum[c * nrec + i] = acc;
-        }
+        int64_t i = 0;
+        for (; i + FOLD_ROWS <= nrec; i += FOLD_ROWS)
+            fold_rows(sq + i * step + c * stride, step, n, bad, sum + c * nrec + i);
+        for (; i < nrec; i++)
+            fold_row(sq + i * step + c * stride, n, bad, sum + c * nrec + i);
         int64_t *count = counts + 3 * c;
         for (int64_t j = 0; j < n; j++) {
             int64_t fe = first_exceed[c * stride + j];
@@ -561,6 +632,11 @@ static const uint64_t POW5[28] = {
     476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
     298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL,
 };
+
+/* "00" to "99": the two digits of each number below 100 */
+static const char DIGIT_PAIRS[] =
+    "0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849"
+    "5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
 
 #define E16 10000000000000000ULL
 #define E17 100000000000000000ULL
@@ -592,8 +668,11 @@ static int g17(double x, char *out)
         return 3;
     }
     /* 17 significant digits of a normal double between 1e-11 and 1e17 are
-     * found exactly below; snprintf writes everything else, as exactly */
-    int e10 = biased == 0 || biased == 0x7FF ? 99 : (int)floor((biased - 1023) * 0.30102999566398120);
+     * found exactly below; snprintf writes everything else, as exactly.  e10
+     * estimates floor(log10 |x|) as floor((biased - 1023) log10 2), which is
+     * (biased - 1023) 78913 / 2^18 rounded down for every exponent (GCC
+     * shifts a negative int arithmetically), and is at most one low. */
+    int e10 = biased == 0 || biased == 0x7FF ? 99 : (biased - 1023) * 78913 >> 18;
     uint64_t mant = (bits & ((1ULL << 52) - 1)) | 1ULL << 52, d = E17;
     int e = biased - 1075, k = 16 - e10, rest = 0;
     if (e10 >= -11 && e10 <= 16) {
@@ -616,9 +695,10 @@ static int g17(double x, char *out)
         e10++;
     }
 
-    char digits[17];
-    for (int i = 16; i >= 0; i--, d /= 10)
-        digits[i] = (char)('0' + d % 10);
+    char digits[17]; /* d has 17 digits: two at a time from the right, then the first */
+    for (int i = 15; i > 0; i -= 2, d /= 100)
+        memcpy(digits + i, DIGIT_PAIRS + 2 * (d % 100), 2);
+    digits[0] = (char)('0' + d);
     int nd = 17; /* without trailing zeros */
     while (nd > 1 && digits[nd - 1] == '0')
         nd--;
@@ -664,13 +744,19 @@ int64_t fmt_g17(const double *x, int64_t n, int64_t row, const char *sep, int64_
                 const char *eol, int64_t eol_len, char *out, int64_t *nonfinite)
 {
     char *o = out;
-    *nonfinite = 0;
+    int64_t bad = 0, column = 0;
     for (int64_t i = 0; i < n; i++) {
-        *nonfinite += !isfinite(x[i]);
+        bad += !isfinite(x[i]);
         o += g17(x[i], o);
-        int last = (i + 1) % row == 0;
-        memcpy(o, last ? eol : sep, last ? eol_len : sep_len);
-        o += last ? eol_len : sep_len;
+        if (++column == row) {
+            column = 0;
+            memcpy(o, eol, eol_len);
+            o += eol_len;
+        } else {
+            memcpy(o, sep, sep_len);
+            o += sep_len;
+        }
     }
+    *nonfinite = bad;
     return o - out;
 }

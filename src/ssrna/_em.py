@@ -3,7 +3,8 @@
 It holds the Euler-Maruyama kernel, with one entry point per job that
 share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
-steps a single path (path).  Its Philox streams refill eight blocks at a
+steps a single path (path), a block of recorded rows per call, as the RK4
+path does (rk4).  Its Philox streams refill eight blocks at a
 time, in the eight lanes of an AVX-512 register where the CPU has
 AVX-512F, each lane carrying its own counter through all four words, else
 one after another; the rounds are written once, for a word and for eight
@@ -69,6 +70,7 @@ _SIGNATURES = {
     "em_seed": (None, (_P, ctypes.c_uint64, ctypes.c_uint64)),
     "em_raw": (None, (_P, _I, _P)),
     "em_block": (_I, ()),
+    "em_recorder_bytes": (_I, ()),
     "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _I, _D, _P, _P, _P, _P, _P)),
     "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
     "em_fold": (None, (_I, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P)),
@@ -214,28 +216,42 @@ def recorded_rows(n: int, stride: int) -> int:
 
 
 class Recorder(ctypes.Structure):
-    """The recorder of a single path (_em.c's path_t), with the rows it records.
+    """The recorder of a single path (_em.c's path_t), with a block of the rows it records.
 
     A path of n steps of dt keeps the state (p, m) at steps 0, stride,
-    2 stride, ... and n in states (p and m of each row in turn), and
-    step * dt in times, both array('d') buffers.  exited is the
-    first step whose state had p or m below low, or p + m above high, and
-    failed the step whose state was not finite, where the path stopped;
-    each is -1 when there is none.  lowest is the smallest p or m recorded.
+    2 stride, ... and n.  Its kernel (rk4 or path) steps it a block at a
+    time: each call records up to `block` rows, which columns() gives,
+    and returns once the block is full or the path has ended (step == n),
+    and the next call resumes from where it stopped.  block defaults to
+    every recorded row, so that one call steps the whole path.  The rows
+    are held in times (step * dt) and states (p and m of each row in turn),
+    both array('d') buffers of block rows.  exited is the first step whose
+    state had p or m below low, or p + m above high, and failed the step
+    whose state was not finite, where the path stopped; each is -1 when
+    there is none.  lowest is the smallest p or m recorded.
     """
 
     _fields_ = [("n", _I), ("stride", _I), ("dt", _D), ("low", _D), ("high", _D), ("_times", _P),
-                ("_states", _P), ("rows", _I), ("exited", _I), ("failed", _I), ("lowest", _D), ("_due", _I)]
+                ("_states", _P), ("block", _I), ("step", _I), ("rows", _I), ("exited", _I), ("failed", _I),
+                ("lowest", _D), ("_due", _I), ("_x1", _D), ("_x2", _D),
+                ("_streams", ctypes.c_uint64 * (2 * _STREAM_WORDS))]
 
-    def __init__(self, n: int, stride: int, dt: float, low: float, high: float):
+    def __init__(self, n: int, stride: int, dt: float, low: float, high: float, block: Optional[int] = None):
         rows = recorded_rows(n, stride)
-        self.times = _zeros("d", rows)
-        self.states = _zeros("d", 2 * rows)
-        super().__init__(n, min(stride, n), dt, low, high, _address(self.times), _address(self.states))
+        block = rows if block is None else min(block, rows)
+        self.times = _zeros("d", block)
+        self.states = _zeros("d", 2 * block)
+        super().__init__(n, min(stride, n), dt, low, high, _address(self.times), _address(self.states), block, -1)
+
+    def columns(self) -> tuple[memoryview, memoryview, memoryview]:
+        """t, p and m of the rows of the last call, as memoryviews of times and states."""
+        states = memoryview(self.states)[:2 * self.rows]
+        return memoryview(self.times)[:self.rows], states[0::2], states[1::2]
 
 
 def rk4(rates: tuple[float, float, float, float, float], p: float, m: float, path: Recorder) -> None:
-    """The classical RK4 path from (p, m) of the model with rates (r, alpha, delta, sigma, K), into path."""
+    """The classical RK4 path from (p, m) of the model with rates (r, alpha, delta, sigma, K), into
+    path: its next block (rk4_path), from (p, m) on the first call."""
     model = array("d", rates)
     library().rk4_path(_address(model), p, m, ctypes.addressof(path))
 
@@ -334,7 +350,8 @@ class Slice:
 
 
 def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array] = None) -> None:
-    """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder (em_path).
+    """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder:
+    its next block (em_path).
 
     dW, when given, is an array('d') of recorder.n rows of two increments,
     to use instead of the streams'.  The recorder stops the path at its

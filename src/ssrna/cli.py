@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
-from typing import TYPE_CHECKING, Any, Optional
+from collections.abc import Callable, Iterator
+from typing import TYPE_CHECKING, Any, BinaryIO, Optional
 
 from . import serialize
 from .errors import Error, IntegrationError, KernelError, ParameterError, StabilityDomainError, brief
@@ -37,7 +37,7 @@ from .model_core import (
 
 if TYPE_CHECKING:
     from .montecarlo import EnsembleConfig
-    from .simulator import SimConfig, Trajectory
+    from .simulator import PathBlocks, SimConfig
     from .stability import EquilibriumAssessment, StabilityClassification
 
 CONFIG_SCHEMA = "ssrna-config/1"
@@ -236,37 +236,54 @@ def _out_dir(out_dir: Optional[str]) -> str:
     return out_dir
 
 
-def _write_output(out_dir: str, stem: str, fmt: str, document: Callable[[], dict],
-                  write_csv: Optional[Callable[[str], None]] = None) -> str:
-    """Write `stem.json` from document(), or `stem.csv` with write_csv; returns the path.
+def _write_output(out_dir: str, name: str, write: Callable[[str], None]) -> str:
+    """Make out_dir, then write the file `name` in it with write(tmp); returns its path.
 
-    The output directory is created here, once the run has succeeded, so a
-    rejected config leaves no directory behind.  The file is written under
-    a temporary name in that directory and renamed onto `stem.fmt` once it
-    is complete, so a failed write leaves neither a partial file nor the
-    temporary one.
+    write writes the whole file at the temporary path tmp in out_dir,
+    which is renamed onto `name` once complete, so a failed write leaves
+    neither a partial file nor the temporary one.  The directory is made
+    here, once the config has been read, so a rejected config leaves none
+    behind; a run that fails inside write with anything but an OSError (a
+    `simulate` path that becomes non-finite as it is written) removes the
+    directories made here too.
     """
+    missing, probe = [], os.path.abspath(out_dir)
+    while not os.path.lexists(probe):  # the directories makedirs makes, deepest first
+        missing.append(probe)
+        probe = os.path.dirname(probe)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ParameterError(f"cannot create output directory {out_dir!r}: {exc}") from None
     if not os.access(out_dir, os.W_OK):
         raise ParameterError(f"output directory {out_dir!r} is not writable")
-    path = os.path.join(out_dir, f"{stem}.{fmt}")
+    path = os.path.join(out_dir, name)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        if fmt == "json":
-            with open(tmp, "wb") as fh:
-                serialize.dump(document(), fh)
-        else:
-            write_csv(tmp)
-        os.replace(tmp, path)
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.lexists(tmp):  # the write or the rename failed
+                os.unlink(tmp)
     except OSError as exc:
         raise ParameterError(f"cannot write {path!r}: {exc}") from None
-    finally:
-        if os.path.lexists(tmp):  # the write or the rename failed
-            os.unlink(tmp)
+    except BaseException:
+        for directory in missing:
+            try:
+                os.rmdir(directory)
+            except OSError:  # no longer empty: another process wrote into it
+                break
+        raise
     return path
+
+
+def _json(document: Callable[[], dict]) -> Callable[[str], None]:
+    """The writer of document()'s JSON text, for _write_output."""
+    def write(tmp: str) -> None:
+        with open(tmp, "wb") as fh:
+            serialize.dump(document(), fh)
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +336,49 @@ def cmd_analyze(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str,
     print(f"R0: {serialize.fmt(cls.r0)}")
     _print_assessment("virus-free equilibrium E0", cls.origin)
     _print_assessment("coexistence equilibrium E+", cls.positive)
-    report_path = _write_output(out_dir, "analysis", "json", lambda: analysis_to_dict(params, noise, cls))
+    report_path = _write_output(out_dir, "analysis.json", _json(lambda: analysis_to_dict(params, noise, cls)))
     print(f"report written to {report_path}")
     return 0
 
 
-def _trajectory_json(traj: Trajectory) -> dict:
-    times, p, m = traj.columns()
-    return {"schema": "ssrna-trajectory/1", "scheme": traj.scheme.value, "exited_omega": traj.exited_omega,
-            "times": times, "p": p, "m": m}
+def _side_file(name: str) -> BinaryIO:
+    """A new file opened to write and read back, already unlinked, so that it goes when it is
+    closed, however this process ends."""
+    fh = open(name, "x+b")
+    os.unlink(name)
+    return fh
+
+
+def _numbers(side: BinaryIO) -> Iterator[memoryview]:
+    """The float64 numbers written to a side file, a block of rows at a time."""
+    side.seek(0)
+    while block := side.read(8 * serialize._BLOCK_ROWS):
+        yield memoryview(block).cast("d")
+
+
+def _write_trajectory(blocks: PathBlocks, fmt: str, tmp: str) -> None:
+    """Step the path and write it to tmp, as `t,p,m` CSV rows or as a JSON document, a block at a time.
+
+    A CSV block is written as soon as it is stepped.  The JSON document
+    holds exited_omega before the columns, and it is known only at the end,
+    so the blocks' t, p and m go to side files next to tmp as float64, and
+    the document is written from them once the path has ended.
+    """
+    if fmt == "csv":
+        with open(tmp, "wb") as fh:
+            fh.write(b"t,p,m\n")
+            for path in blocks:
+                fh.write(serialize.csv_rows(path.columns()))
+        return
+    with _side_file(f"{tmp}.t") as t, _side_file(f"{tmp}.p") as p, _side_file(f"{tmp}.m") as m:
+        for path in blocks:
+            for side, column in zip((t, p, m), path.columns()):
+                side.write(column.tobytes())
+        columns = [serialize.Blocks(_numbers(side)) for side in (t, p, m)]
+        with open(tmp, "wb") as fh:
+            serialize.dump({"schema": "ssrna-trajectory/1", "scheme": blocks.scheme.value,
+                            "exited_omega": blocks.exited_omega, "times": columns[0], "p": columns[1],
+                            "m": columns[2]}, fh)
 
 
 def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, fmt: str,
@@ -346,23 +397,21 @@ def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
     if scheme is Scheme.RK4 and (p0 < 0 or m0 < 0 or p0 + m0 > params.K):
         print("warning: initial state lies outside the phase-space triangle; proceeding anyway")
 
+    # the path is stepped as it is written, one block of rows at a time
     if scheme is Scheme.RK4:
-        traj = simulator.integrate_ode(params, sim)
+        blocks = simulator.ode_blocks(params, sim, serialize._BLOCK_ROWS)
     else:
-        traj = simulator.integrate_sde(params, noise, anchor, sim)
+        blocks = simulator.sde_blocks(params, noise, anchor, sim, rows=serialize._BLOCK_ROWS)
+    path = _write_output(out_dir, f"trajectory.{fmt}", lambda tmp: _write_trajectory(blocks, fmt, tmp))
 
-    path = _write_output(out_dir, "trajectory", fmt, lambda: _trajectory_json(traj),
-                         lambda p: simulator.write_trajectory_csv(traj, p))
-
-    final = traj.final_state
-    went_negative = traj.lowest < 0.0
-    print(f"scheme: {traj.scheme.value}")
+    final = blocks.final_state
+    print(f"scheme: {blocks.scheme.value}")
     print(f"final state: ({serialize.fmt(final.p)}, {serialize.fmt(final.m)})")
-    if traj.exited_omega is not None:
-        print(f"left phase-space triangle at t={serialize.fmt(traj.exited_omega)}")
+    if blocks.exited_omega is not None:
+        print(f"left phase-space triangle at t={serialize.fmt(blocks.exited_omega)}")
     else:
         print("stayed inside phase-space triangle")
-    print(f"visited negative populations: {str(went_negative).lower()}")
+    print(f"visited negative populations: {str(blocks.lowest < 0.0).lower()}")
     print(f"trajectory written to {path}")
     return 0
 
@@ -376,9 +425,9 @@ def cmd_ensemble(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
     verdict = stability.check_mean_square_stability(linearize(params, ens_cfg.anchor), noise)
     stats = montecarlo.run_ensemble(ens_cfg, params)
 
-    path = _write_output(out_dir, "ensemble", fmt,
-                         lambda: {"schema": "ssrna-ensemble/1", **serialize.plain(stats)},
-                         lambda p: montecarlo.write_ensemble_csv(stats, p))
+    write = (_json(lambda: {"schema": "ssrna-ensemble/1", **serialize.plain(stats)}) if fmt == "json"
+             else lambda tmp: montecarlo.write_ensemble_csv(stats, tmp))
+    path = _write_output(out_dir, f"ensemble.{fmt}", write)
 
     print(f"analytic verdict (sufficient conditions met): {str(verdict.conditions_met).lower()}")
     print(f"replicates: {stats.n_replicates} included: {stats.n_included} "
@@ -406,9 +455,9 @@ def cmd_sweep(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str, f
         epsilon1_fraction=eps_fraction,
     )
 
-    path = _write_output(out_dir, "sweep", fmt,
-                         lambda: {"schema": "ssrna-sweep/1", "rows": serialize.plain(rows)},
-                         lambda p: montecarlo.write_sweep_csv(rows, p))
+    write = (_json(lambda: {"schema": "ssrna-sweep/1", "rows": serialize.plain(rows)}) if fmt == "json"
+             else lambda tmp: montecarlo.write_sweep_csv(rows, tmp))
+    path = _write_output(out_dir, f"sweep.{fmt}", write)
 
     for row in rows:
         print(f"omega1={serialize.fmt(row.omega1)} omega2={serialize.fmt(row.omega2)} "

@@ -21,11 +21,11 @@ import json
 import math
 import sys
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from typing import Any, BinaryIO, Optional
 
-__all__ = ["fmt", "write_csv", "dump", "loads", "plain", "Record", "FloatArray"]
+__all__ = ["fmt", "write_csv", "csv_rows", "dump", "loads", "plain", "Record", "FloatArray", "Blocks"]
 
 _FLOAT = "%.17g"
 _INDENT = "  "  # per level of a JSON document
@@ -144,25 +144,47 @@ def _stored(record: Any, name: str) -> Any:
 def write_csv(path, header: str, columns: Sequence[Any]) -> None:
     """Write a `header` line, then row i of the equal-length numeric columns.
 
-    Every value is written as fmt writes it.  The numbers are formatted by
-    the compiled library's '%.17g' formatter (_em.format_g17), a block of
-    _BLOCK_ROWS rows per call, about ten times faster than Python's % per
-    number.  A column is read a block at a time (see _em.doubles), so a
-    strided memoryview of a buffer is written without copying the column.
+    Every value is written as fmt writes it, by csv_rows, a block of
+    _BLOCK_ROWS rows per call.  A column is read a block at a time (see
+    _em.doubles), so a strided memoryview of a buffer is written without
+    copying the column.
     """
-    from . import _em
-
-    n, width = len(columns[0]), len(columns)
+    n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("the columns differ in length")
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            block = _em._zeros("d", width * (hi - lo))  # the rows lo..hi-1, one after another
-            for j, column in enumerate(columns):
-                block[j::width] = _em.doubles(column[lo:hi])
-            fh.write(_em.format_g17(block, width, b",", b"\n"))
+            fh.write(csv_rows([column[lo:lo + _BLOCK_ROWS] for column in columns]))
+
+
+def csv_rows(columns: Sequence[Any]) -> bytes:
+    """Row i of the equal-length numeric columns, for each i, as CSV lines of numbers written as fmt
+    writes them.
+
+    The numbers are formatted by the compiled library's '%.17g' formatter
+    (_em.format_g17) in one call, about ten times faster than Python's %
+    per number; the caller keeps the columns to a block of rows.
+    """
+    from . import _em
+
+    width = len(columns)
+    block = _em._zeros("d", width * len(columns[0]))  # the rows, one after another
+    for j, column in enumerate(columns):
+        block[j::width] = _em.doubles(column)
+    return _em.format_g17(block, width, b",", b"\n")
+
+
+class Blocks:
+    """A float column given as its blocks of numbers, one after another: `_write` writes it as one
+    JSON list, reading one block at a time.
+
+    blocks is an iterable of non-empty sequences of numbers, each of a kind
+    _em.doubles takes, such as an array('d') or a memoryview of float64.
+    """
+
+    def __init__(self, blocks: Iterable[Any]):
+        self.blocks = blocks
 
 
 def _float_column(obj: Any) -> bool:
@@ -209,10 +231,7 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
             _write(value, write, level + 1)
             write(b",\n" if i < len(obj) - 1 else b"\n")
         write(pad + b"}")
-    elif isinstance(obj, (list, tuple)) or _float_column(obj):
-        if len(obj) == 0:
-            write(b"[]")
-            return
+    elif isinstance(obj, (list, tuple, Blocks)) or _float_column(obj):
         # a float column's block of finite numbers has the bytes of the per-item loop below, which
         # the tests keep as the reference, in one call: a trajectory's columns are 10^5 numbers each.
         # A list, and a block with a non-finite number, which the formatter reports, take the loop.
@@ -220,11 +239,12 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
         column = not isinstance(obj, (list, tuple))  # else a float column, by the test above
         if column:
             from . import _em
-        write(b"[\n" + pad_in)
-        for lo in range(0, len(obj), _BLOCK_ROWS):
-            block = obj[lo:lo + _BLOCK_ROWS]
-            if lo:
-                write(sep)
+        blocks = obj.blocks if isinstance(obj, Blocks) else (
+            obj[lo:lo + _BLOCK_ROWS] for lo in range(0, len(obj), _BLOCK_ROWS))
+        empty = True
+        for block in blocks:
+            write(b"[\n" + pad_in if empty else sep)
+            empty = False
             numbers = _em.format_g17(block, len(block), sep, b"", finite=True) if column else None
             if numbers is not None:
                 write(numbers)
@@ -233,7 +253,7 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
                 if i:
                     write(sep)
                 _write(value, write, level + 1)
-        write(b"\n" + pad + b"]")
+        write(b"[]" if empty else b"\n" + pad + b"]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
@@ -243,8 +263,9 @@ def dump(obj: Any, fh: BinaryIO) -> None:
     floats as fmt writes them.
 
     A list is written item by item, and a float column (see _float_column) a
-    block of _BLOCK_ROWS numbers at a time, so writing holds one block's
-    text, whatever the document's size.
+    block of _BLOCK_ROWS numbers at a time, or a Blocks column a block at a
+    time as it comes, so writing holds one block's text, whatever the
+    document's size.
     """
     _write(obj, fh.write, 0)
     fh.write(b"\n")

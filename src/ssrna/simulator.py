@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable, Iterator
 from numbers import Integral
 from typing import NamedTuple, Optional
 
@@ -29,6 +30,9 @@ __all__ = [
     "brownian_increments",
     "integrate_ode",
     "integrate_sde",
+    "PathBlocks",
+    "ode_blocks",
+    "sde_blocks",
     "centralized_rhs",
     "write_trajectory_csv",
 ]
@@ -44,10 +48,10 @@ ANCHOR_RTOL = 1e-8
 # The compiled library counts steps in a signed 64-bit integer.
 MAX_STEPS = 2**63 - 1
 
-# A recorded path row: t, p and m as float64.  A path holds these 24 B per
-# recorded row and nothing else per row: its CSV and JSON writers read them a
-# block of serialize._BLOCK_ROWS (4096) rows at a time, and hold one block's
-# numbers and text.
+# A recorded path row: t, p and m as float64.  A path stepped as one block,
+# as integrate_ode and integrate_sde step it, holds these 24 B per recorded
+# row and nothing else per row.  `simulate` steps it a block of
+# serialize._BLOCK_ROWS (4096) rows at a time, and holds one block.
 _PATH_ROW_BYTES = 3 * 8
 
 
@@ -138,10 +142,12 @@ def _check_recorded_bytes(size: int) -> None:
     Runs before anything is sized from the step count, so a run that
     cannot fit is invalid input that states its size, not an OverflowError
     or MemoryError from inside an allocation.  size counts what the run
-    holds: a path's 24 B per recorded row (_PATH_ROW_BYTES), or an
-    ensemble's sums and slice buffers (_em.ensemble_bytes).  Writing adds a
-    constant, not a multiple of the rows: the writers format one block of
-    4096 rows at a time (serialize._BLOCK_ROWS).
+    holds: a whole path's 24 B per recorded row (_PATH_ROW_BYTES), for the
+    library's integrate_ode and integrate_sde, or an ensemble's sums and
+    slice buffers (_em.ensemble_bytes).  A path stepped a block at a time,
+    as `simulate` steps it, holds one block and is not checked.  Writing
+    adds a constant, not a multiple of the rows: the writers format one
+    block of 4096 rows at a time (serialize._BLOCK_ROWS).
     """
     if not hasattr(os, "sysconf"):
         return
@@ -263,40 +269,123 @@ def centralized_rhs(params: ModelParams, eq: Equilibrium, x: tuple[float, float]
     return _drift(_drift_coefficients(params, eq), x[0], x[1])
 
 
-def _path_recorder(cfg: SimConfig, K: float) -> _em.Recorder:
-    """The recorder of a path of cfg, once its recorded rows are known to fit.
+class PathBlocks:
+    """A path, stepped a block of recorded rows at a time as it is iterated.
+
+    Each iteration calls the path's compiled kernel once, which steps it
+    until its recorder holds a full block of rows or the path has ended,
+    and yields the recorder: columns() gives the block's t, p and m, and
+    the next iteration reuses its buffers.  So the path holds one block,
+    whatever its horizon.  exited_omega, lowest and final_state are those
+    of the rows stepped so far.  Raises IntegrationError, naming the
+    scheme's likely cause, once the state becomes non-finite.
+    """
+
+    def __init__(self, recorder: _em.Recorder, step: Callable[[_em.Recorder], None], scheme: Scheme, hint: str):
+        self.recorder, self.scheme = recorder, scheme
+        self._step, self._hint = step, hint
+
+    def __iter__(self) -> Iterator[_em.Recorder]:
+        path = self.recorder
+        while path.step < path.n:
+            self._step(path)
+            if path.failed >= 0:
+                t = path.failed * path.dt
+                raise IntegrationError(f"state became non-finite at t={t:.6g} ({self._hint})", t)
+            yield path
+
+    @property
+    def exited_omega(self) -> Optional[float]:
+        """The time of the first step whose state left the triangle (see Trajectory), or None."""
+        return None if self.recorder.exited < 0 else self.recorder.exited * self.recorder.dt
+
+    @property
+    def lowest(self) -> float:
+        """The smallest p or m recorded."""
+        return self.recorder.lowest
+
+    @property
+    def final_state(self) -> State:
+        """The last recorded row, which is the final step's once the path has ended."""
+        _, p, m = self.recorder.columns()
+        return State(p[-1], m[-1])
+
+    def trajectory(self) -> Trajectory:
+        """The whole path, stepped as one block: its recorder must hold every row."""
+        if self.recorder.block != _em.recorded_rows(self.recorder.n, self.recorder.stride):
+            raise ValueError("the recorder holds a block of the path's rows, not all of them")
+        for path in self:
+            pass
+        path = self.recorder
+        return Trajectory(path.times, path.states, self.exited_omega, self.scheme, path.lowest)
+
+
+def _path_recorder(cfg: SimConfig, K: float, rows: Optional[int]) -> _em.Recorder:
+    """The recorder of a path of cfg, for blocks of at most `rows` rows; with rows None, for
+    every row, once they are known to fit in memory.
 
     A state farther than OMEGA_EXIT_RTOL * K outside the phase-space
     triangle counts as having left it.
     """
     n = step_count(cfg)
-    _check_recorded_bytes(_em.recorded_rows(n, cfg.record_stride) * _PATH_ROW_BYTES)
+    if rows is None:
+        _check_recorded_bytes(_em.recorded_rows(n, cfg.record_stride) * _PATH_ROW_BYTES)
+    elif not (type(rows) is int and rows >= 1):
+        raise ParameterError(f"a block holds at least one row, got {brief(rows)}")
     tol = OMEGA_EXIT_RTOL * K
-    return _em.Recorder(n, cfg.record_stride, cfg.dt, -tol, K + tol)
+    return _em.Recorder(n, cfg.record_stride, cfg.dt, -tol, K + tol, rows)
 
 
-def _trajectory(path: _em.Recorder, scheme: Scheme, hint: str) -> Trajectory:
-    """The recorded path; IntegrationError, naming the hint, if its state became non-finite."""
-    if path.failed >= 0:
-        t = path.failed * path.dt
-        raise IntegrationError(f"state became non-finite at t={t:.6g} ({hint})", t)
-    exited = None if path.exited < 0 else path.exited * path.dt
-    return Trajectory(path.times, path.states, exited, scheme, path.lowest)
+def ode_blocks(params: ModelParams, cfg: SimConfig, rows: Optional[int] = None) -> PathBlocks:
+    """integrate_ode's path, stepped a block of at most `rows` recorded rows at a time (None: every row)."""
+    path = _path_recorder(cfg, params.K, rows)
+    rates = (params.r, params.alpha, params.delta, params.sigma, params.K)
+    p0, m0 = float(cfg.initial[0]), float(cfg.initial[1])
+    return PathBlocks(path, lambda recorder: _em.rk4(rates, p0, m0, recorder), Scheme.RK4, "step size too large?")
+
+
+def sde_blocks(
+    params: ModelParams,
+    noise: NoiseSpec,
+    anchor: Equilibrium,
+    cfg: SimConfig,
+    replicate: int = 0,
+    dW: Optional[numpy.ndarray] = None,
+    rows: Optional[int] = None,
+) -> PathBlocks:
+    """integrate_sde's path, stepped a block of at most `rows` recorded rows at a time (None: every row)."""
+    cell = _kernel_cell(params, anchor, noise, cfg.initial, math.inf)
+    # the stream keys 2 * replicate + coordinate are 64-bit words
+    if isinstance(replicate, bool) or not (isinstance(replicate, Integral) and 0 <= replicate < MAX_SEED // 2):
+        raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
+    path = _path_recorder(cfg, params.K, rows)
+    if dW is not None:
+        import numpy as np  # only a library caller imposes increments
+
+        try:
+            dW = np.asarray(dW, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows, or not numbers
+            raise ParameterError(f"dW must be numbers of shape ({path.n}, 2)") from None
+        if dW.shape != (path.n, 2):
+            raise ParameterError(f"dW must have shape ({path.n}, 2), got {dW.shape}")
+        if not np.isfinite(dW).all():  # None converts to NaN
+            raise ParameterError("dW must be finite numbers")
+        dW = _em.doubles(dW)
+    return PathBlocks(path, lambda recorder: _em.path(cell, cfg.seed, replicate, recorder, dW),
+                      Scheme.EULER_MARUYAMA, "noise or step too large?")
 
 
 def integrate_ode(params: ModelParams, cfg: SimConfig) -> Trajectory:
     """Classical fourth-order Runge-Kutta path of the deterministic model.
 
     The path is stepped and recorded in the compiled library (_em.c), with
-    model_core.field's arithmetic in its evaluation order, and holds only
-    its recorded rows.  The phase-space triangle is invariant for the exact
-    flow, so a recorded exit means the step size is too large for these
-    parameters.  Raises IntegrationError if the state becomes non-finite.
+    model_core.field's arithmetic in its evaluation order, as one block of
+    every recorded row (ode_blocks), and holds only those rows.  The
+    phase-space triangle is invariant for the exact flow, so a recorded
+    exit means the step size is too large for these parameters.  Raises
+    IntegrationError if the state becomes non-finite.
     """
-    path = _path_recorder(cfg, params.K)
-    rates = (params.r, params.alpha, params.delta, params.sigma, params.K)
-    _em.rk4(rates, float(cfg.initial[0]), float(cfg.initial[1]), path)
-    return _trajectory(path, Scheme.RK4, "step size too large?")
+    return ode_blocks(params, cfg).trajectory()
 
 
 def integrate_sde(
@@ -319,34 +408,17 @@ def integrate_sde(
     there, both drift and noise vanish to the last bit for any noise level.
     The path is stepped and recorded in one call of the compiled kernel's
     single-path entry point (_em.path), with the step and the normal draw of
-    its ensembles, and holds only its recorded rows.  Increments come from
-    the counter-based streams keyed (cfg.seed, replicate, coordinate), as
-    replicate `replicate` of an ensemble draws them; pass dW, finite numbers
-    of shape (n_steps, 2), to impose a specific realization instead.
+    its ensembles, as one block of every recorded row (sde_blocks), and
+    holds only those rows.  Increments come from the counter-based streams
+    keyed (cfg.seed, replicate, coordinate), as replicate `replicate` of an
+    ensemble draws them; pass dW, finite numbers of shape (n_steps, 2), to
+    impose a specific realization instead.
 
     Paths are not clamped to the phase-space triangle: noise can push them
     out (recorded via exited_omega) or below zero.  Raises IntegrationError
     when the state becomes non-finite.
     """
-    cell = _kernel_cell(params, anchor, noise, cfg.initial, math.inf)
-    # the stream keys 2 * replicate + coordinate are 64-bit words
-    if isinstance(replicate, bool) or not (isinstance(replicate, Integral) and 0 <= replicate < MAX_SEED // 2):
-        raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
-    path = _path_recorder(cfg, params.K)
-    if dW is not None:
-        import numpy as np  # only a library caller imposes increments
-
-        try:
-            dW = np.asarray(dW, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows, or not numbers
-            raise ParameterError(f"dW must be numbers of shape ({path.n}, 2)") from None
-        if dW.shape != (path.n, 2):
-            raise ParameterError(f"dW must have shape ({path.n}, 2), got {dW.shape}")
-        if not np.isfinite(dW).all():  # None converts to NaN
-            raise ParameterError("dW must be finite numbers")
-        dW = _em.doubles(dW)
-    _em.path(cell, cfg.seed, replicate, path, dW)
-    return _trajectory(path, Scheme.EULER_MARUYAMA, "noise or step too large?")
+    return sde_blocks(params, noise, anchor, cfg, replicate, dW).trajectory()
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ssrna import (
+    IntegrationError,
     NoiseSpec,
     SimConfig,
     State,
@@ -404,6 +405,111 @@ def test_simulate_blowup_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "t=" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# simulate steps a path a block of this many recorded rows at a time, and writes each block as it comes
+B = serialize._BLOCK_ROWS
+
+# a model whose RK4 path at dt 1.395 grows away from its coexistence point (0.25, 0.25): started 1e-13
+# away, it leaves the triangle at step 4318, and started at (0.5, 0.4), it overflows at step 5280
+UNSTABLE_RK4 = dict(r=2.0, alpha=1.0, delta=1.0, sigma=1.0, K=1.0)
+
+
+def streamed_and_whole(tmp_path, cfg, fmt):
+    """The trajectory file and stdout of `simulate` on cfg, and the file the library's writers make of the
+    whole Trajectory, with the stdout its fields give."""
+    out = tmp_path / f"out-{fmt}"
+    args = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out), "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(args) == 0
+    block = cfg["simulate"]
+    params = validate_params(**cfg["model"])
+    sim = SimConfig(dt=block["dt"], t_end=block["t_end"], initial=State(*block["initial"]),
+                    seed=block.get("seed", 0), record_stride=block.get("record_stride", 1))
+    if block["scheme"] == "rk4":
+        traj = simulator.integrate_ode(params, sim)
+    else:
+        traj = integrate_sde(params, NoiseSpec(**cfg["noise"]), positive_equilibrium(params), sim)
+    whole = tmp_path / f"whole.{fmt}"
+    if fmt == "csv":
+        simulator.write_trajectory_csv(traj, whole)
+    else:
+        times, p, m = traj.columns()
+        with open(whole, "wb") as fh:
+            serialize.dump({"schema": "ssrna-trajectory/1", "scheme": traj.scheme.value,
+                            "exited_omega": traj.exited_omega, "times": times, "p": p, "m": m}, fh)
+    exited = ("stayed inside phase-space triangle" if traj.exited_omega is None
+              else f"left phase-space triangle at t={serialize.fmt(traj.exited_omega)}")
+    expected = (f"scheme: {traj.scheme.value}\n"
+                f"final state: ({serialize.fmt(traj.final_state.p)}, {serialize.fmt(traj.final_state.m)})\n"
+                f"{exited}\nvisited negative populations: {str(traj.lowest < 0.0).lower()}\n"
+                f"trajectory written to {out / f'trajectory.{fmt}'}\n")
+    assert stdout.getvalue() == expected
+    assert [path.name for path in out.iterdir()] == [f"trajectory.{fmt}"]
+    return (out / f"trajectory.{fmt}").read_bytes(), whole.read_bytes(), traj
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("scheme", ["rk4", "euler-maruyama"])
+@pytest.mark.parametrize("rows, stride, steps", [
+    (B - 1, 1, B - 2), (B, 1, B - 1), (B + 1, 1, B), (2 * B + 1, 1, 2 * B),
+    # the last step is not a multiple of the stride, and is recorded all the same
+    (B + 1, 3, 3 * B - 1), (2 * B + 1, 7, 14 * B),
+], ids=["B-1", "B", "B+1", "2B+1", "B+1-stride-3", "2B+1-stride-7"])
+def test_streamed_path_equals_the_whole_trajectory_written(tmp_path, fmt, scheme, rows, stride, steps):
+    # steps short enough that the path has not settled on its anchor by its last row, so that every
+    # block's rows depend on those before
+    eq = positive_equilibrium(validate_params(**TUMV))
+    cfg = base_config(simulate=dict(scheme=scheme, anchor="positive", t_end=2**-7 * steps, dt=2**-7, seed=11,
+                                    initial=[1.01 * eq.p_star, 0.99 * eq.m_star], record_stride=stride))
+    cfg["noise"] = {"omega1": 0.3, "omega2": 0.3}
+    streamed, whole, traj = streamed_and_whole(tmp_path, cfg, fmt)
+    assert len(traj.times) == rows and traj.times[-1] == 2**-7 * steps
+    assert traj.final_state != eq.state
+    assert streamed == whole
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_path_that_leaves_the_triangle_in_its_second_block(tmp_path, fmt):
+    cfg = base_config(simulate=dict(scheme="rk4", t_end=1.395 * 6000, dt=1.395, initial=[0.25 * (1 + 1e-13), 0.25]))
+    cfg["model"] = UNSTABLE_RK4
+    streamed, whole, traj = streamed_and_whole(tmp_path, cfg, fmt)
+    assert B < round(traj.exited_omega / 1.395) < len(traj.times) == 6001
+    assert streamed == whole
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_path_that_fails_in_its_second_block_leaves_nothing(tmp_path, capsys, fmt):
+    cfg = base_config(simulate=dict(scheme="rk4", t_end=1.395 * 20000, dt=1.395, initial=[0.5, 0.4]))
+    cfg["model"] = UNSTABLE_RK4
+    config = write_config(tmp_path, cfg)
+    with pytest.raises(IntegrationError) as err:
+        simulator.integrate_ode(validate_params(**UNSTABLE_RK4), SimConfig(dt=1.395, t_end=1.395 * 20000,
+                                                                            initial=State(0.5, 0.4)))
+    assert B < round(err.value.t / 1.395) < 2 * B  # in the second block
+    # the run makes out/nested, and removes both once the path fails
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out" / "nested"), "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {err.value} (t={serialize.fmt(err.value.t)})\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_failed_side_file_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the JSON writer's side files, opened to be written and read back, hit a full disk
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return FullDisk(fh, 1000) if "x" in mode else fh
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    cfg = base_config(simulate=dict(scheme="euler-maruyama", anchor="positive", t_end=2000.0, dt=0.5,
+                                    initial={"displace_fraction": 0.01}, seed=3))
+    cfg["noise"] = {"omega1": 0.05, "omega2": 0.05}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out), "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {str(out / 'trajectory.json')!r}: [Errno 28] No space left on device\n"
+    assert list(out.iterdir()) == []
 
 
 # sha256 of small TuMV trajectories as written before the writers formatted
@@ -669,30 +775,42 @@ sys.exit(status)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak from /proc")
-def test_long_json_path_runs_in_little_more_than_its_recorded_rows(tmp_path):
-    # a path holds its recorded rows, 24 B each, and the JSON writer one block of numbers.  A
-    # writer that built the whole document first needed about 240 B a row: 120 MB more here,
-    # far beyond the limit's 8 MB of room, so it raised MemoryError from within
+def test_long_path_runs_in_the_memory_of_a_short_one(tmp_path):
+    # simulate holds one block of rows, and writes each as it comes, so a path of 500001 rows
+    # runs in the memory of one of 101, plus a constant: the block's buffers take under 1 MB.
+    # A path that held its rows took 24 B a row, 12 MB more here
     rows = 500001
     cfg = base_config(simulate=dict(scheme="euler-maruyama", anchor="positive", t_end=250000.0, dt=0.5,
                                     initial={"displace_fraction": 0.01}, seed=3))
     cfg["noise"] = {"omega1": 0.05, "omega2": 0.05}
     _em.library()  # built and cached before the runs
 
-    def run(limit, out, t_end=cfg["simulate"]["t_end"]):
-        config = write_config(tmp_path, dict(cfg, simulate=dict(cfg["simulate"], t_end=t_end)), f"{out}.json")
-        args = ["simulate", "--config", config, "--out", str(tmp_path / out), "--format", "json"]
+    def run(limit, out, cfg, command, *args):
+        config = write_config(tmp_path, cfg, f"{out}.json")
+        args = [command, "--config", config, "--out", str(tmp_path / out), *args]
         return subprocess.run([sys.executable, "-c", LIMITED_RUN, str(limit), *args], capture_output=True, text=True)
 
-    short = run(0, "short", t_end=50.0)
-    assert short.returncode == 0
-    base = int(short.stdout.splitlines()[-1]) * 1024
-    limited = run(base + 24 * rows + 8 * 2**20, "limited")
-    assert (limited.returncode, limited.stderr) == (0, "")
-    document = json.loads((tmp_path / "limited" / "trajectory.json").read_bytes())
-    assert len(document["times"]) == len(document["p"]) == len(document["m"]) == rows
-    # without room for the recorded rows: a one-line error, exit 2, and no output
-    starved = run(base + 8 * rows, "starved")
+    short = dict(cfg, simulate=dict(cfg["simulate"], t_end=50.0))
+    for fmt in ("csv", "json"):
+        base = run(0, f"short-{fmt}", short, "simulate", "--format", fmt)
+        assert base.returncode == 0
+        limited = run(int(base.stdout.splitlines()[-1]) * 1024 + 4 * 2**20, f"long-{fmt}", cfg, "simulate",
+                      "--format", fmt)
+        assert (limited.returncode, limited.stderr) == (0, "")
+        written = (tmp_path / f"long-{fmt}" / f"trajectory.{fmt}").read_bytes()
+        if fmt == "json":
+            document = json.loads(written)
+            assert len(document["times"]) == len(document["p"]) == len(document["m"]) == rows
+        else:
+            assert written.count(b"\n") == 1 + rows
+
+    # an ensemble still holds its recorded rows: without room for them, a one-line error, exit 2,
+    # and no output.  One replicate, so no worker is forked
+    ensemble = ensemble_config(replicates=1, sim={"dt": 0.5, "t_end": 50.0, "initial": {"displace_fraction": 0.01}})
+    base = run(0, "short-ensemble", ensemble, "ensemble")
+    assert base.returncode == 0
+    ensemble["ensemble"]["sim"]["t_end"] = 250000.0
+    starved = run(int(base.stdout.splitlines()[-1]) * 1024 + 8 * rows, "starved", ensemble, "ensemble")
     assert starved.returncode == 2 and starved.stderr.startswith("error: out of memory")
     assert starved.stderr.count("\n") == 1 and "Traceback" not in starved.stderr
     assert not (tmp_path / "starved").exists()

@@ -1,5 +1,6 @@
 """The compiled library: its Philox streams, its draws, its build and its cache."""
 
+import ctypes
 import json
 import math
 import platform
@@ -51,6 +52,10 @@ def test_stream_size_is_what_the_memory_check_counts():
 
 def test_slice_size_is_the_kernels_block():
     assert _em.library().em_block() == _em.BLOCK
+
+
+def test_recorder_has_the_kernels_layout():
+    assert _em.library().em_recorder_bytes() == ctypes.sizeof(_em.Recorder)
 
 
 def buffer_bytes(obj) -> int:

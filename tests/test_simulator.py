@@ -209,6 +209,50 @@ def test_blowup_raises_with_time(scheme):
     assert err.value.t > 0
 
 
+def stepped_in_blocks(scheme, params, noise, cfg, rows):
+    """The path of cfg, replicate 6 about the origin for Euler-Maruyama, as (times, states, exited_omega,
+    lowest, final_state), or the message and time of its IntegrationError: with rows None, as integrate_ode
+    or integrate_sde gives it; else stepped in blocks of at most `rows` rows (ode_blocks or sde_blocks)."""
+    try:
+        if rows is None:
+            traj = (integrate_ode(params, cfg) if scheme is Scheme.RK4
+                    else integrate_sde(params, noise, origin_equilibrium(), cfg, replicate=6))
+            return traj.times.tolist(), traj.states.tolist(), traj.exited_omega, traj.lowest, traj.final_state
+        blocks = (simulator.ode_blocks(params, cfg, rows) if scheme is Scheme.RK4
+                  else simulator.sde_blocks(params, noise, origin_equilibrium(), cfg, replicate=6, rows=rows))
+        times, states = [], []
+        for path in blocks:
+            t, p, m = path.columns()
+            assert 1 <= len(t) <= rows
+            times += t.tolist()
+            states += [[pi, mi] for pi, mi in zip(p.tolist(), m.tolist())]
+        return times, states, blocks.exited_omega, blocks.lowest, blocks.final_state
+    except IntegrationError as exc:
+        return str(exc), exc.t
+
+
+@both_schemes
+@pytest.mark.parametrize("stride", [1, 3])  # 3 divides neither the 61 steps nor those of the exits
+@pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
+def test_blocks_of_any_size_make_the_whole_path(scheme, stride, noise):
+    # RK4 at dt 1.5 leaves the triangle at t = 3, and at dt 2.0 overflows at t = 8 (it ignores the noise);
+    # the noisy paths leave it at step 6, or overflow at step 21
+    if scheme is Scheme.RK4:
+        p = validate_params(r=2, alpha=1, delta=1, sigma=1, K=1)
+        dt = 1.5 if noise.omega1 < 1.0 else 2.0
+        cfg = SimConfig(dt=dt, t_end=dt * 61, initial=State(0.5, 0.4), record_stride=stride)
+    else:
+        p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+        cfg = SimConfig(dt=0.25, t_end=0.25 * 61, initial=State(300.0, 300.0), seed=4242, record_stride=stride)
+    whole = stepped_in_blocks(scheme, p, noise, cfg, None)
+    if noise.omega1 > 1.0:
+        assert len(whole) == 2  # the message and the time
+    else:
+        assert whole[2] is not None and len(whole[0]) == len(recorded_steps(61, stride))
+    for rows in (1, 2, 5, 21, 22, 23, 10**6):
+        assert stepped_in_blocks(scheme, p, noise, cfg, rows) == whole
+
+
 # ---------------------------------------------------------------------------
 # the compiled paths against the Python loops they replaced
 
