@@ -275,8 +275,8 @@ typedef struct {
     int64_t stride;   /* steps 0, stride, 2 stride, ... (stride <= n) and n are recorded */
     double dt;
     double low, high; /* the state left the triangle when p or m < low, or p + m > high */
-    double *times;    /* block x 1: step * dt */
-    double *states;   /* block x 2: p, m */
+    double *times;    /* block: step * dt */
+    double *p, *m;    /* block each */
     int64_t block;    /* rows the buffers hold */
     int64_t step;     /* steps taken, -1 before the start */
     int64_t rows;     /* rows written by the last call */
@@ -303,8 +303,8 @@ static int path_record(path_t *r, int64_t s, double p, double m)
     if (s != r->due)
         return 1;
     r->times[r->rows] = (double)s * r->dt;
-    r->states[2 * r->rows] = p;
-    r->states[2 * r->rows + 1] = m;
+    r->p[r->rows] = p;
+    r->m[r->rows] = m;
     r->rows++;
     r->lowest = fmin(r->lowest, fmin(p, m));
     r->due = r->n - s <= r->stride ? r->n : s + r->stride;

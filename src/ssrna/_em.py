@@ -198,8 +198,8 @@ def doubles(values) -> array:
     """values as a float64 array('d'), in C order.
 
     An array('d') is returned as it is, a numpy array or a memoryview of
-    float64 (such as a strided column of an array('d')) is copied through
-    its bytes, and anything else is converted number by number.
+    float64 (such as a Recorder's column) is copied through its bytes, and
+    anything else is converted number by number.
     """
     if isinstance(values, array) and values.typecode == "d":
         return values
@@ -224,29 +224,27 @@ class Recorder(ctypes.Structure):
     and returns once the block is full or the path has ended (step == n),
     and the next call resumes from where it stopped.  block defaults to
     every recorded row, so that one call steps the whole path.  The rows
-    are held in times (step * dt) and states (p and m of each row in turn),
-    both array('d') buffers of block rows.  exited is the first step whose
+    are held as their columns times (step * dt), p and m, each an
+    array('d') buffer of block numbers.  exited is the first step whose
     state had p or m below low, or p + m above high, and failed the step
     whose state was not finite, where the path stopped; each is -1 when
     there is none.  lowest is the smallest p or m recorded.
     """
 
-    _fields_ = [("n", _I), ("stride", _I), ("dt", _D), ("low", _D), ("high", _D), ("_times", _P),
-                ("_states", _P), ("block", _I), ("step", _I), ("rows", _I), ("exited", _I), ("failed", _I),
+    _fields_ = [("n", _I), ("stride", _I), ("dt", _D), ("low", _D), ("high", _D), ("_times", _P), ("_p", _P),
+                ("_m", _P), ("block", _I), ("step", _I), ("rows", _I), ("exited", _I), ("failed", _I),
                 ("lowest", _D), ("_due", _I), ("_x1", _D), ("_x2", _D),
                 ("_streams", ctypes.c_uint64 * (2 * _STREAM_WORDS))]
 
     def __init__(self, n: int, stride: int, dt: float, low: float, high: float, block: Optional[int] = None):
         rows = recorded_rows(n, stride)
         block = rows if block is None else min(block, rows)
-        self.times = _zeros("d", block)
-        self.states = _zeros("d", 2 * block)
-        super().__init__(n, min(stride, n), dt, low, high, _address(self.times), _address(self.states), block, -1)
+        self.times, self.p, self.m = (_zeros("d", block) for _ in range(3))
+        super().__init__(n, min(stride, n), dt, low, high, *map(_address, (self.times, self.p, self.m)), block, -1)
 
     def columns(self) -> tuple[memoryview, memoryview, memoryview]:
-        """t, p and m of the rows of the last call, as memoryviews of times and states."""
-        states = memoryview(self.states)[:2 * self.rows]
-        return memoryview(self.times)[:self.rows], states[0::2], states[1::2]
+        """t, p and m of the rows of the last call, as memoryviews of times, p and m."""
+        return tuple(memoryview(column)[:self.rows] for column in (self.times, self.p, self.m))
 
 
 def rk4(rates: tuple[float, float, float, float, float], p: float, m: float, path: Recorder) -> None:

@@ -3,7 +3,8 @@
 Configuration is a single JSON file with a versioned `schema` field and
 exactly one command block; outputs are CSV/JSON files whose numbers carry
 17 significant digits, so identical (config, seed) runs produce identical
-bytes.  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+bytes.  Exit codes: 0 success, 2 invalid input, 3 numerical failure; the
+`ssrna` script stopped by SIGTERM exits 143 and leaves no partial output.
 
 Reading a config loads only serialize, model_core and errors; each command
 imports the modules it runs.  So `analyze` loads neither the integrators nor
@@ -373,7 +374,7 @@ def _write_trajectory(blocks: PathBlocks, fmt: str, tmp: str) -> None:
     with _side_file(f"{tmp}.t") as t, _side_file(f"{tmp}.p") as p, _side_file(f"{tmp}.m") as m:
         for path in blocks:
             for side, column in zip((t, p, m), path.columns()):
-                side.write(column.tobytes())
+                side.write(column)
         columns = [serialize.Blocks(_numbers(side)) for side in (t, p, m)]
         with open(tmp, "wb") as fh:
             serialize.dump({"schema": "ssrna-trajectory/1", "scheme": blocks.scheme.value,
@@ -434,7 +435,7 @@ def cmd_ensemble(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
           f"negative: {stats.n_negative} nonfinite: {stats.n_nonfinite}")
     msd = serialize._stored(stats, "mean_sq_dev")
     print(f"mean_sq_dev: initial {serialize.fmt(msd[0])} final {serialize.fmt(msd[-1])}")
-    if stats.n_included >= 30:
+    if stats.n_included >= montecarlo.MIN_INTERVAL_REPLICATES:
         est, (lo, hi) = montecarlo.estimate_stability_in_probability(stats)
         print(f"exceed fraction: {serialize.fmt(est)} (Wilson 95%: {serialize.fmt(lo)}..{serialize.fmt(hi)})")
     else:
@@ -524,6 +525,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def main_entry() -> None:
+    import signal  # a SIGTERM becomes an exit (143), which removes a partial output as a failed write does
+
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
 
 

@@ -256,16 +256,19 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+# Included replicates below which an ensemble's interval estimate is too unreliable to report.
+MIN_INTERVAL_REPLICATES = 30
+
+
 def estimate_stability_in_probability(stats: EnsembleStats) -> tuple[float, tuple[float, float]]:
     """Point estimate and Wilson 95% interval for P{sup |x(t)| > epsilon1}.
 
-    Requires at least 30 included replicates; below that the interval is
-    too unreliable to report.
+    Requires at least MIN_INTERVAL_REPLICATES included replicates; below
+    that the interval is too unreliable to report.
     """
-    if stats.n_included < 30:
-        raise ParameterError(
-            f"need at least 30 included replicates for an interval estimate, have {stats.n_included}"
-        )
+    if stats.n_included < MIN_INTERVAL_REPLICATES:
+        raise ParameterError(f"need at least {MIN_INTERVAL_REPLICATES} included replicates for an interval "
+                             f"estimate, have {stats.n_included}")
     return stats.exceed_fraction, wilson_interval(stats.n_exceed, stats.n_included)
 
 
@@ -308,9 +311,8 @@ def _grid_axes(grid, fields: tuple[str, ...], name: str) -> list[tuple[str, list
             raise ParameterError(f"{name}.{key} is empty: a grid axis needs at least one value")
         if any(type(v) is int and abs(v) > sys.float_info.max for v in values):  # JSON ints have no bound
             raise ParameterError(f"{name}.{key} holds an integer beyond floating-point range")
-    # numpy and other reals become floats; ints are kept, as JSON gives them
-    return [(key, [v if type(v) is int else float(v) for v in grid[key]])
-            for key in fields if key in grid]
+    # every value as the float its cell runs with, so a row holds what ran
+    return [(key, [float(v) for v in grid[key]]) for key in fields if key in grid]
 
 
 def sweep(

@@ -5,9 +5,9 @@ output file byte-comparable across runs and safe to parse back.  A record
 (a subclass of Record) has one JSON form, built by `plain`: an object whose
 keys are its field names in declaration order.
 
-A record's numeric arrays are FloatArray fields: the writers take the
-array('d') they hold, so writing a record never imports numpy.  `plain`
-writes a field of several columns as a list of rows.
+A record's numeric arrays are FloatArray fields, one column each: the
+writers take the array('d') they hold, so writing a record never imports
+numpy.
 
 The compiled library's module (_em, and with it ctypes) is imported only
 where numbers are formatted or stored in bulk: by write_csv, by a float
@@ -47,18 +47,14 @@ def is_ndarray(obj) -> bool:
 
 
 class FloatArray:
-    """A record field of float64 numbers, read as a float64 numpy array.
+    """A record field of a column of float64 numbers, read as a 1-D float64 numpy array.
 
-    The field holds an array('d') of its numbers in C order: the one it is
-    given, or a copy of any other sequence of numbers or numpy array (see
-    _em.doubles), or of a list of rows of `columns` numbers.  Each read
-    returns a numpy array on that memory, of `columns` columns if more than
-    one, and imports numpy.  The writers and `plain` take the array('d')
-    itself (_stored), so writing a record never imports numpy.
+    The field holds an array('d') of its numbers: the one it is given, or a
+    copy of any other sequence of numbers or numpy array (see _em.doubles).
+    Each read returns a numpy array on that memory, and imports numpy.  The
+    writers and `plain` take the array('d') itself (_stored), so writing a
+    record never imports numpy.
     """
-
-    def __init__(self, columns: int = 1):
-        self.columns = columns
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -68,12 +64,9 @@ class FloatArray:
             raise AttributeError(self.name)  # a field of a record, not of its class
         import numpy as np
 
-        values = np.frombuffer(obj.__dict__[self.name], dtype=np.float64)
-        return values if self.columns == 1 else values.reshape(-1, self.columns)
+        return np.frombuffer(obj.__dict__[self.name], dtype=np.float64)
 
     def __set__(self, obj: Any, value: Any) -> None:
-        if self.columns > 1 and isinstance(value, list) and value and isinstance(value[0], list):
-            value = [x for row in value for x in row]  # rows, as plain gives them
         from . import _em
 
         obj.__dict__[self.name] = _em.doubles(value)
@@ -146,8 +139,7 @@ def write_csv(path, header: str, columns: Sequence[Any]) -> None:
 
     Every value is written as fmt writes it, by csv_rows, a block of
     _BLOCK_ROWS rows per call.  A column is read a block at a time (see
-    _em.doubles), so a strided memoryview of a buffer is written without
-    copying the column.
+    _em.doubles), so a column is written without copying it whole.
     """
     n = len(columns[0])
     if any(len(c) != n for c in columns):
@@ -280,7 +272,7 @@ def plain(obj: Any) -> Any:
     tuples, lists and numpy arrays as lists; other values, such as the
     array('d') of a FloatArray field, pass through."""
     if isinstance(obj, Record):
-        return {name: _plain_field(obj, name) for name in obj._fields}
+        return {name: plain(_stored(obj, name)) for name in obj._fields}
     if isinstance(obj, Enum):
         return obj.value
     if is_ndarray(obj):
@@ -288,12 +280,3 @@ def plain(obj: Any) -> Any:
     if isinstance(obj, (tuple, list)):
         return [plain(v) for v in obj]
     return obj
-
-
-def _plain_field(obj: Any, name: str) -> Any:
-    """A record's field in its plain form: a FloatArray field of several columns as a list of rows."""
-    value, column = _stored(obj, name), vars(type(obj)).get(name)
-    if not (isinstance(column, FloatArray) and column.columns > 1):
-        return plain(value)
-    return [value[i:i + column.columns].tolist() for i in range(0, len(value), column.columns)]
-

@@ -95,31 +95,36 @@ class Trajectory(Record):
     left the triangle {p, m >= 0, p + m <= K} by more than the round-off
     allowance (OMEGA_EXIT_RTOL * K); expected to stay None for
     deterministic runs (step size permitting), while noisy paths may
-    legitimately leave.  times (n,) and states (n, 2), rows of (p, m), are
-    float64 numpy arrays (FloatArray fields).  lowest is the smallest p or m
-    in states, as the integrators report it; None when not given.
+    legitimately leave.  times, p and m are the path's (n,) float64 columns
+    (FloatArray fields), and states their (n, 2) rows, built on read.
+    lowest is the smallest p or m as the integrators report it, else None.
     """
 
     times: FloatArray = FloatArray()
-    states: FloatArray = FloatArray(columns=2)
+    p: FloatArray = FloatArray()
+    m: FloatArray = FloatArray()
     exited_omega: Optional[float]
     scheme: Scheme
     lowest: Optional[float] = None
 
     @property
+    def states(self) -> numpy.ndarray:
+        import numpy as np
+
+        return np.column_stack((self.p, self.m))
+
+    @property
     def final_state(self) -> State:
-        states = _stored(self, "states")
-        return State(states[-2], states[-1])
+        return State(_stored(self, "p")[-1], _stored(self, "m")[-1])
 
     def columns(self) -> tuple:
-        """t, p and m, as the writers read them: times, and p and m as strided memoryviews of states."""
-        states = memoryview(_stored(self, "states"))  # p and m of each row in turn
-        return _stored(self, "times"), states[0::2], states[1::2]
+        """t, p and m, as the writers read them: the array('d') of each."""
+        return tuple(_stored(self, name) for name in ("times", "p", "m"))
 
     def deviations_sq(self, anchor: Equilibrium) -> numpy.ndarray:
         """Squared Euclidean deviation from an anchor at each sample."""
-        dp = self.states[:, 0] - anchor.p_star
-        dm = self.states[:, 1] - anchor.m_star
+        dp = self.p - anchor.p_star
+        dm = self.m - anchor.m_star
         return dp * dp + dm * dm
 
 
@@ -317,7 +322,7 @@ class PathBlocks:
         for path in self:
             pass
         path = self.recorder
-        return Trajectory(path.times, path.states, self.exited_omega, self.scheme, path.lowest)
+        return Trajectory(path.times, path.p, path.m, self.exited_omega, self.scheme, path.lowest)
 
 
 def _path_recorder(cfg: SimConfig, K: float, rows: Optional[int]) -> _em.Recorder:

@@ -7,9 +7,11 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
@@ -722,7 +724,7 @@ def test_sweep_json_format(tmp_path):
 # sampler (numpy 2.4.6) like GOLDEN_TRAJECTORIES
 GOLDEN_SWEEPS = [
     ("csv", "b20f8b18636398091ba17b4a8d8e89c7cd1479d962648f6275dd6cf1d700e342"),
-    ("json", "e8b1bd5a743c8475938208cab63123d459fa2a8846c8aca449fa523ff5518f62"),
+    ("json", "be56f5e724417dd742a8b26ce9d27d15d61d5b6fe23440465996cb2ec594fe45"),
 ]
 
 
@@ -733,11 +735,21 @@ def test_sweep_output_bytes_are_pinned(tmp_path, fmt, digest):
     out = tmp_path / "out"
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out), "--format", fmt]) == 0
     written = (out / f"sweep.{fmt}").read_bytes()
-    if fmt == "csv":  # a float column is written as a float, even where the grid gave an int
+    if fmt == "csv":  # each grid value is written as the float its cell ran with, an int's too
         rows = [line.split(b",") for line in written.splitlines()[1:]]
         assert [row[4] for row in rows] == ([b"46940000"] * 3 + [b"1e+17"] * 3) * 2
         assert [row[8] for row in rows] == [b"true", b"false", b"error"] * 2 + [b"nonexistent"] * 6
     assert hashlib.sha256(written).hexdigest() == digest
+
+
+def test_sweep_rows_hold_the_float_each_cell_ran_with(tmp_path):
+    # 2**53 + 1 has no float: the cell runs with K = 2**53, and both files say so
+    cfg = write_config(tmp_path, sweep_config(model_grid={"K": [2**53 + 1]}, noise_grid={"omega1": [0.05]}))
+    for fmt in ("csv", "json"):
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+    csv_rows = (tmp_path / "csv" / "sweep.csv").read_bytes().splitlines()
+    assert [row.split(b",")[4] for row in csv_rows[1:]] == [b"9007199254740992"]
+    assert b'"K": 9007199254740992,' in (tmp_path / "json" / "sweep.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +901,27 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0
     assert "R0" in proc.stdout
     assert (out / "analysis.json").exists()
+
+
+def test_sigterm_removes_the_partial_output(tmp_path):
+    # a path too long to end, 4M steps a block, is stopped while it is written: the script exits 143
+    # with no traceback, and removes its temporary file and the directories it made
+    cfg = write_config(tmp_path, simulate_config(t_end=1e12, dt=0.5, record_stride=1000))
+    out = tmp_path / "out" / "nested"
+    proc = subprocess.Popen([sys.executable, "-m", "ssrna.cli", "simulate", "--config", cfg, "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.is_dir() and any(out.iterdir())) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [path.name for path in out.iterdir()] == [f"trajectory.csv.{proc.pid}.tmp"]
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (143, "")
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 # the configs of every command, small, for the runs without numpy

@@ -51,8 +51,8 @@ def test_dumps_float_lists_match_the_per_item_path(items):
 @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL))))
 def test_dumps_float_columns_match_the_per_item_path(items):
     # a float column goes to the compiled formatter unchecked, which reports a non-finite number;
-    # a list is written item by item, the reference.  A strided memoryview is a column of an
-    # interleaved buffer, as a trajectory's p and m are
+    # a list is written item by item, the reference.  A strided memoryview, a column of an
+    # interleaved buffer, is a float column too
     reference = dumps({"column": items})
     interleaved = array("d", [x for item in items for x in (item, 0.5)])
     for rows in BLOCK_ROWS:
@@ -77,7 +77,7 @@ columns3 = st.integers(1, 30).flatmap(
 @given(columns3)
 def test_csv_writers_match_a_per_number_fmt_reference(columns):
     t, a, b = (np.asarray(c, dtype=float) for c in columns)
-    traj = Trajectory(t, np.column_stack((a, b)), None, Scheme.EULER_MARUYAMA)
+    traj = Trajectory(t, a, b, None, Scheme.EULER_MARUYAMA)
     stats = EnsembleStats(times=t, mean_sq_dev=a, exceed_fraction_cum=b, exceed_fraction=0.0,
                           n_replicates=1, n_included=1, n_exceed=0, n_negative=0, n_nonfinite=0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,7 +148,7 @@ def records(params):
 
 
 def test_records_round_trip_through_json(tumv):
-    # each record is read back bit for bit, a 2-column field from rows of [p, m]
+    # each record is read back bit for bit, each float column from its list
     for obj in records(tumv):
         back = record(type(obj), loads(dumps(serialize.plain(obj))))
         for name in vars(obj):
@@ -157,8 +157,9 @@ def test_records_round_trip_through_json(tumv):
                 assert (read.typecode, read.tobytes()) == ("d", value.tobytes()), name
             else:
                 assert (type(read), read) == (type(value), value), name
-        if isinstance(obj, Trajectory):
-            assert serialize.plain(obj)["states"] == obj.states.tolist()
+        if isinstance(obj, Trajectory):  # the columns of the (p, m) rows, as trajectory.json lists them
+            doc = serialize.plain(obj)
+            assert [list(row) for row in zip(doc["p"], doc["m"])] == obj.states.tolist()
 
 
 def json_lists(obj):

@@ -23,7 +23,7 @@ from ssrna import (
     validate_params,
     vector_field,
 )
-from ssrna import _em, simulator
+from ssrna import _em, serialize, simulator
 from ssrna.model_core import field
 from ssrna.simulator import recorded_steps, step_count, write_trajectory_csv
 
@@ -185,6 +185,20 @@ def test_stride_that_does_not_divide_records_final_step(scheme, tumv):
     traj = integrate(scheme, tumv, cfg)
     assert np.array_equal(traj.times, np.asarray(recorded_steps(n, cfg.record_stride)) * cfg.dt)
     assert traj.states.shape == (len(traj.times), 2)
+
+
+@both_schemes
+def test_trajectory_holds_a_path_as_its_columns(scheme, tumv):
+    # t, p and m are the record's fields, as trajectory.json lists them; states are their rows, built on read
+    cfg = SimConfig(dt=0.5, t_end=30.0, initial=State(1e6, 2e6), seed=3, record_stride=4)
+    traj = integrate(scheme, tumv, cfg)
+    assert traj._fields == ("times", "p", "m", "exited_omega", "scheme", "lowest")
+    assert np.array_equal(traj.states, np.column_stack((traj.p, traj.m)))
+    assert traj.states.flags.c_contiguous and traj.states.shape == (len(traj.times), 2)
+    assert traj.final_state == State(traj.p[-1], traj.m[-1])
+    assert traj.columns() == tuple(serialize._stored(traj, name) for name in ("times", "p", "m"))
+    doc = serialize.plain(traj)
+    assert [doc[name] for name in ("times", "p", "m")] == list(traj.columns())
 
 
 def test_lowest_is_the_smallest_recorded_population():
