@@ -34,16 +34,19 @@
  * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
  * single path into its recorder, a block of rows per call, as rk4_path does,
  * and the recorder carries what the next call resumes from.  em_run steps an
- * ensemble one slice of at most BLOCK replicates at a time, in lockstep, into
- * a slice buffer, which keeps of each replicate only its deviations and its
- * outputs.  Its slice step is written once (EM_SLICE) for GCC vectors and
- * built twice: eight replicates per AVX-512 register where the CPU has
- * AVX-512F, chosen with the refill when the library loads (slice_step_x8),
- * else two, the width of an SSE2 or NEON register (slice_step_x2).  The
- * buffer has `stride` columns per cell, a multiple of 8 up to BLOCK, so that a
- * slice of few replicates holds few columns.  em_fold then adds the slice's
- * finite replicates into the ensemble's running sums in index order, several
- * rows at a time, so the sums are those of one pass over every replicate.
+ * ensemble one slice of at most BLOCK replicates at a time, in lockstep, and
+ * also a block of recorded rows per call: the slice (slice_t) carries each
+ * replicate's deviations, flags and streams from one call to the next, and a
+ * buffer of one block of rows of |x|^2.  Its slice step is written once
+ * (EM_SLICE) for GCC vectors and built twice: eight replicates per AVX-512
+ * register where the CPU has AVX-512F, chosen with the refill when the library
+ * loads (slice_step_x8), else two, the width of an SSE2 or NEON register
+ * (slice_step_x2).  The slice has `stride` columns per cell, a multiple of 8
+ * up to BLOCK, so that a slice of few replicates holds few columns.  em_fold
+ * then adds the block's replicates that are still finite into the ensemble's
+ * running sums in index order, several rows at a time, so the sums are those
+ * of one pass over every replicate once no replicate that a fold counted
+ * turns non-finite later (slice_t's late).
  */
 
 #include <math.h>
@@ -382,13 +385,45 @@ void rk4_path(const double *model, double p, double m, path_t *path)
 
 EM_STEP(em_step, double)
 
-/* The deviations of row r (X1 or X2) of cell c, in the state of em_run's arguments. */
+/* A slice of an ensemble's replicates, _em.Slice, which em_run steps a block of recorded rows at a
+ * time, in lockstep: replicates first..first+n-1 of every cell, in `stride` columns per cell, a
+ * multiple of 8, at least n and at most BLOCK.  The slice carries all that the next call resumes
+ * from: the deviations, the flags, the step, the next row and the streams.  The caller sets the
+ * fields up to n, the nonfinite flags, and step, which it sets to -1: the next call starts the
+ * replicates from step 0. */
+typedef struct {
+    const double *cells;   /* ncells x CELL_WORDS constants */
+    int64_t ncells;
+    int64_t stride;
+    double dt;
+    const int64_t *rec;    /* the nrec recorded steps, ascending from 0 */
+    int64_t nrec;
+    int64_t block;         /* rows sq holds */
+    double *state;         /* STATE_ROWS x ncells x stride: the deviations */
+    double *sq;            /* block x ncells x stride: |x|^2 of the rows of the last call */
+    int64_t *first_exceed; /* ncells x stride each, as sq's columns */
+    uint8_t *nonfinite;
+    uint8_t *negative;
+    stream_t *st;          /* 2 x stride: replicate first + j draws from st[2j] and st[2j + 1] */
+    uint64_t seed;
+    int64_t first;
+    int64_t n;
+    int64_t step;          /* steps taken, -1 before the start */
+    int64_t next;          /* the row the next step writes */
+    int64_t rows;          /* rows written by the last call: rows next - rows .. next - 1 */
+    int64_t late;          /* replicates that became non-finite in a call after the first */
+} slice_t;
+
+int64_t em_slice_bytes(void) { return sizeof(slice_t); }
+
+/* The deviations of row r (X1 or X2) of cell c, in the state of em_run's slice. */
 #define ROW(r, c) (state + ((r) * ncells + (c)) * stride)
 
 _Static_assert(BLOCK % 8 == 0, "a slice's columns hold its replicates in whole groups of 8");
 
 /* One step of em_run: replicates 0..width-1 of every cell on the increments d1 and d2, their |x|^2
- * written to row `next`.  Written once for F, a GCC vector of doubles, whose lanes are stepped by
+ * written to sq_row, the block's row of recorded row `next`.
+ * Written once for F, a GCC vector of doubles, whose lanes are stepped by
  * step, EM_STEP for F, and loaded and stored a group at a time: width is a multiple of the lanes.  A
  * comparison gives -1 in the lanes where it holds, else 0.  p* + x1 < 0 is tested as x1 < -p*,
  * without an addition: a sum of two doubles rounds to zero only where it is zero, and otherwise
@@ -398,7 +433,7 @@ _Static_assert(BLOCK % 8 == 0, "a slice's columns hold its replicates in whole g
  * or called, is compiled for that one, and compares lane by lane. */
 #define EM_SLICE(name, step, F)                                                                         \
     static void name(const double *cells, int64_t ncells, int64_t stride, double dt, const double *d1, \
-                     const double *d2, int width, int64_t next, double *state, double *sq,             \
+                     const double *d2, int width, int64_t next, double *state, double *sq_row,         \
                      int64_t *first_exceed, uint8_t *negative)                                         \
     {                                                                                                  \
         typedef int64_t I __attribute__((vector_size(sizeof(F))));                                     \
@@ -406,7 +441,7 @@ _Static_assert(BLOCK % 8 == 0, "a slice's columns hold its replicates in whole g
         for (int64_t c = 0; c < ncells; c++) {                                                         \
             double cell[CELL_WORDS];                                                                   \
             memcpy(cell, cells + c * CELL_WORDS, sizeof cell);                                         \
-            double *x1 = ROW(X1, c), *x2 = ROW(X2, c), *dsq_at = sq + (next * ncells + c) * stride;    \
+            double *x1 = ROW(X1, c), *x2 = ROW(X2, c), *dsq_at = sq_row + c * stride;                  \
             int64_t *fe_at = first_exceed + c * stride;                                                \
             uint8_t *neg_at = negative + c * stride;                                                   \
             for (int64_t j = 0; j < width; j += sizeof(F) / sizeof(double)) {                          \
@@ -451,69 +486,85 @@ __attribute__((target("avx512f"))) EM_STEP(em_step_x8, f64x8)
 __attribute__((target("avx512f"))) EM_SLICE(slice_step_x8, em_step_x8, f64x8)
 #endif
 
-/* Step replicates first..first+n-1 of every cell over `steps` steps of dt
- * from their start, in a buffer of `stride` columns per cell: a multiple of 8,
- * at least n and at most BLOCK.
+/* Step the slice's replicates through their next block of recorded rows, from their start on the
+ * first call, to the last recorded step: until sq holds `block` rows, or the last row.
  *
- * cells:  ncells x CELL_WORDS constants.
- * state:  STATE_ROWS x ncells x stride doubles of scratch.
- * rec:    the recorded steps, ascending from 0 to `steps`.  |x|^2 of cell c,
- *         replicate first + j at rec[i] goes to sq[(i * ncells + c) * stride
- *         + j]: each step writes row i, the first recorded from it on, and
- *         the later steps up to rec[i] overwrite it.  first_exceed[c * stride
- *         + j] takes the first recorded row from the first step (the start
- *         included) whose |x|^2 exceeded eps_sq, else -1, and negative is
- *         set if p* + x1 or m* + x2 was ever below zero.  nonfinite is set if
- *         the final state is not finite, which it is if any state was: each
- *         step adds x1 into x1' and x2 into x2', and a sum with a NaN or an
- *         infinity is not finite.  em_fold reads no other output of such a
- *         replicate.
- * Replicate first + j draws from its own two streams once per step, for
- * every cell at once, so a batch of cells draws its increments once, and no
- * number depends on the batch or the slice it is in.  The slice is widened to
- * a multiple of 8 by lanes that start at 0.0 and step on increments of 0.0,
- * whose outputs em_fold never reads, and stepped eight replicates per register
+ * |x|^2 of cell c, replicate first + j at recorded row i goes to row i - (next - rows) of sq, at
+ * (row * ncells + c) * stride + j: each step writes row next, the first recorded from it on, and
+ * the later steps up to rec[next] overwrite it.  first_exceed[c * stride + j] takes the first
+ * recorded row from the first step (the start included) whose |x|^2 exceeded eps_sq, else -1, and
+ * negative is set if p* + x1 or m* + x2 was ever below zero.  Each call ends by setting nonfinite
+ * where the state is not finite, which it is from the first state that was on: each step adds x1
+ * into x1' and x2 into x2', and a sum with a NaN or an infinity is not finite.  So a replicate
+ * flagged nonfinite is one to leave out of the fold of every block, and em_fold reads no other
+ * output of it; the caller flags, before the first call, those it leaves out from the start.
+ * late counts the replicates flagged by a call after the first: the folds of earlier blocks, whose
+ * replicates were all finite, counted them.
+ *
+ * Replicate first + j draws from its own two streams once per step, for every cell at once, so a
+ * batch of cells draws its increments once, and no number depends on the batch, the slice or the
+ * block it is in.  The slice is widened to a multiple of 8 by lanes that start at 0.0 and step on
+ * increments of 0.0, whose outputs em_fold never reads, and stepped eight replicates per register
  * where the CPU has AVX-512F (slice_step_x8), else two (slice_step_x2).
  */
-void em_run(const double *cells, int64_t ncells, double *state, uint64_t seed, int64_t first,
-            int64_t n, int64_t stride, int64_t steps, double dt, const int64_t *rec, double *sq,
-            int64_t *first_exceed, uint8_t *nonfinite, uint8_t *negative)
+void em_run(slice_t *sl)
 {
-    stream_t st[2 * BLOCK];
-    int nb = (int)n, width = (nb + 7) / 8 * 8;
-    int64_t next = 1; /* row 0, the start, is taken below */
+    /* the fields in locals: a store to a stream or to a flag could alias sl's fields, which would
+     * then be loaded again for each draw */
+    const double *cells = sl->cells;
+    const int64_t *rec = sl->rec;
+    int64_t ncells = sl->ncells, stride = sl->stride, steps = rec[sl->nrec - 1];
+    double dt = sl->dt, *state = sl->state, *sq = sl->sq;
+    int64_t *first_exceed = sl->first_exceed;
+    uint8_t *nonfinite = sl->nonfinite, *negative = sl->negative;
+    stream_t *st = sl->st;
+    int nb = (int)sl->n, width = (nb + 7) / 8 * 8, starts = sl->step < 0;
     double sqrt_dt = sqrt(dt), d1[BLOCK] = {0}, d2[BLOCK] = {0};
-    for (int j = 0; j < 2 * nb; j++)
-        em_seed(st + j, seed, 2 * (uint64_t)first + j);
-    for (int64_t c = 0; c < ncells; c++) {
-        const double *cell = cells + c * CELL_WORDS;
-        double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
-        for (int j = 0; j < width; j++) {
-            int64_t k = c * stride + j;
-            x1[j] = j < nb ? cell[X1_0] : 0.0;
-            x2[j] = j < nb ? cell[X2_0] : 0.0;
-            sq[k] = x1[j] * x1[j] + x2[j] * x2[j];
-            first_exceed[k] = sq[k] > cell[EPS_SQ] ? 0 : -1;
-            negative[k] = cell[P_STAR] + x1[j] < 0.0 || cell[M_STAR] + x2[j] < 0.0;
+    if (starts) { /* row 0, the start */
+        for (int j = 0; j < 2 * nb; j++)
+            em_seed(st + j, sl->seed, 2 * (uint64_t)sl->first + j);
+        for (int64_t c = 0; c < ncells; c++) {
+            const double *cell = cells + c * CELL_WORDS;
+            double *x1 = ROW(X1, c), *x2 = ROW(X2, c);
+            for (int j = 0; j < width; j++) {
+                int64_t k = c * stride + j;
+                x1[j] = j < nb ? cell[X1_0] : 0.0;
+                x2[j] = j < nb ? cell[X2_0] : 0.0;
+                sq[k] = x1[j] * x1[j] + x2[j] * x2[j];
+                first_exceed[k] = sq[k] > cell[EPS_SQ] ? 0 : -1;
+                negative[k] = cell[P_STAR] + x1[j] < 0.0 || cell[M_STAR] + x2[j] < 0.0;
+            }
         }
+        sl->step = 0;
+        sl->next = 1;
+        sl->late = 0;
     }
-
-    for (int64_t s = 0; s < steps; s++) {
+    int64_t s = sl->step, next = sl->next, base = next - starts, block = sl->block;
+    for (; s < steps && next - base < block; s++) {
         for (int j = 0; j < nb; j++) {
             d1[j] = normal(st + 2 * j) * sqrt_dt;
             d2[j] = normal(st + 2 * j + 1) * sqrt_dt;
         }
+        double *sq_row = sq + (next - base) * ncells * stride;
 #if defined(__x86_64__)
         if (lanes == BLOCKS)
-            slice_step_x8(cells, ncells, stride, dt, d1, d2, width, next, state, sq, first_exceed, negative);
+            slice_step_x8(cells, ncells, stride, dt, d1, d2, width, next, state, sq_row, first_exceed, negative);
         else
 #endif
-            slice_step_x2(cells, ncells, stride, dt, d1, d2, width, next, state, sq, first_exceed, negative);
+            slice_step_x2(cells, ncells, stride, dt, d1, d2, width, next, state, sq_row, first_exceed, negative);
         next += rec[next] == s + 1;
     }
+    sl->step = s;
+    sl->next = next;
+    sl->rows = next - base;
     for (int64_t c = 0; c < ncells; c++)
-        for (int j = 0; j < nb; j++)
-            nonfinite[c * stride + j] = !(isfinite(ROW(X1, c)[j]) && isfinite(ROW(X2, c)[j]));
+        for (int j = 0; j < nb; j++) {
+            int64_t k = c * stride + j;
+            if (!nonfinite[k] && !(isfinite(ROW(X1, c)[j]) && isfinite(ROW(X2, c)[j]))) {
+                nonfinite[k] = 1;
+                sl->late += !starts;
+            }
+        }
 }
 #undef ROW
 
@@ -586,35 +637,36 @@ static inline void fold_rows(const double *x, int64_t step, int64_t n, const uin
     sum[7] = a7;
 }
 
-/* Add the finite replicates of a slice, em_run's outputs for its n
- * replicates over nrec recorded rows in `stride` columns per cell, into an
- * ensemble's running sums, in replicate-index order.  Per cell c and
- * recorded row i, sum[c * nrec + i] adds their |x|^2 and exceed[c * nrec +
- * i] counts those whose first exceedance was at row i; counts[3 * c ...]
- * adds the included, negative and non-finite replicates.  Folding every
- * slice in turn into sums that start at 0.0 adds each row's values in index
- * order from 0.0, FOLD_ROWS rows at a time. */
-void em_fold(int64_t ncells, int64_t n, int64_t stride, int64_t nrec, const double *sq, const int64_t *first_exceed,
-             const uint8_t *nonfinite, const uint8_t *negative, double *sum, int64_t *exceed,
-             int64_t *counts)
+/* Add the replicates of the block em_run stepped last, but those flagged nonfinite, into an
+ * ensemble's running sums over its nrec recorded rows, in replicate-index order.  Per cell c and
+ * recorded row i, sum[c * nrec + i] adds their |x|^2.  After the final block, exceed[c * nrec + i]
+ * counts those whose first exceedance was at row i, and counts[3 * c ...] adds the included,
+ * negative and non-finite replicates.  Folding every slice's block in turn into sums that start at
+ * 0.0 adds each row's values in index order from 0.0, FOLD_ROWS rows at a time. */
+void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *counts)
 {
-    int64_t step = ncells * stride; /* from a row of sq to the next */
+    int64_t ncells = sl->ncells, stride = sl->stride, n = sl->n, nrec = sl->nrec, rows = sl->rows;
+    int64_t step = ncells * stride, base = sl->next - rows; /* from a row of sq to the next; sq's first row */
     for (int64_t c = 0; c < ncells; c++) {
-        const uint8_t *bad = nonfinite + c * stride;
+        const uint8_t *bad = sl->nonfinite + c * stride;
+        const double *sq = sl->sq + c * stride;
+        double *row_sum = sum + c * nrec + base;
         int64_t i = 0;
-        for (; i + FOLD_ROWS <= nrec; i += FOLD_ROWS)
-            fold_rows(sq + i * step + c * stride, step, n, bad, sum + c * nrec + i);
-        for (; i < nrec; i++)
-            fold_row(sq + i * step + c * stride, n, bad, sum + c * nrec + i);
+        for (; i + FOLD_ROWS <= rows; i += FOLD_ROWS)
+            fold_rows(sq + i * step, step, n, bad, row_sum + i);
+        for (; i < rows; i++)
+            fold_row(sq + i * step, n, bad, row_sum + i);
+        if (sl->step < sl->rec[nrec - 1])
+            continue;
         int64_t *count = counts + 3 * c;
         for (int64_t j = 0; j < n; j++) {
-            int64_t fe = first_exceed[c * stride + j];
+            int64_t fe = sl->first_exceed[c * stride + j];
             if (bad[j]) {
                 count[2]++;
                 continue;
             }
             count[0]++;
-            count[1] += negative[c * stride + j];
+            count[1] += sl->negative[c * stride + j];
             if (fe >= 0)
                 exceed[c * nrec + fe]++;
         }

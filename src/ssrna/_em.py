@@ -3,8 +3,9 @@
 It holds the Euler-Maruyama kernel, with one entry point per job that
 share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
-steps a single path (path), a block of recorded rows per call, as the RK4
-path does (rk4).  Its Philox streams refill eight blocks at a
+steps a single path (path), each a block of recorded rows per call, as the
+RK4 path does (rk4), and the slice or the recorder carries what the next
+call resumes from.  Its Philox streams refill eight blocks at a
 time, in the eight lanes of an AVX-512 register where the CPU has
 AVX-512F, each lane carrying its own counter through all four words, else
 one after another; the rounds are written once, for a word and for eight
@@ -37,6 +38,7 @@ import ctypes
 import importlib.util
 import os
 from array import array
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -71,9 +73,10 @@ _SIGNATURES = {
     "em_raw": (None, (_P, _I, _P)),
     "em_block": (_I, ()),
     "em_recorder_bytes": (_I, ()),
-    "em_run": (None, (_P, _I, _P, ctypes.c_uint64, _I, _I, _I, _I, _D, _P, _P, _P, _P, _P)),
+    "em_slice_bytes": (_I, ()),
+    "em_run": (None, (_P,)),
     "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
-    "em_fold": (None, (_I, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P)),
+    "em_fold": (None, (_P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
     "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P, _P)),
 }
@@ -85,8 +88,12 @@ BLOCK = 64
 # lanes), and so a slice's columns come in such groups.
 _LANES = 8
 
-# Words of a Philox stream (_em.c's stream_t): em_run keeps two per replicate on the C stack.
+# Words of a Philox stream (_em.c's stream_t): a Slice keeps two per column.
 _STREAM_WORDS = 39
+
+# Steps that a block of an ensemble slice's recorded rows spans at least, but the last block: em_run
+# steps a slice, and the threads fold it, a block at a time (see block_rows).
+BLOCK_STEPS = 4096
 
 # Rows of the kernel's state per cell and replicate (_em.c's STATE_ROWS): the deviations.
 _STATE_ROWS = 2
@@ -280,71 +287,114 @@ def slice_stride(replicates: int) -> int:
     return min(BLOCK, -(-replicates // _LANES) * _LANES)
 
 
-def ensemble_bytes(ncells: int, nrec: int, workers: int, replicates: int) -> int:
-    """Bytes of the buffers of an ensemble or sweep of ncells cells, nrec recorded rows and
-    `replicates` replicates in `workers` threads.
+def block_rows(n: int, stride: int) -> int:
+    """Rows of a block of an ensemble slice that records steps 0, stride, 2 stride, ... and n: the rows
+    up to the first recorded step at least BLOCK_STEPS steps in, that one included, or all of them.
 
-    Its Sums, and per thread a Slice of slice_stride(replicates) columns and the streams of
-    BLOCK replicates, on em_run's stack.
+    So every block but the last spans at least BLOCK_STEPS steps, and a slice holds one block of
+    rows whatever the horizon.  A horizon of fewer steps, or one recorded at its start and end only,
+    as a sweep records it, is one block.
     """
-    sums = ncells * nrec * (8 + 8) + 3 * ncells * 8
-    # per cell its constants, and per column its state, |x|^2 per row and first exceedance, and two 1 B flags
-    per_cell = _CELL_WORDS * 8 + slice_stride(replicates) * ((_STATE_ROWS + nrec + 1) * 8 + 2)
-    per_thread = ncells * per_cell + nrec * 8 + 2 * BLOCK * _STREAM_WORDS * 8
-    return sums + workers * per_thread
+    return min(recorded_rows(n, stride), -(-BLOCK_STEPS // stride) + 1)
 
 
-class Slice:
-    """One thread's buffer for a slice of the replicates of an ensemble of a batch of cells.
+def ensemble_bytes(ncells: int, nrec: int, block: int, workers: int, replicates: int) -> int:
+    """Bytes of the buffers of an ensemble or sweep of ncells cells, nrec recorded rows in blocks of
+    `block` and `replicates` replicates in `workers` threads.
+
+    Its Sums, the recorded steps, the statistics of one cell (a sweep reduces its cells one at a
+    time), and per thread a Slice of slice_stride(replicates) columns, which holds one block.
+    """
+    shared = ncells * nrec * (8 + 8) + 3 * ncells * 8 + nrec * 8 + 3 * nrec * 8
+    stride = slice_stride(replicates)
+    # per cell its constants, and per column its state, |x|^2 per row of a block, first exceedance and two
+    # 1 B flags; per column two streams
+    per_cell = _CELL_WORDS * 8 + stride * ((_STATE_ROWS + block + 1) * 8 + 2)
+    per_thread = ncells * per_cell + 2 * stride * _STREAM_WORDS * 8
+    return shared + workers * per_thread
+
+
+class Slice(ctypes.Structure):
+    """One thread's slice of the replicates of an ensemble of a batch of cells (_em.c's slice_t).
 
     cells are simulator._Cell tuples, seed keys the streams, and rec holds
-    the recorded steps, from 0 to the last, which ends the horizon of dt steps.
-    The ensemble has `replicates` replicates, so a slice holds at most stride
-    = slice_stride(replicates) of them: at most BLOCK.  step() integrates a
-    slice into the buffer and fold() adds its finite replicates into an
-    ensemble's sums.  The buffer holds, per cell and replicate, the |x|^2 at
-    every recorded row (sq, of rows x cells x stride), the first row by
-    which |x| exceeded epsilon1, -1 if none (first_exceed, cells x stride),
-    the nonfinite and negative flags (cells x stride each), and the kernel's
-    state, each in C order.
+    the recorded steps, from 0 to the last, which ends the horizon of dt
+    steps: an array('q'), which the slice shares, or a sequence it copies.
+    The ensemble has `replicates` replicates, so a slice holds at most
+    stride = slice_stride(replicates) of them: at most BLOCK.  step()
+    integrates a slice through its next block of `block` recorded rows (by
+    default every row, one block), and fold() adds the block's replicates
+    that are still finite into an ensemble's sums.  The slice holds, per
+    cell and replicate, the |x|^2 at every row of the block (sq, of block x
+    cells x stride), the first row by which |x| exceeded epsilon1, -1 if
+    none (first_exceed, cells x stride), the nonfinite and negative flags
+    (cells x stride each), the kernel's state and two Philox streams per
+    column, each in C order; rows is the rows of the last block.  late
+    counts the replicates that turned non-finite after the first block, and
+    so were counted by the folds of earlier blocks.
     """
 
-    def __init__(self, cells, seed: int, dt: float, rec, replicates: int):
+    _fields_ = [("_cells", _P), ("k", _I), ("stride", _I), ("dt", _D), ("_rec", _P), ("_nrec", _I), ("block", _I),
+                ("_state", _P), ("_sq", _P), ("_first_exceed", _P), ("_nonfinite", _P), ("_negative", _P),
+                ("_streams", _P), ("seed", ctypes.c_uint64), ("first", _I), ("n", _I), ("_step", _I),
+                ("_next", _I), ("rows", _I), ("late", _I)]
+
+    def __init__(self, cells, seed: int, dt: float, rec, replicates: int, block: Optional[int] = None):
         self._lib = library()
         self.cells = _cell_words(cells)
-        self.k = len(cells)
-        self.seed, self.dt = seed, dt
-        self.rec = array("q", rec)
+        self.rec = rec if isinstance(rec, array) and rec.typecode == "q" else array("q", rec)
         # em_run steps to rec[-1] and moves on to row i + 1 once it has taken step rec[i]
-        if not (self.rec and self.rec[0] == 0 and all(a < b for a, b in zip(self.rec, self.rec[1:]))):
+        if not (self.rec and self.rec[0] == 0 and all(a < b for a, b in zip(self.rec, islice(self.rec, 1, None)))):
             raise ValueError("the recorded steps must ascend from 0")
-        self.stride = slice_stride(replicates)
-        self.state = _zeros("d", _STATE_ROWS * self.k * self.stride)
-        self.sq = _zeros("d", len(self.rec) * self.k * self.stride)
-        self.first_exceed = _zeros("q", self.k * self.stride)
-        self.nonfinite = _zeros("B", self.k * self.stride)
-        self.negative = _zeros("B", self.k * self.stride)
-        self.n = 0  # replicates in the buffer
+        k, nrec, stride = len(cells), len(self.rec), slice_stride(replicates)
+        block = nrec if block is None else block
+        if block < 1:
+            raise ValueError(f"a block holds at least one row, not {block}")
+        block = min(block, nrec)
+        self.state = _zeros("d", _STATE_ROWS * k * stride)
+        self.sq = _zeros("d", block * k * stride)
+        self.first_exceed = _zeros("q", k * stride)
+        self.nonfinite = _zeros("B", k * stride)
+        self.negative = _zeros("B", k * stride)
+        self.streams = _zeros("q", 2 * stride * _STREAM_WORDS)
+        super().__init__(_address(self.cells), k, stride, dt, _address(self.rec), nrec, block,
+                         *map(_address, (self.state, self.sq, self.first_exceed, self.nonfinite, self.negative,
+                                         self.streams)), seed, 0, 0, -1)
 
-    def step(self, first: int, n: int) -> None:
-        """Integrate replicates first..first+n-1 of every cell over the horizon (em_run in _em.c)."""
+    @property
+    def done(self) -> bool:
+        """Whether the slice has no block in progress: before the first step() and after the last block."""
+        return self._step in (-1, self.rec[-1])
+
+    def step(self, first: int, n: int, excluded: Optional[bytes] = None) -> None:
+        """Integrate replicates first..first+n-1 of every cell through their next block of rows (em_run in _em.c).
+
+        A call when the slice is done starts them from step 0; then
+        excluded, when given, flags the replicates to leave out of every
+        fold, as nonfinite flags them (cells x stride bytes of 0 or 1).  A
+        call mid-way must name the replicates of the slice in progress.
+        """
         if not 0 <= n <= self.stride:
             raise ValueError(f"a slice holds 0 to {self.stride} replicates, not {n}")
-        self._lib.em_run(_address(self.cells), self.k, _address(self.state), self.seed, first, n, self.stride,
-                         self.rec[-1], self.dt, _address(self.rec), _address(self.sq),
-                         _address(self.first_exceed), _address(self.nonfinite), _address(self.negative))
-        self.n = n
+        if self.done:
+            flags = bytes(len(self.nonfinite)) if excluded is None else excluded
+            if len(flags) != len(self.nonfinite):
+                raise ValueError("the excluded flags do not match the slice's cells and columns")
+            ctypes.memmove(_address(self.nonfinite), flags, len(flags))
+            self.first, self.n, self._step = first, n, -1
+        elif (first, n) != (self.first, self.n):
+            raise ValueError(f"replicates {self.first} to {self.first + self.n - 1} are mid-way through the horizon")
+        self._lib.em_run(ctypes.addressof(self))
 
     def fold(self, sums: Sums) -> None:
-        """Add the slice's finite replicates, in index order, into sums (em_fold in _em.c)."""
+        """Add the replicates of the block stepped last that are still finite, in index order, into sums (em_fold
+        in _em.c); after the final block, their counts too."""
         size = self.k * len(self.rec)
         # the C loop trusts every pointer and size
         if not all(a.typecode == typecode and len(a) == want for a, typecode, want in (
                 (sums.sq, "d", size), (sums.exceed, "q", size), (sums.counts, "q", 3 * self.k))):
             raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
-        self._lib.em_fold(self.k, self.n, self.stride, len(self.rec), _address(self.sq), _address(self.first_exceed),
-                          _address(self.nonfinite), _address(self.negative), _address(sums.sq),
-                          _address(sums.exceed), _address(sums.counts))
+        self._lib.em_fold(ctypes.addressof(self), _address(sums.sq), _address(sums.exceed), _address(sums.counts))
 
 
 def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array] = None) -> None:

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import threading
+from array import array
 from collections.abc import Sequence
 from itertools import accumulate, product
 from numbers import Real
@@ -43,7 +44,7 @@ from .simulator import (
     _check_recorded_bytes,
     _kernel_cell,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
-    recorded_steps,
+    recorded_step_array,
     step_count,
 )
 from .stability import check_mean_square_stability
@@ -126,101 +127,124 @@ def _euler_maruyama(
     replicates: int,
     master_seed: int,
     dt: float,
-    rec: Sequence[int],
+    rec: array,
+    block: int,
     workers: int,
 ) -> _em.Sums:
     """Euler-Maruyama ensembles of every cell, driven by shared increments, folded into sums.
 
     The replicates are cut into S slices (_slices), slice s being
     replicates R*s//S to R*(s+1)//S - 1, and thread w of the W workers
-    (this thread is thread 0) steps slices w, w + W, ... into its own slice
-    buffer.  Each replicate's numbers depend on its own streams only (see
-    em_run in _em.c), so no result depends on the number of threads.  A
-    thread folds slice s into the sums only once slice s - 1 has been
-    folded, so the sums add every replicate in index order, and the memory
-    is the sums and one slice buffer per thread, whatever the replicate
-    count.  The compiled kernel runs without the interpreter lock, so the
-    threads step in parallel.  The first exception raised in any thread
-    stops the others before their next fold, and is raised here once every
-    thread has been joined.
+    (this thread is thread 0) steps slices w, w + W, ... in its own Slice,
+    one block of `block` recorded rows at a time.  Each replicate's numbers
+    depend on its own streams only (see em_run in _em.c), so no result
+    depends on the number of threads or the blocks.  A thread folds block b
+    of slice s into the sums only once slice s - 1 has folded block b, so
+    each row adds every replicate in index order, and the memory is the
+    sums and one block per thread, whatever the replicate count and the
+    horizon.  A fold leaves out the replicates that are non-finite by the
+    end of its block.  If one that an earlier fold counted ends non-finite,
+    the ensemble runs again, leaving out from the start every replicate of
+    such a slice that the first run saw end non-finite: a non-finite state
+    stays non-finite, so the second run's sums are those of one pass over
+    the replicates that end finite.  A horizon of one block, as a sweep
+    records it, never runs twice.  The compiled kernel runs without the
+    interpreter lock, so the threads step in parallel.  The first exception
+    raised in any thread stops the others before their next fold, and is
+    raised here once every thread has been joined.
     """
     _em.library()  # built or loaded before any thread asks for it
-    slices = _slices(replicates, workers)
-    sums = _em.Sums(len(cells), len(rec))
-    turn = threading.Condition()
-    folded = 0    # slices folded into the sums so far
-    failed = []   # exceptions raised in any thread, in the order raised
+    slices, blocks = _slices(replicates, workers), -(-len(rec) // block)
 
-    def stop(exc: BaseException) -> None:
-        with turn:
-            failed.append(exc)
-            turn.notify_all()
+    def run(excluded: dict[int, bytes]) -> tuple[_em.Sums, dict[int, bytes]]:
+        """One run's sums, leaving out of slice s the replicates that excluded[s] flags, and the nonfinite
+        flags of each slice in which a replicate that a fold counted ended non-finite."""
+        sums = _em.Sums(len(cells), len(rec))
+        turn = threading.Condition()
+        folded = [0] * blocks  # per block, the slices folded into the sums so far
+        failed = []   # exceptions raised in any thread, in the order raised
+        late = {}     # slice -> its nonfinite flags, where a replicate turned non-finite after its first block
 
-    def worker(w: int) -> None:
-        """Step thread w's slices into its own buffer and fold each in its turn."""
-        nonlocal folded
+        def stop(exc: BaseException) -> None:
+            with turn:
+                failed.append(exc)
+                turn.notify_all()
+
+        def worker(w: int) -> None:
+            """Step thread w's slices a block at a time and fold each block in its turn."""
+            try:
+                buffer = _em.Slice(cells, master_seed, dt, rec, replicates, block)
+                for s in range(w, slices, workers):
+                    lo = replicates * s // slices
+                    for b in range(blocks):
+                        buffer.step(lo, replicates * (s + 1) // slices - lo, excluded.get(s))
+                        with turn:
+                            turn.wait_for(lambda: folded[b] == s or failed)
+                            if failed:
+                                return
+                            buffer.fold(sums)
+                            folded[b] += 1
+                            turn.notify_all()
+                    if buffer.late:
+                        late[s] = bytes(buffer.nonfinite)
+            except BaseException as exc:
+                stop(exc)
+
+        threads = []
         try:
-            buffer = _em.Slice(cells, master_seed, dt, rec, replicates)
-            for s in range(w, slices, workers):
-                lo = replicates * s // slices
-                buffer.step(lo, replicates * (s + 1) // slices - lo)
-                with turn:
-                    turn.wait_for(lambda: folded == s or failed)
-                    if failed:
-                        return
-                    buffer.fold(sums)
-                    folded += 1
-                    turn.notify_all()
-        except BaseException as exc:
+            for w in range(1, workers):
+                thread = threading.Thread(target=worker, args=(w,))
+                thread.start()
+                threads.append(thread)
+            worker(0)
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:  # a thread that would not start, or an interrupted join
             stop(exc)
+            for thread in threads:
+                thread.join()
+        if failed:
+            raise failed[0]
+        return sums, late
 
-    threads = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=worker, args=(w,))
-            thread.start()
-            threads.append(thread)
-        worker(0)
-        for thread in threads:
-            thread.join()
-    except BaseException as exc:  # a thread that would not start, or an interrupted join
-        stop(exc)
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[0]
+    sums, late = run({})
+    if late:
+        sums, _ = run(late)
     return sums
 
 
-def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tuple[_em.Sums, list[int]]:
+def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tuple[_em.Sums, array]:
     """The sums of every cell's ensemble of cfg, recording every stride-th step and the last, and the recorded steps.
 
     The size of the run's buffers is checked before anything is sized from
     its step count.
     """
     n_steps, workers = step_count(cfg.sim), _worker_count(cfg.replicates)
-    _check_recorded_bytes(_em.ensemble_bytes(len(cells), _em.recorded_rows(n_steps, stride), workers, cfg.replicates))
-    rec = recorded_steps(n_steps, stride)
-    return _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, workers), rec
+    block = _em.block_rows(n_steps, stride)
+    _check_recorded_bytes(_em.ensemble_bytes(len(cells), _em.recorded_rows(n_steps, stride), block, workers,
+                                             cfg.replicates))
+    rec = recorded_step_array(n_steps, stride)
+    return _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, block, workers), rec
 
 
-def _reduce(sums: _em.Sums, cell: int, rec: Sequence[int], dt: float) -> EnsembleStats:
+def _reduce(sums: _em.Sums, cell: int, rec: array, dt: float) -> EnsembleStats:
     """Statistics of one cell over its finite replicates, from sums added in replicate-index order.
 
     The ratios divide by the count converted to a float, as numpy divides
     an array by an int, so they equal the numpy reference's to the bit.
+    Each column is filled as an array('d'), one number at a time.
     """
     n_included, n_negative, n_nonfinite = sums.counts[3 * cell:3 * cell + 3]
     if n_included == 0:
         raise EnsembleError("all replicates became non-finite; no statistics available")
     row = slice(cell * len(rec), (cell + 1) * len(rec))
-    exceeded = list(accumulate(sums.exceed[row]))  # replicates that had exceeded by each recorded step
-    n_exceed = exceeded[-1]
+    exceed = memoryview(sums.exceed)[row]  # replicates whose first exceedance was at each recorded step
+    n_exceed = sum(exceed)
     included = float(n_included)
     return EnsembleStats(
-        times=[step * dt for step in rec],
-        mean_sq_dev=[sq / included for sq in sums.sq[row]],
-        exceed_fraction_cum=[count / included for count in exceeded],
+        times=array("d", (step * dt for step in rec)),
+        mean_sq_dev=array("d", (sq / included for sq in memoryview(sums.sq)[row])),
+        exceed_fraction_cum=array("d", (count / included for count in accumulate(exceed))),
         exceed_fraction=n_exceed / n_included,
         n_replicates=n_included + n_nonfinite,
         n_included=n_included,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections.abc import Callable, Iterator
 from numbers import Integral
 from typing import NamedTuple, Optional
@@ -135,7 +136,12 @@ def step_count(cfg: SimConfig) -> int:
 
 def recorded_steps(n_steps: int, stride: int) -> list[int]:
     """Step indices kept in a trajectory: every stride-th plus the final step."""
-    steps = list(range(0, n_steps + 1, stride))
+    return recorded_step_array(n_steps, stride).tolist()
+
+
+def recorded_step_array(n_steps: int, stride: int) -> array:
+    """recorded_steps as an int64 array('q'): 8 B per step, not a list of ints."""
+    steps = array("q", range(0, n_steps + 1, stride))
     if steps[-1] != n_steps:
         steps.append(n_steps)
     return steps
@@ -149,10 +155,11 @@ def _check_recorded_bytes(size: int) -> None:
     or MemoryError from inside an allocation.  size counts what the run
     holds: a whole path's 24 B per recorded row (_PATH_ROW_BYTES), for the
     library's integrate_ode and integrate_sde, or an ensemble's sums and
-    slice buffers (_em.ensemble_bytes).  A path stepped a block at a time,
-    as `simulate` steps it, holds one block and is not checked.  Writing
-    adds a constant, not a multiple of the rows: the writers format one
-    block of 4096 rows at a time (serialize._BLOCK_ROWS).
+    slices, which hold one block of rows each (_em.ensemble_bytes).  A path
+    stepped a block at a time, as `simulate` steps it, holds one block and
+    is not checked.  Writing adds a constant, not a multiple of the rows:
+    the writers format one block of 4096 rows at a time
+    (serialize._BLOCK_ROWS).
     """
     if not hasattr(os, "sysconf"):
         return

@@ -25,7 +25,7 @@ from ssrna import (
     simulator,
     validate_params,
 )
-from ssrna import _em, cli
+from ssrna import _em, cli, montecarlo
 from ssrna.errors import KernelError
 from ssrna.simulator import brownian_increments, step_count
 
@@ -47,7 +47,13 @@ def raw_words(stream: np.ndarray, n: int, library=None) -> np.ndarray:
 
 
 def test_stream_size_is_what_the_memory_check_counts():
+    # a Slice holds two streams per column, which ensemble_bytes counts at _STREAM_WORDS words each
     assert _em.library().em_stream_words() == _em._STREAM_WORDS
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
+    for replicates, columns in ((1, 8), (9, 16), (1000, 64)):
+        buffer = _em.Slice([cell], 0, 0.5, range(3), replicates)
+        assert len(buffer.streams) * buffer.streams.itemsize == 2 * columns * _em.library().em_stream_words() * 8
 
 
 def test_slice_size_is_the_kernels_block():
@@ -58,23 +64,58 @@ def test_recorder_has_the_kernels_layout():
     assert _em.library().em_recorder_bytes() == ctypes.sizeof(_em.Recorder)
 
 
+def test_slice_has_the_kernels_layout():
+    assert _em.library().em_slice_bytes() == ctypes.sizeof(_em.Slice)
+
+
+@pytest.mark.parametrize("n, stride, rows, blocks", [
+    (18626, 10, 411, 5),   # rows 0 to 410, steps 0 to 4100; the fifth block holds rows 1644 to 1863
+    (18626, 1, 4097, 5),
+    (4096, 1, 4097, 1),
+    (4097, 1, 4097, 2),    # the second block holds the last row only
+    (1863, 1, 1864, 1),    # every step of a horizon shorter than BLOCK_STEPS
+    (932, 2**63 - 1, 2, 1),  # a sweep records the start and the end: one block, whatever the horizon
+    (10**12, 2**63 - 1, 2, 1),
+    (10**7, 5000, 2, 1001),
+])
+def test_blocks_span_block_steps(n, stride, rows, blocks):
+    # a block holds the rows up to the first recorded step at least BLOCK_STEPS steps in, that one
+    # included: each block but the last spans at least BLOCK_STEPS steps, and a row fewer would not
+    assert _em.BLOCK_STEPS == 4096
+    assert _em.block_rows(n, stride) == rows
+    assert -(-_em.recorded_rows(n, stride) // rows) == blocks
+    # the steps each block takes: from the last of the block before, or from 0
+    rec = simulator.recorded_steps(n, stride)
+    ends = [rec[min(i + rows, len(rec)) - 1] for i in range(0, len(rec), rows)]
+    spans = [b - a for a, b in zip([0, *ends], ends)]
+    assert len(spans) == blocks and all(span >= 4096 for span in spans[:-1])
+    assert blocks == 1 or rec[rows - 2] < 4096  # a row fewer would span fewer
+
+
 def buffer_bytes(obj) -> int:
     """Bytes of the array buffers that obj holds."""
     return sum(a.buffer_info()[1] * a.itemsize for a in vars(obj).values() if isinstance(a, array))
 
 
-@pytest.mark.parametrize("ncells, nrec, workers, replicates, stride", [
-    (1, 2, 1, 1, 8), (1, 5001, 2, 64, 64), (3, 7, 2, 9, 16), (16, 2, 4, 1000, 64), (1, 5001, 2, 2, 8),
-], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates"])
-def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, workers, replicates, stride):
-    # a slice holds columns for min(64, replicates) replicates, rounded up to whole groups of 8 lanes
+@pytest.mark.parametrize("ncells, nrec, block, workers, replicates, stride", [
+    (1, 2, 2, 1, 1, 8), (1, 5001, 4097, 2, 64, 64), (3, 7, 3, 2, 9, 16), (16, 2, 2, 4, 1000, 64),
+    (1, 5001, 4097, 2, 2, 8), (1, 5001, 1, 2, 64, 64),
+], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates", "1-5001-2-one-row-blocks"])
+def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, replicates, stride):
+    # a slice holds columns for min(64, replicates) replicates, rounded up to whole groups of 8 lanes, and
+    # one block of rows; its threads share the recorded steps, and the statistics are reduced one cell at a time
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    buffer = _em.Slice([cell] * ncells, 0, 0.5, range(nrec), replicates)
-    assert buffer.stride == _em.slice_stride(replicates) == stride
-    streams = 2 * _em.BLOCK * _em.library().em_stream_words() * 8  # on em_run's stack, per thread
-    expected = buffer_bytes(_em.Sums(ncells, nrec)) + workers * (buffer_bytes(buffer) + streams)
-    assert _em.ensemble_bytes(ncells, nrec, workers, replicates) == expected
+    rec = array("q", range(nrec))
+    buffer = _em.Slice([cell] * ncells, 0, 0.5, rec, replicates, block)
+    assert buffer.rec is rec and buffer.stride == _em.slice_stride(replicates) == stride
+    sums = _em.Sums(ncells, nrec)
+    sums.counts[0] = 1  # an included replicate in cell 0
+    stats = montecarlo._reduce(sums, 0, rec, 0.5)
+    stats_bytes = sum(len(vars(stats)[name]) * 8 for name in ("times", "mean_sq_dev", "exceed_fraction_cum"))
+    expected = (buffer_bytes(sums) + nrec * 8 + stats_bytes
+                + workers * (buffer_bytes(buffer) - nrec * 8))  # each thread's Slice, but the shared steps
+    assert _em.ensemble_bytes(ncells, nrec, block, workers, replicates) == expected
 
 
 @pytest.mark.parametrize("rec", [[], [3], [1, 4], [0, 4, 4, 9], [0, 9, 4]])
@@ -86,6 +127,26 @@ def test_slice_refuses_recorded_steps_that_do_not_ascend_from_0(rec):
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     with pytest.raises(ValueError, match="ascend from 0"):
         _em.Slice([cell], 0, 0.5, rec, 1)
+
+
+def test_slice_steps_its_replicates_a_block_at_a_time():
+    # em_run resumes the slice in progress, so a call mid-way must name its replicates; a slice that has
+    # stepped its last block starts the replicates it is given from step 0
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
+    with pytest.raises(ValueError, match="at least one row"):
+        _em.Slice([cell], 0, 0.5, range(5), 8, 0)
+    buffer = _em.Slice([cell], 0, 0.5, range(5), 8, 2)
+    with pytest.raises(ValueError, match="excluded flags do not match"):
+        buffer.step(0, 8, bytes(7))
+    rows = []
+    for first in (0, 0, 0, 8):
+        buffer.step(first, 8)
+        rows.append((buffer.rows, buffer.done))
+        if not buffer.done:
+            with pytest.raises(ValueError, match="mid-way"):
+                buffer.step(first + 1, 8)
+    assert rows == [(2, False), (2, False), (1, True), (2, False)]
 
 
 @pytest.mark.parametrize("key", [(0, 0), (0, U64_MAX), (U64_MAX, 0), (U64_MAX, U64_MAX), (20240706, 7)])

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import signal
@@ -237,30 +238,45 @@ class Boom(Exception):
 
 
 def fail_step(monkeypatch, fails):
-    """Step slices as usual, but raise Boom(first) where fails(first, in the main thread) holds.
+    """Step slices as usual, but raise Boom(first) where fails(first, block, in the main thread) holds.
 
-    first is the first replicate of the slice.
+    first is the first replicate of the slice, and block the index of the block of rows the call
+    would step: a slice is stepped, and folded, a block at a time.
     """
     real = _em.Slice.step
 
-    def step(self, first, n):
-        if fails(first, threading.current_thread() is threading.main_thread()):
+    def step(self, first, n, excluded=None):
+        block = 0 if self.done else self._next // self.block
+        if fails(first, block, threading.current_thread() is threading.main_thread()):
             raise Boom(first)
-        real(self, first, n)
+        real(self, first, n, excluded)
 
     monkeypatch.setattr(_em.Slice, "step", step)
 
 
+def use_block_rows(monkeypatch, rows):
+    """Step ensembles and sweeps in blocks of `rows` recorded rows, whatever their horizon."""
+    monkeypatch.setattr(_em, "block_rows", lambda n, stride: rows)
+
+
 @pytest.mark.usefixtures("deadline")
-@pytest.mark.parametrize("workers, replicates, failing", [
-    (2, 7, 3),      # thread 1's first slice: slice 0 waits for nothing
-    (2, 300, 180),  # thread 1's second slice: the main thread waits on it
-    (3, 400, 228),  # thread 1's second slice: so does thread 2
+@pytest.mark.parametrize("workers, replicates, failing, rows, block", [
+    pytest.param(2, 7, 3, None, 0, id="2-7-3"),  # thread 1's first slice: slice 0 waits for nothing
+    pytest.param(2, 300, 180, None, 0, id="2-300-180"),  # thread 1's second slice: the main thread waits on it
+    pytest.param(3, 400, 228, None, 0, id="3-400-228"),  # thread 1's second slice: so does thread 2
+    # the second block of thread 1's second slice, once the main thread has folded the first block of
+    # slices 0 and 2: it waits on the second block; and so does thread 2, at 3 workers
+    pytest.param(2, 300, 180, 1, 1, id="2-300-180-second-block"),
+    pytest.param(3, 400, 228, 1, 1, id="3-400-228-second-block"),
 ])
-def test_failed_thread_raises_its_exception(tumv, monkeypatch, workers, replicates, failing):
+def test_failed_thread_raises_its_exception(tumv, monkeypatch, workers, replicates, failing, rows, block):
+    # the ensemble records 11 rows and the sweep 2, so that in blocks of one row both fail in their
+    # second block
     before = threading.active_count()
     use_workers(monkeypatch, workers)
-    fail_step(monkeypatch, lambda first, main: first == failing and not main)
+    if rows is not None:
+        use_block_rows(monkeypatch, rows)
+    fail_step(monkeypatch, lambda first, b, main: (first, b) == (failing, block) and not main)
     cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=replicates, t_end=40.0)
     with pytest.raises(Boom, match=f"^{failing}$"):
         run_ensemble(cfg, tumv)
@@ -274,7 +290,21 @@ def test_failed_thread_raises_its_exception(tumv, monkeypatch, workers, replicat
 def test_other_threads_joined_when_main_thread_slice_raises(tumv, monkeypatch):
     before = threading.active_count()
     use_workers(monkeypatch, 3)
-    fail_step(monkeypatch, lambda first, main: main)
+    fail_step(monkeypatch, lambda first, block, main: main)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
+    with pytest.raises(Boom, match="^0$"):
+        run_ensemble(cfg, tumv)
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("deadline")
+def test_other_threads_joined_when_main_thread_raises_mid_slice(tumv, monkeypatch):
+    # in blocks of one row, the main thread fails in the third block of slice 0, which threads 1
+    # and 2 wait on for their third block
+    before = threading.active_count()
+    use_workers(monkeypatch, 3)
+    use_block_rows(monkeypatch, 1)
+    fail_step(monkeypatch, lambda first, block, main: main and block == 2)
     cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
     with pytest.raises(Boom, match="^0$"):
         run_ensemble(cfg, tumv)
@@ -591,11 +621,15 @@ _LAST_STEP_OVERFLOWS = ([(_DECOUPLED, origin_equilibrium(), NoiseSpec(w1, w2), S
 
 
 @settings(max_examples=30)
-@given(batch=slice_batches())
-@example(batch=_LAST_STEP_OVERFLOWS)
-def test_slices_equal_the_reference_by_property(scalar_library, batch):
+@given(batch=slice_batches(), block=st.sampled_from([1, 2, 3, None]))
+@example(batch=_LAST_STEP_OVERFLOWS, block=None)
+@example(batch=_LAST_STEP_OVERFLOWS, block=2)  # the overflow is in the second block, after a fold
+def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
     # Slice.step and Slice.fold equal _reference_path byte for byte, on the default library (eight
-    # lanes per register where the CPU has AVX-512F) and on the scalar one, whatever the stride
+    # lanes per register where the CPU has AVX-512F) and on the scalar one, whatever the stride, in
+    # blocks of 1, 2 or 3 recorded rows or of every row.  A fold leaves out the replicates that are
+    # non-finite by the end of its block; where one that an earlier fold counted ends non-finite
+    # (late), the slice runs again with the replicates that ended non-finite left out from the start.
     cells, seed, first, width, replicates, dt, rec = batch
     n_steps, k = rec[-1], len(cells)
     cfgs = [EnsembleConfig(replicates=replicates, sim=SimConfig(dt=dt, t_end=n_steps * dt, initial=initial),
@@ -604,28 +638,47 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch):
     with np.errstate(over="ignore", invalid="ignore"):
         paths = [[_reference_path(cell[0], cfg, first + j, n_steps, rec) for j in range(width)]
                  for cell, cfg in zip(cells, cfgs)]
+        # the replicates that end non-finite but are finite at the last step of the first block
+        end = rec[min(block or len(rec), len(rec)) - 1]
+        late = sum(path[0] is None and (end == 0 or _reference_path(cell[0], cfg, first + j, end, [0])[0] is not None)
+                   for cell, cfg, cell_paths in zip(cells, cfgs, paths) for j, path in enumerate(cell_paths))
     kernel_cells = [montecarlo._cell(cfg, cell[0]) for cell, cfg in zip(cells, cfgs)]
     for library in (_em.library(), scalar_library):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_em, "_lib", library)
-            buffer = _em.Slice(kernel_cells, seed, dt, rec, replicates)
+            buffer = _em.Slice(kernel_cells, seed, dt, rec, replicates, block)
         stride = buffer.stride
         assert stride == min(64, -(-replicates // 8) * 8)
+        assert buffer.block == min(block or len(rec), len(rec))
         buffer.step(2**63 - stride, stride)  # another slice's outputs in every column, which em_fold must not read
-        buffer.step(first, width)
-        sums = _em.Sums(k, len(rec))
-        buffer.fold(sums)
+        while not buffer.done:
+            buffer.step(2**63 - stride, stride)
+        sq_rows, excluded = [], None
+        for _ in range(2):
+            sums = _em.Sums(k, len(rec))
+            buffer.step(first, width, excluded)
+            while True:
+                buffer.fold(sums)
+                sq_rows.append(buffer.sq[:buffer.rows * k * stride])
+                if buffer.done:
+                    break
+                buffer.step(first, width)
+            assert buffer.late == (0 if excluded else late)
+            if not buffer.late:
+                break
+            excluded, sq_rows = bytes(buffer.nonfinite), []
+        sq = array("d", b"".join(rows.tobytes() for rows in sq_rows))  # recorded rows x cells x stride
         for c, cell_paths in enumerate(paths):
-            included = [j for j, (sq, _, _) in enumerate(cell_paths) if sq is not None]
+            included = [j for j, (sq_j, _, _) in enumerate(cell_paths) if sq_j is not None]
             assert list(buffer.nonfinite[c * stride:c * stride + width]) == [j not in included for j in range(width)]
             rows = [0.0] * len(rec)  # the reference's fold: each row adds the included replicates in index order
             exceed = [0] * len(rec)
             for j in included:
-                sq, exceed_at, negative = cell_paths[j]
-                assert buffer.sq[c * stride + j::k * stride].tobytes() == array("d", sq).tobytes(), (c, j)
+                sq_j, exceed_at, negative = cell_paths[j]
+                assert sq[c * stride + j::k * stride].tobytes() == array("d", sq_j).tobytes(), (c, j)
                 row = -1 if exceed_at is None else bisect_left(rec, exceed_at)
                 assert (buffer.first_exceed[c * stride + j], buffer.negative[c * stride + j]) == (row, negative)
-                rows = [acc + x for acc, x in zip(rows, sq)]
+                rows = [acc + x for acc, x in zip(rows, sq_j)]
                 if row >= 0:
                     exceed[row] += 1
             part = slice(c * len(rec), (c + 1) * len(rec))
@@ -636,21 +689,26 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch):
 
 
 def test_ensemble_memory_does_not_grow_with_horizon(tumv):
+    # Each thread holds one block of recorded rows, whatever the horizon.  Recorded at every step, a
+    # horizon ten times as long adds to the peak no more than the run keeps per row: its sums (a
+    # float64 and an int64), the recorded step and the statistics (t, the mean |x|^2 and the
+    # exceedance fraction).  Slices that held every row added 64 columns of |x|^2 per thread.
     eq = positive_equilibrium(tumv)
-    sim = SimConfig(dt=0.5, t_end=10000.0, initial=displaced_initial(eq, 0.01, tumv.K),
-                    record_stride=100)
-    cfg = EnsembleConfig(replicates=200, sim=sim, noise=NoiseSpec(0.05, 0.05), anchor=eq,
-                         epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=5)
-    n = step_count(sim)
-    assert n == 20000
-    whole_horizon_buffers = 2 * cfg.replicates * n * 8  # both coordinates' increments at once
-    tracemalloc.start()  # it sees every thread's slice buffer
-    try:
-        run_ensemble(cfg, tumv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < whole_horizon_buffers / 4
+    peaks = []
+    for t_end in (5000.0, 50000.0):
+        sim = SimConfig(dt=0.5, t_end=t_end, initial=displaced_initial(eq, 0.01, tumv.K), record_stride=1)
+        cfg = EnsembleConfig(replicates=200, sim=sim, noise=NoiseSpec(0.05, 0.05), anchor=eq,
+                             epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=5)
+        assert _em.block_rows(step_count(sim), 1) == 4097  # at both horizons
+        tracemalloc.start()  # it sees every thread's slice
+        try:
+            run_ensemble(cfg, tumv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    per_row = 2 * 8 + 8 + 3 * 8
+    assert peaks[1] - peaks[0] <= (100001 - 10001) * per_row
 
 
 def few_replicates_cfg(tumv, t_end):
@@ -662,17 +720,19 @@ def few_replicates_cfg(tumv, t_end):
 
 
 def test_few_replicates_hold_few_columns(tumv, monkeypatch):
-    # a slice holds columns for min(64, replicates) replicates, rounded up to 8: two replicates
-    # over 186254 recorded rows once held 64 columns of |x|^2 per thread, 95 MB each
+    # a slice holds columns for min(64, replicates) replicates, rounded up to 8, and one block of
+    # rows: two replicates over 186254 recorded rows once held 64 columns of |x|^2 per row and
+    # thread, 95 MB each, then 8, 12 MB each.  Now a thread holds 4097 rows of 8 columns, 262 kB,
+    # and the run 48 B per row: its sums, the recorded steps and the statistics, 8.9 MB
     cfg = few_replicates_cfg(tumv, 100000.0)
     assert len(recorded_steps(step_count(cfg.sim), 1)) == 186254
-    tracemalloc.start()  # it sees every thread's slice buffer
+    tracemalloc.start()  # it sees every thread's slice
     try:
         run_ensemble(cfg, tumv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 10 * 2**20
     # the same statistics as from 64 columns, on a tenth of the horizon
     cfg = few_replicates_cfg(tumv, 10000.0)
     runs = [run_ensemble(cfg, tumv)]
@@ -692,10 +752,10 @@ def test_few_replicates_hold_few_columns(tumv, monkeypatch):
 ], ids=["sweep", "ensemble"])
 def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
     # there is no increment buffer, and nothing per replicate: each thread
-    # holds the Philox streams of 64 replicates, 40 kB, and a slice buffer,
-    # so two workers need more than the 16 KiB this machine is made to have,
+    # holds a slice of at least 8 columns, whose Philox streams take 5 kB,
+    # so two workers need more than the 8 KiB this machine is made to have,
     # however few the replicates
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4}
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}
     monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
     use_workers(monkeypatch, 2)
 
@@ -770,6 +830,93 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
     assert 0 < stats.n_exceed < n_included
     assert stats.n_negative == sum(neg and not bad for neg, bad in zip(negative, nonfinite))
     assert (stats.n_replicates, stats.n_included, stats.n_nonfinite) == (300, n_included, 300 - n_included)
+
+
+_DIVERGENCE_CFGS = [EnsembleConfig(replicates=300, sim=SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0),
+                                                                record_stride=2),
+                                   noise=noise, anchor=origin_equilibrium(), epsilon1=450.0, master_seed=4242)
+                    for noise in (NoiseSpec(3.5, 0.5), NoiseSpec(0.8, 0.8))]
+
+
+@functools.cache
+def divergence_reference(cell):
+    """reference_ensemble of _DIVERGENCE_CFGS[cell]."""
+    return reference_ensemble(validate_params(**_COUPLED), _DIVERGENCE_CFGS[cell])
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 3, None], ids=["1-row", "2-rows", "3-rows", "every-row"])
+def test_blocks_of_rows_give_the_reference_bytes(monkeypatch, workers, rows):
+    # 300 replicates make 5 slices, stepped and folded a block of rows at a time, in ensembles of one
+    # cell and of two: under the divergence noise replicates turn non-finite from the first block to
+    # the last, so that in blocks of a few rows the ensemble runs again
+    p = validate_params(**_COUPLED)
+    use_workers(monkeypatch, workers)
+    if rows is not None:
+        use_block_rows(monkeypatch, rows)
+    cells = [montecarlo._cell(cfg, p) for cfg in _DIVERGENCE_CFGS]
+    for batch in (cells[:1], cells):
+        sums, rec = montecarlo._ensembles(batch, _DIVERGENCE_CFGS[0], 2)
+        assert rec.tolist() == recorded_steps(27, 2)
+        for c in range(len(batch)):
+            stats = montecarlo._reduce(sums, c, rec, 0.25)
+            msd, cum, n_negative, n_nonfinite = divergence_reference(c)
+            assert stats.mean_sq_dev.tobytes() == msd.tobytes()
+            assert stats.exceed_fraction_cum.tobytes() == cum.tobytes()
+            assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite)
+            assert (n_nonfinite > 0) == (c == 0)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_more_threads_than_cpus_fold_every_block_in_turn(monkeypatch):
+    # 8 threads on 8 slices, switching as often as the interpreter allows, fold 14 blocks each, and run
+    # again: a lost fold turn would add a row out of order, or twice
+    p = validate_params(**_COUPLED)
+    use_workers(monkeypatch, 8)
+    use_block_rows(monkeypatch, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stats = run_ensemble(_DIVERGENCE_CFGS[0], p)
+    finally:
+        sys.setswitchinterval(interval)
+    msd, cum, n_negative, n_nonfinite = divergence_reference(0)
+    assert stats.mean_sq_dev.tobytes() == msd.tobytes()
+    assert stats.exceed_fraction_cum.tobytes() == cum.tobytes()
+    assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite)
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("rows, runs", [(58, 1), (20, 2)], ids=["within-the-first-block", "after-the-first-block"])
+def test_a_counted_replicate_that_ends_non_finite_runs_the_ensemble_again(monkeypatch, rows, runs):
+    # Under the divergence noise, 82 of the 128 replicates turn non-finite, from step 17 to step 57
+    # of 60.  In blocks of 58 rows every one does so within its first block, which the first fold
+    # leaves it out of: one run.  In blocks of 20 rows most do so after the first fold counted them,
+    # so the ensemble runs again, leaving them out from the start.  Each run steps 2 slices through
+    # their blocks, one Slice.step per block.
+    p = validate_params(**_COUPLED)
+    sim = SimConfig(dt=0.25, t_end=0.25 * 60, initial=State(300.0, 300.0))
+    cfg = EnsembleConfig(replicates=128, sim=sim, noise=NoiseSpec(3.5, 0.5), anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=4242)
+    use_workers(monkeypatch, 2)
+    use_block_rows(monkeypatch, rows)
+    calls, real = [], _em.Slice.step
+
+    def step(self, first, n, excluded=None):
+        calls.append((first, excluded is not None))
+        real(self, first, n, excluded)
+
+    monkeypatch.setattr(_em.Slice, "step", step)
+    stats = run_ensemble(cfg, p)
+    blocks = -(-61 // rows)
+    assert len(calls) == runs * 2 * blocks
+    # the second run leaves out, from the start, the replicates of each slice that ended non-finite
+    assert sorted(set(calls)) == sorted({(0, False), (64, False)} | ({(0, True), (64, True)} if runs == 2 else set()))
+    msd, cum, n_negative, n_nonfinite = reference_ensemble(p, cfg)
+    assert stats.mean_sq_dev.tobytes() == msd.tobytes()
+    assert stats.exceed_fraction_cum.tobytes() == cum.tobytes()
+    assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite) and n_nonfinite == 82
 
 
 def test_wilson_reference_values():
