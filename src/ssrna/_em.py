@@ -276,9 +276,15 @@ class Sums:
     """
 
     def __init__(self, ncells: int, nrec: int):
+        self.nrec = nrec
         self.sq = _zeros("d", ncells * nrec)
         self.exceed = _zeros("q", ncells * nrec)
         self.counts = _zeros("q", 3 * ncells)
+
+    def clear_rows(self, rows: int) -> None:
+        """Set each cell's sums of |x|^2 over its first `rows` recorded rows back to 0.0, to fold them again."""
+        for start in range(0, len(self.sq), self.nrec):
+            ctypes.memset(_address(self.sq) + start * 8, 0, min(rows, self.nrec) * 8)
 
 
 def slice_stride(replicates: int) -> int:
@@ -298,15 +304,23 @@ def block_rows(n: int, stride: int) -> int:
     return min(recorded_rows(n, stride), -(-BLOCK_STEPS // stride) + 1)
 
 
+def slice_count(replicates: int, workers: int) -> int:
+    """How many slices an ensemble is cut into: slices of at most BLOCK replicates, and one per worker at least."""
+    return max(workers, -(-replicates // BLOCK))
+
+
 def ensemble_bytes(ncells: int, nrec: int, block: int, workers: int, replicates: int) -> int:
     """Bytes of the buffers of an ensemble or sweep of ncells cells, nrec recorded rows in blocks of
     `block` and `replicates` replicates in `workers` threads.
 
     Its Sums, the recorded steps, the statistics of one cell (a sweep reduces its cells one at a
-    time), and per thread a Slice of slice_stride(replicates) columns, which holds one block.
+    time), per thread a Slice of slice_stride(replicates) columns, which holds one block, and where
+    there is more than one block, a bit per column of every slice for the flags of those folded again.
     """
-    shared = ncells * nrec * (8 + 8) + 3 * ncells * 8 + nrec * 8 + 3 * nrec * 8
     stride = slice_stride(replicates)
+    shared = ncells * nrec * (8 + 8) + 3 * ncells * 8 + nrec * 8 + 3 * nrec * 8
+    if block < nrec:
+        shared += slice_count(replicates, workers) * ncells * stride // 8
     # per cell its constants, and per column its state, |x|^2 per row of a block, first exceedance and two
     # 1 B flags; per column two streams
     per_cell = _CELL_WORDS * 8 + stride * ((_STATE_ROWS + block + 1) * 8 + 2)
@@ -322,16 +336,16 @@ class Slice(ctypes.Structure):
     steps: an array('q'), which the slice shares, or a sequence it copies.
     The ensemble has `replicates` replicates, so a slice holds at most
     stride = slice_stride(replicates) of them: at most BLOCK.  step()
-    integrates a slice through its next block of `block` recorded rows (by
-    default every row, one block), and fold() adds the block's replicates
-    that are still finite into an ensemble's sums.  The slice holds, per
-    cell and replicate, the |x|^2 at every row of the block (sq, of block x
-    cells x stride), the first row by which |x| exceeded epsilon1, -1 if
-    none (first_exceed, cells x stride), the nonfinite and negative flags
-    (cells x stride each), the kernel's state and two Philox streams per
-    column, each in C order; rows is the rows of the last block.  late
-    counts the replicates that turned non-finite after the first block, and
-    so were counted by the folds of earlier blocks.
+    integrates a slice through its next block of `block` recorded rows, and
+    fold() adds the block's replicates that are still finite into an
+    ensemble's sums; a block of every row steps the slice in one call.  The
+    slice holds, per cell and replicate, the |x|^2 at every row of the block
+    (sq, of block x cells x stride), the first row by which |x| exceeded
+    epsilon1, -1 if none (first_exceed, cells x stride), the nonfinite and
+    negative flags (cells x stride each), the kernel's state and two Philox
+    streams per column, each in C order; rows is the rows of the last block.
+    late counts the replicates that turned non-finite after the first
+    block, and so were counted by the folds of earlier blocks.
     """
 
     _fields_ = [("_cells", _P), ("k", _I), ("stride", _I), ("dt", _D), ("_rec", _P), ("_nrec", _I), ("block", _I),
@@ -339,7 +353,7 @@ class Slice(ctypes.Structure):
                 ("_streams", _P), ("seed", ctypes.c_uint64), ("first", _I), ("n", _I), ("_step", _I),
                 ("_next", _I), ("rows", _I), ("late", _I)]
 
-    def __init__(self, cells, seed: int, dt: float, rec, replicates: int, block: Optional[int] = None):
+    def __init__(self, cells, seed: int, dt: float, rec, replicates: int, block: int):
         self._lib = library()
         self.cells = _cell_words(cells)
         self.rec = rec if isinstance(rec, array) and rec.typecode == "q" else array("q", rec)
@@ -347,10 +361,8 @@ class Slice(ctypes.Structure):
         if not (self.rec and self.rec[0] == 0 and all(a < b for a, b in zip(self.rec, islice(self.rec, 1, None)))):
             raise ValueError("the recorded steps must ascend from 0")
         k, nrec, stride = len(cells), len(self.rec), slice_stride(replicates)
-        block = nrec if block is None else block
         if block < 1:
             raise ValueError(f"a block holds at least one row, not {block}")
-        block = min(block, nrec)
         self.state = _zeros("d", _STATE_ROWS * k * stride)
         self.sq = _zeros("d", block * k * stride)
         self.first_exceed = _zeros("q", k * stride)
@@ -369,8 +381,8 @@ class Slice(ctypes.Structure):
     def step(self, first: int, n: int, excluded: Optional[bytes] = None) -> None:
         """Integrate replicates first..first+n-1 of every cell through their next block of rows (em_run in _em.c).
 
-        A call when the slice is done starts them from step 0; then
-        excluded, when given, flags the replicates to leave out of every
+        A call when the slice is done, or stopped, starts them from step 0;
+        then excluded, when given, flags the replicates to leave out of every
         fold, as nonfinite flags them (cells x stride bytes of 0 or 1).  A
         call mid-way must name the replicates of the slice in progress.
         """
@@ -385,6 +397,10 @@ class Slice(ctypes.Structure):
         elif (first, n) != (self.first, self.n):
             raise ValueError(f"replicates {self.first} to {self.first + self.n - 1} are mid-way through the horizon")
         self._lib.em_run(ctypes.addressof(self))
+
+    def stop(self) -> None:
+        """Leave the slice in progress: the next step() starts the replicates it names from step 0."""
+        self._step = -1
 
     def fold(self, sums: Sums) -> None:
         """Add the replicates of the block stepped last that are still finite, in index order, into sums (em_fold

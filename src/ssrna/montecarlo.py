@@ -105,7 +105,7 @@ class EnsembleStats(Record):
 def _worker_count(replicates: int) -> int:
     """Threads an ensemble runs in: one per CPU this process may use, at most one per replicate.
 
-    _slices cuts at least one slice per worker, so with at most one worker
+    _em.slice_count cuts at least one slice per worker, so with at most one worker
     per replicate no slice is empty.
     """
     if not hasattr(os, "sched_getaffinity"):
@@ -115,11 +115,6 @@ def _worker_count(replicates: int) -> int:
 
 def _cell(cfg: EnsembleConfig, params: ModelParams) -> _Cell:
     return _kernel_cell(params, cfg.anchor, cfg.noise, cfg.sim.initial, cfg.epsilon1 * cfg.epsilon1)
-
-
-def _slices(replicates: int, workers: int) -> int:
-    """How many slices an ensemble is cut into: slices of at most _em.BLOCK replicates, and one per worker at least."""
-    return max(workers, -(-replicates // _em.BLOCK))
 
 
 def _euler_maruyama(
@@ -133,7 +128,7 @@ def _euler_maruyama(
 ) -> _em.Sums:
     """Euler-Maruyama ensembles of every cell, driven by shared increments, folded into sums.
 
-    The replicates are cut into S slices (_slices), slice s being
+    The replicates are cut into S slices (_em.slice_count), slice s being
     replicates R*s//S to R*(s+1)//S - 1, and thread w of the W workers
     (this thread is thread 0) steps slices w, w + W, ... in its own Slice,
     one block of `block` recorded rows at a time.  Each replicate's numbers
@@ -141,29 +136,35 @@ def _euler_maruyama(
     depends on the number of threads or the blocks.  A thread folds block b
     of slice s into the sums only once slice s - 1 has folded block b, so
     each row adds every replicate in index order, and the memory is the
-    sums and one block per thread, whatever the replicate count and the
-    horizon.  A fold leaves out the replicates that are non-finite by the
-    end of its block.  If one that an earlier fold counted ends non-finite,
-    the ensemble runs again, leaving out from the start every replicate of
-    such a slice that the first run saw end non-finite: a non-finite state
-    stays non-finite, so the second run's sums are those of one pass over
-    the replicates that end finite.  A horizon of one block, as a sweep
-    records it, never runs twice.  The compiled kernel runs without the
-    interpreter lock, so the threads step in parallel.  The first exception
-    raised in any thread stops the others before their next fold, and is
-    raised here once every thread has been joined.
+    sums, a bit per replicate and cell (below) and one block per thread,
+    whatever the horizon.  A fold leaves out the replicates that are
+    non-finite by the end of its block.  Where one that an earlier fold
+    counted ends non-finite (late), its slice keeps its nonfinite flags,
+    and the rows of the blocks before the last block in which that
+    happened are folded again: each slice steps through those blocks once
+    more, leaving out from the start the replicates its flags name.  A
+    non-finite state stays non-finite, so the sums are those of one pass
+    over the replicates that end finite.  A horizon of one block, as a
+    sweep records it, is never folded again.  The compiled kernel runs
+    without the interpreter lock, so the threads step in parallel.  The
+    first exception raised in any thread stops the others before their
+    next fold, and is raised here once every thread has been joined.
     """
     _em.library()  # built or loaded before any thread asks for it
-    slices, blocks = _slices(replicates, workers), -(-len(rec) // block)
+    slices, blocks = _em.slice_count(replicates, workers), -(-len(rec) // block)
+    sums = _em.Sums(len(cells), len(rec))
+    width = len(cells) * _em.slice_stride(replicates)  # a slice's nonfinite flags, a multiple of 8
+    # per slice that had a late replicate its nonfinite flags, a bit each, else none set
+    late = bytearray(slices * width // 8 if blocks > 1 else 0)
 
-    def run(excluded: dict[int, bytes]) -> tuple[_em.Sums, dict[int, bytes]]:
-        """One run's sums, leaving out of slice s the replicates that excluded[s] flags, and the nonfinite
-        flags of each slice in which a replicate that a fold counted ended non-finite."""
-        sums = _em.Sums(len(cells), len(rec))
+    def run(blocks: int, again: bool) -> int:
+        """Step every slice through its first `blocks` blocks, folding each in turn, and return the
+        last block in which a late replicate turned non-finite, else 0.  In the run `again`, each
+        slice leaves out from the start the replicates that the flags in `late` name."""
         turn = threading.Condition()
         folded = [0] * blocks  # per block, the slices folded into the sums so far
         failed = []   # exceptions raised in any thread, in the order raised
-        late = {}     # slice -> its nonfinite flags, where a replicate turned non-finite after its first block
+        last = [0]
 
         def stop(exc: BaseException) -> None:
             with turn:
@@ -176,17 +177,25 @@ def _euler_maruyama(
                 buffer = _em.Slice(cells, master_seed, dt, rec, replicates, block)
                 for s in range(w, slices, workers):
                     lo = replicates * s // slices
+                    n = replicates * (s + 1) // slices - lo
+                    excluded = bytes((late[(s * width + i) // 8] >> (i % 8)) & 1 for i in range(width)) if again else None
+                    seen = 0
                     for b in range(blocks):
-                        buffer.step(lo, replicates * (s + 1) // slices - lo, excluded.get(s))
+                        buffer.step(lo, n, excluded)
                         with turn:
                             turn.wait_for(lambda: folded[b] == s or failed)
                             if failed:
                                 return
                             buffer.fold(sums)
                             folded[b] += 1
+                            if buffer.late > seen:
+                                seen, last[0] = buffer.late, max(last[0], b)
                             turn.notify_all()
-                    if buffer.late:
-                        late[s] = bytes(buffer.nonfinite)
+                    if seen:  # the flags are final: every block was stepped
+                        flags = buffer.nonfinite
+                        late[s * width // 8:(s + 1) * width // 8] = bytes(
+                            sum(flags[i + j] << j for j in range(8)) for i in range(0, width, 8))
+                    buffer.stop()
             except BaseException as exc:
                 stop(exc)
 
@@ -205,11 +214,12 @@ def _euler_maruyama(
                 thread.join()
         if failed:
             raise failed[0]
-        return sums, late
+        return last[0]
 
-    sums, late = run({})
-    if late:
-        sums, _ = run(late)
+    last = run(blocks, False)
+    if last:
+        sums.clear_rows(last * block)
+        run(last, True)
     return sums
 
 

@@ -52,7 +52,7 @@ def test_stream_size_is_what_the_memory_check_counts():
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     for replicates, columns in ((1, 8), (9, 16), (1000, 64)):
-        buffer = _em.Slice([cell], 0, 0.5, range(3), replicates)
+        buffer = _em.Slice([cell], 0, 0.5, range(3), replicates, 3)
         assert len(buffer.streams) * buffer.streams.itemsize == 2 * columns * _em.library().em_stream_words() * 8
 
 
@@ -103,7 +103,9 @@ def buffer_bytes(obj) -> int:
 ], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates", "1-5001-2-one-row-blocks"])
 def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, replicates, stride):
     # a slice holds columns for min(64, replicates) replicates, rounded up to whole groups of 8 lanes, and
-    # one block of rows; its threads share the recorded steps, and the statistics are reduced one cell at a time
+    # one block of rows; its threads share the recorded steps, the statistics are reduced one cell at a time,
+    # and in more than one block the run keeps a bit per column of every slice, for the nonfinite flags of
+    # the slices it folds again
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     rec = array("q", range(nrec))
@@ -113,7 +115,8 @@ def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, 
     sums.counts[0] = 1  # an included replicate in cell 0
     stats = montecarlo._reduce(sums, 0, rec, 0.5)
     stats_bytes = sum(len(vars(stats)[name]) * 8 for name in ("times", "mean_sq_dev", "exceed_fraction_cum"))
-    expected = (buffer_bytes(sums) + nrec * 8 + stats_bytes
+    flag_bits = _em.slice_count(replicates, workers) * len(buffer.nonfinite) if block < nrec else 0
+    expected = (buffer_bytes(sums) + nrec * 8 + stats_bytes + flag_bits // 8
                 + workers * (buffer_bytes(buffer) - nrec * 8))  # each thread's Slice, but the shared steps
     assert _em.ensemble_bytes(ncells, nrec, block, workers, replicates) == expected
 
@@ -126,12 +129,12 @@ def test_slice_refuses_recorded_steps_that_do_not_ascend_from_0(rec):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     with pytest.raises(ValueError, match="ascend from 0"):
-        _em.Slice([cell], 0, 0.5, rec, 1)
+        _em.Slice([cell], 0, 0.5, rec, 1, 1)
 
 
 def test_slice_steps_its_replicates_a_block_at_a_time():
     # em_run resumes the slice in progress, so a call mid-way must name its replicates; a slice that has
-    # stepped its last block starts the replicates it is given from step 0
+    # stepped its last block, or was stopped, starts the replicates it is given from step 0
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     with pytest.raises(ValueError, match="at least one row"):
@@ -147,6 +150,12 @@ def test_slice_steps_its_replicates_a_block_at_a_time():
             with pytest.raises(ValueError, match="mid-way"):
                 buffer.step(first + 1, 8)
     assert rows == [(2, False), (2, False), (1, True), (2, False)]
+    sq = buffer.sq.tobytes()  # replicates 8 to 15 over rows 0 and 1
+    buffer.stop()
+    buffer.step(16, 8)
+    buffer.stop()
+    buffer.step(8, 8)
+    assert (buffer.rows, buffer.done, buffer.sq.tobytes()) == (2, False, sq)
 
 
 @pytest.mark.parametrize("key", [(0, 0), (0, U64_MAX), (U64_MAX, 0), (U64_MAX, U64_MAX), (20240706, 7)])
@@ -269,7 +278,7 @@ def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coo
     imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
-    buffer = _em.Slice([cell], seed, cfg.dt, range(steps + 1), 1)
+    buffer = _em.Slice([cell], seed, cfg.dt, range(steps + 1), 1, steps + 1)
     buffer.step(replicate, 1)
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 
@@ -291,7 +300,7 @@ def test_kernel_draws_equal_numpy_where_a_reject_ends_the_buffer(replicate, coor
     imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     buffer = _em.Slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
-                       range(steps + 1), 1)
+                       range(steps + 1), 1, steps + 1)
     buffer.step(replicate, 1)
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 

@@ -7,6 +7,7 @@ import threading
 import tracemalloc
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -463,7 +464,7 @@ def test_slice_draws_the_top_stream_keys():
     cfg = EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0.8, 0.8), anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=2**64 - 1)
     rec = recorded_steps(27, 3)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates)
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates, len(rec))
     buffer.step(2**63 - 1, 1)
     sq, _, negative = _reference_path(p, cfg, 2**63 - 1, 27, rec)
     assert sq is not None and buffer.nonfinite[0] == 0
@@ -522,7 +523,7 @@ def slice_width_equals_the_reference(library, n, p, noise):
     rec = recorded_steps(27, 3)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_em, "_lib", library)
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, n)
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, n, len(rec))
     assert buffer.stride == min(64, -(-n // 8) * 8)
     buffer.step(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
     buffer.step(0, n)
@@ -563,7 +564,7 @@ def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_libr
         stats = run_ensemble(cfg, p)
         write_ensemble_csv(stats, tmp_path / f"{name}-ensemble.csv")
         write_sweep_csv(sweep(p, {"r": [0.05, 0.1]}, {}, cfg), tmp_path / f"{name}-sweep.csv")
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates)
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates, len(rec))
         buffer.step(100, 37)
         runs[name] = (stats.n_negative, stats.n_nonfinite,
                       [(tmp_path / f"{name}-{command}.csv").read_bytes() for command in ("ensemble", "sweep")],
@@ -629,7 +630,7 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
     # lanes per register where the CPU has AVX-512F) and on the scalar one, whatever the stride, in
     # blocks of 1, 2 or 3 recorded rows or of every row.  A fold leaves out the replicates that are
     # non-finite by the end of its block; where one that an earlier fold counted ends non-finite
-    # (late), the slice runs again with the replicates that ended non-finite left out from the start.
+    # (late), the slice is stepped again with the replicates that ended non-finite left out from the start.
     cells, seed, first, width, replicates, dt, rec = batch
     n_steps, k = rec[-1], len(cells)
     cfgs = [EnsembleConfig(replicates=replicates, sim=SimConfig(dt=dt, t_end=n_steps * dt, initial=initial),
@@ -639,7 +640,8 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
         paths = [[_reference_path(cell[0], cfg, first + j, n_steps, rec) for j in range(width)]
                  for cell, cfg in zip(cells, cfgs)]
         # the replicates that end non-finite but are finite at the last step of the first block
-        end = rec[min(block or len(rec), len(rec)) - 1]
+        block = block or len(rec)
+        end = rec[min(block, len(rec)) - 1]
         late = sum(path[0] is None and (end == 0 or _reference_path(cell[0], cfg, first + j, end, [0])[0] is not None)
                    for cell, cfg, cell_paths in zip(cells, cfgs, paths) for j, path in enumerate(cell_paths))
     kernel_cells = [montecarlo._cell(cfg, cell[0]) for cell, cfg in zip(cells, cfgs)]
@@ -649,7 +651,7 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
             buffer = _em.Slice(kernel_cells, seed, dt, rec, replicates, block)
         stride = buffer.stride
         assert stride == min(64, -(-replicates // 8) * 8)
-        assert buffer.block == min(block or len(rec), len(rec))
+        assert buffer.block == block
         buffer.step(2**63 - stride, stride)  # another slice's outputs in every column, which em_fold must not read
         while not buffer.done:
             buffer.step(2**63 - stride, stride)
@@ -803,9 +805,9 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
 
     # every replicate's |x|^2 and flags, one slice at a time, summed as the
     # kernel once did over the whole matrix
-    assert montecarlo._slices(300, workers) == 5
+    assert _em.slice_count(300, workers) == 5
     rec = recorded_steps(27, 1)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates)
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates, len(rec))
     # numpy views of the slice buffer: rows x cells x stride, and cells x stride
     buffer_sq = np.frombuffer(buffer.sq).reshape(len(rec), 1, buffer.stride)
     buffer_first = np.frombuffer(buffer.first_exceed, np.int64).reshape(1, buffer.stride)
@@ -850,7 +852,7 @@ def divergence_reference(cell):
 def test_blocks_of_rows_give_the_reference_bytes(monkeypatch, workers, rows):
     # 300 replicates make 5 slices, stepped and folded a block of rows at a time, in ensembles of one
     # cell and of two: under the divergence noise replicates turn non-finite from the first block to
-    # the last, so that in blocks of a few rows the ensemble runs again
+    # the last, so that in blocks of a few rows the ensemble folds its first blocks again
     p = validate_params(**_COUPLED)
     use_workers(monkeypatch, workers)
     if rows is not None:
@@ -887,14 +889,30 @@ def test_more_threads_than_cpus_fold_every_block_in_turn(monkeypatch):
     assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite)
 
 
+def divergence_step(params, cfg, k, n):
+    """The step in which replicate k of cfg turns non-finite, or None if it is finite at step n."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        def finite(m):
+            return _reference_path(params, cfg, k, m, [0])[0] is not None
+
+        if finite(n):
+            return None
+        lo, hi = 0, n  # finite at step lo, non-finite at step hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+        return hi
+
+
 @pytest.mark.usefixtures("deadline")
-@pytest.mark.parametrize("rows, runs", [(58, 1), (20, 2)], ids=["within-the-first-block", "after-the-first-block"])
-def test_a_counted_replicate_that_ends_non_finite_runs_the_ensemble_again(monkeypatch, rows, runs):
+@pytest.mark.parametrize("rows", [58, 20], ids=["within-the-first-block", "after-the-first-block"])
+def test_a_counted_replicate_that_ends_non_finite_folds_its_blocks_again(monkeypatch, rows):
     # Under the divergence noise, 82 of the 128 replicates turn non-finite, from step 17 to step 57
-    # of 60.  In blocks of 58 rows every one does so within its first block, which the first fold
-    # leaves it out of: one run.  In blocks of 20 rows most do so after the first fold counted them,
-    # so the ensemble runs again, leaving them out from the start.  Each run steps 2 slices through
-    # their blocks, one Slice.step per block.
+    # of 60, each recorded.  In blocks of 58 rows every one does so within its first block, which the
+    # first fold leaves it out of: 2 slices step through their 2 blocks once.  In blocks of 20 rows
+    # most do so after the first fold counted them (late), the last in step 57, in the third block.
+    # So the rows of the first two blocks are folded again: each slice steps through them once more,
+    # leaving out from the start the replicates that it ended with non-finite.
     p = validate_params(**_COUPLED)
     sim = SimConfig(dt=0.25, t_end=0.25 * 60, initial=State(300.0, 300.0))
     cfg = EnsembleConfig(replicates=128, sim=sim, noise=NoiseSpec(3.5, 0.5), anchor=origin_equilibrium(),
@@ -909,10 +927,17 @@ def test_a_counted_replicate_that_ends_non_finite_runs_the_ensemble_again(monkey
 
     monkeypatch.setattr(_em.Slice, "step", step)
     stats = run_ensemble(cfg, p)
+    diverged = [divergence_step(p, cfg, k, 60) for k in range(128)]
+    late = [[d for d in diverged[lo:lo + 64] if d is not None and d >= rows] for lo in (0, 64)]
+    assert min(d for d in diverged if d is not None) == 17 and max(d for d in diverged if d is not None) == 57
     blocks = -(-61 // rows)
-    assert len(calls) == runs * 2 * blocks
-    # the second run leaves out, from the start, the replicates of each slice that ended non-finite
-    assert sorted(set(calls)) == sorted({(0, False), (64, False)} | ({(0, True), (64, True)} if runs == 2 else set()))
+    expected = Counter({(0, False): blocks, (64, False): blocks})
+    if rows == 20:
+        assert all(late) and max(map(max, late)) // rows == 2
+        expected.update({(0, True): 2, (64, True): 2})
+    else:
+        assert not any(late)
+    assert Counter(calls) == expected
     msd, cum, n_negative, n_nonfinite = reference_ensemble(p, cfg)
     assert stats.mean_sq_dev.tobytes() == msd.tobytes()
     assert stats.exceed_fraction_cum.tobytes() == cum.tobytes()
