@@ -43,10 +43,9 @@
  * loads (slice_step_x8), else two, the width of an SSE2 or NEON register
  * (slice_step_x2).  The slice has `stride` columns per cell, a multiple of 8
  * up to BLOCK, so that a slice of few replicates holds few columns.  em_fold
- * then adds the block's replicates that are still finite into the ensemble's
- * running sums in index order, several rows at a time, so the sums are those
- * of one pass over every replicate once no replicate that a fold counted
- * turns non-finite later (slice_t's late).
+ * then adds the block's |x|^2 that are finite into the ensemble's running sums
+ * in index order, several rows at a time, and counts the others per row: a
+ * row depends on no later step, so each block is stepped and folded once.
  */
 
 #include <math.h>
@@ -389,8 +388,7 @@ EM_STEP(em_step, double)
  * time, in lockstep: replicates first..first+n-1 of every cell, in `stride` columns per cell, a
  * multiple of 8, at least n and at most BLOCK.  The slice carries all that the next call resumes
  * from: the deviations, the flags, the step, the next row and the streams.  The caller sets the
- * fields up to n, the nonfinite flags, and step, which it sets to -1: the next call starts the
- * replicates from step 0. */
+ * fields up to n, and step, which it sets to -1: the next call starts the replicates from step 0. */
 typedef struct {
     const double *cells;   /* ncells x CELL_WORDS constants */
     int64_t ncells;
@@ -402,7 +400,6 @@ typedef struct {
     double *state;         /* STATE_ROWS x ncells x stride: the deviations */
     double *sq;            /* block x ncells x stride: |x|^2 of the rows of the last call */
     int64_t *first_exceed; /* ncells x stride each, as sq's columns */
-    uint8_t *nonfinite;
     uint8_t *negative;
     stream_t *st;          /* 2 x stride: replicate first + j draws from st[2j] and st[2j + 1] */
     uint64_t seed;
@@ -411,7 +408,6 @@ typedef struct {
     int64_t step;          /* steps taken, -1 before the start */
     int64_t next;          /* the row the next step writes */
     int64_t rows;          /* rows written by the last call: rows next - rows .. next - 1 */
-    int64_t late;          /* replicates that became non-finite in a call after the first */
 } slice_t;
 
 int64_t em_slice_bytes(void) { return sizeof(slice_t); }
@@ -493,13 +489,9 @@ __attribute__((target("avx512f"))) EM_SLICE(slice_step_x8, em_step_x8, f64x8)
  * (row * ncells + c) * stride + j: each step writes row next, the first recorded from it on, and
  * the later steps up to rec[next] overwrite it.  first_exceed[c * stride + j] takes the first
  * recorded row from the first step (the start included) whose |x|^2 exceeded eps_sq, else -1, and
- * negative is set if p* + x1 or m* + x2 was ever below zero.  Each call ends by setting nonfinite
- * where the state is not finite, which it is from the first state that was on: each step adds x1
- * into x1' and x2 into x2', and a sum with a NaN or an infinity is not finite.  So a replicate
- * flagged nonfinite is one to leave out of the fold of every block, and em_fold reads no other
- * output of it; the caller flags, before the first call, those it leaves out from the start.
- * late counts the replicates flagged by a call after the first: the folds of earlier blocks, whose
- * replicates were all finite, counted them.
+ * negative is set if p* + x1 or m* + x2 was ever below zero.  A replicate whose state is not finite
+ * stays so, and its |x|^2 with it: each step adds x1 into x1' and x2 into x2', and a sum with a NaN
+ * or an infinity is not finite.
  *
  * Replicate first + j draws from its own two streams once per step, for every cell at once, so a
  * batch of cells draws its increments once, and no number depends on the batch, the slice or the
@@ -516,7 +508,7 @@ void em_run(slice_t *sl)
     int64_t ncells = sl->ncells, stride = sl->stride, steps = rec[sl->nrec - 1];
     double dt = sl->dt, *state = sl->state, *sq = sl->sq;
     int64_t *first_exceed = sl->first_exceed;
-    uint8_t *nonfinite = sl->nonfinite, *negative = sl->negative;
+    uint8_t *negative = sl->negative;
     stream_t *st = sl->st;
     int nb = (int)sl->n, width = (nb + 7) / 8 * 8, starts = sl->step < 0;
     double sqrt_dt = sqrt(dt), d1[BLOCK] = {0}, d2[BLOCK] = {0};
@@ -537,7 +529,6 @@ void em_run(slice_t *sl)
         }
         sl->step = 0;
         sl->next = 1;
-        sl->late = 0;
     }
     int64_t s = sl->step, next = sl->next, base = next - starts, block = sl->block;
     for (; s < steps && next - base < block; s++) {
@@ -557,16 +548,7 @@ void em_run(slice_t *sl)
     sl->step = s;
     sl->next = next;
     sl->rows = next - base;
-    for (int64_t c = 0; c < ncells; c++)
-        for (int j = 0; j < nb; j++) {
-            int64_t k = c * stride + j;
-            if (!nonfinite[k] && !(isfinite(ROW(X1, c)[j]) && isfinite(ROW(X2, c)[j]))) {
-                nonfinite[k] = 1;
-                sl->late += !starts;
-            }
-        }
 }
-#undef ROW
 
 /* Step replicate `replicate` of one cell path->n steps from its start into the recorder, which
  * stops the path at its first non-finite state, on increments drawn as em_run draws them, or on
@@ -597,36 +579,38 @@ void em_path(const double *cell, uint64_t seed, int64_t replicate, const double 
     path->x2 = v;
 }
 
-/* Add the replicates j < n that are not bad of the row at x into *sum, in index order. */
-static inline void fold_row(const double *x, int64_t n, const uint8_t *bad, double *sum)
+/* Add the replicates j < n of the row at x whose |x|^2 is finite into *sum, in index order, and
+ * count the others in *lost.  An |x|^2 is at least 0.0, or NaN, or infinite. */
+static void fold_row(const double *x, int64_t n, double *sum, int64_t *lost)
 {
     double acc = *sum;
     for (int64_t j = 0; j < n; j++)
-        if (!bad[j])
+        if (x[j] < INFINITY)
             acc += x[j];
+        else
+            ++*lost;
     *sum = acc;
 }
 
 /* Rows fold_rows adds at once. */
 #define FOLD_ROWS 8
 
-/* fold_row for the FOLD_ROWS rows at x, x + step, ..., into sum[0..7], in one pass over the
- * replicates.  A row's adds are one chain, each waiting for the one before; the eight rows' chains are
- * independent, and the CPU overlaps them. */
-static inline void fold_rows(const double *x, int64_t step, int64_t n, const uint8_t *bad, double *sum)
+/* Every replicate j < n of the FOLD_ROWS rows at x, x + step, ..., into sum[0..7], in index order, in
+ * one pass over the replicates.  A row's adds are one chain, each waiting for the one before; the
+ * eight rows' chains are independent, and the CPU overlaps them. */
+static inline void fold_rows(const double *x, int64_t step, int64_t n, double *sum)
 {
     double a0 = sum[0], a1 = sum[1], a2 = sum[2], a3 = sum[3], a4 = sum[4], a5 = sum[5], a6 = sum[6], a7 = sum[7];
-    for (int64_t j = 0; j < n; j++)
-        if (!bad[j]) {
-            a0 += x[j];
-            a1 += x[step + j];
-            a2 += x[2 * step + j];
-            a3 += x[3 * step + j];
-            a4 += x[4 * step + j];
-            a5 += x[5 * step + j];
-            a6 += x[6 * step + j];
-            a7 += x[7 * step + j];
-        }
+    for (int64_t j = 0; j < n; j++) {
+        a0 += x[j];
+        a1 += x[step + j];
+        a2 += x[2 * step + j];
+        a3 += x[3 * step + j];
+        a4 += x[4 * step + j];
+        a5 += x[5 * step + j];
+        a6 += x[6 * step + j];
+        a7 += x[7 * step + j];
+    }
     sum[0] = a0;
     sum[1] = a1;
     sum[2] = a2;
@@ -637,31 +621,42 @@ static inline void fold_rows(const double *x, int64_t step, int64_t n, const uin
     sum[7] = a7;
 }
 
-/* Add the replicates of the block em_run stepped last, but those flagged nonfinite, into an
- * ensemble's running sums over its nrec recorded rows, in replicate-index order.  Per cell c and
- * recorded row i, sum[c * nrec + i] adds their |x|^2.  After the final block, exceed[c * nrec + i]
- * counts those whose first exceedance was at row i, and counts[3 * c ...] adds the included,
- * negative and non-finite replicates.  Folding every slice's block in turn into sums that start at
- * 0.0 adds each row's values in index order from 0.0, FOLD_ROWS rows at a time. */
-void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *counts)
+/* Add the replicates of the block em_run stepped last into an ensemble's running sums over its nrec
+ * recorded rows, in replicate-index order.  Per cell c and recorded row i, sum[c * nrec + i] adds
+ * their |x|^2 that are finite, and lost[c * nrec + i] counts the others.  After the final block,
+ * exceed[c * nrec + i] counts the replicates whose state is finite at the end and whose first
+ * exceedance was at row i, and counts[3 * c ...] adds the replicates whose state is finite at the
+ * end, the negative ones among them, and those whose state is not.  Folding every slice's block in turn into sums that
+ * start at 0.0 adds each row's values in index order from 0.0, FOLD_ROWS rows at a time: where such
+ * a pass over every replicate leaves a sum that is not finite, that row is added again from its
+ * sum before, by fold_row, which adds only the finite |x|^2. */
+void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *lost, int64_t *counts)
 {
     int64_t ncells = sl->ncells, stride = sl->stride, n = sl->n, nrec = sl->nrec, rows = sl->rows;
     int64_t step = ncells * stride, base = sl->next - rows; /* from a row of sq to the next; sq's first row */
     for (int64_t c = 0; c < ncells; c++) {
-        const uint8_t *bad = sl->nonfinite + c * stride;
         const double *sq = sl->sq + c * stride;
         double *row_sum = sum + c * nrec + base;
-        int64_t i = 0;
-        for (; i + FOLD_ROWS <= rows; i += FOLD_ROWS)
-            fold_rows(sq + i * step, step, n, bad, row_sum + i);
+        int64_t *row_lost = lost + c * nrec + base, i = 0;
+        for (; i + FOLD_ROWS <= rows; i += FOLD_ROWS) {
+            double before[FOLD_ROWS];
+            memcpy(before, row_sum + i, sizeof before);
+            fold_rows(sq + i * step, step, n, row_sum + i);
+            for (int r = 0; r < FOLD_ROWS; r++)
+                if (!(row_sum[i + r] < INFINITY)) {
+                    row_sum[i + r] = before[r];
+                    fold_row(sq + (i + r) * step, n, row_sum + i + r, row_lost + i + r);
+                }
+        }
         for (; i < rows; i++)
-            fold_row(sq + i * step, n, bad, row_sum + i);
+            fold_row(sq + i * step, n, row_sum + i, row_lost + i);
         if (sl->step < sl->rec[nrec - 1])
             continue;
+        const double *state = sl->state;
         int64_t *count = counts + 3 * c;
         for (int64_t j = 0; j < n; j++) {
             int64_t fe = sl->first_exceed[c * stride + j];
-            if (bad[j]) {
+            if (!(isfinite(ROW(X1, c)[j]) && isfinite(ROW(X2, c)[j]))) {
                 count[2]++;
                 continue;
             }
@@ -672,6 +667,7 @@ void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *counts)
         }
     }
 }
+#undef ROW
 
 /* The longest '%.17g' of a double is 24 bytes (-1.2345678901234567e-308);
  * _em.py allots G17_ROOM per number. */

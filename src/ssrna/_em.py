@@ -76,7 +76,7 @@ _SIGNATURES = {
     "em_slice_bytes": (_I, ()),
     "em_run": (None, (_P,)),
     "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
-    "em_fold": (None, (_P, _P, _P, _P)),
+    "em_fold": (None, (_P, _P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
     "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P, _P)),
 }
@@ -267,24 +267,21 @@ def _cell_words(cells) -> array:
 
 
 class Sums:
-    """An ensemble batch's statistics, summed over its finite replicates in index order, each in C order.
+    """An ensemble batch's statistics, summed in replicate-index order, each in C order.
 
-    Per cell and recorded row, sq holds the sum of |x|^2 and exceed the
-    replicates whose |x| first exceeded epsilon1 there; per cell, counts
-    holds the included, negative (a population went below zero) and
-    non-finite replicates.
+    Per cell and recorded row, sq holds the sum of the |x|^2 that are
+    finite there, lost counts those that are not, and exceed the replicates
+    whose |x| first exceeded epsilon1 there; per cell, counts holds the
+    replicates whose state is finite at the end (included), the negative
+    ones among them (a population went below zero), and those whose state
+    is not (non-finite).  exceed counts included replicates only.
     """
 
     def __init__(self, ncells: int, nrec: int):
-        self.nrec = nrec
         self.sq = _zeros("d", ncells * nrec)
         self.exceed = _zeros("q", ncells * nrec)
+        self.lost = _zeros("q", ncells * nrec)
         self.counts = _zeros("q", 3 * ncells)
-
-    def clear_rows(self, rows: int) -> None:
-        """Set each cell's sums of |x|^2 over its first `rows` recorded rows back to 0.0, to fold them again."""
-        for start in range(0, len(self.sq), self.nrec):
-            ctypes.memset(_address(self.sq) + start * 8, 0, min(rows, self.nrec) * 8)
 
 
 def slice_stride(replicates: int) -> int:
@@ -314,16 +311,13 @@ def ensemble_bytes(ncells: int, nrec: int, block: int, workers: int, replicates:
     `block` and `replicates` replicates in `workers` threads.
 
     Its Sums, the recorded steps, the statistics of one cell (a sweep reduces its cells one at a
-    time), per thread a Slice of slice_stride(replicates) columns, which holds one block, and where
-    there is more than one block, a bit per column of every slice for the flags of those folded again.
+    time), and per thread a Slice of slice_stride(replicates) columns, which holds one block.
     """
     stride = slice_stride(replicates)
-    shared = ncells * nrec * (8 + 8) + 3 * ncells * 8 + nrec * 8 + 3 * nrec * 8
-    if block < nrec:
-        shared += slice_count(replicates, workers) * ncells * stride // 8
-    # per cell its constants, and per column its state, |x|^2 per row of a block, first exceedance and two
-    # 1 B flags; per column two streams
-    per_cell = _CELL_WORDS * 8 + stride * ((_STATE_ROWS + block + 1) * 8 + 2)
+    shared = ncells * nrec * (8 + 8 + 8) + 3 * ncells * 8 + nrec * 8 + 3 * nrec * 8
+    # per cell its constants, and per column its state, |x|^2 per row of a block, its first exceedance and a
+    # 1 B flag; per column two streams
+    per_cell = _CELL_WORDS * 8 + stride * ((_STATE_ROWS + block + 1) * 8 + 1)
     per_thread = ncells * per_cell + 2 * stride * _STREAM_WORDS * 8
     return shared + workers * per_thread
 
@@ -337,21 +331,20 @@ class Slice(ctypes.Structure):
     The ensemble has `replicates` replicates, so a slice holds at most
     stride = slice_stride(replicates) of them: at most BLOCK.  step()
     integrates a slice through its next block of `block` recorded rows, and
-    fold() adds the block's replicates that are still finite into an
-    ensemble's sums; a block of every row steps the slice in one call.  The
-    slice holds, per cell and replicate, the |x|^2 at every row of the block
-    (sq, of block x cells x stride), the first row by which |x| exceeded
-    epsilon1, -1 if none (first_exceed, cells x stride), the nonfinite and
-    negative flags (cells x stride each), the kernel's state and two Philox
-    streams per column, each in C order; rows is the rows of the last block.
-    late counts the replicates that turned non-finite after the first
-    block, and so were counted by the folds of earlier blocks.
+    fold() adds the block's finite |x|^2 into an ensemble's sums; a block of
+    every row steps the slice in one call.  The slice holds, per cell and
+    replicate, the |x|^2 at every row of the block (sq, of block x cells x
+    stride), the first row by which |x| exceeded epsilon1, -1 if none
+    (first_exceed, cells x stride), the negative flags (cells x stride),
+    the kernel's state (state, 2 x cells x stride: the deviations) and two
+    Philox streams per column, each in C order; rows is the rows of the
+    last block.
     """
 
     _fields_ = [("_cells", _P), ("k", _I), ("stride", _I), ("dt", _D), ("_rec", _P), ("_nrec", _I), ("block", _I),
-                ("_state", _P), ("_sq", _P), ("_first_exceed", _P), ("_nonfinite", _P), ("_negative", _P),
+                ("_state", _P), ("_sq", _P), ("_first_exceed", _P), ("_negative", _P),
                 ("_streams", _P), ("seed", ctypes.c_uint64), ("first", _I), ("n", _I), ("_step", _I),
-                ("_next", _I), ("rows", _I), ("late", _I)]
+                ("_next", _I), ("rows", _I)]
 
     def __init__(self, cells, seed: int, dt: float, rec, replicates: int, block: int):
         self._lib = library()
@@ -366,51 +359,41 @@ class Slice(ctypes.Structure):
         self.state = _zeros("d", _STATE_ROWS * k * stride)
         self.sq = _zeros("d", block * k * stride)
         self.first_exceed = _zeros("q", k * stride)
-        self.nonfinite = _zeros("B", k * stride)
         self.negative = _zeros("B", k * stride)
         self.streams = _zeros("q", 2 * stride * _STREAM_WORDS)
         super().__init__(_address(self.cells), k, stride, dt, _address(self.rec), nrec, block,
-                         *map(_address, (self.state, self.sq, self.first_exceed, self.nonfinite, self.negative,
-                                         self.streams)), seed, 0, 0, -1)
+                         *map(_address, (self.state, self.sq, self.first_exceed, self.negative, self.streams)),
+                         seed, 0, 0, -1)
 
     @property
     def done(self) -> bool:
         """Whether the slice has no block in progress: before the first step() and after the last block."""
         return self._step in (-1, self.rec[-1])
 
-    def step(self, first: int, n: int, excluded: Optional[bytes] = None) -> None:
+    def step(self, first: int, n: int) -> None:
         """Integrate replicates first..first+n-1 of every cell through their next block of rows (em_run in _em.c).
 
-        A call when the slice is done, or stopped, starts them from step 0;
-        then excluded, when given, flags the replicates to leave out of every
-        fold, as nonfinite flags them (cells x stride bytes of 0 or 1).  A
-        call mid-way must name the replicates of the slice in progress.
+        A call when the slice is done starts them from step 0; a call
+        mid-way must name the replicates of the slice in progress.
         """
         if not 0 <= n <= self.stride:
             raise ValueError(f"a slice holds 0 to {self.stride} replicates, not {n}")
         if self.done:
-            flags = bytes(len(self.nonfinite)) if excluded is None else excluded
-            if len(flags) != len(self.nonfinite):
-                raise ValueError("the excluded flags do not match the slice's cells and columns")
-            ctypes.memmove(_address(self.nonfinite), flags, len(flags))
             self.first, self.n, self._step = first, n, -1
         elif (first, n) != (self.first, self.n):
             raise ValueError(f"replicates {self.first} to {self.first + self.n - 1} are mid-way through the horizon")
         self._lib.em_run(ctypes.addressof(self))
 
-    def stop(self) -> None:
-        """Leave the slice in progress: the next step() starts the replicates it names from step 0."""
-        self._step = -1
-
     def fold(self, sums: Sums) -> None:
-        """Add the replicates of the block stepped last that are still finite, in index order, into sums (em_fold
-        in _em.c); after the final block, their counts too."""
+        """Add the finite |x|^2 of the block stepped last, in index order, into sums, and count the others
+        (em_fold in _em.c); after the final block, the replicates' counts too."""
         size = self.k * len(self.rec)
         # the C loop trusts every pointer and size
         if not all(a.typecode == typecode and len(a) == want for a, typecode, want in (
-                (sums.sq, "d", size), (sums.exceed, "q", size), (sums.counts, "q", 3 * self.k))):
+                (sums.sq, "d", size), (sums.exceed, "q", size), (sums.lost, "q", size),
+                (sums.counts, "q", 3 * self.k))):
             raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
-        self._lib.em_fold(ctypes.addressof(self), _address(sums.sq), _address(sums.exceed), _address(sums.counts))
+        self._lib.em_fold(ctypes.addressof(self), *map(_address, (sums.sq, sums.exceed, sums.lost, sums.counts)))
 
 
 def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array] = None) -> None:

@@ -4,9 +4,13 @@ The two stability notions being probed are asymptotic (expectations as
 t -> infinity, suprema over all t >= 0).  The estimators here are finite-
 horizon surrogates: the mean squared deviation from the anchor on the
 recorded grid, and the fraction of replicates whose deviation ever exceeded
-a radius epsilon1 at any integration step up to the horizon.  Replicates
-whose state becomes non-finite are excluded from both statistics and
-reported, since silently dropping them would bias the estimates.
+a radius epsilon1 at any integration step up to the horizon.  The mean at
+each recorded time is over the replicates whose |x|^2 is finite there: a
+state that is not finite stays so, and an |x|^2 may also overflow.  So each
+row depends on the steps up to its time only.  The exceedance fraction is
+over the replicates whose state is finite at the horizon.  Those whose
+state is not are reported, since silently dropping them would bias the
+estimates.
 """
 
 from __future__ import annotations
@@ -90,8 +94,8 @@ class EnsembleStats(Record):
     """
 
     times: FloatArray = FloatArray()
-    # sample mean of |x(t)|^2 over the included replicates on the recorded
-    # grid; at long horizons a few paths carry it, so it does not estimate E|x(t)|^2
+    # sample mean of |x(t)|^2 on the recorded grid over the replicates whose |x(t)|^2 is
+    # finite; at long horizons a few paths carry it, so it does not estimate E|x(t)|^2
     mean_sq_dev: FloatArray = FloatArray()
     exceed_fraction_cum: FloatArray = FloatArray()  # fraction whose sup-deviation exceeded epsilon1 by each time
     exceed_fraction: float
@@ -136,127 +140,104 @@ def _euler_maruyama(
     depends on the number of threads or the blocks.  A thread folds block b
     of slice s into the sums only once slice s - 1 has folded block b, so
     each row adds every replicate in index order, and the memory is the
-    sums, a bit per replicate and cell (below) and one block per thread,
-    whatever the horizon.  A fold leaves out the replicates that are
-    non-finite by the end of its block.  Where one that an earlier fold
-    counted ends non-finite (late), its slice keeps its nonfinite flags,
-    and the rows of the blocks before the last block in which that
-    happened are folded again: each slice steps through those blocks once
-    more, leaving out from the start the replicates its flags name.  A
-    non-finite state stays non-finite, so the sums are those of one pass
-    over the replicates that end finite.  A horizon of one block, as a
-    sweep records it, is never folded again.  The compiled kernel runs
-    without the interpreter lock, so the threads step in parallel.  The
-    first exception raised in any thread stops the others before their
-    next fold, and is raised here once every thread has been joined.
+    sums and one block per thread, whatever the horizon.  A fold adds the
+    |x|^2 of a row that are finite there, which no later block changes, so
+    every block of every slice is stepped and folded once.
+    The compiled kernel runs without the interpreter lock, so the threads
+    step in parallel.  The first exception raised in any thread stops the
+    others before their next fold, and is raised here once every thread has
+    been joined.
     """
     _em.library()  # built or loaded before any thread asks for it
     slices, blocks = _em.slice_count(replicates, workers), -(-len(rec) // block)
     sums = _em.Sums(len(cells), len(rec))
-    width = len(cells) * _em.slice_stride(replicates)  # a slice's nonfinite flags, a multiple of 8
-    # per slice that had a late replicate its nonfinite flags, a bit each, else none set
-    late = bytearray(slices * width // 8 if blocks > 1 else 0)
+    turn = threading.Condition()
+    folded = [0] * blocks  # per block, the slices folded into the sums so far
+    failed = []   # exceptions raised in any thread, in the order raised
 
-    def run(blocks: int, again: bool) -> int:
-        """Step every slice through its first `blocks` blocks, folding each in turn, and return the
-        last block in which a late replicate turned non-finite, else 0.  In the run `again`, each
-        slice leaves out from the start the replicates that the flags in `late` name."""
-        turn = threading.Condition()
-        folded = [0] * blocks  # per block, the slices folded into the sums so far
-        failed = []   # exceptions raised in any thread, in the order raised
-        last = [0]
+    def abort(exc: BaseException) -> None:
+        with turn:
+            failed.append(exc)
+            turn.notify_all()
 
-        def stop(exc: BaseException) -> None:
-            with turn:
-                failed.append(exc)
-                turn.notify_all()
-
-        def worker(w: int) -> None:
-            """Step thread w's slices a block at a time and fold each block in its turn."""
-            try:
-                buffer = _em.Slice(cells, master_seed, dt, rec, replicates, block)
-                for s in range(w, slices, workers):
-                    lo = replicates * s // slices
-                    n = replicates * (s + 1) // slices - lo
-                    excluded = bytes((late[(s * width + i) // 8] >> (i % 8)) & 1 for i in range(width)) if again else None
-                    seen = 0
-                    for b in range(blocks):
-                        buffer.step(lo, n, excluded)
-                        with turn:
-                            turn.wait_for(lambda: folded[b] == s or failed)
-                            if failed:
-                                return
-                            buffer.fold(sums)
-                            folded[b] += 1
-                            if buffer.late > seen:
-                                seen, last[0] = buffer.late, max(last[0], b)
-                            turn.notify_all()
-                    if seen:  # the flags are final: every block was stepped
-                        flags = buffer.nonfinite
-                        late[s * width // 8:(s + 1) * width // 8] = bytes(
-                            sum(flags[i + j] << j for j in range(8)) for i in range(0, width, 8))
-                    buffer.stop()
-            except BaseException as exc:
-                stop(exc)
-
-        threads = []
+    def worker(w: int) -> None:
+        """Step thread w's slices a block at a time and fold each block in its turn."""
         try:
-            for w in range(1, workers):
-                thread = threading.Thread(target=worker, args=(w,))
-                thread.start()
-                threads.append(thread)
-            worker(0)
-            for thread in threads:
-                thread.join()
-        except BaseException as exc:  # a thread that would not start, or an interrupted join
-            stop(exc)
-            for thread in threads:
-                thread.join()
-        if failed:
-            raise failed[0]
-        return last[0]
+            buffer = _em.Slice(cells, master_seed, dt, rec, replicates, block)
+            for s in range(w, slices, workers):
+                lo = replicates * s // slices
+                n = replicates * (s + 1) // slices - lo
+                for b in range(blocks):
+                    buffer.step(lo, n)
+                    with turn:
+                        turn.wait_for(lambda: folded[b] == s or failed)
+                        if failed:
+                            return
+                        buffer.fold(sums)
+                        folded[b] += 1
+                        turn.notify_all()
+        except BaseException as exc:
+            abort(exc)
 
-    last = run(blocks, False)
-    if last:
-        sums.clear_rows(last * block)
-        run(last, True)
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=worker, args=(w,))
+            thread.start()
+            threads.append(thread)
+        worker(0)
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # a thread that would not start, or an interrupted join
+        abort(exc)
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
     return sums
 
 
 def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tuple[_em.Sums, array]:
-    """The sums of every cell's ensemble of cfg, recording every stride-th step and the last, and the recorded steps.
+    """The sums of every cell's ensemble of cfg, recording every stride-th step and the last, and the
+    recorded times, an array('d').
 
     The size of the run's buffers is checked before anything is sized from
-    its step count.
+    its step count.  The recorded steps are freed once the times are made
+    from them, before any statistics are.
     """
     n_steps, workers = step_count(cfg.sim), _worker_count(cfg.replicates)
     block = _em.block_rows(n_steps, stride)
     _check_recorded_bytes(_em.ensemble_bytes(len(cells), _em.recorded_rows(n_steps, stride), block, workers,
                                              cfg.replicates))
     rec = recorded_step_array(n_steps, stride)
-    return _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, block, workers), rec
+    sums = _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, block, workers)
+    return sums, array("d", (step * cfg.sim.dt for step in rec))
 
 
-def _reduce(sums: _em.Sums, cell: int, rec: array, dt: float) -> EnsembleStats:
-    """Statistics of one cell over its finite replicates, from sums added in replicate-index order.
+def _reduce(sums: _em.Sums, cell: int, times: array) -> EnsembleStats:
+    """Statistics of one cell, from sums added in replicate-index order.
 
-    The ratios divide by the count converted to a float, as numpy divides
-    an array by an int, so they equal the numpy reference's to the bit.
-    Each column is filled as an array('d'), one number at a time.
+    Row k of mean_sq_dev divides by the replicates whose |x|^2 is finite at
+    row k, and is NaN where there is none; the exceedance fractions divide
+    by those whose state is finite at the end.  The ratios divide by the
+    count converted to a float, as numpy divides an array by an int, so
+    they equal the numpy reference's to the bit.  Each column is filled as
+    an array('d'), one number at a time.
     """
     n_included, n_negative, n_nonfinite = sums.counts[3 * cell:3 * cell + 3]
     if n_included == 0:
         raise EnsembleError("all replicates became non-finite; no statistics available")
-    row = slice(cell * len(rec), (cell + 1) * len(rec))
+    row = slice(cell * len(times), (cell + 1) * len(times))
     exceed = memoryview(sums.exceed)[row]  # replicates whose first exceedance was at each recorded step
     n_exceed = sum(exceed)
-    included = float(n_included)
+    n_replicates, included = n_included + n_nonfinite, float(n_included)
     return EnsembleStats(
-        times=array("d", (step * dt for step in rec)),
-        mean_sq_dev=array("d", (sq / included for sq in memoryview(sums.sq)[row])),
+        times=times,
+        mean_sq_dev=array("d", (sq / float(n_replicates - lost) if lost < n_replicates else math.nan
+                                for sq, lost in zip(memoryview(sums.sq)[row], memoryview(sums.lost)[row]))),
         exceed_fraction_cum=array("d", (count / included for count in accumulate(exceed))),
         exceed_fraction=n_exceed / n_included,
-        n_replicates=n_included + n_nonfinite,
+        n_replicates=n_replicates,
         n_included=n_included,
         n_exceed=n_exceed,
         n_negative=n_negative,
@@ -272,8 +253,8 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     and the reduction sums replicates in index order.  This is the one-cell
     case of the batched kernel that sweep uses.
     """
-    sums, rec = _ensembles([_cell(cfg, params)], cfg, cfg.sim.record_stride)
-    return _reduce(sums, 0, rec, cfg.sim.dt)
+    sums, times = _ensembles([_cell(cfg, params)], cfg, cfg.sim.record_stride)
+    return _reduce(sums, 0, times)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -385,14 +366,14 @@ def sweep(
     batch = [cell for _, cell in cells if cell is not None]
     if batch:
         # a stride past every step count records the start and the end: a row reads only the end
-        sums, rec = _ensembles(batch, template, MAX_STEPS)
+        sums, times = _ensembles(batch, template, MAX_STEPS)
 
     rows = []
     integrated = iter(range(len(batch)))  # each cell's index in the batch, in grid order
     for row, cell in cells:
         if cell is not None:
             try:
-                stats = _reduce(sums, next(integrated), rec, template.sim.dt)
+                stats = _reduce(sums, next(integrated), times)
                 row.update(exceed_fraction=stats.exceed_fraction, final_msd=_stored(stats, "mean_sq_dev")[-1],
                            n_negative=stats.n_negative, n_nonfinite=stats.n_nonfinite)
             except EnsembleError as exc:

@@ -847,18 +847,16 @@ def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monk
     cfg = ensemble_config(replicates=20000, sim=sim)
     with pytest.raises(Admitted):
         main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
-    # 5001 rows: a float64 sum and an int64 count per row, and three counts;
-    # the recorded steps, which the threads share; t, the mean |x|^2 and the
-    # exceedance fraction per row; in each of the two threads the cell's 13
-    # words, and per replicate of 64 its two state values, |x|^2 per row of a
-    # block of 4097 rows, first exceedance, two 1 B flags and two 39-word
-    # streams (64 replicates fill a slice's 64 columns; fewer take fewer, see
-    # test_em); and, as the rows take two blocks, a bit per column of the two
-    # slices, for the flags of a slice folded again
+    # 5001 rows: a float64 sum and two int64 counts per row (first exceedances
+    # and first non-finite rows), and three counts; the recorded steps, which
+    # the threads share; t, the mean |x|^2 and the exceedance fraction per row;
+    # in each of the two threads the cell's 13 words, and per replicate of 64
+    # its two state values, |x|^2 per row of a block of 4097 rows, its first
+    # exceedance and first non-finite row, a 1 B flag and two 39-word streams
+    # (64 replicates fill a slice's 64 columns; fewer take fewer, see test_em)
     cfg = ensemble_config(replicates=64, sim=dict(sim, t_end=2500.0))
-    size = (5001 * (16 + 8 + 3 * 8) + 3 * 8 + 2 * (13 * 8 + 64 * ((2 + 4097 + 1) * 8 + 2 + 2 * 39 * 8))
-            + 2 * 64 // 8)
-    assert size == 4518824
+    size = 5001 * (24 + 8 + 3 * 8) + 3 * 8 + 2 * (13 * 8 + 64 * ((2 + 4097 + 2) * 8 + 1 + 2 * 39 * 8))
+    assert size == 4559712
     out = tmp_path / "out"
     assert main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"would record {Decimal(size):.3g} bytes, more than the 4194304 bytes" in capsys.readouterr().err

@@ -103,9 +103,7 @@ def buffer_bytes(obj) -> int:
 ], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates", "1-5001-2-one-row-blocks"])
 def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, replicates, stride):
     # a slice holds columns for min(64, replicates) replicates, rounded up to whole groups of 8 lanes, and
-    # one block of rows; its threads share the recorded steps, the statistics are reduced one cell at a time,
-    # and in more than one block the run keeps a bit per column of every slice, for the nonfinite flags of
-    # the slices it folds again
+    # one block of rows; its threads share the recorded steps, and the statistics are reduced one cell at a time
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     rec = array("q", range(nrec))
@@ -113,10 +111,9 @@ def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, 
     assert buffer.rec is rec and buffer.stride == _em.slice_stride(replicates) == stride
     sums = _em.Sums(ncells, nrec)
     sums.counts[0] = 1  # an included replicate in cell 0
-    stats = montecarlo._reduce(sums, 0, rec, 0.5)
+    stats = montecarlo._reduce(sums, 0, array("d", rec))
     stats_bytes = sum(len(vars(stats)[name]) * 8 for name in ("times", "mean_sq_dev", "exceed_fraction_cum"))
-    flag_bits = _em.slice_count(replicates, workers) * len(buffer.nonfinite) if block < nrec else 0
-    expected = (buffer_bytes(sums) + nrec * 8 + stats_bytes + flag_bits // 8
+    expected = (buffer_bytes(sums) + nrec * 8 + stats_bytes
                 + workers * (buffer_bytes(buffer) - nrec * 8))  # each thread's Slice, but the shared steps
     assert _em.ensemble_bytes(ncells, nrec, block, workers, replicates) == expected
 
@@ -134,14 +131,12 @@ def test_slice_refuses_recorded_steps_that_do_not_ascend_from_0(rec):
 
 def test_slice_steps_its_replicates_a_block_at_a_time():
     # em_run resumes the slice in progress, so a call mid-way must name its replicates; a slice that has
-    # stepped its last block, or was stopped, starts the replicates it is given from step 0
+    # stepped its last block starts the replicates it is given from step 0
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     with pytest.raises(ValueError, match="at least one row"):
         _em.Slice([cell], 0, 0.5, range(5), 8, 0)
     buffer = _em.Slice([cell], 0, 0.5, range(5), 8, 2)
-    with pytest.raises(ValueError, match="excluded flags do not match"):
-        buffer.step(0, 8, bytes(7))
     rows = []
     for first in (0, 0, 0, 8):
         buffer.step(first, 8)
@@ -151,9 +146,9 @@ def test_slice_steps_its_replicates_a_block_at_a_time():
                 buffer.step(first + 1, 8)
     assert rows == [(2, False), (2, False), (1, True), (2, False)]
     sq = buffer.sq.tobytes()  # replicates 8 to 15 over rows 0 and 1
-    buffer.stop()
-    buffer.step(16, 8)
-    buffer.stop()
+    for first in (8, 8, 16, 16, 16):
+        buffer.step(first, 8)
+    assert buffer.done
     buffer.step(8, 8)
     assert (buffer.rows, buffer.done, buffer.sq.tobytes()) == (2, False, sq)
 

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import signal
@@ -36,7 +37,7 @@ from ssrna import (
     validate_params,
     wilson_interval,
 )
-from ssrna import _em, montecarlo, simulator
+from ssrna import _em, cli, montecarlo, simulator
 from ssrna.model_core import anchor_scale, displaced_initial
 from ssrna.montecarlo import write_ensemble_csv, write_sweep_csv
 from ssrna.simulator import recorded_steps, step_count
@@ -246,11 +247,11 @@ def fail_step(monkeypatch, fails):
     """
     real = _em.Slice.step
 
-    def step(self, first, n, excluded=None):
+    def step(self, first, n):
         block = 0 if self.done else self._next // self.block
         if fails(first, block, threading.current_thread() is threading.main_thread()):
             raise Boom(first)
-        real(self, first, n, excluded)
+        real(self, first, n)
 
     monkeypatch.setattr(_em.Slice, "step", step)
 
@@ -397,24 +398,29 @@ def reference_ensemble(params, cfg):
     """Scalar Euler-Maruyama per replicate on one-shot brownian_increments draws.
 
     Returns (mean_sq_dev, exceed_fraction_cum, n_negative, n_nonfinite) with
-    the same exclusion rule and replicate-order summation as run_ensemble.
+    the same exclusion rules and replicate-order summation as run_ensemble:
+    each row of mean_sq_dev over the |x|^2 that are finite in that row, and
+    the exceedances over the replicates whose state is finite at the end.
     """
     n = step_count(cfg.sim)
     rec = recorded_steps(n, cfg.sim.record_stride)
-    msd = np.zeros(len(rec))
+    sums, lost = np.zeros(len(rec)), np.zeros(len(rec), np.int64)
     first_exceed, n_negative, n_nonfinite = [], 0, 0
     for k in range(cfg.replicates):
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
-            sq, first, negative = _reference_path(params, cfg, k, n, rec)
-        if sq is None:
+            sq, first, negative, finite = _reference_path(params, cfg, k, n, rec)
+        sq = np.asarray(sq)
+        sums += np.where(np.isfinite(sq), sq, 0.0)  # adding 0.0 to a sum of squares leaves it as it is
+        lost += ~np.isfinite(sq)
+        if not finite:
             n_nonfinite += 1
             continue
-        msd += np.asarray(sq)
         first_exceed.append(first)
         n_negative += negative
     n_included = cfg.replicates - n_nonfinite
     cum = [sum(e is not None and e <= step for e in first_exceed) / n_included for step in rec]
-    return msd / n_included, np.asarray(cum), n_negative, n_nonfinite
+    with np.errstate(invalid="ignore"):  # a row without a finite |x|^2 is NaN
+        return sums / (cfg.replicates - lost), np.asarray(cum), n_negative, n_nonfinite
 
 
 def test_ensemble_stats_hand_library_callers_float64_arrays():
@@ -434,7 +440,11 @@ def test_ensemble_stats_hand_library_callers_float64_arrays():
 
 
 def _reference_path(params, cfg, k, n, rec):
-    """(|x|^2 at the recorded steps, first step |x| > epsilon1, went negative), or Nones if it diverged."""
+    """(|x|^2 at the recorded steps, first step |x| > epsilon1, went negative, state finite at step n).
+
+    A diverging path goes on through its steps: its |x|^2 turns infinite or
+    NaN, and its state too, which then stays so.
+    """
     eq, sim = cfg.anchor, cfg.sim
     eps_sq = cfg.epsilon1 * cfg.epsilon1
     dW1 = brownian_increments(cfg.master_seed, k, 0, n, sim.dt)
@@ -446,15 +456,19 @@ def _reference_path(params, cfg, k, n, rec):
             g1, g2 = centralized_rhs(params, eq, (x1, x2))
             x1 = x1 + g1 * sim.dt + cfg.noise.omega1 * x1 * dW1[i - 1]
             x2 = x2 + g2 * sim.dt + cfg.noise.omega2 * x2 * dW2[i - 1]
-            if not (math.isfinite(x1) and math.isfinite(x2)):
-                return None, None, None
         dsq = x1 * x1 + x2 * x2
         if i in rec:
             sq.append(dsq)
         if exceed_at is None and dsq > eps_sq:
             exceed_at = i
         negative = negative or eq.p_star + x1 < 0.0 or eq.m_star + x2 < 0.0
-    return sq, exceed_at, negative
+    return sq, exceed_at, negative, math.isfinite(x1) and math.isfinite(x2)
+
+
+def row_bytes(values):
+    """Each number's bytes (float.hex), or None where it is not finite: the kernel and the reference take
+    the same steps, but their NaNs need not be the same."""
+    return [float(x).hex() if math.isfinite(x) else None for x in values]
 
 
 def test_slice_draws_the_top_stream_keys():
@@ -466,8 +480,8 @@ def test_slice_draws_the_top_stream_keys():
     rec = recorded_steps(27, 3)
     buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates, len(rec))
     buffer.step(2**63 - 1, 1)
-    sq, _, negative = _reference_path(p, cfg, 2**63 - 1, 27, rec)
-    assert sq is not None and buffer.nonfinite[0] == 0
+    sq, _, negative, finite = _reference_path(p, cfg, 2**63 - 1, 27, rec)
+    assert finite
     assert buffer.sq[::buffer.stride].tolist() == sq  # rows x one cell x stride: replicate 0 of each row
     assert buffer.negative[0] == negative
 
@@ -527,15 +541,15 @@ def slice_width_equals_the_reference(library, n, p, noise):
     assert buffer.stride == min(64, -(-n // 8) * 8)
     buffer.step(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
     buffer.step(0, n)
+    included = []
     for j in range(n):
         with np.errstate(over="ignore", invalid="ignore"):
-            sq, exceed_at, negative = _reference_path(p, cfg, j, 27, rec)
-        assert buffer.nonfinite[j] == (sq is None), j
-        if sq is not None:
-            assert buffer.sq[j::buffer.stride].tolist() == sq, j  # rows x one cell x stride
+            sq, exceed_at, negative, finite = _reference_path(p, cfg, j, 27, rec)
+        assert row_bytes(buffer.sq[j::buffer.stride]) == row_bytes(sq), j  # rows x one cell x stride
+        if finite:
+            included.append(j)
             assert buffer.first_exceed[j] == (-1 if exceed_at is None else bisect_left(rec, exceed_at)), j
             assert buffer.negative[j] == negative, j
-    included = [j for j in range(n) if not buffer.nonfinite[j]]
     if noise.omega1 > 1.0 and n >= 7:
         assert 0 < sum(j < 8 for j in included) < min(n, 8)
     elif noise.omega1 < 1.0 and n >= 8:
@@ -544,7 +558,8 @@ def slice_width_equals_the_reference(library, n, p, noise):
     sums = _em.Sums(1, len(rec))
     buffer.fold(sums)
     sq = np.frombuffer(buffer.sq).reshape(len(rec), buffer.stride)[:, :n]
-    assert np.array_equal(np.frombuffer(sums.sq), sum_included(sq, np.frombuffer(buffer.nonfinite, np.bool_)[:n]))
+    assert np.array_equal(np.frombuffer(sums.sq), sum_finite(sq))
+    assert list(sums.lost) == np.count_nonzero(~np.isfinite(sq), axis=1).tolist()
     assert list(sums.exceed) == [sum(buffer.first_exceed[j] == i for j in included) for i in range(len(rec))]
     assert list(sums.counts) == [len(included), sum(buffer.negative[j] for j in included), n - len(included)]
 
@@ -568,8 +583,8 @@ def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_libr
         buffer.step(100, 37)
         runs[name] = (stats.n_negative, stats.n_nonfinite,
                       [(tmp_path / f"{name}-{command}.csv").read_bytes() for command in ("ensemble", "sweep")],
-                      [(buffer.sq[j::buffer.stride].tobytes(), buffer.first_exceed[j], buffer.nonfinite[j],
-                        buffer.negative[j]) for j in range(37)])
+                      [(buffer.sq[j::buffer.stride].tobytes(), buffer.state[j::buffer.stride].tobytes(),
+                        buffer.first_exceed[j], buffer.negative[j]) for j in range(37)])
     assert runs["scalar"] == runs["default"]
     n_negative, n_nonfinite = runs["scalar"][:2]
     assert n_negative > 0 and (n_nonfinite > 0) == (noise.omega1 > 1.0)
@@ -613,9 +628,10 @@ def slice_batches(draw):
     return cells, seed, first, width, replicates, dt, [0, *sorted(inner), n_steps]
 
 
-# Decoupled cells whose one divergent coordinate overflows in step 11, the last: the other is still
-# finite there, and becomes NaN only a step later, through 0 x inf.  A replicate is non-finite if
-# either coordinate is, whichever the random examples happen to end on.
+# Decoupled cells whose |x|^2 overflows in step 6, and whose one divergent coordinate overflows in
+# step 11, the last: the other is still finite there, and becomes NaN only a step later, through
+# 0 x inf.  A replicate is non-finite if either coordinate is, whichever the random examples happen
+# to end on.
 _DECOUPLED = ModelParams(**dict(_COUPLED, r=0.0))
 _LAST_STEP_OVERFLOWS = ([(_DECOUPLED, origin_equilibrium(), NoiseSpec(w1, w2), State(500.0, 500.0), 450.0)
                          for w1, w2 in ((0.05, 1e30), (1e30, 0.05))], 7, 0, 16, 16, 0.25, [0, 5, 11])
@@ -624,13 +640,13 @@ _LAST_STEP_OVERFLOWS = ([(_DECOUPLED, origin_equilibrium(), NoiseSpec(w1, w2), S
 @settings(max_examples=30)
 @given(batch=slice_batches(), block=st.sampled_from([1, 2, 3, None]))
 @example(batch=_LAST_STEP_OVERFLOWS, block=None)
-@example(batch=_LAST_STEP_OVERFLOWS, block=2)  # the overflow is in the second block, after a fold
+@example(batch=_LAST_STEP_OVERFLOWS, block=2)  # the overflows are in the second block, after a fold
 def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
     # Slice.step and Slice.fold equal _reference_path byte for byte, on the default library (eight
     # lanes per register where the CPU has AVX-512F) and on the scalar one, whatever the stride, in
-    # blocks of 1, 2 or 3 recorded rows or of every row.  A fold leaves out the replicates that are
-    # non-finite by the end of its block; where one that an earlier fold counted ends non-finite
-    # (late), the slice is stepped again with the replicates that ended non-finite left out from the start.
+    # blocks of 1, 2 or 3 recorded rows or of every row.  A fold adds the |x|^2 that are finite and
+    # counts the others, row by row, so each block is stepped and folded once, whichever block a
+    # replicate turns non-finite in.
     cells, seed, first, width, replicates, dt, rec = batch
     n_steps, k = rec[-1], len(cells)
     cfgs = [EnsembleConfig(replicates=replicates, sim=SimConfig(dt=dt, t_end=n_steps * dt, initial=initial),
@@ -639,11 +655,7 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
     with np.errstate(over="ignore", invalid="ignore"):
         paths = [[_reference_path(cell[0], cfg, first + j, n_steps, rec) for j in range(width)]
                  for cell, cfg in zip(cells, cfgs)]
-        # the replicates that end non-finite but are finite at the last step of the first block
-        block = block or len(rec)
-        end = rec[min(block, len(rec)) - 1]
-        late = sum(path[0] is None and (end == 0 or _reference_path(cell[0], cfg, first + j, end, [0])[0] is not None)
-                   for cell, cfg, cell_paths in zip(cells, cfgs, paths) for j, path in enumerate(cell_paths))
+    block = block or len(rec)
     kernel_cells = [montecarlo._cell(cfg, cell[0]) for cell, cfg in zip(cells, cfgs)]
     for library in (_em.library(), scalar_library):
         with pytest.MonkeyPatch.context() as patch:
@@ -655,45 +667,55 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
         buffer.step(2**63 - stride, stride)  # another slice's outputs in every column, which em_fold must not read
         while not buffer.done:
             buffer.step(2**63 - stride, stride)
-        sq_rows, excluded = [], None
-        for _ in range(2):
-            sums = _em.Sums(k, len(rec))
-            buffer.step(first, width, excluded)
-            while True:
-                buffer.fold(sums)
-                sq_rows.append(buffer.sq[:buffer.rows * k * stride])
-                if buffer.done:
-                    break
-                buffer.step(first, width)
-            assert buffer.late == (0 if excluded else late)
-            if not buffer.late:
+        sums, sq_rows = _em.Sums(k, len(rec)), []
+        buffer.step(first, width)
+        while True:
+            buffer.fold(sums)
+            sq_rows.append(buffer.sq[:buffer.rows * k * stride])
+            if buffer.done:
                 break
-            excluded, sq_rows = bytes(buffer.nonfinite), []
+            buffer.step(first, width)
         sq = array("d", b"".join(rows.tobytes() for rows in sq_rows))  # recorded rows x cells x stride
         for c, cell_paths in enumerate(paths):
-            included = [j for j, (sq_j, _, _) in enumerate(cell_paths) if sq_j is not None]
-            assert list(buffer.nonfinite[c * stride:c * stride + width]) == [j not in included for j in range(width)]
-            rows = [0.0] * len(rec)  # the reference's fold: each row adds the included replicates in index order
-            exceed = [0] * len(rec)
-            for j in included:
-                sq_j, exceed_at, negative = cell_paths[j]
-                assert sq[c * stride + j::k * stride].tobytes() == array("d", sq_j).tobytes(), (c, j)
+            rows = [0.0] * len(rec)  # the reference's fold: each row adds its finite |x|^2 in index order
+            exceed, lost, included, negatives = [0] * len(rec), [0] * len(rec), 0, 0
+            for j, (sq_j, exceed_at, negative, finite) in enumerate(cell_paths):
+                assert row_bytes(sq[c * stride + j::k * stride]) == row_bytes(sq_j), (c, j)
+                rows = [acc + x if math.isfinite(x) else acc for acc, x in zip(rows, sq_j)]
+                lost = [m + (not math.isfinite(x)) for m, x in zip(lost, sq_j)]
+                if not finite:
+                    continue
                 row = -1 if exceed_at is None else bisect_left(rec, exceed_at)
                 assert (buffer.first_exceed[c * stride + j], buffer.negative[c * stride + j]) == (row, negative)
-                rows = [acc + x for acc, x in zip(rows, sq_j)]
+                included, negatives = included + 1, negatives + negative
                 if row >= 0:
                     exceed[row] += 1
             part = slice(c * len(rec), (c + 1) * len(rec))
             assert sums.sq[part].tobytes() == array("d", rows).tobytes()
             assert list(sums.exceed[part]) == exceed
-            negatives = sum(cell_paths[j][2] for j in included)
-            assert list(sums.counts[3 * c:3 * c + 3]) == [len(included), negatives, width - len(included)]
+            assert list(sums.lost[part]) == lost
+            assert list(sums.counts[3 * c:3 * c + 3]) == [included, negatives, width - included]
+
+
+def test_a_row_without_a_finite_square_reads_nan():
+    # x1 grows by about 1e29 a step: the |x|^2 of every replicate overflows in step 6, while its state
+    # stays finite to step 11.  Over 8 steps, rows 6 to 8 have no finite |x|^2 to average and read NaN,
+    # and every replicate ends with a finite state, so it counts in the exceedance fraction.
+    sim = SimConfig(dt=0.25, t_end=2.0, initial=State(500.0, 500.0))
+    cfg = EnsembleConfig(replicates=16, sim=sim, noise=NoiseSpec(1e30, 0.05), anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=7)
+    stats = run_ensemble(cfg, _DECOUPLED)
+    assert np.isfinite(stats.mean_sq_dev[:6]).all() and np.isnan(stats.mean_sq_dev[6:]).all()
+    assert (stats.n_included, stats.n_nonfinite, stats.exceed_fraction) == (16, 0, 1.0)
+    msd, cum, _, _ = reference_ensemble(_DECOUPLED, cfg)
+    assert row_bytes(stats.mean_sq_dev) == row_bytes(msd)
+    assert stats.exceed_fraction_cum.tobytes() == cum.tobytes()
 
 
 def test_ensemble_memory_does_not_grow_with_horizon(tumv):
     # Each thread holds one block of recorded rows, whatever the horizon.  Recorded at every step, a
     # horizon ten times as long adds to the peak no more than the run keeps per row: its sums (a
-    # float64 and an int64), the recorded step and the statistics (t, the mean |x|^2 and the
+    # float64 and two int64), the recorded step and the statistics (t, the mean |x|^2 and the
     # exceedance fraction).  Slices that held every row added 64 columns of |x|^2 per thread.
     eq = positive_equilibrium(tumv)
     peaks = []
@@ -709,7 +731,7 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv):
         finally:
             tracemalloc.stop()
         peaks.append(peak)
-    per_row = 2 * 8 + 8 + 3 * 8
+    per_row = 3 * 8 + 8 + 3 * 8
     assert peaks[1] - peaks[0] <= (100001 - 10001) * per_row
 
 
@@ -725,7 +747,8 @@ def test_few_replicates_hold_few_columns(tumv, monkeypatch):
     # a slice holds columns for min(64, replicates) replicates, rounded up to 8, and one block of
     # rows: two replicates over 186254 recorded rows once held 64 columns of |x|^2 per row and
     # thread, 95 MB each, then 8, 12 MB each.  Now a thread holds 4097 rows of 8 columns, 262 kB,
-    # and the run 48 B per row: its sums, the recorded steps and the statistics, 8.9 MB
+    # and the run 48 B per row: its sums and the statistics (the recorded steps are freed before the
+    # statistics are made), 8.9 MB
     cfg = few_replicates_cfg(tumv, 100000.0)
     assert len(recorded_steps(step_count(cfg.sim), 1)) == 186254
     tracemalloc.start()  # it sees every thread's slice
@@ -770,17 +793,16 @@ def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
         run(cfg, tumv)
 
 
-def sum_included(sq, nonfinite):
-    """Per row of sq (rows, replicates), the sum over replicates not flagged nonfinite.
+def sum_finite(sq):
+    """Per row of sq (rows, replicates), the sum of its finite numbers.
 
-    The reduction the ensemble kernel once ran over every replicate's |x|^2
-    (em_sum_included): it adds in replicate-index order from 0.0.
+    It adds in replicate-index order from 0.0, as the ensemble kernel does.
     """
     out = np.empty(len(sq))
     for i, row in enumerate(sq):
         acc = 0.0
-        for x, bad in zip(row.tolist(), nonfinite.tolist()):
-            if not bad:
+        for x in row.tolist():
+            if math.isfinite(x):
                 acc += x
         out[i] = acc
     return out
@@ -811,7 +833,7 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
     # numpy views of the slice buffer: rows x cells x stride, and cells x stride
     buffer_sq = np.frombuffer(buffer.sq).reshape(len(rec), 1, buffer.stride)
     buffer_first = np.frombuffer(buffer.first_exceed, np.int64).reshape(1, buffer.stride)
-    buffer_nonfinite = np.frombuffer(buffer.nonfinite, np.bool_).reshape(1, buffer.stride)
+    buffer_state = np.frombuffer(buffer.state).reshape(2, 1, buffer.stride)
     buffer_negative = np.frombuffer(buffer.negative, np.bool_).reshape(1, buffer.stride)
     sq, first, nonfinite, negative = [], [], [], []
     for s in range(5):
@@ -819,14 +841,14 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
         buffer.step(lo, hi - lo)
         sq.append(buffer_sq[:, 0, :hi - lo].copy())
         first += buffer_first[0, :hi - lo].tolist()
-        nonfinite += buffer_nonfinite[0, :hi - lo].tolist()
+        nonfinite += (~np.isfinite(buffer_state[:, 0, :hi - lo]).all(axis=0)).tolist()
         negative += buffer_negative[0, :hi - lo].tolist()
     sq, nonfinite = np.concatenate(sq, axis=1), np.array(nonfinite)
     assert all(0 < nonfinite[60 * s:60 * (s + 1)].sum() < 60 for s in (1, 2, 3))
     n_included = 300 - int(nonfinite.sum())
-    assert np.array_equal(stats.mean_sq_dev, sum_included(sq, nonfinite) / n_included)
+    assert np.array_equal(stats.mean_sq_dev, sum_finite(sq) / np.isfinite(sq).sum(axis=1))
     # the order shows in the bits: added backwards, some row differs
-    assert not np.array_equal(sum_included(sq[:, ::-1], nonfinite[::-1]), sum_included(sq, nonfinite))
+    assert not np.array_equal(sum_finite(sq[:, ::-1]), sum_finite(sq))
     exceeded = [sum(0 <= f <= i for f, bad in zip(first, nonfinite) if not bad) for i in range(len(rec))]
     assert np.array_equal(stats.exceed_fraction_cum, np.array(exceeded) / n_included)
     assert 0 < stats.n_exceed < n_included
@@ -852,17 +874,17 @@ def divergence_reference(cell):
 def test_blocks_of_rows_give_the_reference_bytes(monkeypatch, workers, rows):
     # 300 replicates make 5 slices, stepped and folded a block of rows at a time, in ensembles of one
     # cell and of two: under the divergence noise replicates turn non-finite from the first block to
-    # the last, so that in blocks of a few rows the ensemble folds its first blocks again
+    # the last, each left out of the rows in which its |x|^2 is not finite
     p = validate_params(**_COUPLED)
     use_workers(monkeypatch, workers)
     if rows is not None:
         use_block_rows(monkeypatch, rows)
     cells = [montecarlo._cell(cfg, p) for cfg in _DIVERGENCE_CFGS]
     for batch in (cells[:1], cells):
-        sums, rec = montecarlo._ensembles(batch, _DIVERGENCE_CFGS[0], 2)
-        assert rec.tolist() == recorded_steps(27, 2)
+        sums, times = montecarlo._ensembles(batch, _DIVERGENCE_CFGS[0], 2)
+        assert times.tolist() == [0.25 * step for step in recorded_steps(27, 2)]
         for c in range(len(batch)):
-            stats = montecarlo._reduce(sums, c, rec, 0.25)
+            stats = montecarlo._reduce(sums, c, times)
             msd, cum, n_negative, n_nonfinite = divergence_reference(c)
             assert stats.mean_sq_dev.tobytes() == msd.tobytes()
             assert stats.exceed_fraction_cum.tobytes() == cum.tobytes()
@@ -889,59 +911,120 @@ def test_more_threads_than_cpus_fold_every_block_in_turn(monkeypatch):
     assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite)
 
 
-def divergence_step(params, cfg, k, n):
-    """The step in which replicate k of cfg turns non-finite, or None if it is finite at step n."""
+def divergence_steps(params, cfg):
+    """Per replicate of cfg, the first step whose |x|^2 is not finite, or None if there is none."""
+    n = step_count(cfg.sim)
     with np.errstate(over="ignore", invalid="ignore"):
-        def finite(m):
-            return _reference_path(params, cfg, k, m, [0])[0] is not None
+        paths = [_reference_path(params, cfg, k, n, range(n + 1))[0] for k in range(cfg.replicates)]
+    return [next((i for i, x in enumerate(sq) if not math.isfinite(x)), None) for sq in paths]
 
-        if finite(n):
-            return None
-        lo, hi = 0, n  # finite at step lo, non-finite at step hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if finite(mid) else (lo, mid)
-        return hi
+
+def count_steps(monkeypatch):
+    """The first replicate of each Slice.step call, in a list that grows as they are made."""
+    calls, real = [], _em.Slice.step
+
+    def step(self, first, n):
+        calls.append(first)
+        real(self, first, n)
+
+    monkeypatch.setattr(_em.Slice, "step", step)
+    return calls
 
 
 @pytest.mark.usefixtures("deadline")
-@pytest.mark.parametrize("rows", [58, 20], ids=["within-the-first-block", "after-the-first-block"])
-def test_a_counted_replicate_that_ends_non_finite_folds_its_blocks_again(monkeypatch, rows):
-    # Under the divergence noise, 82 of the 128 replicates turn non-finite, from step 17 to step 57
-    # of 60, each recorded.  In blocks of 58 rows every one does so within its first block, which the
-    # first fold leaves it out of: 2 slices step through their 2 blocks once.  In blocks of 20 rows
-    # most do so after the first fold counted them (late), the last in step 57, in the third block.
-    # So the rows of the first two blocks are folded again: each slice steps through them once more,
-    # leaving out from the start the replicates that it ended with non-finite.
+def test_replicates_that_turn_non_finite_in_later_blocks_take_one_pass(monkeypatch):
+    # Under the divergence noise, the |x|^2 of 83 of the 128 replicates turns non-finite, from step 16
+    # to step 60, each recorded, so in blocks of 20 rows most do so after a fold has counted their
+    # first rows; 82 end with a state that is not finite.  A row counts the |x|^2 that are finite
+    # there, so no fold is undone: the 2 slices step through their 4 blocks once each, and every row
+    # equals the per-row reference.
     p = validate_params(**_COUPLED)
     sim = SimConfig(dt=0.25, t_end=0.25 * 60, initial=State(300.0, 300.0))
     cfg = EnsembleConfig(replicates=128, sim=sim, noise=NoiseSpec(3.5, 0.5), anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=4242)
     use_workers(monkeypatch, 2)
-    use_block_rows(monkeypatch, rows)
-    calls, real = [], _em.Slice.step
-
-    def step(self, first, n, excluded=None):
-        calls.append((first, excluded is not None))
-        real(self, first, n, excluded)
-
-    monkeypatch.setattr(_em.Slice, "step", step)
+    use_block_rows(monkeypatch, 20)
+    calls = count_steps(monkeypatch)
     stats = run_ensemble(cfg, p)
-    diverged = [divergence_step(p, cfg, k, 60) for k in range(128)]
-    late = [[d for d in diverged[lo:lo + 64] if d is not None and d >= rows] for lo in (0, 64)]
-    assert min(d for d in diverged if d is not None) == 17 and max(d for d in diverged if d is not None) == 57
-    blocks = -(-61 // rows)
-    expected = Counter({(0, False): blocks, (64, False): blocks})
-    if rows == 20:
-        assert all(late) and max(map(max, late)) // rows == 2
-        expected.update({(0, True): 2, (64, True): 2})
-    else:
-        assert not any(late)
-    assert Counter(calls) == expected
+    assert Counter(calls) == {0: 4, 64: 4}
+    diverged = [d for d in divergence_steps(p, cfg) if d is not None]
+    assert (len(diverged), min(diverged), max(diverged)) == (83, 16, 60)
+    assert {d // 20 for d in diverged} == {0, 1, 2, 3}
     msd, cum, n_negative, n_nonfinite = reference_ensemble(p, cfg)
     assert stats.mean_sq_dev.tobytes() == msd.tobytes()
     assert stats.exceed_fraction_cum.tobytes() == cum.tobytes()
-    assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite) and n_nonfinite == 82
+    assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite) == (46, 82)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_an_ensemble_that_ends_all_non_finite_takes_one_pass_then_fails(monkeypatch, tmp_path, capsys):
+    # Under noise (5.0, 0.5) the |x|^2 of every one of the 128 replicates turns non-finite, from step
+    # 15 to step 56 of 60, in the first three of four blocks of 20 rows, and so does every state by
+    # the end.  The run steps each block once, and then has no statistics: EnsembleError, which the
+    # CLI reports with exit status 3.
+    p = validate_params(**_COUPLED)
+    sim = SimConfig(dt=0.25, t_end=0.25 * 60, initial=State(300.0, 300.0))
+    cfg = EnsembleConfig(replicates=128, sim=sim, noise=NoiseSpec(5.0, 0.5), anchor=origin_equilibrium(),
+                         epsilon1=450.0, master_seed=4242)
+    use_workers(monkeypatch, 2)
+    use_block_rows(monkeypatch, 20)
+    calls = count_steps(monkeypatch)
+    with pytest.raises(EnsembleError, match="all replicates became non-finite"):
+        run_ensemble(cfg, p)
+    assert Counter(calls) == {0: 4, 64: 4}
+    diverged = divergence_steps(p, cfg)
+    assert None not in diverged and (min(diverged), max(diverged)) == (15, 56)
+    assert {d // 20 for d in diverged} == {0, 1, 2}
+    calls.clear()
+    config = {"schema": "ssrna-config/1", "model": _COUPLED, "noise": {"omega1": 5.0, "omega2": 0.5},
+              "ensemble": {"replicates": 128, "anchor": "origin", "epsilon1": 450.0, "master_seed": 4242,
+                           "sim": {"dt": 0.25, "t_end": 15.0, "initial": [300.0, 300.0]}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["ensemble", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "all replicates became non-finite" in capsys.readouterr().err
+    assert Counter(calls) == {0: 4, 64: 4}
+
+
+# Ensembles whose replicates turn non-finite over their horizon: coupled, the |x|^2 of 83 of 128 from
+# step 16 to step 60 (above), and decoupled (r = 0, the test hook), where x1 alone diverges, slowly:
+# the |x|^2 of the 64 replicates turns non-finite from step 3372 to step 9182, from the first block of
+# 4096 steps to the third, and the state of 34 from step 8151 to step 11982 of 12000
+_PREFIX_CASES = {
+    "coupled": (EnsembleConfig(replicates=128, sim=SimConfig(dt=0.25, t_end=0.25, initial=State(300.0, 300.0)),
+                               noise=NoiseSpec(3.5, 0.5), anchor=origin_equilibrium(), epsilon1=450.0,
+                               master_seed=4242), validate_params(**_COUPLED), 60),
+    "decoupled": (EnsembleConfig(replicates=64, sim=SimConfig(dt=0.25, t_end=0.25, initial=State(300.0, 300.0)),
+                                 noise=NoiseSpec(3.5, 0.5), anchor=origin_equilibrium(), epsilon1=450.0,
+                                 master_seed=4242), _DECOUPLED, 12000),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(_PREFIX_CASES))
+def test_a_shorter_horizon_gives_the_first_rows(case, workers, data):
+    # Row k of an ensemble depends on the steps up to row k only: over a longer horizon that records
+    # the same steps, t and mean_sq_dev begin with the same bytes, however many replicates turn
+    # non-finite after the shorter horizon ends, in whichever block of rows.  Where no |x|^2 of a row
+    # is finite, both read NaN, with the same bytes.
+    cfg, params, most = _PREFIX_CASES[case]
+    stride = data.draw(st.integers(1, max(1, most // 400)), label="stride")
+    short = stride * data.draw(st.integers(1, most // stride - 1), label="short rows")
+    long = data.draw(st.integers(short + 1, most), label="long steps")
+    rows = data.draw(st.sampled_from([1, 2, 20, None]) if long // stride < 500 else st.just(None), label="rows")
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        use_workers(patch, workers)
+        if rows is not None:
+            use_block_rows(patch, rows)
+        for steps in (short, long):
+            sim = cfg.sim.replace(t_end=0.25 * steps, record_stride=stride)
+            runs.append(run_ensemble(cfg.replace(sim=sim), params))
+    n = len(runs[0].times)
+    assert runs[0].times.tobytes() == runs[1].times[:n].tobytes()
+    assert runs[0].mean_sq_dev.tobytes() == runs[1].mean_sq_dev[:n].tobytes()
 
 
 def test_wilson_reference_values():
