@@ -25,11 +25,15 @@ tables, which are local symbols of that archive, so the build first makes
 them global with binutils' objcopy in a temporary copy of the archive, and
 links the copy.  The library is cached under $XDG_CACHE_HOME/ssrna
 (default ~/.cache/ssrna) in a file named after the sha256 of the source,
-the compiler command and flags, the objcopy arguments and the bytes of
-numpy's libnpyrandom.a and numpy/random/bitgen.h, so a changed source,
-compiler or sampler builds a new one.  Nothing is built or loaded at
-import, and numpy is never imported: its files are located with
-importlib, and the library's buffers are array.array objects.
+the interpreter's build configuration (the bytes of the _sysconfigdata
+module that sysconfig reads the compiler command from), the flags, the
+objcopy arguments and the bytes of numpy's libnpyrandom.a and
+numpy/random/bitgen.h, so a changed source, interpreter build (and so
+compiler), flags or sampler builds a new one.  Only a build imports
+sysconfig, for the compiler command: loading a cached library does not.
+Nothing is built or loaded at import, and numpy is never imported: its
+files are located with importlib, and the library's buffers are
+array.array objects.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import os
+import sys
 from array import array
 from itertools import islice
 from pathlib import Path
@@ -92,8 +97,11 @@ _LANES = 8
 _STREAM_WORDS = 39
 
 # Steps that a block of an ensemble slice's recorded rows spans at least, but the last block: em_run
-# steps a slice, and the threads fold it, a block at a time (see block_rows).
-BLOCK_STEPS = 4096
+# steps a slice, and the threads fold it, a block at a time (see block_rows).  At 512 a block recorded
+# at every step is 513 rows, 263 kB of |x|^2 per thread, and a block's Python work (a step() call, a
+# fold turn, a fold() call) took at most 3% of an ensemble's time in one thread on an x86-64 vCPU,
+# against 8-10% at 64 steps.
+BLOCK_STEPS = 512
 
 # Rows of the kernel's state per cell and replicate (_em.c's STATE_ROWS): the deviations.
 _STATE_ROWS = 2
@@ -106,11 +114,23 @@ _G17_ROOM = 32
 
 
 def _compiler() -> list[str]:
-    """The C compiler command Python was built with."""
+    """The C compiler command Python was built with: only a build needs it."""
     import shlex
     import sysconfig
 
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _build_config() -> bytes:
+    """What names the compiler Python was built with: the bytes of the _sysconfigdata module that
+    sysconfig reads it from, found as sysconfig names it but not imported, else the command itself."""
+    multiarch = getattr(sys.implementation, "_multiarch", "")
+    name = os.environ.get("_PYTHON_SYSCONFIGDATA_NAME",
+                          f"_sysconfigdata_{getattr(sys, 'abiflags', '')}_{sys.platform}_{multiarch}")
+    spec = importlib.util.find_spec(name)
+    if spec is None or spec.origin is None:
+        return " ".join(_compiler()).encode()
+    return Path(spec.origin).read_bytes()
 
 
 def _cache_dir() -> Path:
@@ -131,7 +151,7 @@ def _numpy_files() -> tuple[Path, Path]:
 
 def _library_path(include: Path, archive: Path) -> Path:
     """Where the library built from the current source against numpy's include directory and archive is cached."""
-    parts = [_SOURCE.read_bytes(), " ".join(_compiler()).encode(), " ".join(_FLAGS).encode(),
+    parts = [_SOURCE.read_bytes(), _build_config(), " ".join(_FLAGS).encode(),
              " ".join(_GLOBALIZE).encode(),
              (include / "numpy" / "random" / "bitgen.h").read_bytes(), archive.read_bytes()]
     key = sha256(b"".join(sha256(part).digest() for part in parts))
@@ -295,8 +315,8 @@ def block_rows(n: int, stride: int) -> int:
     up to the first recorded step at least BLOCK_STEPS steps in, that one included, or all of them.
 
     So every block but the last spans at least BLOCK_STEPS steps, and a slice holds one block of
-    rows whatever the horizon.  A horizon of fewer steps, or one recorded at its start and end only,
-    as a sweep records it, is one block.
+    rows whatever the horizon: 513 rows at most, 53 at a stride of 10.  A horizon of fewer steps, or
+    one recorded at its start and end only, as a sweep records it, is one block.
     """
     return min(recorded_rows(n, stride), -(-BLOCK_STEPS // stride) + 1)
 

@@ -144,12 +144,18 @@ def _euler_maruyama(
     |x|^2 of a row that are finite there, which no later block changes, so
     every block of every slice is stepped and folded once.
     The compiled kernel runs without the interpreter lock, so the threads
-    step in parallel.  The first exception raised in any thread stops the
-    others before their next fold, and is raised here once every thread has
-    been joined.
+    step in parallel.  With more than one worker, thread w first moves to
+    CPU w mod C of the C this process may use, and is then let run on all
+    of them again: where the kernel balances no load between CPUs (a
+    cpuset whose sched_load_balance is 0), it never moves a thread, and
+    every thread would stay on the CPU this one runs on.  A thread that
+    cannot move stays where it is.  The first exception raised in any
+    thread stops the others before their next fold, and is raised here once
+    every thread has been joined.
     """
     _em.library()  # built or loaded before any thread asks for it
     slices, blocks = _em.slice_count(replicates, workers), -(-len(rec) // block)
+    cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
     sums = _em.Sums(len(cells), len(rec))
     turn = threading.Condition()
     folded = [0] * blocks  # per block, the slices folded into the sums so far
@@ -163,6 +169,12 @@ def _euler_maruyama(
     def worker(w: int) -> None:
         """Step thread w's slices a block at a time and fold each block in its turn."""
         try:
+            if cpus:
+                try:  # to CPU w mod C, then all C again: it stays there while no load is balanced
+                    os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+                    os.sched_setaffinity(0, cpus)
+                except OSError:
+                    pass  # it stays where it is
             buffer = _em.Slice(cells, master_seed, dt, rec, replicates, block)
             for s in range(w, slices, workers):
                 lo = replicates * s // slices

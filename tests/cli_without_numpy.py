@@ -9,7 +9,9 @@ time, not even to build the compiled library into an empty cache, nor
 dataclasses or inspect, which the records do without.
 `analyze` needs neither the compiled library (nor ctypes, which loads it)
 nor the integrators, and `simulate` neither the ensembles nor the
-stability criteria.
+stability criteria.  A command that loads a library already cached
+imports neither sysconfig nor its _sysconfigdata module either: only a
+build reads the compiler command from them.
 """
 
 import sys
@@ -21,12 +23,21 @@ UNUSED = {
     "sweep": ("numpy", "dataclasses", "inspect"),
 }
 
+# what only a build imports, by module name prefix
+BUILD_ONLY = ("sysconfig", "_sysconfigdata")
+
 loaded = set(sys.modules)  # before ssrna, as by the interpreter's start-up
 
 from ssrna.cli import main
 
+cached = False
+if sys.argv[1] in ("simulate", "ensemble", "sweep"):  # the commands that load the library
+    from ssrna import _em
+
+    cached = _em._library_path(*_em._numpy_files()).exists()
 status = main(sys.argv[1:])
-for module in UNUSED.get(sys.argv[1], ("numpy", "dataclasses", "inspect")):
-    if module in sys.modules and module not in loaded:
+unused = UNUSED.get(sys.argv[1], ("numpy", "dataclasses", "inspect"))
+for module in sys.modules:
+    if module not in loaded and (module in unused or cached and module.startswith(BUILD_ONLY)):
         sys.exit(f"{module} was imported")
 sys.exit(status)

@@ -23,15 +23,14 @@ def tumv():
 
 @pytest.fixture(scope="session")
 def scalar_library():
-    """A second copy of the compiled library, built as _em builds it (the same flags and archive)
-    but with __builtin_cpu_supports defined to 0, so on any CPU it refills one Philox block at a time
-    and steps two replicates per register, as a CPU without AVX-512F does.  Its compiler command is
-    part of its cache key, so it is cached beside the default library."""
+    """A second copy of the compiled library, built as _em builds it (the same compiler and archive)
+    with one flag more, which defines __builtin_cpu_supports to 0, so on any CPU it refills one Philox
+    block at a time and steps two replicates per register, as a CPU without AVX-512F does.  The flags
+    are part of the cache key, so it is cached beside the default library."""
     from ssrna import _em
 
-    compiler = _em._compiler()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])
+        patch.setattr(_em, "_FLAGS", (*_em._FLAGS, "-D__builtin_cpu_supports(x)=0"))
         patch.setattr(_em, "_lib", None)
         return _em.library()
 

@@ -832,8 +832,8 @@ class Admitted(Exception):
 
 
 def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monkeypatch):
-    # 4 MiB of memory and two workers
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    # 768 KiB of memory and two workers
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 192}
     monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
     use_workers(monkeypatch, 2)
 
@@ -843,23 +843,23 @@ def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monk
     monkeypatch.setattr(montecarlo, "_euler_maruyama", admitted)
     sim = {"dt": 0.5, "t_end": 1000.0, "initial": {"displace_fraction": 0.01}, "record_stride": 1}
     # 20000 replicates x 2001 rows of |x|^2 would be 320 MB; the sums and
-    # the two slices take 2.2 MB
+    # the two slices take 0.72 MB
     cfg = ensemble_config(replicates=20000, sim=sim)
     with pytest.raises(Admitted):
         main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     # 5001 rows: a float64 sum and two int64 counts per row (first exceedances
-    # and first non-finite rows), and three counts; the recorded steps, which
-    # the threads share; t, the mean |x|^2 and the exceedance fraction per row;
-    # in each of the two threads the cell's 13 words, and per replicate of 64
-    # its two state values, |x|^2 per row of a block of 4097 rows, its first
-    # exceedance and first non-finite row, a 1 B flag and two 39-word streams
-    # (64 replicates fill a slice's 64 columns; fewer take fewer, see test_em)
+    # and squares that are not finite), and three counts; the recorded steps,
+    # which the threads share; t, the mean |x|^2 and the exceedance fraction
+    # per row; in each of the two threads the cell's 13 words, and per
+    # replicate of 64 its two state values, |x|^2 per row of a block of 513
+    # rows, its first exceedance, a 1 B flag and two 39-word streams (64
+    # replicates fill a slice's 64 columns; fewer take fewer, see test_em)
     cfg = ensemble_config(replicates=64, sim=dict(sim, t_end=2500.0))
-    size = 5001 * (24 + 8 + 3 * 8) + 3 * 8 + 2 * (13 * 8 + 64 * ((2 + 4097 + 2) * 8 + 1 + 2 * 39 * 8))
-    assert size == 4559712
+    size = 5001 * (24 + 8 + 3 * 8) + 3 * 8 + 2 * (13 * 8 + 64 * ((2 + 513 + 1) * 8 + 1 + 2 * 39 * 8))
+    assert size == 888672
     out = tmp_path / "out"
     assert main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
-    assert f"would record {Decimal(size):.3g} bytes, more than the 4194304 bytes" in capsys.readouterr().err
+    assert f"would record {Decimal(size):.3g} bytes, more than the 786432 bytes" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -943,8 +943,9 @@ NO_NUMPY_RUNS = {
 @pytest.mark.parametrize("run", NO_NUMPY_RUNS)
 def test_every_command_runs_without_numpy(tmp_path, capsys, run, fmt):
     # tests/cli_without_numpy.py exits 1 if the command imported numpy, the dataclass machinery, or a
-    # module of ssrna or ctypes that it does not run (its UNUSED table); its bytes must be those of a run
-    # in this process.  The format is the config's; analyze takes none, and writes JSON
+    # module of ssrna or ctypes that it does not run (its UNUSED table), or sysconfig while it loaded a
+    # library already cached; its bytes must be those of a run in this process.  The format is the
+    # config's; analyze takes none, and writes JSON
     command = run.split("-")[0]
     out = tmp_path / "out"
     config = base_config(**NO_NUMPY_RUNS[run], **({} if command == "analyze" else {"output": {"format": fmt}}))

@@ -3,6 +3,7 @@
 import ctypes
 import json
 import math
+import os
 import platform
 import re
 import shutil
@@ -68,6 +69,38 @@ def test_slice_has_the_kernels_layout():
     assert _em.library().em_slice_bytes() == ctypes.sizeof(_em.Slice)
 
 
+def check_blocks(n, stride, rows, blocks):
+    """Check that a horizon of n steps, recorded every stride-th step, takes `blocks` blocks of `rows` rows.
+
+    A block holds the rows up to the first recorded step at least BLOCK_STEPS steps in, that one
+    included: each block but the last spans at least BLOCK_STEPS steps, and a row fewer would not.
+    """
+    assert _em.block_rows(n, stride) == rows
+    assert -(-_em.recorded_rows(n, stride) // rows) == blocks
+    # the steps each block takes: from the last of the block before, or from 0
+    rec = simulator.recorded_steps(n, stride)
+    ends = [rec[min(i + rows, len(rec)) - 1] for i in range(0, len(rec), rows)]
+    spans = [b - a for a, b in zip([0, *ends], ends)]
+    assert len(spans) == blocks and all(span >= _em.BLOCK_STEPS for span in spans[:-1])
+    assert blocks == 1 or rec[rows - 2] < _em.BLOCK_STEPS  # a row fewer would span fewer
+
+
+@pytest.mark.parametrize("n, stride, rows, blocks", [
+    (18626, 10, 53, 36),   # rows 0 to 52, steps 0 to 520; the 36th block holds rows 1855 to 1863
+    (18626, 1, 513, 37),
+    (512, 1, 513, 1),
+    (513, 1, 513, 2),      # the second block holds the last row only
+    (511, 1, 512, 1),      # every step of a horizon shorter than BLOCK_STEPS
+    (1863, 1, 513, 4),     # every step of ensemble_wide's horizon
+    (932, 2**63 - 1, 2, 1),  # a sweep records the start and the end: one block, whatever the horizon
+    (10**12, 2**63 - 1, 2, 1),
+    (10**7, 5000, 2, 1001),
+])
+def test_blocks_span_the_default_block_steps(n, stride, rows, blocks):
+    assert _em.BLOCK_STEPS == 512
+    check_blocks(n, stride, rows, blocks)
+
+
 @pytest.mark.parametrize("n, stride, rows, blocks", [
     (18626, 10, 411, 5),   # rows 0 to 410, steps 0 to 4100; the fifth block holds rows 1644 to 1863
     (18626, 1, 4097, 5),
@@ -78,18 +111,10 @@ def test_slice_has_the_kernels_layout():
     (10**12, 2**63 - 1, 2, 1),
     (10**7, 5000, 2, 1001),
 ])
-def test_blocks_span_block_steps(n, stride, rows, blocks):
-    # a block holds the rows up to the first recorded step at least BLOCK_STEPS steps in, that one
-    # included: each block but the last spans at least BLOCK_STEPS steps, and a row fewer would not
-    assert _em.BLOCK_STEPS == 4096
-    assert _em.block_rows(n, stride) == rows
-    assert -(-_em.recorded_rows(n, stride) // rows) == blocks
-    # the steps each block takes: from the last of the block before, or from 0
-    rec = simulator.recorded_steps(n, stride)
-    ends = [rec[min(i + rows, len(rec)) - 1] for i in range(0, len(rec), rows)]
-    spans = [b - a for a, b in zip([0, *ends], ends)]
-    assert len(spans) == blocks and all(span >= 4096 for span in spans[:-1])
-    assert blocks == 1 or rec[rows - 2] < 4096  # a row fewer would span fewer
+def test_blocks_span_block_steps(monkeypatch, n, stride, rows, blocks):
+    # the same rule at a block eight times as long: block_rows follows BLOCK_STEPS
+    monkeypatch.setattr(_em, "BLOCK_STEPS", 4096)
+    check_blocks(n, stride, rows, blocks)
 
 
 def buffer_bytes(obj) -> int:
@@ -426,11 +451,43 @@ def test_changed_objcopy_arguments_name_a_new_library(monkeypatch):
 
 
 def test_changed_compiler_command_names_a_new_library(monkeypatch):
-    # e.g. another CC, or the scalar_library of tests/conftest.py, in the same cache directory
+    # e.g. another flag, as the scalar_library of tests/conftest.py adds, in the same cache directory
     first = _em._library_path(*_em._numpy_files())
-    compiler = _em._compiler()
-    monkeypatch.setattr(_em, "_compiler", lambda: [*compiler, "-D__builtin_cpu_supports(x)=0"])
+    monkeypatch.setattr(_em, "_FLAGS", (*_em._FLAGS, "-D__builtin_cpu_supports(x)=0"))
     assert _em._library_path(*_em._numpy_files()) != first
+
+
+def test_another_interpreter_build_names_a_new_library(tmp_path, monkeypatch):
+    # another build of Python, and so maybe another CC, has another _sysconfigdata module; the key
+    # hashes its bytes, found as sysconfig names it, without importing it (or sysconfig)
+    first = _em._library_path(*_em._numpy_files())
+    name = "_sysconfigdata_other_build"
+    (tmp_path / f"{name}.py").write_text("build_time_vars = {'CC': 'other-cc'}\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setenv("_PYTHON_SYSCONFIGDATA_NAME", name)
+    assert _em._library_path(*_em._numpy_files()) != first
+    assert name not in sys.modules
+
+
+def test_without_build_data_the_compiler_command_names_the_library(monkeypatch):
+    monkeypatch.setenv("_PYTHON_SYSCONFIGDATA_NAME", "_sysconfigdata_of_no_build")
+    paths = []
+    for compiler in (["cc"], ["other-cc"]):
+        monkeypatch.setattr(_em, "_compiler", lambda: compiler)
+        paths.append(_em._library_path(*_em._numpy_files()))
+    assert paths[0] != paths[1]
+
+
+def test_a_cached_library_loads_without_sysconfig(tmp_path):
+    # only a build reads the compiler command: the key and the load of a cached library import neither
+    # sysconfig nor its build data
+    run = ("import sys; from ssrna import _em; _em.library(); "
+           "print(sorted(m for m in sys.modules if m.startswith(('sysconfig', '_sysconfigdata'))))")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(Path(_em.__file__).parents[1]))
+    imported = [subprocess.run([sys.executable, "-c", run], env=env, check=True, capture_output=True,
+                               text=True).stdout.strip() for _ in range(2)]
+    assert imported[0] != "[]"  # the build, into an empty cache
+    assert imported[1] == "[]"
 
 
 def sampler_copy(tmp_path, name, flip=None):

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -330,6 +331,90 @@ def test_thread_that_cannot_start_stops_the_started_ones(tumv, monkeypatch):
         run_ensemble(cfg, tumv)
     assert len(starts) == 2
     assert threading.active_count() == before
+
+
+def record_affinity(monkeypatch, fake=None, fail=False):
+    """The os.sched_setaffinity calls of this test, as (thread, mask) pairs in a list that grows as
+    they are made.
+
+    With fake, a set of CPUs, the calls change no real mask: each thread gets its own mask in a
+    model of the kernel, which starts as fake and which os.sched_getaffinity reads.  With fail,
+    each call raises OSError instead.
+    """
+    calls, masks, real = [], {}, os.sched_setaffinity
+
+    def setaffinity(pid, mask):
+        assert pid == 0  # the calling thread
+        calls.append((threading.get_ident(), set(mask)))
+        if fail:
+            raise OSError(22, "Invalid argument")
+        if fake is None:
+            real(pid, mask)
+        else:
+            masks[threading.get_ident()] = set(mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    if fake is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(masks.get(threading.get_ident(), fake)))
+    return calls
+
+
+def moves(calls):
+    """Per thread, in the order of their first call, the masks it was given."""
+    threads = {}
+    for thread, mask in calls:
+        threads.setdefault(thread, []).append(mask)
+    return list(threads.values())
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_each_thread_starts_on_its_own_cpu(tumv, monkeypatch, workers):
+    # of the CPUs 7, 2, 5 and 3, thread w moves to the (w mod 4)-th in ascending order before its first
+    # slice, and is then given all four again; the caller, thread 0, ends with the mask it had
+    cpus = {7, 2, 5, 3}
+    calls = record_affinity(monkeypatch, fake=cpus)
+    use_workers(monkeypatch, workers)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=300, t_end=40.0)
+    run_ensemble(cfg, tumv)
+    threads = moves(calls)
+    if workers == 1:
+        assert threads == []  # one thread stays where it is
+        return
+    assert len(threads) == workers and all(len(masks) == 2 and masks[1] == cpus for masks in threads)
+    assert sorted(min(masks[0]) for masks in threads) == sorted([2, 3, 5, 7, 2][:workers])
+    assert moves(c for c in calls if c[0] == threading.get_ident()) == [[{2}, cpus]]
+    assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("fails", [False, True], ids=["run", "failed-run"])
+def test_threads_move_to_distinct_cpus_and_give_the_caller_its_mask_back(tumv, monkeypatch, fails):
+    # on the CPUs this process may use: each of up to one thread per CPU lands on its own, and the
+    # caller's mask is the same after a run, and after a run whose thread 1 raised
+    before = os.sched_getaffinity(0)
+    calls = record_affinity(monkeypatch)
+    use_workers(monkeypatch, 2)
+    if fails:
+        fail_step(monkeypatch, lambda first, block, main: not main)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=300, t_end=40.0)
+    with pytest.raises(Boom) if fails else contextlib.nullcontext():
+        run_ensemble(cfg, tumv)
+    assert os.sched_getaffinity(0) == before
+    threads = moves(calls)
+    assert len(threads) == 2 and all(masks[1] == before for masks in threads)
+    assert len({min(masks[0]) for masks in threads}) == min(2, len(before))
+
+
+@pytest.mark.usefixtures("deadline")
+def test_threads_that_cannot_move_give_the_same_bytes(tumv, monkeypatch, tmp_path):
+    use_workers(monkeypatch, 2)
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=300, t_end=400.0, record_stride=1)
+    write_ensemble_csv(run_ensemble(cfg, tumv), tmp_path / "moved.csv")
+    calls = record_affinity(monkeypatch, fail=True)
+    write_ensemble_csv(run_ensemble(cfg, tumv), tmp_path / "stayed.csv")
+    assert len(moves(calls)) == 2
+    assert (tmp_path / "stayed.csv").read_bytes() == (tmp_path / "moved.csv").read_bytes()
 
 
 def test_ensemble_monotone_under_noise_load(tumv):
@@ -723,7 +808,7 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv):
         sim = SimConfig(dt=0.5, t_end=t_end, initial=displaced_initial(eq, 0.01, tumv.K), record_stride=1)
         cfg = EnsembleConfig(replicates=200, sim=sim, noise=NoiseSpec(0.05, 0.05), anchor=eq,
                              epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=5)
-        assert _em.block_rows(step_count(sim), 1) == 4097  # at both horizons
+        assert _em.block_rows(step_count(sim), 1) == 513  # at both horizons
         tracemalloc.start()  # it sees every thread's slice
         try:
             run_ensemble(cfg, tumv)
@@ -746,7 +831,7 @@ def few_replicates_cfg(tumv, t_end):
 def test_few_replicates_hold_few_columns(tumv, monkeypatch):
     # a slice holds columns for min(64, replicates) replicates, rounded up to 8, and one block of
     # rows: two replicates over 186254 recorded rows once held 64 columns of |x|^2 per row and
-    # thread, 95 MB each, then 8, 12 MB each.  Now a thread holds 4097 rows of 8 columns, 262 kB,
+    # thread, 95 MB each, then 8, 12 MB each.  Now a thread holds 513 rows of 8 columns, 33 kB,
     # and the run 48 B per row: its sums and the statistics (the recorded steps are freed before the
     # statistics are made), 8.9 MB
     cfg = few_replicates_cfg(tumv, 100000.0)
@@ -893,6 +978,22 @@ def test_blocks_of_rows_give_the_reference_bytes(monkeypatch, workers, rows):
 
 
 @pytest.mark.usefixtures("deadline")
+def test_every_step_ensemble_writes_the_same_bytes_in_blocks_of_any_rows(tumv, monkeypatch, tmp_path):
+    # 650 replicates make 11 slices, recorded at each of 4200 steps: blocks of 4097 rows (BLOCK_STEPS
+    # 4096), of 513 (the default) and of one row write the same ensemble.csv
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=650, t_end=2100.0, record_stride=1)
+    assert _em.slice_count(cfg.replicates, 2) == 11 and _em.block_rows(step_count(cfg.sim), 1) == 513
+    written = []
+    for rows in (4097, None, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            if rows is not None:
+                use_block_rows(patch, rows)
+            write_ensemble_csv(run_ensemble(cfg, tumv), tmp_path / f"{rows}.csv")
+        written.append((tmp_path / f"{rows}.csv").read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+@pytest.mark.usefixtures("deadline")
 def test_more_threads_than_cpus_fold_every_block_in_turn(monkeypatch):
     # 8 threads on 8 slices, switching as often as the interpreter allows, fold 14 blocks each, and run
     # again: a lost fold turn would add a row out of order, or twice
@@ -988,8 +1089,8 @@ def test_an_ensemble_that_ends_all_non_finite_takes_one_pass_then_fails(monkeypa
 
 # Ensembles whose replicates turn non-finite over their horizon: coupled, the |x|^2 of 83 of 128 from
 # step 16 to step 60 (above), and decoupled (r = 0, the test hook), where x1 alone diverges, slowly:
-# the |x|^2 of the 64 replicates turns non-finite from step 3372 to step 9182, from the first block of
-# 4096 steps to the third, and the state of 34 from step 8151 to step 11982 of 12000
+# the |x|^2 of the 64 replicates turns non-finite from step 3372 to step 9182, from the seventh block of
+# 512 steps to the eighteenth, and the state of 34 from step 8151 to step 11982 of 12000
 _PREFIX_CASES = {
     "coupled": (EnsembleConfig(replicates=128, sim=SimConfig(dt=0.25, t_end=0.25, initial=State(300.0, 300.0)),
                                noise=NoiseSpec(3.5, 0.5), anchor=origin_equilibrium(), epsilon1=450.0,
