@@ -37,15 +37,16 @@
  * ensemble one slice of at most BLOCK replicates at a time, in lockstep, and
  * also a block of recorded rows per call: the slice (slice_t) carries each
  * replicate's deviations, flags and streams from one call to the next, and a
- * buffer of one block of rows of |x|^2.  Its slice step is written once
- * (EM_SLICE) for GCC vectors and built twice: eight replicates per AVX-512
- * register where the CPU has AVX-512F, chosen with the refill when the library
- * loads (slice_step_x8), else two, the width of an SSE2 or NEON register
+ * buffer of one block of rows of |x|^2.  Both record every stride-th step and
+ * the last, by one rule (next_due).  Its slice step is written once (EM_SLICE)
+ * for GCC vectors and built twice: eight replicates per AVX-512 register where
+ * the CPU has AVX-512F, chosen with the refill when the library loads
+ * (slice_step_x8), else two, the width of an SSE2 or NEON register
  * (slice_step_x2).  The slice has `stride` columns per cell, a multiple of 8
  * up to BLOCK, so that a slice of few replicates holds few columns.  em_fold
  * then adds the block's |x|^2 that are finite into the ensemble's running sums
- * in index order, several rows at a time, and counts the others per row: a
- * row depends on no later step, so each block is stepped and folded once.
+ * in index order, several rows at a time, and counts the others per row: a row
+ * depends on no later step, so each block is stepped and folded once.
  */
 
 #include <math.h>
@@ -292,6 +293,9 @@ typedef struct {
 
 int64_t em_recorder_bytes(void) { return sizeof(path_t); }
 
+/* The step recorded after step s, of steps 0, stride, 2 stride, ... (stride <= n) and n. */
+static inline int64_t next_due(int64_t n, int64_t stride, int64_t s) { return n - s <= stride ? n : s + stride; }
+
 /* Take the state (p, m) after step s.  Returns 0 if the path stops there: the state is not
  * finite, which sets failed, or its row filled the block. */
 static int path_record(path_t *r, int64_t s, double p, double m)
@@ -309,7 +313,7 @@ static int path_record(path_t *r, int64_t s, double p, double m)
     r->m[r->rows] = m;
     r->rows++;
     r->lowest = fmin(r->lowest, fmin(p, m));
-    r->due = r->n - s <= r->stride ? r->n : s + r->stride;
+    r->due = next_due(r->n, r->stride, s);
     return r->rows < r->block;
 }
 
@@ -387,15 +391,14 @@ EM_STEP(em_step, double)
 /* A slice of an ensemble's replicates, _em.Slice, which em_run steps a block of recorded rows at a
  * time, in lockstep: replicates first..first+n-1 of every cell, in `stride` columns per cell, a
  * multiple of 8, at least n and at most BLOCK.  The slice carries all that the next call resumes
- * from: the deviations, the flags, the step, the next row and the streams.  The caller sets the
- * fields up to n, and step, which it sets to -1: the next call starts the replicates from step 0. */
+ * from: the deviations, flags and streams, the step, and the next row and its step.  The caller
+ * sets the fields up to n, and step, which it sets to -1: the next call starts them from step 0. */
 typedef struct {
     const double *cells;   /* ncells x CELL_WORDS constants */
     int64_t ncells;
     int64_t stride;
     double dt;
-    const int64_t *rec;    /* the nrec recorded steps, ascending from 0 */
-    int64_t nrec;
+    int64_t steps, every;  /* steps 0, every, 2 every, ... (every <= steps) and steps are recorded */
     int64_t block;         /* rows sq holds */
     double *state;         /* STATE_ROWS x ncells x stride: the deviations */
     double *sq;            /* block x ncells x stride: |x|^2 of the rows of the last call */
@@ -408,6 +411,7 @@ typedef struct {
     int64_t step;          /* steps taken, -1 before the start */
     int64_t next;          /* the row the next step writes */
     int64_t rows;          /* rows written by the last call: rows next - rows .. next - 1 */
+    int64_t due;           /* the step of row next */
 } slice_t;
 
 int64_t em_slice_bytes(void) { return sizeof(slice_t); }
@@ -487,7 +491,7 @@ __attribute__((target("avx512f"))) EM_SLICE(slice_step_x8, em_step_x8, f64x8)
  *
  * |x|^2 of cell c, replicate first + j at recorded row i goes to row i - (next - rows) of sq, at
  * (row * ncells + c) * stride + j: each step writes row next, the first recorded from it on, and
- * the later steps up to rec[next] overwrite it.  first_exceed[c * stride + j] takes the first
+ * the later steps up to its step, due, overwrite it.  first_exceed[c * stride + j] takes the first
  * recorded row from the first step (the start included) whose |x|^2 exceeded eps_sq, else -1, and
  * negative is set if p* + x1 or m* + x2 was ever below zero.  A replicate whose state is not finite
  * stays so, and its |x|^2 with it: each step adds x1 into x1' and x2 into x2', and a sum with a NaN
@@ -504,8 +508,7 @@ void em_run(slice_t *sl)
     /* the fields in locals: a store to a stream or to a flag could alias sl's fields, which would
      * then be loaded again for each draw */
     const double *cells = sl->cells;
-    const int64_t *rec = sl->rec;
-    int64_t ncells = sl->ncells, stride = sl->stride, steps = rec[sl->nrec - 1];
+    int64_t ncells = sl->ncells, stride = sl->stride, steps = sl->steps, every = sl->every;
     double dt = sl->dt, *state = sl->state, *sq = sl->sq;
     int64_t *first_exceed = sl->first_exceed;
     uint8_t *negative = sl->negative;
@@ -529,8 +532,9 @@ void em_run(slice_t *sl)
         }
         sl->step = 0;
         sl->next = 1;
+        sl->due = next_due(steps, every, 0);
     }
-    int64_t s = sl->step, next = sl->next, base = next - starts, block = sl->block;
+    int64_t s = sl->step, next = sl->next, due = sl->due, base = next - starts, block = sl->block;
     for (; s < steps && next - base < block; s++) {
         for (int j = 0; j < nb; j++) {
             d1[j] = normal(st + 2 * j) * sqrt_dt;
@@ -543,10 +547,14 @@ void em_run(slice_t *sl)
         else
 #endif
             slice_step_x2(cells, ncells, stride, dt, d1, d2, width, next, state, sq_row, first_exceed, negative);
-        next += rec[next] == s + 1;
+        if (s + 1 == due) {
+            next++;
+            due = next_due(steps, every, due);
+        }
     }
     sl->step = s;
     sl->next = next;
+    sl->due = due;
     sl->rows = next - base;
 }
 
@@ -622,17 +630,18 @@ static inline void fold_rows(const double *x, int64_t step, int64_t n, double *s
 }
 
 /* Add the replicates of the block em_run stepped last into an ensemble's running sums over its nrec
- * recorded rows, in replicate-index order.  Per cell c and recorded row i, sum[c * nrec + i] adds
- * their |x|^2 that are finite, and lost[c * nrec + i] counts the others.  After the final block,
- * exceed[c * nrec + i] counts the replicates whose state is finite at the end and whose first
- * exceedance was at row i, and counts[3 * c ...] adds the replicates whose state is finite at the
- * end, the negative ones among them, and those whose state is not.  Folding every slice's block in turn into sums that
- * start at 0.0 adds each row's values in index order from 0.0, FOLD_ROWS rows at a time: where such
- * a pass over every replicate leaves a sum that is not finite, that row is added again from its
- * sum before, by fold_row, which adds only the finite |x|^2. */
+ * recorded rows, ceil(steps / every) + 1, in replicate-index order.  Per cell c and recorded row i,
+ * sum[c * nrec + i] adds their |x|^2 that are finite, and lost[c * nrec + i] counts the others.  After
+ * the final block, exceed[c * nrec + i] counts the replicates whose state is finite at the end and
+ * whose first exceedance was at row i, and counts[3 * c ...] adds the replicates whose state is finite
+ * at the end, the negative ones among them, and those whose state is not.  Folding every slice's
+ * block in turn into sums that start at 0.0 adds each row's values in index order from 0.0, FOLD_ROWS
+ * rows at a time: where such a pass over every replicate leaves a sum that is not finite, that row is
+ * added again from its sum before, by fold_row, which adds only the finite |x|^2. */
 void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *lost, int64_t *counts)
 {
-    int64_t ncells = sl->ncells, stride = sl->stride, n = sl->n, nrec = sl->nrec, rows = sl->rows;
+    int64_t ncells = sl->ncells, stride = sl->stride, n = sl->n, rows = sl->rows;
+    int64_t nrec = (sl->steps - 1) / sl->every + 2; /* without overflow */
     int64_t step = ncells * stride, base = sl->next - rows; /* from a row of sq to the next; sq's first row */
     for (int64_t c = 0; c < ncells; c++) {
         const double *sq = sl->sq + c * stride;
@@ -650,7 +659,7 @@ void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *lost, int
         }
         for (; i < rows; i++)
             fold_row(sq + i * step, n, row_sum + i, row_lost + i);
-        if (sl->step < sl->rec[nrec - 1])
+        if (sl->step < sl->steps)
             continue;
         const double *state = sl->state;
         int64_t *count = counts + 3 * c;

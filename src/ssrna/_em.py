@@ -4,19 +4,19 @@ It holds the Euler-Maruyama kernel, with one entry point per job that
 share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
 steps a single path (path), each a block of recorded rows per call, as the
-RK4 path does (rk4), and the slice or the recorder carries what the next
-call resumes from.  Its Philox streams refill eight blocks at a
-time, in the eight lanes of an AVX-512 register where the CPU has
-AVX-512F, each lane carrying its own counter through all four words, else
-one after another; the rounds are written once, for a word and for eight
-lanes.  em_run steps a slice in whole groups of
-eight replicates, eight per register where the CPU has AVX-512F, else two.
-The step is written once, for a double and for a vector's lanes, which
-take the same IEEE operations in the same order, none fused, under an
-unchanged MXCSR, so they give the same bytes.  em_refill_lanes reports
-the choice, made once for both: 8, else 1 (and a step of two).  It also
-holds the RK4 path, the recorder of a single path (Recorder) and the
-'%.17g' formatter of the writers (format_g17).
+RK4 path does (rk4), recording every stride-th step and the last by one
+rule, and the slice or the recorder carries what the next call resumes
+from.  Its Philox streams refill eight blocks at a time, in the eight
+lanes of an AVX-512 register where the CPU has AVX-512F, each lane
+carrying its own counter through all four words, else one after another;
+the rounds are written once, for a word and for eight lanes.  em_run steps
+a slice in whole groups of eight replicates, eight per register where the
+CPU has AVX-512F, else two.  The step is written once, for a double and for
+a vector's lanes, which take the same IEEE operations in the same order,
+none fused, under an unchanged MXCSR, so they give the same bytes.
+em_refill_lanes reports the choice, made once for both: 8, else 1 (and a
+step of two).  It also holds the RK4 path, the recorder of a single path
+(Recorder) and the '%.17g' formatter of the writers (format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -43,7 +43,6 @@ import importlib.util
 import os
 import sys
 from array import array
-from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -330,7 +329,7 @@ def ensemble_bytes(ncells: int, nrec: int, block: int, workers: int, replicates:
     """Bytes of the buffers of an ensemble or sweep of ncells cells, nrec recorded rows in blocks of
     `block` and `replicates` replicates in `workers` threads.
 
-    Its Sums, the recorded steps, the statistics of one cell (a sweep reduces its cells one at a
+    Its Sums, the recorded times, the statistics of one cell (a sweep reduces its cells one at a
     time), and per thread a Slice of slice_stride(replicates) columns, which holds one block.
     """
     stride = slice_stride(replicates)
@@ -345,50 +344,45 @@ def ensemble_bytes(ncells: int, nrec: int, block: int, workers: int, replicates:
 class Slice(ctypes.Structure):
     """One thread's slice of the replicates of an ensemble of a batch of cells (_em.c's slice_t).
 
-    cells are simulator._Cell tuples, seed keys the streams, and rec holds
-    the recorded steps, from 0 to the last, which ends the horizon of dt
-    steps: an array('q'), which the slice shares, or a sequence it copies.
-    The ensemble has `replicates` replicates, so a slice holds at most
-    stride = slice_stride(replicates) of them: at most BLOCK.  step()
-    integrates a slice through its next block of `block` recorded rows, and
-    fold() adds the block's finite |x|^2 into an ensemble's sums; a block of
-    every row steps the slice in one call.  The slice holds, per cell and
-    replicate, the |x|^2 at every row of the block (sq, of block x cells x
-    stride), the first row by which |x| exceeded epsilon1, -1 if none
-    (first_exceed, cells x stride), the negative flags (cells x stride),
-    the kernel's state (state, 2 x cells x stride: the deviations) and two
-    Philox streams per column, each in C order; rows is the rows of the
-    last block.
+    cells are simulator._Cell tuples and seed keys the streams.  Of the
+    horizon of `steps` steps of dt, steps 0, every, 2 every, ... and the
+    last are recorded, as a Recorder records them: every = min(stride,
+    steps).  A slice holds at most `stride` = slice_stride(replicates)
+    replicates per cell: at most BLOCK.  step() integrates a slice through
+    its next block of `block` recorded rows, and fold() adds the block's
+    finite |x|^2 into an ensemble's sums; a block of every row steps the
+    slice in one call.  The slice holds, per cell and replicate, the |x|^2
+    at every row of the block (sq, of block x cells x stride), the first
+    row by which |x| exceeded epsilon1, -1 if none (first_exceed, cells x
+    stride), the negative flags (cells x stride), the kernel's state
+    (state, 2 x cells x stride: the deviations) and two Philox streams per
+    column, each in C order; rows is the rows of the last block.
     """
 
-    _fields_ = [("_cells", _P), ("k", _I), ("stride", _I), ("dt", _D), ("_rec", _P), ("_nrec", _I), ("block", _I),
+    _fields_ = [("_cells", _P), ("k", _I), ("stride", _I), ("dt", _D), ("steps", _I), ("every", _I), ("block", _I),
                 ("_state", _P), ("_sq", _P), ("_first_exceed", _P), ("_negative", _P),
                 ("_streams", _P), ("seed", ctypes.c_uint64), ("first", _I), ("n", _I), ("_step", _I),
-                ("_next", _I), ("rows", _I)]
+                ("_next", _I), ("rows", _I), ("_due", _I)]
 
-    def __init__(self, cells, seed: int, dt: float, rec, replicates: int, block: int):
+    def __init__(self, cells, seed: int, dt: float, steps: int, stride: int, replicates: int, block: int):
         self._lib = library()
         self.cells = _cell_words(cells)
-        self.rec = rec if isinstance(rec, array) and rec.typecode == "q" else array("q", rec)
-        # em_run steps to rec[-1] and moves on to row i + 1 once it has taken step rec[i]
-        if not (self.rec and self.rec[0] == 0 and all(a < b for a, b in zip(self.rec, islice(self.rec, 1, None)))):
-            raise ValueError("the recorded steps must ascend from 0")
-        k, nrec, stride = len(cells), len(self.rec), slice_stride(replicates)
-        if block < 1:
-            raise ValueError(f"a block holds at least one row, not {block}")
-        self.state = _zeros("d", _STATE_ROWS * k * stride)
-        self.sq = _zeros("d", block * k * stride)
-        self.first_exceed = _zeros("q", k * stride)
-        self.negative = _zeros("B", k * stride)
-        self.streams = _zeros("q", 2 * stride * _STREAM_WORDS)
-        super().__init__(_address(self.cells), k, stride, dt, _address(self.rec), nrec, block,
+        if min(steps, stride, block) < 1:
+            raise ValueError(f"a slice takes steps, a stride and a block of rows >= 1, not {steps}, {stride}, {block}")
+        k, columns = len(cells), slice_stride(replicates)
+        self.state = _zeros("d", _STATE_ROWS * k * columns)
+        self.sq = _zeros("d", block * k * columns)
+        self.first_exceed = _zeros("q", k * columns)
+        self.negative = _zeros("B", k * columns)
+        self.streams = _zeros("q", 2 * columns * _STREAM_WORDS)
+        super().__init__(_address(self.cells), k, columns, dt, steps, min(stride, steps), block,
                          *map(_address, (self.state, self.sq, self.first_exceed, self.negative, self.streams)),
                          seed, 0, 0, -1)
 
     @property
     def done(self) -> bool:
         """Whether the slice has no block in progress: before the first step() and after the last block."""
-        return self._step in (-1, self.rec[-1])
+        return self._step in (-1, self.steps)
 
     def step(self, first: int, n: int) -> None:
         """Integrate replicates first..first+n-1 of every cell through their next block of rows (em_run in _em.c).
@@ -407,7 +401,7 @@ class Slice(ctypes.Structure):
     def fold(self, sums: Sums) -> None:
         """Add the finite |x|^2 of the block stepped last, in index order, into sums, and count the others
         (em_fold in _em.c); after the final block, the replicates' counts too."""
-        size = self.k * len(self.rec)
+        size = self.k * recorded_rows(self.steps, self.every)
         # the C loop trusts every pointer and size
         if not all(a.typecode == typecode and len(a) == want for a, typecode, want in (
                 (sums.sq, "d", size), (sums.exceed, "q", size), (sums.lost, "q", size),

@@ -3,8 +3,9 @@
 Configuration is a single JSON file with a versioned `schema` field and
 exactly one command block; outputs are CSV/JSON files whose numbers carry
 17 significant digits, so identical (config, seed) runs produce identical
-bytes.  Exit codes: 0 success, 2 invalid input, 3 numerical failure; the
-`ssrna` script stopped by SIGTERM exits 143 and leaves no partial output.
+bytes.  Exit codes: 0 success, 1 the compiled library cannot be built or
+loaded, 2 invalid input, 3 numerical failure; the `ssrna` script stopped by
+SIGTERM exits 143 and leaves no partial output.
 
 Reading a config loads only serialize, model_core and errors; each command
 imports the modules it runs.  So `analyze` loads neither the integrators nor

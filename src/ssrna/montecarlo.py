@@ -21,7 +21,7 @@ import sys
 import threading
 from array import array
 from collections.abc import Sequence
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from numbers import Real
 from typing import Optional
 
@@ -33,10 +33,10 @@ from .model_core import (
     Equilibrium,
     ModelParams,
     NoiseSpec,
+    _positive_finite,
     anchor_scale,
     basic_reproduction_number,
     displaced_initial,
-    finite_real,
     resolve_anchor,
     validate_params,
 )
@@ -48,7 +48,6 @@ from .simulator import (
     _check_recorded_bytes,
     _kernel_cell,
     brownian_increments,  # re-exported: the one-shot form of the streams drawn here
-    recorded_step_array,
     step_count,
 )
 from .stability import check_mean_square_stability
@@ -79,9 +78,7 @@ class EnsembleConfig(Record):
         # replicate k draws from the streams keyed by the 64-bit words 2k and 2k + 1
         if not (type(self.replicates) is int and 1 <= self.replicates <= MAX_SEED // 2):
             raise ParameterError(f"replicates must be an integer from 1 to 2**63, got {brief(self.replicates)}")
-        if not (finite_real(self.epsilon1) and self.epsilon1 > 0):
-            raise ParameterError(f"epsilon1 must be positive, got {self.epsilon1!r}")
-        object.__setattr__(self, "epsilon1", float(self.epsilon1))  # squared in double precision
+        object.__setattr__(self, "epsilon1", _positive_finite("epsilon1", self.epsilon1))  # squared in double precision
         if not (type(self.master_seed) is int and 0 <= self.master_seed < MAX_SEED):
             raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {brief(self.master_seed)}")
 
@@ -126,37 +123,38 @@ def _euler_maruyama(
     replicates: int,
     master_seed: int,
     dt: float,
-    rec: array,
-    block: int,
+    steps: int,
+    stride: int,
     workers: int,
 ) -> _em.Sums:
     """Euler-Maruyama ensembles of every cell, driven by shared increments, folded into sums.
 
     The replicates are cut into S slices (_em.slice_count), slice s being
-    replicates R*s//S to R*(s+1)//S - 1, and thread w of the W workers
-    (this thread is thread 0) steps slices w, w + W, ... in its own Slice,
-    one block of `block` recorded rows at a time.  Each replicate's numbers
-    depend on its own streams only (see em_run in _em.c), so no result
-    depends on the number of threads or the blocks.  A thread folds block b
-    of slice s into the sums only once slice s - 1 has folded block b, so
-    each row adds every replicate in index order, and the memory is the
-    sums and one block per thread, whatever the horizon.  A fold adds the
-    |x|^2 of a row that are finite there, which no later block changes, so
-    every block of every slice is stepped and folded once.
-    The compiled kernel runs without the interpreter lock, so the threads
-    step in parallel.  With more than one worker, thread w first moves to
-    CPU w mod C of the C this process may use, and is then let run on all
-    of them again: where the kernel balances no load between CPUs (a
-    cpuset whose sched_load_balance is 0), it never moves a thread, and
-    every thread would stay on the CPU this one runs on.  A thread that
-    cannot move stays where it is.  The first exception raised in any
-    thread stops the others before their next fold, and is raised here once
-    every thread has been joined.
+    replicates R*s//S to R*(s+1)//S - 1, and thread w of the W workers (this
+    thread is thread 0) steps slices w, w + W, ... in its own Slice through
+    `steps` steps, recorded every stride-th and at the last, one block of
+    recorded rows (_em.block_rows) at a time.  Each replicate's numbers depend on its
+    own streams only (see em_run in _em.c), so no result depends on the
+    number of threads or the blocks.  A thread folds block b of slice s into
+    the sums only once slice s - 1 has folded block b, so each row adds
+    every replicate in index order, and the memory is the sums and one block
+    per thread, whatever the horizon.  A fold adds the |x|^2 of a row that
+    are finite there, which no later block changes, so every block of every
+    slice is stepped and folded once.  The compiled kernel runs without the
+    interpreter lock, so the threads step in parallel.  With more than one
+    worker, thread w first moves to CPU w mod C of the C this process may
+    use, and is then let run on all of them again: where the kernel balances
+    no load between CPUs (a cpuset whose sched_load_balance is 0), it never
+    moves a thread, and every thread would stay on the CPU this one runs on.
+    A thread that cannot move stays where it is.  The first exception raised
+    in any thread stops the others before their next fold, and is raised
+    here once every thread has been joined.
     """
     _em.library()  # built or loaded before any thread asks for it
-    slices, blocks = _em.slice_count(replicates, workers), -(-len(rec) // block)
+    nrec, block = _em.recorded_rows(steps, stride), _em.block_rows(steps, stride)
+    slices, blocks = _em.slice_count(replicates, workers), -(-nrec // block)
     cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
-    sums = _em.Sums(len(cells), len(rec))
+    sums = _em.Sums(len(cells), nrec)
     turn = threading.Condition()
     folded = [0] * blocks  # per block, the slices folded into the sums so far
     failed = []   # exceptions raised in any thread, in the order raised
@@ -175,7 +173,7 @@ def _euler_maruyama(
                     os.sched_setaffinity(0, cpus)
                 except OSError:
                     pass  # it stays where it is
-            buffer = _em.Slice(cells, master_seed, dt, rec, replicates, block)
+            buffer = _em.Slice(cells, master_seed, dt, steps, stride, replicates, block)
             for s in range(w, slices, workers):
                 lo = replicates * s // slices
                 n = replicates * (s + 1) // slices - lo
@@ -214,16 +212,14 @@ def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tupl
     recorded times, an array('d').
 
     The size of the run's buffers is checked before anything is sized from
-    its step count.  The recorded steps are freed once the times are made
-    from them, before any statistics are.
+    its step count.  The times are made once the sums are, from the steps
+    the kernel records (simulator.recorded_steps), one at a time.
     """
     n_steps, workers = step_count(cfg.sim), _worker_count(cfg.replicates)
-    block = _em.block_rows(n_steps, stride)
-    _check_recorded_bytes(_em.ensemble_bytes(len(cells), _em.recorded_rows(n_steps, stride), block, workers,
-                                             cfg.replicates))
-    rec = recorded_step_array(n_steps, stride)
-    sums = _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, rec, block, workers)
-    return sums, array("d", (step * cfg.sim.dt for step in rec))
+    nrec, block = _em.recorded_rows(n_steps, stride), _em.block_rows(n_steps, stride)
+    _check_recorded_bytes(_em.ensemble_bytes(len(cells), nrec, block, workers, cfg.replicates))
+    sums = _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, n_steps, stride, workers)
+    return sums, array("d", (step * cfg.sim.dt for step in chain(range(0, n_steps, stride), [n_steps])))
 
 
 def _reduce(sums: _em.Sums, cell: int, times: array) -> EnsembleStats:

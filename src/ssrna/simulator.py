@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from collections.abc import Callable, Iterator
 from numbers import Integral
 from typing import NamedTuple, Optional
@@ -19,7 +18,17 @@ from typing import NamedTuple, Optional
 from . import _em
 from .errors import IntegrationError, ParameterError, brief
 from .linearization import linearize
-from .model_core import MAX_SEED, Equilibrium, ModelParams, NoiseSpec, Scheme, State, finite_real, vector_field
+from .model_core import (
+    MAX_SEED,
+    Equilibrium,
+    ModelParams,
+    NoiseSpec,
+    Scheme,
+    State,
+    _positive_finite,
+    finite_real,
+    vector_field,
+)
 from .serialize import FloatArray, Record, _stored, write_csv
 
 __all__ = [
@@ -66,12 +75,10 @@ class SimConfig(Record):
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (finite_real(self.dt) and self.dt > 0):
-            raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        if not (finite_real(self.t_end) and float(self.t_end) >= float(self.dt)):
-            raise ParameterError(f"t_end must be at least dt, got {self.t_end!r}")
         # held as floats, so that no step count is taken in a narrower type
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", _positive_finite("dt", self.dt))
+        if not (finite_real(self.t_end) and float(self.t_end) >= self.dt):
+            raise ParameterError(f"t_end must be at least dt, got {self.t_end!r}")
         object.__setattr__(self, "t_end", float(self.t_end))
         if not (math.isfinite(self.t_end / self.dt) and step_count(self) <= MAX_STEPS):
             raise ParameterError(
@@ -136,15 +143,7 @@ def step_count(cfg: SimConfig) -> int:
 
 def recorded_steps(n_steps: int, stride: int) -> list[int]:
     """Step indices kept in a trajectory: every stride-th plus the final step."""
-    return recorded_step_array(n_steps, stride).tolist()
-
-
-def recorded_step_array(n_steps: int, stride: int) -> array:
-    """recorded_steps as an int64 array('q'): 8 B per step, not a list of ints."""
-    steps = array("q", range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
+    return [*range(0, n_steps, stride), n_steps]
 
 
 def _check_recorded_bytes(size: int) -> None:

@@ -153,6 +153,9 @@ def test_analyze_subthreshold_branch(tmp_path):
         pytest.param(lambda c: (c.clear(), c.update(ensemble_config(), model=SUBTHRESHOLD)),
                      "error: ensemble: coexistence anchor does not exist for these parameters (R0 <= 1)\n",
                      id="ensemble-positive-anchor-below-threshold"),
+        # the fraction is finite, but the radius it gives overflows
+        pytest.param(lambda c: (c.clear(), c.update(ensemble_config(epsilon1={"fraction": 1e308}))),
+                     "error: epsilon1 must be a positive finite number, got inf\n", id="epsilon1-fraction-overflows"),
     ],
 )
 def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
@@ -848,9 +851,9 @@ def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monk
     with pytest.raises(Admitted):
         main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     # 5001 rows: a float64 sum and two int64 counts per row (first exceedances
-    # and squares that are not finite), and three counts; the recorded steps,
-    # which the threads share; t, the mean |x|^2 and the exceedance fraction
-    # per row; in each of the two threads the cell's 13 words, and per
+    # and squares that are not finite), and three counts; the recorded times;
+    # t (those times, counted again), the mean |x|^2 and the exceedance
+    # fraction per row; in each of the two threads the cell's 13 words, and per
     # replicate of 64 its two state values, |x|^2 per row of a block of 513
     # rows, its first exceedance, a 1 B flag and two 39-word streams (64
     # replicates fill a slice's 64 columns; fewer take fewer, see test_em)
@@ -887,6 +890,24 @@ def test_steps_beyond_the_step_counter_exit_2(tmp_path, capsys, monkeypatch, com
     err = capsys.readouterr().err
     assert err.startswith("error: t_end / dt = 1e+300 / 1.0") and "64-bit" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, make, steps", [
+    ("ensemble", ensemble_config, 120),
+    ("sweep", lambda: sweep_config(noise_grid={"omega1": [0.0, 0.1]}), 80),
+], ids=["ensemble", "sweep"])
+def test_a_stride_beyond_64_bits_records_the_start_and_the_end(tmp_path, command, make, steps):
+    # ctypes turns a stride of 2**64 + 1 into 1 without an error: the Slice takes the step count instead
+    written = []
+    for stride in (2**64 + 1, steps):
+        cfg = make()
+        (cfg["sweep"]["ensemble"] if command == "sweep" else cfg["ensemble"])["sim"]["record_stride"] = stride
+        out = tmp_path / str(stride)
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        written.append((out / f"{command}.csv").read_bytes())
+    assert written[0] == written[1]
+    if command == "ensemble":
+        assert [line.split(",")[0] for line in written[0].decode().splitlines()] == ["t", "0", f"{steps * 0.5:g}"]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_stream_size_is_what_the_memory_check_counts():
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     for replicates, columns in ((1, 8), (9, 16), (1000, 64)):
-        buffer = _em.Slice([cell], 0, 0.5, range(3), replicates, 3)
+        buffer = _em.Slice([cell], 0, 0.5, 2, 1, replicates, 3)
         assert len(buffer.streams) * buffer.streams.itemsize == 2 * columns * _em.library().em_stream_words() * 8
 
 
@@ -128,30 +128,27 @@ def buffer_bytes(obj) -> int:
 ], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates", "1-5001-2-one-row-blocks"])
 def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, replicates, stride):
     # a slice holds columns for min(64, replicates) replicates, rounded up to whole groups of 8 lanes, and
-    # one block of rows; its threads share the recorded steps, and the statistics are reduced one cell at a time
+    # one block of rows; the recorded times are made once, and the statistics are reduced one cell at a time:
+    # their t is the recorded times, which the check counts again
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    rec = array("q", range(nrec))
-    buffer = _em.Slice([cell] * ncells, 0, 0.5, rec, replicates, block)
-    assert buffer.rec is rec and buffer.stride == _em.slice_stride(replicates) == stride
-    sums = _em.Sums(ncells, nrec)
+    buffer = _em.Slice([cell] * ncells, 0, 0.5, nrec - 1, 1, replicates, block)
+    assert buffer.stride == _em.slice_stride(replicates) == stride
+    sums, times = _em.Sums(ncells, nrec), array("d", range(nrec))
     sums.counts[0] = 1  # an included replicate in cell 0
-    stats = montecarlo._reduce(sums, 0, array("d", rec))
+    stats = montecarlo._reduce(sums, 0, times)
     stats_bytes = sum(len(vars(stats)[name]) * 8 for name in ("times", "mean_sq_dev", "exceed_fraction_cum"))
-    expected = (buffer_bytes(sums) + nrec * 8 + stats_bytes
-                + workers * (buffer_bytes(buffer) - nrec * 8))  # each thread's Slice, but the shared steps
+    expected = buffer_bytes(sums) + len(times) * 8 + stats_bytes + workers * buffer_bytes(buffer)
     assert _em.ensemble_bytes(ncells, nrec, block, workers, replicates) == expected
 
 
-@pytest.mark.parametrize("rec", [[], [3], [1, 4], [0, 4, 4, 9], [0, 9, 4]])
-def test_slice_refuses_recorded_steps_that_do_not_ascend_from_0(rec):
-    # em_run steps to the last recorded step, moving on to the next row once it has taken a
-    # recorded one: without 0 first it would read and write past the end of rec and of sq, and
-    # a list that does not ascend would leave rows unwritten
+@pytest.mark.parametrize("steps, stride", [(0, 1), (-1, 1), (4, 0), (4, -3)])
+def test_slice_refuses_a_horizon_without_steps_or_stride(steps, stride):
+    # em_fold counts (steps - 1) // stride + 2 recorded rows, and em_run records every stride-th step
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    with pytest.raises(ValueError, match="ascend from 0"):
-        _em.Slice([cell], 0, 0.5, rec, 1, 1)
+    with pytest.raises(ValueError, match=f"a block of rows >= 1, not {steps}, {stride}, 2"):
+        _em.Slice([cell], 0, 0.5, steps, stride, 8, 2)
 
 
 def test_slice_steps_its_replicates_a_block_at_a_time():
@@ -159,9 +156,9 @@ def test_slice_steps_its_replicates_a_block_at_a_time():
     # stepped its last block starts the replicates it is given from step 0
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    with pytest.raises(ValueError, match="at least one row"):
-        _em.Slice([cell], 0, 0.5, range(5), 8, 0)
-    buffer = _em.Slice([cell], 0, 0.5, range(5), 8, 2)
+    with pytest.raises(ValueError, match="a block of rows >= 1, not 4, 1, 0"):
+        _em.Slice([cell], 0, 0.5, 4, 1, 8, 0)
+    buffer = _em.Slice([cell], 0, 0.5, 4, 1, 8, 2)
     rows = []
     for first in (0, 0, 0, 8):
         buffer.step(first, 8)
@@ -298,7 +295,7 @@ def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coo
     imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
-    buffer = _em.Slice([cell], seed, cfg.dt, range(steps + 1), 1, steps + 1)
+    buffer = _em.Slice([cell], seed, cfg.dt, steps, 1, 1, steps + 1)
     buffer.step(replicate, 1)
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 
@@ -320,7 +317,7 @@ def test_kernel_draws_equal_numpy_where_a_reject_ends_the_buffer(replicate, coor
     imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     buffer = _em.Slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
-                       range(steps + 1), 1, steps + 1)
+                       steps, 1, 1, steps + 1)
     buffer.step(replicate, 1)
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 

@@ -563,7 +563,7 @@ def test_slice_draws_the_top_stream_keys():
     cfg = EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0.8, 0.8), anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=2**64 - 1)
     rec = recorded_steps(27, 3)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates, len(rec))
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates, len(rec))
     buffer.step(2**63 - 1, 1)
     sq, _, negative, finite = _reference_path(p, cfg, 2**63 - 1, 27, rec)
     assert finite
@@ -622,7 +622,7 @@ def slice_width_equals_the_reference(library, n, p, noise):
     rec = recorded_steps(27, 3)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_em, "_lib", library)
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, n, len(rec))
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, n, len(rec))
     assert buffer.stride == min(64, -(-n // 8) * 8)
     buffer.step(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
     buffer.step(0, n)
@@ -664,7 +664,7 @@ def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_libr
         stats = run_ensemble(cfg, p)
         write_ensemble_csv(stats, tmp_path / f"{name}-ensemble.csv")
         write_sweep_csv(sweep(p, {"r": [0.05, 0.1]}, {}, cfg), tmp_path / f"{name}-sweep.csv")
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates, len(rec))
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates, len(rec))
         buffer.step(100, 37)
         runs[name] = (stats.n_negative, stats.n_nonfinite,
                       [(tmp_path / f"{name}-{command}.csv").read_bytes() for command in ("ensemble", "sweep")],
@@ -682,8 +682,9 @@ def slice_batches(draw):
     Each cell is coupled, or decoupled (r = 0, where x1 and x2 meet only through 0 x inf), about
     the origin or the coexistence point, with noise from decaying to divergent on each coordinate.
     The slice is `width` replicates from `first` on, up to the top stream keys, of an ensemble of
-    `replicates`, which sets the buffer's stride, recorded at strictly ascending steps from 0 to a
-    short horizon.
+    `replicates`, which sets the buffer's stride, over a short horizon recorded every stride-th step
+    and at the last, which may be off the stride; a stride of the horizon or more records its start
+    and end only.
     """
     # 0.8 and 3.5 make excursions and divergence within a few dozen steps; 1e30 overflows in about ten
     noise = st.one_of(st.sampled_from([0.0, 0.8, 3.5]), st.floats(-3.0, 32.0).map(lambda e: 10.0 ** e))
@@ -704,13 +705,13 @@ def slice_batches(draw):
                       State(anchor.p_star + u * scale, anchor.m_star + v * scale),
                       10.0 ** draw(st.floats(-3.0, 1.0)) * scale))
     n_steps = draw(st.integers(1, 24))
-    inner = draw(st.sets(st.integers(1, n_steps - 1))) if n_steps > 1 else set()
+    stride = draw(st.integers(1, n_steps + 1))
     width = draw(st.integers(1, 64))
     replicates = draw(st.integers(width, 80))
     seed = draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
     first = draw(st.one_of(st.integers(0, 100), st.just(2**63 - width), st.integers(0, 2**63 - width)))
     dt = draw(st.sampled_from([0.05, 0.25, 0.5, 1.0]))
-    return cells, seed, first, width, replicates, dt, [0, *sorted(inner), n_steps]
+    return cells, seed, first, width, replicates, dt, n_steps, stride
 
 
 # Decoupled cells whose |x|^2 overflows in step 6, and whose one divergent coordinate overflows in
@@ -719,7 +720,7 @@ def slice_batches(draw):
 # to end on.
 _DECOUPLED = ModelParams(**dict(_COUPLED, r=0.0))
 _LAST_STEP_OVERFLOWS = ([(_DECOUPLED, origin_equilibrium(), NoiseSpec(w1, w2), State(500.0, 500.0), 450.0)
-                         for w1, w2 in ((0.05, 1e30), (1e30, 0.05))], 7, 0, 16, 16, 0.25, [0, 5, 11])
+                         for w1, w2 in ((0.05, 1e30), (1e30, 0.05))], 7, 0, 16, 16, 0.25, 11, 5)
 
 
 @settings(max_examples=30)
@@ -728,12 +729,12 @@ _LAST_STEP_OVERFLOWS = ([(_DECOUPLED, origin_equilibrium(), NoiseSpec(w1, w2), S
 @example(batch=_LAST_STEP_OVERFLOWS, block=2)  # the overflows are in the second block, after a fold
 def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
     # Slice.step and Slice.fold equal _reference_path byte for byte, on the default library (eight
-    # lanes per register where the CPU has AVX-512F) and on the scalar one, whatever the stride, in
-    # blocks of 1, 2 or 3 recorded rows or of every row.  A fold adds the |x|^2 that are finite and
-    # counts the others, row by row, so each block is stepped and folded once, whichever block a
-    # replicate turns non-finite in.
-    cells, seed, first, width, replicates, dt, rec = batch
-    n_steps, k = rec[-1], len(cells)
+    # lanes per register where the CPU has AVX-512F) and on the scalar one, whatever the columns and
+    # the recording stride, in blocks of 1, 2 or 3 recorded rows or of every row.  A fold adds the
+    # |x|^2 that are finite and counts the others, row by row, so each block is stepped and folded
+    # once, whichever block a replicate turns non-finite in.
+    cells, seed, first, width, replicates, dt, n_steps, every = batch
+    rec, k = recorded_steps(n_steps, every), len(cells)
     cfgs = [EnsembleConfig(replicates=replicates, sim=SimConfig(dt=dt, t_end=n_steps * dt, initial=initial),
                            noise=noise, anchor=anchor, epsilon1=epsilon1, master_seed=seed)
             for _, anchor, noise, initial, epsilon1 in cells]
@@ -745,7 +746,7 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
     for library in (_em.library(), scalar_library):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_em, "_lib", library)
-            buffer = _em.Slice(kernel_cells, seed, dt, rec, replicates, block)
+            buffer = _em.Slice(kernel_cells, seed, dt, n_steps, every, replicates, block)
         stride = buffer.stride
         assert stride == min(64, -(-replicates // 8) * 8)
         assert buffer.block == block
@@ -914,7 +915,7 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
     # kernel once did over the whole matrix
     assert _em.slice_count(300, workers) == 5
     rec = recorded_steps(27, 1)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, rec, cfg.replicates, len(rec))
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 1, cfg.replicates, len(rec))
     # numpy views of the slice buffer: rows x cells x stride, and cells x stride
     buffer_sq = np.frombuffer(buffer.sq).reshape(len(rec), 1, buffer.stride)
     buffer_first = np.frombuffer(buffer.first_exceed, np.int64).reshape(1, buffer.stride)

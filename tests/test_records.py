@@ -107,13 +107,14 @@ def test_validation_coerces_numbers_to_float():
     (lambda: NoiseSpec(-0.1, 0.0), StabilityDomainError, "omega1 must be a finite nonnegative number"),
     (lambda: NoiseSpec(0.1, math.nan), StabilityDomainError, "omega2 must be a finite nonnegative number"),
     (lambda: NoiseSpec(True, 0.0), StabilityDomainError, "omega1"),
-    (lambda: SimConfig(0.0, 10.0, (1, 2)), ParameterError, "dt must be positive"),
+    (lambda: SimConfig(0.0, 10.0, (1, 2)), ParameterError, "dt must be a positive finite number"),
     (lambda: SimConfig(0.5, 0.1, (1, 2)), ParameterError, "t_end must be at least dt"),
     (lambda: SimConfig(0.5, 10.0, (1, 2), seed=-1), ParameterError, "seed must be a 64-bit unsigned integer"),
     (lambda: SimConfig(0.5, 10.0, (1, 2), record_stride=0), ParameterError, "record_stride must be an integer"),
     (lambda: SimConfig(0.5, 10.0, (1,)), ParameterError, "initial state must be a pair"),
     (lambda: EnsembleConfig(0, SIM, NoiseSpec(0, 0), ORIGIN, 1.0, 0), ParameterError, "replicates must be"),
-    (lambda: EnsembleConfig(1, SIM, NoiseSpec(0, 0), ORIGIN, 0.0, 0), ParameterError, "epsilon1 must be positive"),
+    (lambda: EnsembleConfig(1, SIM, NoiseSpec(0, 0), ORIGIN, 0.0, 0), ParameterError,
+     "epsilon1 must be a positive finite number"),
     (lambda: EnsembleConfig(1, SIM, NoiseSpec(0, 0), ORIGIN, 1.0, 2**64), ParameterError, "master_seed must be"),
 ])
 def test_validation_errors(call, error, needle):
@@ -178,7 +179,7 @@ def test_replace_changes_the_given_fields_and_checks_them_again():
     assert SIM.replace() == SIM and SIM.replace() is not SIM
     assert SIM.replace(seed=5, dt=1) == SimConfig(1.0, 10.0, SIM.initial, seed=5)
     assert type(SIM.replace(dt=1).dt) is float
-    with pytest.raises(ParameterError, match="dt must be positive"):
+    with pytest.raises(ParameterError, match="dt must be a positive finite number"):
         SIM.replace(dt=0.0)
     with pytest.raises(TypeError):
         SIM.replace(b=1.0)
