@@ -329,11 +329,11 @@ def ensemble_bytes(ncells: int, nrec: int, block: int, workers: int, replicates:
     """Bytes of the buffers of an ensemble or sweep of ncells cells, nrec recorded rows in blocks of
     `block` and `replicates` replicates in `workers` threads.
 
-    Its Sums, the recorded times, the statistics of one cell (a sweep reduces its cells one at a
-    time), and per thread a Slice of slice_stride(replicates) columns, which holds one block.
+    Its Sums, the statistics of one cell (a sweep reduces its cells one at a time), whose times are
+    the recorded times, and per thread a Slice of slice_stride(replicates) columns, which holds one block.
     """
     stride = slice_stride(replicates)
-    shared = ncells * nrec * (8 + 8 + 8) + 3 * ncells * 8 + nrec * 8 + 3 * nrec * 8
+    shared = ncells * nrec * (8 + 8 + 8) + 3 * ncells * 8 + 3 * nrec * 8
     # per cell its constants, and per column its state, |x|^2 per row of a block, its first exceedance and a
     # 1 B flag; per column two streams
     per_cell = _CELL_WORDS * 8 + stride * ((_STATE_ROWS + block + 1) * 8 + 1)

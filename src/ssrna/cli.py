@@ -7,6 +7,10 @@ bytes.  Exit codes: 0 success, 1 the compiled library cannot be built or
 loaded, 2 invalid input, 3 numerical failure; the `ssrna` script stopped by
 SIGTERM exits 143 and leaves no partial output.
 
+Each config value is checked once: by the record that holds it, whose
+refusal reads `<block>: <message>`, or else by this module's readers, as
+`<block>.<field> must be ...`.
+
 Reading a config loads only serialize, model_core and errors; each command
 imports the modules it runs.  So `analyze` loads neither the integrators nor
 the compiled library, and `simulate` neither the ensembles nor the stability
@@ -16,6 +20,7 @@ criteria.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -80,7 +85,7 @@ def _fields(block: Any, ctx: str, spec: dict[str, tuple[_Reader, Any]]) -> dict:
 
 
 def _any(value: Any, ctx: str) -> Any:
-    """A block read later, once the model it depends on is known."""
+    """A value read later: a block, or a field that the record holding it checks."""
     return value
 
 
@@ -91,12 +96,6 @@ def _number(value: Any, ctx: str) -> float:
         return float(value)
     except OverflowError:  # a JSON integer has no bound
         raise ParameterError(f"{ctx} is an integer beyond floating-point range") from None
-
-
-def _integer(value: Any, ctx: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{ctx} must be an integer, got {brief(value)}")
-    return value
 
 
 def _string(value: Any, ctx: str) -> str:
@@ -132,15 +131,16 @@ def _epsilon1(value: Any, ctx: str) -> tuple[Optional[float], Optional[float]]:
 _ANCHOR = _one_of(EquilibriumKind.ORIGIN.value, EquilibriumKind.POSITIVE.value)
 _CONFIG = {"schema": (_one_of(CONFIG_SCHEMA), _REQUIRED), "model": (_any, _REQUIRED),
            "noise": (_any, {}), "output": (_any, {}), **{c: (_any, None) for c in COMMANDS}}
-_MODEL = {name: (_number, _REQUIRED) for name in ModelParams._fields}
-_NOISE = {name: (_number, 0.0) for name in NoiseSpec._fields}
+_MODEL = {name: (_any, _REQUIRED) for name in ModelParams._fields}
+_NOISE = {name: (_any, 0.0) for name in NoiseSpec._fields}
 _OUTPUT = {"dir": (_string, None), "format": (_one_of("csv", "json"), "csv")}
-_SIM = {"dt": (_number, None), "t_end": (_number, _REQUIRED), "initial": (_initial, _REQUIRED),
-        "record_stride": (_integer, 1)}
+# a null dt is refused, not taken for the default dt
+_SIM = {"dt": (_number, None), "t_end": (_any, _REQUIRED), "initial": (_initial, _REQUIRED),
+        "record_stride": (_any, 1)}
 _SIMULATE = {"scheme": (_one_of(*(s.value for s in Scheme)), Scheme.RK4.value),
-             "anchor": (_ANCHOR, None), "seed": (_integer, 0), **_SIM}
-_ENSEMBLE = {"replicates": (_integer, _REQUIRED), "anchor": (_ANCHOR, _REQUIRED),
-             "epsilon1": (_epsilon1, _REQUIRED), "master_seed": (_integer, 0), "sim": (_any, _REQUIRED)}
+             "anchor": (_ANCHOR, None), "seed": (_any, 0), **_SIM}
+_ENSEMBLE = {"replicates": (_any, _REQUIRED), "anchor": (_ANCHOR, _REQUIRED),
+             "epsilon1": (_epsilon1, _REQUIRED), "master_seed": (_any, 0), "sim": (_any, _REQUIRED)}
 _SWEEP = {"model_grid": (_any, {}), "noise_grid": (_any, {}), "ensemble": (_any, _REQUIRED)}
 _DISPLACE = {"displace_fraction": (_number, _REQUIRED)}
 _FRACTION = {"fraction": (_number, _REQUIRED)}
@@ -161,7 +161,7 @@ def load_config(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ParameterError(f"config {path!r} is not UTF-8 text: {exc}") from None
     try:
-        data = serialize.loads(text)
+        data = json.loads(text)
     except ValueError as exc:
         raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -175,27 +175,26 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def parse_model(cfg: dict) -> ModelParams:
-    return validate_params(**_fields(cfg.get("model"), "model", _MODEL))
-
-
-def parse_noise(cfg: dict) -> NoiseSpec:
+def _record(ctx: str, build: Callable[..., Any], *args: Any, **fields: Any) -> Any:
+    """build(*args, **fields): a record of block ctx, or the check that makes one.  The record checks
+    the values it holds, and its refusal is re-raised naming the block, as "ctx: <message>"."""
     try:
-        return NoiseSpec(**_fields(cfg.get("noise", {}), "noise", _NOISE))
-    except StabilityDomainError as exc:  # "omega1 must be ..." becomes "noise.omega1 must be ..."
-        raise ParameterError(f"noise.{exc}") from None
-
-
-def _anchor(params: ModelParams, name: str, ctx: str) -> Equilibrium:
-    try:
-        return resolve_anchor(params, EquilibriumKind(name))
-    except ParameterError as exc:
+        return build(*args, **fields)
+    except (ParameterError, StabilityDomainError) as exc:
         raise ParameterError(f"{ctx}: {exc}") from None
 
 
-def _sim(f: dict, ctx: str, params: ModelParams, anchor: Optional[Equilibrium],
-         seed: int) -> tuple[SimConfig, Optional[float]]:
-    """The SimConfig of a sim block's fields, and the displace_fraction of its start (or None)."""
+def parse_model(cfg: dict) -> ModelParams:
+    return _record("model", validate_params, **_fields(cfg.get("model"), "model", _MODEL))
+
+
+def parse_noise(cfg: dict) -> NoiseSpec:
+    return _record("noise", NoiseSpec, **_fields(cfg.get("noise", {}), "noise", _NOISE))
+
+
+def _sim(f: dict, ctx: str, params: ModelParams, anchor: Optional[Equilibrium]) -> tuple[SimConfig, Optional[float]]:
+    """The SimConfig of a sim block's fields (a simulate block's seed too, else 0), and the
+    displace_fraction of its start (or None)."""
     from .simulator import SimConfig, default_dt
 
     initial, displace = f["initial"]
@@ -204,8 +203,8 @@ def _sim(f: dict, ctx: str, params: ModelParams, anchor: Optional[Equilibrium],
             raise ParameterError(f"{ctx}.initial: displace_fraction needs an 'anchor' in this block")
         initial = displaced_initial(anchor, displace, params.K)
     dt = default_dt(params, anchor) if f["dt"] is None else f["dt"]
-    return SimConfig(dt=dt, t_end=f["t_end"], initial=initial, seed=seed,
-                     record_stride=f["record_stride"]), displace
+    return _record(ctx, SimConfig, dt=dt, t_end=f["t_end"], initial=initial, seed=f.get("seed", 0),
+                   record_stride=f["record_stride"]), displace
 
 
 def _ensemble(block: Any, ctx: str, params: ModelParams, noise: NoiseSpec,
@@ -214,14 +213,15 @@ def _ensemble(block: Any, ctx: str, params: ModelParams, noise: NoiseSpec,
     from .montecarlo import EnsembleConfig
 
     f = _fields(block, ctx, _ENSEMBLE)
-    anchor = _anchor(params, f["anchor"], ctx)
-    sim, displace = _sim(_fields(f["sim"], f"{ctx}.sim", _SIM), f"{ctx}.sim", params, anchor, 0)
+    anchor = _record(ctx, resolve_anchor, params, EquilibriumKind(f["anchor"]))
+    sim, displace = _sim(_fields(f["sim"], f"{ctx}.sim", _SIM), f"{ctx}.sim", params, anchor)
     epsilon1, eps_fraction = f["epsilon1"]
     if epsilon1 is None:
         epsilon1 = eps_fraction * anchor_scale(anchor, params.K)
-    master_seed = f["master_seed"] if seed_override is None else seed_override
-    cfg = EnsembleConfig(replicates=f["replicates"], sim=sim, noise=noise, anchor=anchor,
-                         epsilon1=epsilon1, master_seed=master_seed)
+    fields = dict(replicates=f["replicates"], sim=sim, noise=noise, anchor=anchor, epsilon1=epsilon1)
+    cfg = _record(ctx, EnsembleConfig, master_seed=f["master_seed"], **fields)
+    if seed_override is not None:  # --seed replaces the config's seed, which is checked all the same
+        cfg = EnsembleConfig(master_seed=seed_override, **fields)
     return cfg, displace, eps_fraction
 
 
@@ -391,9 +391,11 @@ def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
     scheme = Scheme(f["scheme"])
     if f["anchor"] is None and scheme is Scheme.EULER_MARUYAMA:
         raise ParameterError("simulate: missing required field 'anchor'")
-    anchor = None if f["anchor"] is None else _anchor(params, f["anchor"], "simulate")
-    seed = f["seed"] if seed_override is None else seed_override
-    sim, _ = _sim(f, "simulate", params, anchor, seed)
+    anchor = None if f["anchor"] is None else _record("simulate", resolve_anchor, params,
+                                                       EquilibriumKind(f["anchor"]))
+    sim, _ = _sim(f, "simulate", params, anchor)
+    if seed_override is not None:  # --seed replaces the config's seed, which is checked all the same
+        sim = simulator.SimConfig(sim.dt, sim.t_end, sim.initial, seed_override, sim.record_stride)
 
     p0, m0 = sim.initial
     if scheme is Scheme.RK4 and (p0 < 0 or m0 < 0 or p0 + m0 > params.K):

@@ -23,7 +23,7 @@ from enum import Enum
 from numbers import Real
 from typing import Any, NamedTuple
 
-from .errors import ParameterError, StabilityDomainError
+from .errors import ParameterError, StabilityDomainError, brief
 from .serialize import Record
 
 __all__ = [
@@ -116,7 +116,7 @@ class NoiseSpec(Record):
     def __post_init__(self):
         for name, w in (("omega1", self.omega1), ("omega2", self.omega2)):
             if not (finite_real(w) and w >= 0):
-                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {w!r}")
+                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {brief(w)}")
             object.__setattr__(self, name, float(w))  # so that no gamma is taken in a narrower type
 
     @property
@@ -132,7 +132,7 @@ class NoiseSpec(Record):
     def from_gammas(cls, gamma1: float, gamma2: float) -> "NoiseSpec":
         for name, g in (("gamma1", gamma1), ("gamma2", gamma2)):
             if not (finite_real(g) and g >= 0):
-                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {g!r}")
+                raise StabilityDomainError(f"{name} must be a finite nonnegative number, got {brief(g)}")
         return cls(math.sqrt(2.0 * gamma1), math.sqrt(2.0 * gamma2))
 
 
@@ -160,7 +160,7 @@ def finite_real(x: Any) -> bool:
 
 def _positive_finite(name: str, value: float) -> float:
     if not (finite_real(value) and value > 0):
-        raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
+        raise ParameterError(f"{name} must be a positive finite number, got {brief(value)}")
     return float(value)
 
 
@@ -176,7 +176,7 @@ def validate_params(r: float, alpha: float, delta: float, sigma: float, K: float
     sigma = _positive_finite("sigma", sigma)
     K = _positive_finite("K", K)
     if not (finite_real(alpha) and 0 < alpha <= 1):
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
+        raise ParameterError(f"alpha must lie in (0, 1], got {brief(alpha)}")
     a = float(alpha)
     params = ModelParams(r=r, alpha=a, delta=delta, sigma=sigma, K=K)
     # each rate is in range on its own; what is derived from them must be too

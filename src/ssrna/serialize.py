@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from typing import Any, BinaryIO, Optional
 
-__all__ = ["fmt", "write_csv", "csv_rows", "dump", "loads", "plain", "Record", "FloatArray", "Blocks"]
+__all__ = ["fmt", "write_csv", "csv_rows", "dump", "plain", "Record", "FloatArray", "Blocks"]
 
 _FLOAT = "%.17g"
 _INDENT = "  "  # per level of a JSON document
@@ -261,10 +261,6 @@ def dump(obj: Any, fh: BinaryIO) -> None:
     """
     _write(obj, fh.write, 0)
     fh.write(b"\n")
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)
 
 
 def plain(obj: Any) -> Any:

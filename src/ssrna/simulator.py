@@ -78,7 +78,7 @@ class SimConfig(Record):
         # held as floats, so that no step count is taken in a narrower type
         object.__setattr__(self, "dt", _positive_finite("dt", self.dt))
         if not (finite_real(self.t_end) and float(self.t_end) >= self.dt):
-            raise ParameterError(f"t_end must be at least dt, got {self.t_end!r}")
+            raise ParameterError(f"t_end must be at least dt, got {brief(self.t_end)}")
         object.__setattr__(self, "t_end", float(self.t_end))
         if not (math.isfinite(self.t_end / self.dt) and step_count(self) <= MAX_STEPS):
             raise ParameterError(
@@ -93,7 +93,7 @@ class SimConfig(Record):
         except (TypeError, ValueError):  # not a pair
             p = m = None
         if not (finite_real(p) and finite_real(m)):
-            raise ParameterError(f"initial state must be a pair of finite numbers, got {self.initial!r}")
+            raise ParameterError(f"initial state must be a pair of finite numbers, got {brief(self.initial)}")
 
 
 class Trajectory(Record):

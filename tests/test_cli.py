@@ -34,7 +34,6 @@ from ssrna import (
 )
 from ssrna import _em, cli, serialize
 from ssrna.cli import COMMANDS, analysis_to_dict, main
-from ssrna.serialize import loads
 
 from conftest import TUMV, analysis_from_dict, dumps, use_workers
 
@@ -67,7 +66,7 @@ SUBTHRESHOLD = dict(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1e6)
 def test_analyze_tumv_regression(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", "--config", str(TUMV_CONFIG), "--out", str(out)]) == 0
-    report = loads((out / "analysis.json").read_text())
+    report = json.loads((out / "analysis.json").read_text())
     assert report["r0"] == pytest.approx(4.287, abs=1e-3)
     pos = report["positive"]
     assert pos["equilibrium"]["p_star"] == pytest.approx(30670385, abs=1)
@@ -92,7 +91,7 @@ def test_analyze_report_round_trips(tmp_path, model, noise, needle):
     assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     text = (out / "analysis.json").read_text()
     assert needle in text
-    params, noise, cls = analysis_from_dict(loads(text))
+    params, noise, cls = analysis_from_dict(json.loads(text))
     assert dumps(analysis_to_dict(params, noise, cls)) == text
 
 
@@ -103,7 +102,7 @@ def test_analyze_subthreshold_branch(tmp_path):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["analyze", "--config", path, "--out", str(out)]) == 0
-    report = loads((out / "analysis.json").read_text())
+    report = json.loads((out / "analysis.json").read_text())
     assert report["positive"]["equilibrium"]["exists"] is False
     assert report["positive"]["verdict"] is None
     assert "not admissible" in report["positive"]["summary"]
@@ -121,14 +120,14 @@ def test_analyze_subthreshold_branch(tmp_path):
         (lambda c: c["model"].__setitem__("alpha", 2.0), "alpha"),
         (lambda c: c.__setitem__("schema", "bogus/9"), "schema"),
         (lambda c: c.__setitem__("simulate", {}), "exactly one command block"),
-        pytest.param(lambda c: c.__setitem__("noise", {"omega1": -0.1}), "noise.omega1",
+        pytest.param(lambda c: c.__setitem__("noise", {"omega1": -0.1}), "error: noise: omega1 must be",
                      id="omega1-negative"),
-        pytest.param(lambda c: c.__setitem__("noise", {"omega2": math.nan}), "noise.omega2",
+        pytest.param(lambda c: c.__setitem__("noise", {"omega2": math.nan}), "error: noise: omega2 must be",
                      id="omega2-nan"),
-        pytest.param(lambda c: c.__setitem__("noise", {"omega1": math.nan}), "noise.omega1",
+        pytest.param(lambda c: c.__setitem__("noise", {"omega1": math.nan}), "error: noise: omega1 must be",
                      id="omega1-nan"),
         pytest.param(lambda c: (c.clear(), c.update(ensemble_config(), noise={"omega1": -1})),
-                     "noise.omega1", id="ensemble-omega1-negative"),
+                     "error: noise: omega1 must be", id="ensemble-omega1-negative"),
         # a misspelt or stray field is refused, not left to fall back to its default
         pytest.param(lambda c: c.__setitem__("noise", {"omega_1": 0.5}),
                      "noise: unknown field 'omega_1'", id="noise.omega_1"),
@@ -143,8 +142,8 @@ def test_analyze_subthreshold_branch(tmp_path):
                      id="output-not-an-object"),
         pytest.param(lambda c: c.__setitem__("analyze", 5), "analyze must be a JSON object",
                      id="analyze-not-an-object"),
-        pytest.param(lambda c: c["model"].__setitem__("r", 10**400), "model.r",
-                     id="integer-beyond-float-range"),
+        pytest.param(lambda c: c["model"].__setitem__("r", 10**400),
+                     "error: model: r must be a positive finite number", id="integer-beyond-float-range"),
         pytest.param(lambda c: (c.clear(), c.update(simulate_config(scheme="euler-maruyama"))),
                      "error: simulate: missing required field 'anchor'\n", id="simulate-em-without-anchor"),
         pytest.param(lambda c: (c.clear(), c.update(simulate_config(initial={"displace_fraction": 0.01}))),
@@ -153,9 +152,14 @@ def test_analyze_subthreshold_branch(tmp_path):
         pytest.param(lambda c: (c.clear(), c.update(ensemble_config(), model=SUBTHRESHOLD)),
                      "error: ensemble: coexistence anchor does not exist for these parameters (R0 <= 1)\n",
                      id="ensemble-positive-anchor-below-threshold"),
+        # a null dt is refused by its reader, not taken for the default dt
+        pytest.param(lambda c: (c.clear(), c.update(ensemble_config(
+            sim={"dt": None, "t_end": 60.0, "initial": {"displace_fraction": 0.01}}))),
+                     "error: ensemble.sim.dt must be a number, got None\n", id="dt-null"),
         # the fraction is finite, but the radius it gives overflows
         pytest.param(lambda c: (c.clear(), c.update(ensemble_config(epsilon1={"fraction": 1e308}))),
-                     "error: epsilon1 must be a positive finite number, got inf\n", id="epsilon1-fraction-overflows"),
+                     "error: ensemble: epsilon1 must be a positive finite number, got inf\n",
+                     id="epsilon1-fraction-overflows"),
     ],
 )
 def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
@@ -171,7 +175,7 @@ def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):
 
 @pytest.mark.parametrize("command, make, needle", [
     ("analyze", lambda: base_config(analyze={}, model=dict(TUMV, r=json.loads("[" * 900 + "]" * 900))),
-     "error: model.r must be a number, got [[["),
+     "error: model: r must be a positive finite number, got [[["),
     ("sweep", lambda: sweep_config(model_grid={"r": [0.1211] * 200_000 + ["x"]}),
      "error: model_grid.r must be a list of numbers, got [0.1211, "),
     ("simulate", lambda: simulate_config(scheme="x" * 100_000),
@@ -182,6 +186,96 @@ def test_long_or_deep_value_is_echoed_in_one_short_line(tmp_path, capsys, comman
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(needle) and err.count("\n") == 1 and len(err) < 160, err[:300]
+
+
+def _set(cfg, path, value):
+    """cfg with the field at path, a tuple of keys, set to value."""
+    for key in path[:-1]:
+        cfg = cfg[key]
+    cfg[path[-1]] = value
+
+
+SIM_PATHS = {"simulate": ("simulate",), "ensemble": ("ensemble", "sim"), "sweep": ("sweep", "ensemble", "sim")}
+ENSEMBLE_PATHS = {"ensemble": ("ensemble",), "sweep": ("sweep", "ensemble")}
+
+
+# a value of each field that a record checks, which the record refuses; the message names the block
+RECORD_REFUSALS = [
+    ("analyze", ("model", "r"), -1.0),
+    ("analyze", ("model", "alpha"), 2.0),
+    ("analyze", ("model", "delta"), "0.1"),
+    ("analyze", ("model", "sigma"), True),
+    ("analyze", ("model", "K"), 10**400),
+    ("analyze", ("model", "r"), 1e308),  # each rate is finite, but R0 overflows
+    ("analyze", ("noise", "omega1"), -0.1),
+    ("analyze", ("noise", "omega2"), [0.1]),
+    ("simulate", ("simulate", "seed"), 2**64),
+    ("simulate", ("simulate", "seed"), 1.0),
+    *[(command, (*SIM_PATHS[command], field), value) for command in SIM_PATHS for field, value in (
+        ("t_end", 0.25), ("t_end", None), ("record_stride", 0), ("record_stride", 4.0), ("dt", -0.5),
+        ("dt", math.inf), ("initial", [math.inf, 1.0]), ("initial", {"displace_fraction": 1e308}))],
+    *[(command, (*ENSEMBLE_PATHS[command], field), value) for command in ENSEMBLE_PATHS for field, value in (
+        ("replicates", 0), ("replicates", 2**63 + 1), ("replicates", 4.0), ("master_seed", -1),
+        ("master_seed", "5"), ("epsilon1", 0.0), ("epsilon1", {"fraction": 1e308}))],
+]
+
+
+@pytest.mark.parametrize("command, path, value", RECORD_REFUSALS,
+                         ids=[f"{'.'.join(path)}={json.dumps(value)[:24]}" for _, path, value in RECORD_REFUSALS])
+def test_a_value_a_record_refuses_names_its_block(tmp_path, capsys, command, path, value):
+    cfg = small_valid_config(command)
+    _set(cfg, path, value)
+    block = ".".join(path[:-1])
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, path", [
+    ("simulate", ("simulate", "seed")), ("ensemble", ("ensemble", "master_seed")),
+    ("sweep", ("sweep", "ensemble", "master_seed")),
+], ids=["simulate", "ensemble", "sweep"])
+def test_seed_replaces_the_config_seed_once_that_is_checked(tmp_path, capsys, command, path):
+    cfg = small_valid_config(command)
+    _set(cfg, path, "x")
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out), "--seed", "3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {'.'.join(path[:-1])}: ")
+    assert not out.exists()
+    written = []
+    for seed, flags in ((3, []), (0, ["--seed", "3"])):
+        _set(cfg, path, seed)
+        out = tmp_path / str(seed)
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out), *flags]) == 0
+        written.append((out / f"{'trajectory' if command == 'simulate' else command}.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+DEEP = json.loads("[" * 900 + "]" * 900)
+
+
+# every field of the model, noise, sim and ensemble blocks, by a command whose config holds it
+VALUE_FIELDS = [
+    *[("analyze", (block, field)) for block, table in (("model", cli._MODEL), ("noise", cli._NOISE))
+      for field in table],
+    *[(command, (*SIM_PATHS[command], field)) for command in SIM_PATHS for field in cli._SIM],
+    ("simulate", ("simulate", "seed")),
+    *[(command, (*ENSEMBLE_PATHS[command], field)) for command in ENSEMBLE_PATHS for field in cli._ENSEMBLE],
+]
+
+
+@pytest.mark.parametrize("command, path", VALUE_FIELDS, ids=[".".join(path) for _, path in VALUE_FIELDS])
+def test_a_deep_list_or_a_long_integer_in_any_field_is_one_short_line(tmp_path, capsys, command, path):
+    for value in (DEEP, 10**400):
+        if path[-1] == "record_stride" and value == 10**400:
+            continue  # a valid stride: the start and the end are recorded
+        cfg = small_valid_config(command)
+        _set(cfg, path, value)
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
 
 
 @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "3"]], ids=["format", "seed"])
@@ -338,7 +432,7 @@ def test_analyze_inconclusive_verdict_is_not_an_error(tmp_path):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["analyze", "--config", path, "--out", str(out)]) == 0
-    report = loads((out / "analysis.json").read_text())
+    report = json.loads((out / "analysis.json").read_text())
     assert report["positive"]["verdict"]["conditions_met"] is False
 
 
@@ -542,7 +636,7 @@ def test_simulate_json_format(tmp_path):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--out", str(out), "--format", "json"]) == 0
-    data = loads((out / "trajectory.json").read_text())
+    data = json.loads((out / "trajectory.json").read_text())
     assert data["schema"] == "ssrna-trajectory/1"
     assert len(data["times"]) == len(data["p"]) == len(data["m"])
 
@@ -606,7 +700,7 @@ def test_ensemble_json_format(tmp_path):
     path = write_config(tmp_path, ensemble_config())
     out = tmp_path / "out"
     assert main(["ensemble", "--config", path, "--out", str(out), "--format", "json"]) == 0
-    data = loads((out / "ensemble.json").read_text())
+    data = json.loads((out / "ensemble.json").read_text())
     assert list(data) == ["schema", "times", "mean_sq_dev", "exceed_fraction_cum", "exceed_fraction",
                           "n_replicates", "n_included", "n_exceed", "n_negative", "n_nonfinite"]
     assert data["schema"] == "ssrna-ensemble/1"
@@ -713,7 +807,7 @@ def test_sweep_json_format(tmp_path):
     path = write_config(tmp_path, sweep_config(noise_grid={"omega1": [0.0, 0.1]}, replicates=5))
     out = tmp_path / "out"
     assert main(["sweep", "--config", path, "--out", str(out), "--format", "json"]) == 0
-    data = loads((out / "sweep.json").read_text())
+    data = json.loads((out / "sweep.json").read_text())
     assert list(data) == ["schema", "rows"]
     assert data["schema"] == "ssrna-sweep/1"
     assert len(data["rows"]) == 2
@@ -851,15 +945,15 @@ def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monk
     with pytest.raises(Admitted):
         main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     # 5001 rows: a float64 sum and two int64 counts per row (first exceedances
-    # and squares that are not finite), and three counts; the recorded times;
-    # t (those times, counted again), the mean |x|^2 and the exceedance
-    # fraction per row; in each of the two threads the cell's 13 words, and per
-    # replicate of 64 its two state values, |x|^2 per row of a block of 513
-    # rows, its first exceedance, a 1 B flag and two 39-word streams (64
-    # replicates fill a slice's 64 columns; fewer take fewer, see test_em)
+    # and squares that are not finite), and three counts; the recorded times,
+    # the mean |x|^2 and the exceedance fraction per row; in each of the two
+    # threads the cell's 13 words, and per replicate of 64 its two state
+    # values, |x|^2 per row of a block of 513 rows, its first exceedance, a
+    # 1 B flag and two 39-word streams (64 replicates fill a slice's 64
+    # columns; fewer take fewer, see test_em)
     cfg = ensemble_config(replicates=64, sim=dict(sim, t_end=2500.0))
-    size = 5001 * (24 + 8 + 3 * 8) + 3 * 8 + 2 * (13 * 8 + 64 * ((2 + 513 + 1) * 8 + 1 + 2 * 39 * 8))
-    assert size == 888672
+    size = 5001 * (24 + 3 * 8) + 3 * 8 + 2 * (13 * 8 + 64 * ((2 + 513 + 1) * 8 + 1 + 2 * 39 * 8))
+    assert size == 848664
     out = tmp_path / "out"
     assert main(["ensemble", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"would record {Decimal(size):.3g} bytes, more than the 786432 bytes" in capsys.readouterr().err
@@ -877,18 +971,19 @@ def huge_sweep():
     return cfg
 
 
-@pytest.mark.parametrize("command, make", [
-    ("simulate", lambda: simulate_config(**HUGE_HORIZON)),
-    ("simulate", lambda: simulate_config(scheme="euler-maruyama", anchor="positive", **HUGE_HORIZON)),
-    ("ensemble", lambda: ensemble_config(sim=dict(HUGE_HORIZON, initial={"displace_fraction": 0.01}))),
-    ("sweep", huge_sweep),
+@pytest.mark.parametrize("command, make, block", [
+    ("simulate", lambda: simulate_config(**HUGE_HORIZON), "simulate"),
+    ("simulate", lambda: simulate_config(scheme="euler-maruyama", anchor="positive", **HUGE_HORIZON), "simulate"),
+    ("ensemble", lambda: ensemble_config(sim=dict(HUGE_HORIZON, initial={"displace_fraction": 0.01})),
+     "ensemble.sim"),
+    ("sweep", huge_sweep, "sweep.ensemble.sim"),
 ], ids=["simulate-rk4", "simulate-em", "ensemble", "sweep"])
-def test_steps_beyond_the_step_counter_exit_2(tmp_path, capsys, monkeypatch, command, make):
+def test_steps_beyond_the_step_counter_exit_2(tmp_path, capsys, monkeypatch, command, make, block):
     monkeypatch.setattr(_em, "library", lambda: pytest.fail("the run was stepped"))
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, make()), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: t_end / dt = 1e+300 / 1.0") and "64-bit" in err
+    assert err.startswith(f"error: {block}: t_end / dt = 1e+300 / 1.0") and "64-bit" in err
     assert not out.exists()
 
 
@@ -1015,7 +1110,7 @@ def small_valid_config(command):
         "ensemble": ens,
         "sweep": {"ensemble": ens, "model_grid": {"r": [0.1211, 0.2]}, "noise_grid": {"omega1": [0.0, 0.1]}},
     }
-    cfg = base_config(output={"format": "csv"}, **{command: blocks[command]})
+    cfg = base_config(output={} if command == "analyze" else {"format": "csv"}, **{command: blocks[command]})
     cfg["noise"] = {"omega1": 0.05, "omega2": 0.05}
     return cfg
 
@@ -1099,6 +1194,8 @@ def test_any_mutated_config_exits_0_2_or_3(command_and_cfg):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main([command, "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3)
-        assert "Traceback" not in stderr.getvalue()
+        err = stderr.getvalue()
+        assert "Traceback" not in err
         if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not out.exists()

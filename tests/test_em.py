@@ -128,8 +128,7 @@ def buffer_bytes(obj) -> int:
 ], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates", "1-5001-2-one-row-blocks"])
 def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, replicates, stride):
     # a slice holds columns for min(64, replicates) replicates, rounded up to whole groups of 8 lanes, and
-    # one block of rows; the recorded times are made once, and the statistics are reduced one cell at a time:
-    # their t is the recorded times, which the check counts again
+    # one block of rows; the statistics are reduced one cell at a time, and their t is the recorded times
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     buffer = _em.Slice([cell] * ncells, 0, 0.5, nrec - 1, 1, replicates, block)
@@ -137,8 +136,9 @@ def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, 
     sums, times = _em.Sums(ncells, nrec), array("d", range(nrec))
     sums.counts[0] = 1  # an included replicate in cell 0
     stats = montecarlo._reduce(sums, 0, times)
+    assert vars(stats)["times"] is times
     stats_bytes = sum(len(vars(stats)[name]) * 8 for name in ("times", "mean_sq_dev", "exceed_fraction_cum"))
-    expected = buffer_bytes(sums) + len(times) * 8 + stats_bytes + workers * buffer_bytes(buffer)
+    expected = buffer_bytes(sums) + stats_bytes + workers * buffer_bytes(buffer)
     assert _em.ensemble_bytes(ncells, nrec, block, workers, replicates) == expected
 
 

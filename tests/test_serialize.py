@@ -14,7 +14,7 @@ from ssrna import _em, serialize
 from ssrna.model_core import positive_equilibrium
 from ssrna.model_core import NoiseSpec, Scheme, displaced_initial
 from ssrna.montecarlo import EnsembleConfig, EnsembleStats, run_ensemble, write_ensemble_csv
-from ssrna.serialize import fmt, loads
+from ssrna.serialize import fmt
 from ssrna.simulator import SimConfig, Trajectory, integrate_ode, integrate_sde, write_trajectory_csv
 
 from conftest import dumps, record
@@ -43,7 +43,7 @@ def test_dumps_float_lists_match_the_per_item_path(items):
         with unformatted:
             texts = [dumped(doc, rows) for rows in BLOCK_ROWS]
         assert texts == [texts[0]] * len(BLOCK_ROWS)
-        assert loads(texts[0]) == loads(json.dumps(doc, allow_nan=True))
+        assert json.loads(texts[0]) == json.loads(json.dumps(doc, allow_nan=True))
     if all(type(v) is float for v in items):  # the float column of the same numbers has the same bytes
         assert dumps({"column": items}) == dumps({"column": array("d", items)})
 
@@ -150,7 +150,7 @@ def records(params):
 def test_records_round_trip_through_json(tumv):
     # each record is read back bit for bit, each float column from its list
     for obj in records(tumv):
-        back = record(type(obj), loads(dumps(serialize.plain(obj))))
+        back = record(type(obj), json.loads(dumps(serialize.plain(obj))))
         for name in vars(obj):
             value, read = serialize._stored(obj, name), serialize._stored(back, name)
             if isinstance(value, array):
