@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import KernelError
-from .serialize import is_ndarray
+from . import serialize
 
 try:  # CPython's own sha256: hashlib's would load OpenSSL, 3.5 MB resident
     from _sha2 import sha256
@@ -231,7 +231,7 @@ def doubles(values) -> array:
         return values
     if isinstance(values, memoryview) and values.format == "d":
         return array("d", values.tobytes())
-    if is_ndarray(values):
+    if serialize.is_ndarray(values):
         return array("d", values.astype("d", copy=False).tobytes())
     return array("d", values)
 
@@ -248,13 +248,14 @@ class Recorder(ctypes.Structure):
     2 stride, ... and n.  Its kernel (rk4 or path) steps it a block at a
     time: each call records up to `block` rows, which columns() gives,
     and returns once the block is full or the path has ended (step == n),
-    and the next call resumes from where it stopped.  block defaults to
-    every recorded row, so that one call steps the whole path.  The rows
-    are held as their columns times (step * dt), p and m, each an
-    array('d') buffer of block numbers.  exited is the first step whose
-    state had p or m below low, or p + m above high, and failed the step
-    whose state was not finite, where the path stopped; each is -1 when
-    there is none.  lowest is the smallest p or m recorded.
+    and the next call resumes from where it stopped.  A block is the
+    writers' block of serialize._BLOCK_ROWS rows, or every row of a
+    shorter path, looked up when the recorder is made.  The rows are held
+    as their columns times (step * dt), p and m, each an array('d') buffer
+    of block numbers.  exited is the first step whose state had p or m
+    below low, or p + m above high, and failed the step whose state was
+    not finite, where the path stopped; each is -1 when there is none.
+    lowest is the smallest p or m recorded.
     """
 
     _fields_ = [("n", _I), ("stride", _I), ("dt", _D), ("low", _D), ("high", _D), ("_times", _P), ("_p", _P),
@@ -262,9 +263,8 @@ class Recorder(ctypes.Structure):
                 ("lowest", _D), ("_due", _I), ("_x1", _D), ("_x2", _D),
                 ("_streams", ctypes.c_uint64 * (2 * _STREAM_WORDS))]
 
-    def __init__(self, n: int, stride: int, dt: float, low: float, high: float, block: Optional[int] = None):
-        rows = recorded_rows(n, stride)
-        block = rows if block is None else min(block, rows)
+    def __init__(self, n: int, stride: int, dt: float, low: float, high: float):
+        block = min(serialize._BLOCK_ROWS, recorded_rows(n, stride))
         self.times, self.p, self.m = (_zeros("d", block) for _ in range(3))
         super().__init__(n, min(stride, n), dt, low, high, *map(_address, (self.times, self.p, self.m)), block, -1)
 
@@ -325,19 +325,20 @@ def slice_count(replicates: int, workers: int) -> int:
     return max(workers, -(-replicates // BLOCK))
 
 
-def ensemble_bytes(ncells: int, nrec: int, block: int, workers: int, replicates: int) -> int:
-    """Bytes of the buffers of an ensemble or sweep of ncells cells, nrec recorded rows in blocks of
-    `block` and `replicates` replicates in `workers` threads.
+def ensemble_bytes(ncells: int, steps: int, stride: int, workers: int, replicates: int) -> int:
+    """Bytes of the buffers of an ensemble or sweep of ncells cells over `steps` steps, recorded every
+    stride-th and at the last, with `replicates` replicates in `workers` threads.
 
     Its Sums, the statistics of one cell (a sweep reduces its cells one at a time), whose times are
-    the recorded times, and per thread a Slice of slice_stride(replicates) columns, which holds one block.
+    the recorded times, and per thread a Slice of slice_stride(replicates) columns, which holds one
+    block of block_rows(steps, stride) rows.
     """
-    stride = slice_stride(replicates)
+    nrec, block, columns = recorded_rows(steps, stride), block_rows(steps, stride), slice_stride(replicates)
     shared = ncells * nrec * (8 + 8 + 8) + 3 * ncells * 8 + 3 * nrec * 8
     # per cell its constants, and per column its state, |x|^2 per row of a block, its first exceedance and a
     # 1 B flag; per column two streams
-    per_cell = _CELL_WORDS * 8 + stride * ((_STATE_ROWS + block + 1) * 8 + 1)
-    per_thread = ncells * per_cell + 2 * stride * _STREAM_WORDS * 8
+    per_cell = _CELL_WORDS * 8 + columns * ((_STATE_ROWS + block + 1) * 8 + 1)
+    per_thread = ncells * per_cell + 2 * columns * _STREAM_WORDS * 8
     return shared + workers * per_thread
 
 
@@ -349,14 +350,15 @@ class Slice(ctypes.Structure):
     last are recorded, as a Recorder records them: every = min(stride,
     steps).  A slice holds at most `stride` = slice_stride(replicates)
     replicates per cell: at most BLOCK.  step() integrates a slice through
-    its next block of `block` recorded rows, and fold() adds the block's
-    finite |x|^2 into an ensemble's sums; a block of every row steps the
-    slice in one call.  The slice holds, per cell and replicate, the |x|^2
-    at every row of the block (sq, of block x cells x stride), the first
-    row by which |x| exceeded epsilon1, -1 if none (first_exceed, cells x
-    stride), the negative flags (cells x stride), the kernel's state
-    (state, 2 x cells x stride: the deviations) and two Philox streams per
-    column, each in C order; rows is the rows of the last block.
+    its next block of `block` = block_rows(steps, stride) recorded rows,
+    looked up when the slice is made, and fold() adds the block's finite
+    |x|^2 into an ensemble's sums.  The slice holds, per cell and
+    replicate, the |x|^2 at every row of the block (sq, of block x cells x
+    stride), the first row by which |x| exceeded epsilon1, -1 if none
+    (first_exceed, cells x stride), the negative flags (cells x stride),
+    the kernel's state (state, 2 x cells x stride: the deviations) and two
+    Philox streams per column, each in C order; rows is the rows of the
+    last block.
     """
 
     _fields_ = [("_cells", _P), ("k", _I), ("stride", _I), ("dt", _D), ("steps", _I), ("every", _I), ("block", _I),
@@ -364,12 +366,12 @@ class Slice(ctypes.Structure):
                 ("_streams", _P), ("seed", ctypes.c_uint64), ("first", _I), ("n", _I), ("_step", _I),
                 ("_next", _I), ("rows", _I), ("_due", _I)]
 
-    def __init__(self, cells, seed: int, dt: float, steps: int, stride: int, replicates: int, block: int):
+    def __init__(self, cells, seed: int, dt: float, steps: int, stride: int, replicates: int):
         self._lib = library()
         self.cells = _cell_words(cells)
-        if min(steps, stride, block) < 1:
-            raise ValueError(f"a slice takes steps, a stride and a block of rows >= 1, not {steps}, {stride}, {block}")
-        k, columns = len(cells), slice_stride(replicates)
+        if min(steps, stride) < 1:
+            raise ValueError(f"a slice takes steps and a stride >= 1, not {steps}, {stride}")
+        k, columns, block = len(cells), slice_stride(replicates), block_rows(steps, stride)
         self.state = _zeros("d", _STATE_ROWS * k * columns)
         self.sq = _zeros("d", block * k * columns)
         self.first_exceed = _zeros("q", k * columns)

@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, BinaryIO, Optional
 
 from . import serialize
@@ -351,13 +351,6 @@ def _side_file(name: str) -> BinaryIO:
     return fh
 
 
-def _numbers(side: BinaryIO) -> Iterator[memoryview]:
-    """The float64 numbers written to a side file, a block of rows at a time."""
-    side.seek(0)
-    while block := side.read(8 * serialize._BLOCK_ROWS):
-        yield memoryview(block).cast("d")
-
-
 def _write_trajectory(blocks: PathBlocks, fmt: str, tmp: str) -> None:
     """Step the path and write it to tmp, as `t,p,m` CSV rows or as a JSON document, a block at a time.
 
@@ -376,7 +369,7 @@ def _write_trajectory(blocks: PathBlocks, fmt: str, tmp: str) -> None:
         for path in blocks:
             for side, column in zip((t, p, m), path.columns()):
                 side.write(column)
-        columns = [serialize.Blocks(_numbers(side)) for side in (t, p, m)]
+        columns = [serialize._file_column(side) for side in (t, p, m)]
         with open(tmp, "wb") as fh:
             serialize.dump({"schema": "ssrna-trajectory/1", "scheme": blocks.scheme.value,
                             "exited_omega": blocks.exited_omega, "times": columns[0], "p": columns[1],
@@ -403,9 +396,9 @@ def cmd_simulate(block: Any, params: ModelParams, noise: NoiseSpec, out_dir: str
 
     # the path is stepped as it is written, one block of rows at a time
     if scheme is Scheme.RK4:
-        blocks = simulator.ode_blocks(params, sim, serialize._BLOCK_ROWS)
+        blocks = simulator.ode_blocks(params, sim)
     else:
-        blocks = simulator.sde_blocks(params, noise, anchor, sim, rows=serialize._BLOCK_ROWS)
+        blocks = simulator.sde_blocks(params, noise, anchor, sim)
     path = _write_output(out_dir, f"trajectory.{fmt}", lambda tmp: _write_trajectory(blocks, fmt, tmp))
 
     final = blocks.final_state

@@ -168,9 +168,13 @@ def validate_params(r: float, alpha: float, delta: float, sigma: float, K: float
     """Check the five raw rates and return a ModelParams with b derived as 1/K.
 
     Raises ParameterError naming the offending field, or every rate when
-    only a quantity derived from them (delta*sigma, R0, 1/K) overflows or
-    underflows.
+    only a quantity derived from them overflows or underflows: delta*sigma,
+    R0, 1/K, or an entry or invariant (trace, det, A1, A2) of the drift
+    matrix at the origin E0, or at the coexistence equilibrium E+ when
+    R0 > 1.
     """
+    from .linearization import linearize  # which imports this module
+
     r = _positive_finite("r", r)
     delta = _positive_finite("delta", delta)
     sigma = _positive_finite("sigma", sigma)
@@ -180,12 +184,19 @@ def validate_params(r: float, alpha: float, delta: float, sigma: float, K: float
     a = float(alpha)
     params = ModelParams(r=r, alpha=a, delta=delta, sigma=sigma, K=K)
     # each rate is in range on its own; what is derived from them must be too
-    if not (0.0 < delta * sigma < math.inf and 0.0 < basic_reproduction_number(params) < math.inf
+    rates = f"(r={r!r}, alpha={a!r}, delta={delta!r}, sigma={sigma!r}, K={K!r})"
+    if not (0.0 < delta * sigma < math.inf and 0.0 < (r0 := basic_reproduction_number(params)) < math.inf
             and params.b < math.inf):
-        raise ParameterError(
-            f"rates out of floating-point range: delta*sigma, R0 and 1/K must be positive and finite "
-            f"(r={r!r}, alpha={a!r}, delta={delta!r}, sigma={sigma!r}, K={K!r})"
-        )
+        raise ParameterError(f"rates out of floating-point range: delta*sigma, R0 and 1/K must be positive "
+                             f"and finite {rates}")
+    points = {"E0": origin_equilibrium()}
+    if r0 > 1.0:
+        points["E+"] = positive_equilibrium(params)
+    for name, eq in points.items():
+        rep = linearize(params, eq)
+        if not all(map(math.isfinite, (rep.a11, rep.a12, rep.a21, rep.a22, rep.trace, rep.det, rep.A1, rep.A2))):
+            raise ParameterError(f"rates out of floating-point range: the drift matrix at {name} and its trace, "
+                                 f"det, A1 and A2 must be finite {rates}")
     return params
 
 

@@ -20,6 +20,7 @@ import os
 import sys
 import threading
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from itertools import accumulate, chain, product
 from numbers import Real
@@ -118,45 +119,42 @@ def _cell(cfg: EnsembleConfig, params: ModelParams) -> _Cell:
     return _kernel_cell(params, cfg.anchor, cfg.noise, cfg.sim.initial, cfg.epsilon1 * cfg.epsilon1)
 
 
-def _euler_maruyama(
-    cells: Sequence[_Cell],
-    replicates: int,
-    master_seed: int,
-    dt: float,
-    steps: int,
-    stride: int,
-    workers: int,
-) -> _em.Sums:
-    """Euler-Maruyama ensembles of every cell, driven by shared increments, folded into sums.
+def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tuple[_em.Sums, array]:
+    """Euler-Maruyama ensembles of every cell of cfg, driven by shared increments: their sums, and the
+    recorded times, an array('d').
 
-    The replicates are cut into S slices (_em.slice_count), slice s being
-    replicates R*s//S to R*(s+1)//S - 1, and thread w of the W workers (this
-    thread is thread 0) steps slices w, w + W, ... in its own Slice through
-    `steps` steps, recorded every stride-th and at the last, one block of
-    recorded rows (_em.block_rows) at a time.  Each replicate's numbers depend on its
-    own streams only (see em_run in _em.c), so no result depends on the
-    number of threads or the blocks.  A thread folds block b of slice s into
-    the sums only once slice s - 1 has folded block b, so each row adds
-    every replicate in index order, and the memory is the sums and one block
-    per thread, whatever the horizon.  A fold adds the |x|^2 of a row that
-    are finite there, which no later block changes, so every block of every
-    slice is stepped and folded once.  The compiled kernel runs without the
-    interpreter lock, so the threads step in parallel.  With more than one
-    worker, thread w first moves to CPU w mod C of the C this process may
-    use, and is then let run on all of them again: where the kernel balances
-    no load between CPUs (a cpuset whose sched_load_balance is 0), it never
-    moves a thread, and every thread would stay on the CPU this one runs on.
-    A thread that cannot move stays where it is.  The first exception raised
-    in any thread stops the others before their next fold, and is raised
-    here once every thread has been joined.
+    The horizon's steps are recorded every stride-th and at the last.  The
+    size of the run's buffers is checked before anything is sized from its
+    step count.  The R replicates are cut into S slices (_em.slice_count),
+    slice s being replicates R*s//S to R*(s+1)//S - 1, and thread w of the W
+    workers (this thread is thread 0) steps slices w, w + W, ... in its own
+    Slice, one block of recorded rows (_em.block_rows) at a time.  Each
+    replicate's numbers depend on its own streams only (see em_run in
+    _em.c), so no result depends on the number of threads or the blocks.  A
+    thread folds block b of slice s into the sums only once slice s - 1 has
+    folded block b, so each row adds every replicate in index order, and the
+    memory is the sums and one block per thread, whatever the horizon.  A
+    fold adds the |x|^2 of a row that are finite there, which no later block
+    changes, so every block of every slice is stepped and folded once.  The
+    compiled kernel runs without the interpreter lock, so the threads step
+    in parallel.  With more than one worker, thread w first moves to CPU w
+    mod C of the C this process may use, and is then let run on all of them
+    again: where the kernel balances no load between CPUs (a cpuset whose
+    sched_load_balance is 0), it never moves a thread, and every thread
+    would stay on the CPU this one runs on.  A thread that cannot move stays
+    where it is.  The first exception raised in any thread stops the others
+    before their next fold, and is raised here once every thread has been
+    joined.  The times are made once the sums are, from the steps the kernel
+    records (simulator.recorded_steps), one at a time.
     """
+    replicates, dt, steps, workers = cfg.replicates, cfg.sim.dt, step_count(cfg.sim), _worker_count(cfg.replicates)
+    _check_recorded_bytes(_em.ensemble_bytes(len(cells), steps, stride, workers, replicates))
     _em.library()  # built or loaded before any thread asks for it
-    nrec, block = _em.recorded_rows(steps, stride), _em.block_rows(steps, stride)
-    slices, blocks = _em.slice_count(replicates, workers), -(-nrec // block)
+    slices = _em.slice_count(replicates, workers)
     cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
-    sums = _em.Sums(len(cells), nrec)
+    sums = _em.Sums(len(cells), _em.recorded_rows(steps, stride))
     turn = threading.Condition()
-    folded = [0] * blocks  # per block, the slices folded into the sums so far
+    folded = Counter()  # per block, the slices folded into the sums so far
     failed = []   # exceptions raised in any thread, in the order raised
 
     def abort(exc: BaseException) -> None:
@@ -173,11 +171,12 @@ def _euler_maruyama(
                     os.sched_setaffinity(0, cpus)
                 except OSError:
                     pass  # it stays where it is
-            buffer = _em.Slice(cells, master_seed, dt, steps, stride, replicates, block)
+            buffer = _em.Slice(cells, cfg.master_seed, dt, steps, stride, replicates)
             for s in range(w, slices, workers):
                 lo = replicates * s // slices
                 n = replicates * (s + 1) // slices - lo
-                for b in range(blocks):
+                b = 0
+                while b == 0 or not buffer.done:  # the slice's blocks, from its first to its last
                     buffer.step(lo, n)
                     with turn:
                         turn.wait_for(lambda: folded[b] == s or failed)
@@ -186,6 +185,7 @@ def _euler_maruyama(
                         buffer.fold(sums)
                         folded[b] += 1
                         turn.notify_all()
+                    b += 1
         except BaseException as exc:
             abort(exc)
 
@@ -204,22 +204,7 @@ def _euler_maruyama(
             thread.join()
     if failed:
         raise failed[0]
-    return sums
-
-
-def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tuple[_em.Sums, array]:
-    """The sums of every cell's ensemble of cfg, recording every stride-th step and the last, and the
-    recorded times, an array('d').
-
-    The size of the run's buffers is checked before anything is sized from
-    its step count.  The times are made once the sums are, from the steps
-    the kernel records (simulator.recorded_steps), one at a time.
-    """
-    n_steps, workers = step_count(cfg.sim), _worker_count(cfg.replicates)
-    nrec, block = _em.recorded_rows(n_steps, stride), _em.block_rows(n_steps, stride)
-    _check_recorded_bytes(_em.ensemble_bytes(len(cells), nrec, block, workers, cfg.replicates))
-    sums = _euler_maruyama(cells, cfg.replicates, cfg.master_seed, cfg.sim.dt, n_steps, stride, workers)
-    return sums, array("d", (step * cfg.sim.dt for step in chain(range(0, n_steps, stride), [n_steps])))
+    return sums, array("d", (step * dt for step in chain(range(0, steps, stride), [steps])))
 
 
 def _reduce(sums: _em.Sums, cell: int, times: array) -> EnsembleStats:

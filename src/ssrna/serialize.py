@@ -179,6 +179,13 @@ class Blocks:
         self.blocks = blocks
 
 
+def _file_column(fh: BinaryIO) -> Blocks:
+    """The float64 numbers written to the binary file fh, from its start, as a Blocks column read a
+    block of _BLOCK_ROWS numbers at a time."""
+    fh.seek(0)
+    return Blocks(memoryview(block).cast("d") for block in iter(lambda: fh.read(8 * _BLOCK_ROWS), b""))
+
+
 def _float_column(obj: Any) -> bool:
     """Whether obj is an array('d'), a 1-D memoryview of float64 or a 1-D float64 numpy array,
     which is written as a list of its numbers."""

@@ -27,6 +27,7 @@ from .model_core import (
     State,
     _positive_finite,
     finite_real,
+    origin_equilibrium,
     vector_field,
 )
 from .serialize import FloatArray, Record, _stored, write_csv
@@ -58,10 +59,9 @@ ANCHOR_RTOL = 1e-8
 # The compiled library counts steps in a signed 64-bit integer.
 MAX_STEPS = 2**63 - 1
 
-# A recorded path row: t, p and m as float64.  A path stepped as one block,
-# as integrate_ode and integrate_sde step it, holds these 24 B per recorded
-# row and nothing else per row.  `simulate` steps it a block of
-# serialize._BLOCK_ROWS (4096) rows at a time, and holds one block.
+# A recorded path row: t, p and m as float64.  A whole path, as integrate_ode
+# and integrate_sde give it, holds these 24 B per recorded row, and a block
+# of rows besides.  `simulate` holds one block only.
 _PATH_ROW_BYTES = 3 * 8
 
 
@@ -155,7 +155,7 @@ def _check_recorded_bytes(size: int) -> None:
     holds: a whole path's 24 B per recorded row (_PATH_ROW_BYTES), for the
     library's integrate_ode and integrate_sde, or an ensemble's sums and
     slices, which hold one block of rows each (_em.ensemble_bytes).  A path
-    stepped a block at a time, as `simulate` steps it, holds one block and
+    written as it is stepped, as `simulate` writes it, holds one block and
     is not checked.  Writing adds a constant, not a multiple of the rows:
     the writers format one block of 4096 rows at a time
     (serialize._BLOCK_ROWS).
@@ -177,12 +177,8 @@ def default_dt(params: ModelParams, eq: Optional[Equilibrium] = None) -> float:
 
     The drift entries are taken at `eq` when given, else at the origin.
     """
-    if eq is not None:
-        rep = linearize(params, eq)
-        fastest = max(abs(rep.a11), abs(rep.a22), params.delta + params.sigma)
-    else:
-        fastest = max(params.delta, params.sigma, params.delta + params.sigma)
-    return 0.01 / fastest
+    rep = linearize(params, origin_equilibrium() if eq is None else eq)
+    return 0.01 / max(abs(rep.a11), abs(rep.a22), params.delta + params.sigma)
 
 
 def brownian_increments(master_seed: int, replicate: int, coordinate: int, n_steps: int, dt: float) -> numpy.ndarray:
@@ -322,34 +318,34 @@ class PathBlocks:
         return State(p[-1], m[-1])
 
     def trajectory(self) -> Trajectory:
-        """The whole path, stepped as one block: its recorder must hold every row."""
-        if self.recorder.block != _em.recorded_rows(self.recorder.n, self.recorder.stride):
-            raise ValueError("the recorder holds a block of the path's rows, not all of them")
+        """The whole path: its blocks joined, in three columns of every recorded row.
+
+        The columns are made once the rows are known to fit in memory, and
+        each block is copied into them as it is stepped.
+        """
+        rows = _em.recorded_rows(self.recorder.n, self.recorder.stride)
+        _check_recorded_bytes(rows * _PATH_ROW_BYTES)
+        columns, row = [_em._zeros("d", rows) for _ in range(3)], 0
         for path in self:
-            pass
-        path = self.recorder
-        return Trajectory(path.times, path.p, path.m, self.exited_omega, self.scheme, path.lowest)
+            for column, block in zip(columns, path.columns()):
+                memoryview(column)[row:row + path.rows] = block
+            row += path.rows
+        return Trajectory(*columns, self.exited_omega, self.scheme, self.lowest)
 
 
-def _path_recorder(cfg: SimConfig, K: float, rows: Optional[int]) -> _em.Recorder:
-    """The recorder of a path of cfg, for blocks of at most `rows` rows; with rows None, for
-    every row, once they are known to fit in memory.
+def _path_recorder(cfg: SimConfig, K: float) -> _em.Recorder:
+    """The recorder of a path of cfg.
 
     A state farther than OMEGA_EXIT_RTOL * K outside the phase-space
     triangle counts as having left it.
     """
-    n = step_count(cfg)
-    if rows is None:
-        _check_recorded_bytes(_em.recorded_rows(n, cfg.record_stride) * _PATH_ROW_BYTES)
-    elif not (type(rows) is int and rows >= 1):
-        raise ParameterError(f"a block holds at least one row, got {brief(rows)}")
     tol = OMEGA_EXIT_RTOL * K
-    return _em.Recorder(n, cfg.record_stride, cfg.dt, -tol, K + tol, rows)
+    return _em.Recorder(step_count(cfg), cfg.record_stride, cfg.dt, -tol, K + tol)
 
 
-def ode_blocks(params: ModelParams, cfg: SimConfig, rows: Optional[int] = None) -> PathBlocks:
-    """integrate_ode's path, stepped a block of at most `rows` recorded rows at a time (None: every row)."""
-    path = _path_recorder(cfg, params.K, rows)
+def ode_blocks(params: ModelParams, cfg: SimConfig) -> PathBlocks:
+    """integrate_ode's path, stepped a block of recorded rows at a time (see _em.Recorder)."""
+    path = _path_recorder(cfg, params.K)
     rates = (params.r, params.alpha, params.delta, params.sigma, params.K)
     p0, m0 = float(cfg.initial[0]), float(cfg.initial[1])
     return PathBlocks(path, lambda recorder: _em.rk4(rates, p0, m0, recorder), Scheme.RK4, "step size too large?")
@@ -362,14 +358,13 @@ def sde_blocks(
     cfg: SimConfig,
     replicate: int = 0,
     dW: Optional[numpy.ndarray] = None,
-    rows: Optional[int] = None,
 ) -> PathBlocks:
-    """integrate_sde's path, stepped a block of at most `rows` recorded rows at a time (None: every row)."""
+    """integrate_sde's path, stepped a block of recorded rows at a time (see _em.Recorder)."""
     cell = _kernel_cell(params, anchor, noise, cfg.initial, math.inf)
     # the stream keys 2 * replicate + coordinate are 64-bit words
     if isinstance(replicate, bool) or not (isinstance(replicate, Integral) and 0 <= replicate < MAX_SEED // 2):
         raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
-    path = _path_recorder(cfg, params.K, rows)
+    path = _path_recorder(cfg, params.K)
     if dW is not None:
         import numpy as np  # only a library caller imposes increments
 
@@ -390,11 +385,12 @@ def integrate_ode(params: ModelParams, cfg: SimConfig) -> Trajectory:
     """Classical fourth-order Runge-Kutta path of the deterministic model.
 
     The path is stepped and recorded in the compiled library (_em.c), with
-    model_core.field's arithmetic in its evaluation order, as one block of
-    every recorded row (ode_blocks), and holds only those rows.  The
-    phase-space triangle is invariant for the exact flow, so a recorded
-    exit means the step size is too large for these parameters.  Raises
-    IntegrationError if the state becomes non-finite.
+    model_core.field's arithmetic in its evaluation order, a block of rows
+    at a time (ode_blocks), and the blocks are joined into the whole path,
+    which holds its rows and one block besides.  The phase-space triangle is
+    invariant for the exact flow, so a recorded exit means the step size is
+    too large for these parameters.  Raises IntegrationError if the state
+    becomes non-finite.
     """
     return ode_blocks(params, cfg).trajectory()
 
@@ -417,13 +413,14 @@ def integrate_sde(
     The drift is evaluated in the centered form (_drift's arithmetic), so
     the anchor is an exact fixed point of the discrete scheme: started
     there, both drift and noise vanish to the last bit for any noise level.
-    The path is stepped and recorded in one call of the compiled kernel's
-    single-path entry point (_em.path), with the step and the normal draw of
-    its ensembles, as one block of every recorded row (sde_blocks), and
-    holds only those rows.  Increments come from the counter-based streams
-    keyed (cfg.seed, replicate, coordinate), as replicate `replicate` of an
-    ensemble draws them; pass dW, finite numbers of shape (n_steps, 2), to
-    impose a specific realization instead.
+    The path is stepped and recorded by the compiled kernel's single-path
+    entry point (_em.path), with the step and the normal draw of its
+    ensembles, a block of rows at a time (sde_blocks), and the blocks are
+    joined into the whole path, which holds its rows and one block besides.
+    Increments come from the counter-based streams keyed (cfg.seed,
+    replicate, coordinate), as replicate `replicate` of an ensemble draws
+    them; pass dW, finite numbers of shape (n_steps, 2), to impose a
+    specific realization instead.
 
     Paths are not clamped to the phase-space triangle: noise can push them
     out (recorded via exited_omega) or below zero.  Raises IntegrationError

@@ -42,6 +42,14 @@ def use_workers(monkeypatch, n):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda replicates: n)
 
 
+def use_block_rows(monkeypatch, rows):
+    """Step ensembles and sweeps in blocks of `rows` recorded rows, whatever their horizon: every
+    Slice, and the memory check, looks up _em.block_rows when it is made."""
+    from ssrna import _em
+
+    monkeypatch.setattr(_em, "block_rows", lambda n, stride: rows)
+
+
 def dumps(obj):
     """The JSON text that serialize.dump writes for obj."""
     fh = io.BytesIO()

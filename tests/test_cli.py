@@ -803,6 +803,38 @@ def test_sweep_rates_out_of_float_range(tmp_path, capsys):
     assert [row.split(",")[8] for row in rows] == ["true", "error"]
 
 
+@pytest.mark.parametrize("r, at", [(1e300, "E0"), (1e160, "E0")])
+def test_rates_whose_drift_matrix_overflows_exit_2(tmp_path, capsys, r, at):
+    # each rate, R0, delta*sigma and 1/K are finite, but det at the origin, delta*sigma - alpha r^2, is not:
+    # analyze once wrote NaN and -Infinity into its report
+    cfg = base_config(analyze={})
+    cfg["model"]["r"] = r
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model: rates out of floating-point range: the drift matrix at {at} ")
+    assert err.count("\n") == 1 and f"r={r!r}" in err
+    assert not out.exists()
+
+    # a sweep cell of that r is an error row
+    cfg = sweep_config(model_grid={"r": [TUMV["r"], r]}, replicates=3)
+    assert main(["sweep", "--config", write_config(tmp_path, cfg, "grid.json"), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[8] for row in rows] == ["true", "error"]
+
+
+def test_rates_whose_drift_matrix_is_finite_run(tmp_path):
+    # at r = 1e154 the origin's det is -7.43e306, finite
+    cfg = base_config(analyze={})
+    cfg["model"]["r"] = 1e154
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    for point in ("origin", "positive"):
+        rep = report[point]["linearization"]
+        assert all(math.isfinite(rep[name]) for name in ("a11", "a12", "a21", "a22", "trace", "det", "A1", "A2"))
+    assert report["origin"]["linearization"]["det"] == pytest.approx(-7.43e306)
+
+
 def test_sweep_json_format(tmp_path):
     path = write_config(tmp_path, sweep_config(noise_grid={"omega1": [0.0, 0.1]}, replicates=5))
     out = tmp_path / "out"
@@ -937,7 +969,8 @@ def test_memory_check_counts_slice_buffers_not_replicates(tmp_path, capsys, monk
     def admitted(*args):
         raise Admitted
 
-    monkeypatch.setattr(montecarlo, "_euler_maruyama", admitted)
+    monkeypatch.setattr(_em, "Sums", admitted)
+    monkeypatch.setattr(_em, "Slice", admitted)
     sim = {"dt": 0.5, "t_end": 1000.0, "initial": {"displace_fraction": 0.01}, "record_stride": 1}
     # 20000 replicates x 2001 rows of |x|^2 would be 320 MB; the sums and
     # the two slices take 0.72 MB

@@ -30,7 +30,7 @@ from ssrna import _em, cli, montecarlo
 from ssrna.errors import KernelError
 from ssrna.simulator import brownian_increments, step_count
 
-from conftest import TUMV
+from conftest import TUMV, use_block_rows
 
 U64_MAX = 2**64 - 1
 
@@ -53,7 +53,7 @@ def test_stream_size_is_what_the_memory_check_counts():
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     for replicates, columns in ((1, 8), (9, 16), (1000, 64)):
-        buffer = _em.Slice([cell], 0, 0.5, 2, 1, replicates, 3)
+        buffer = _em.Slice([cell], 0, 0.5, 2, 1, replicates)
         assert len(buffer.streams) * buffer.streams.itemsize == 2 * columns * _em.library().em_stream_words() * 8
 
 
@@ -122,24 +122,31 @@ def buffer_bytes(obj) -> int:
     return sum(a.buffer_info()[1] * a.itemsize for a in vars(obj).values() if isinstance(a, array))
 
 
-@pytest.mark.parametrize("ncells, nrec, block, workers, replicates, stride", [
-    (1, 2, 2, 1, 1, 8), (1, 5001, 4097, 2, 64, 64), (3, 7, 3, 2, 9, 16), (16, 2, 2, 4, 1000, 64),
-    (1, 5001, 4097, 2, 2, 8), (1, 5001, 1, 2, 64, 64),
-], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates", "1-5001-2-one-row-blocks"])
-def test_ensemble_bytes_are_the_buffers_allocated(ncells, nrec, block, workers, replicates, stride):
+@pytest.mark.parametrize("ncells, steps, every, workers, replicates, stride, block", [
+    (1, 1, 1, 1, 1, 8, 2), (1, 5000, 1, 2, 64, 64, 513), (3, 6, 1, 2, 9, 16, 7), (16, 1, 1, 4, 1000, 64, 2),
+    (1, 5000, 1, 2, 2, 8, 513), (1, 5000, 1, 2, 64, 64, 1), (1, 5000, 10, 2, 64, 64, 53),
+    (16, 10**12, 2**63 - 1, 2, 9, 16, 2),
+], ids=["1-2-1", "1-5001-2", "3-7-2", "16-2-4", "1-5001-2-two-replicates", "1-5001-2-one-row-blocks",
+        "1-501-2-stride-10", "16-2-2-sweep"])
+def test_ensemble_bytes_are_the_buffers_allocated(monkeypatch, ncells, steps, every, workers, replicates, stride,
+                                                  block):
     # a slice holds columns for min(64, replicates) replicates, rounded up to whole groups of 8 lanes, and
     # one block of rows; the statistics are reduced one cell at a time, and their t is the recorded times
+    if block == 1:
+        use_block_rows(monkeypatch, 1)
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    buffer = _em.Slice([cell] * ncells, 0, 0.5, nrec - 1, 1, replicates, block)
+    buffer = _em.Slice([cell] * ncells, 0, 0.5, steps, every, replicates)
     assert buffer.stride == _em.slice_stride(replicates) == stride
+    assert buffer.block == block
+    nrec = _em.recorded_rows(steps, every)
     sums, times = _em.Sums(ncells, nrec), array("d", range(nrec))
     sums.counts[0] = 1  # an included replicate in cell 0
     stats = montecarlo._reduce(sums, 0, times)
     assert vars(stats)["times"] is times
     stats_bytes = sum(len(vars(stats)[name]) * 8 for name in ("times", "mean_sq_dev", "exceed_fraction_cum"))
     expected = buffer_bytes(sums) + stats_bytes + workers * buffer_bytes(buffer)
-    assert _em.ensemble_bytes(ncells, nrec, block, workers, replicates) == expected
+    assert _em.ensemble_bytes(ncells, steps, every, workers, replicates) == expected
 
 
 @pytest.mark.parametrize("steps, stride", [(0, 1), (-1, 1), (4, 0), (4, -3)])
@@ -147,18 +154,17 @@ def test_slice_refuses_a_horizon_without_steps_or_stride(steps, stride):
     # em_fold counts (steps - 1) // stride + 2 recorded rows, and em_run records every stride-th step
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    with pytest.raises(ValueError, match=f"a block of rows >= 1, not {steps}, {stride}, 2"):
-        _em.Slice([cell], 0, 0.5, steps, stride, 8, 2)
+    with pytest.raises(ValueError, match=f"a stride >= 1, not {steps}, {stride}$"):
+        _em.Slice([cell], 0, 0.5, steps, stride, 8)
 
 
-def test_slice_steps_its_replicates_a_block_at_a_time():
+def test_slice_steps_its_replicates_a_block_at_a_time(monkeypatch):
     # em_run resumes the slice in progress, so a call mid-way must name its replicates; a slice that has
     # stepped its last block starts the replicates it is given from step 0
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    with pytest.raises(ValueError, match="a block of rows >= 1, not 4, 1, 0"):
-        _em.Slice([cell], 0, 0.5, 4, 1, 8, 0)
-    buffer = _em.Slice([cell], 0, 0.5, 4, 1, 8, 2)
+    use_block_rows(monkeypatch, 2)
+    buffer = _em.Slice([cell], 0, 0.5, 4, 1, 8)
     rows = []
     for first in (0, 0, 0, 8):
         buffer.step(first, 8)
@@ -295,7 +301,7 @@ def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coo
     imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
-    buffer = _em.Slice([cell], seed, cfg.dt, steps, 1, 1, steps + 1)
+    buffer = _em.Slice([cell], seed, cfg.dt, steps, 1, 1)  # one block of every row
     buffer.step(replicate, 1)
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 
@@ -317,7 +323,7 @@ def test_kernel_draws_equal_numpy_where_a_reject_ends_the_buffer(replicate, coor
     imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
     assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
     buffer = _em.Slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
-                       steps, 1, 1, steps + 1)
+                       steps, 1, 1)  # one block of every row
     buffer.step(replicate, 1)
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
 

@@ -112,6 +112,10 @@ def test_records_take_numpy_scalars_as_floats(make, values):
     dict(r=1, alpha=1, delta=1e-160, sigma=1e-160, K=1),  # alpha/(delta*sigma) overflows
     dict(r=5e-324, alpha=0.25, delta=1, sigma=1, K=1),    # R0 underflows to 0
     dict(r=1, alpha=1, delta=1, sigma=1, K=5e-324),       # 1/K overflows
+    dict(r=1e300, alpha=0.5, delta=1, sigma=1, K=1),      # alpha r^2 overflows in det at the origin
+    dict(r=1e10, alpha=0.5, delta=1, sigma=1, K=1e-300),  # b r overflows, and b r m is NaN at m = 0
+    # alpha r^2 is finite at the origin, but a11^2 overflows in A1 at the coexistence equilibrium
+    dict(r=1e156, alpha=1e-10, delta=1e10, sigma=1e-10, K=1),
 ])
 def test_validate_rejects_rates_out_of_float_range(kwargs):
     with pytest.raises(ParameterError, match="floating-point range"):

@@ -44,7 +44,7 @@ from ssrna.montecarlo import write_ensemble_csv, write_sweep_csv
 from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
 
-from conftest import TUMV, use_workers
+from conftest import TUMV, use_block_rows, use_workers
 
 
 def tumv_ensemble_cfg(tumv, *, replicates, t_end, gamma_scale=0.5, displace=0.01,
@@ -255,11 +255,6 @@ def fail_step(monkeypatch, fails):
         real(self, first, n)
 
     monkeypatch.setattr(_em.Slice, "step", step)
-
-
-def use_block_rows(monkeypatch, rows):
-    """Step ensembles and sweeps in blocks of `rows` recorded rows, whatever their horizon."""
-    monkeypatch.setattr(_em, "block_rows", lambda n, stride: rows)
 
 
 @pytest.mark.usefixtures("deadline")
@@ -563,7 +558,7 @@ def test_slice_draws_the_top_stream_keys():
     cfg = EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0.8, 0.8), anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=2**64 - 1)
     rec = recorded_steps(27, 3)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates, len(rec))
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates)
     buffer.step(2**63 - 1, 1)
     sq, _, negative, finite = _reference_path(p, cfg, 2**63 - 1, 27, rec)
     assert finite
@@ -622,7 +617,7 @@ def slice_width_equals_the_reference(library, n, p, noise):
     rec = recorded_steps(27, 3)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_em, "_lib", library)
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, n, len(rec))
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, n)
     assert buffer.stride == min(64, -(-n // 8) * 8)
     buffer.step(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
     buffer.step(0, n)
@@ -664,7 +659,7 @@ def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_libr
         stats = run_ensemble(cfg, p)
         write_ensemble_csv(stats, tmp_path / f"{name}-ensemble.csv")
         write_sweep_csv(sweep(p, {"r": [0.05, 0.1]}, {}, cfg), tmp_path / f"{name}-sweep.csv")
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates, len(rec))
+        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates)
         buffer.step(100, 37)
         runs[name] = (stats.n_negative, stats.n_nonfinite,
                       [(tmp_path / f"{name}-{command}.csv").read_bytes() for command in ("ensemble", "sweep")],
@@ -741,15 +736,16 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
     with np.errstate(over="ignore", invalid="ignore"):
         paths = [[_reference_path(cell[0], cfg, first + j, n_steps, rec) for j in range(width)]
                  for cell, cfg in zip(cells, cfgs)]
-    block = block or len(rec)
     kernel_cells = [montecarlo._cell(cfg, cell[0]) for cell, cfg in zip(cells, cfgs)]
     for library in (_em.library(), scalar_library):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_em, "_lib", library)
-            buffer = _em.Slice(kernel_cells, seed, dt, n_steps, every, replicates, block)
+            if block is not None:
+                use_block_rows(patch, block)
+            buffer = _em.Slice(kernel_cells, seed, dt, n_steps, every, replicates)
         stride = buffer.stride
         assert stride == min(64, -(-replicates // 8) * 8)
-        assert buffer.block == block
+        assert buffer.block == (block or len(rec))
         buffer.step(2**63 - stride, stride)  # another slice's outputs in every column, which em_fold must not read
         while not buffer.done:
             buffer.step(2**63 - stride, stride)
@@ -873,7 +869,8 @@ def test_increment_buffer_counts_against_memory(tumv, monkeypatch, run):
     def allocate(*args, **kwargs):
         pytest.fail("the batch was allocated before its size was checked")
 
-    monkeypatch.setattr(montecarlo, "_euler_maruyama", allocate)
+    monkeypatch.setattr(_em, "Sums", allocate)
+    monkeypatch.setattr(_em, "Slice", allocate)
     cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=2, t_end=10.0, record_stride=10**6)
     with pytest.raises(ParameterError, match="bytes"):
         run(cfg, tumv)
@@ -915,7 +912,7 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
     # kernel once did over the whole matrix
     assert _em.slice_count(300, workers) == 5
     rec = recorded_steps(27, 1)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 1, cfg.replicates, len(rec))
+    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 1, cfg.replicates)
     # numpy views of the slice buffer: rows x cells x stride, and cells x stride
     buffer_sq = np.frombuffer(buffer.sq).reshape(len(rec), 1, buffer.stride)
     buffer_first = np.frombuffer(buffer.first_exceed, np.int64).reshape(1, buffer.stride)

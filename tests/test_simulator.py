@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ssrna import (
     IntegrationError,
@@ -86,6 +88,20 @@ def test_default_dt_rule(tumv):
     dt = default_dt(tumv, eq)
     fastest = max(abs(rep.a11), abs(rep.a22), tumv.delta + tumv.sigma)
     assert dt * fastest == pytest.approx(0.01, rel=1e-12)
+
+
+_RATES = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)  # so that most rates are valid together
+
+
+@given(r=_RATES, alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True), delta=_RATES, sigma=_RATES,
+       K=_RATES)
+def test_default_dt_without_an_anchor_is_the_origins(r, alpha, delta, sigma, K):
+    # the drift diagonal at the origin is (-delta, -sigma), so the rule reads 0.01 / (delta + sigma) there
+    try:
+        p = validate_params(r=r, alpha=alpha, delta=delta, sigma=sigma, K=K)
+    except ParameterError:
+        assume(False)
+    assert default_dt(p) == default_dt(p, origin_equilibrium()) == 0.01 / (p.delta + p.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +239,22 @@ def test_blowup_raises_with_time(scheme):
     assert err.value.t > 0
 
 
-def stepped_in_blocks(scheme, params, noise, cfg, rows):
+def stepped_in_blocks(scheme, params, noise, cfg, whole):
     """The path of cfg, replicate 6 about the origin for Euler-Maruyama, as (times, states, exited_omega,
-    lowest, final_state), or the message and time of its IntegrationError: with rows None, as integrate_ode
-    or integrate_sde gives it; else stepped in blocks of at most `rows` rows (ode_blocks or sde_blocks)."""
+    lowest, final_state), or the message and time of its IntegrationError: with whole, as integrate_ode or
+    integrate_sde gives it, its blocks joined; else a block at a time, as ode_blocks or sde_blocks steps it,
+    each block of at most serialize._BLOCK_ROWS rows."""
     try:
-        if rows is None:
+        if whole:
             traj = (integrate_ode(params, cfg) if scheme is Scheme.RK4
                     else integrate_sde(params, noise, origin_equilibrium(), cfg, replicate=6))
             return traj.times.tolist(), traj.states.tolist(), traj.exited_omega, traj.lowest, traj.final_state
-        blocks = (simulator.ode_blocks(params, cfg, rows) if scheme is Scheme.RK4
-                  else simulator.sde_blocks(params, noise, origin_equilibrium(), cfg, replicate=6, rows=rows))
+        blocks = (simulator.ode_blocks(params, cfg) if scheme is Scheme.RK4
+                  else simulator.sde_blocks(params, noise, origin_equilibrium(), cfg, replicate=6))
         times, states = [], []
         for path in blocks:
             t, p, m = path.columns()
-            assert 1 <= len(t) <= rows
+            assert 1 <= len(t) <= serialize._BLOCK_ROWS
             times += t.tolist()
             states += [[pi, mi] for pi, mi in zip(p.tolist(), m.tolist())]
         return times, states, blocks.exited_omega, blocks.lowest, blocks.final_state
@@ -258,13 +275,44 @@ def test_blocks_of_any_size_make_the_whole_path(scheme, stride, noise):
     else:
         p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
         cfg = SimConfig(dt=0.25, t_end=0.25 * 61, initial=State(300.0, 300.0), seed=4242, record_stride=stride)
-    whole = stepped_in_blocks(scheme, p, noise, cfg, None)
+    whole = stepped_in_blocks(scheme, p, noise, cfg, True)
     if noise.omega1 > 1.0:
         assert len(whole) == 2  # the message and the time
     else:
         assert whole[2] is not None and len(whole[0]) == len(recorded_steps(61, stride))
-    for rows in (1, 2, 5, 21, 22, 23, 10**6):
-        assert stepped_in_blocks(scheme, p, noise, cfg, rows) == whole
+    # the last, the default block, holds every row
+    for rows in (1, 2, 3, 5, 21, 22, 23, serialize._BLOCK_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_BLOCK_ROWS", rows)
+            assert stepped_in_blocks(scheme, p, noise, cfg, False) == whole
+            assert stepped_in_blocks(scheme, p, noise, cfg, True) == whole
+
+
+@both_schemes
+def test_a_whole_path_holds_its_rows_and_one_block(scheme, tumv):
+    # integrate_ode and integrate_sde join the path's blocks into three columns of every recorded row,
+    # made once: 24 B a row, one block of rows and a constant.  Columns grown block by block would
+    # over-allocate, and take old and new at once as they grow; a column copied whole would take 8 B a
+    # row more.
+    eq = positive_equilibrium(tumv)
+    cfg = SimConfig(dt=0.5, t_end=0.5 * 20000, initial=State(1.01 * eq.p_star, 1.01 * eq.m_star), seed=3)
+    rows = len(recorded_steps(step_count(cfg), 1))
+    assert rows == 20001 > 4 * serialize._BLOCK_ROWS
+
+    def run():
+        if scheme is Scheme.RK4:
+            return integrate_ode(tumv, cfg)
+        return integrate_sde(tumv, NoiseSpec(0.05, 0.05), eq, cfg)
+
+    run()  # the library built and loaded before the count
+    tracemalloc.start()
+    try:
+        traj = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(serialize._stored(traj, "times")) == rows and traj.exited_omega is None
+    assert peak <= (rows + serialize._BLOCK_ROWS) * 24 + 16 * 1024
 
 
 # ---------------------------------------------------------------------------
