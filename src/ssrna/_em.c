@@ -28,7 +28,19 @@
  *    lanes of a GCC vector of doubles, on which GCC's operators take the same
  *    IEEE operations lane by lane; nothing here changes MXCSR, so a lane
  *    rounds as the double does.
- *  - fmt_g17 writes a double as Python's '%.17g' % x does.
+ *  - fmt_g17 writes a double as Python's '%.17g' % x does, with no library
+ *    call but snprintf, for the numbers outside its exact range: each number
+ *    is built in a buffer of its own and copied out in one piece of G17_ROOM
+ *    bytes, a separator in pieces of fixed size, and where a number has the
+ *    bits of the last one of its column, that one's text is copied again.
+ *    The room it may write is G17_ROOM and a separator per number.
+ *
+ * A single path, RK4 or Euler-Maruyama, settles where a step leaves its state
+ * as it was, bit for bit, and where no later step can change it: the RK4 step
+ * is a function of the state alone, and an Euler-Maruyama step whose noise
+ * terms are zero adds +-0 to a nonzero state whatever it draws (see em_path).
+ * A stable path may reach such a fixed point in floating point, and from there
+ * path_hold records its rows without stepping.
  *
  * Euler-Maruyama has one entry point per job, sharing one step (EM_STEP), one
  * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
@@ -317,6 +329,24 @@ static int path_record(path_t *r, int64_t s, double p, double m)
     return r->rows < r->block;
 }
 
+/* Record the rows of a settled path, whose state (p, m) after step *s no step changes, up to the
+ * block's end or the last step, without stepping: path_record has taken the state, so exited and
+ * failed cannot move, nor lowest.  A call that resumes the next block steps once and settles again. */
+static void path_hold(path_t *r, int64_t *s, double p, double m)
+{
+    while (*s < r->n && path_record(r, *s = r->due, p, m))
+        ;
+}
+
+/* Whether a and b have the same bits. */
+static inline int same(double a, double b)
+{
+    uint64_t x, y;
+    memcpy(&x, &a, sizeof x);
+    memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
 /* Begin a call's block of rows, taking the start state (p, m), step 0, on the first call.  Returns
  * 0 if the path stops there. */
 static int path_resume(path_t *r, double p, double m)
@@ -342,7 +372,9 @@ static void field(const double *model, double p, double m, double *dp, double *d
 }
 
 /* The classical RK4 path of the model from (p, m), path->n steps of path->dt, into the recorder,
- * a block at a time: a later call resumes from the recorder's state, and ignores (p, m). */
+ * a block at a time: a later call resumes from the recorder's state, and ignores (p, m).  A step
+ * that leaves (p, m) as it was, bit for bit, settles the path: the step is a function of the state
+ * alone, so no later step changes it either, and path_hold records the rest without stepping. */
 void rk4_path(const double *model, double p, double m, path_t *path)
 {
     double dt = path->dt, sixth = dt / 6.0, half = 0.5 * dt;
@@ -356,7 +388,7 @@ void rk4_path(const double *model, double p, double m, path_t *path)
         return;
     int64_t s = path->step;
     while (s < path->n) {
-        double k1p, k1m, k2p, k2m, k3p, k3m, k4p, k4m;
+        double k1p, k1m, k2p, k2m, k3p, k3m, k4p, k4m, p0 = p, m0 = m;
         field(model, p, m, &k1p, &k1m);
         field(model, p + half * k1p, m + half * k1m, &k2p, &k2m);
         field(model, p + half * k2p, m + half * k2m, &k3p, &k3m);
@@ -365,6 +397,10 @@ void rk4_path(const double *model, double p, double m, path_t *path)
         m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m);
         if (!path_record(path, ++s, p, m))
             break;
+        if (same(p, p0) && same(m, m0)) {
+            path_hold(path, &s, p, m);
+            break;
+        }
     }
     path->step = s;
     path->x1 = p;
@@ -560,8 +596,16 @@ void em_run(slice_t *sl)
 
 /* Step replicate `replicate` of one cell path->n steps from its start into the recorder, which
  * stops the path at its first non-finite state, on increments drawn as em_run draws them, or on
- * the path->n x 2 of dW; a block at a time, as rk4_path does: a later call resumes from the
- * recorder's deviations and streams. */
+ * the path->n x 2 finite numbers of dW; a block at a time, as rk4_path does: a later call resumes
+ * from the recorder's deviations and streams.
+ *
+ * A step after which u and v are as they were, bit for bit, nonzero, and W1 u and W2 v are zero,
+ * settles the path, and path_hold records the rest without stepping.  That is exact: a step adds
+ * to u its drift part, x1 + g1 dt, a function of the state alone, and the noise term (W1 x1) d1,
+ * which is then +-0 for any finite d1.  A nonzero sum of x and +-0 is x, so the drift part left
+ * u unchanged, and every later step returns u again, whatever it draws; so does v.  A step on
+ * increments of zero may also leave the state unchanged, but where W x is not zero a nonzero
+ * increment moves it again, so that does not settle the path. */
 void em_path(const double *cell, uint64_t seed, int64_t replicate, const double *dW, path_t *path)
 {
     double dt = path->dt, sqrt_dt = sqrt(dt);
@@ -578,9 +622,14 @@ void em_path(const double *cell, uint64_t seed, int64_t replicate, const double 
     while (s < path->n) {
         double d1 = dW ? dW[2 * s] : normal(path->st) * sqrt_dt;
         double d2 = dW ? dW[2 * s + 1] : normal(path->st + 1) * sqrt_dt;
+        double u0 = u, v0 = v;
         em_step(cell, dt, d1, d2, &u, &v);
         if (!path_record(path, ++s, cell[P_STAR] + u, cell[M_STAR] + v))
             break;
+        if (same(u, u0) && same(v, v0) && u != 0.0 && v != 0.0 && cell[W1] * u == 0.0 && cell[W2] * v == 0.0) {
+            path_hold(path, &s, cell[P_STAR] + u, cell[M_STAR] + v);
+            break;
+        }
     }
     path->step = s;
     path->x1 = u;
@@ -678,9 +727,13 @@ void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *lost, int
 }
 #undef ROW
 
-/* The longest '%.17g' of a double is 24 bytes (-1.2345678901234567e-308);
- * _em.py allots G17_ROOM per number. */
+/* The longest '%.17g' of a double is 24 bytes (-1.2345678901234567e-308).  _em.py allots G17_ROOM
+ * bytes per number, besides its separator, and fmt_g17 copies each number's text in one piece of
+ * G17_ROOM bytes, whose bytes past the text the separator and the next number write over. */
 #define G17_ROOM 32
+
+/* Bytes of g17's buffer: its pieces of fixed size reach past the text, to 35 bytes at most. */
+#define TEXT_ROOM 48
 
 static const uint64_t POW5[28] = {
     1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL, 1953125ULL,
@@ -714,14 +767,16 @@ static uint64_t scaled(uint64_t mant, int e, int k, int *rest)
     return (uint64_t)q;
 }
 
-/* '%.17g' % x into out, without a terminating NUL; returns its length. */
-static int g17(double x, char *out)
+/* '%.17g' % x into t, which holds TEXT_ROOM bytes, without a terminating NUL; returns its length.
+ * Every copy has a fixed size, so the compiler writes it inline, and the bytes past the text are
+ * left as they are: the digits are copied whole, and then the fraction's over them, one byte on. */
+static int g17(double x, char *t)
 {
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
     int biased = (int)(bits >> 52 & 0x7FF);
     if (x != x) { /* Python prints every NaN as nan, whatever its sign */
-        memcpy(out, "nan", 3);
+        memcpy(t, "nan", 3);
         return 3;
     }
     /* 17 significant digits of a normal double between 1e-11 and 1e17 are
@@ -739,12 +794,8 @@ static int g17(double x, char *out)
             d = scaled(mant, e, --k, &rest);
         }
     }
-    if (d >= E17) { /* out of range, or 1e17 <= |x| < 2^57 */
-        char buf[G17_ROOM];
-        int len = snprintf(buf, sizeof buf, "%.17g", x);
-        memcpy(out, buf, len);
-        return len;
-    }
+    if (d >= E17) /* out of range, or 1e17 <= |x| < 2^57 */
+        return snprintf(t, G17_ROOM, "%.17g", x);
     if (rest > 0 || (rest == 0 && d & 1)) /* round half to even */
         d++;
     if (d == E17) {
@@ -752,66 +803,106 @@ static int g17(double x, char *out)
         e10++;
     }
 
-    char digits[17]; /* d has 17 digits: two at a time from the right, then the first */
-    for (int i = 15; i > 0; i -= 2, d /= 100)
-        memcpy(digits + i, DIGIT_PAIRS + 2 * (d % 100), 2);
-    digits[0] = (char)('0' + d);
+    /* d has 17 digits: its first 9 and its last 8, each two at a time from the right in 32-bit
+     * words, two chains of divisions that the CPU overlaps, then the first; the zeros after them are
+     * read by the fixed copies of a fraction, and not written out */
+    char digits[40] = {0};
+    uint32_t high = (uint32_t)(d / 100000000), low = (uint32_t)(d % 100000000);
+    for (int i = 15; i > 8; i -= 2, low /= 100, high /= 100) {
+        memcpy(digits + i, DIGIT_PAIRS + 2 * (low % 100), 2);
+        memcpy(digits + i - 8, DIGIT_PAIRS + 2 * (high % 100), 2);
+    }
+    digits[0] = (char)('0' + high);
     int nd = 17; /* without trailing zeros */
     while (nd > 1 && digits[nd - 1] == '0')
         nd--;
-    char *o = out;
-    if (bits >> 63)
-        *o++ = '-';
-    if (e10 < -4 || e10 >= 17) {
-        *o++ = digits[0];
-        if (nd > 1) {
-            *o++ = '.';
-            memcpy(o, digits + 1, nd - 1);
-            o += nd - 1;
-        }
-        *o++ = 'e';
-        *o++ = e10 < 0 ? '-' : '+';
+    int o = bits >> 63; /* the text so far: a '-' or nothing */
+    t[0] = '-';
+    if (e10 < -4 || e10 >= 17) { /* d.ddde-dd: at most 1 + 18 + 4 bytes */
+        t[o] = digits[0];
+        t[o + 1] = '.';
+        memcpy(t + o + 2, digits + 1, 16);
+        o += nd > 1 ? nd + 1 : 1;
         int a = e10 < 0 ? -e10 : e10; /* below 100 here */
-        *o++ = (char)('0' + a / 10);
-        *o++ = (char)('0' + a % 10);
-    } else if (e10 >= 0) {
-        memcpy(o, digits, e10 + 1);
-        o += e10 + 1;
+        char exponent[4] = {'e', e10 < 0 ? '-' : '+', (char)('0' + a / 10), (char)('0' + a % 10)};
+        memcpy(t + o, exponent, 4);
+        o += 4;
+    } else if (e10 >= 0) { /* ddd.ddd: the integer's digits, then the fraction's at 1 + e10 + 2 + 16 at most */
+        memcpy(t + o, digits, 17);
         if (nd > e10 + 1) {
-            *o++ = '.';
-            memcpy(o, digits + e10 + 1, nd - e10 - 1);
-            o += nd - e10 - 1;
+            t[o + e10 + 1] = '.';
+            memcpy(t + o + e10 + 2, digits + e10 + 1, 16);
+            o += nd + 1;
+        } else {
+            o += e10 + 1;
         }
-    } else {
-        *o++ = '0';
-        *o++ = '.';
-        for (int i = -1; i > e10; i--)
-            *o++ = '0';
-        memcpy(o, digits, nd);
-        o += nd;
+    } else { /* 0.000ddd: at most 1 + 5 + 17 bytes */
+        memcpy(t + o, "0.000", 5);
+        memcpy(t + o + 1 - e10, digits, 17);
+        o += 1 - e10 + nd;
     }
-    return (int)(o - out);
+    return o;
 }
 
-/* Write x[0..n-1] as '%.17g' writes them: sep between the numbers of each
- * row of `row` numbers and eol after each row.  out holds at least
- * n * (G17_ROOM + the longer of sep and eol) bytes.  Returns the bytes
- * written, and counts the numbers that were NaN or infinite in *nonfinite. */
+/* Copy the n bytes of s to o in pieces of fixed size, which the compiler writes inline, none
+ * reaching past s + n or o + n: a 1-byte separator in one store.  Returns o + n. */
+static inline char *put(char *o, const char *s, int64_t n)
+{
+    if (n == 1) {
+        *o = *s;
+    } else if (n >= 8) {
+        for (int64_t i = 0; i < n - 8; i += 8)
+            memcpy(o + i, s + i, 8);
+        memcpy(o + n - 8, s + n - 8, 8);
+    } else if (n >= 4) {
+        memcpy(o, s, 4);
+        memcpy(o + n - 4, s + n - 4, 4);
+    } else if (n >= 2) {
+        memcpy(o, s, 2);
+        memcpy(o + n - 2, s + n - 2, 2);
+    }
+    return o + n;
+}
+
+/* Columns whose last number fmt_g17 keeps, with its text: column c in slot c % SLOTS. */
+#define SLOTS 8
+
+/* Write x[0..n-1] as '%.17g' writes them: sep between the numbers of each row of `row` numbers
+ * and eol after each row.  out holds at least n * (G17_ROOM + the longer of sep and eol) bytes:
+ * each number is copied in a piece of G17_ROOM bytes and its separator after its text, so the
+ * writes for number i end within i + 1 such rooms.  A number with the bits of the last one
+ * formatted in its slot, such as the same column of the row before, or the number before where
+ * a row is one number, takes that one's text again.  Returns the bytes written, and counts the
+ * numbers that were NaN or infinite in *nonfinite. */
 int64_t fmt_g17(const double *x, int64_t n, int64_t row, const char *sep, int64_t sep_len,
                 const char *eol, int64_t eol_len, char *out, int64_t *nonfinite)
 {
+    char text[SLOTS][TEXT_ROOM];
+    uint64_t last[SLOTS];
+    int len[SLOTS];
+    for (int c = 0; c < SLOTS; c++) { /* each slot starts with 0.0, whose text is 0 */
+        last[c] = 0;
+        text[c][0] = '0';
+        len[c] = 1;
+    }
     char *o = out;
     int64_t bad = 0, column = 0;
     for (int64_t i = 0; i < n; i++) {
+        uint64_t bits;
+        memcpy(&bits, x + i, sizeof bits);
+        int c = (int)(column % SLOTS);
         bad += !isfinite(x[i]);
-        o += g17(x[i], o);
+        if (bits != last[c]) {
+            last[c] = bits;
+            len[c] = g17(x[i], text[c]);
+        }
+        memcpy(o, text[c], G17_ROOM);
+        o += len[c];
         if (++column == row) {
             column = 0;
-            memcpy(o, eol, eol_len);
-            o += eol_len;
+            o = put(o, eol, eol_len);
         } else {
-            memcpy(o, sep, sep_len);
-            o += sep_len;
+            o = put(o, sep, sep_len);
         }
     }
     *nonfinite = bad;

@@ -255,7 +255,9 @@ class Recorder(ctypes.Structure):
     of block numbers.  exited is the first step whose state had p or m
     below low, or p + m above high, and failed the step whose state was
     not finite, where the path stopped; each is -1 when there is none.
-    lowest is the smallest p or m recorded.
+    lowest is the smallest p or m recorded.  A path whose state no later
+    step can change has settled, and records the rest of its rows without
+    stepping (see _em.c's path_hold), bit for bit the rows it would step.
     """
 
     _fields_ = [("n", _I), ("stride", _I), ("dt", _D), ("low", _D), ("high", _D), ("_times", _P), ("_p", _P),
@@ -416,8 +418,9 @@ def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array
     """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder:
     its next block (em_path).
 
-    dW, when given, is an array('d') of recorder.n rows of two increments,
-    to use instead of the streams'.  The recorder stops the path at its
+    dW, when given, is an array('d') of recorder.n rows of two finite
+    increments, to use instead of the streams': a settled path takes any
+    finite increment as it takes none.  The recorder stops the path at its
     first non-finite state.
     """
     if not (dW is None or (dW.typecode == "d" and len(dW) == 2 * recorder.n)):
@@ -427,17 +430,24 @@ def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array
                       ctypes.addressof(recorder))
 
 
-def format_g17(values, row: int, sep: bytes, eol: bytes, finite: bool = False) -> Optional[bytes]:
-    """Every number of values (see doubles), in C order, as '%.17g' % x writes it (a NaN as nan).
+def format_g17(values, row: int, sep: bytes, eol: bytes, text: "serialize.Text",
+               finite: bool = False) -> Optional[memoryview]:
+    """Every number of values (see doubles), in C order, as '%.17g' % x writes it (a NaN as nan),
+    into text's buffer: a view of the bytes written, valid until text's next block.
 
     sep goes between the numbers of each row of `row` numbers, and eol
-    after each row.  With finite, None instead if a number is NaN or
-    infinite.
+    after each row.  The buffer is made where it has less than the
+    G17_ROOM bytes and a separator per number that fmt_g17 may write,
+    and written over otherwise.  With finite, None instead if a number is
+    NaN or infinite.
     """
     x = doubles(values)
     if not (row >= 1 and len(x) % row == 0):
         raise ValueError(f"{len(x)} numbers do not make rows of {row}")
-    out = ctypes.create_string_buffer(len(x) * (_G17_ROOM + max(len(sep), len(eol))))
+    room = len(x) * (_G17_ROOM + max(len(sep), len(eol)))
+    if text.buffer is None or len(text.buffer) < room:
+        text.buffer = _zeros("B", room)  # a new one: a view of the last block may hold the old one
     nonfinite = ctypes.c_int64()
-    size = library().fmt_g17(_address(x), len(x), row, sep, len(sep), eol, len(eol), out, ctypes.byref(nonfinite))
-    return None if finite and nonfinite.value else ctypes.string_at(out, size)
+    size = library().fmt_g17(_address(x), len(x), row, sep, len(sep), eol, len(eol), _address(text.buffer),
+                             ctypes.byref(nonfinite))
+    return None if finite and nonfinite.value else memoryview(text.buffer)[:size]

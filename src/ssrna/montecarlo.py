@@ -251,17 +251,24 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    Its ends are (2s + z^2 -+ z sqrt(z^2 + 4 s (n - s) / n)) / (2 (n + z^2))
+    for s successes, and exactly 0 and 1 where s is 0 and n: in floating
+    point the formula's lower end at s = 0, or upper end at s = n, may be
+    an ulp off.
+    """
     if n <= 0:
         raise ParameterError("Wilson interval needs at least one trial")
     if not 0 <= successes <= n:
         raise ParameterError(f"successes must lie in [0, {n}], got {successes!r}")
-    p_hat = successes / n
     z2 = z * z
-    denom = 1.0 + z2 / n
-    centre = (p_hat + z2 / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n))
-    return max(0.0, centre - half), min(1.0, centre + half)
+    centre = 2.0 * successes + z2
+    half = z * math.sqrt(z2 + 4.0 * successes * (n - successes) / n)
+    denom = 2.0 * (n + z2)
+    lo = 0.0 if successes == 0 else (centre - half) / denom
+    hi = 1.0 if successes == n else (centre + half) / denom
+    return lo, hi
 
 
 # Included replicates below which an ensemble's interval estimate is too unreliable to report.

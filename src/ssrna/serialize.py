@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from typing import Any, BinaryIO, Optional
 
-__all__ = ["fmt", "write_csv", "csv_rows", "dump", "plain", "Record", "FloatArray", "Blocks"]
+__all__ = ["fmt", "write_csv", "csv_rows", "dump", "plain", "Record", "FloatArray", "Blocks", "Text"]
 
 _FLOAT = "%.17g"
 _INDENT = "  "  # per level of a JSON document
@@ -134,25 +134,41 @@ def _stored(record: Any, name: str) -> Any:
     return vars(record)[name]
 
 
+class Text:
+    """The buffer that a file's numbers are formatted into, a block at a time (see _em.format_g17).
+
+    One serves every block of a file: the formatter makes its buffer at the
+    first block, or where a block needs more room than it has, and writes
+    each block over the last, so a view of one block's text is valid until
+    the next block is formatted.
+    """
+
+    __slots__ = ("buffer",)
+
+    def __init__(self) -> None:
+        self.buffer: Optional[array] = None
+
+
 def write_csv(path, header: str, columns: Sequence[Any]) -> None:
     """Write a `header` line, then row i of the equal-length numeric columns.
 
     Every value is written as fmt writes it, by csv_rows, a block of
-    _BLOCK_ROWS rows per call.  A column is read a block at a time (see
-    _em.doubles), so a column is written without copying it whole.
+    _BLOCK_ROWS rows per call into one Text.  A column is read a block at a
+    time (see _em.doubles), so a column is written without copying it whole.
     """
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("the columns differ in length")
+    text = Text()
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n, _BLOCK_ROWS):
-            fh.write(csv_rows([column[lo:lo + _BLOCK_ROWS] for column in columns]))
+            fh.write(csv_rows([column[lo:lo + _BLOCK_ROWS] for column in columns], text))
 
 
-def csv_rows(columns: Sequence[Any]) -> bytes:
+def csv_rows(columns: Sequence[Any], text: Text) -> memoryview:
     """Row i of the equal-length numeric columns, for each i, as CSV lines of numbers written as fmt
-    writes them.
+    writes them: a view of text's buffer, valid until its next block.
 
     The numbers are formatted by the compiled library's '%.17g' formatter
     (_em.format_g17) in one call, about ten times faster than Python's %
@@ -164,7 +180,7 @@ def csv_rows(columns: Sequence[Any]) -> bytes:
     block = _em._zeros("d", width * len(columns[0]))  # the rows, one after another
     for j, column in enumerate(columns):
         block[j::width] = _em.doubles(column)
-    return _em.format_g17(block, width, b",", b"\n")
+    return _em.format_g17(block, width, b",", b"\n", text)
 
 
 class Blocks:
@@ -196,8 +212,9 @@ def _float_column(obj: Any) -> bool:
     return is_ndarray(obj) and obj.ndim == 1 and obj.dtype.char == "d"
 
 
-def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
-    """Write obj's JSON text through write, in pieces of at most a block of numbers."""
+def _write(obj: Any, write: Callable[[bytes], Any], level: int, text: Text) -> None:
+    """Write obj's JSON text through write, in pieces of at most a block of numbers, each float
+    column's formatted into text."""
     pad = (_INDENT * level).encode()
     pad_in = (_INDENT * (level + 1)).encode()
     if obj is None:
@@ -227,13 +244,15 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             write(pad_in + json.dumps(key).encode() + b": ")
-            _write(value, write, level + 1)
+            _write(value, write, level + 1, text)
             write(b",\n" if i < len(obj) - 1 else b"\n")
         write(pad + b"}")
     elif isinstance(obj, (list, tuple, Blocks)) or _float_column(obj):
         # a float column's block of finite numbers has the bytes of the per-item loop below, which
         # the tests keep as the reference, in one call: a trajectory's columns are 10^5 numbers each.
-        # A list, and a block with a non-finite number, which the formatter reports, take the loop.
+        # The formatter writes them as rows of one number, each followed by sep, which the block's last
+        # does not take.  A list, and a block with a non-finite number, which the formatter reports,
+        # take the loop.
         sep = b",\n" + pad_in
         column = not isinstance(obj, (list, tuple))  # else a float column, by the test above
         if column:
@@ -244,14 +263,14 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int) -> None:
         for block in blocks:
             write(b"[\n" + pad_in if empty else sep)
             empty = False
-            numbers = _em.format_g17(block, len(block), sep, b"", finite=True) if column else None
+            numbers = _em.format_g17(block, 1, b"", sep, text, finite=True) if column else None
             if numbers is not None:
-                write(numbers)
+                write(numbers[:-len(sep)])
                 continue
             for i, value in enumerate(block):
                 if i:
                     write(sep)
-                _write(value, write, level + 1)
+                _write(value, write, level + 1, text)
         write(b"[]" if empty else b"\n" + pad + b"]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
@@ -263,10 +282,10 @@ def dump(obj: Any, fh: BinaryIO) -> None:
 
     A list is written item by item, and a float column (see _float_column) a
     block of _BLOCK_ROWS numbers at a time, or a Blocks column a block at a
-    time as it comes, so writing holds one block's text, whatever the
-    document's size.
+    time as it comes, into one Text, so writing holds one block's text,
+    whatever the document's size.
     """
-    _write(obj, fh.write, 0)
+    _write(obj, fh.write, 0, Text())
     fh.write(b"\n")
 
 

@@ -1135,6 +1135,11 @@ def test_wilson_reference_values():
     lo, hi = wilson_interval(50, 1000)
     assert lo == pytest.approx(0.038, abs=1e-3)
     assert hi == pytest.approx(0.065, abs=1e-3)
+    # the ends are exact where no trial, or every trial, succeeded: the formula's own lower end at 0
+    # successes read 1.08e-19 for n = 2000, and its upper end at n successes 1 - 2^-53 for 6291 n
+    for n in range(1, 20001):
+        assert wilson_interval(0, n)[0] == 0.0 and wilson_interval(n, n)[1] == 1.0, n
+        assert 0.0 < wilson_interval(0, n)[1] < 1.0 and 0.0 < wilson_interval(n, n)[0] < 1.0, n
 
 
 @pytest.mark.parametrize("successes, n", [(5, 3), (-1, 10), (1, 0)])

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import tempfile
@@ -22,6 +23,15 @@ from conftest import dumps, record
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308]
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 scalars = st.one_of(st.floats(), st.sampled_from(SPECIAL), st.integers(), st.booleans())
+numbers = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+
+
+def float_lists(size=None):
+    """Lists of floats, of `size` items if given: drawn freely, or from a pool of one to three numbers, so
+    that a number often has the bits of the one before it, which the formatter writes again from its text."""
+    sizes = {} if size is None else {"min_size": size, "max_size": size}
+    pooled = st.lists(numbers, min_size=1, max_size=3).flatmap(lambda pool: st.lists(st.sampled_from(pool), **sizes))
+    return st.one_of(st.lists(numbers, **sizes), pooled)
 
 
 # a list is formatted a block of _BLOCK_ROWS numbers at a time; blocks of 3 also test the joins between blocks
@@ -48,7 +58,7 @@ def test_dumps_float_lists_match_the_per_item_path(items):
         assert dumps({"column": items}) == dumps({"column": array("d", items)})
 
 
-@given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL))))
+@given(float_lists())
 def test_dumps_float_columns_match_the_per_item_path(items):
     # a float column goes to the compiled formatter unchecked, which reports a non-finite number;
     # a list is written item by item, the reference.  A strided memoryview, a column of an
@@ -68,10 +78,7 @@ def rows_reference(header, columns):
     return "\n".join(lines) + "\n"
 
 
-columns3 = st.integers(1, 30).flatmap(
-    lambda n: st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL)), min_size=n, max_size=n),
-                       min_size=3, max_size=3)
-)
+columns3 = st.integers(1, 30).flatmap(lambda n: st.lists(float_lists(n), min_size=3, max_size=3))
 
 
 @given(columns3)
@@ -105,11 +112,52 @@ def test_compiled_formatter_equals_percent_17g():
         2.0**50 + np.arange(4000) / 4.0,  # 17 digits end in a tie, rounded to even
     ])
     numbers = values.tolist()
-    written = _em.format_g17(values, 1, b"", b"\n").decode()
+    written = bytes(_em.format_g17(values, 1, b"", b"\n", serialize.Text())).decode()
     if written != ("%.17g\n" * len(numbers)) % tuple(numbers):
         lines = written.split("\n")
         wrong = [(x, "%.17g" % x, line) for x, line in zip(numbers, lines) if "%.17g" % x != line]
         pytest.fail(f"{len(wrong)} numbers written unlike '%.17g', e.g. {wrong[:5]}")
+
+
+# the longest '%.17g' of a double: 24 bytes
+WIDEST = -1.2345678901234567e-308
+
+
+@pytest.mark.parametrize("sep, eol", [(b"", b""), (b",", b"\n"), (b", ", b"\n"), (b",\n  ", b""),
+                                      (b"", b",\n    "), (b"abcdefg", b"\r\n"), (b";" * 8, b"|" * 9),
+                                      (b"-" * 17, b"=" * 40)])
+@pytest.mark.parametrize("row", [1, 2, 3])
+def test_formatter_writes_within_the_room_of_each_number(sep, eol, row):
+    # fmt_g17 copies each number's text in a piece of G17_ROOM bytes, and its separator in pieces that
+    # end with it: the widest numbers, in a buffer of just the room it is given, end before its canary
+    lib = _em.library()
+    for values in ([WIDEST] * row, [WIDEST] * 6, [0.5, WIDEST, WIDEST, -0.0, WIDEST, 1e300],
+                   [WIDEST, 1e-5, 2.0**60, 1.0, 0.0, 2.5]):
+        x = array("d", values)
+        room = len(x) * (_em._G17_ROOM + max(len(sep), len(eol)))
+        canary = b"\xa5" * 64
+        out = ctypes.create_string_buffer(room + len(canary))
+        ctypes.memmove(ctypes.addressof(out) + room, canary, len(canary))
+        nonfinite = ctypes.c_int64(-1)
+        size = lib.fmt_g17(_em._address(x), len(x), row, sep, len(sep), eol, len(eol), out, ctypes.byref(nonfinite))
+        rows = [values[i:i + row] for i in range(0, len(values), row)]
+        expected = b"".join(sep.join(b"%.17g" % v for v in r) + eol for r in rows)
+        assert (out.raw[:size], out.raw[room:], nonfinite.value) == (expected, canary, 0)
+
+
+def test_a_text_serves_every_block_and_grows_where_one_needs_more_room():
+    # a view of one block's text is valid until the next block; a block that needs more room takes a
+    # new buffer, and leaves the view of the one before it as it was
+    text = serialize.Text()
+    small = _em.format_g17([1.5, 2.5], 2, b",", b"\n", text)
+    held = text.buffer
+    assert bytes(small) == b"1.5,2.5\n" and len(held) == 2 * (_em._G17_ROOM + 1)
+    large = _em.format_g17([WIDEST] * 3, 1, b"", b"\n", text)
+    assert text.buffer is not held and bytes(small) == b"1.5,2.5\n"
+    assert bytes(large) == b"-1.2345678901234567e-308\n" * 3
+    again = _em.format_g17([0.25], 1, b"", b"\n", text)
+    assert bytes(again) == b"0.25\n" and bytes(large).startswith(b"0.25\n")  # written over, in place
+    assert _em.format_g17([1.0, math.inf], 1, b"", b"\n", text, finite=True) is None
 
 
 def test_numpy_arrays_are_written_like_lists(tmp_path):

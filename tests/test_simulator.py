@@ -416,6 +416,73 @@ def test_compiled_em_recorder_at_a_stride_equals_the_stride_1_states(noise):
         assert strided == outcome(lambda: recorded(fourth, p.K, one[1], "noise or step too large?"))
 
 
+def settled_at(states):
+    """The first step from which every state equals the one before, bit for bit, else None."""
+    states, at = [(float(p).hex(), float(m).hex()) for p, m in states], None
+    for i in range(1, len(states)):
+        at = (at or i) if states[i] == states[i - 1] else None
+    return at
+
+
+def words_drawn(recorder):
+    """Words the recorder's first Philox stream has handed out: a settled Euler-Maruyama path stops
+    drawing.  A stream is _em.c's stream_t, ctr[4], key[2], buffer[32] and buffer_pos: its refills
+    computed blocks 1..ctr[0] of four words, and buffer_pos words of the last eight were read."""
+    words = recorder._streams
+    return 4 * words[0] - 32 + words[38]
+
+
+# the rows of a path in blocks of 1 and 3 rows, or of the default block: a path that settles in a
+# block records the rest of it, and each later block steps once and settles again
+SETTLING_BLOCK_ROWS = (1, 3, serialize._BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("rows", SETTLING_BLOCK_ROWS)
+@pytest.mark.parametrize("stride", [1, 7])
+def test_a_settled_rk4_path_equals_the_python_loop_stepped_to_its_end(monkeypatch, rows, stride):
+    # at dt 0.25 the path reaches a state that RK4 maps to itself, bit for bit, at step 395 of 1000:
+    # the kernel records the rest without stepping, as the Python loop steps it
+    monkeypatch.setattr(serialize, "_BLOCK_ROWS", rows)
+    p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cfg = SimConfig(dt=0.25, t_end=250.0, initial=State(1.0, 0.5), record_stride=stride)
+    assert settled_at(rk4_states(p, cfg)) == 395
+    assert outcome(lambda: integrate_ode(p, cfg)) == rk4_reference(p, cfg)
+
+
+@pytest.mark.parametrize("rows", SETTLING_BLOCK_ROWS)
+@pytest.mark.parametrize("stride", [1, 7])
+def test_a_settled_em_path_equals_the_python_loop_stepped_to_its_end(monkeypatch, rows, stride):
+    # below threshold the deviations about the origin decay to a few subnormal ulps, where the drift
+    # part maps them to themselves and omega x rounds to zero: from there no draw moves the path,
+    # and the kernel records the rest without drawing
+    monkeypatch.setattr(serialize, "_BLOCK_ROWS", rows)
+    p = validate_params(r=0.5, alpha=1, delta=1, sigma=1, K=1000.0)
+    eq, noise = origin_equilibrium(), NoiseSpec(0.3, 0.05)
+    cfg = SimConfig(dt=0.5, t_end=1500.0, initial=State(300.0, 250.0), seed=21, record_stride=stride)
+    states = list(em_states(p, noise, eq, cfg, 4))
+    settled = settled_at(states)
+    assert settled is not None and settled < 2700 and 0.0 < states[-1][0] < 1e-322
+    blocks = simulator.sde_blocks(p, noise, eq, cfg, replicate=4)
+    assert outcome(blocks.trajectory) == outcome(lambda: recorded(cfg, p.K, states, "noise or step too large?"))
+    if rows > 1:  # each block of one row steps once, and so draws at every step
+        assert words_drawn(blocks.recorder) < 2800 < step_count(cfg)
+
+
+def test_an_em_path_on_increments_of_zero_moves_again_where_they_do_not():
+    # on 1000 steps of zero increments the path reaches the coexistence state about the origin, which
+    # the drift maps to itself, bit for bit; but there omega x is not zero, so the nonzero increments
+    # after them move it again, and the kernel must step them
+    p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    eq, noise = origin_equilibrium(), NoiseSpec(0.3, 0.2)
+    cfg = SimConfig(dt=0.25, t_end=0.25 * 1200, initial=State(300.0, 250.0), seed=21)
+    dW = np.stack([brownian_increments(cfg.seed, 4, c, 1200, cfg.dt) for c in (0, 1)], axis=1)
+    dW[:1000] = 0.0
+    states = list(em_states(p, noise, eq, cfg, 4, dW))
+    assert states[1000] == states[999] and states[1001] != states[1000] and settled_at(states) is None
+    expected = outcome(lambda: recorded(cfg, p.K, states, ""))
+    assert outcome(lambda: integrate_sde(p, noise, eq, cfg, dW=dW)) == expected
+
+
 # ---------------------------------------------------------------------------
 # stochastic integration
 
@@ -473,11 +540,15 @@ def test_sde_noisy_path_matches_shared_drift_recursion():
     assert np.array_equal(traj.states, np.asarray(list(em_states(p, noise, eq, cfg, 4))))
 
 
-def em_states(params, noise, eq, cfg, replicate):
-    """The shared drift recursion on one-shot increments: the start state, then the state after each step."""
+def em_states(params, noise, eq, cfg, replicate, dW=None):
+    """The shared drift recursion on one-shot increments, or on the rows of dW: the start state, then
+    the state after each step."""
     n = step_count(cfg)
-    dW1 = brownian_increments(cfg.seed, replicate, 0, n, cfg.dt)
-    dW2 = brownian_increments(cfg.seed, replicate, 1, n, cfg.dt)
+    if dW is None:
+        dW1 = brownian_increments(cfg.seed, replicate, 0, n, cfg.dt)
+        dW2 = brownian_increments(cfg.seed, replicate, 1, n, cfg.dt)
+    else:
+        dW1, dW2 = dW[:, 0], dW[:, 1]
     x1, x2 = cfg.initial.p - eq.p_star, cfg.initial.m - eq.m_star
     yield eq.p_star + x1, eq.m_star + x2
     for i in range(n):
