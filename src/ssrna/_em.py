@@ -82,7 +82,7 @@ _SIGNATURES = {
     "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
     "em_fold": (None, (_P, _P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
-    "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P, _P)),
+    "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, _P)),
 }
 
 # Replicates a slice holds at most (_em.c's BLOCK): they are stepped in lockstep.
@@ -223,14 +223,11 @@ def _address(buffer: array) -> int:
 def doubles(values) -> array:
     """values as a float64 array('d'), in C order.
 
-    An array('d') is returned as it is, a numpy array or a memoryview of
-    float64 (such as a Recorder's column) is copied through its bytes, and
-    anything else is converted number by number.
+    An array('d') is returned as it is, a numpy array is copied through its
+    bytes, and anything else is converted number by number.
     """
     if isinstance(values, array) and values.typecode == "d":
         return values
-    if isinstance(values, memoryview) and values.format == "d":
-        return array("d", values.tobytes())
     if serialize.is_ndarray(values):
         return array("d", values.astype("d", copy=False).tobytes())
     return array("d", values)
@@ -430,24 +427,30 @@ def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array
                       ctypes.addressof(recorder))
 
 
-def format_g17(values, row: int, sep: bytes, eol: bytes, text: "serialize.Text",
-               finite: bool = False) -> Optional[memoryview]:
-    """Every number of values (see doubles), in C order, as '%.17g' % x writes it (a NaN as nan),
-    into text's buffer: a view of the bytes written, valid until text's next block.
+def _column_address(column, held: list) -> int:
+    """The address of column's numbers: column's own where it is a writable, C-contiguous float64 buffer
+    (an array('d'), a Recorder's column, a float64 numpy array), else that of a copy (doubles), held."""
+    try:
+        if memoryview(column).format == "d":
+            return ctypes.addressof(ctypes.c_char.from_buffer(column))
+    except (TypeError, ValueError):  # not a buffer, or read-only, strided or empty
+        pass
+    held.append(copy := doubles(column))
+    return _address(copy)
 
-    sep goes between the numbers of each row of `row` numbers, and eol
-    after each row.  The buffer is made where it has less than the
-    G17_ROOM bytes and a separator per number that fmt_g17 may write,
-    and written over otherwise.  With finite, None instead if a number is
-    NaN or infinite.
-    """
-    x = doubles(values)
-    if not (row >= 1 and len(x) % row == 0):
-        raise ValueError(f"{len(x)} numbers do not make rows of {row}")
-    room = len(x) * (_G17_ROOM + max(len(sep), len(eol)))
+
+def format_g17(columns, sep: bytes, eol: bytes, text: "serialize.Text", json: bool = False) -> memoryview:
+    """Row i of the equal-length columns, for each i, as '%.17g' % x writes each number (with json, a NaN
+    or an infinity as the JSON writer does), sep between the numbers of a row and eol after each, into
+    text's buffer: a view of it, valid until its next block.  Each column is read where it lies (see
+    _column_address).  The buffer is made where it has less than the G17_ROOM bytes and a separator
+    per number that fmt_g17 may write, and written over otherwise."""
+    rows, held = len(columns[0]), []
+    if any(len(column) != rows for column in columns):
+        raise ValueError("the columns differ in length")
+    addresses = (ctypes.c_void_p * len(columns))(*(_column_address(column, held) for column in columns))
+    room = len(columns) * rows * (_G17_ROOM + max(len(sep), len(eol)))
     if text.buffer is None or len(text.buffer) < room:
         text.buffer = _zeros("B", room)  # a new one: a view of the last block may hold the old one
-    nonfinite = ctypes.c_int64()
-    size = library().fmt_g17(_address(x), len(x), row, sep, len(sep), eol, len(eol), _address(text.buffer),
-                             ctypes.byref(nonfinite))
-    return None if finite and nonfinite.value else memoryview(text.buffer)[:size]
+    size = library().fmt_g17(addresses, len(columns), rows, sep, len(sep), eol, len(eol), json, _address(text.buffer))
+    return memoryview(text.buffer)[:size]

@@ -360,11 +360,7 @@ def _write_trajectory(blocks: PathBlocks, fmt: str, tmp: str) -> None:
     the document is written from them once the path has ended.
     """
     if fmt == "csv":
-        text = serialize.Text()
-        with open(tmp, "wb") as fh:
-            fh.write(b"t,p,m\n")
-            for path in blocks:
-                fh.write(serialize.csv_rows(path.columns(), text))
+        serialize.write_csv(tmp, "t,p,m", (path.columns() for path in blocks))
         return
     with _side_file(f"{tmp}.t") as t, _side_file(f"{tmp}.p") as p, _side_file(f"{tmp}.m") as m:
         for path in blocks:

@@ -420,7 +420,7 @@ def _sweep_cell(
 def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     """Write `t,mean_sq_dev,exceed_fraction_cum` rows at 17 significant digits."""
     write_csv(path, "t,mean_sq_dev,exceed_fraction_cum",
-              [_stored(stats, name) for name in ("times", "mean_sq_dev", "exceed_fraction_cum")])
+              [[_stored(stats, name) for name in ("times", "mean_sq_dev", "exceed_fraction_cum")]])
 
 
 # a row's fields but its error, each with its writer: fmt for a float field,

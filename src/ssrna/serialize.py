@@ -9,10 +9,12 @@ A record's numeric arrays are FloatArray fields, one column each: the
 writers take the array('d') they hold, so writing a record never imports
 numpy.
 
-The compiled library's module (_em, and with it ctypes) is imported only
-where numbers are formatted or stored in bulk: by write_csv, by a float
-column of a JSON document, and by a FloatArray field's assignment.  A
-document of plain numbers, such as `analyze`'s report, loads neither.
+Every float column, write_csv's or a JSON document's (see _float_column),
+goes to the compiled library's formatter (_em.format_g17) a block at a
+time, read where it lies, which spells a NaN or an infinity as each format
+needs.  Only that and a FloatArray field's assignment import its module
+(_em, and with it ctypes): a document of plain numbers, such as `analyze`'s
+report, whose lists are written item by item through fmt, loads neither.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from typing import Any, BinaryIO, Optional
 
-__all__ = ["fmt", "write_csv", "csv_rows", "dump", "plain", "Record", "FloatArray", "Blocks", "Text"]
+__all__ = ["fmt", "write_csv", "dump", "plain", "Record", "FloatArray", "Blocks", "Text"]
 
 _FLOAT = "%.17g"
 _INDENT = "  "  # per level of a JSON document
@@ -149,46 +151,29 @@ class Text:
         self.buffer: Optional[array] = None
 
 
-def write_csv(path, header: str, columns: Sequence[Any]) -> None:
-    """Write a `header` line, then row i of the equal-length numeric columns.
+def write_csv(path, header: str, blocks: Iterable[Sequence[Any]]) -> None:
+    """Write a `header` line, then the rows of each block of equal-length numeric columns, in turn.
 
-    Every value is written as fmt writes it, by csv_rows, a block of
-    _BLOCK_ROWS rows per call into one Text.  A column is read a block at a
-    time (see _em.doubles), so a column is written without copying it whole.
-    """
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError("the columns differ in length")
-    text = Text()
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            fh.write(csv_rows([column[lo:lo + _BLOCK_ROWS] for column in columns], text))
-
-
-def csv_rows(columns: Sequence[Any], text: Text) -> memoryview:
-    """Row i of the equal-length numeric columns, for each i, as CSV lines of numbers written as fmt
-    writes them: a view of text's buffer, valid until its next block.
-
-    The numbers are formatted by the compiled library's '%.17g' formatter
-    (_em.format_g17) in one call, about ten times faster than Python's %
-    per number; the caller keeps the columns to a block of rows.
+    Every value is written as fmt writes it, by the compiled formatter
+    (_em.format_g17), into one Text, _BLOCK_ROWS rows of a block per call,
+    so that a column is written without copying it whole.
     """
     from . import _em
 
-    width = len(columns)
-    block = _em._zeros("d", width * len(columns[0]))  # the rows, one after another
-    for j, column in enumerate(columns):
-        block[j::width] = _em.doubles(column)
-    return _em.format_g17(block, width, b",", b"\n", text)
+    text = Text()
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for columns in blocks:
+            for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+                fh.write(_em.format_g17([column[lo:lo + _BLOCK_ROWS] for column in columns], b",", b"\n", text))
 
 
 class Blocks:
     """A float column given as its blocks of numbers, one after another: `_write` writes it as one
     JSON list, reading one block at a time.
 
-    blocks is an iterable of non-empty sequences of numbers, each of a kind
-    _em.doubles takes, such as an array('d') or a memoryview of float64.
+    blocks is an iterable of non-empty columns of numbers, each of a kind
+    _em.format_g17 takes, such as an array('d') or a memoryview of float64.
     """
 
     def __init__(self, blocks: Iterable[Any]):
@@ -197,9 +182,10 @@ class Blocks:
 
 def _file_column(fh: BinaryIO) -> Blocks:
     """The float64 numbers written to the binary file fh, from its start, as a Blocks column read a
-    block of _BLOCK_ROWS numbers at a time."""
+    block of _BLOCK_ROWS numbers at a time into one array('d'), which each block overwrites."""
     fh.seek(0)
-    return Blocks(memoryview(block).cast("d") for block in iter(lambda: fh.read(8 * _BLOCK_ROWS), b""))
+    buffer = memoryview(array("d", [0.0]) * _BLOCK_ROWS)
+    return Blocks(buffer[:size // 8] for size in iter(lambda: fh.readinto(buffer), 0))
 
 
 def _float_column(obj: Any) -> bool:
@@ -248,11 +234,10 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int, text: Text) -> N
             write(b",\n" if i < len(obj) - 1 else b"\n")
         write(pad + b"}")
     elif isinstance(obj, (list, tuple, Blocks)) or _float_column(obj):
-        # a float column's block of finite numbers has the bytes of the per-item loop below, which
-        # the tests keep as the reference, in one call: a trajectory's columns are 10^5 numbers each.
-        # The formatter writes them as rows of one number, each followed by sep, which the block's last
-        # does not take.  A list, and a block with a non-finite number, which the formatter reports,
-        # take the loop.
+        # a float column's block has the bytes of the per-item loop below, which the tests keep as the
+        # reference, in one call: a trajectory's columns are 10^5 numbers each.  The formatter writes
+        # them as rows of one number, each followed by sep, which the block's last does not take, and
+        # spells a NaN or an infinity as the loop does.  A list takes the loop.
         sep = b",\n" + pad_in
         column = not isinstance(obj, (list, tuple))  # else a float column, by the test above
         if column:
@@ -263,9 +248,8 @@ def _write(obj: Any, write: Callable[[bytes], Any], level: int, text: Text) -> N
         for block in blocks:
             write(b"[\n" + pad_in if empty else sep)
             empty = False
-            numbers = _em.format_g17(block, 1, b"", sep, text, finite=True) if column else None
-            if numbers is not None:
-                write(numbers[:-len(sep)])
+            if column:
+                write(_em.format_g17([block], b"", sep, text, json=True)[:-len(sep)])
                 continue
             for i, value in enumerate(block):
                 if i:

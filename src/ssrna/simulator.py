@@ -129,12 +129,6 @@ class Trajectory(Record):
         """t, p and m, as the writers read them: the array('d') of each."""
         return tuple(_stored(self, name) for name in ("times", "p", "m"))
 
-    def deviations_sq(self, anchor: Equilibrium) -> numpy.ndarray:
-        """Squared Euclidean deviation from an anchor at each sample."""
-        dp = self.p - anchor.p_star
-        dm = self.m - anchor.m_star
-        return dp * dp + dm * dm
-
 
 def step_count(cfg: SimConfig) -> int:
     """Number of fixed steps covering [0, t_end] (last step may overshoot)."""
@@ -253,27 +247,20 @@ def _kernel_cell(params: ModelParams, anchor: Equilibrium, noise: NoiseSpec, ini
                  float(initial[0]) - ps, float(initial[1]) - ms, eps_sq)
 
 
-def _drift(c: _Drift, x1, x2):
-    """Centred drift at deviations (x1, x2).
-
-    The drift-matrix part plus a single quadratic coupling, in the
-    evaluation order that the compiled kernel's one step (_em.c's em_step,
-    on a double or on the lanes of an AVX-512 register) repeats.
-    """
-    a11, a12, a21, a22, br, abr = c
-    s = x1 + x2
-    return a11 * x1 + a12 * x2 - br * s * x2, a21 * x1 + a22 * x2 - abr * s * x1
-
-
 def centralized_rhs(params: ModelParams, eq: Equilibrium, x: tuple[float, float]) -> tuple[float, float]:
     """Drift of the dynamics rewritten in deviations x = state - eq.
 
     Splits into the linear drift-matrix part plus a single quadratic
-    coupling; algebraically identical to vector_field(params, eq + x)
-    whenever eq is a true equilibrium (which is checked).
+    coupling, in the evaluation order that the compiled kernel's one step
+    (_em.c's EM_STEP, on a double or on the lanes of a vector) repeats;
+    algebraically identical to vector_field(params, eq + x) whenever eq is a
+    true equilibrium (which is checked).
     """
     check_anchor(params, eq)
-    return _drift(_drift_coefficients(params, eq), x[0], x[1])
+    a11, a12, a21, a22, br, abr = _drift_coefficients(params, eq)
+    x1, x2 = x
+    s = x1 + x2
+    return a11 * x1 + a12 * x2 - br * s * x2, a21 * x1 + a22 * x2 - abr * s * x1
 
 
 class PathBlocks:
@@ -410,9 +397,10 @@ def integrate_sde(
         x1 <- x1 + drift1(x) dt + omega1 x1 dW1
         x2 <- x2 + drift2(x) dt + omega2 x2 dW2
 
-    The drift is evaluated in the centered form (_drift's arithmetic), so
-    the anchor is an exact fixed point of the discrete scheme: started
-    there, both drift and noise vanish to the last bit for any noise level.
+    The drift is evaluated in the centered form (centralized_rhs's
+    arithmetic), so the anchor is an exact fixed point of the discrete
+    scheme: started there, both drift and noise vanish to the last bit for
+    any noise level.
     The path is stepped and recorded by the compiled kernel's single-path
     entry point (_em.path), with the step and the normal draw of its
     ensembles, a block of rows at a time (sde_blocks), and the blocks are
@@ -431,4 +419,4 @@ def integrate_sde(
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,p,m` rows with full double precision (17 significant digits)."""
-    write_csv(path, "t,p,m", traj.columns())
+    write_csv(path, "t,p,m", [traj.columns()])

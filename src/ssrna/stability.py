@@ -49,6 +49,9 @@ __all__ = [
 # close (relatively) to its bound is additionally flagged as marginal.
 BOUNDARY_RTOL = 1e-12
 
+# Drift-matrix entries below 2^_SAFE_EXPONENT leave every product here finite (see _scaled).
+_SAFE_EXPONENT = 320
+
 
 class LyapunovMatrix(Record):
     """Symmetric positive definite P with P A + A' P = -diag(q, 1)."""
@@ -131,18 +134,35 @@ def _near(value: float, bound: float) -> bool:
     return abs(value - bound) <= BOUNDARY_RTOL * max(abs(value), abs(bound))
 
 
+def _scaled(rep: LinearizationReport) -> tuple[LinearizationReport, int]:
+    """(the report of the drift matrix 2^-k A, k), with k the least k >= 0 that brings every entry below
+    2^_SAFE_EXPONENT, where a product of three, such as |Tr| det, cannot overflow.
+
+    Every quantity here is homogeneous under A -> cA, gamma -> c gamma: the gamma bounds scale by c, the
+    q interval does not change and P scales by 1/c.  Scaling by c = 2^-k and back is exact but where a
+    number under- or overflows, and k = 0 for every matrix of entries below 2^320.
+    """
+    k = max(0, math.frexp(max(abs(rep.a11), abs(rep.a12), abs(rep.a21), abs(rep.a22)))[1] - _SAFE_EXPONENT)
+    if k:
+        rep = LinearizationReport(*(math.ldexp(x, -k) for x in (rep.a11, rep.a12, rep.a21, rep.a22, rep.trace)),
+                                  *(math.ldexp(x, -2 * k) for x in (rep.det, rep.A1, rep.A2)), rep.equilibrium)
+    return rep, k
+
+
 def _noise_bounds(rep: LinearizationReport, gamma1: float) -> tuple[float, Optional[float]]:
     """(gamma1 bound, gamma2 bound at gamma1) of a drift matrix with Tr < 0 < det.
 
     The gamma2 bound is None unless gamma1 is below the gamma1 bound, where
     its denominator is positive.
     """
+    rep, k = _scaled(rep)  # the bounds of the scaled matrix and noise, scaled back
+    gamma1, back = math.ldexp(gamma1, -k), 2.0 ** k
     abs_tr = -rep.trace
     d = abs_tr * rep.det
     gamma1_max = d / rep.A2
     if not gamma1 < gamma1_max:
-        return gamma1_max, None
-    return gamma1_max, (d - rep.A2 * gamma1) / (rep.A1 - abs_tr * gamma1)
+        return gamma1_max * back, None
+    return gamma1_max * back, (d - rep.A2 * gamma1) / (rep.A1 - abs_tr * gamma1) * back
 
 
 def gamma_bounds(rep: LinearizationReport, gamma1: float) -> tuple[float, float]:
@@ -172,7 +192,8 @@ def q_interval(rep: LinearizationReport, noise: NoiseSpec) -> Optional[tuple[flo
     gamma2) leaves the interval unbounded above.
     """
     _require_hurwitz(rep)
-    g1, g2 = noise.gamma1, noise.gamma2
+    rep, k = _scaled(rep)  # the interval is that of the scaled matrix and noise
+    g1, g2 = math.ldexp(noise.gamma1, -k), math.ldexp(noise.gamma2, -k)
     abs_tr = -rep.trace
     d = abs_tr * rep.det
     den1 = d - rep.A2 * g1
@@ -217,12 +238,13 @@ def lyapunov_matrix(rep: LinearizationReport, q: float) -> LyapunovMatrix:
     _require_hurwitz(rep)
     if not q > 0.0:
         raise StabilityDomainError(f"q must be positive, got {q!r}")
+    rep, k = _scaled(rep)  # P of the scaled matrix, scaled back
     scale = 2.0 * (-rep.trace) * rep.det
     p11 = (rep.A2 * q + rep.a21 * rep.a21) / scale
     p22 = (rep.A1 + rep.a12 * rep.a12 * q) / scale
     # sign fixed by the off-diagonal equation a12*p11 + trace*p12 + a21*p22 = 0
     p12 = -(rep.a12 * rep.a22 * q + rep.a21 * rep.a11) / scale
-    return LyapunovMatrix(p11, p12, p22, q)
+    return LyapunovMatrix(math.ldexp(p11, -k), math.ldexp(p12, -k), math.ldexp(p22, -k), q)
 
 
 def generator_coefficients(rep: LinearizationReport, noise: NoiseSpec, q: float) -> tuple[float, float]:

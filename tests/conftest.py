@@ -50,6 +50,13 @@ def use_block_rows(monkeypatch, rows):
     monkeypatch.setattr(_em, "block_rows", lambda n, stride: rows)
 
 
+def deviations_sq(traj, anchor):
+    """The squared Euclidean deviation of each recorded state of a trajectory from an anchor."""
+    dp = traj.p - anchor.p_star
+    dm = traj.m - anchor.m_star
+    return dp * dp + dm * dm
+
+
 def dumps(obj):
     """The JSON text that serialize.dump writes for obj."""
     fh = io.BytesIO()

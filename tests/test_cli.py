@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from ssrna import (
 from ssrna import _em, cli, serialize
 from ssrna.cli import COMMANDS, analysis_to_dict, main
 
-from conftest import TUMV, analysis_from_dict, dumps, use_workers
+from conftest import TUMV, analysis_from_dict, deviations_sq, dumps, use_workers
 
 TUMV_CONFIG = resources.files("ssrna.data") / "tumv.json"
 
@@ -671,7 +672,7 @@ def test_ensemble_single_replicate_zero_noise_matches_path(tmp_path):
     sim = SimConfig(dt=0.5, t_end=60.0,
                     initial=State(1.01 * eq.p_star, 1.01 * eq.m_star), record_stride=8)
     traj = integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, sim, replicate=0)
-    dev_sq = traj.deviations_sq(eq)
+    dev_sq = deviations_sq(traj, eq)
     assert len(rows) == len(dev_sq)
     for row, expected in zip(rows, dev_sq):
         assert float(row.split(",")[1]) == pytest.approx(expected, rel=1e-12)
@@ -824,8 +825,9 @@ def test_rates_whose_drift_matrix_overflows_exit_2(tmp_path, capsys, r, at):
 
 
 def test_rates_whose_drift_matrix_is_finite_run(tmp_path):
-    # at r = 1e154 the origin's det is -7.43e306, finite
-    cfg = base_config(analyze={})
+    # at r = 1e154 the origin's det is -7.43e306, finite.  At E+, |Tr| det (2.1e153 x 7.8e290) overflows,
+    # though the bounds do not: they are found on the drift matrix scaled by a power of two
+    cfg = base_config(noise={"omega1": 0.05, "omega2": 0.05}, analyze={})
     cfg["model"]["r"] = 1e154
     assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "analysis.json").read_text())
@@ -833,6 +835,20 @@ def test_rates_whose_drift_matrix_is_finite_run(tmp_path):
         rep = report[point]["linearization"]
         assert all(math.isfinite(rep[name]) for name in ("a11", "a12", "a21", "a22", "trace", "det", "A1", "A2"))
     assert report["origin"]["linearization"]["det"] == pytest.approx(-7.43e306)
+    # each bound within a few ulps of its exact value from the report's own numbers
+    rep, verdict = report["positive"]["linearization"], report["positive"]["verdict"]
+    abs_tr, det, a1, a2 = (Fraction(rep[name]) for name in ("trace", "det", "A1", "A2"))
+    abs_tr = -abs_tr
+    g1, g2 = Fraction(verdict["gamma1"]), Fraction(verdict["gamma2"])
+    exact = {"gamma1_bound": abs_tr * det / a2, "gamma2_bound": (abs_tr * det - a2 * g1) / (a1 - abs_tr * g1)}
+    for name, value in exact.items():
+        assert abs(Fraction(verdict[name]) - value) <= 4 * Fraction(math.ulp(float(value))), name
+    assert verdict["conditions_met"] and all(map(math.isfinite, verdict["q_interval"]))
+    # the printed certificate: P positive definite, and c1, c2 < 0, in exact arithmetic
+    cert = report["positive"]["certificate"]
+    q, p11, p12, p22 = (Fraction(cert[name]) for name in ("q", "p11", "p12", "p22"))
+    assert p11 > 0 and p11 * p22 - p12 * p12 > 0
+    assert -q + 2 * p11 * g1 < 0 and -1 + 2 * p22 * g2 < 0
 
 
 def test_sweep_json_format(tmp_path):

@@ -44,7 +44,7 @@ from ssrna.montecarlo import write_ensemble_csv, write_sweep_csv
 from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
 
-from conftest import TUMV, use_block_rows, use_workers
+from conftest import TUMV, deviations_sq, use_block_rows, use_workers
 
 
 def tumv_ensemble_cfg(tumv, *, replicates, t_end, gamma_scale=0.5, displace=0.01,
@@ -85,7 +85,7 @@ def test_single_replicate_zero_noise_equals_deterministic_path(tumv):
                          anchor=eq, epsilon1=cfg.epsilon1, master_seed=cfg.master_seed)
     stats = run_ensemble(cfg, tumv)
     traj = integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, cfg.sim, replicate=0)
-    dev_sq = traj.deviations_sq(eq)
+    dev_sq = deviations_sq(traj, eq)
     assert stats.mean_sq_dev == pytest.approx(dev_sq, rel=1e-12)
     # bit-exact against the deviation-space recursion the scheme actually runs
     rep = linearize(tumv, eq)
@@ -114,7 +114,7 @@ def test_zero_noise_deterministic_decay_matches_rk4_reference(tumv):
     assert stats.mean_sq_dev[-1] < 1e-2 * stats.mean_sq_dev[0]
     # independent higher-order reference path
     ref = integrate_ode(tumv, cfg.sim)
-    ref_sq = ref.deviations_sq(eq)
+    ref_sq = deviations_sq(ref, eq)
     assert stats.mean_sq_dev == pytest.approx(ref_sq, rel=0.06)
 
 
@@ -122,7 +122,7 @@ def test_zero_noise_exceedance_matches_deterministic_sup_exactly(tumv):
     eq = positive_equilibrium(tumv)
     sim = SimConfig(dt=0.5, t_end=60.0, initial=displaced_initial(eq, 0.01, tumv.K))
     traj = integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, sim, replicate=0)
-    sup = float(np.sqrt(traj.deviations_sq(eq).max()))
+    sup = float(np.sqrt(deviations_sq(traj, eq).max()))
     for epsilon1, expected in ((sup * 1.0001, 0.0), (sup * 0.9999, 1.0)):
         cfg = EnsembleConfig(replicates=4, sim=sim, noise=NoiseSpec(0.0, 0.0), anchor=eq,
                              epsilon1=epsilon1, master_seed=3)

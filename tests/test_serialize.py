@@ -60,14 +60,21 @@ def test_dumps_float_lists_match_the_per_item_path(items):
 
 @given(float_lists())
 def test_dumps_float_columns_match_the_per_item_path(items):
-    # a float column goes to the compiled formatter unchecked, which reports a non-finite number;
+    # a float column goes to the compiled formatter, which spells a non-finite number as JSON does;
     # a list is written item by item, the reference.  A strided memoryview, a column of an
-    # interleaved buffer, is a float column too
+    # interleaved buffer, is a float column too, and so is a read-only one, which the formatter
+    # copies, and the column of a file of float64 numbers, read back a block at a time
     reference = dumps({"column": items})
     interleaved = array("d", [x for item in items for x in (item, 0.5)])
-    for rows in BLOCK_ROWS:
-        for column in (array("d", items), np.array(items, dtype=float), memoryview(interleaved)[0::2]):
-            assert dumped({"column": column}, rows) == reference
+    readonly = memoryview(array("d", items).tobytes()).cast("d")
+    with tempfile.TemporaryFile() as fh:
+        fh.write(array("d", items))
+        for rows in BLOCK_ROWS:
+            with mock.patch.object(serialize, "_BLOCK_ROWS", rows):  # the file's blocks, of `rows` numbers
+                from_file = serialize._file_column(fh)
+            for column in (array("d", items), np.array(items, dtype=float), memoryview(interleaved)[0::2],
+                           readonly, from_file):
+                assert dumped({"column": column}, rows) == reference
 
 
 def rows_reference(header, columns):
@@ -76,6 +83,25 @@ def rows_reference(header, columns):
     for row in zip(*columns):
         lines.append(",".join(fmt(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def column_kinds(values):
+    """values as six columns of the kinds write_csv takes: an array('d'), a memoryview slice at an
+    offset, a read-only float64 array and a strided one, which the formatter copies, the int64 array
+    of their indices, and a list."""
+    x = np.asarray(values, dtype=float)
+    readonly = x.copy()
+    readonly.flags.writeable = False
+    return [array("d", values), memoryview(array("d", [0.5, *values]))[1:], readonly, np.repeat(x, 2)[::2],
+            np.arange(len(values)) - 7, list(values)]
+
+
+def assert_kinds_written(path, first, second):
+    """write_csv writes two blocks of column_kinds columns, of first and of second, as the reference does."""
+    blocks = [column_kinds(first), column_kinds(second)]
+    serialize.write_csv(path, "a,b,c,d,e,f", blocks)
+    joined = [[*one, *two] for one, two in zip(*blocks)]
+    assert path.read_text() == rows_reference("a,b,c,d,e,f", joined)
 
 
 columns3 = st.integers(1, 30).flatmap(lambda n: st.lists(float_lists(n), min_size=3, max_size=3))
@@ -95,6 +121,7 @@ def test_csv_writers_match_a_per_number_fmt_reference(columns):
                 assert path.read_text() == rows_reference("t,p,m", (t, a, b))
                 write_ensemble_csv(stats, path)
                 assert path.read_text() == rows_reference("t,mean_sq_dev,exceed_fraction_cum", (t, a, b))
+                assert_kinds_written(path, columns[1], columns[2])
 
 
 def test_compiled_formatter_equals_percent_17g():
@@ -112,7 +139,7 @@ def test_compiled_formatter_equals_percent_17g():
         2.0**50 + np.arange(4000) / 4.0,  # 17 digits end in a tie, rounded to even
     ])
     numbers = values.tolist()
-    written = bytes(_em.format_g17(values, 1, b"", b"\n", serialize.Text())).decode()
+    written = bytes(_em.format_g17([values], b"", b"\n", serialize.Text())).decode()
     if written != ("%.17g\n" * len(numbers)) % tuple(numbers):
         lines = written.split("\n")
         wrong = [(x, "%.17g" % x, line) for x, line in zip(numbers, lines) if "%.17g" % x != line]
@@ -123,41 +150,52 @@ def test_compiled_formatter_equals_percent_17g():
 WIDEST = -1.2345678901234567e-308
 
 
+def spelled(x, json):
+    """x as '%.17g' writes it, or with json a NaN or an infinity as the JSON writer spells it."""
+    if json and not math.isfinite(x):
+        return b"NaN" if math.isnan(x) else b"Infinity" if x > 0 else b"-Infinity"
+    return b"%.17g" % x
+
+
 @pytest.mark.parametrize("sep, eol", [(b"", b""), (b",", b"\n"), (b", ", b"\n"), (b",\n  ", b""),
                                       (b"", b",\n    "), (b"abcdefg", b"\r\n"), (b";" * 8, b"|" * 9),
                                       (b"-" * 17, b"=" * 40)])
 @pytest.mark.parametrize("row", [1, 2, 3])
 def test_formatter_writes_within_the_room_of_each_number(sep, eol, row):
     # fmt_g17 copies each number's text in a piece of G17_ROOM bytes, and its separator in pieces that
-    # end with it: the widest numbers, in a buffer of just the room it is given, end before its canary
+    # end with it: the widest numbers, in a buffer of just the room it is given, end before its canary.
+    # Each of the row's columns is an array at its own address; the longest non-finite spelling,
+    # -Infinity, ends the last row
     lib = _em.library()
     for values in ([WIDEST] * row, [WIDEST] * 6, [0.5, WIDEST, WIDEST, -0.0, WIDEST, 1e300],
-                   [WIDEST, 1e-5, 2.0**60, 1.0, 0.0, 2.5]):
-        x = array("d", values)
-        room = len(x) * (_em._G17_ROOM + max(len(sep), len(eol)))
+                   [WIDEST, 1e-5, 2.0**60, 1.0, 0.0, 2.5], [math.nan, WIDEST, math.inf] + [WIDEST] * 2 + [-math.inf]):
+        columns = [array("d", values[j::row]) for j in range(row)]
+        addresses = (ctypes.c_void_p * row)(*map(_em._address, columns))
+        room = len(values) * (_em._G17_ROOM + max(len(sep), len(eol)))
         canary = b"\xa5" * 64
-        out = ctypes.create_string_buffer(room + len(canary))
-        ctypes.memmove(ctypes.addressof(out) + room, canary, len(canary))
-        nonfinite = ctypes.c_int64(-1)
-        size = lib.fmt_g17(_em._address(x), len(x), row, sep, len(sep), eol, len(eol), out, ctypes.byref(nonfinite))
-        rows = [values[i:i + row] for i in range(0, len(values), row)]
-        expected = b"".join(sep.join(b"%.17g" % v for v in r) + eol for r in rows)
-        assert (out.raw[:size], out.raw[room:], nonfinite.value) == (expected, canary, 0)
+        for json in (0, 1):
+            out = ctypes.create_string_buffer(room + len(canary))
+            ctypes.memmove(ctypes.addressof(out) + room, canary, len(canary))
+            size = lib.fmt_g17(addresses, row, len(columns[0]), sep, len(sep), eol, len(eol), json, out)
+            rows = [values[i:i + row] for i in range(0, len(values), row)]
+            expected = b"".join(sep.join(spelled(v, json) for v in r) + eol for r in rows)
+            assert (out.raw[:size], out.raw[room:]) == (expected, canary)
 
 
 def test_a_text_serves_every_block_and_grows_where_one_needs_more_room():
     # a view of one block's text is valid until the next block; a block that needs more room takes a
     # new buffer, and leaves the view of the one before it as it was
     text = serialize.Text()
-    small = _em.format_g17([1.5, 2.5], 2, b",", b"\n", text)
+    small = _em.format_g17([[1.5], [2.5]], b",", b"\n", text)
     held = text.buffer
     assert bytes(small) == b"1.5,2.5\n" and len(held) == 2 * (_em._G17_ROOM + 1)
-    large = _em.format_g17([WIDEST] * 3, 1, b"", b"\n", text)
+    large = _em.format_g17([[WIDEST] * 3], b"", b"\n", text)
     assert text.buffer is not held and bytes(small) == b"1.5,2.5\n"
     assert bytes(large) == b"-1.2345678901234567e-308\n" * 3
-    again = _em.format_g17([0.25], 1, b"", b"\n", text)
+    again = _em.format_g17([[0.25]], b"", b"\n", text)
     assert bytes(again) == b"0.25\n" and bytes(large).startswith(b"0.25\n")  # written over, in place
-    assert _em.format_g17([1.0, math.inf], 1, b"", b"\n", text, finite=True) is None
+    for json, spelling in ((False, b"nan,inf,-inf\n"), (True, b"NaN,Infinity,-Infinity\n")):
+        assert bytes(_em.format_g17([[math.nan], [math.inf], [-math.inf]], b",", b"\n", text, json)) == spelling
 
 
 def test_numpy_arrays_are_written_like_lists(tmp_path):
@@ -180,10 +218,11 @@ def test_numpy_arrays_are_written_like_lists(tmp_path):
     # dumps writes a 1-D float64 array as it is
     doc = {"column": column, "nan": np.array([1.0, math.nan])}
     assert dumps(doc) == dumps(json_lists(doc))
-    serialize.write_csv(tmp_path / "arrays.csv", "t,p,n", (t, column, np.arange(40)))
-    serialize.write_csv(tmp_path / "lists.csv", "t,p,n", (t.tolist(), column.tolist(), list(range(40))))
+    serialize.write_csv(tmp_path / "arrays.csv", "t,p,n", [(t, column, np.arange(40))])
+    serialize.write_csv(tmp_path / "lists.csv", "t,p,n", [(t.tolist(), column.tolist(), list(range(40)))])
     assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
     assert (tmp_path / "arrays.csv").read_bytes().count(b"\n") == 41
+    assert_kinds_written(tmp_path / "kinds.csv", column, states[:, 1])
 
 
 def records(params):
