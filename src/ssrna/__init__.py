@@ -20,8 +20,7 @@ _EXPORTS = {
                    "origin_equilibrium", "positive_equilibrium", "validate_params", "vector_field"),
     "montecarlo": ("EnsembleConfig", "EnsembleStats", "SweepRow", "estimate_stability_in_probability",
                    "run_ensemble", "sweep", "wilson_interval"),
-    "simulator": ("SimConfig", "Trajectory", "brownian_increments", "centralized_rhs", "default_dt",
-                  "integrate_ode", "integrate_sde"),
+    "simulator": ("SimConfig", "Trajectory", "brownian_increments", "default_dt", "integrate_ode", "integrate_sde"),
     "stability": ("LyapunovMatrix", "StabilityClassification", "StabilityVerdict", "check_mean_square_stability",
                   "classify_equilibria_stability", "e0_gamma_bounds", "gamma_bounds", "generator_coefficients",
                   "lyapunov_matrix", "q_interval", "representative_q"),

@@ -21,13 +21,13 @@
  *    goes to numpy's random_standard_normal, which draws the wedge or the
  *    tail.  ssrna._em links both from a copy of libnpyrandom.a in which it
  *    made the two tables global.
- *  - The Euler-Maruyama step is simulator.centralized_rhs's arithmetic and
- *    the RK4 step is model_core.field's, each in its evaluation order; built
- *    with -ffp-contract=off, so no product is fused into an add.  The
- *    Euler-Maruyama step is written once (EM_STEP), for a double and for the
- *    lanes of a GCC vector of doubles, on which GCC's operators take the same
- *    IEEE operations lane by lane; nothing here changes MXCSR, so a lane
- *    rounds as the double does.
+ *  - The Euler-Maruyama step (EM_STEP) is the recursion of the tests'
+ *    reference (tests/conftest.py's em_deviations) and the RK4 step is
+ *    model_core.field's, each in its evaluation order; built with
+ *    -ffp-contract=off, so no product is fused into an add.  EM_STEP is
+ *    written once, for a double and for the lanes of a GCC vector of
+ *    doubles, on which GCC's operators take the same IEEE operations lane by
+ *    lane; nothing here changes MXCSR, so a lane rounds as the double does.
  *  - fmt_g17 writes rows of float columns, each read where it lies, as
  *    Python's '%.17g' % x writes each number, with no library call but
  *    snprintf, for the finite numbers outside its exact range: each number
@@ -410,11 +410,11 @@ void rk4_path(const double *model, double p, double m, path_t *path)
     path->x2 = m;
 }
 
-/* One Euler-Maruyama step of a cell's deviations (u, v) on the increments (d1, d2):
- * simulator.centralized_rhs's arithmetic, in its order.  Written once for T, a double (em_step) or a
- * GCC vector of doubles (em_run's slice step), on which GCC's operators take the same IEEE operation
- * lane by lane, a scalar operand in every lane; with -ffp-contract=off none is fused, and nothing
- * here changes MXCSR, so each lane rounds as the double does, subnormals too. */
+/* One Euler-Maruyama step of a cell's deviations (u, v) on the increments (d1, d2), which the tests'
+ * reference (tests/conftest.py's em_deviations) repeats in its order.  Written once for T, a double
+ * (em_step) or a GCC vector of doubles (em_run's slice step), on which GCC's operators take the same
+ * IEEE operation lane by lane, a scalar operand in every lane; with -ffp-contract=off none is fused,
+ * and nothing here changes MXCSR, so each lane rounds as the double does, subnormals too. */
 #define EM_STEP(name, T)                                                               \
     static inline void name(const double *cell, double dt, T d1, T d2, T *u, T *v)     \
     {                                                                                  \
@@ -598,18 +598,17 @@ void em_run(slice_t *sl)
 }
 
 /* Step replicate `replicate` of one cell path->n steps from its start into the recorder, which
- * stops the path at its first non-finite state, on increments drawn as em_run draws them, or on
- * the path->n x 2 finite numbers of dW; a block at a time, as rk4_path does: a later call resumes
- * from the recorder's deviations and streams.
+ * stops the path at its first non-finite state, on increments drawn as em_run draws them; a block
+ * at a time, as rk4_path does: a later call resumes from the recorder's deviations and streams.
  *
  * A step after which u and v are as they were, bit for bit, nonzero, and W1 u and W2 v are zero,
  * settles the path, and path_hold records the rest without stepping.  That is exact: a step adds
  * to u its drift part, x1 + g1 dt, a function of the state alone, and the noise term (W1 x1) d1,
  * which is then +-0 for any finite d1.  A nonzero sum of x and +-0 is x, so the drift part left
  * u unchanged, and every later step returns u again, whatever it draws; so does v.  A step on
- * increments of zero may also leave the state unchanged, but where W x is not zero a nonzero
+ * small increments may also leave the state unchanged, but where W x is not zero a larger
  * increment moves it again, so that does not settle the path. */
-void em_path(const double *cell, uint64_t seed, int64_t replicate, const double *dW, path_t *path)
+void em_path(const double *cell, uint64_t seed, int64_t replicate, path_t *path)
 {
     double dt = path->dt, sqrt_dt = sqrt(dt);
     if (path->step < 0) {
@@ -623,8 +622,8 @@ void em_path(const double *cell, uint64_t seed, int64_t replicate, const double 
         return;
     int64_t s = path->step;
     while (s < path->n) {
-        double d1 = dW ? dW[2 * s] : normal(path->st) * sqrt_dt;
-        double d2 = dW ? dW[2 * s + 1] : normal(path->st + 1) * sqrt_dt;
+        double d1 = normal(path->st) * sqrt_dt;
+        double d2 = normal(path->st + 1) * sqrt_dt;
         double u0 = u, v0 = v;
         em_step(cell, dt, d1, d2, &u, &v);
         if (!path_record(path, ++s, cell[P_STAR] + u, cell[M_STAR] + v))

@@ -79,7 +79,7 @@ _SIGNATURES = {
     "em_recorder_bytes": (_I, ()),
     "em_slice_bytes": (_I, ()),
     "em_run": (None, (_P,)),
-    "em_path": (None, (_P, ctypes.c_uint64, _I, _P, _P)),
+    "em_path": (None, (_P, ctypes.c_uint64, _I, _P)),
     "em_fold": (None, (_P, _P, _P, _P, _P)),
     "rk4_path": (None, (_P, _D, _D, _P)),
     "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, _P)),
@@ -411,20 +411,12 @@ class Slice(ctypes.Structure):
         self._lib.em_fold(ctypes.addressof(self), *map(_address, (sums.sq, sums.exceed, sums.lost, sums.counts)))
 
 
-def path(cell, seed: int, replicate: int, recorder: Recorder, dW: Optional[array] = None) -> None:
-    """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder:
-    its next block (em_path).
-
-    dW, when given, is an array('d') of recorder.n rows of two finite
-    increments, to use instead of the streams': a settled path takes any
-    finite increment as it takes none.  The recorder stops the path at its
-    first non-finite state.
-    """
-    if not (dW is None or (dW.typecode == "d" and len(dW) == 2 * recorder.n)):
-        raise ValueError("the increments do not match the path's steps")
+def path(cell, seed: int, replicate: int, recorder: Recorder) -> None:
+    """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder, on
+    the increments of its streams: its next block (em_path).  The recorder stops the path at its first
+    non-finite state."""
     words = _cell_words([cell])
-    library().em_path(_address(words), seed, replicate, None if dW is None else _address(dW),
-                      ctypes.addressof(recorder))
+    library().em_path(_address(words), seed, replicate, ctypes.addressof(recorder))
 
 
 def _column_address(column, held: list) -> int:

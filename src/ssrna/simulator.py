@@ -44,7 +44,6 @@ __all__ = [
     "PathBlocks",
     "ode_blocks",
     "sde_blocks",
-    "centralized_rhs",
     "write_trajectory_csv",
 ]
 
@@ -247,22 +246,6 @@ def _kernel_cell(params: ModelParams, anchor: Equilibrium, noise: NoiseSpec, ini
                  float(initial[0]) - ps, float(initial[1]) - ms, eps_sq)
 
 
-def centralized_rhs(params: ModelParams, eq: Equilibrium, x: tuple[float, float]) -> tuple[float, float]:
-    """Drift of the dynamics rewritten in deviations x = state - eq.
-
-    Splits into the linear drift-matrix part plus a single quadratic
-    coupling, in the evaluation order that the compiled kernel's one step
-    (_em.c's EM_STEP, on a double or on the lanes of a vector) repeats;
-    algebraically identical to vector_field(params, eq + x) whenever eq is a
-    true equilibrium (which is checked).
-    """
-    check_anchor(params, eq)
-    a11, a12, a21, a22, br, abr = _drift_coefficients(params, eq)
-    x1, x2 = x
-    s = x1 + x2
-    return a11 * x1 + a12 * x2 - br * s * x2, a21 * x1 + a22 * x2 - abr * s * x1
-
-
 class PathBlocks:
     """A path, stepped a block of recorded rows at a time as it is iterated.
 
@@ -344,27 +327,13 @@ def sde_blocks(
     anchor: Equilibrium,
     cfg: SimConfig,
     replicate: int = 0,
-    dW: Optional[numpy.ndarray] = None,
 ) -> PathBlocks:
     """integrate_sde's path, stepped a block of recorded rows at a time (see _em.Recorder)."""
     cell = _kernel_cell(params, anchor, noise, cfg.initial, math.inf)
     # the stream keys 2 * replicate + coordinate are 64-bit words
     if isinstance(replicate, bool) or not (isinstance(replicate, Integral) and 0 <= replicate < MAX_SEED // 2):
         raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
-    path = _path_recorder(cfg, params.K)
-    if dW is not None:
-        import numpy as np  # only a library caller imposes increments
-
-        try:
-            dW = np.asarray(dW, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows, or not numbers
-            raise ParameterError(f"dW must be numbers of shape ({path.n}, 2)") from None
-        if dW.shape != (path.n, 2):
-            raise ParameterError(f"dW must have shape ({path.n}, 2), got {dW.shape}")
-        if not np.isfinite(dW).all():  # None converts to NaN
-            raise ParameterError("dW must be finite numbers")
-        dW = _em.doubles(dW)
-    return PathBlocks(path, lambda recorder: _em.path(cell, cfg.seed, replicate, recorder, dW),
+    return PathBlocks(_path_recorder(cfg, params.K), lambda recorder: _em.path(cell, cfg.seed, replicate, recorder),
                       Scheme.EULER_MARUYAMA, "noise or step too large?")
 
 
@@ -388,7 +357,6 @@ def integrate_sde(
     anchor: Equilibrium,
     cfg: SimConfig,
     replicate: int = 0,
-    dW: Optional[numpy.ndarray] = None,
 ) -> Trajectory:
     """Euler-Maruyama path of the noise-perturbed model (Ito interpretation).
 
@@ -397,24 +365,24 @@ def integrate_sde(
         x1 <- x1 + drift1(x) dt + omega1 x1 dW1
         x2 <- x2 + drift2(x) dt + omega2 x2 dW2
 
-    The drift is evaluated in the centered form (centralized_rhs's
-    arithmetic), so the anchor is an exact fixed point of the discrete
-    scheme: started there, both drift and noise vanish to the last bit for
-    any noise level.
+    The drift is evaluated in the centred form, the drift matrix at the
+    anchor plus one quadratic coupling (_em.c's EM_STEP, whose evaluation
+    order the tests' reference recursion repeats), so the anchor is an exact
+    fixed point of the discrete scheme: started there, both drift and noise
+    vanish to the last bit for any noise level.
     The path is stepped and recorded by the compiled kernel's single-path
     entry point (_em.path), with the step and the normal draw of its
     ensembles, a block of rows at a time (sde_blocks), and the blocks are
     joined into the whole path, which holds its rows and one block besides.
     Increments come from the counter-based streams keyed (cfg.seed,
     replicate, coordinate), as replicate `replicate` of an ensemble draws
-    them; pass dW, finite numbers of shape (n_steps, 2), to impose a
-    specific realization instead.
+    them (brownian_increments gives the same numbers).
 
     Paths are not clamped to the phase-space triangle: noise can push them
     out (recorded via exited_omega) or below zero.  Raises IntegrationError
     when the state becomes non-finite.
     """
-    return sde_blocks(params, noise, anchor, cfg, replicate, dW).trajectory()
+    return sde_blocks(params, noise, anchor, cfg, replicate).trajectory()
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from .errors import StabilityDomainError
-from .linearization import LinearizationReport, linearize
+from .linearization import LinearizationReport, _invariants, linearize
 from .model_core import (
     Equilibrium,
     EquilibriumKind,
@@ -49,7 +49,8 @@ __all__ = [
 # close (relatively) to its bound is additionally flagged as marginal.
 BOUNDARY_RTOL = 1e-12
 
-# Drift-matrix entries below 2^_SAFE_EXPONENT leave every product here finite (see _scaled).
+# A drift matrix whose largest entry is in [2^-_SAFE_EXPONENT, 2^_SAFE_EXPONENT) is used as it is, any
+# other scaled into that range by a power of two (see _scaled).
 _SAFE_EXPONENT = 320
 
 
@@ -135,17 +136,21 @@ def _near(value: float, bound: float) -> bool:
 
 
 def _scaled(rep: LinearizationReport) -> tuple[LinearizationReport, int]:
-    """(the report of the drift matrix 2^-k A, k), with k the least k >= 0 that brings every entry below
-    2^_SAFE_EXPONENT, where a product of three, such as |Tr| det, cannot overflow.
+    """(the report of the drift matrix 2^-k A, k), with k the k of least magnitude that brings the largest
+    entry into [2^-_SAFE_EXPONENT, 2^_SAFE_EXPONENT), where a product of three, such as |Tr| det, neither
+    overflows nor, unless the entries differ widely in size, underflows.
 
     Every quantity here is homogeneous under A -> cA, gamma -> c gamma: the gamma bounds scale by c, the
-    q interval does not change and P scales by 1/c.  Scaling by c = 2^-k and back is exact but where a
-    number under- or overflows, and k = 0 for every matrix of entries below 2^320.
+    q interval does not change and P scales by 1/c.  The scaled report's trace, det, A1 and A2 are worked
+    out from its entries, so a det that underflowed in the report is found again.  Scaling by c = 2^-k
+    and back is exact but where a number under- or overflows, and k = 0 for every matrix whose largest
+    entry is in [2^-320, 2^320).
     """
-    k = max(0, math.frexp(max(abs(rep.a11), abs(rep.a12), abs(rep.a21), abs(rep.a22)))[1] - _SAFE_EXPONENT)
+    exponent = math.frexp(max(abs(rep.a11), abs(rep.a12), abs(rep.a21), abs(rep.a22)))[1]
+    k = max(0, exponent - _SAFE_EXPONENT) + min(0, exponent + _SAFE_EXPONENT - 1)
     if k:
-        rep = LinearizationReport(*(math.ldexp(x, -k) for x in (rep.a11, rep.a12, rep.a21, rep.a22, rep.trace)),
-                                  *(math.ldexp(x, -2 * k) for x in (rep.det, rep.A1, rep.A2)), rep.equilibrium)
+        entries = [math.ldexp(x, -k) for x in (rep.a11, rep.a12, rep.a21, rep.a22)]
+        rep = LinearizationReport(*entries, *_invariants(*entries), rep.equilibrium)
     return rep, k
 
 

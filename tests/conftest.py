@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ssrna import ModelParams, NoiseSpec, serialize, validate_params
+from ssrna import IntegrationError, ModelParams, NoiseSpec, serialize, validate_params
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -48,6 +48,107 @@ def use_block_rows(monkeypatch, rows):
     from ssrna import _em
 
     monkeypatch.setattr(_em, "block_rows", lambda n, stride: rows)
+
+
+def centralized_rhs(params, eq):
+    """The drift of the dynamics rewritten in deviations x = state - eq, as a function of (x1, x2).
+
+    Splits into the linear drift-matrix part plus a single quadratic coupling, in the evaluation
+    order of the compiled kernel's step (_em.c's EM_STEP); algebraically identical to
+    vector_field(params, eq + x) whenever eq is a true equilibrium (which is checked).
+    """
+    from ssrna.simulator import _drift_coefficients, check_anchor
+
+    check_anchor(params, eq)
+    a11, a12, a21, a22, br, abr = _drift_coefficients(params, eq)
+
+    def drift(x1, x2):
+        s = x1 + x2
+        return a11 * x1 + a12 * x2 - br * s * x2, a21 * x1 + a22 * x2 - abr * s * x1
+
+    return drift
+
+
+def em_deviations(params, noise, eq, initial, dt, increments):
+    """The tests' reference of the compiled Euler-Maruyama step (_em.c's EM_STEP), in Python floats:
+    the deviations from eq at the start, then after the step on each row (d1, d2) of increments.
+
+    A diverging path goes on through its steps: its deviations turn infinite or NaN, and stay so.
+    """
+    drift = centralized_rhs(params, eq)
+    x1, x2 = float(initial[0]) - eq.p_star, float(initial[1]) - eq.m_star
+    yield x1, x2
+    for d1, d2 in increments:
+        g1, g2 = drift(x1, x2)
+        x1 = x1 + g1 * dt + noise.omega1 * x1 * d1
+        x2 = x2 + g2 * dt + noise.omega2 * x2 * d2
+        yield x1, x2
+
+
+def drawn_increments(seed, replicate, n, dt):
+    """The rows (d1, d2) of n steps of dt that the streams keyed (seed, 2 replicate + coordinate)
+    give, as the compiled kernel draws them: brownian_increments, one coordinate at a time."""
+    from ssrna.simulator import brownian_increments
+
+    return zip(*(brownian_increments(seed, replicate, c, n, dt).tolist() for c in (0, 1)))
+
+
+def em_states(params, noise, eq, cfg, replicate):
+    """The reference path of integrate_sde(params, noise, eq, cfg, replicate): the start state, then
+    the state after each step."""
+    from ssrna.simulator import step_count
+
+    increments = drawn_increments(cfg.seed, replicate, step_count(cfg), cfg.dt)
+    for x1, x2 in em_deviations(params, noise, eq, cfg.initial, cfg.dt, increments):
+        yield eq.p_star + x1, eq.m_star + x2
+
+
+def recorded(cfg, K, states, hint):
+    """The Python path recorder the compiled one replaced, kept as its reference.
+
+    From the start state and the state after each step, keeps those of the
+    recorded steps and notes the first time the state left the phase-space
+    triangle; raises IntegrationError, naming the hint, at the first
+    non-finite state.
+    """
+    from ssrna.simulator import OMEGA_EXIT_RTOL, recorded_steps, step_count
+
+    dt = cfg.dt
+    tol = OMEGA_EXIT_RTOL * K
+    low, high = -tol, K + tol
+    rec_iter = iter(recorded_steps(step_count(cfg), cfg.record_stride))
+    next_rec = next(rec_iter)
+    times, kept = [], []
+    exited = None
+    for i, (p, m) in enumerate(states):
+        t = i * dt
+        if not (math.isfinite(p) and math.isfinite(m)):
+            raise IntegrationError(f"state became non-finite at t={t:.6g} ({hint})", t)
+        if exited is None and (p < low or m < low or p + m > high):
+            exited = t
+        if i == next_rec:
+            times.append(t)
+            kept.append([p, m])
+            next_rec = next(rec_iter, None)
+    return times, kept, exited
+
+
+def outcome(run):
+    """(times, states, exited_omega) of run() as lists, or the message and time of its IntegrationError."""
+    try:
+        result = run()
+    except IntegrationError as exc:
+        return str(exc), exc.t
+    if isinstance(result, tuple):
+        return result
+    return result.times.tolist(), result.states.tolist(), result.exited_omega
+
+
+def em_reference(params, noise, eq, cfg, replicate):
+    """The outcome of integrate_sde(params, noise, eq, cfg, replicate) by the reference: its recorded
+    rows, or the message and time of the IntegrationError at its first non-finite state."""
+    return outcome(lambda: recorded(cfg, params.K, em_states(params, noise, eq, cfg, replicate),
+                                    "noise or step too large?"))
 
 
 def deviations_sq(traj, anchor):
@@ -177,36 +278,29 @@ def measure_em_strong_order(n_paths, master_seed=20240706):
     The coupling rate r is set to zero (direct ModelParams construction, the
     dedicated test hook), which decouples the genomic coordinate into exactly
     that equation with a = -delta; the exact geometric-Brownian solution at
-    the matched Wiener path is the oracle.
+    the matched Wiener path is the oracle.  Each coarser level steps the sums
+    of the finest level's increments, so the scheme is stepped by the
+    reference recursion (em_deviations), which the compiled kernel repeats
+    bit for bit on the increments it draws.
     """
-    from ssrna import ModelParams, SimConfig, State, integrate_sde, origin_equilibrium
+    from ssrna import ModelParams, State, origin_equilibrium
     from ssrna.simulator import brownian_increments
 
     a, w, x0, t_end = -0.5, 0.5, 1.0, 1.0
     params = ModelParams(r=0.0, alpha=1.0, delta=-a, sigma=1.0, K=1.0)
-    anchor = origin_equilibrium()
+    anchor, noise = origin_equilibrium(), NoiseSpec(w, 0.0)
     levels = [2**-4, 2**-5, 2**-6, 2**-7, 2**-8]
     n_fine = int(round(t_end / levels[-1]))
-    noise = _noise(w)
 
     errors = np.zeros(len(levels))
     for k in range(n_paths):
         fine = brownian_increments(master_seed, k, 0, n_fine, levels[-1])
         exact = x0 * math.exp((a - 0.5 * w * w) * t_end + w * float(fine.sum()))
         for i, dt in enumerate(levels):
-            ratio = int(round(dt / levels[-1]))
-            n = n_fine // ratio
-            dW = np.zeros((n, 2))
-            dW[:, 0] = fine.reshape(n, ratio).sum(axis=1)
-            cfg = SimConfig(dt=dt, t_end=t_end, initial=State(x0, 0.0), record_stride=10**9)
-            traj = integrate_sde(params, noise, anchor, cfg, dW=dW)
-            errors[i] += abs(traj.final_state.p - exact)
+            n = int(round(t_end / dt))
+            increments = ((d, 0.0) for d in fine.reshape(n, n_fine // n).sum(axis=1).tolist())
+            *_, (x1, _) = em_deviations(params, noise, anchor, State(x0, 0.0), dt, increments)
+            errors[i] += abs(x1 - exact)
     errors /= n_paths
     slope = np.polyfit(np.log(levels), np.log(errors), 1)[0]
     return float(slope)
-
-
-def _noise(w):
-    from ssrna import NoiseSpec
-
-    return NoiseSpec(w, 0.0)

@@ -824,29 +824,54 @@ def test_rates_whose_drift_matrix_overflows_exit_2(tmp_path, capsys, r, at):
     assert [row.split(",")[8] for row in rows] == ["true", "error"]
 
 
-def test_rates_whose_drift_matrix_is_finite_run(tmp_path):
-    # at r = 1e154 the origin's det is -7.43e306, finite.  At E+, |Tr| det (2.1e153 x 7.8e290) overflows,
-    # though the bounds do not: they are found on the drift matrix scaled by a power of two
-    cfg = base_config(noise={"omega1": 0.05, "omega2": 0.05}, analyze={})
-    cfg["model"]["r"] = 1e154
+# Rates whose drift matrix is finite, but whose |Tr| det (or det) is not a normal number: (rates
+# changed from TuMV's, the noise, the equilibrium whose bounds are checked)
+FINITE_DRIFT_MATRIX_RATES = {
+    # at r = 1e154 the origin's det is -7.43e306, finite.  At E+, |Tr| det (2.1e153 x 7.8e290)
+    # overflows, though the bounds do not
+    "overflow": ({"r": 1e154}, 0.05, "positive"),
+    # at E+, |Tr| det (1e-150 x 1e-304) underflows, though the bounds (about 2e-152) do not
+    "underflow": ({name: TUMV[name] * 1e-150 for name in ("r", "delta", "sigma")}, 1e-78, "positive"),
+    # at E0, alpha r underflows to 0 and det is subnormal (1e-322); with no noise and trace < 0 < det
+    # the conditions hold, and the gamma1 bound is delta
+    "subnormal-det": ({"r": 1e-170, "alpha": 1e-300, "delta": 1e-161, "sigma": 1e-161, "K": 1}, 0.0, "origin"),
+}
+
+
+@pytest.mark.parametrize("rates, omega, point", FINITE_DRIFT_MATRIX_RATES.values(), ids=FINITE_DRIFT_MATRIX_RATES)
+def test_rates_whose_drift_matrix_is_finite_run(tmp_path, rates, omega, point):
+    # the bounds are found on the drift matrix scaled by a power of two, and scaled back
+    cfg = base_config(noise={"omega1": omega, "omega2": omega}, analyze={})
+    cfg["model"].update(rates)
     assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "analysis.json").read_text())
-    for point in ("origin", "positive"):
-        rep = report[point]["linearization"]
-        assert all(math.isfinite(rep[name]) for name in ("a11", "a12", "a21", "a22", "trace", "det", "A1", "A2"))
-    assert report["origin"]["linearization"]["det"] == pytest.approx(-7.43e306)
-    # each bound within a few ulps of its exact value from the report's own numbers
-    rep, verdict = report["positive"]["linearization"], report["positive"]["verdict"]
-    abs_tr, det, a1, a2 = (Fraction(rep[name]) for name in ("trace", "det", "A1", "A2"))
-    abs_tr = -abs_tr
+    for name in ("origin", "positive"):
+        rep = report[name]["linearization"]
+        assert rep is None or all(math.isfinite(rep[key]) for key in ("a11", "a12", "a21", "a22", "trace", "det"))
+    if rates.get("r") == 1e154:
+        assert report["origin"]["linearization"]["det"] == pytest.approx(-7.43e306)
+    # each bound within a few ulps of its exact value from the report's own invariants, or where det is
+    # subnormal, and so has lost bits, from those of the report's entries
+    rep, verdict = report[point]["linearization"], report[point]["verdict"]
+    if abs(rep["det"]) < sys.float_info.min:
+        a11, a12, a21, a22 = (Fraction(rep[name]) for name in ("a11", "a12", "a21", "a22"))
+        trace, det = a11 + a22, a11 * a22 - a12 * a21
+        a1, a2 = det + a11 * a11, det + a22 * a22
+    else:
+        trace, det, a1, a2 = (Fraction(rep[name]) for name in ("trace", "det", "A1", "A2"))
     g1, g2 = Fraction(verdict["gamma1"]), Fraction(verdict["gamma2"])
-    exact = {"gamma1_bound": abs_tr * det / a2, "gamma2_bound": (abs_tr * det - a2 * g1) / (a1 - abs_tr * g1)}
+    exact = {"gamma1_bound": -trace * det / a2, "gamma2_bound": (-trace * det - a2 * g1) / (a1 + trace * g1)}
     for name, value in exact.items():
         assert abs(Fraction(verdict[name]) - value) <= 4 * Fraction(math.ulp(float(value))), name
-    assert verdict["conditions_met"] and all(map(math.isfinite, verdict["q_interval"]))
-    # the printed certificate: P positive definite, and c1, c2 < 0, in exact arithmetic
-    cert = report["positive"]["certificate"]
+    if point == "origin":  # a21 is 0, so the bounds are -a11 = delta and, at gamma1 = 0, -a22 = sigma
+        assert exact == {"gamma1_bound": Fraction(1e-161), "gamma2_bound": Fraction(1e-161)}
+    # the printed certificate: q in the interval, finite above where there is noise, P positive
+    # definite, and c1, c2 < 0, in exact arithmetic
+    assert verdict["conditions_met"]
+    cert = report[point]["certificate"]
     q, p11, p12, p22 = (Fraction(cert[name]) for name in ("q", "p11", "p12", "p22"))
+    q_lo, q_hi = verdict["q_interval"]
+    assert q_lo < q < q_hi and math.isfinite(q_lo) and math.isfinite(q_hi) == (omega > 0)
     assert p11 > 0 and p11 * p22 - p12 * p12 > 0
     assert -q + 2 * p11 * g1 < 0 and -1 + 2 * p22 * g2 < 0
 

@@ -30,7 +30,7 @@ from ssrna import _em, cli, montecarlo
 from ssrna.errors import KernelError
 from ssrna.simulator import brownian_increments, step_count
 
-from conftest import TUMV, use_block_rows
+from conftest import TUMV, em_reference, outcome, use_block_rows
 
 U64_MAX = 2**64 - 1
 
@@ -259,7 +259,7 @@ def test_kernel_draws_equal_brownian_increments_into_the_ziggurat_tail():
     assert np.count_nonzero(np.abs(dW) > 3.6541528853610088 * math.sqrt(cfg.dt)) > 10
     args = (p, NoiseSpec(0.3, 0.2), origin_equilibrium(), cfg)
     drawn = integrate_sde(*args, replicate=5)
-    assert np.array_equal(drawn.states, integrate_sde(*args, dW=dW).states)
+    assert outcome(lambda: drawn) == em_reference(*args, 5)
     assert drawn.states.min() > 10.0  # no increment was lost in rounding
 
 
@@ -296,14 +296,13 @@ def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coo
     # the origin anchor makes the deviations the state, so |x|^2 is p * p + m * m
     p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cfg = SimConfig(dt=0.25, t_end=0.25 * steps, initial=State(300.0, 250.0), seed=seed)
-    dW = np.stack([brownian_increments(seed, replicate, c, steps, cfg.dt) for c in (0, 1)], axis=1)
     noise, anchor = NoiseSpec(0.3, 0.2), origin_equilibrium()
-    imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
-    assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
+    expected = em_reference(p, noise, anchor, cfg, replicate)
+    assert outcome(lambda: integrate_sde(p, noise, anchor, cfg, replicate=replicate)) == expected
     cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
     buffer = _em.Slice([cell], seed, cfg.dt, steps, 1, 1)  # one block of every row
     buffer.step(replicate, 1)
-    assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
+    assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in expected[1]]
 
 
 # Streams of seed 99 whose normal at `draw` rejects the first try on the last word of the refilled
@@ -318,14 +317,13 @@ def test_kernel_draws_equal_numpy_where_a_reject_ends_the_buffer(replicate, coor
     assert words > 1 and position % 32 == 31  # the last of the 32 words a refill computes
     p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cfg = SimConfig(dt=0.25, t_end=0.25 * steps, initial=State(300.0, 250.0), seed=seed)
-    dW = np.stack([brownian_increments(seed, replicate, c, steps, cfg.dt) for c in (0, 1)], axis=1)
     noise, anchor = NoiseSpec(0.3, 0.2), origin_equilibrium()
-    imposed = integrate_sde(p, noise, anchor, cfg, dW=dW).states
-    assert np.array_equal(integrate_sde(p, noise, anchor, cfg, replicate=replicate).states, imposed)
+    expected = em_reference(p, noise, anchor, cfg, replicate)
+    assert outcome(lambda: integrate_sde(p, noise, anchor, cfg, replicate=replicate)) == expected
     buffer = _em.Slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
                        steps, 1, 1)  # one block of every row
     buffer.step(replicate, 1)
-    assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in imposed.tolist()]
+    assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in expected[1]]
 
 
 def test_single_path_is_stepped_in_one_call(monkeypatch):
@@ -333,9 +331,9 @@ def test_single_path_is_stepped_in_one_call(monkeypatch):
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0))
     calls, path = [], _em.path
 
-    def counted(cell, seed, replicate, recorder, *args):
+    def counted(cell, seed, replicate, recorder):
         calls.append(recorder.n)
-        return path(cell, seed, replicate, recorder, *args)
+        return path(cell, seed, replicate, recorder)
 
     monkeypatch.setattr(_em, "path", counted)
     traj = integrate_sde(p, NoiseSpec(0.1, 0.1), origin_equilibrium(), sim)

@@ -25,8 +25,6 @@ from ssrna import (
     ParameterError,
     SimConfig,
     State,
-    brownian_increments,
-    centralized_rhs,
     estimate_stability_in_probability,
     integrate_ode,
     integrate_sde,
@@ -44,7 +42,7 @@ from ssrna.montecarlo import write_ensemble_csv, write_sweep_csv
 from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
 
-from conftest import TUMV, deviations_sq, use_block_rows, use_workers
+from conftest import TUMV, deviations_sq, drawn_increments, em_deviations, use_block_rows, use_workers
 
 
 def tumv_ensemble_cfg(tumv, *, replicates, t_end, gamma_scale=0.5, displace=0.01,
@@ -487,8 +485,7 @@ def reference_ensemble(params, cfg):
     sums, lost = np.zeros(len(rec)), np.zeros(len(rec), np.int64)
     first_exceed, n_negative, n_nonfinite = [], 0, 0
     for k in range(cfg.replicates):
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
-            sq, first, negative, finite = _reference_path(params, cfg, k, n, rec)
+        sq, first, negative, finite = _reference_path(params, cfg, k, n, rec)
         sq = np.asarray(sq)
         sums += np.where(np.isfinite(sq), sq, 0.0)  # adding 0.0 to a sum of squares leaves it as it is
         lost += ~np.isfinite(sq)
@@ -520,22 +517,13 @@ def test_ensemble_stats_hand_library_callers_float64_arrays():
 
 
 def _reference_path(params, cfg, k, n, rec):
-    """(|x|^2 at the recorded steps, first step |x| > epsilon1, went negative, state finite at step n).
-
-    A diverging path goes on through its steps: its |x|^2 turns infinite or
-    NaN, and its state too, which then stays so.
-    """
+    """(|x|^2 at the recorded steps, first step |x| > epsilon1, went negative, state finite at step n)
+    of replicate k of cfg by the reference recursion: a diverging path goes on through its steps."""
     eq, sim = cfg.anchor, cfg.sim
     eps_sq = cfg.epsilon1 * cfg.epsilon1
-    dW1 = brownian_increments(cfg.master_seed, k, 0, n, sim.dt)
-    dW2 = brownian_increments(cfg.master_seed, k, 1, n, sim.dt)
-    x1, x2 = sim.initial[0] - eq.p_star, sim.initial[1] - eq.m_star
+    increments = drawn_increments(cfg.master_seed, k, n, sim.dt)
     sq, exceed_at, negative = [], None, False
-    for i in range(n + 1):
-        if i > 0:
-            g1, g2 = centralized_rhs(params, eq, (x1, x2))
-            x1 = x1 + g1 * sim.dt + cfg.noise.omega1 * x1 * dW1[i - 1]
-            x2 = x2 + g2 * sim.dt + cfg.noise.omega2 * x2 * dW2[i - 1]
+    for i, (x1, x2) in enumerate(em_deviations(params, cfg.noise, eq, sim.initial, sim.dt, increments)):
         dsq = x1 * x1 + x2 * x2
         if i in rec:
             sq.append(dsq)
@@ -623,8 +611,7 @@ def slice_width_equals_the_reference(library, n, p, noise):
     buffer.step(0, n)
     included = []
     for j in range(n):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq, exceed_at, negative, finite = _reference_path(p, cfg, j, 27, rec)
+        sq, exceed_at, negative, finite = _reference_path(p, cfg, j, 27, rec)
         assert row_bytes(buffer.sq[j::buffer.stride]) == row_bytes(sq), j  # rows x one cell x stride
         if finite:
             included.append(j)
@@ -733,9 +720,8 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
     cfgs = [EnsembleConfig(replicates=replicates, sim=SimConfig(dt=dt, t_end=n_steps * dt, initial=initial),
                            noise=noise, anchor=anchor, epsilon1=epsilon1, master_seed=seed)
             for _, anchor, noise, initial, epsilon1 in cells]
-    with np.errstate(over="ignore", invalid="ignore"):
-        paths = [[_reference_path(cell[0], cfg, first + j, n_steps, rec) for j in range(width)]
-                 for cell, cfg in zip(cells, cfgs)]
+    paths = [[_reference_path(cell[0], cfg, first + j, n_steps, rec) for j in range(width)]
+             for cell, cfg in zip(cells, cfgs)]
     kernel_cells = [montecarlo._cell(cfg, cell[0]) for cell, cfg in zip(cells, cfgs)]
     for library in (_em.library(), scalar_library):
         with pytest.MonkeyPatch.context() as patch:
@@ -1013,8 +999,7 @@ def test_more_threads_than_cpus_fold_every_block_in_turn(monkeypatch):
 def divergence_steps(params, cfg):
     """Per replicate of cfg, the first step whose |x|^2 is not finite, or None if there is none."""
     n = step_count(cfg.sim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        paths = [_reference_path(params, cfg, k, n, range(n + 1))[0] for k in range(cfg.replicates)]
+    paths = [_reference_path(params, cfg, k, n, range(n + 1))[0] for k in range(cfg.replicates)]
     return [next((i for i, x in enumerate(sq) if not math.isfinite(x)), None) for sq in paths]
 
 

@@ -13,7 +13,7 @@ PUBLIC = {
     "IntegrationError", "KernelError", "LinearizationReport", "LyapunovMatrix", "ModelParams", "NoiseSpec",
     "ParameterError", "Scheme", "SimConfig", "StabilityClassification", "StabilityDomainError",
     "StabilityVerdict", "State", "SweepRow", "Trajectory", "basic_reproduction_number", "brownian_increments",
-    "centralized_rhs", "check_mean_square_stability", "classify_equilibria_stability", "default_dt",
+    "check_mean_square_stability", "classify_equilibria_stability", "default_dt",
     "det_closed_form", "displaced_initial", "divergence", "e0_gamma_bounds", "estimate_stability_in_probability",
     "gamma_bounds", "generator_coefficients", "integrate_ode", "integrate_sde", "linearize", "lyapunov_matrix",
     "matrix_invariants", "mixed_sign_equilibrium", "origin_equilibrium", "positive_equilibrium", "q_interval",

@@ -15,7 +15,6 @@ from ssrna import (
     State,
     basic_reproduction_number,
     brownian_increments,
-    centralized_rhs,
     default_dt,
     integrate_ode,
     integrate_sde,
@@ -30,10 +29,16 @@ from ssrna.model_core import field
 from ssrna.simulator import recorded_steps, step_count, write_trajectory_csv
 
 from conftest import (
+    TUMV,
+    centralized_rhs,
+    em_reference,
+    em_states,
     measure_em_strong_order,
     measure_rk4_order,
+    outcome,
     random_params,
     random_point_in_triangle,
+    recorded,
 )
 
 
@@ -318,34 +323,6 @@ def test_a_whole_path_holds_its_rows_and_one_block(scheme, tumv):
 # ---------------------------------------------------------------------------
 # the compiled paths against the Python loops they replaced
 
-def recorded(cfg, K, states, hint):
-    """The Python path recorder the compiled one replaced, kept as its reference.
-
-    From the start state and the state after each step, keeps those of the
-    recorded steps and notes the first time the state left the phase-space
-    triangle; raises IntegrationError, naming the hint, at the first
-    non-finite state.
-    """
-    dt = cfg.dt
-    tol = simulator.OMEGA_EXIT_RTOL * K
-    low, high = -tol, K + tol
-    rec_iter = iter(recorded_steps(step_count(cfg), cfg.record_stride))
-    next_rec = next(rec_iter)
-    times, kept = [], []
-    exited = None
-    for i, (p, m) in enumerate(states):
-        t = i * dt
-        if not (math.isfinite(p) and math.isfinite(m)):
-            raise IntegrationError(f"state became non-finite at t={t:.6g} ({hint})", t)
-        if exited is None and (p < low or m < low or p + m > high):
-            exited = t
-        if i == next_rec:
-            times.append(t)
-            kept.append([p, m])
-            next_rec = next(rec_iter, None)
-    return times, kept, exited
-
-
 def rk4_states(params, cfg):
     """The Python RK4 loop the compiled one replaced: the start state, then the state after each step."""
     f = field(params)
@@ -361,17 +338,6 @@ def rk4_states(params, cfg):
         p = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
         m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m)
         yield p, m
-
-
-def outcome(run):
-    """(times, states, exited_omega) of run() as lists, or the message and time of its IntegrationError."""
-    try:
-        result = run()
-    except IntegrationError as exc:
-        return str(exc), exc.t
-    if isinstance(result, tuple):
-        return result
-    return result.times.tolist(), result.states.tolist(), result.exited_omega
 
 
 def rk4_reference(params, cfg):
@@ -468,19 +434,19 @@ def test_a_settled_em_path_equals_the_python_loop_stepped_to_its_end(monkeypatch
         assert words_drawn(blocks.recorder) < 2800 < step_count(cfg)
 
 
-def test_an_em_path_on_increments_of_zero_moves_again_where_they_do_not():
-    # on 1000 steps of zero increments the path reaches the coexistence state about the origin, which
-    # the drift maps to itself, bit for bit; but there omega x is not zero, so the nonzero increments
-    # after them move it again, and the kernel must step them
-    p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
-    eq, noise = origin_equilibrium(), NoiseSpec(0.3, 0.2)
-    cfg = SimConfig(dt=0.25, t_end=0.25 * 1200, initial=State(300.0, 250.0), seed=21)
-    dW = np.stack([brownian_increments(cfg.seed, 4, c, 1200, cfg.dt) for c in (0, 1)], axis=1)
-    dW[:1000] = 0.0
-    states = list(em_states(p, noise, eq, cfg, 4, dW))
-    assert states[1000] == states[999] and states[1001] != states[1000] and settled_at(states) is None
-    expected = outcome(lambda: recorded(cfg, p.K, states, ""))
-    assert outcome(lambda: integrate_sde(p, noise, eq, cfg, dW=dW)) == expected
+def test_an_em_path_that_a_step_leaves_as_it_was_moves_again_where_omega_x_is_not_zero():
+    # below threshold the deviations about the origin decay to subnormals, where the drift part maps
+    # them to themselves: at step 24968 the draws leave them as they were, bit for bit, but omega x is
+    # not zero there, so later draws move them again, and the kernel must step on.  From step 25033
+    # they are 5e-324, where omega x rounds to zero and no draw moves them.  (At E+, p* + x absorbs
+    # a subnormal x, so the rows would not show a path that stopped stepping too soon.)
+    p = validate_params(**{**TUMV, "r": 0.001211})
+    eq, noise = origin_equilibrium(), NoiseSpec(0.3, 0.3)
+    cfg = SimConfig(dt=default_dt(p, eq), t_end=15000.0, initial=State(0.01, 0.01), seed=1)
+    states = list(em_states(p, noise, eq, cfg, 0))
+    assert states[24968] == states[24967] != states[24969]
+    assert settled_at(states) == 25033 < step_count(cfg) and states[-1] == (5e-324, 5e-324)
+    assert outcome(lambda: integrate_sde(p, noise, eq, cfg)) == em_reference(p, noise, eq, cfg, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -527,35 +493,17 @@ def test_sde_zero_noise_is_drift_only_euler(tumv):
 
 
 def test_sde_noisy_path_matches_shared_drift_recursion():
-    # integrate_sde must round like centralized_rhs, whose arithmetic the
-    # ensemble kernel shares, on increments drawn a chunk at a time.  With
-    # R0 > 1 the path leaves the origin anchor for the coexistence state, so
-    # the quadratic coupling stays as large as the linear part and a
-    # reordered product shows up in the path.
+    # integrate_sde must round like the reference recursion (em_deviations),
+    # whose arithmetic the ensemble kernel shares, on increments drawn a
+    # chunk at a time.  With R0 > 1 the path leaves the origin anchor for the
+    # coexistence state, so the quadratic coupling stays as large as the
+    # linear part and a reordered product shows up in the path.
     p = validate_params(r=1.0, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     eq = origin_equilibrium()
     cfg = SimConfig(dt=0.25, t_end=30.0, initial=State(300.0, 250.0), seed=21)
     noise = NoiseSpec(0.3, 0.2)
     traj = integrate_sde(p, noise, eq, cfg, replicate=4)
     assert np.array_equal(traj.states, np.asarray(list(em_states(p, noise, eq, cfg, 4))))
-
-
-def em_states(params, noise, eq, cfg, replicate, dW=None):
-    """The shared drift recursion on one-shot increments, or on the rows of dW: the start state, then
-    the state after each step."""
-    n = step_count(cfg)
-    if dW is None:
-        dW1 = brownian_increments(cfg.seed, replicate, 0, n, cfg.dt)
-        dW2 = brownian_increments(cfg.seed, replicate, 1, n, cfg.dt)
-    else:
-        dW1, dW2 = dW[:, 0], dW[:, 1]
-    x1, x2 = cfg.initial.p - eq.p_star, cfg.initial.m - eq.m_star
-    yield eq.p_star + x1, eq.m_star + x2
-    for i in range(n):
-        g1, g2 = centralized_rhs(params, eq, (x1, x2))
-        x1 = x1 + g1 * cfg.dt + noise.omega1 * x1 * dW1[i]
-        x2 = x2 + g2 * cfg.dt + noise.omega2 * x2 * dW2[i]
-        yield eq.p_star + x1, eq.m_star + x2
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -596,10 +544,9 @@ def test_sde_draws_the_top_stream_keys():
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cfg = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0), seed=2**64 - 1)
     replicate, args = 2**63 - 1, (p, NoiseSpec(0.8, 0.8), origin_equilibrium(), cfg)
-    dW = np.stack([brownian_increments(cfg.seed, replicate, c, 27, cfg.dt) for c in (0, 1)], axis=1)
-    drawn = integrate_sde(*args, replicate=replicate)
-    assert np.array_equal(drawn.states, integrate_sde(*args, dW=dW).states)
-    assert not np.array_equal(drawn.states, integrate_sde(*args, replicate=replicate - 1).states)
+    drawn = outcome(lambda: integrate_sde(*args, replicate=replicate))
+    assert drawn == em_reference(*args, replicate)
+    assert drawn != outcome(lambda: integrate_sde(*args, replicate=replicate - 1))
 
 
 @pytest.mark.parametrize("replicate", [-1, 2**63, True])
@@ -620,27 +567,6 @@ def test_sde_rejects_non_equilibrium_anchor(tumv):
         integrate_sde(tumv, NoiseSpec(0.0, 0.0), fake, cfg)
 
 
-def test_sde_dw_shape_checked(tumv):
-    eq = positive_equilibrium(tumv)
-    cfg = SimConfig(dt=0.5, t_end=10.0, initial=State(eq.p_star, eq.m_star))
-    with pytest.raises(ParameterError, match="dW"):
-        integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, cfg, dW=np.zeros((3, 2)))
-    # 20 steps: a list or tuple of rows is refused unless it has 20 rows of two numbers
-    for dW in ([[0.0, 0.0]] * 3, ((0.0, 0.0, 0.0),) * 20, [[0.0, 0.0]] * 19 + [[0.0]], [["a", "b"]] * 20):
-        with pytest.raises(ParameterError, match="dW"):
-            integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, cfg, dW=dW)
-    # and unless every increment is finite: None becomes NaN
-    for bad in (None, math.nan, math.inf, -math.inf):
-        for dW in ([[bad, bad]] * 20, [[0.0, 0.0]] * 19 + [[0.0, bad]]):
-            with pytest.raises(ParameterError, match="dW must be finite"):
-                integrate_sde(tumv, NoiseSpec(0.0, 0.0), eq, cfg, dW=dW)
-    moved = SimConfig(dt=0.5, t_end=10.0, initial=State(1.01 * eq.p_star, eq.m_star))
-    args = (tumv, NoiseSpec(0.1, 0.1), eq, moved)
-    rows = integrate_sde(*args, dW=[[0.5, -0.5]] * 20)
-    assert np.array_equal(rows.states, integrate_sde(*args, dW=np.full((20, 2), [0.5, -0.5])).states)
-    assert not np.array_equal(rows.states, integrate_sde(*args, dW=np.zeros((20, 2))).states)
-
-
 def test_sde_exit_and_negative_states_recorded():
     # coarse steps with strong noise let the scheme cross zero; paths are
     # recorded as-is, never clamped (fixed seed pins the realization)
@@ -652,27 +578,18 @@ def test_sde_exit_and_negative_states_recorded():
     assert traj.exited_omega is not None
 
 
-def path_or_failure(*args, **kwargs):
-    """(times, states, exited_omega) of integrate_sde as lists, or the time of its IntegrationError."""
-    try:
-        traj = integrate_sde(*args, **kwargs)
-    except IntegrationError as exc:
-        return exc.t
-    return traj.times.tolist(), traj.states.tolist(), traj.exited_omega
-
-
 @pytest.mark.parametrize("noise", [NoiseSpec(0.8, 0.8), NoiseSpec(3.5, 0.5)], ids=["excursions", "divergence"])
 @pytest.mark.parametrize("n_steps", [5, 8, 9, 27])
 def test_chunked_path_equals_one_shot_increments(n_steps, noise):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     eq = origin_equilibrium()
     cfg = SimConfig(dt=0.25, t_end=0.25 * n_steps, initial=State(300.0, 300.0), seed=4242)
-    dW = np.stack([brownian_increments(cfg.seed, 6, c, n_steps, cfg.dt) for c in (0, 1)], axis=1)
-    drawn = path_or_failure(p, noise, eq, cfg, replicate=6)
-    assert drawn == path_or_failure(p, noise, eq, cfg, dW=dW)
+    drawn = outcome(lambda: integrate_sde(p, noise, eq, cfg, replicate=6))
+    assert drawn == em_reference(p, noise, eq, cfg, 6)
     if n_steps == 27:  # the comparison covers an exit and, at the larger noise, an overflow
-        assert isinstance(drawn, float) == (noise.omega1 > 1.0)
-        assert isinstance(drawn, float) or drawn[2] is not None
+        failed = len(drawn) == 2  # (message, t) of the IntegrationError
+        assert failed == (noise.omega1 > 1.0)
+        assert failed or drawn[2] is not None
 
 
 def test_path_memory_does_not_grow_with_horizon(tumv):
@@ -701,7 +618,7 @@ def test_em_strong_order_exponent():
 
 def test_centralized_rhs_zero_at_center(tumv):
     eq = positive_equilibrium(tumv)
-    assert centralized_rhs(tumv, eq, (0.0, 0.0)) == (0.0, 0.0)
+    assert centralized_rhs(tumv, eq)(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_centralized_rhs_quadratic_remainder(tumv):
@@ -712,7 +629,7 @@ def test_centralized_rhs_quadratic_remainder(tumv):
     for scale in (1e-2 * tumv.K, 1e-4 * tumv.K, 1e-6 * tumv.K):
         u = rng.normal(size=2)
         u *= scale / math.hypot(*u)
-        g1, g2 = centralized_rhs(tumv, eq, (u[0], u[1]))
+        g1, g2 = centralized_rhs(tumv, eq)(u[0], u[1])
         lin1 = rep.a11 * u[0] + rep.a12 * u[1]
         lin2 = rep.a21 * u[0] + rep.a22 * u[1]
         bound = 2.0 * br * scale * scale  # |x1+x2||x2| <= 2|x|^2
@@ -726,7 +643,7 @@ def test_centralized_rhs_matches_raw_field(tumv):
     tol = 1e-9 * max(1.0, tumv.r * tumv.K)
     for _ in range(200):
         x = rng.uniform(-0.5, 0.5, size=2) * tumv.K
-        g = centralized_rhs(tumv, eq, (x[0], x[1]))
+        g = centralized_rhs(tumv, eq)(x[0], x[1])
         f = vector_field(tumv, State(eq.p_star + x[0], eq.m_star + x[1]))
         assert abs(g[0] - f[0]) <= tol
         assert abs(g[1] - f[1]) <= tol
@@ -737,7 +654,7 @@ def test_centralized_rhs_origin_anchor_equals_field():
     rng = np.random.default_rng(79)
     for _ in range(50):
         x = rng.uniform(0, p.K, size=2)
-        g = centralized_rhs(p, origin_equilibrium(), (x[0], x[1]))
+        g = centralized_rhs(p, origin_equilibrium())(x[0], x[1])
         f = vector_field(p, State(x[0], x[1]))
         assert g[0] == pytest.approx(f[0], rel=1e-12, abs=1e-12 * p.K)
         assert g[1] == pytest.approx(f[1], rel=1e-12, abs=1e-12 * p.K)
