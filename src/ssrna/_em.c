@@ -45,15 +45,16 @@
  * A stable path may reach such a fixed point in floating point, and from there
  * path_hold records its rows without stepping.
  *
+ * Each entry point that steps takes its struct alone, which holds all it reads.
  * Euler-Maruyama has one entry point per job, sharing one step (EM_STEP), one
  * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
- * single path into its recorder, a block of rows per call, as rk4_path does,
- * and the recorder carries what the next call resumes from.  em_run steps an
- * ensemble one slice of at most BLOCK replicates at a time, in lockstep, and
- * also a block of recorded rows per call: the slice (slice_t) carries each
- * replicate's deviations, flags and streams from one call to the next, and a
- * buffer of one block of rows of |x|^2.  Both record every stride-th step and
- * the last, by one rule (next_due).  Its slice step is written once (EM_SLICE)
+ * single path, its inputs and start set once in its recorder (path_t), a block
+ * of rows per call, as rk4_path does.  em_run steps an ensemble one slice of at
+ * most BLOCK replicates at a time, in lockstep, and also a block of recorded
+ * rows per call: the slice (slice_t), started once for its replicates, carries
+ * their deviations, flags and streams from one call to the next, and a buffer
+ * of one block of rows of |x|^2.  Both record every stride-th step and the
+ * last, by one rule (next_due).  Its slice step is written once (EM_SLICE)
  * for GCC vectors and built twice: eight replicates per AVX-512 register where
  * the CPU has AVX-512F, chosen with the refill when the library loads
  * (slice_step_x8), else two, the width of an SSE2 or NEON register
@@ -285,10 +286,13 @@ void em_raw(stream_t *s, int64_t n, uint64_t *out)
 
 /* The recorder of a single path, _em.Recorder, which its kernel (rk4_path or em_path) steps a
  * block of rows at a time: each call steps the path until the buffers hold `block` rows, or the
- * path ends, and returns.  The recorder carries all that the next call resumes from: the step, the
- * state and em_path's streams.  The caller sets the fields up to step, which it sets to -1: the
- * first call takes the start, step 0. */
+ * path ends, and returns.  The recorder holds the path's inputs, and carries all that the next call
+ * resumes from: the step, the state and em_path's streams.  The caller sets the fields up to step,
+ * which it sets to -1, those up to due as none recorded yet, and x1, x2 to the start. */
 typedef struct {
+    const double *inputs; /* rk4_path: the rates (model_core.field's constants); em_path: the cell's words */
+    uint64_t seed;        /* em_path: the path is replicate `replicate` of the ensemble of this seed */
+    int64_t replicate;
     int64_t n;        /* steps */
     int64_t stride;   /* steps 0, stride, 2 stride, ... (stride <= n) and n are recorded */
     double dt;
@@ -358,9 +362,6 @@ static int path_resume(path_t *r, double p, double m)
     if (r->step >= 0)
         return 1;
     r->step = 0;
-    r->exited = r->failed = -1;
-    r->lowest = INFINITY;
-    r->due = 0;
     return path_record(r, 0, p, m);
 }
 
@@ -374,19 +375,14 @@ static void field(const double *model, double p, double m, double *dp, double *d
     *dm = model[ALPHA] * model[R] * p * unfilled - model[SIGMA] * m;
 }
 
-/* The classical RK4 path of the model from (p, m), path->n steps of path->dt, into the recorder,
- * a block at a time: a later call resumes from the recorder's state, and ignores (p, m).  A step
- * that leaves (p, m) as it was, bit for bit, settles the path: the step is a function of the state
- * alone, so no later step changes it either, and path_hold records the rest without stepping. */
-void rk4_path(const double *model, double p, double m, path_t *path)
+/* The classical RK4 path of the model of rates path->inputs from (p, m) = (x1, x2), path->n steps of
+ * dt, into the recorder, a block at a time.  A step that leaves (p, m) as it was, bit for bit, settles
+ * the path: the step is a function of the state alone, so no later step changes it either, and
+ * path_hold records the rest without stepping. */
+void rk4_path(path_t *path)
 {
-    double dt = path->dt, sixth = dt / 6.0, half = 0.5 * dt;
-    if (path->step < 0) {
-        path->x1 = p;
-        path->x2 = m;
-    }
-    p = path->x1;
-    m = path->x2;
+    const double *model = path->inputs;
+    double dt = path->dt, sixth = dt / 6.0, half = 0.5 * dt, p = path->x1, m = path->x2;
     if (!path_resume(path, p, m))
         return;
     int64_t s = path->step;
@@ -597,9 +593,9 @@ void em_run(slice_t *sl)
     sl->rows = next - base;
 }
 
-/* Step replicate `replicate` of one cell path->n steps from its start into the recorder, which
- * stops the path at its first non-finite state, on increments drawn as em_run draws them; a block
- * at a time, as rk4_path does: a later call resumes from the recorder's deviations and streams.
+/* Step replicate path->replicate of the cell path->inputs path->n steps from the deviations (x1, x2)
+ * into the recorder, which stops the path at its first non-finite state, on increments drawn as em_run
+ * draws them, its streams seeded on the first call; a block at a time, as rk4_path does.
  *
  * A step after which u and v are as they were, bit for bit, nonzero, and W1 u and W2 v are zero,
  * settles the path, and path_hold records the rest without stepping.  That is exact: a step adds
@@ -608,16 +604,14 @@ void em_run(slice_t *sl)
  * u unchanged, and every later step returns u again, whatever it draws; so does v.  A step on
  * small increments may also leave the state unchanged, but where W x is not zero a larger
  * increment moves it again, so that does not settle the path. */
-void em_path(const double *cell, uint64_t seed, int64_t replicate, path_t *path)
+void em_path(path_t *path)
 {
-    double dt = path->dt, sqrt_dt = sqrt(dt);
+    const double *cell = path->inputs;
+    double dt = path->dt, sqrt_dt = sqrt(dt), u = path->x1, v = path->x2;
     if (path->step < 0) {
-        em_seed(path->st, seed, 2 * (uint64_t)replicate);
-        em_seed(path->st + 1, seed, 2 * (uint64_t)replicate + 1);
-        path->x1 = cell[X1_0];
-        path->x2 = cell[X2_0];
+        em_seed(path->st, path->seed, 2 * (uint64_t)path->replicate);
+        em_seed(path->st + 1, path->seed, 2 * (uint64_t)path->replicate + 1);
     }
-    double u = path->x1, v = path->x2;
     if (!path_resume(path, cell[P_STAR] + u, cell[M_STAR] + v))
         return;
     int64_t s = path->step;

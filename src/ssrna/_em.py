@@ -3,20 +3,22 @@
 It holds the Euler-Maruyama kernel, with one entry point per job that
 share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
-steps a single path (path), each a block of recorded rows per call, as the
-RK4 path does (rk4), recording every stride-th step and the last by one
-rule, and the slice or the recorder carries what the next call resumes
-from.  Its Philox streams refill eight blocks at a time, in the eight
-lanes of an AVX-512 register where the CPU has AVX-512F, each lane
-carrying its own counter through all four words, else one after another;
-the rounds are written once, for a word and for eight lanes.  em_run steps
+steps a single path (Recorder), each a block of recorded rows per call, as
+the RK4 path rk4_path does, recording every stride-th step and the last by
+one rule.  Each takes its struct alone, which carries what the next call
+resumes from: a path's recorder holds its inputs and start, set once when
+it is made, and a slice is started once for its replicates.  Its Philox
+streams refill eight blocks at a time, in the eight lanes of an AVX-512
+register where the CPU has AVX-512F, each lane carrying its own counter
+through all four words, else one after another; the rounds are written
+once, for a word and for eight lanes.  em_run steps
 a slice in whole groups of eight replicates, eight per register where the
 CPU has AVX-512F, else two.  The step is written once, for a double and for
 a vector's lanes, which take the same IEEE operations in the same order,
 none fused, under an unchanged MXCSR, so they give the same bytes.
 em_refill_lanes reports the choice, made once for both: 8, else 1 (and a
-step of two).  It also holds the RK4 path, the recorder of a single path
-(Recorder) and the '%.17g' formatter of the writers (format_g17).
+step of two).  It also holds the RK4 path and the '%.17g' formatter of the
+writers (format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -79,9 +81,9 @@ _SIGNATURES = {
     "em_recorder_bytes": (_I, ()),
     "em_slice_bytes": (_I, ()),
     "em_run": (None, (_P,)),
-    "em_path": (None, (_P, ctypes.c_uint64, _I, _P)),
+    "em_path": (None, (_P,)),
     "em_fold": (None, (_P, _P, _P, _P, _P)),
-    "rk4_path": (None, (_P, _D, _D, _P)),
+    "rk4_path": (None, (_P,)),
     "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, _P)),
 }
 
@@ -242,41 +244,47 @@ class Recorder(ctypes.Structure):
     """The recorder of a single path (_em.c's path_t), with a block of the rows it records.
 
     A path of n steps of dt keeps the state (p, m) at steps 0, stride,
-    2 stride, ... and n.  Its kernel (rk4 or path) steps it a block at a
-    time: each call records up to `block` rows, which columns() gives,
-    and returns once the block is full or the path has ended (step == n),
-    and the next call resumes from where it stopped.  A block is the
-    writers' block of serialize._BLOCK_ROWS rows, or every row of a
-    shorter path, looked up when the recorder is made.  The rows are held
-    as their columns times (step * dt), p and m, each an array('d') buffer
-    of block numbers.  exited is the first step whose state had p or m
-    below low, or p + m above high, and failed the step whose state was
+    2 stride, ... and n.  Its kernel, rk4_path or em_path, reads the inputs
+    set here once with the start: the rates (r, alpha, delta, sigma, K) and
+    (p, m), or one simulator._Cell's words and its deviations, and draws
+    the increments of replicate `replicate` under `seed`.  advance() steps
+    the path a block at a time: each call records up to `block` rows, which
+    columns() gives, and returns once the block is full or the path has
+    ended (step == n), and the next call resumes from where it stopped.  A
+    block is the writers' block of serialize._BLOCK_ROWS rows, or every row
+    of a shorter path, looked up when the recorder is made.  The rows are
+    held as their columns times (step * dt), p and m, each an array('d')
+    buffer of block numbers.  exited is the first step whose state had p or
+    m below low, or p + m above high, and failed the step whose state was
     not finite, where the path stopped; each is -1 when there is none.
     lowest is the smallest p or m recorded.  A path whose state no later
     step can change has settled, and records the rest of its rows without
     stepping (see _em.c's path_hold), bit for bit the rows it would step.
     """
 
-    _fields_ = [("n", _I), ("stride", _I), ("dt", _D), ("low", _D), ("high", _D), ("_times", _P), ("_p", _P),
-                ("_m", _P), ("block", _I), ("step", _I), ("rows", _I), ("exited", _I), ("failed", _I),
-                ("lowest", _D), ("_due", _I), ("_x1", _D), ("_x2", _D),
-                ("_streams", ctypes.c_uint64 * (2 * _STREAM_WORDS))]
+    _fields_ = [("_inputs", _P), ("seed", ctypes.c_uint64), ("replicate", _I), ("n", _I), ("stride", _I),
+                ("dt", _D), ("low", _D), ("high", _D), ("_times", _P), ("_p", _P), ("_m", _P), ("block", _I),
+                ("step", _I), ("rows", _I), ("exited", _I), ("failed", _I), ("lowest", _D), ("_due", _I),
+                ("_x1", _D), ("_x2", _D), ("_streams", ctypes.c_uint64 * (2 * _STREAM_WORDS))]
 
-    def __init__(self, n: int, stride: int, dt: float, low: float, high: float):
+    def __init__(self, kernel: str, inputs: array, start: tuple[float, float], n: int, stride: int, dt: float,
+                 low: float, high: float, seed: int = 0, replicate: int = 0):
+        words = {"rk4_path": 5, "em_path": _CELL_WORDS}[kernel]  # the kernel trusts the pointer
+        if not (isinstance(inputs, array) and inputs.typecode == "d" and len(inputs) == words):
+            raise ValueError(f"{kernel} reads an array('d') of {words} inputs")
         block = min(serialize._BLOCK_ROWS, recorded_rows(n, stride))
+        self._kernel, self.inputs = getattr(library(), kernel), inputs
         self.times, self.p, self.m = (_zeros("d", block) for _ in range(3))
-        super().__init__(n, min(stride, n), dt, low, high, *map(_address, (self.times, self.p, self.m)), block, -1)
+        super().__init__(_address(inputs), seed, replicate, n, min(stride, n), dt, low, high,
+                         *map(_address, (self.times, self.p, self.m)), block, -1, 0, -1, -1, float("inf"), 0, *start)
+
+    def advance(self) -> None:
+        """Step the path through its next block of rows (its kernel in _em.c)."""
+        self._kernel(ctypes.addressof(self))
 
     def columns(self) -> tuple[memoryview, memoryview, memoryview]:
         """t, p and m of the rows of the last call, as memoryviews of times, p and m."""
         return tuple(memoryview(column)[:self.rows] for column in (self.times, self.p, self.m))
-
-
-def rk4(rates: tuple[float, float, float, float, float], p: float, m: float, path: Recorder) -> None:
-    """The classical RK4 path from (p, m) of the model with rates (r, alpha, delta, sigma, K), into
-    path: its next block (rk4_path), from (p, m) on the first call."""
-    model = array("d", rates)
-    library().rk4_path(_address(model), p, m, ctypes.addressof(path))
 
 
 def _cell_words(cells) -> array:
@@ -348,10 +356,11 @@ class Slice(ctypes.Structure):
     horizon of `steps` steps of dt, steps 0, every, 2 every, ... and the
     last are recorded, as a Recorder records them: every = min(stride,
     steps).  A slice holds at most `stride` = slice_stride(replicates)
-    replicates per cell: at most BLOCK.  step() integrates a slice through
-    its next block of `block` = block_rows(steps, stride) recorded rows,
-    looked up when the slice is made, and fold() adds the block's finite
-    |x|^2 into an ensemble's sums.  The slice holds, per cell and
+    replicates per cell: at most BLOCK.  start() gives it its replicates
+    once, step() then integrates them through their next block of `block`
+    = block_rows(steps, stride) recorded rows, looked up when the slice is
+    made, until done, and fold() adds each block's finite |x|^2 into an
+    ensemble's sums.  The slice holds, per cell and
     replicate, the |x|^2 at every row of the block (sq, of block x cells x
     stride), the first row by which |x| exceeded epsilon1, -1 if none
     (first_exceed, cells x stride), the negative flags (cells x stride),
@@ -380,23 +389,19 @@ class Slice(ctypes.Structure):
                          *map(_address, (self.state, self.sq, self.first_exceed, self.negative, self.streams)),
                          seed, 0, 0, -1)
 
-    @property
-    def done(self) -> bool:
-        """Whether the slice has no block in progress: before the first step() and after the last block."""
-        return self._step in (-1, self.steps)
-
-    def step(self, first: int, n: int) -> None:
-        """Integrate replicates first..first+n-1 of every cell through their next block of rows (em_run in _em.c).
-
-        A call when the slice is done starts them from step 0; a call
-        mid-way must name the replicates of the slice in progress.
-        """
+    def start(self, first: int, n: int) -> None:
+        """Make replicates first..first+n-1 of every cell the slice's, which step() steps from step 0."""
         if not 0 <= n <= self.stride:
             raise ValueError(f"a slice holds 0 to {self.stride} replicates, not {n}")
-        if self.done:
-            self.first, self.n, self._step = first, n, -1
-        elif (first, n) != (self.first, self.n):
-            raise ValueError(f"replicates {self.first} to {self.first + self.n - 1} are mid-way through the horizon")
+        self.first, self.n, self._step = first, n, -1
+
+    @property
+    def done(self) -> bool:
+        """Whether step() has stepped the slice's last block."""
+        return self._step == self.steps
+
+    def step(self) -> None:
+        """Integrate the slice's replicates through their next block of rows (em_run in _em.c)."""
         self._lib.em_run(ctypes.addressof(self))
 
     def fold(self, sums: Sums) -> None:
@@ -409,14 +414,6 @@ class Slice(ctypes.Structure):
                 (sums.counts, "q", 3 * self.k))):
             raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
         self._lib.em_fold(ctypes.addressof(self), *map(_address, (sums.sq, sums.exceed, sums.lost, sums.counts)))
-
-
-def path(cell, seed: int, replicate: int, recorder: Recorder) -> None:
-    """Step replicate `replicate` of one simulator._Cell recorder.n steps from its start into recorder, on
-    the increments of its streams: its next block (em_path).  The recorder stops the path at its first
-    non-finite state."""
-    words = _cell_words([cell])
-    library().em_path(_address(words), seed, replicate, ctypes.addressof(recorder))
 
 
 def _column_address(column, held: list) -> int:

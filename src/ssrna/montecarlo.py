@@ -20,7 +20,6 @@ import os
 import sys
 import threading
 from array import array
-from collections import Counter
 from collections.abc import Sequence
 from itertools import accumulate, chain, product
 from numbers import Real
@@ -131,9 +130,10 @@ def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tupl
     Slice, one block of recorded rows (_em.block_rows) at a time.  Each
     replicate's numbers depend on its own streams only (see em_run in
     _em.c), so no result depends on the number of threads or the blocks.  A
-    thread folds block b of slice s into the sums only once slice s - 1 has
-    folded block b, so each row adds every replicate in index order, and the
-    memory is the sums and one block per thread, whatever the horizon.  A
+    thread folds block b of slice s into the sums only once the thread of
+    slice s - 1 has folded past it, so each row adds every replicate in index
+    order, and the memory is the sums and one block and one (slice, blocks
+    folded) pair per thread, whatever the horizon.  A
     fold adds the |x|^2 of a row that are finite there, which no later block
     changes, so every block of every slice is stepped and folded once.  The
     compiled kernel runs without the interpreter lock, so the threads step
@@ -154,7 +154,7 @@ def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tupl
     cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
     sums = _em.Sums(len(cells), _em.recorded_rows(steps, stride))
     turn = threading.Condition()
-    folded = Counter()  # per block, the slices folded into the sums so far
+    folded = [(-1, 0)] * workers  # per thread, (the slice it folds, its blocks folded so far)
     failed = []   # exceptions raised in any thread, in the order raised
 
     def abort(exc: BaseException) -> None:
@@ -174,18 +174,18 @@ def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tupl
             buffer = _em.Slice(cells, cfg.master_seed, dt, steps, stride, replicates)
             for s in range(w, slices, workers):
                 lo = replicates * s // slices
-                n = replicates * (s + 1) // slices - lo
+                buffer.start(lo, replicates * (s + 1) // slices - lo)
                 b = 0
-                while b == 0 or not buffer.done:  # the slice's blocks, from its first to its last
-                    buffer.step(lo, n)
+                while not buffer.done:  # the slice's blocks, from its first to its last
+                    buffer.step()
                     with turn:
-                        turn.wait_for(lambda: folded[b] == s or failed)
+                        turn.wait_for(lambda: s == 0 or folded[(s - 1) % workers] > (s - 1, b) or failed)
                         if failed:
                             return
                         buffer.fold(sums)
-                        folded[b] += 1
+                        b += 1
+                        folded[w] = (s, b)
                         turn.notify_all()
-                    b += 1
         except BaseException as exc:
             abort(exc)
 
@@ -250,21 +250,24 @@ def run_ensemble(cfg: EnsembleConfig, params: ModelParams) -> EnsembleStats:
     return _reduce(sums, 0, times)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+WILSON_Z = 1.96  # the standard normal quantile of a two-sided 95% interval
+
+
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion.
 
     Its ends are (2s + z^2 -+ z sqrt(z^2 + 4 s (n - s) / n)) / (2 (n + z^2))
-    for s successes, and exactly 0 and 1 where s is 0 and n: in floating
-    point the formula's lower end at s = 0, or upper end at s = n, may be
-    an ulp off.
+    for s successes and z = WILSON_Z, and exactly 0 and 1 where s is 0 and
+    n: in floating point the formula's lower end at s = 0, or upper end at
+    s = n, may be an ulp off.
     """
     if n <= 0:
         raise ParameterError("Wilson interval needs at least one trial")
     if not 0 <= successes <= n:
         raise ParameterError(f"successes must lie in [0, {n}], got {successes!r}")
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     centre = 2.0 * successes + z2
-    half = z * math.sqrt(z2 + 4.0 * successes * (n - successes) / n)
+    half = WILSON_Z * math.sqrt(z2 + 4.0 * successes * (n - successes) / n)
     denom = 2.0 * (n + z2)
     lo = 0.0 if successes == 0 else (centre - half) / denom
     hi = 1.0 if successes == n else (centre + half) / denom

@@ -4,14 +4,16 @@ Deterministic paths use classical fourth-order Runge-Kutta.  Noise-perturbed
 paths use the Euler-Maruyama scheme in the Ito interpretation, with diagonal
 multiplicative noise proportional to the deviation from an anchor
 equilibrium.  Both integrators use a fixed step so that ensemble statistics
-stay unbiased across replicates.
+stay unbiased across replicates.  A path is its own recorder (PathBlocks),
+the one argument of each call of its compiled kernel, a block of rows each.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterator
+from array import array
+from collections.abc import Iterator
 from numbers import Integral
 from typing import NamedTuple, Optional
 
@@ -246,45 +248,43 @@ def _kernel_cell(params: ModelParams, anchor: Equilibrium, noise: NoiseSpec, ini
                  float(initial[0]) - ps, float(initial[1]) - ms, eps_sq)
 
 
-class PathBlocks:
-    """A path, stepped a block of recorded rows at a time as it is iterated.
+class PathBlocks(_em.Recorder):
+    """A path of cfg, its own recorder, stepped a block of recorded rows at a time as it is iterated.
 
-    Each iteration calls the path's compiled kernel once, which steps it
-    until its recorder holds a full block of rows or the path has ended,
-    and yields the recorder: columns() gives the block's t, p and m, and
-    the next iteration reuses its buffers.  So the path holds one block,
-    whatever its horizon.  exited_omega, lowest and final_state are those
-    of the rows stepped so far.  Raises IntegrationError, naming the
-    scheme's likely cause, once the state becomes non-finite.
+    The scheme picks the kernel (see _em.Recorder for its inputs and start).
+    Each iteration steps the path once (advance) and yields it: columns()
+    gives the block's t, p and m, and the next iteration reuses its buffers,
+    so the path holds one block, whatever its horizon.  exited_omega, lowest
+    and final_state are those of the rows stepped so far; a state farther
+    than OMEGA_EXIT_RTOL * K outside the phase-space triangle has left it.
+    Raises IntegrationError, naming the scheme's likely cause, once the
+    state becomes non-finite.
     """
 
-    def __init__(self, recorder: _em.Recorder, step: Callable[[_em.Recorder], None], scheme: Scheme, hint: str):
-        self.recorder, self.scheme = recorder, scheme
-        self._step, self._hint = step, hint
+    def __init__(self, scheme: Scheme, inputs: array, start: tuple[float, float], cfg: SimConfig, K: float,
+                 replicate: int = 0):
+        rk4, tol = scheme is Scheme.RK4, OMEGA_EXIT_RTOL * K
+        super().__init__("rk4_path" if rk4 else "em_path", inputs, start, step_count(cfg), cfg.record_stride,
+                         cfg.dt, -tol, K + tol, cfg.seed, replicate)
+        self.scheme, self._hint = scheme, "step size too large?" if rk4 else "noise or step too large?"
 
-    def __iter__(self) -> Iterator[_em.Recorder]:
-        path = self.recorder
-        while path.step < path.n:
-            self._step(path)
-            if path.failed >= 0:
-                t = path.failed * path.dt
+    def __iter__(self) -> Iterator[PathBlocks]:
+        while self.step < self.n:
+            self.advance()
+            if self.failed >= 0:
+                t = self.failed * self.dt
                 raise IntegrationError(f"state became non-finite at t={t:.6g} ({self._hint})", t)
-            yield path
+            yield self
 
     @property
     def exited_omega(self) -> Optional[float]:
         """The time of the first step whose state left the triangle (see Trajectory), or None."""
-        return None if self.recorder.exited < 0 else self.recorder.exited * self.recorder.dt
-
-    @property
-    def lowest(self) -> float:
-        """The smallest p or m recorded."""
-        return self.recorder.lowest
+        return None if self.exited < 0 else self.exited * self.dt
 
     @property
     def final_state(self) -> State:
         """The last recorded row, which is the final step's once the path has ended."""
-        _, p, m = self.recorder.columns()
+        _, p, m = self.columns()
         return State(p[-1], m[-1])
 
     def trajectory(self) -> Trajectory:
@@ -293,7 +293,7 @@ class PathBlocks:
         The columns are made once the rows are known to fit in memory, and
         each block is copied into them as it is stepped.
         """
-        rows = _em.recorded_rows(self.recorder.n, self.recorder.stride)
+        rows = _em.recorded_rows(self.n, self.stride)
         _check_recorded_bytes(rows * _PATH_ROW_BYTES)
         columns, row = [_em._zeros("d", rows) for _ in range(3)], 0
         for path in self:
@@ -303,22 +303,10 @@ class PathBlocks:
         return Trajectory(*columns, self.exited_omega, self.scheme, self.lowest)
 
 
-def _path_recorder(cfg: SimConfig, K: float) -> _em.Recorder:
-    """The recorder of a path of cfg.
-
-    A state farther than OMEGA_EXIT_RTOL * K outside the phase-space
-    triangle counts as having left it.
-    """
-    tol = OMEGA_EXIT_RTOL * K
-    return _em.Recorder(step_count(cfg), cfg.record_stride, cfg.dt, -tol, K + tol)
-
-
 def ode_blocks(params: ModelParams, cfg: SimConfig) -> PathBlocks:
     """integrate_ode's path, stepped a block of recorded rows at a time (see _em.Recorder)."""
-    path = _path_recorder(cfg, params.K)
-    rates = (params.r, params.alpha, params.delta, params.sigma, params.K)
-    p0, m0 = float(cfg.initial[0]), float(cfg.initial[1])
-    return PathBlocks(path, lambda recorder: _em.rk4(rates, p0, m0, recorder), Scheme.RK4, "step size too large?")
+    rates = array("d", (params.r, params.alpha, params.delta, params.sigma, params.K))
+    return PathBlocks(Scheme.RK4, rates, (float(cfg.initial[0]), float(cfg.initial[1])), cfg, params.K)
 
 
 def sde_blocks(
@@ -333,8 +321,7 @@ def sde_blocks(
     # the stream keys 2 * replicate + coordinate are 64-bit words
     if isinstance(replicate, bool) or not (isinstance(replicate, Integral) and 0 <= replicate < MAX_SEED // 2):
         raise ParameterError(f"replicate must be an integer in [0, 2**63), got {replicate!r}")
-    return PathBlocks(_path_recorder(cfg, params.K), lambda recorder: _em.path(cell, cfg.seed, replicate, recorder),
-                      Scheme.EULER_MARUYAMA, "noise or step too large?")
+    return PathBlocks(Scheme.EULER_MARUYAMA, _em._cell_words([cell]), (cell.x1, cell.x2), cfg, params.K, replicate)
 
 
 def integrate_ode(params: ModelParams, cfg: SimConfig) -> Trajectory:
@@ -371,7 +358,7 @@ def integrate_sde(
     fixed point of the discrete scheme: started there, both drift and noise
     vanish to the last bit for any noise level.
     The path is stepped and recorded by the compiled kernel's single-path
-    entry point (_em.path), with the step and the normal draw of its
+    entry point (_em.c's em_path), with the step and the normal draw of its
     ensembles, a block of rows at a time (sde_blocks), and the blocks are
     joined into the whole path, which holds its rows and one block besides.
     Increments come from the counter-based streams keyed (cfg.seed,

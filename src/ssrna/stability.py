@@ -12,6 +12,7 @@ verdict is "conditions not met", never "unstable".
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Optional
 
 from .errors import StabilityDomainError
@@ -135,23 +136,34 @@ def _near(value: float, bound: float) -> bool:
     return abs(value - bound) <= BOUNDARY_RTOL * max(abs(value), abs(bound))
 
 
+def _normal(x: float) -> bool:
+    """Whether x is finite, and neither zero nor subnormal."""
+    return sys.float_info.min <= abs(x) < math.inf
+
+
 def _scaled(rep: LinearizationReport) -> tuple[LinearizationReport, int]:
     """(the report of the drift matrix 2^-k A, k), with k the k of least magnitude that brings the largest
     entry into [2^-_SAFE_EXPONENT, 2^_SAFE_EXPONENT), where a product of three, such as |Tr| det, neither
-    overflows nor, unless the entries differ widely in size, underflows.
+    overflows nor, unless the entries differ widely in size, underflows; but k = 0 where A's own |Tr| det
+    is a normal number and scaling loses an entry's bits or leaves |Tr| det not a normal number.
 
     Every quantity here is homogeneous under A -> cA, gamma -> c gamma: the gamma bounds scale by c, the
     q interval does not change and P scales by 1/c.  The scaled report's trace, det, A1 and A2 are worked
     out from its entries, so a det that underflowed in the report is found again.  Scaling by c = 2^-k
     and back is exact but where a number under- or overflows, and k = 0 for every matrix whose largest
-    entry is in [2^-320, 2^320).
+    entry is in [2^-320, 2^320), or whose entries differ so widely in size that scaling would push a small
+    one below the normal numbers (E0 with delta near 1e150 and sigma near 1e-298).
     """
-    exponent = math.frexp(max(abs(rep.a11), abs(rep.a12), abs(rep.a21), abs(rep.a22)))[1]
+    entries = (rep.a11, rep.a12, rep.a21, rep.a22)
+    exponent = math.frexp(max(map(abs, entries)))[1]
     k = max(0, exponent - _SAFE_EXPONENT) + min(0, exponent + _SAFE_EXPONENT - 1)
     if k:
-        entries = [math.ldexp(x, -k) for x in (rep.a11, rep.a12, rep.a21, rep.a22)]
-        rep = LinearizationReport(*entries, *_invariants(*entries), rep.equilibrium)
-    return rep, k
+        scaled_entries = [math.ldexp(x, -k) for x in entries]
+        scaled = LinearizationReport(*scaled_entries, *_invariants(*scaled_entries), rep.equilibrium)
+        lossless = all(math.ldexp(x, k) == a for x, a in zip(scaled_entries, entries))
+        if (lossless and _normal(scaled.trace * scaled.det)) or not _normal(rep.trace * rep.det):
+            return scaled, k
+    return rep, 0
 
 
 def _noise_bounds(rep: LinearizationReport, gamma1: float) -> tuple[float, Optional[float]]:
@@ -224,15 +236,17 @@ def q_interval(rep: LinearizationReport, noise: NoiseSpec) -> Optional[tuple[flo
 def representative_q(interval: tuple[float, float]) -> float:
     """Scale-free pick strictly inside an open admissible interval.
 
-    Uses the geometric mean (midpoint of the log-interval); intervals
-    touching zero or unbounded above need the degenerate fallbacks.
+    Uses the geometric mean (midpoint of the log-interval), from the ends'
+    roots where their product under- or overflows; intervals touching zero
+    or unbounded above need the degenerate fallbacks.
     """
     q_lo, q_hi = interval
     if q_lo <= 0.0:
         return 1.0 if math.isinf(q_hi) else 0.1 * q_hi
     if math.isinf(q_hi):
         return 10.0 * q_lo
-    return math.sqrt(q_lo * q_hi)
+    product = q_lo * q_hi
+    return math.sqrt(product) if _normal(product) else math.sqrt(q_lo) * math.sqrt(q_hi)
 
 
 def lyapunov_matrix(rep: LinearizationReport, q: float) -> LyapunovMatrix:

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ssrna import (
@@ -874,6 +874,57 @@ def test_rates_whose_drift_matrix_is_finite_run(tmp_path, rates, omega, point):
     assert q_lo < q < q_hi and math.isfinite(q_lo) and math.isfinite(q_hi) == (omega > 0)
     assert p11 > 0 and p11 * p22 - p12 * p12 > 0
     assert -q + 2 * p11 * g1 < 0 and -1 + 2 * p22 * g2 < 0
+
+
+# Rates across all that validate_params accepts, log-uniform: each a power of two from the least
+# subnormal, 2^-1074, to below 2^1024, and alpha up to 1
+_ANY_RATE = st.floats(-1074.0, 1024.0, exclude_max=True).map(lambda e: 2.0 ** e)
+
+
+@st.composite
+def analyze_inputs(draw):
+    """(model, noise) blocks of an analyze config: rates log-uniform over the accepted range, noise in [0, 10]."""
+    model = {name: draw(_ANY_RATE) for name in ("r", "delta", "sigma", "K")}
+    model["alpha"] = draw(st.floats(-1074.0, 0.0).map(lambda e: 2.0 ** e))
+    return model, {name: draw(st.floats(0.0, 10.0)) for name in ("omega1", "omega2")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(analyze_inputs())
+# E0's drift entries run from 5.6e149 down to 3.6e-320: scaled into range, a22 and det underflowed to 0
+# and the gamma1 bound divided by zero (a traceback); as they are, the bounds are delta and sigma
+@example(({"r": 8.507905323251386e-152, "alpha": 4.2847060820040845e-169, "delta": 5.572970111043438e+149,
+           "sigma": 2.5431593456223117e-298, "K": 8.002438769810281e-187},
+          {"omega1": 2.4354676587274824e-157, "omega2": 1.0759219174006198e-59}))
+# E+'s q interval is (4.2e-288, 4.4e-65): its geometric mean, taken as the root of the ends' product,
+# underflowed to 0, and the certificate failed with exit 3
+@example(({"r": 9.179865819134803e+159, "alpha": 1.9345405533562944e-138, "delta": 3.544246572403593e-77,
+           "sigma": 1.0189552910147991e+30, "K": 3.0847469490698566e+45},
+          {"omega1": 1.9042318752758282e-64, "omega2": 2.445634265808947e-10}))
+def test_analyze_exits_0_or_2_over_the_accepted_range(inputs):
+    # the closed-form analysis of rates that validate_params accepts ends in a report; rates that it
+    # refuses, as their drift matrix overflows, end in one line naming the block
+    model, noise = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(base_config(model=model, noise=noise, analyze={})))
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["analyze", "--config", str(path), "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2), err
+        if code == 2:
+            assert re.fullmatch(r"error: [a-z]+: [^\n]*\n", err), err
+            assert not out.exists()
+            return
+        assert err == ""
+        report = json.loads((out / "analysis.json").read_text())
+    for name in ("origin", "positive"):
+        verdict, cert = report[name]["verdict"], report[name]["certificate"]
+        if cert is not None:
+            q_lo, q_hi = verdict["q_interval"]
+            assert q_lo < cert["q"] < q_hi, name
 
 
 def test_sweep_json_format(tmp_path):

@@ -65,6 +65,14 @@ def test_recorder_has_the_kernels_layout():
     assert _em.library().em_recorder_bytes() == ctypes.sizeof(_em.Recorder)
 
 
+@pytest.mark.parametrize("kernel, inputs", [("rk4_path", array("d", [1.0] * 4)), ("em_path", array("d", [1.0] * 5)),
+                                            ("rk4_path", [1.0] * 5)])
+def test_recorder_refuses_inputs_its_kernel_does_not_read(kernel, inputs):
+    # the kernel reads the rates (5 words) or a cell's words (13) through one pointer, unchecked
+    with pytest.raises(ValueError, match=f"^{kernel} reads an array"):
+        _em.Recorder(kernel, inputs, (1.0, 2.0), 10, 1, 0.5, -1.0, 2.0)
+
+
 def test_slice_has_the_kernels_layout():
     assert _em.library().em_slice_bytes() == ctypes.sizeof(_em.Slice)
 
@@ -159,26 +167,31 @@ def test_slice_refuses_a_horizon_without_steps_or_stride(steps, stride):
 
 
 def test_slice_steps_its_replicates_a_block_at_a_time(monkeypatch):
-    # em_run resumes the slice in progress, so a call mid-way must name its replicates; a slice that has
-    # stepped its last block starts the replicates it is given from step 0
+    # em_run resumes the slice in progress at each step(); a slice started again, mid-way or after
+    # its last block, steps the replicates it is given from step 0
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     use_block_rows(monkeypatch, 2)
     buffer = _em.Slice([cell], 0, 0.5, 4, 1, 8)
     rows = []
-    for first in (0, 0, 0, 8):
-        buffer.step(first, 8)
+    for first in (0, None, None, 8):
+        if first is not None:
+            buffer.start(first, 8)
+        assert not buffer.done
+        buffer.step()
         rows.append((buffer.rows, buffer.done))
-        if not buffer.done:
-            with pytest.raises(ValueError, match="mid-way"):
-                buffer.step(first + 1, 8)
     assert rows == [(2, False), (2, False), (1, True), (2, False)]
     sq = buffer.sq.tobytes()  # replicates 8 to 15 over rows 0 and 1
-    for first in (8, 8, 16, 16, 16):
-        buffer.step(first, 8)
+    buffer.step()
+    buffer.start(16, 8)
+    for _ in range(3):
+        buffer.step()
     assert buffer.done
-    buffer.step(8, 8)
+    buffer.start(8, 8)
+    buffer.step()
     assert (buffer.rows, buffer.done, buffer.sq.tobytes()) == (2, False, sq)
+    with pytest.raises(ValueError, match="a slice holds 0 to 8 replicates, not 9"):
+        buffer.start(0, 9)
 
 
 @pytest.mark.parametrize("key", [(0, 0), (0, U64_MAX), (U64_MAX, 0), (U64_MAX, U64_MAX), (20240706, 7)])
@@ -301,7 +314,8 @@ def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coo
     assert outcome(lambda: integrate_sde(p, noise, anchor, cfg, replicate=replicate)) == expected
     cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
     buffer = _em.Slice([cell], seed, cfg.dt, steps, 1, 1)  # one block of every row
-    buffer.step(replicate, 1)
+    buffer.start(replicate, 1)
+    buffer.step()
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in expected[1]]
 
 
@@ -322,20 +336,21 @@ def test_kernel_draws_equal_numpy_where_a_reject_ends_the_buffer(replicate, coor
     assert outcome(lambda: integrate_sde(p, noise, anchor, cfg, replicate=replicate)) == expected
     buffer = _em.Slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
                        steps, 1, 1)  # one block of every row
-    buffer.step(replicate, 1)
+    buffer.start(replicate, 1)
+    buffer.step()
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in expected[1]]
 
 
 def test_single_path_is_stepped_in_one_call(monkeypatch):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     sim = SimConfig(dt=0.25, t_end=0.25 * 27, initial=State(300.0, 300.0))
-    calls, path = [], _em.path
+    calls, advance = [], _em.Recorder.advance
 
-    def counted(cell, seed, replicate, recorder):
+    def counted(recorder):
         calls.append(recorder.n)
-        return path(cell, seed, replicate, recorder)
+        return advance(recorder)
 
-    monkeypatch.setattr(_em, "path", counted)
+    monkeypatch.setattr(_em.Recorder, "advance", counted)
     traj = integrate_sde(p, NoiseSpec(0.1, 0.1), origin_equilibrium(), sim)
     assert calls == [27]
     assert len(traj.times) == 28

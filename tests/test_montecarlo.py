@@ -246,11 +246,11 @@ def fail_step(monkeypatch, fails):
     """
     real = _em.Slice.step
 
-    def step(self, first, n):
-        block = 0 if self.done else self._next // self.block
-        if fails(first, block, threading.current_thread() is threading.main_thread()):
-            raise Boom(first)
-        real(self, first, n)
+    def step(self):
+        block = 0 if self._step < 0 else self._next // self.block
+        if fails(self.first, block, threading.current_thread() is threading.main_thread()):
+            raise Boom(self.first)
+        real(self)
 
     monkeypatch.setattr(_em.Slice, "step", step)
 
@@ -547,7 +547,8 @@ def test_slice_draws_the_top_stream_keys():
                          epsilon1=450.0, master_seed=2**64 - 1)
     rec = recorded_steps(27, 3)
     buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates)
-    buffer.step(2**63 - 1, 1)
+    buffer.start(2**63 - 1, 1)
+    buffer.step()
     sq, _, negative, finite = _reference_path(p, cfg, 2**63 - 1, 27, rec)
     assert finite
     assert buffer.sq[::buffer.stride].tolist() == sq  # rows x one cell x stride: replicate 0 of each row
@@ -607,8 +608,10 @@ def slice_width_equals_the_reference(library, n, p, noise):
         patch.setattr(_em, "_lib", library)
         buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, n)
     assert buffer.stride == min(64, -(-n // 8) * 8)
-    buffer.step(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
-    buffer.step(0, n)
+    buffer.start(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
+    buffer.step()
+    buffer.start(0, n)
+    buffer.step()
     included = []
     for j in range(n):
         sq, exceed_at, negative, finite = _reference_path(p, cfg, j, 27, rec)
@@ -647,7 +650,8 @@ def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_libr
         write_ensemble_csv(stats, tmp_path / f"{name}-ensemble.csv")
         write_sweep_csv(sweep(p, {"r": [0.05, 0.1]}, {}, cfg), tmp_path / f"{name}-sweep.csv")
         buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates)
-        buffer.step(100, 37)
+        buffer.start(100, 37)
+        buffer.step()
         runs[name] = (stats.n_negative, stats.n_nonfinite,
                       [(tmp_path / f"{name}-{command}.csv").read_bytes() for command in ("ensemble", "sweep")],
                       [(buffer.sq[j::buffer.stride].tobytes(), buffer.state[j::buffer.stride].tobytes(),
@@ -732,17 +736,15 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
         stride = buffer.stride
         assert stride == min(64, -(-replicates // 8) * 8)
         assert buffer.block == (block or len(rec))
-        buffer.step(2**63 - stride, stride)  # another slice's outputs in every column, which em_fold must not read
+        buffer.start(2**63 - stride, stride)  # another slice's outputs in every column, which em_fold must not read
         while not buffer.done:
-            buffer.step(2**63 - stride, stride)
+            buffer.step()
         sums, sq_rows = _em.Sums(k, len(rec)), []
-        buffer.step(first, width)
-        while True:
+        buffer.start(first, width)
+        while not buffer.done:
+            buffer.step()
             buffer.fold(sums)
             sq_rows.append(buffer.sq[:buffer.rows * k * stride])
-            if buffer.done:
-                break
-            buffer.step(first, width)
         sq = array("d", b"".join(rows.tobytes() for rows in sq_rows))  # recorded rows x cells x stride
         for c, cell_paths in enumerate(paths):
             rows = [0.0] * len(rec)  # the reference's fold: each row adds its finite |x|^2 in index order
@@ -801,6 +803,32 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv):
         peaks.append(peak)
     per_row = 3 * 8 + 8 + 3 * 8
     assert peaks[1] - peaks[0] <= (100001 - 10001) * per_row
+
+
+@pytest.mark.usefixtures("deadline")
+def test_fold_turns_hold_nothing_per_block(tumv, monkeypatch):
+    # The threads take their fold turns by one (slice, blocks folded) pair per thread.  So over ten
+    # times the horizon, in ten times the blocks of one row, the peak beyond what the memory check
+    # counts (_em.ensemble_bytes) grows by no more than the arrays that the statistics grow from
+    # generators over-allocate, up to 1/16 of three float64 columns: 1.5 B a row.  A Counter of the
+    # slices folded per block grew by about 50 B a block.
+    use_workers(monkeypatch, 2)
+    use_block_rows(monkeypatch, 1)
+    eq = positive_equilibrium(tumv)
+    uncounted = []
+    for steps in (2000, 20000, 200000):  # the first run makes what any run makes once
+        sim = SimConfig(dt=0.5, t_end=0.5 * steps, initial=displaced_initial(eq, 0.01, tumv.K), record_stride=100)
+        cfg = EnsembleConfig(replicates=2, sim=sim, noise=NoiseSpec(0.05, 0.05), anchor=eq,
+                             epsilon1=0.1 * anchor_scale(eq, tumv.K), master_seed=5)
+        assert step_count(sim) == steps
+        tracemalloc.start()  # it sees every thread's slice
+        try:
+            run_ensemble(cfg, tumv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        uncounted.append(peak - _em.ensemble_bytes(1, steps, 100, 2, 2))
+    assert uncounted[2] - uncounted[1] <= 2 * (2001 - 201)
 
 
 def few_replicates_cfg(tumv, t_end):
@@ -907,7 +935,8 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
     sq, first, nonfinite, negative = [], [], [], []
     for s in range(5):
         lo, hi = 300 * s // 5, 300 * (s + 1) // 5
-        buffer.step(lo, hi - lo)
+        buffer.start(lo, hi - lo)
+        buffer.step()
         sq.append(buffer_sq[:, 0, :hi - lo].copy())
         first += buffer_first[0, :hi - lo].tolist()
         nonfinite += (~np.isfinite(buffer_state[:, 0, :hi - lo]).all(axis=0)).tolist()
@@ -1004,12 +1033,12 @@ def divergence_steps(params, cfg):
 
 
 def count_steps(monkeypatch):
-    """The first replicate of each Slice.step call, in a list that grows as they are made."""
+    """The first replicate of the slice of each Slice.step call, in a list that grows as they are made."""
     calls, real = [], _em.Slice.step
 
-    def step(self, first, n):
-        calls.append(first)
-        real(self, first, n)
+    def step(self):
+        calls.append(self.first)
+        real(self)
 
     monkeypatch.setattr(_em.Slice, "step", step)
     return calls

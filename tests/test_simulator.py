@@ -431,7 +431,7 @@ def test_a_settled_em_path_equals_the_python_loop_stepped_to_its_end(monkeypatch
     blocks = simulator.sde_blocks(p, noise, eq, cfg, replicate=4)
     assert outcome(blocks.trajectory) == outcome(lambda: recorded(cfg, p.K, states, "noise or step too large?"))
     if rows > 1:  # each block of one row steps once, and so draws at every step
-        assert words_drawn(blocks.recorder) < 2800 < step_count(cfg)
+        assert words_drawn(blocks) < 2800 < step_count(cfg)
 
 
 def test_an_em_path_that_a_step_leaves_as_it_was_moves_again_where_omega_x_is_not_zero():
