@@ -45,7 +45,7 @@
  * A stable path may reach such a fixed point in floating point, and from there
  * path_hold records its rows without stepping.
  *
- * Each entry point that steps takes its struct alone, which holds all it reads.
+ * Each entry point that steps or folds takes its struct alone: all it reads.
  * Euler-Maruyama has one entry point per job, sharing one step (EM_STEP), one
  * normal draw (normal) and sqrt(dt), taken from dt here.  em_path steps a
  * single path, its inputs and start set once in its recorder (path_t), a block
@@ -60,9 +60,10 @@
  * (slice_step_x8), else two, the width of an SSE2 or NEON register
  * (slice_step_x2).  The slice has `stride` columns per cell, a multiple of 8
  * up to BLOCK, so that a slice of few replicates holds few columns.  em_fold
- * then adds the block's |x|^2 that are finite into the ensemble's running sums
- * in index order, several rows at a time, and counts the others per row: a row
- * depends on no later step, so each block is stepped and folded once.
+ * then adds the block's |x|^2 that are finite into the running sums the slice
+ * is made with, in index order, several rows at a time, and counts the others
+ * per row: a row depends on no later step, so each block is stepped and
+ * folded once.
  */
 
 #include <math.h>
@@ -440,6 +441,7 @@ typedef struct {
     int64_t *first_exceed; /* ncells x stride each, as sq's columns */
     uint8_t *negative;
     stream_t *st;          /* 2 x stride: replicate first + j draws from st[2j] and st[2j + 1] */
+    double *sum; int64_t *exceed, *lost, *counts; /* the ensemble's sums, which em_fold adds into */
     uint64_t seed;
     int64_t first;
     int64_t n;
@@ -674,7 +676,7 @@ static inline void fold_rows(const double *x, int64_t step, int64_t n, double *s
     sum[7] = a7;
 }
 
-/* Add the replicates of the block em_run stepped last into an ensemble's running sums over its nrec
+/* Add the replicates of the block em_run stepped last into the slice's ensemble sums over its nrec
  * recorded rows, ceil(steps / every) + 1, in replicate-index order.  Per cell c and recorded row i,
  * sum[c * nrec + i] adds their |x|^2 that are finite, and lost[c * nrec + i] counts the others.  After
  * the final block, exceed[c * nrec + i] counts the replicates whose state is finite at the end and
@@ -683,15 +685,15 @@ static inline void fold_rows(const double *x, int64_t step, int64_t n, double *s
  * block in turn into sums that start at 0.0 adds each row's values in index order from 0.0, FOLD_ROWS
  * rows at a time: where such a pass over every replicate leaves a sum that is not finite, that row is
  * added again from its sum before, by fold_row, which adds only the finite |x|^2. */
-void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *lost, int64_t *counts)
+void em_fold(const slice_t *sl)
 {
     int64_t ncells = sl->ncells, stride = sl->stride, n = sl->n, rows = sl->rows;
     int64_t nrec = (sl->steps - 1) / sl->every + 2; /* without overflow */
     int64_t step = ncells * stride, base = sl->next - rows; /* from a row of sq to the next; sq's first row */
     for (int64_t c = 0; c < ncells; c++) {
         const double *sq = sl->sq + c * stride;
-        double *row_sum = sum + c * nrec + base;
-        int64_t *row_lost = lost + c * nrec + base, i = 0;
+        double *row_sum = sl->sum + c * nrec + base;
+        int64_t *row_lost = sl->lost + c * nrec + base, i = 0;
         for (; i + FOLD_ROWS <= rows; i += FOLD_ROWS) {
             double before[FOLD_ROWS];
             memcpy(before, row_sum + i, sizeof before);
@@ -707,7 +709,7 @@ void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *lost, int
         if (sl->step < sl->steps)
             continue;
         const double *state = sl->state;
-        int64_t *count = counts + 3 * c;
+        int64_t *count = sl->counts + 3 * c;
         for (int64_t j = 0; j < n; j++) {
             int64_t fe = sl->first_exceed[c * stride + j];
             if (!(isfinite(ROW(X1, c)[j]) && isfinite(ROW(X2, c)[j]))) {
@@ -717,7 +719,7 @@ void em_fold(const slice_t *sl, double *sum, int64_t *exceed, int64_t *lost, int
             count[0]++;
             count[1] += sl->negative[c * stride + j];
             if (fe >= 0)
-                exceed[c * nrec + fe]++;
+                sl->exceed[c * nrec + fe]++;
         }
     }
 }

@@ -5,20 +5,20 @@ share one step and one normal draw: em_run steps ensembles and sweeps one
 slice of replicates at a time, which em_fold folds (Slice), and em_path
 steps a single path (Recorder), each a block of recorded rows per call, as
 the RK4 path rk4_path does, recording every stride-th step and the last by
-one rule.  Each takes its struct alone, which carries what the next call
-resumes from: a path's recorder holds its inputs and start, set once when
-it is made, and a slice is started once for its replicates.  Its Philox
-streams refill eight blocks at a time, in the eight lanes of an AVX-512
-register where the CPU has AVX-512F, each lane carrying its own counter
-through all four words, else one after another; the rounds are written
-once, for a word and for eight lanes.  em_run steps
-a slice in whole groups of eight replicates, eight per register where the
-CPU has AVX-512F, else two.  The step is written once, for a double and for
-a vector's lanes, which take the same IEEE operations in the same order,
-none fused, under an unchanged MXCSR, so they give the same bytes.
-em_refill_lanes reports the choice, made once for both: 8, else 1 (and a
-step of two).  It also holds the RK4 path and the '%.17g' formatter of the
-writers (format_g17).
+one rule.  Each, em_fold too, takes its struct alone, which carries what
+the next call resumes from: a path's recorder holds its inputs and start,
+and a slice the ensemble's sums it folds into, each set once when it is
+made; a slice is started once for its replicates.  Its Philox streams
+refill eight blocks at a time, in the eight lanes of an AVX-512 register
+where the CPU has AVX-512F, each lane carrying its own counter through all
+four words, else one after another; the rounds are written once, for a
+word and for eight lanes.  em_run steps a slice in whole groups of eight
+replicates, eight per register where the CPU has AVX-512F, else two.  The
+step is written once, for a double and for a vector's lanes, which take
+the same IEEE operations in the same order, none fused, under an unchanged
+MXCSR, so they give the same bytes.  em_refill_lanes reports the choice,
+made once for both: 8, else 1 (and a step of two).  It also holds the RK4
+path and the '%.17g' formatter of the writers (format_g17).
 
 The shared library is built with the C compiler Python was built with and
 linked against numpy's shipped libnpyrandom.a, which provides the normal
@@ -82,7 +82,7 @@ _SIGNATURES = {
     "em_slice_bytes": (_I, ()),
     "em_run": (None, (_P,)),
     "em_path": (None, (_P,)),
-    "em_fold": (None, (_P, _P, _P, _P, _P)),
+    "em_fold": (None, (_P,)),
     "rk4_path": (None, (_P,)),
     "fmt_g17": (_I, (_P, _I, _I, ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, _P)),
 }
@@ -359,35 +359,38 @@ class Slice(ctypes.Structure):
     replicates per cell: at most BLOCK.  start() gives it its replicates
     once, step() then integrates them through their next block of `block`
     = block_rows(steps, stride) recorded rows, looked up when the slice is
-    made, until done, and fold() adds each block's finite |x|^2 into an
-    ensemble's sums.  The slice holds, per cell and
-    replicate, the |x|^2 at every row of the block (sq, of block x cells x
-    stride), the first row by which |x| exceeded epsilon1, -1 if none
-    (first_exceed, cells x stride), the negative flags (cells x stride),
-    the kernel's state (state, 2 x cells x stride: the deviations) and two
-    Philox streams per column, each in C order; rows is the rows of the
-    last block.
+    made, until done, and fold() adds each block's finite |x|^2 into
+    `sums`, the ensemble's Sums, whose shape is checked once, when the
+    slice is made.  The slice holds, per cell and replicate, the |x|^2 at
+    every row of the block (sq, of block x cells x stride), the first row
+    by which |x| exceeded epsilon1, -1 if none (first_exceed, cells x
+    stride), the negative flags (cells x stride), the kernel's state
+    (state, 2 x cells x stride: the deviations) and two Philox streams per
+    column, each in C order; rows is the rows of the last block.
     """
 
     _fields_ = [("_cells", _P), ("k", _I), ("stride", _I), ("dt", _D), ("steps", _I), ("every", _I), ("block", _I),
-                ("_state", _P), ("_sq", _P), ("_first_exceed", _P), ("_negative", _P),
-                ("_streams", _P), ("seed", ctypes.c_uint64), ("first", _I), ("n", _I), ("_step", _I),
-                ("_next", _I), ("rows", _I), ("_due", _I)]
+                ("_state", _P), ("_sq", _P), ("_first_exceed", _P), ("_negative", _P), ("_streams", _P),
+                ("_sum", _P), ("_exceed", _P), ("_lost", _P), ("_counts", _P), ("seed", ctypes.c_uint64),
+                ("first", _I), ("n", _I), ("_step", _I), ("_next", _I), ("rows", _I), ("_due", _I)]
 
-    def __init__(self, cells, seed: int, dt: float, steps: int, stride: int, replicates: int):
-        self._lib = library()
-        self.cells = _cell_words(cells)
+    def __init__(self, cells, seed: int, dt: float, steps: int, stride: int, replicates: int, sums: Sums):
         if min(steps, stride) < 1:
             raise ValueError(f"a slice takes steps and a stride >= 1, not {steps}, {stride}")
         k, columns, block = len(cells), slice_stride(replicates), block_rows(steps, stride)
+        size = k * recorded_rows(steps, stride)  # em_fold trusts every pointer and size
+        if not all(a.typecode == typecode and len(a) == want for a, typecode, want in (
+                (sums.sq, "d", size), (sums.exceed, "q", size), (sums.lost, "q", size), (sums.counts, "q", 3 * k))):
+            raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
+        self._lib, self.cells, self.sums = library(), _cell_words(cells), sums
         self.state = _zeros("d", _STATE_ROWS * k * columns)
         self.sq = _zeros("d", block * k * columns)
         self.first_exceed = _zeros("q", k * columns)
         self.negative = _zeros("B", k * columns)
         self.streams = _zeros("q", 2 * columns * _STREAM_WORDS)
         super().__init__(_address(self.cells), k, columns, dt, steps, min(stride, steps), block,
-                         *map(_address, (self.state, self.sq, self.first_exceed, self.negative, self.streams)),
-                         seed, 0, 0, -1)
+                         *map(_address, (self.state, self.sq, self.first_exceed, self.negative, self.streams,
+                                         sums.sq, sums.exceed, sums.lost, sums.counts)), seed, 0, 0, -1)
 
     def start(self, first: int, n: int) -> None:
         """Make replicates first..first+n-1 of every cell the slice's, which step() steps from step 0."""
@@ -404,16 +407,10 @@ class Slice(ctypes.Structure):
         """Integrate the slice's replicates through their next block of rows (em_run in _em.c)."""
         self._lib.em_run(ctypes.addressof(self))
 
-    def fold(self, sums: Sums) -> None:
-        """Add the finite |x|^2 of the block stepped last, in index order, into sums, and count the others
-        (em_fold in _em.c); after the final block, the replicates' counts too."""
-        size = self.k * recorded_rows(self.steps, self.every)
-        # the C loop trusts every pointer and size
-        if not all(a.typecode == typecode and len(a) == want for a, typecode, want in (
-                (sums.sq, "d", size), (sums.exceed, "q", size), (sums.lost, "q", size),
-                (sums.counts, "q", 3 * self.k))):
-            raise ValueError("ensemble sums do not match the slice's cells and recorded rows")
-        self._lib.em_fold(ctypes.addressof(self), *map(_address, (sums.sq, sums.exceed, sums.lost, sums.counts)))
+    def fold(self) -> None:
+        """Add the finite |x|^2 of the block stepped last, in index order, into the slice's sums, and count
+        the others (em_fold in _em.c); after the final block, the replicates' counts too."""
+        self._lib.em_fold(ctypes.addressof(self))
 
 
 def _column_address(column, held: list) -> int:

@@ -131,21 +131,22 @@ def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tupl
     replicate's numbers depend on its own streams only (see em_run in
     _em.c), so no result depends on the number of threads or the blocks.  A
     thread folds block b of slice s into the sums only once the thread of
-    slice s - 1 has folded past it, so each row adds every replicate in index
-    order, and the memory is the sums and one block and one (slice, blocks
-    folded) pair per thread, whatever the horizon.  A
-    fold adds the |x|^2 of a row that are finite there, which no later block
-    changes, so every block of every slice is stepped and folded once.  The
-    compiled kernel runs without the interpreter lock, so the threads step
-    in parallel.  With more than one worker, thread w first moves to CPU w
-    mod C of the C this process may use, and is then let run on all of them
-    again: where the kernel balances no load between CPUs (a cpuset whose
-    sched_load_balance is 0), it never moves a thread, and every thread
-    would stay on the CPU this one runs on.  A thread that cannot move stays
-    where it is.  The first exception raised in any thread stops the others
+    slice s - 1 has folded block b: each fold puts a token on the next
+    thread's gate.  So each row adds every replicate in index order, and
+    the memory is the sums, one block and one gate per thread, whatever the
+    horizon.  A fold adds the |x|^2 of a row that are finite there, which
+    no later block changes, so every block of every slice is stepped and
+    folded once.  The compiled kernel runs without the interpreter lock, so
+    the threads step, and fold other rows, in parallel.  With more than one
+    worker, thread w first moves to CPU w mod C of the C this process may
+    use, and is then let run on all of them again: where the kernel
+    balances no load between CPUs (a cpuset whose sched_load_balance is 0),
+    it never moves a thread, and every thread would stay on the CPU this
+    one runs on.  A thread that cannot move stays where it is.  The first
+    exception raised in any thread opens every gate and stops the others
     before their next fold, and is raised here once every thread has been
-    joined.  The times are made once the sums are, from the steps the kernel
-    records (simulator.recorded_steps), one at a time.
+    joined.  The times are made once the sums are, from the steps the
+    kernel records (simulator.recorded_steps), one at a time.
     """
     replicates, dt, steps, workers = cfg.replicates, cfg.sim.dt, step_count(cfg.sim), _worker_count(cfg.replicates)
     _check_recorded_bytes(_em.ensemble_bytes(len(cells), steps, stride, workers, replicates))
@@ -153,14 +154,17 @@ def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tupl
     slices = _em.slice_count(replicates, workers)
     cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
     sums = _em.Sums(len(cells), _em.recorded_rows(steps, stride))
-    turn = threading.Condition()
-    folded = [(-1, 0)] * workers  # per thread, (the slice it folds, its blocks folded so far)
+    # Slices are dealt round-robin and have the same blocks, so thread w's k-th fold is of the block of
+    # thread w - 1's k-th, in the slice before.  Each fold gives a token to the next thread's gate, and
+    # each fold past slice 0 first takes one from its own: so it waits for exactly that fold.  Two folds
+    # at once are of other blocks, so of other rows, and no lock is held.
+    gates = [threading.Semaphore(0) for _ in range(workers)]
     failed = []   # exceptions raised in any thread, in the order raised
 
     def abort(exc: BaseException) -> None:
-        with turn:
-            failed.append(exc)
-            turn.notify_all()
+        failed.append(exc)
+        for gate in gates:
+            gate.release()
 
     def worker(w: int) -> None:
         """Step thread w's slices a block at a time and fold each block in its turn."""
@@ -171,21 +175,18 @@ def _ensembles(cells: Sequence[_Cell], cfg: EnsembleConfig, stride: int) -> tupl
                     os.sched_setaffinity(0, cpus)
                 except OSError:
                     pass  # it stays where it is
-            buffer = _em.Slice(cells, cfg.master_seed, dt, steps, stride, replicates)
+            buffer = _em.Slice(cells, cfg.master_seed, dt, steps, stride, replicates, sums)
             for s in range(w, slices, workers):
                 lo = replicates * s // slices
                 buffer.start(lo, replicates * (s + 1) // slices - lo)
-                b = 0
                 while not buffer.done:  # the slice's blocks, from its first to its last
                     buffer.step()
-                    with turn:
-                        turn.wait_for(lambda: s == 0 or folded[(s - 1) % workers] > (s - 1, b) or failed)
-                        if failed:
-                            return
-                        buffer.fold(sums)
-                        b += 1
-                        folded[w] = (s, b)
-                        turn.notify_all()
+                    if s:
+                        gates[w].acquire()
+                    if failed:
+                        return
+                    buffer.fold()
+                    gates[(w + 1) % workers].release()
         except BaseException as exc:
             abort(exc)
 

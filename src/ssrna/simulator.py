@@ -79,7 +79,7 @@ class SimConfig(Record):
         # held as floats, so that no step count is taken in a narrower type
         object.__setattr__(self, "dt", _positive_finite("dt", self.dt))
         if not (finite_real(self.t_end) and float(self.t_end) >= self.dt):
-            raise ParameterError(f"t_end must be at least dt, got {brief(self.t_end)}")
+            raise ParameterError(f"t_end must be at least dt = {self.dt!r}, got {brief(self.t_end)}")
         object.__setattr__(self, "t_end", float(self.t_end))
         if not (math.isfinite(self.t_end / self.dt) and step_count(self) <= MAX_STEPS):
             raise ParameterError(

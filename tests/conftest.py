@@ -50,6 +50,15 @@ def use_block_rows(monkeypatch, rows):
     monkeypatch.setattr(_em, "block_rows", lambda n, stride: rows)
 
 
+def new_slice(cells, seed, dt, steps, stride, replicates):
+    """An _em.Slice of an ensemble of cells that folds into new Sums of its cells and recorded rows,
+    its `sums`."""
+    from ssrna import _em
+
+    sums = _em.Sums(len(cells), _em.recorded_rows(steps, stride))
+    return _em.Slice(cells, seed, dt, steps, stride, replicates, sums)
+
+
 def centralized_rhs(params, eq):
     """The drift of the dynamics rewritten in deviations x = state - eq, as a function of (x1, x2).
 

@@ -161,6 +161,13 @@ def test_analyze_subthreshold_branch(tmp_path):
         pytest.param(lambda c: (c.clear(), c.update(ensemble_config(epsilon1={"fraction": 1e308}))),
                      "error: ensemble: epsilon1 must be a positive finite number, got inf\n",
                      id="epsilon1-fraction-overflows"),
+        # without a dt the block steps by the anchor's default dt, which the config never states: a
+        # shorter horizon is refused with that dt
+        pytest.param(lambda c: (c.clear(), c.update(ensemble_config(
+            sim={"t_end": 0.3, "initial": {"displace_fraction": 0.01}}))),
+                     "error: ensemble.sim: t_end must be at least dt = "
+                     f"{simulator.default_dt(validate_params(**TUMV), positive_equilibrium(validate_params(**TUMV)))!r}"
+                     ", got 0.3\n", id="t_end-below-the-default-dt"),
     ],
 )
 def test_analyze_invalid_config_exits_2(tmp_path, capsys, mutate, needle):

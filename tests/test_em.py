@@ -30,7 +30,7 @@ from ssrna import _em, cli, montecarlo
 from ssrna.errors import KernelError
 from ssrna.simulator import brownian_increments, step_count
 
-from conftest import TUMV, em_reference, outcome, use_block_rows
+from conftest import TUMV, em_reference, new_slice, outcome, use_block_rows
 
 U64_MAX = 2**64 - 1
 
@@ -53,7 +53,7 @@ def test_stream_size_is_what_the_memory_check_counts():
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     for replicates, columns in ((1, 8), (9, 16), (1000, 64)):
-        buffer = _em.Slice([cell], 0, 0.5, 2, 1, replicates)
+        buffer = new_slice([cell], 0, 0.5, 2, 1, replicates)
         assert len(buffer.streams) * buffer.streams.itemsize == 2 * columns * _em.library().em_stream_words() * 8
 
 
@@ -144,11 +144,11 @@ def test_ensemble_bytes_are_the_buffers_allocated(monkeypatch, ncells, steps, ev
         use_block_rows(monkeypatch, 1)
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
-    buffer = _em.Slice([cell] * ncells, 0, 0.5, steps, every, replicates)
+    buffer = new_slice([cell] * ncells, 0, 0.5, steps, every, replicates)
     assert buffer.stride == _em.slice_stride(replicates) == stride
     assert buffer.block == block
     nrec = _em.recorded_rows(steps, every)
-    sums, times = _em.Sums(ncells, nrec), array("d", range(nrec))
+    sums, times = buffer.sums, array("d", range(nrec))
     sums.counts[0] = 1  # an included replicate in cell 0
     stats = montecarlo._reduce(sums, 0, times)
     assert vars(stats)["times"] is times
@@ -163,7 +163,20 @@ def test_slice_refuses_a_horizon_without_steps_or_stride(steps, stride):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     with pytest.raises(ValueError, match=f"a stride >= 1, not {steps}, {stride}$"):
-        _em.Slice([cell], 0, 0.5, steps, stride, 8)
+        _em.Slice([cell], 0, 0.5, steps, stride, 8, _em.Sums(1, 1))
+
+
+@pytest.mark.parametrize("ncells, nrec", [(2, 5), (1, 4), (1, 6), (0, 5)])
+def test_slice_refuses_sums_of_other_cells_or_rows(monkeypatch, ncells, nrec):
+    # em_fold writes through the sums' pointers unchecked, so a slice of one cell over 4 steps, which
+    # records 5 rows, is refused other sums when it is made, before the library is even loaded
+    p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
+    cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(_em, "library", lambda: pytest.fail("the library was loaded"))
+        with pytest.raises(ValueError, match="^ensemble sums do not match the slice's cells and recorded rows$"):
+            _em.Slice([cell], 0, 0.5, 4, 1, 8, _em.Sums(ncells, nrec))
+    assert new_slice([cell], 0, 0.5, 4, 1, 8).sums.sq.tolist() == [0.0] * 5
 
 
 def test_slice_steps_its_replicates_a_block_at_a_time(monkeypatch):
@@ -172,7 +185,7 @@ def test_slice_steps_its_replicates_a_block_at_a_time(monkeypatch):
     p = validate_params(r=0.05, alpha=0.5, delta=0.3, sigma=0.25, K=1000.0)
     cell = simulator._kernel_cell(p, origin_equilibrium(), NoiseSpec(0.1, 0.1), State(1.0, 2.0), 4.0)
     use_block_rows(monkeypatch, 2)
-    buffer = _em.Slice([cell], 0, 0.5, 4, 1, 8)
+    buffer = new_slice([cell], 0, 0.5, 4, 1, 8)
     rows = []
     for first in (0, None, None, 8):
         if first is not None:
@@ -313,7 +326,7 @@ def test_kernel_draws_equal_numpy_where_the_first_try_is_rejected(replicate, coo
     expected = em_reference(p, noise, anchor, cfg, replicate)
     assert outcome(lambda: integrate_sde(p, noise, anchor, cfg, replicate=replicate)) == expected
     cell = simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)
-    buffer = _em.Slice([cell], seed, cfg.dt, steps, 1, 1)  # one block of every row
+    buffer = new_slice([cell], seed, cfg.dt, steps, 1, 1)  # one block of every row
     buffer.start(replicate, 1)
     buffer.step()
     assert list(buffer.sq[::buffer.stride]) == [pm * pm + mm * mm for pm, mm in expected[1]]
@@ -334,7 +347,7 @@ def test_kernel_draws_equal_numpy_where_a_reject_ends_the_buffer(replicate, coor
     noise, anchor = NoiseSpec(0.3, 0.2), origin_equilibrium()
     expected = em_reference(p, noise, anchor, cfg, replicate)
     assert outcome(lambda: integrate_sde(p, noise, anchor, cfg, replicate=replicate)) == expected
-    buffer = _em.Slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
+    buffer = new_slice([simulator._kernel_cell(p, anchor, noise, cfg.initial, math.inf)], seed, cfg.dt,
                        steps, 1, 1)  # one block of every row
     buffer.start(replicate, 1)
     buffer.step()

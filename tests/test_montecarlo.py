@@ -42,7 +42,7 @@ from ssrna.montecarlo import write_ensemble_csv, write_sweep_csv
 from ssrna.simulator import recorded_steps, step_count
 from ssrna.stability import gamma_bounds
 
-from conftest import TUMV, deviations_sq, drawn_increments, em_deviations, use_block_rows, use_workers
+from conftest import TUMV, deviations_sq, drawn_increments, em_deviations, new_slice, use_block_rows, use_workers
 
 
 def tumv_ensemble_cfg(tumv, *, replicates, t_end, gamma_scale=0.5, displace=0.01,
@@ -546,7 +546,7 @@ def test_slice_draws_the_top_stream_keys():
     cfg = EnsembleConfig(replicates=1, sim=sim, noise=NoiseSpec(0.8, 0.8), anchor=origin_equilibrium(),
                          epsilon1=450.0, master_seed=2**64 - 1)
     rec = recorded_steps(27, 3)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates)
+    buffer = new_slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates)
     buffer.start(2**63 - 1, 1)
     buffer.step()
     sq, _, negative, finite = _reference_path(p, cfg, 2**63 - 1, 27, rec)
@@ -606,7 +606,7 @@ def slice_width_equals_the_reference(library, n, p, noise):
     rec = recorded_steps(27, 3)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_em, "_lib", library)
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, n)
+        buffer = new_slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, n)
     assert buffer.stride == min(64, -(-n // 8) * 8)
     buffer.start(64, buffer.stride)  # outputs of another slice beyond n, which em_fold must not read
     buffer.step()
@@ -625,8 +625,8 @@ def slice_width_equals_the_reference(library, n, p, noise):
     elif noise.omega1 < 1.0 and n >= 8:
         assert 0 < sum(buffer.negative[:n]) < n
 
-    sums = _em.Sums(1, len(rec))
-    buffer.fold(sums)
+    sums = buffer.sums
+    buffer.fold()
     sq = np.frombuffer(buffer.sq).reshape(len(rec), buffer.stride)[:, :n]
     assert np.array_equal(np.frombuffer(sums.sq), sum_finite(sq))
     assert list(sums.lost) == np.count_nonzero(~np.isfinite(sq), axis=1).tolist()
@@ -649,7 +649,7 @@ def test_scalar_fallback_gives_the_same_bytes(monkeypatch, tmp_path, scalar_libr
         stats = run_ensemble(cfg, p)
         write_ensemble_csv(stats, tmp_path / f"{name}-ensemble.csv")
         write_sweep_csv(sweep(p, {"r": [0.05, 0.1]}, {}, cfg), tmp_path / f"{name}-sweep.csv")
-        buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates)
+        buffer = new_slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 3, cfg.replicates)
         buffer.start(100, 37)
         buffer.step()
         runs[name] = (stats.n_negative, stats.n_nonfinite,
@@ -732,18 +732,18 @@ def test_slices_equal_the_reference_by_property(scalar_library, batch, block):
             patch.setattr(_em, "_lib", library)
             if block is not None:
                 use_block_rows(patch, block)
-            buffer = _em.Slice(kernel_cells, seed, dt, n_steps, every, replicates)
+            buffer = new_slice(kernel_cells, seed, dt, n_steps, every, replicates)
         stride = buffer.stride
         assert stride == min(64, -(-replicates // 8) * 8)
         assert buffer.block == (block or len(rec))
         buffer.start(2**63 - stride, stride)  # another slice's outputs in every column, which em_fold must not read
         while not buffer.done:
             buffer.step()
-        sums, sq_rows = _em.Sums(k, len(rec)), []
+        sums, sq_rows = buffer.sums, []
         buffer.start(first, width)
         while not buffer.done:
             buffer.step()
-            buffer.fold(sums)
+            buffer.fold()
             sq_rows.append(buffer.sq[:buffer.rows * k * stride])
         sq = array("d", b"".join(rows.tobytes() for rows in sq_rows))  # recorded rows x cells x stride
         for c, cell_paths in enumerate(paths):
@@ -807,11 +807,11 @@ def test_ensemble_memory_does_not_grow_with_horizon(tumv):
 
 @pytest.mark.usefixtures("deadline")
 def test_fold_turns_hold_nothing_per_block(tumv, monkeypatch):
-    # The threads take their fold turns by one (slice, blocks folded) pair per thread.  So over ten
-    # times the horizon, in ten times the blocks of one row, the peak beyond what the memory check
-    # counts (_em.ensemble_bytes) grows by no more than the arrays that the statistics grow from
-    # generators over-allocate, up to 1/16 of three float64 columns: 1.5 B a row.  A Counter of the
-    # slices folded per block grew by about 50 B a block.
+    # The threads pass their fold turns through one semaphore per thread (a gate), whose count is all
+    # that a fold leaves behind.  So over ten times the horizon, in ten times the blocks of one row,
+    # the peak beyond what the memory check counts (_em.ensemble_bytes) grows by no more than the
+    # arrays that the statistics grow from generators over-allocate, up to 1/16 of three float64
+    # columns: 1.5 B a row.  A Counter of the slices folded per block grew by about 50 B a block.
     use_workers(monkeypatch, 2)
     use_block_rows(monkeypatch, 1)
     eq = positive_equilibrium(tumv)
@@ -926,7 +926,7 @@ def test_ordered_fold_over_many_slices(monkeypatch, workers):
     # kernel once did over the whole matrix
     assert _em.slice_count(300, workers) == 5
     rec = recorded_steps(27, 1)
-    buffer = _em.Slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 1, cfg.replicates)
+    buffer = new_slice([montecarlo._cell(cfg, p)], cfg.master_seed, sim.dt, 27, 1, cfg.replicates)
     # numpy views of the slice buffer: rows x cells x stride, and cells x stride
     buffer_sq = np.frombuffer(buffer.sq).reshape(len(rec), 1, buffer.stride)
     buffer_first = np.frombuffer(buffer.first_exceed, np.int64).reshape(1, buffer.stride)
@@ -1023,6 +1023,33 @@ def test_more_threads_than_cpus_fold_every_block_in_turn(monkeypatch):
     assert stats.mean_sq_dev.tobytes() == msd.tobytes()
     assert stats.exceed_fraction_cum.tobytes() == cum.tobytes()
     assert (stats.n_negative, stats.n_nonfinite) == (n_negative, n_nonfinite)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_a_fold_does_not_hold_off_another_threads_fold_of_another_block(tumv, monkeypatch):
+    # 7 replicates in 2 threads make 2 slices, 0 to 2 and 3 to 6, folded in blocks of one row: the main
+    # thread's fold of block 1 of slice 0 waits until thread 1 has folded block 0 of slice 1, which
+    # only needs block 0 of slice 0 folded.  A fold that held the others' turns would wait the 3 s out.
+    cfg, _, _ = tumv_ensemble_cfg(tumv, replicates=7, t_end=40.0)
+    use_block_rows(monkeypatch, 1)
+    use_workers(monkeypatch, 1)
+    one = run_ensemble(cfg, tumv)
+    use_workers(monkeypatch, 2)
+    folded, waits, real = threading.Event(), [], _em.Slice.fold
+
+    def fold(self):
+        block = (self._next - self.rows) // self.block
+        if (self.first, block) == (0, 1):
+            waits.append(folded.wait(3.0))
+        real(self)
+        if (self.first, block) == (3, 0):
+            folded.set()
+
+    monkeypatch.setattr(_em.Slice, "fold", fold)
+    two = run_ensemble(cfg, tumv)
+    assert waits == [True]
+    assert [value.tobytes() if isinstance(value, array) else value for value in vars(two).values()] == \
+        [value.tobytes() if isinstance(value, array) else value for value in vars(one).values()]
 
 
 def divergence_steps(params, cfg):
